@@ -157,33 +157,6 @@ func BenchmarkFig6_EfficiencySweep(b *testing.B) {
 	report(core.StrategyHW, "hw")
 }
 
-// BenchmarkFig6_EfficiencySweepIncremental is the Figure 6 sweep through
-// the delta-driven incremental pipeline (SweepOptions.Incremental): Default
-// points reflow from the cached baseline, ERI/HW power reports update
-// through placement deltas, and thermal solves warm-start from their
-// lineage parents. The sweep output is bit-identical to
-// BenchmarkFig6_EfficiencySweep's (asserted by the harness); only the time
-// differs.
-func BenchmarkFig6_EfficiencySweepIncremental(b *testing.B) {
-	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	opts := core.SweepOptions{Overheads: []float64{0.16, 0.32}, Incremental: true}
-	var res *core.SweepResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.SweepEfficiency(f, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i, p := range res.PointsFor(core.StrategyERI) {
-		suffix := "16"
-		if i == 1 {
-			suffix = "32"
-		}
-		b.ReportMetric(p.TempReduction*100, "eri"+suffix+"_pct")
-	}
-}
-
 // BenchmarkFig6_CoAnalysisSweep is the multi-objective sweep: every point
 // carries temperature-derated timing (4%/10C cell, 5%/10C wire above the
 // solved surface field) and routing congestion alongside the thermal
@@ -191,7 +164,7 @@ func BenchmarkFig6_EfficiencySweepIncremental(b *testing.B) {
 // reported metrics pin the co-analysis outputs the smoke run watches.
 func BenchmarkFig6_CoAnalysisSweep(b *testing.B) {
 	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	opts := core.SweepOptions{Overheads: []float64{0.16, 0.32}, Incremental: true}
+	opts := core.SweepOptions{Overheads: []float64{0.16, 0.32}}
 	var res *core.SweepResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -223,8 +196,7 @@ func BenchmarkFig6_CoAnalysisSweep(b *testing.B) {
 func BenchmarkFig6_AdaptiveSweep(b *testing.B) {
 	f := paperFlow(b, bench.ScatteredSmallHotspots())
 	opts := core.SweepOptions{
-		Overheads:   []float64{0.16, 0.32},
-		Incremental: true,
+		Overheads: []float64{0.16, 0.32},
 		Adaptive: &core.AdaptiveOptions{
 			GridScale: 12,
 			Margin:    0.05,
@@ -729,27 +701,19 @@ func BenchmarkScenarioFullFlow(b *testing.B) {
 // scenario with the 80x80 grid: the sweep engine on a workload well past
 // the paper's size.
 func BenchmarkScenarioSweep(b *testing.B) {
-	for _, incremental := range []bool{false, true} {
-		name := "fromscratch"
-		if incremental {
-			name = "incremental"
+	g := scenarioBenchmark(b, bench.FamilyHotspotCluster, 25000)
+	f := scenarioFlow(b, g, 80)
+	opts := core.SweepOptions{Overheads: []float64{0.16, 0.32}}
+	var res *core.SweepResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = core.SweepEfficiency(f, opts)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			g := scenarioBenchmark(b, bench.FamilyHotspotCluster, 25000)
-			f := scenarioFlow(b, g, 80)
-			opts := core.SweepOptions{Overheads: []float64{0.16, 0.32}, Incremental: incremental}
-			var res *core.SweepResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = core.SweepEfficiency(f, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, pt := range res.PointsFor(core.StrategyERI) {
-				b.ReportMetric(pt.TempReduction*100, fmt.Sprintf("eri%d_pct", int(pt.AreaOverhead*100+0.5)))
-			}
-		})
+	}
+	for _, pt := range res.PointsFor(core.StrategyERI) {
+		b.ReportMetric(pt.TempReduction*100, fmt.Sprintf("eri%d_pct", int(pt.AreaOverhead*100+0.5)))
 	}
 }
 

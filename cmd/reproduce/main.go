@@ -49,7 +49,6 @@ func main() {
 		util      = flag.Float64("util", 0.85, "baseline placement utilization")
 		workers   = flag.Int("workers", 0, "concurrent sweep points (0 = GOMAXPROCS, 1 = sequential)")
 		precond   = flag.String("precond", "auto", "thermal CG preconditioner: auto, mg or jacobi")
-		incr      = flag.Bool("incremental", false, "derive sweep points incrementally from the baseline (delta-driven pipeline; bit-identical output)")
 		adaptive  = flag.Bool("adaptive", false, "with fig6, run the two-phase multi-fidelity sweep: densify the overhead grid, triage candidates on coarse-grid estimates, measure only the estimated Pareto front exactly")
 		gridScale = flag.Int("grid-scale", 4, "with -adaptive, densification factor of the overhead grid")
 		margin    = flag.Float64("margin", 0.25, "with -adaptive, triage safety margin as a fraction of the estimated rise range")
@@ -60,7 +59,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sweepOpts := core.SweepOptions{Workers: *workers, Incremental: *incr}
+	sweepOpts := core.SweepOptions{Workers: *workers}
 	if *adaptive {
 		sweepOpts.Adaptive = &core.AdaptiveOptions{GridScale: *gridScale, Margin: *margin}
 	}
@@ -185,7 +184,6 @@ func runFig6(ctx context.Context, f *flow.Flow, sweepOpts core.SweepOptions) {
 	fmt.Println("=== Figure 6: thermal efficiency of the various techniques (test set 1) ===")
 	opts := core.DefaultSweepOptions()
 	opts.Workers = sweepOpts.Workers
-	opts.Incremental = sweepOpts.Incremental
 	opts.Adaptive = sweepOpts.Adaptive
 	res, err := core.SweepEfficiencyCtx(ctx, f, opts)
 	if err != nil {

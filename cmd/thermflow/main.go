@@ -8,11 +8,20 @@
 // power and thermal maps, the placement (DEF-lite) and the thermal network
 // (SPICE deck) can optionally be written to files.
 //
+// With -strategy it is also the paper's "area management tool": one
+// post-placement temperature-reduction strategy (default utilization
+// relaxation, empty row insertion or hotspot wrapper) is applied to the
+// baseline at the requested area overhead, and the peak rise, area overhead
+// and temperature-derated critical path are reported before and after; -def
+// then writes the optimized placement.
+//
 // Usage:
 //
 //	thermflow -bench paper -workload scattered -util 0.85
 //	thermflow -netlist design.v -lib library.lib -workload uniform:0.3 \
 //	          -def out.def -thermal-map thermal.txt -power-map power.txt
+//	thermflow -bench paper -workload scattered -strategy eri -rows 20
+//	thermflow -bench paper -workload scattered -strategy hw -overhead 0.16 -def hw.def
 package main
 
 import (
@@ -48,7 +57,7 @@ func main() {
 		cycles      = flag.Int("cycles", 128, "random simulation cycles for activity extraction")
 		seed        = flag.Int64("seed", 1, "random stimulus seed")
 		gridN       = flag.Int("grid", 40, "thermal grid resolution per side (the paper uses 40)")
-		defOut      = flag.String("def", "", "write the placement as DEF-lite to this path")
+		defOut      = flag.String("def", "", "write the placement (with -strategy, the optimized one) as DEF-lite to this path")
 		spiceOut    = flag.String("spice", "", "write the thermal RC network as a SPICE deck to this path")
 		thermalOut  = flag.String("thermal-map", "", "write the thermal map (matrix of degrees C) to this path")
 		powerOut    = flag.String("power-map", "", "write the power map (matrix of watts per cell) to this path")
@@ -56,9 +65,11 @@ func main() {
 		withTiming  = flag.Bool("timing", true, "run static timing analysis")
 		withCongest = flag.Bool("congestion", true, "run the routing congestion estimate")
 		precond     = flag.String("precond", "auto", "thermal CG preconditioner: auto, mg or jacobi")
+		strategyStr = flag.String("strategy", "", "apply one strategy to the baseline and report before/after: default, eri or hw")
+		overhead    = flag.Float64("overhead", 0.16, "with -strategy, target fractional area overhead (default/hw, and eri when -rows is 0)")
+		rows        = flag.Int("rows", 0, "with -strategy eri, empty rows to insert (0 derives the count from -overhead)")
 		withSweep   = flag.Bool("sweep", false, "additionally run the Figure 6 efficiency sweep on this design/workload")
 		workers     = flag.Int("workers", 0, "concurrent sweep points with -sweep (0 = GOMAXPROCS, 1 = sequential)")
-		incr        = flag.Bool("incremental", false, "with -sweep, derive sweep points incrementally from the baseline (delta-driven pipeline; bit-identical output)")
 		adaptive    = flag.Bool("adaptive", false, "with -sweep, run the two-phase multi-fidelity sweep: densify the overhead grid, triage candidates on coarse-grid estimates, measure only the estimated Pareto front exactly")
 		gridScale   = flag.Int("grid-scale", 4, "with -adaptive, densification factor of the overhead grid")
 		margin      = flag.Float64("margin", 0.25, "with -adaptive, triage safety margin as a fraction of the estimated rise range")
@@ -88,6 +99,12 @@ func main() {
 	wl, err := parseWorkload(*workload)
 	if err != nil {
 		fatal(err)
+	}
+	var strategy core.Strategy
+	if *strategyStr != "" {
+		if strategy, err = core.ParseStrategy(*strategyStr); err != nil {
+			fatal(err)
+		}
 	}
 
 	cfg := flow.DefaultConfig()
@@ -155,11 +172,40 @@ func main() {
 		fmt.Print(an.Thermal.Surface.ASCIIHeatmap())
 	}
 
-	if *withSweep {
-		sopts := core.SweepOptions{
-			Workers:     *workers,
-			Incremental: *incr,
+	placed := an.Placement // what -def writes
+	if strategy != "" {
+		pt := core.Point{Strategy: strategy, Utilization: *util / (1 + *overhead)}
+		if strategy == core.StrategyERI {
+			pt = core.Point{Strategy: strategy, Rows: *rows}
+			if pt.Rows <= 0 {
+				pt.Rows = core.RowsForAreaOverhead(an.Placement, *overhead)
+			}
 		}
+		ev, err := core.NewEvaluator(ctx, f)
+		if err != nil {
+			fatal(err)
+		}
+		ep, opt, err := ev.Evaluate(ctx, pt, nil)
+		if err != nil {
+			fatal(err)
+		}
+		if opt == nil {
+			fatal(fmt.Errorf("no tight hotspots at overhead %g; nothing to wrap", *overhead))
+		}
+		fmt.Printf("strategy          : %v\n", pt)
+		fmt.Printf("area overhead     : %.1f%% (core %.1f x %.1f um)\n",
+			ep.AreaOverhead*100, opt.Placement.FP.Core.W(), opt.Placement.FP.Core.H())
+		fmt.Printf("peak rise         : %.3f C -> %.3f C (reduction %.1f%%)\n",
+			an.Thermal.PeakRise, ep.PeakRise, ep.TempReduction*100)
+		if an.Timing != nil && opt.Timing != nil {
+			fmt.Printf("critical path     : %.1f ps -> %.1f ps derated (timing overhead %.2f%%)\n",
+				an.Timing.CriticalPathPs, opt.Timing.CriticalPathPs, timing.Overhead(an.Timing, opt.Timing)*100)
+		}
+		placed = opt.Placement
+	}
+
+	if *withSweep {
+		sopts := core.SweepOptions{Workers: *workers}
 		if *adaptive {
 			sopts.Adaptive = &core.AdaptiveOptions{GridScale: *gridScale, Margin: *margin}
 		}
@@ -189,7 +235,7 @@ func main() {
 	}
 
 	if *defOut != "" {
-		if err := writeFile(*defOut, func(f *os.File) error { return def.Write(f, an.Placement) }); err != nil {
+		if err := writeFile(*defOut, func(f *os.File) error { return def.Write(f, placed) }); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("placement written : %s\n", *defOut)
@@ -251,25 +297,25 @@ func loadDesign(netlistPath, benchName string, lib *celllib.Library) (*netlist.D
 	}
 }
 
+// parseWorkload accepts scattered, concentrated, uniform (activity 0.25) and
+// uniform:<a>, where a is a per-cycle toggle probability in [0, 1].
 func parseWorkload(s string) (bench.Workload, error) {
-	switch {
-	case s == "scattered":
+	switch s {
+	case "scattered":
 		return bench.ScatteredSmallHotspots(), nil
-	case s == "concentrated":
+	case "concentrated":
 		return bench.ConcentratedLargeHotspot(), nil
-	case strings.HasPrefix(s, "uniform"):
-		activity := 0.25
-		if parts := strings.SplitN(s, ":", 2); len(parts) == 2 {
-			v, err := strconv.ParseFloat(parts[1], 64)
-			if err != nil {
-				return bench.Workload{}, fmt.Errorf("bad uniform activity %q", parts[1])
-			}
-			activity = v
-		}
-		return bench.UniformWorkload(activity), nil
-	default:
-		return bench.Workload{}, fmt.Errorf("unknown workload %q (want scattered, concentrated or uniform:<a>)", s)
+	case "uniform":
+		return bench.UniformWorkload(0.25), nil
 	}
+	if a, ok := strings.CutPrefix(s, "uniform:"); ok {
+		v, err := strconv.ParseFloat(a, 64)
+		if err != nil || !(v >= 0 && v <= 1) {
+			return bench.Workload{}, fmt.Errorf("bad uniform activity %q: want a toggle probability in [0, 1]", a)
+		}
+		return bench.UniformWorkload(v), nil
+	}
+	return bench.Workload{}, fmt.Errorf("unknown workload %q (want scattered, concentrated, uniform or uniform:<a>)", s)
 }
 
 func writeFile(path string, fn func(*os.File) error) error {

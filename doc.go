@@ -10,7 +10,7 @@
 // static timing analysis and congestion estimation.
 //
 // The implementation lives under internal/; the command-line tools under
-// cmd/ (benchgen, thermflow, thermopt, reproduce) and the runnable examples
+// cmd/ (benchgen, thermflow, reproduce, thermserve) and the runnable examples
 // under examples/ are the intended entry points. bench_test.go at this level
 // regenerates every table and figure of the paper's evaluation as Go
 // benchmarks. See README.md for the quickstart, package map, solver

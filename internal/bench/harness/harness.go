@@ -3,7 +3,8 @@
 // numbers: the structured-grid fast path against the SPICE oracle, the
 // multigrid preconditioner against the Jacobi fallback, warm-started pooled
 // solves against cold solves, the concurrent sweep engine against the
-// sequential one, and the placer's legality invariants — each of which must
+// sequential one, the delta-driven sweep against a from-scratch
+// re-derivation, and the placer's legality invariants — each of which must
 // hold for every design the scenario generator can produce, not just the
 // paper's single 12k-cell point.
 //
@@ -54,8 +55,8 @@ type Options struct {
 	TolC float64
 	// SkipDeterminism skips the regenerate-and-compare netlist check.
 	SkipDeterminism bool
-	// SkipSweep skips the sequential-versus-concurrent sweep comparison
-	// and the incremental-versus-from-scratch comparison.
+	// SkipSweep skips the sweep checks: sequential versus concurrent, the
+	// from-scratch oracle and the adaptive exactness check.
 	SkipSweep bool
 
 	// InjectThermalBiasC, when nonzero, deliberately corrupts the baseline
@@ -79,6 +80,13 @@ type Options struct {
 	// the triage drops true-front candidates. Like the knobs above it exists
 	// to prove the adaptive-front-exactness check cannot silently pass.
 	InjectAdaptiveBiasC float64
+	// NudgeSweepRise moves the first sweep point's PeakRise by one ulp, and
+	// CorruptSweepPlacement moves one cell of the first HW point's placement
+	// by a site, before the from-scratch oracle re-derives the sweep. Like
+	// the knobs above they exist to prove the oracle compares with == and
+	// cannot silently pass.
+	NudgeSweepRise        bool
+	CorruptSweepPlacement bool
 }
 
 func (o Options) normalized() Options {
@@ -287,7 +295,7 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 
 	skipSweepChecks := func(why string) {
 		rep.skipped("sweep-workers-equality", why)
-		rep.skipped("sweep-incremental-equality", why)
+		rep.skipped("sweep-from-scratch-oracle", why)
 		rep.skipped("sweep-adaptive-exactness", why)
 	}
 	if opts.SkipSweep {
@@ -302,17 +310,16 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	// Property: the concurrent sweep engine is bit-identical to the
 	// sequential one — == on every float, not approximate equality — and a
 	// fresh flow reproduces the first flow's baseline exactly.
-	runSweep := func(workers int, keep, incremental bool) (*core.SweepResult, error) {
+	runSweep := func(workers int, keep bool) (*core.SweepResult, error) {
 		g := flow.New(gen.Design, gen.Workload, cfg)
 		defer g.Close()
 		return core.SweepEfficiency(g, core.SweepOptions{
 			Overheads:    opts.Overheads,
 			Workers:      workers,
 			KeepAnalyses: keep,
-			Incremental:  incremental,
 		})
 	}
-	seq, err := runSweep(1, true, false)
+	seq, err := runSweep(1, true)
 	if err != nil {
 		if strings.Contains(err.Error(), "no detectable hotspots") {
 			skipSweepChecks("sweep found no hotspots")
@@ -326,7 +333,30 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	}
 	rep.pass("fresh-flow-reproducibility", fmt.Sprintf("baseline peak rise %.6f C reproduced", base.PeakRise()))
 
-	con, err := runSweep(opts.Workers, false, false)
+	// Negative injection (testing the harness itself): corrupt the sweep the
+	// oracle below re-derives.
+	if opts.NudgeSweepRise {
+		seq.Points[0].PeakRise = math.Nextafter(seq.Points[0].PeakRise, math.Inf(1))
+	}
+	if opts.CorruptSweepPlacement {
+		if err := corruptHWCell(seq); err != nil {
+			return rep, fmt.Errorf("harness: %s: %w", gen.Scenario, err)
+		}
+	}
+
+	// Property: the sweep engine — Default points reflowed from the cached
+	// baseline, ERI/HW points derived through placement deltas, power
+	// reports updated through them — is bit-identical to re-deriving every
+	// point from scratch with public non-delta calls.
+	g := flow.New(gen.Design, gen.Workload, cfg)
+	err = checkFromScratch(g, seq)
+	g.Close()
+	if err != nil {
+		return rep, fmt.Errorf("harness: %s: sweep vs from-scratch oracle: %w", gen.Scenario, err)
+	}
+	rep.pass("sweep-from-scratch-oracle", fmt.Sprintf("%d points and their placements bit-identical from scratch", len(seq.Points)))
+
+	con, err := runSweep(opts.Workers, false)
 	if err != nil {
 		return rep, fmt.Errorf("harness: %s: concurrent sweep (workers=%d): %w", gen.Scenario, opts.Workers, err)
 	}
@@ -334,18 +364,6 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 		return rep, fmt.Errorf("harness: %s: workers=1 vs workers=%d: %w", gen.Scenario, opts.Workers, err)
 	}
 	rep.pass("sweep-workers-equality", fmt.Sprintf("%d points bit-identical at workers=%d", len(seq.Points), opts.Workers))
-
-	// Property: the incremental analysis pipeline — Default points
-	// reflowed from the cached baseline, power reports updated through
-	// placement deltas — is bit-identical to the from-scratch sweep.
-	inc, err := runSweep(opts.Workers, false, true)
-	if err != nil {
-		return rep, fmt.Errorf("harness: %s: incremental sweep: %w", gen.Scenario, err)
-	}
-	if err := compareSweeps(seq, inc); err != nil {
-		return rep, fmt.Errorf("harness: %s: incremental vs from-scratch: %w", gen.Scenario, err)
-	}
-	rep.pass("sweep-incremental-equality", fmt.Sprintf("%d points bit-identical incrementally", len(inc.Points)))
 
 	// Property: the adaptive multi-fidelity sweep is exact — every point it
 	// returns is bit-identical (== on every float) to the exhaustive
@@ -362,9 +380,8 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 		g := flow.New(gen.Design, gen.Workload, cfg)
 		defer g.Close()
 		return core.SweepEfficiency(g, core.SweepOptions{
-			Overheads:   adOverheads,
-			Workers:     opts.Workers,
-			Incremental: true,
+			Overheads: adOverheads,
+			Workers:   opts.Workers,
 			Adaptive: &core.AdaptiveOptions{
 				GridScale:          2,
 				Margin:             margin,

@@ -141,6 +141,25 @@ func TestHarnessFailsOnCorruptedAdaptiveEstimates(t *testing.T) {
 	}
 }
 
+// TestHarnessFailsOnCorruptedSweep proves the from-scratch oracle compares
+// with ==: a sweep point's peak rise moved by one ulp, or one cell of an HW
+// placement moved by a site, must each fail the run.
+func TestHarnessFailsOnCorruptedSweep(t *testing.T) {
+	sc := bench.Scenario{Family: bench.FamilyHotspotCluster, Seed: 9, TargetCells: 1200}
+	for name, opts := range map[string]Options{
+		"peak-rise-ulp": {NudgeSweepRise: true, SkipDeterminism: true},
+		"hw-cell-moved": {CorruptSweepPlacement: true, SkipDeterminism: true},
+	} {
+		_, err := Run(sc, opts)
+		if err == nil {
+			t.Fatalf("%s: harness passed with a corrupted sweep", name)
+		}
+		if !strings.Contains(err.Error(), "from-scratch oracle") {
+			t.Fatalf("%s: corrupted sweep tripped the wrong check: %v", name, err)
+		}
+	}
+}
+
 // TestHarnessFailsOnCorruptedPlacement proves the legality check bites: a
 // cell knocked off the site grid must fail the run.
 func TestHarnessFailsOnCorruptedPlacement(t *testing.T) {

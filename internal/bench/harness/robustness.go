@@ -33,10 +33,6 @@ type RobustnessOptions struct {
 	// surface, from the context firing to the sweep returning. Zero means
 	// 100ms.
 	CancelLatency time.Duration
-	// Incremental runs the cancellation sweeps on the incremental
-	// (delta-driven) pipeline, the configuration the paper-scale reproduction
-	// uses.
-	Incremental bool
 }
 
 func (o RobustnessOptions) normalized() RobustnessOptions {
@@ -88,9 +84,8 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 		return flow.New(gen.Design, gen.Workload, cfg)
 	}
 	sweepOpts := core.SweepOptions{
-		Overheads:   opts.Overheads,
-		Workers:     opts.Workers,
-		Incremental: opts.Incremental,
+		Overheads: opts.Overheads,
+		Workers:   opts.Workers,
 	}
 
 	baseGoroutines := runtime.NumGoroutine()

@@ -22,7 +22,7 @@ func TestScenarioFamiliesRobustness(t *testing.T) {
 		fam := fam
 		t.Run(fmt.Sprintf("%s/cells=1500", fam), func(t *testing.T) {
 			rep, err := RunRobustness(bench.Scenario{Family: fam, Seed: 7, TargetCells: 1500},
-				RobustnessOptions{Incremental: true})
+				RobustnessOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

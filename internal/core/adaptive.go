@@ -12,8 +12,6 @@ import (
 	"thermplace/internal/flow"
 	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
-	"thermplace/internal/netlist"
-	"thermplace/internal/place"
 	"thermplace/internal/thermal"
 )
 
@@ -30,9 +28,9 @@ import (
 // estimate family (the largest-area Default and ERI candidates, whose exact
 // measurements are reused as sweep points). Phase 2 re-runs only the
 // estimated Pareto front (plus every candidate within Margin of it) through
-// the exact incremental pipeline; the sweep's points are those exact
-// measurements, bit-identical to an exhaustive run's measurements of the
-// same candidates.
+// the classic sweep's exact fan-out (Evaluator); the sweep's points are
+// those exact measurements, bit-identical to an exhaustive run's
+// measurements of the same candidates.
 type AdaptiveOptions struct {
 	// GridScale densifies the overhead axis: the candidate grid spans the
 	// base Overheads range with len(Overheads)*GridScale uniformly spaced
@@ -52,12 +50,6 @@ type AdaptiveOptions struct {
 	// to the exact phase, the exhaustive reference mode the harness
 	// compares against.
 	Margin float64
-	// MaxExact, when positive, caps how many survivors are re-run exactly:
-	// survivors are kept in deterministic candidate order and the excess is
-	// dropped and counted in TriageStats.Truncated — an explicit budget,
-	// never a silent cap. The calibration anchors are exempt (their exact
-	// measurements are already in hand when the budget is applied).
-	MaxExact int
 	// CoarseFactor is the thermal grid downsampling factor of the estimate
 	// phase (thermal.Config.CoarseFactor). 0 selects 4; values below 2 are
 	// otherwise rejected (a factor of 1 would make "triage" as expensive as
@@ -82,8 +74,7 @@ type TriageStats struct {
 	// Candidates is the size of the enumerated candidate grid; Survivors of
 	// them passed the margin triage (including estimate-less candidates
 	// that survive conservatively, e.g. an HW candidate whose coarse rise
-	// map shows no hotspot to wrap). Survivors minus Truncated reached the
-	// exact phase.
+	// map shows no hotspot to wrap) and reached the exact phase.
 	Candidates int
 	Survivors  int
 	// CoarseSolves counts the downsampled thermal solves of phase 1
@@ -97,11 +88,8 @@ type TriageStats struct {
 	ExtraParents int
 	// Anchors counts the exact calibration measurements of phase 1 (at most
 	// one per estimate family). Anchor points always appear in the result —
-	// they are exact measurements already paid for — and are exempt from the
-	// MaxExact budget.
+	// they are exact measurements already paid for.
 	Anchors int
-	// Truncated counts survivors dropped by the MaxExact budget.
-	Truncated int
 	// Margin echoes the dominance margin the triage ran with.
 	Margin float64
 	// ErrHist is the histogram of relative est-vs-exact peak-rise error
@@ -134,34 +122,6 @@ func (ts *TriageStats) addErr(estRise, exactRise float64) {
 	default:
 		ts.ErrHist[4]++
 	}
-}
-
-// adaptiveCandidate is one cell of the densified design-space grid, carried
-// through both phases.
-type adaptiveCandidate struct {
-	index    int // position in the deterministic enumeration order
-	strategy Strategy
-	overhead float64 // target fractional area overhead (Default/HW)
-	rows     int     // ERI only
-	aspect   float64
-	util     float64 // placement utilization (Default/HW)
-
-	// Phase-1 estimate. estArea is exact (derived from the candidate's
-	// floorplan geometry); rawRise is the uncalibrated coarse-solve peak
-	// rise and estRise the calibrated estimate. estValid is false when no
-	// estimate could be formed (the candidate then survives
-	// conservatively). anchored marks the calibration anchors, measured
-	// exactly during phase 1.
-	estValid bool
-	estArea  float64
-	rawRise  float64
-	estRise  float64
-	survives bool
-	anchored bool
-
-	// Phase-2 exact measurement (nil when triaged away, truncated, or the
-	// exact transform skipped the point, e.g. HW with nothing to wrap).
-	point *EfficiencyPoint
 }
 
 // adaptiveOverheads densifies the base overhead axis to len(base)*scale
@@ -271,7 +231,7 @@ func rebinInto(dst, src *geom.Grid) {
 // AdaptiveOptions for the scheme and SweepEfficiencyCtx for the contract it
 // shares with the classic sweep (cancellation, provenance, determinism
 // across worker counts).
-func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*SweepResult, error) {
+func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*SweepResult, error) {
 	af := *opts.Adaptive
 	if af.CoarseFactor == 0 {
 		af.CoarseFactor = 4
@@ -282,43 +242,22 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 	if math.IsNaN(af.Margin) || af.Margin < 0 {
 		return nil, fmt.Errorf("core: adaptive sweep needs a non-negative Margin, got %g", af.Margin)
 	}
-	baseUtil := f.Config.Utilization
-	baseline, err := f.AnalyzeBaselineCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("core: adaptive sweep baseline: %w", err)
-	}
-	if len(baseline.Hotspots) == 0 {
-		return nil, fmt.Errorf("core: baseline has no detectable hotspots; nothing to optimize")
-	}
+	f, baseline := ev.flow, ev.baseline
 	if baseline.PowerMap == nil {
 		return nil, fmt.Errorf("core: adaptive sweep needs the baseline power map (was it released?)")
 	}
-	baseRise := baseline.Thermal.PeakRise
 	baseArea := baseline.Placement.FP.CoreArea()
 	stats := &TriageStats{Margin: af.Margin}
-	result := &SweepResult{Baseline: baseline, BaselineUtilization: baseUtil, Triage: stats}
+	result := &SweepResult{Baseline: baseline, BaselineUtilization: ev.baseUtil, Triage: stats}
 
-	wantDefault := wantStrategy(opts, StrategyDefault)
-	wantHW := wantStrategy(opts, StrategyHW)
-	wantERI := wantStrategy(opts, StrategyERI)
-
-	detect := opts.WrapperDetection
-	if detect.ThresholdFrac == 0 {
-		detect.ThresholdFrac = 0.75
-	}
-	if detect.MinCells == 0 {
-		detect.MinCells = 2
-	}
-
-	// ---- Candidate enumeration (deterministic order: Default by
-	// aspect-major/overhead-minor, then ERI by row count, then HW). ----
+	// ---- Candidate enumeration. ----
 	overheads := adaptiveOverheads(opts.Overheads, af.GridScale)
 	aspects := af.Aspects
 	if len(aspects) == 0 {
 		aspects = []float64{f.Config.AspectRatio}
 	}
 	var rowCounts []int
-	if wantERI {
+	if wantStrategy(opts, StrategyERI) {
 		rowCounts = opts.ERIRows
 		if len(rowCounts) == 0 {
 			// Row granularity quantizes the overhead axis, so consecutive
@@ -331,46 +270,8 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 			}
 		}
 	}
-
-	var cands []*adaptiveCandidate
-	add := func(c *adaptiveCandidate) *adaptiveCandidate {
-		c.index = len(cands)
-		cands = append(cands, c)
-		return c
-	}
-	// defaultAt[a][i] pairs the Default and HW candidates of one grid cell.
-	var defaultAt, hwAt [][]*adaptiveCandidate
-	if wantDefault || wantHW {
-		defaultAt = make([][]*adaptiveCandidate, len(aspects))
-		hwAt = make([][]*adaptiveCandidate, len(aspects))
-		for ai, asp := range aspects {
-			defaultAt[ai] = make([]*adaptiveCandidate, len(overheads))
-			for i, ov := range overheads {
-				defaultAt[ai][i] = add(&adaptiveCandidate{
-					strategy: StrategyDefault, overhead: ov, aspect: asp,
-					util: baseUtil / (1 + ov),
-				})
-			}
-		}
-	}
-	var eriCands []*adaptiveCandidate
-	for _, rows := range rowCounts {
-		eriCands = append(eriCands, add(&adaptiveCandidate{
-			strategy: StrategyERI, rows: rows, aspect: f.Config.AspectRatio,
-		}))
-	}
-	if wantHW {
-		for ai, asp := range aspects {
-			hwAt[ai] = make([]*adaptiveCandidate, len(overheads))
-			for i, ov := range overheads {
-				hwAt[ai][i] = add(&adaptiveCandidate{
-					strategy: StrategyHW, overhead: ov, aspect: asp,
-					util: baseUtil / (1 + ov),
-				})
-			}
-		}
-	}
-	stats.Candidates = len(cands)
+	s := newSweep(ev, opts, overheads, aspects, rowCounts, f.Config.AspectRatio)
+	stats.Candidates = len(s.cands)
 
 	// ---- Phase 1: coarse-fidelity estimates, placement-free. ----
 	ccfg := f.Config.Thermal
@@ -409,9 +310,9 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 	// exact candidate floorplan (bit-identical to what PlaceAtAspect will
 	// build), the baseline power map rebinned into it, one coarse solve.
 	// It returns the coarse rise map for the stacked HW estimate.
-	estDefault := func(tctx context.Context, c *adaptiveCandidate) (*geom.Grid, *thermal.Result, error) {
+	estDefault := func(tctx context.Context, c *candidate) (*geom.Grid, *thermal.Result, error) {
 		fp, err := floorplan.New(f.Design, floorplan.Config{
-			Utilization: c.util, AspectRatio: c.aspect,
+			Utilization: c.pt.Utilization, AspectRatio: c.pt.Aspect,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -430,13 +331,11 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 
 	// estHW stacks the wrapper model on a Default estimate: hotspots are
 	// detected on the coarse rise map, and each hotspot's power is spread
-	// over the region the wrapper would redistribute its hot cells into.
-	// The core outline (and hence the area) is the parent's.
-	estHW := func(tctx context.Context, c, parent *adaptiveCandidate, defPM *geom.Grid, defRes *thermal.Result) error {
-		spots := hotspot.Detect(defRes.RiseMap(), detect)
-		if opts.Wrapper.MaxHotspots > 0 && len(spots) > opts.Wrapper.MaxHotspots {
-			spots = spots[:opts.Wrapper.MaxHotspots]
-		}
+	// over the region the wrapper would redistribute its hot cells into
+	// (DefaultWrapperOptions' ring and expansion). The core outline (and
+	// hence the area) is the parent's.
+	estHW := func(tctx context.Context, c, parent *candidate, defPM *geom.Grid, defRes *thermal.Result) error {
+		spots := hotspot.Detect(defRes.RiseMap(), wrapperDetection)
 		if len(spots) == 0 {
 			// No estimate: the exact path may still find (and wrap) tighter
 			// hotspots, so the candidate survives conservatively rather
@@ -444,14 +343,8 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 			return nil
 		}
 		core := defPM.Region
-		ring := opts.Wrapper.RingWidth
-		if ring <= 0 {
-			ring = 2 * baseFP.RowHeight
-		}
-		expand := opts.Wrapper.ExpandFactor
-		if expand <= 0 {
-			expand = geom.Clamp(1/c.util, 1.2, 3.0)
-		}
+		ring := 2 * baseFP.RowHeight
+		expand := geom.Clamp(1/c.pt.Utilization, 1.2, 3.0)
 		pm := defPM.Clone()
 		moved := false
 		for _, h := range spots {
@@ -497,47 +390,42 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 		return nil
 	}
 
-	design := f.Design.Name
-	provenance := func(err error, s Strategy, point int) error {
-		return fault.WithProvenance(err, design, string(s), point)
+	provenance := func(err error, c *candidate) error {
+		return fault.WithProvenance(fmt.Errorf("core: adaptive estimate, %v: %w", c.pt, err),
+			f.Design.Name, string(c.pt.Strategy), c.slot)
 	}
 
 	var estTasks []func(context.Context) error
-	if wantDefault || wantHW {
-		for ai := range aspects {
-			for i := range overheads {
-				ai, i := ai, i
-				estTasks = append(estTasks, func(tctx context.Context) error {
-					d := defaultAt[ai][i]
-					defPM, defRes, err := estDefault(tctx, d)
-					if err != nil {
-						return provenance(fmt.Errorf("core: adaptive estimate, default %.3f: %w", d.overhead, err), StrategyDefault, d.index)
-					}
-					if !wantHW {
-						return nil
-					}
-					h := hwAt[ai][i]
-					if err := estHW(tctx, h, d, defPM, defRes); err != nil {
-						return provenance(fmt.Errorf("core: adaptive estimate, HW %.3f: %w", h.overhead, err), StrategyHW, h.index)
-					}
+	for ai, cells := range s.defaults {
+		for i, d := range cells {
+			estTasks = append(estTasks, func(tctx context.Context) error {
+				defPM, defRes, err := estDefault(tctx, d)
+				if err != nil {
+					return provenance(err, d)
+				}
+				if s.hws == nil {
 					return nil
-				})
-			}
+				}
+				h := s.hws[ai][i]
+				if err := estHW(tctx, h, d, defPM, defRes); err != nil {
+					return provenance(err, h)
+				}
+				return nil
+			})
 		}
 	}
-	for _, c := range eriCands {
-		c := c
+	for _, c := range s.eris {
 		estTasks = append(estTasks, func(tctx context.Context) error {
-			insertions, err := eriInsertionRows(baseFP, baseline.Hotspots, DefaultERIOptions(c.rows))
+			insertions, err := eriInsertionRows(baseFP, baseline.Hotspots, DefaultERIOptions(c.pt.Rows))
 			if err != nil {
-				return provenance(fmt.Errorf("core: adaptive estimate, ERI %d rows: %w", c.rows, err), StrategyERI, c.index)
+				return provenance(err, c)
 			}
 			// Stretch the baseline power map through the insertion points:
 			// each cell shifts up by one row height per empty row inserted
 			// at or below its row — the same piecewise shift the exact
 			// transform applies to the cells themselves.
 			region := basePM.Region
-			region.Yhi += float64(c.rows) * baseFP.RowHeight
+			region.Yhi += float64(c.pt.Rows) * baseFP.RowHeight
 			pm := geom.NewGrid(cnx, cny, region)
 			for iy := 0; iy < basePM.NY; iy++ {
 				for ix := 0; ix < basePM.NX; ix++ {
@@ -553,9 +441,9 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 			}
 			res, err := pool.solve(tctx, pm)
 			if err != nil {
-				return provenance(fmt.Errorf("core: adaptive estimate, ERI %d rows: %w", c.rows, err), StrategyERI, c.index)
+				return provenance(err, c)
 			}
-			c.estArea = AreaOverheadForRows(baseline.Placement, c.rows)
+			c.estArea = AreaOverheadForRows(baseline.Placement, c.pt.Rows)
 			c.rawRise = res.PeakRise
 			c.estValid = true
 			return nil
@@ -565,90 +453,18 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 		return nil, err
 	}
 
-	// ---- Exact-measurement helpers, shared by the calibration anchors and
-	// phase 2: one code path, so an anchor's point is bit-identical to what
-	// the exact phase would have measured for the same candidate. ----
-	var exactSolves atomic.Int64
-	keep := func(pt *EfficiencyPoint, an *flow.Analysis, p *place.Placement) *EfficiencyPoint {
-		if opts.KeepAnalyses {
-			pt.Analysis = an
-			pt.Placement = p
-		}
-		return pt
-	}
-	measureDefault := func(tctx context.Context, asp float64, d *adaptiveCandidate, record bool) (*flow.Analysis, error) {
-		var p *place.Placement
-		var delta *place.Delta
-		if opts.Incremental && asp == f.Config.AspectRatio {
-			if rp, rd, rerr := f.ReflowAt(d.util); rerr == nil {
-				p, delta = rp, rd
-			}
-		}
-		if p == nil {
-			var err error
-			p, err = f.PlaceAtAspect(d.util, asp)
-			if err != nil {
-				return nil, provenance(fmt.Errorf("core: adaptive default %.3f: %w", d.overhead, err), StrategyDefault, d.index)
-			}
-		}
-		an, err := f.AnalyzeWithCtx(tctx, p, flow.AnalyzeOptions{Parent: baseline, Delta: delta})
-		if err != nil {
-			return nil, provenance(fmt.Errorf("core: adaptive default %.3f: %w", d.overhead, err), StrategyDefault, d.index)
-		}
-		exactSolves.Add(1)
-		if record {
-			d.point = keep((&EfficiencyPoint{
-				Strategy:      StrategyDefault,
-				AreaOverhead:  an.Placement.FP.CoreArea()/baseArea - 1,
-				TempReduction: reduction(baseRise, an.Thermal.PeakRise),
-				PeakRise:      an.Thermal.PeakRise,
-				Utilization:   d.util,
-				Aspect:        asp,
-			}).coMetrics(an), an, p)
-		}
-		return an, nil
-	}
-	measureERI := func(tctx context.Context, c *adaptiveCandidate) error {
-		var p *place.Placement
-		var delta *place.Delta
-		var err error
-		if opts.Incremental {
-			p, delta, err = EmptyRowInsertionDelta(baseline.Placement, baseline.Hotspots, DefaultERIOptions(c.rows))
-		} else {
-			p, err = EmptyRowInsertion(baseline.Placement, baseline.Hotspots, DefaultERIOptions(c.rows))
-		}
-		if err != nil {
-			return provenance(fmt.Errorf("core: adaptive ERI %d rows: %w", c.rows, err), StrategyERI, c.index)
-		}
-		an, err := f.AnalyzeWithCtx(tctx, p, flow.AnalyzeOptions{Parent: baseline, Delta: delta})
-		if err != nil {
-			return provenance(fmt.Errorf("core: adaptive ERI %d rows: %w", c.rows, err), StrategyERI, c.index)
-		}
-		exactSolves.Add(1)
-		c.point = keep((&EfficiencyPoint{
-			Strategy:      StrategyERI,
-			AreaOverhead:  an.Placement.FP.CoreArea()/baseArea - 1,
-			TempReduction: reduction(baseRise, an.Thermal.PeakRise),
-			PeakRise:      an.Thermal.PeakRise,
-			Rows:          c.rows,
-			Utilization:   baseUtil / (an.Placement.FP.CoreArea() / baseArea),
-			Aspect:        c.aspect,
-		}).coMetrics(an), an, p)
-		return nil
-	}
-
 	// ---- Two-point calibration. The downsampled model's bias is
 	// systematic and nearly linear in area overhead, with a different slope
 	// per estimate family (the rebin, ERI-stretch and wrapper-spread
 	// transforms distort the power map differently). One exact anchor per
 	// family — the largest-area candidate, where the bias is largest —
-	// fixes the slope; the coarse baseline fixes the intercept. Anchors run
-	// through the exact pipeline above, so their measurements are reused
-	// verbatim as sweep points (and as HW lineage parents): when the
+	// fixes the slope; the coarse baseline fixes the intercept. Anchors are
+	// measured by the same evaluator as phase 2, so their measurements are
+	// reused verbatim as sweep points (and as HW lineage parents): when the
 	// anchors sit on the true front, as the largest temperature reducers
 	// usually do, the calibration is free.
-	rb := baseRise / cbase.PeakRise
-	lerpRatio := func(anchor *adaptiveCandidate, exactRise float64) func(float64) float64 {
+	rb := baseline.Thermal.PeakRise / cbase.PeakRise
+	lerpRatio := func(anchor *candidate, exactRise float64) func(float64) float64 {
 		if anchor == nil || !anchor.estValid || anchor.rawRise <= 0 || anchor.estArea <= 0 {
 			return func(float64) float64 { return rb }
 		}
@@ -658,35 +474,35 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 	}
 	calDefault := func(float64) float64 { return rb }
 	calERI := calDefault
-	var anchorDefAn *flow.Analysis
-	if wantDefault || wantHW {
+	var anchorDef *flow.Analysis
+	if s.defaults != nil {
 		di := 0
 		for i, ov := range overheads {
 			if ov > overheads[di] {
 				di = i
 			}
 		}
-		d0 := defaultAt[0][di]
+		d0 := s.defaults[0][di]
 		if d0.estValid {
-			an, err := measureDefault(ctx, aspects[0], d0, wantDefault)
+			an, err := s.exact(ctx, d0, nil, wantStrategy(opts, StrategyDefault))
 			if err != nil {
 				return nil, err
 			}
 			d0.anchored = true
-			anchorDefAn = an
+			anchorDef = an
 			calDefault = lerpRatio(d0, an.Thermal.PeakRise)
 			stats.Anchors++
 		}
 	}
-	if wantERI && len(eriCands) > 0 {
-		e0 := eriCands[0]
-		for _, c := range eriCands[1:] {
-			if c.rows > e0.rows {
+	if len(s.eris) > 0 {
+		e0 := s.eris[0]
+		for _, c := range s.eris[1:] {
+			if c.pt.Rows > e0.pt.Rows {
 				e0 = c
 			}
 		}
 		if e0.estValid {
-			if err := measureERI(ctx, e0); err != nil {
+			if _, err := s.exact(ctx, e0, nil, true); err != nil {
 				return nil, err
 			}
 			e0.anchored = true
@@ -694,14 +510,14 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 			stats.Anchors++
 		}
 	}
-	for _, c := range cands {
+	for _, c := range s.cands {
 		if !c.estValid {
 			continue
 		}
 		// HW estimates ride the Default calibration: they are built on the
 		// same rebinned power map, and the wrapper spread does not change
 		// the downsampling bias profile enough to warrant a third anchor.
-		if c.strategy == StrategyERI {
+		if c.pt.Strategy == StrategyERI {
 			c.estRise = c.rawRise * calERI(c.estArea)
 		} else {
 			c.estRise = c.rawRise * calDefault(c.estArea)
@@ -712,7 +528,7 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 	// every odd-indexed estimate so the triage provably drops true-front
 	// points.
 	if af.InjectEstRiseBiasC != 0 {
-		for _, c := range cands {
+		for _, c := range s.cands {
 			if c.estValid && c.index%2 == 1 {
 				c.estRise += af.InjectEstRiseBiasC
 			}
@@ -720,8 +536,8 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 	}
 
 	// ---- Triage: margin-dominance on (area overhead, estimated rise). ----
-	triage(cands, af.Margin)
-	for _, c := range cands {
+	triage(s.cands, af.Margin)
+	for _, c := range s.cands {
 		if c.anchored {
 			// Anchor measurements are already in hand; dropping them would
 			// discard paid-for exact data.
@@ -731,125 +547,24 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 			stats.Survivors++
 		}
 	}
-	if af.MaxExact > 0 {
-		kept := 0
-		for _, c := range cands {
-			if !c.survives || c.anchored {
-				continue
-			}
-			if kept < af.MaxExact {
-				kept++
-			} else {
-				c.survives = false
-				stats.Truncated++
-			}
-		}
-	}
 	stats.CoarseSolves = int(pool.solves.Load())
 
-	// ---- Phase 2: exact refinement of the survivors, on the same task
-	// shape (and with the same lineage threading) as the classic sweep. ----
-	var exactTasks []func(context.Context) error
-	var extraParents atomic.Int64
-	if wantDefault || wantHW {
-		for ai, asp := range aspects {
-			for i := range overheads {
-				d := defaultAt[ai][i]
-				var h *adaptiveCandidate
-				if wantHW {
-					h = hwAt[ai][i]
-				}
-				needDefault := wantDefault && d.survives
-				needHW := h != nil && h.survives
-				if !needHW && (!needDefault || d.anchored) {
-					continue
-				}
-				if !needDefault && needHW && !d.anchored {
-					extraParents.Add(1)
-				}
-				asp, d, h := asp, d, h
-				exactTasks = append(exactTasks, func(tctx context.Context) error {
-					an := anchorDefAn
-					if !d.anchored {
-						var err error
-						an, err = measureDefault(tctx, asp, d, needDefault)
-						if err != nil {
-							return err
-						}
-					}
-					if !needHW {
-						return nil
-					}
-					spots := hotspot.Detect(an.Thermal.RiseMap(), detect)
-					if !d.anchored && !opts.KeepAnalyses && f.Config.PowerDeltaGateW <= 0 {
-						an.ReleaseHeavy()
-					}
-					if len(spots) == 0 {
-						return nil
-					}
-					defPow := an.Power
-					wopts := opts.Wrapper
-					if wopts.PowerOf == nil {
-						wopts.PowerOf = func(inst *netlist.Instance) float64 { return defPow.InstancePower(inst) }
-					}
-					if wopts.HotCellFactor == 0 {
-						wopts.HotCellFactor = 1.0
-					}
-					var hp *place.Placement
-					var hdelta *place.Delta
-					if opts.Incremental {
-						hp, hdelta, err = HotspotWrapperDelta(an.Placement, spots, wopts)
-					} else {
-						hp, err = HotspotWrapper(an.Placement, spots, wopts)
-					}
-					if err != nil {
-						return provenance(fmt.Errorf("core: adaptive HW %.3f: %w", h.overhead, err), StrategyHW, h.index)
-					}
-					han, err := f.AnalyzeWithCtx(tctx, hp, flow.AnalyzeOptions{Parent: an, Delta: hdelta})
-					if err != nil {
-						return provenance(fmt.Errorf("core: adaptive HW %.3f: %w", h.overhead, err), StrategyHW, h.index)
-					}
-					exactSolves.Add(1)
-					h.point = keep((&EfficiencyPoint{
-						Strategy:      StrategyHW,
-						AreaOverhead:  han.Placement.FP.CoreArea()/baseArea - 1,
-						TempReduction: reduction(baseRise, han.Thermal.PeakRise),
-						PeakRise:      han.Thermal.PeakRise,
-						Utilization:   baseUtil / (han.Placement.FP.CoreArea() / baseArea),
-						Aspect:        asp,
-					}).coMetrics(han), han, hp)
-					return nil
-				})
-			}
-		}
-	}
-	for _, c := range eriCands {
-		if !c.survives || c.anchored {
-			continue
-		}
-		c := c
-		exactTasks = append(exactTasks, func(tctx context.Context) error {
-			return measureERI(tctx, c)
-		})
-	}
-	if err := runTasks(ctx, exactTasks, opts.Workers); err != nil {
+	// ---- Phase 2: exact refinement of the survivors on the classic
+	// sweep's fan-out. ----
+	if stats.ExtraParents, err = s.measure(ctx, anchorDef); err != nil {
 		return nil, err
 	}
-	stats.ExactSolves = int(exactSolves.Load())
-	stats.ExtraParents = int(extraParents.Load())
+	stats.ExactSolves = int(s.solves.Load())
 
 	// Assemble in candidate-enumeration order (Default, ERI, HW — the
 	// classic sweep's grouping) and fold the est-vs-exact errors into the
 	// histogram.
-	for _, c := range cands {
-		if c.point == nil {
-			continue
-		}
-		if c.estValid {
+	for _, c := range s.cands {
+		if c.point != nil && c.estValid {
 			stats.addErr(c.estRise, c.point.PeakRise)
 		}
-		result.Points = append(result.Points, *c.point)
 	}
+	result.Points = s.points()
 	return result, nil
 }
 
@@ -873,7 +588,7 @@ func countLE(sorted []int, x int) int {
 // applies there; the strict-improvement requirement keeps duplicates
 // alive). Estimate-less candidates always survive. A margin of +Inf
 // disables triage.
-func triage(cands []*adaptiveCandidate, margin float64) {
+func triage(cands []*candidate, margin float64) {
 	if math.IsInf(margin, 1) {
 		for _, c := range cands {
 			c.survives = true

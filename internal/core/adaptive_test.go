@@ -27,9 +27,8 @@ func TestAdaptiveSweepMatchesExhaustive(t *testing.T) {
 	f := hotFlow(t, "mult8")
 	defer f.Close()
 	base := SweepOptions{
-		Overheads:   []float64{0.05, 0.40},
-		Incremental: true,
-		Workers:     4,
+		Overheads: []float64{0.05, 0.40},
+		Workers:   4,
 	}
 	aspects := []float64{1.0, 2.5}
 	exOpts := base
@@ -123,9 +122,8 @@ func TestAdaptiveInjectionBreaksFront(t *testing.T) {
 	f := hotFlow(t, "mult8")
 	defer f.Close()
 	base := SweepOptions{
-		Overheads:   []float64{0.05, 0.40},
-		Incremental: true,
-		Workers:     4,
+		Overheads: []float64{0.05, 0.40},
+		Workers:   4,
 	}
 	aspects := []float64{1.0, 2.5}
 	exOpts := base
@@ -155,34 +153,6 @@ func TestAdaptiveInjectionBreaksFront(t *testing.T) {
 	}
 	if missing == 0 {
 		t.Fatal("a 1000C estimate bias dropped no true-front point; the injection knob is dead")
-	}
-}
-
-// TestAdaptiveMaxExactTruncates checks the explicit exact-phase budget.
-func TestAdaptiveMaxExactTruncates(t *testing.T) {
-	f := hotFlow(t, "mult8")
-	defer f.Close()
-	opts := SweepOptions{
-		Overheads:   []float64{0.05, 0.40},
-		Incremental: true,
-		Workers:     2,
-		Adaptive: &AdaptiveOptions{
-			GridScale: 2, Margin: math.Inf(1), CoarseFactor: 2, MaxExact: 3,
-		},
-	}
-	r, err := SweepEfficiency(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := r.Triage
-	if ts.Anchors == 0 {
-		t.Fatal("adaptive sweep recorded no calibration anchors")
-	}
-	if len(r.Points) > 3+ts.Anchors {
-		t.Fatalf("MaxExact 3 (+%d anchors) but %d points measured", ts.Anchors, len(r.Points))
-	}
-	if ts.Truncated != ts.Survivors-ts.Anchors-3 {
-		t.Fatalf("Truncated %d, want Survivors %d - Anchors %d - 3", ts.Truncated, ts.Survivors, ts.Anchors)
 	}
 }
 

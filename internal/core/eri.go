@@ -45,8 +45,8 @@ func EmptyRowInsertion(p *place.Placement, spots []hotspot.Hotspot, opts ERIOpti
 // additionally returns the place.Delta between the input placement and the
 // stretched result — the cells the row shift displaced (plus anything the
 // legalizer touched), their old and new rows, and the nets those moves
-// dirtied. The delta is what lets the incremental sweep re-evaluate only
-// the affected part of the power report for an ERI point.
+// dirtied. The delta is what lets the sweep re-evaluate only the affected
+// part of the power report for an ERI point.
 func EmptyRowInsertionDelta(p *place.Placement, spots []hotspot.Hotspot, opts ERIOptions) (*place.Placement, *place.Delta, error) {
 	return emptyRowInsertion(p, spots, opts, true)
 }

@@ -10,8 +10,6 @@ import (
 
 	"thermplace/internal/fault"
 	"thermplace/internal/flow"
-	"thermplace/internal/hotspot"
-	"thermplace/internal/netlist"
 	"thermplace/internal/place"
 )
 
@@ -66,14 +64,6 @@ type SweepOptions struct {
 	ERIRows []int
 	// Strategies selects which strategies to sweep; empty means all three.
 	Strategies []Strategy
-	// Wrapper configures the HW transform; its PowerOf is filled in from
-	// the corresponding Default analysis when nil.
-	Wrapper WrapperOptions
-	// WrapperDetection re-detects hotspots for the HW strategy with its own
-	// (typically tighter) threshold: wrappers are built around the cells
-	// that are the source of the hotspot, whereas ERI targets the broader
-	// warm area around it. A zero value selects ThresholdFrac 0.75.
-	WrapperDetection hotspot.Options
 	// KeepAnalyses retains the full analysis and placement of every point
 	// (memory heavy for large sweeps).
 	KeepAnalyses bool
@@ -85,23 +75,17 @@ type SweepOptions struct {
 	// chain that lives entirely inside one task), so the sweep output is
 	// bit-identical for every worker count.
 	Workers int
-	// Incremental derives each Default point's placement from the cached
-	// baseline (flow.ReflowAt instead of a from-scratch PlaceAt) and
-	// re-estimates power through the placement deltas the transforms
-	// report (power.Report.Update instead of a full re-estimate). The
-	// derived placements and updated reports are bit-identical to the
-	// from-scratch ones, so the sweep output is == either way; any
-	// incremental-path failure falls back to the from-scratch pipeline for
-	// that point. Combine with flow.Config.PowerDeltaGateW to additionally
-	// skip thermal solves whose power map barely moved (an approximation —
-	// see the gate's documentation).
+	// Incremental is ignored and kept for source compatibility: every sweep
+	// point is derived from its lineage parent through a placement delta
+	// (see Evaluator), and the scenario harness checks the result against a
+	// from-scratch re-derivation with ==.
 	Incremental bool
 	// Adaptive, when non-nil, switches the sweep to the two-phase
 	// multi-fidelity mode (see AdaptiveOptions): a densified candidate grid
 	// is triaged with cheap coarse-fidelity estimates and only the
-	// estimated Pareto front (plus a safety margin) is re-run through the
-	// exact pipeline above. The returned points are exact; Triage records
-	// what the coarse phase did.
+	// estimated Pareto front (plus a safety margin) is measured exactly.
+	// The returned points are exact; Triage records what the coarse phase
+	// did.
 	Adaptive *AdaptiveOptions
 }
 
@@ -260,9 +244,9 @@ func wantStrategy(opts SweepOptions, s Strategy) bool {
 // bounded worker group (see SweepOptions.Workers): one task per overhead
 // runs the Default point and then the HW point that depends on it, and one
 // task per row count runs an ERI point. Results are recorded into
-// per-strategy slots and assembled in the sequential order afterwards, so
-// both the values (thermal warm starts are seeded from the baseline field)
-// and the ordering are bit-identical to a Workers=1 run.
+// per-candidate slots and assembled in the sequential order afterwards, so
+// both the values (thermal warm starts are seeded from the lineage parent's
+// field) and the ordering are bit-identical to a Workers=1 run.
 func SweepEfficiency(f *flow.Flow, opts SweepOptions) (*SweepResult, error) {
 	return SweepEfficiencyCtx(context.Background(), f, opts)
 }
@@ -284,223 +268,200 @@ func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*
 		// and retention settings stay in force.
 		opts.Overheads = DefaultSweepOptions().Overheads
 	}
-	if opts.Adaptive != nil {
-		return sweepAdaptive(ctx, f, opts)
-	}
-	baseUtil := f.Config.Utilization
-	baseline, err := f.AnalyzeBaselineCtx(ctx)
+	ev, err := NewEvaluator(ctx, f)
 	if err != nil {
 		return nil, fmt.Errorf("core: sweep baseline: %w", err)
 	}
-	if len(baseline.Hotspots) == 0 {
+	if len(ev.baseline.Hotspots) == 0 {
 		return nil, fmt.Errorf("core: baseline has no detectable hotspots; nothing to optimize")
 	}
-	baseRise := baseline.Thermal.PeakRise
-	baseArea := baseline.Placement.FP.CoreArea()
-	result := &SweepResult{Baseline: baseline, BaselineUtilization: baseUtil}
-
-	wantDefault := wantStrategy(opts, StrategyDefault)
-	wantHW := wantStrategy(opts, StrategyHW)
-	wantERI := wantStrategy(opts, StrategyERI)
-
-	detect := opts.WrapperDetection
-	if detect.ThresholdFrac == 0 {
-		detect.ThresholdFrac = 0.75
-	}
-	if detect.MinCells == 0 {
-		detect.MinCells = 2
+	ev.keepParents = opts.KeepAnalyses
+	if opts.Adaptive != nil {
+		return sweepAdaptive(ctx, ev, opts)
 	}
 
-	// Point slots, indexed by position in Overheads / rowCounts. A nil slot
-	// after the run means the point was skipped (HW with no tight hotspots).
-	var defaults, hws, eris []*EfficiencyPoint
+	// The classic sweep is the candidate grid with no triage: every
+	// candidate survives to the exact fan-out.
 	var rowCounts []int
-	if wantERI {
+	if wantStrategy(opts, StrategyERI) {
 		rowCounts = opts.ERIRows
 		if len(rowCounts) == 0 {
 			//repolint:allow ctxpair(geometry-only derivation over a handful of overheads; no solves inside)
 			for _, ov := range opts.Overheads {
-				rowCounts = append(rowCounts, RowsForAreaOverhead(baseline.Placement, ov))
+				rowCounts = append(rowCounts, RowsForAreaOverhead(ev.baseline.Placement, ov))
 			}
 		}
-		eris = make([]*EfficiencyPoint, len(rowCounts))
 	}
+	s := newSweep(ev, opts, opts.Overheads, []float64{0}, rowCounts, 0)
+	for _, c := range s.cands {
+		c.survives = true
+	}
+	if _, err := s.measure(ctx, nil); err != nil {
+		return nil, err
+	}
+	return &SweepResult{Baseline: ev.baseline, BaselineUtilization: ev.baseUtil, Points: s.points()}, nil
+}
 
-	keep := func(pt *EfficiencyPoint, an *flow.Analysis, p *place.Placement) *EfficiencyPoint {
-		if opts.KeepAnalyses {
-			pt.Analysis = an
-			pt.Placement = p
+// candidate is one cell of a sweep's design-space grid.
+type candidate struct {
+	index int // position in the deterministic enumeration order
+	slot  int // position on its strategy's axis: the provenance of its errors
+	pt    Point
+
+	// Adaptive phase-1 estimate. estArea is exact (derived from the
+	// candidate's floorplan geometry); rawRise is the uncalibrated
+	// coarse-solve peak rise and estRise the calibrated estimate. estValid
+	// is false when no estimate could be formed (the candidate then
+	// survives conservatively). anchored marks the calibration anchors,
+	// measured exactly during phase 1.
+	estValid bool
+	estArea  float64
+	rawRise  float64
+	estRise  float64
+	survives bool
+	anchored bool
+
+	// point is the exact measurement (nil when triaged away or when the HW
+	// transform skipped the point for lack of a hotspot to wrap).
+	point *EfficiencyPoint
+}
+
+// sweep is the candidate grid of one sweep and its exact fan-out, shared
+// by the classic sweep (every candidate survives) and the adaptive one
+// (survivors of the coarse triage).
+type sweep struct {
+	ev   *Evaluator
+	opts SweepOptions
+
+	// cands lists every candidate in enumeration order: Default by
+	// aspect-major/overhead-minor, then ERI by row count, then HW — the
+	// order the points are reported in.
+	cands []*candidate
+	// defaults[a][i] and hws[a][i] pair the Default and HW candidates of
+	// one (aspect, overhead) cell; hws is nil when HW is not swept.
+	defaults, hws [][]*candidate
+	eris          []*candidate
+
+	// solves counts the exact analyses the sweep ran.
+	solves atomic.Int64
+}
+
+// newSweep enumerates the candidate grid: Default and HW candidates on
+// every (aspect, overhead) cell, ERI candidates per row count at eriAspect.
+// Default candidates are enumerated when HW is swept even if Default is
+// not: they are the HW points' lineage parents.
+func newSweep(ev *Evaluator, opts SweepOptions, overheads, aspects []float64, rowCounts []int, eriAspect float64) *sweep {
+	s := &sweep{ev: ev, opts: opts}
+	add := func(slot int, pt Point) *candidate {
+		c := &candidate{index: len(s.cands), slot: slot, pt: pt}
+		s.cands = append(s.cands, c)
+		return c
+	}
+	cells := func(strategy Strategy) [][]*candidate {
+		out := make([][]*candidate, len(aspects))
+		for ai, asp := range aspects {
+			out[ai] = make([]*candidate, len(overheads))
+			for i, ov := range overheads {
+				pt := Point{Strategy: strategy, Utilization: ev.baseUtil / (1 + ov), Aspect: asp}
+				out[ai][i] = add(ai*len(overheads)+i, pt)
+			}
 		}
-		return pt
+		return out
 	}
+	wantHW := wantStrategy(opts, StrategyHW)
+	if wantHW || wantStrategy(opts, StrategyDefault) {
+		s.defaults = cells(StrategyDefault)
+	}
+	for j, rows := range rowCounts {
+		s.eris = append(s.eris, add(j, Point{Strategy: StrategyERI, Rows: rows, Aspect: eriAspect}))
+	}
+	if wantHW {
+		s.hws = cells(StrategyHW)
+	}
+	return s
+}
 
+// exact measures candidate c through the evaluator (parent: an HW
+// candidate's measured Default analysis) and, when record is set, keeps its
+// point. Errors carry the candidate's provenance. It returns the analysis,
+// nil for a skipped HW point.
+func (s *sweep) exact(ctx context.Context, c *candidate, parent *flow.Analysis, record bool) (*flow.Analysis, error) {
+	pt, an, err := s.ev.Evaluate(ctx, c.pt, parent)
+	if err != nil {
+		return nil, fault.WithProvenance(err, s.ev.flow.Design.Name, string(c.pt.Strategy), c.slot)
+	}
+	if an == nil {
+		return nil, nil
+	}
+	s.solves.Add(1)
+	if record {
+		if s.opts.KeepAnalyses {
+			pt.Analysis, pt.Placement = an, an.Placement
+		}
+		c.point = pt
+	}
+	return an, nil
+}
+
+// measure is the exact phase: one task per (aspect, overhead) cell measures
+// the surviving Default candidate and then the surviving HW candidate
+// stacked on it, and one task per surviving ERI candidate measures it.
+// Anchored candidates were measured already; anchor is the anchored Default
+// candidate's analysis, the HW parent of its cell. It returns how many
+// Default candidates were measured only as HW parents.
+func (s *sweep) measure(ctx context.Context, anchor *flow.Analysis) (extraParents int, err error) {
+	wantDefault := wantStrategy(s.opts, StrategyDefault)
 	var tasks []func(context.Context) error
-	design := f.Design.Name
-	// provenance tags a point failure with where it came from, so a sweep
-	// over many designs/strategies reports "which point broke", not just
-	// "something broke".
-	provenance := func(err error, s Strategy, point int) error {
-		return fault.WithProvenance(err, design, string(s), point)
-	}
-
-	// One task per overhead: the Default point, then the HW point that
-	// pipelines behind it. Lineage is threaded explicitly: the Default
-	// point declares the baseline as its parent and the HW point declares
-	// its same-overhead Default point, so every thermal solve warm-starts
-	// from the nearest previously solved field — a chain that lives
-	// entirely inside this task, which is what keeps the sweep output
-	// independent of worker count. With opts.Incremental the Default
-	// placement reflows from the cached baseline and the HW power report
-	// updates through the wrapper's delta instead of re-running the full
-	// pipeline (bit-identical either way; errors fall back to the
-	// from-scratch path for that point).
-	if wantDefault || wantHW {
-		defaults = make([]*EfficiencyPoint, len(opts.Overheads))
-		hws = make([]*EfficiencyPoint, len(opts.Overheads))
-		for i, ov := range opts.Overheads {
-			i, ov := i, ov
+	for ai, cells := range s.defaults {
+		for i, d := range cells {
+			var h *candidate
+			if s.hws != nil {
+				h = s.hws[ai][i]
+			}
+			needDefault := wantDefault && d.survives
+			needHW := h != nil && h.survives
+			if !needHW && (!needDefault || d.anchored) {
+				continue
+			}
+			if needHW && !needDefault && !d.anchored {
+				extraParents++
+			}
 			tasks = append(tasks, func(tctx context.Context) error {
-				util := baseUtil / (1 + ov)
-				var p *place.Placement
-				var delta *place.Delta
-				if opts.Incremental {
-					if rp, rd, rerr := f.ReflowAt(util); rerr == nil {
-						p, delta = rp, rd
-					}
-				}
-				if p == nil {
+				parent := anchor
+				if !d.anchored {
 					var err error
-					p, err = f.PlaceAt(util)
-					if err != nil {
-						return provenance(fmt.Errorf("core: default point %+v: %w", ov, err), StrategyDefault, i)
+					if parent, err = s.exact(tctx, d, nil, needDefault); err != nil {
+						return err
 					}
 				}
-				an, err := f.AnalyzeWithCtx(tctx, p, flow.AnalyzeOptions{Parent: baseline, Delta: delta})
-				if err != nil {
-					return provenance(fmt.Errorf("core: default point %+v: %w", ov, err), StrategyDefault, i)
-				}
-				if wantDefault {
-					defaults[i] = keep((&EfficiencyPoint{
-						Strategy:      StrategyDefault,
-						AreaOverhead:  an.Placement.FP.CoreArea()/baseArea - 1,
-						TempReduction: reduction(baseRise, an.Thermal.PeakRise),
-						PeakRise:      an.Thermal.PeakRise,
-						Utilization:   util,
-					}).coMetrics(an), an, p)
-				}
-				if !wantHW {
+				if !needHW {
 					return nil
 				}
-				// HW strategy: wrapper insertion on top of this Default
-				// placement. The wrapper targets a tighter hotspot
-				// definition than ERI does: it isolates the cells that are
-				// the source of each hotspot rather than the whole warm
-				// area around them.
-				spots := hotspot.Detect(an.Thermal.RiseMap(), detect)
-				if !opts.KeepAnalyses && f.Config.PowerDeltaGateW <= 0 {
-					// Nothing downstream needs the Default point's thermal
-					// layers or power map (the HW child only consumes the
-					// placement, power report, hotspots and seed state), so
-					// release them before the wrapper + solve instead of
-					// pinning them for the rest of the task. A positive gate
-					// keeps them: the child compares against the parent's
-					// power map and may reuse its thermal result.
-					an.ReleaseHeavy()
-				}
-				if len(spots) == 0 {
-					return nil
-				}
-				defPow := an.Power
-				wopts := opts.Wrapper
-				if wopts.PowerOf == nil {
-					wopts.PowerOf = func(inst *netlist.Instance) float64 { return defPow.InstancePower(inst) }
-				}
-				if wopts.HotCellFactor == 0 {
-					wopts.HotCellFactor = 1.0
-				}
-				var hp *place.Placement
-				var hdelta *place.Delta
-				if opts.Incremental {
-					hp, hdelta, err = HotspotWrapperDelta(an.Placement, spots, wopts)
-				} else {
-					// From-scratch path: skip the delta recording, too.
-					hp, err = HotspotWrapper(an.Placement, spots, wopts)
-				}
-				if err != nil {
-					return provenance(fmt.Errorf("core: HW at overhead %.2f: %w", ov, err), StrategyHW, i)
-				}
-				han, err := f.AnalyzeWithCtx(tctx, hp, flow.AnalyzeOptions{Parent: an, Delta: hdelta})
-				if err != nil {
-					return provenance(fmt.Errorf("core: HW at overhead %.2f: %w", ov, err), StrategyHW, i)
-				}
-				hws[i] = keep((&EfficiencyPoint{
-					Strategy:      StrategyHW,
-					AreaOverhead:  han.Placement.FP.CoreArea()/baseArea - 1,
-					TempReduction: reduction(baseRise, han.Thermal.PeakRise),
-					PeakRise:      han.Thermal.PeakRise,
-					Utilization:   baseUtil / (han.Placement.FP.CoreArea() / baseArea),
-				}).coMetrics(han), han, hp)
-				return nil
+				_, err := s.exact(tctx, h, parent, true)
+				return err
 			})
 		}
 	}
-
-	// One task per ERI point: empty rows inserted at the baseline's
-	// hotspots, analyzed against the baseline as lineage parent (and
-	// through the insertion's delta when incremental).
-	for j, rows := range rowCounts {
-		j, rows := j, rows
-		tasks = append(tasks, func(tctx context.Context) error {
-			var p *place.Placement
-			var delta *place.Delta
-			var err error
-			if opts.Incremental {
-				p, delta, err = EmptyRowInsertionDelta(baseline.Placement, baseline.Hotspots, DefaultERIOptions(rows))
-			} else {
-				// From-scratch path: skip the delta recording, too.
-				p, err = EmptyRowInsertion(baseline.Placement, baseline.Hotspots, DefaultERIOptions(rows))
-			}
-			if err != nil {
-				return provenance(fmt.Errorf("core: ERI %d rows: %w", rows, err), StrategyERI, j)
-			}
-			an, err := f.AnalyzeWithCtx(tctx, p, flow.AnalyzeOptions{Parent: baseline, Delta: delta})
-			if err != nil {
-				return provenance(fmt.Errorf("core: ERI %d rows: %w", rows, err), StrategyERI, j)
-			}
-			eris[j] = keep((&EfficiencyPoint{
-				Strategy:      StrategyERI,
-				AreaOverhead:  an.Placement.FP.CoreArea()/baseArea - 1,
-				TempReduction: reduction(baseRise, an.Thermal.PeakRise),
-				PeakRise:      an.Thermal.PeakRise,
-				Rows:          rows,
-				Utilization:   baseUtil / (an.Placement.FP.CoreArea() / baseArea),
-			}).coMetrics(an), an, p)
-			return nil
-		})
-	}
-
-	if err := runTasks(ctx, tasks, opts.Workers); err != nil {
-		return nil, err
-	}
-
-	// Assemble in the sequential order: Default points in overhead order,
-	// then ERI points in row order, then HW points in overhead order.
-	for _, pt := range defaults {
-		if pt != nil {
-			result.Points = append(result.Points, *pt)
+	for _, c := range s.eris {
+		if c.survives && !c.anchored {
+			tasks = append(tasks, func(tctx context.Context) error {
+				_, err := s.exact(tctx, c, nil, true)
+				return err
+			})
 		}
 	}
-	for _, pt := range eris {
-		if pt != nil {
-			result.Points = append(result.Points, *pt)
+	return extraParents, runTasks(ctx, tasks, s.opts.Workers)
+}
+
+// points assembles the measured points in enumeration order.
+func (s *sweep) points() []EfficiencyPoint {
+	var out []EfficiencyPoint
+	for _, c := range s.cands {
+		if c.point != nil {
+			out = append(out, *c.point)
 		}
 	}
-	for _, pt := range hws {
-		if pt != nil {
-			result.Points = append(result.Points, *pt)
-		}
-	}
-	return result, nil
+	return out
 }
 
 // runTasks executes the tasks on a bounded worker group. workers <= 0 picks

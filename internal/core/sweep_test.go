@@ -191,65 +191,36 @@ func TestSweepConcurrentErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestSweepIncrementalBitIdentical is the engine-level half of the
-// incremental pipeline's guarantee: a sweep whose Default points reflow
-// from the cached baseline and whose power reports update through
-// placement deltas must be == (on every float) to the from-scratch sweep,
-// sequentially and concurrently.
-func TestSweepIncrementalBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-sweep comparison skipped in -short mode")
-	}
-	run := func(incremental bool, workers int) *SweepResult {
-		f := hotFlow(t, "mult8")
-		defer f.Close()
-		res, err := SweepEfficiency(f, SweepOptions{
-			Overheads:   []float64{0.15, 0.3},
-			Workers:     workers,
-			Incremental: incremental,
-		})
-		if err != nil {
-			t.Fatalf("incremental=%v workers=%d: %v", incremental, workers, err)
-		}
-		return res
-	}
-	ref := run(false, 1)
-	comparePoints(t, "incremental sequential", ref, run(true, 1))
-	comparePoints(t, "incremental concurrent", ref, run(true, 4))
-}
-
-// TestSweepIncrementalWithGateStaysClose opts into the power-delta
-// approximation gate on top of the incremental sweep and checks the results
-// stay within the gate's expected influence (the gate only ever skips
-// solves whose inputs barely moved).
-func TestSweepIncrementalWithGateStaysClose(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-sweep comparison skipped in -short mode")
-	}
+// TestEvaluateMatchesSweep pins that the evaluator is the sweep's point
+// path: one Evaluate call for an HW point at 0.16 overhead, with its
+// Default parent measured inside the call, is == to the HW point the
+// sweep reports at that overhead.
+func TestEvaluateMatchesSweep(t *testing.T) {
+	const ov = 0.16
 	f := hotFlow(t, "mult8")
 	defer f.Close()
-	f.Config.PowerDeltaGateW = 1e-9
-	res, err := SweepEfficiency(f, SweepOptions{
-		Overheads:   []float64{0.2},
-		Incremental: true,
-	})
+	res, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{ov}, Strategies: []Strategy{StrategyHW}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Points) != 1 {
+		t.Fatalf("sweep reported %d HW points, want 1", len(res.Points))
 	}
 	g := hotFlow(t, "mult8")
 	defer g.Close()
-	ref, err := SweepEfficiency(g, SweepOptions{Overheads: []float64{0.2}})
+	ev, err := NewEvaluator(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(ref.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(res.Points), len(ref.Points))
+	pt, an, err := ev.Evaluate(context.Background(), Point{Strategy: StrategyHW, Utilization: g.Config.Utilization / (1 + ov)}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range res.Points {
-		a, b := res.Points[i], ref.Points[i]
-		if d := a.PeakRise - b.PeakRise; d > 1e-3 || d < -1e-3 {
-			t.Fatalf("gated point %d drifted %v C from the exact sweep", i, d)
-		}
+	if an == nil {
+		t.Fatal("evaluator skipped an HW point the sweep measured")
+	}
+	if *pt != res.Points[0] {
+		t.Fatalf("evaluator point differs from the sweep's:\n  evaluate: %+v\n  sweep:    %+v", *pt, res.Points[0])
 	}
 }
 
@@ -382,10 +353,9 @@ func TestAdaptiveTriageStatsNaNFree(t *testing.T) {
 	f := hotFlow(t, "mult8")
 	defer f.Close()
 	r, err := SweepEfficiency(f, SweepOptions{
-		Overheads:   []float64{0.05, 0.40},
-		Incremental: true,
-		Workers:     2,
-		Adaptive:    &AdaptiveOptions{GridScale: 2, Margin: 0.04, CoarseFactor: 2},
+		Overheads: []float64{0.05, 0.40},
+		Workers:   2,
+		Adaptive:  &AdaptiveOptions{GridScale: 2, Margin: 0.04, CoarseFactor: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

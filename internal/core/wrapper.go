@@ -60,8 +60,8 @@ func HotspotWrapper(p *place.Placement, spots []hotspot.Hotspot, opts WrapperOpt
 // wrapped result — the hot cells that were spread, the bystanders that were
 // pushed out, whatever the legalizer then touched, and the nets those moves
 // dirtied. Wrapping is a local edit, so the delta is typically small and
-// the incremental sweep re-estimates only a fraction of the power report
-// for an HW point.
+// the sweep re-estimates only a fraction of the power report for an HW
+// point.
 func HotspotWrapperDelta(p *place.Placement, spots []hotspot.Hotspot, opts WrapperOptions) (*place.Placement, *place.Delta, error) {
 	return hotspotWrapper(p, spots, opts, true)
 }

@@ -129,7 +129,8 @@ type ProvenanceError struct {
 	// "hw", or a stage name like "baseline").
 	Strategy string
 	// Point is the index of the failing point within its strategy's sweep
-	// axis (overhead index for default/hw, row-count index for eri).
+	// axis (overhead index for default/hw, aspect-major across an adaptive
+	// sweep's aspects; row-count index for eri).
 	Point int
 	Err   error
 }

@@ -48,18 +48,6 @@ type Config struct {
 	Thermal thermal.Config
 	// HotspotOptions tunes hotspot detection on the resulting thermal map.
 	HotspotOptions hotspot.Options
-	// PowerDeltaGateW, when positive, lets a delta-driven analysis
-	// (AnalyzeWith with both a Parent and a Delta — the incremental sweep
-	// path; lineage-only analyses stay exact) skip the thermal solve
-	// entirely when the
-	// L∞ difference between its power map and its parent's — same grid,
-	// same die region — stays below the gate, in watts per grid cell; the
-	// parent's thermal result and hotspots are reused. This is an explicit
-	// approximation knob: a skipped solve returns the parent's field
-	// rather than the (near-identical) re-solved one, so sweeps run with a
-	// positive gate trade the bit-identity guarantee for skipped solves.
-	// Zero (the default) never skips.
-	PowerDeltaGateW float64
 
 	// CoAnalysis extends every analysis with the cross-domain byproducts
 	// the paper's claims are stated in: a static timing analysis derated
@@ -130,7 +118,7 @@ func FastConfig() Config {
 // Flow binds a design and a workload to an analysis configuration and caches
 // everything that is reusable across analyses: the workload-dependent (but
 // placement-independent) switching activity, the deterministic baseline
-// placement, and a pool of structured-grid thermal solvers. The solver pool
+// placement, and one pool of structured-grid thermal solvers. The solver pool
 // is what makes a sweep cheap and concurrent: every ERI/HW/Default point
 // reuses an assembled thermal system, and each solve warm-starts from the
 // recorded first-solve temperature field — a fixed seed rather than
@@ -167,13 +155,10 @@ type Flow struct {
 	baseAnKey     analysisKey
 	baseAnThermal thermal.Config
 
-	// pools holds one solver pool per distinct thermal configuration seen
-	// recently (most recently used first, capped at maxSolverPools). The
-	// adaptive sweep interleaves coarse-fidelity triage solves with exact
-	// refinement solves; separate pools keyed by thermal.Config.Equal keep
-	// both sets of assembled systems alive instead of rebuilding the
-	// hierarchy on every fidelity switch.
-	pools []*solverPool
+	// pool holds the idle solvers for the thermal configuration they were
+	// built from; it is replaced when Config.Thermal stops being Equal to
+	// that configuration.
+	pool *solverPool
 
 	// ta is the cached timing analyzer of the design (levelized graph and
 	// endpoint set, placement-independent), built on the first co-analysis;
@@ -182,10 +167,8 @@ type Flow struct {
 	ta    *timing.Analyzer
 	taErr error
 
-	// stateSeq tags solved temperature fields; gateSkips counts thermal
-	// solves skipped by the power-delta gate.
-	stateSeq  atomic.Uint64
-	gateSkips atomic.Uint64
+	// stateSeq tags solved temperature fields.
+	stateSeq atomic.Uint64
 
 	// stats aggregates the robustness counters of every solver the flow
 	// runs — degradations, retries, contained panics, cancellations. It is
@@ -209,7 +192,7 @@ type pooledSolver struct {
 // solverPool holds the idle pooled solvers for one thermal configuration,
 // plus the fixed warm-start seed recorded from the first completed solve at
 // that configuration — the default seed for analyses without a lineage
-// parent of matching fidelity. Its fields are guarded by the flow mutex.
+// parent. Its fields are guarded by the flow mutex.
 type solverPool struct {
 	cfg     thermal.Config // snapshot; Stack is a private copy
 	solvers []pooledSolver
@@ -224,13 +207,6 @@ func (pl *solverPool) defaultSeedLocked() *lineageSeed {
 	return &lineageSeed{field: pl.seed, id: pl.seedID}
 }
 
-// maxSolverPools bounds how many thermal configurations keep live solver
-// pools at once. The adaptive sweep needs exactly two (coarse triage +
-// exact refinement); the cap evicts the least recently used pool beyond
-// that, so a config-churning caller cannot accumulate assembled multigrid
-// hierarchies without bound.
-const maxSolverPools = 4
-
 // analysisKey captures the comparable Config knobs that shape a baseline
 // analysis (the thermal config is snapshotted and compared separately —
 // its layer stack is a slice).
@@ -238,7 +214,6 @@ type analysisKey struct {
 	pk    placementKey
 	clock float64
 	hs    hotspot.Options
-	gate  float64
 	co    bool
 	topts timing.Options
 	copts congestion.Options
@@ -247,8 +222,7 @@ type analysisKey struct {
 func (f *Flow) analysisKey() analysisKey {
 	return analysisKey{
 		pk: f.placementKey(), clock: f.Config.ClockHz, hs: f.Config.HotspotOptions,
-		gate: f.Config.PowerDeltaGateW, co: f.Config.CoAnalysis,
-		topts: f.Config.Timing, copts: f.Config.Congestion,
+		co: f.Config.CoAnalysis, topts: f.Config.Timing, copts: f.Config.Congestion,
 	}
 }
 
@@ -360,11 +334,11 @@ type lineageSeed struct {
 // the pool's recorded first-solve (baseline) field otherwise — so the
 // result of a solve depends only on its own inputs, not on which pooled
 // solver ran it or what that solver computed before. A lineage seed of the
-// wrong fidelity (a coarse analysis handed an exact parent, or the
-// reverse) is ignored in favour of the pool's own default rather than
-// erroring. Each pool is LIFO and every solver remembers which analysis'
-// field it holds, so a Default→HW task chain typically checks out the
-// solver that just produced its parent's field and skips the seed copy.
+// wrong size (a parent solved under another thermal configuration) is
+// ignored in favour of the pool's own default rather than erroring. The
+// pool is LIFO and every solver remembers which analysis' field it holds,
+// so a Default→HW task chain typically checks out the solver that just
+// produced its parent's field and skips the seed copy.
 //
 // On success it returns the solved temperature field (a copy, in solver
 // node order) and its identity tag, for the caller to hand to child
@@ -406,9 +380,9 @@ func (f *Flow) thermalSolve(ctx context.Context, pm *geom.Grid, tcfg thermal.Con
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.poolLiveLocked(pool) {
-		// The pool was evicted while we were solving. Drop the solver
-		// rather than re-pooling it into a dead pool.
+	if f.pool != pool {
+		// The pool was replaced or closed while we were solving. Drop the
+		// solver rather than re-pooling it into a dead pool.
 		ps.s.Close()
 		return res, state, stateID, err
 	}
@@ -420,15 +394,15 @@ func (f *Flow) thermalSolve(ctx context.Context, pm *geom.Grid, tcfg thermal.Con
 	return res, state, stateID, err
 }
 
-// acquireSolver checks a solver for tcfg out of its configuration's pool,
-// creating the pool on first use, and returns the pool's default warm-start
-// seed (nil before its first completed solve) plus the pool itself, for the
-// caller to return the solver to. Solver construction (stencil, multigrid
-// hierarchy, Cholesky buffer) happens outside the flow mutex so concurrent
-// pool growth does not serialize the other workers.
+// acquireSolver checks a solver for tcfg out of the flow's pool, (re)building
+// the pool when tcfg differs from its configuration, and returns the pool's
+// default warm-start seed (nil before its first completed solve) plus the
+// pool itself, for the caller to return the solver to. Solver construction
+// (stencil, multigrid hierarchy, Cholesky buffer) happens outside the flow
+// mutex so concurrent pool growth does not serialize the other workers.
 func (f *Flow) acquireSolver(tcfg thermal.Config) (pooledSolver, *lineageSeed, *solverPool, error) {
 	f.mu.Lock()
-	pool := f.poolForLocked(tcfg)
+	pool := f.poolLocked(tcfg)
 	seed := pool.defaultSeedLocked()
 	if n := len(pool.solvers); n > 0 {
 		ps := pool.solvers[n-1]
@@ -450,59 +424,37 @@ func (f *Flow) acquireSolver(tcfg thermal.Config) (pooledSolver, *lineageSeed, *
 	return pooledSolver{s: s}, seed, pool, nil
 }
 
-// poolForLocked returns the solver pool for tcfg, moving it to the front of
-// the most-recently-used list and creating it when absent; the least
-// recently used pool beyond maxSolverPools is closed and dropped.
-func (f *Flow) poolForLocked(tcfg thermal.Config) *solverPool {
-	for i, pl := range f.pools {
-		if pl.cfg.Equal(tcfg) {
-			copy(f.pools[1:i+1], f.pools[:i])
-			f.pools[0] = pl
-			return pl
-		}
+// poolLocked returns the flow's solver pool for tcfg, replacing the pool
+// (and closing its idle solvers) when it was built for a configuration tcfg
+// is not Equal to.
+func (f *Flow) poolLocked(tcfg thermal.Config) *solverPool {
+	if f.pool == nil || !f.pool.cfg.Equal(tcfg) {
+		f.closePoolLocked()
+		f.pool = &solverPool{cfg: tcfg}
+		// Snapshot the stack: tcfg.Stack aliases the caller's slice, and
+		// Equal must detect in-place layer mutations against the state the
+		// solvers were actually built from.
+		f.pool.cfg.Stack = append(thermal.Stack(nil), tcfg.Stack...)
 	}
-	pl := &solverPool{cfg: tcfg}
-	// Snapshot the stack: tcfg.Stack aliases the caller's slice, and Equal
-	// must detect in-place layer mutations against the state the solvers
-	// were actually built from.
-	pl.cfg.Stack = append(thermal.Stack(nil), tcfg.Stack...)
-	f.pools = append([]*solverPool{pl}, f.pools...)
-	for len(f.pools) > maxSolverPools {
-		last := f.pools[len(f.pools)-1]
-		for _, ps := range last.solvers {
-			ps.s.Close()
-		}
-		f.pools = f.pools[:len(f.pools)-1]
-	}
-	return pl
+	return f.pool
 }
 
-// poolLiveLocked reports whether the pool is still in the flow's pool list
-// (it may have been evicted or Closed while a solver was checked out).
-func (f *Flow) poolLiveLocked(pool *solverPool) bool {
-	for _, pl := range f.pools {
-		if pl == pool {
-			return true
-		}
+func (f *Flow) closePoolLocked() {
+	if f.pool == nil {
+		return
 	}
-	return false
+	for _, ps := range f.pool.solvers {
+		ps.s.Close()
+	}
+	f.pool = nil
 }
-
-// GateSkips returns how many thermal solves the power-delta gate
-// (Config.PowerDeltaGateW) has skipped over the flow's lifetime.
-func (f *Flow) GateSkips() int { return int(f.gateSkips.Load()) }
 
 // Close releases the worker pools of the pooled thermal solvers. The flow
-// remains usable; solvers created afterwards build fresh pools.
+// remains usable; solvers created afterwards build a fresh pool.
 func (f *Flow) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, pl := range f.pools {
-		for _, ps := range pl.solvers {
-			ps.s.Close()
-		}
-	}
-	f.pools = nil
+	f.closePoolLocked()
 }
 
 // Analysis is the full measurement of one placement.
@@ -512,9 +464,7 @@ type Analysis struct {
 	// PowerMap is the power per thermal-grid cell in watts (the paper's
 	// power profile, Figure 5 left).
 	PowerMap *geom.Grid
-	// Thermal is the solved thermal result (Figure 5 right). When the
-	// power-delta gate skipped the solve, it is shared with the parent
-	// analysis; treat it as read-only.
+	// Thermal is the solved thermal result (Figure 5 right).
 	Thermal *thermal.Result
 	// Hotspots are the detected hot regions, hottest first.
 	Hotspots []hotspot.Hotspot
@@ -582,9 +532,8 @@ type AnalyzeOptions struct {
 	// Parent is the analysis the placement derives from (the baseline for
 	// a Default or ERI sweep point, the Default point for the HW point
 	// stacked on it). The thermal solve warm-starts from the parent's
-	// solved field instead of the baseline's, and the power-delta gate
-	// (Config.PowerDeltaGateW) compares power maps against the parent's.
-	// Nil analyzes the placement standalone (baseline-seeded).
+	// solved field instead of the baseline's. Nil analyzes the placement
+	// standalone (baseline-seeded).
 	Parent *Analysis
 	// Delta describes how the placement differs from Parent.Placement, as
 	// produced by place.Reflow, core.EmptyRowInsertionDelta or
@@ -593,19 +542,6 @@ type AnalyzeOptions struct {
 	// nil delta re-estimates from scratch. An empty delta on the parent's
 	// own placement returns the parent analysis unchanged.
 	Delta *place.Delta
-	// CoarseFactor, when 2 or larger, runs this one analysis at low
-	// fidelity: the power map is binned directly at the downsampled grid
-	// resolution (thermal.Config.GridDims), the thermal system is assembled
-	// and solved at that resolution, hotspots are detected on the coarse
-	// rise map, and the timing/congestion co-analysis is skipped — the
-	// result carries only the cheap fields, like an analysis after
-	// ReleaseHeavy (Timing, Congestion and HPWL stay zero). This is the
-	// triage fidelity of the adaptive sweep: a fast estimate, not a
-	// bit-identical measurement; exact reruns leave CoarseFactor zero. A
-	// lineage Parent of a different fidelity still provides the power
-	// report for the delta path but its temperature field is not used as a
-	// warm-start seed (the resolutions differ).
-	CoarseFactor int
 }
 
 // Analyze runs power estimation and thermal simulation on the placement and
@@ -630,24 +566,18 @@ func (f *Flow) AnalyzeCtx(ctx context.Context, p *place.Placement) (*Analysis, e
 }
 
 // AnalyzeWith is Analyze with explicit lineage: the delta-driven analysis
-// path of the incremental sweep. With a zero AnalyzeOptions it is exactly
-// Analyze. With a parent and a delta it re-estimates power only where the
-// delta is dirty, warm-starts the thermal solve from the parent's field,
-// and (with a positive Config.PowerDeltaGateW) skips the solve outright
-// when the power map moved less than the gate. Every path yields the same
-// values as the from-scratch pipeline — bit-identical, except under a
-// positive gate, which is documented as an approximation.
+// path of the sweep. With a zero AnalyzeOptions it is exactly Analyze. With
+// a parent and a delta it re-estimates power only where the delta is dirty
+// and warm-starts the thermal solve from the parent's field. Every path
+// yields the same values as the from-scratch pipeline, bit for bit.
 func (f *Flow) AnalyzeWith(p *place.Placement, opts AnalyzeOptions) (*Analysis, error) {
 	return f.AnalyzeWithCtx(context.Background(), p, opts)
 }
 
 // AnalyzeWithCtx is AnalyzeWith with cancellation (see AnalyzeCtx).
 func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts AnalyzeOptions) (*Analysis, error) {
-	if par := opts.Parent; par != nil && opts.Delta != nil && opts.Delta.Empty() && par.Placement == p &&
-		opts.CoarseFactor < 2 {
-		// Zero-delta no-op: the parent already measured this placement. A
-		// coarse request must still run — the parent was measured at the
-		// flow's configured fidelity, not the requested one.
+	if par := opts.Parent; par != nil && opts.Delta != nil && opts.Delta.Empty() && par.Placement == p {
+		// Zero-delta no-op: the parent already measured this placement.
 		return par, nil
 	}
 	if in := f.Config.Thermal.Inject; in.StallAnalyze(in.NextAnalyze()) {
@@ -671,48 +601,13 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		rep = est.Report(p)
 	}
 	tcfg := f.Config.Thermal
-	if opts.CoarseFactor >= 2 {
-		tcfg.CoarseFactor = opts.CoarseFactor
-	}
-	// Bin the power map directly at the solver's effective resolution: at
-	// full fidelity that is NX x NY as always; at low fidelity the coarse
-	// cells are filled in one pass instead of binning finely and
-	// restricting (the solver accepts either).
+	// Bin the power map directly at the solver's effective resolution (NX x
+	// NY unless the thermal config downsamples; the solver accepts either).
 	pmNX, pmNY := tcfg.GridDims()
 	pm := power.Map(rep, p, pmNX, pmNY)
 	tcfg.Inject.CorruptPower(pm.Values())
 	if err := validatePowerMap(pm); err != nil {
 		return nil, err
-	}
-
-	// The gate only arms on the delta-driven path (opts.Delta != nil, i.e.
-	// an incremental sweep): a lineage-seeded but delta-less analysis is
-	// the from-scratch pipeline and must stay exact even when the flow
-	// carries a positive gate for its incremental runs.
-	if par := opts.Parent; par != nil && opts.Delta != nil && f.Config.PowerDeltaGateW > 0 &&
-		par.Thermal != nil && par.state != nil && par.PowerMap != nil &&
-		par.PowerMap.NX == pm.NX && par.PowerMap.NY == pm.NY &&
-		par.PowerMap.Region == pm.Region &&
-		linfDiff(pm, par.PowerMap) <= f.Config.PowerDeltaGateW {
-		// The power profile barely moved on the same grid geometry: the
-		// parent's thermal field is (within the gate) this point's field.
-		f.gateSkips.Add(1)
-		an := &Analysis{
-			Placement: p,
-			Power:     rep,
-			PowerMap:  pm,
-			Thermal:   par.Thermal,
-			Hotspots:  par.Hotspots,
-			state:     par.state,
-			stateID:   par.stateID,
-		}
-		// The shared thermal field means the child derates against the very
-		// grid the parent's timing was computed on, which is what lets the
-		// co-analysis take the incremental dirty-cone path below.
-		if err := f.coAnalyze(an, opts); err != nil {
-			return nil, err
-		}
-		return an, nil
 	}
 
 	var seed *lineageSeed
@@ -752,10 +647,7 @@ func (f *Flow) timingAnalyzer() (*timing.Analyzer, error) {
 
 // timingOptions resolves Config.Timing for one analysis: a zero value means
 // timing.DefaultOptions with the clock period derived from ClockHz, and a
-// nil TemperatureMap tracks the analysis' own solved surface field. The
-// surface is passed by pointer, so a gate-skipped child (which shares its
-// parent's thermal result) resolves to options equal to its parent's — the
-// precondition for the incremental timing path.
+// nil TemperatureMap tracks the analysis' own solved surface field.
 func (f *Flow) timingOptions(tres *thermal.Result) timing.Options {
 	topts := f.Config.Timing
 	if topts == (timing.Options{}) {
@@ -777,16 +669,12 @@ func (f *Flow) timingOptions(tres *thermal.Result) timing.Options {
 
 // coAnalyze fills the analysis' timing, congestion and wirelength fields
 // (Config.CoAnalysis). Timing takes the incremental dirty-cone path when the
-// lineage parent carries a report computed under identical options —
-// in practice the gate-skip case, where parent and child share the
-// temperature field; everywhere else timing.Analyzer.Update falls back to
+// lineage parent carries a report computed under identical options (the
+// same temperature field); otherwise timing.Analyzer.Update falls back to
 // the full propagation, which is bit-identical to a from-scratch
 // timing.Analyze by construction (same cached graph, same operation order).
 func (f *Flow) coAnalyze(an *Analysis, opts AnalyzeOptions) error {
-	if !f.Config.CoAnalysis || opts.CoarseFactor >= 2 {
-		// Low-fidelity analyses skip the co-analysis entirely: triage only
-		// consumes area and peak rise, and STA/congestion would dominate
-		// the cost of a coarse solve.
+	if !f.Config.CoAnalysis {
 		return nil
 	}
 	ta, err := f.timingAnalyzer()
@@ -837,23 +725,6 @@ func validatePowerMap(pm *geom.Grid) error {
 	return nil
 }
 
-// linfDiff returns the largest absolute per-cell difference between two
-// equally sized grids.
-func linfDiff(a, b *geom.Grid) float64 {
-	av, bv := a.Values(), b.Values()
-	d := 0.0
-	for i, v := range av {
-		x := v - bv[i]
-		if x < 0 {
-			x = -x
-		}
-		if x > d {
-			d = x
-		}
-	}
-	return d
-}
-
 // AnalyzeBaseline places the design at the baseline utilization and
 // analyzes the result, caching the analysis: every sweep and experiment
 // measures against this same compact placement, and the incremental path's
@@ -897,11 +768,7 @@ func (f *Flow) AnalyzeBaselineCtx(ctx context.Context) (*Analysis, error) {
 // placement, the power report, the detected hotspots and the solved-field
 // seed. The sweep calls it on Default-point analyses it will not retain
 // (after copying the point's scalar metrics), so an in-flight task does not
-// pin multi-layer grids or per-net timing state through the HW pass. Do not
-// call it when the analysis feeds a gated child (Config.PowerDeltaGateW >
-// 0): the gate compares against the parent's power map and reuses its
-// thermal result, and the child's timing update starts from the parent's
-// report.
+// pin multi-layer grids or per-net timing state through the HW pass.
 func (an *Analysis) ReleaseHeavy() {
 	an.Thermal = nil
 	an.PowerMap = nil

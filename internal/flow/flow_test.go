@@ -140,6 +140,71 @@ func TestSolverCacheInvalidatedOnConfigChange(t *testing.T) {
 	}
 }
 
+// TestSolverPoolRebuildIsBitIdentical switches the flow between two thermal
+// configurations and back: the flow keeps one solver pool, rebuilt on every
+// switch, and the rebuilt pool reproduces the first exact answer bit for
+// bit (a cold first solve seeds it, exactly as it seeded the original).
+func TestSolverPoolRebuildIsBitIdentical(t *testing.T) {
+	f := smallFlow(t)
+	defer f.Close()
+	base, err := f.AnalyzeBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := f.Config.Thermal
+	coarse := exact
+	coarse.CoarseFactor = 4
+	for i := 0; i < 2; i++ {
+		f.Config.Thermal = coarse
+		if _, err := f.Analyze(base.Placement); err != nil {
+			t.Fatalf("coarse round %d: %v", i, err)
+		}
+		f.Config.Thermal = exact
+		an, err := f.Analyze(base.Placement)
+		if err != nil {
+			t.Fatalf("exact round %d: %v", i, err)
+		}
+		if an.PeakRise() != base.PeakRise() {
+			t.Fatalf("exact peak rise drifted after a config switch: %g vs %g", an.PeakRise(), base.PeakRise())
+		}
+	}
+	f.mu.Lock()
+	cfg := f.pool.cfg
+	f.mu.Unlock()
+	if !cfg.Equal(exact) {
+		t.Fatal("the live pool is not the current configuration's")
+	}
+}
+
+// TestPlaceAtAspect checks the explicit-aspect placement entry point: the
+// configured-aspect call stays bit-identical to PlaceAt, and a different
+// aspect reshapes the core without touching the shared Config.
+func TestPlaceAtAspect(t *testing.T) {
+	f := smallFlow(t)
+	p1, err := f.PlaceAt(0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := f.PlaceAtAspect(0.7, f.Config.AspectRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.FP.Core != p2.FP.Core {
+		t.Fatalf("PlaceAtAspect at the configured aspect diverged: %v vs %v", p1.FP.Core, p2.FP.Core)
+	}
+	tall, err := f.PlaceAtAspect(0.7, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, h := tall.FP.Core.Xhi-tall.FP.Core.Xlo, tall.FP.Core.Yhi-tall.FP.Core.Ylo
+	if h <= w {
+		t.Fatalf("aspect 2.0 core should be taller than wide, got %gx%g", w, h)
+	}
+	if f.Config.AspectRatio != 1.0 {
+		t.Fatal("PlaceAtAspect mutated the shared Config")
+	}
+}
+
 func TestBaselineCacheInvalidatedOnUtilizationChange(t *testing.T) {
 	f := smallFlow(t)
 	p1, err := f.Baseline()

@@ -151,56 +151,13 @@ func TestAnalyzeWithDeltaBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPowerDeltaGateSkipsSolves opts into the approximation gate and
-// verifies an unchanged-power child skips its solve (sharing the parent's
-// thermal result), while the default gate of zero never skips.
-func TestPowerDeltaGateSkipsSolves(t *testing.T) {
-	f := smallFlow(t)
-	defer f.Close()
-	base, err := f.AnalyzeBaseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A clone with no moves: same power map bit for bit.
-	twin := base.Placement.Clone()
-	twin.BeginDelta()
-	delta := twin.EndDelta()
-
-	// Default gate (0): the solve runs.
-	an, err := f.AnalyzeWith(twin, AnalyzeOptions{Parent: base, Delta: delta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.GateSkips(); got != 0 {
-		t.Fatalf("gate disabled but %d solves skipped", got)
-	}
-	if an.Thermal == base.Thermal {
-		t.Fatal("without a gate the child must have its own thermal result")
-	}
-
-	f.Config.PowerDeltaGateW = 1e-12
-	gated, err := f.AnalyzeWith(twin.Clone(), AnalyzeOptions{Parent: base, Delta: delta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.GateSkips(); got != 1 {
-		t.Fatalf("gate enabled on an identical power map: want 1 skip, got %d", got)
-	}
-	if gated.Thermal != base.Thermal {
-		t.Fatal("a gated analysis must reuse the parent's thermal result")
-	}
-	if gated.PeakRise() != base.PeakRise() {
-		t.Fatal("gated analysis changed the peak rise")
-	}
-}
-
 // TestCoAnalysisPopulatedAndIncremental verifies the co-analysis contract:
 // every analysis under DefaultConfig carries a temperature-derated timing
-// report, a congestion report and the HPWL — and on the gate-skip path
-// (where the child shares the parent's thermal field, so the timing options
-// resolve identically) the incremental dirty-cone update is bit-identical
-// to a from-scratch analysis of the same placement.
+// report, a congestion report and the HPWL; a delta-driven child analysis
+// reports exactly the timing a from-scratch analysis of its placement under
+// its own resolved options does; and the dirty-cone update through the
+// same delta is bit-identical to a from-scratch analysis under fixed
+// options.
 func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 	f := smallFlow(t)
 	defer f.Close()
@@ -218,9 +175,7 @@ func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 		t.Fatal("slack must be wired from the config clock")
 	}
 
-	// Force the gate open so the child shares the parent's thermal result,
-	// then move a handful of cells through a recorded delta.
-	f.Config.PowerDeltaGateW = 1e9
+	// Move a handful of cells through a recorded delta.
 	twin := base.Placement.Clone()
 	twin.BeginDelta()
 	moved := 0
@@ -243,33 +198,38 @@ func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 		}
 	}
 	delta := twin.EndDelta()
-	gated, err := f.AnalyzeWith(twin, AnalyzeOptions{Parent: base, Delta: delta})
+	child, err := f.AnalyzeWith(twin, AnalyzeOptions{Parent: base, Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gated.Thermal != base.Thermal {
-		t.Fatal("gate open: child must share the parent's thermal result")
+	if child.Timing == base.Timing || child.Congestion == nil || child.HPWL <= 0 {
+		t.Fatal("the child analysis must carry its own co-analysis reports")
 	}
-	if gated.Timing == base.Timing {
-		t.Fatal("moved cells must produce a fresh timing report")
-	}
-
-	// From-scratch reference under the exact options the flow resolved.
 	ta, err := f.timingAnalyzer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := ta.Analyze(twin, f.timingOptions(base.Thermal))
-	if full.CriticalPathPs != gated.Timing.CriticalPathPs || full.SlackPs != gated.Timing.SlackPs {
-		t.Fatalf("incremental timing differs: full cp %v slack %v vs inc cp %v slack %v",
-			full.CriticalPathPs, full.SlackPs, gated.Timing.CriticalPathPs, gated.Timing.SlackPs)
+	ref := ta.Analyze(twin, f.timingOptions(child.Thermal))
+	if ref.CriticalPathPs != child.Timing.CriticalPathPs || ref.SlackPs != child.Timing.SlackPs {
+		t.Fatalf("delta-driven timing differs: full cp %v slack %v vs child cp %v slack %v",
+			ref.CriticalPathPs, ref.SlackPs, child.Timing.CriticalPathPs, child.Timing.SlackPs)
 	}
-	if len(full.ArrivalPs) != len(gated.Timing.ArrivalPs) {
-		t.Fatalf("arrival count differs: %d vs %d", len(full.ArrivalPs), len(gated.Timing.ArrivalPs))
+
+	// Dirty-cone update under the parent's options against a from-scratch
+	// analysis under the same options.
+	topts := f.timingOptions(base.Thermal)
+	full := ta.Analyze(twin, topts)
+	inc := ta.Update(base.Timing, twin, delta, topts)
+	if full.CriticalPathPs != inc.CriticalPathPs || full.SlackPs != inc.SlackPs {
+		t.Fatalf("incremental timing differs: full cp %v slack %v vs inc cp %v slack %v",
+			full.CriticalPathPs, full.SlackPs, inc.CriticalPathPs, inc.SlackPs)
+	}
+	if len(full.ArrivalPs) != len(inc.ArrivalPs) {
+		t.Fatalf("arrival count differs: %d vs %d", len(full.ArrivalPs), len(inc.ArrivalPs))
 	}
 	changed := 0
 	for name, at := range full.ArrivalPs {
-		if iat, ok := gated.Timing.ArrivalPs[name]; !ok || iat != at {
+		if iat, ok := inc.ArrivalPs[name]; !ok || iat != at {
 			t.Fatalf("arrival at %q differs: full %v vs inc %v", name, at, iat)
 		}
 		if at != base.Timing.ArrivalPs[name] {

@@ -11,8 +11,6 @@ import (
 	"thermplace/internal/core"
 	"thermplace/internal/flow"
 	"thermplace/internal/geom"
-	"thermplace/internal/hotspot"
-	"thermplace/internal/netlist"
 )
 
 // Kind identifies a query type.
@@ -283,18 +281,49 @@ type Result struct {
 // The returned cost is the memory accounting of the solved state behind the
 // result (flow.Analysis.MemoryBytes), the unit of the server's LRU budget.
 func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
-	baseline, err := f.AnalyzeBaselineCtx(ctx)
+	ev, err := core.NewEvaluator(ctx, f)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: baseline: %w", err)
 	}
+	baseline := ev.Baseline()
 	baseRise := baseline.Thermal.PeakRise
 	baseArea := baseline.Placement.FP.CoreArea()
 	res := &Result{Kind: q.Kind, Query: q.Key()}
 
-	finish := func(an *flow.Analysis, rows int) (*Result, int64, error) {
+	switch q.Kind {
+	case KindAnalyze, KindERI, KindHW:
+		// One point through the evaluator: analyze is a Default point (at
+		// the baseline utilization, the cached baseline analysis), hw the
+		// Default point at the overhead with wrappers stacked on it.
+		var pt core.Point
+		switch q.Kind {
+		case KindAnalyze:
+			pt = core.Point{Strategy: core.StrategyDefault, Utilization: q.Utilization}
+			if pt.Utilization == 0 {
+				pt.Utilization = f.Config.Utilization
+			}
+		case KindERI:
+			pt = core.Point{Strategy: core.StrategyERI, Rows: q.Rows}
+			if pt.Rows == 0 {
+				pt.Rows = core.RowsForAreaOverhead(baseline.Placement, q.Overhead)
+			}
+		case KindHW:
+			pt = core.Point{Strategy: core.StrategyHW, Utilization: f.Config.Utilization / (1 + q.Overhead)}
+		}
+		_, an, err := ev.Evaluate(ctx, pt, nil)
+		if err != nil {
+			return nil, 0, fmt.Errorf("serve: %s: %w", q.Kind, err)
+		}
+		if an == nil {
+			return nil, 0, &httpStatusError{
+				status:   http.StatusUnprocessableEntity,
+				category: "no-hotspots",
+				msg:      fmt.Sprintf("no tight hotspots at overhead %g; nothing to wrap", q.Overhead),
+			}
+		}
 		res.Utilization = f.Config.Utilization / (an.Placement.FP.CoreArea() / baseArea)
 		res.AreaOverhead = an.Placement.FP.CoreArea()/baseArea - 1
-		res.Rows = rows
+		res.Rows = pt.Rows
 		res.PeakRiseK = an.Thermal.PeakRise
 		if baseRise > 0 {
 			res.TempReduction = (baseRise - an.Thermal.PeakRise) / baseRise
@@ -319,85 +348,14 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 			res.Surface = gridRows(an.Thermal.RiseMap())
 		}
 		return res, an.MemoryBytes(), nil
-	}
-
-	switch q.Kind {
-	case KindAnalyze:
-		util := q.Utilization
-		if util == 0 {
-			util = f.Config.Utilization
-		}
-		// ReflowAt at the baseline utilization returns the cached baseline
-		// placement with an empty delta, which AnalyzeWithCtx resolves to the
-		// cached baseline analysis — the no-work fast path.
-		p, delta, err := f.ReflowAt(util)
-		if err != nil {
-			return nil, 0, fmt.Errorf("serve: analyze at %g: %w", util, err)
-		}
-		an, err := f.AnalyzeWithCtx(ctx, p, flow.AnalyzeOptions{Parent: baseline, Delta: delta})
-		if err != nil {
-			return nil, 0, fmt.Errorf("serve: analyze at %g: %w", util, err)
-		}
-		return finish(an, 0)
-
-	case KindERI:
-		rows := q.Rows
-		if rows == 0 {
-			rows = core.RowsForAreaOverhead(baseline.Placement, q.Overhead)
-		}
-		p, delta, err := core.EmptyRowInsertionDelta(baseline.Placement, baseline.Hotspots, core.DefaultERIOptions(rows))
-		if err != nil {
-			return nil, 0, fmt.Errorf("serve: eri %d rows: %w", rows, err)
-		}
-		an, err := f.AnalyzeWithCtx(ctx, p, flow.AnalyzeOptions{Parent: baseline, Delta: delta})
-		if err != nil {
-			return nil, 0, fmt.Errorf("serve: eri %d rows: %w", rows, err)
-		}
-		return finish(an, rows)
-
-	case KindHW:
-		// Mirror the sweep's HW task: relax utilization to the overhead,
-		// analyze the Default placement against the baseline, then wrap the
-		// tight hotspots of that intermediate and analyze the wrapped
-		// placement against it — the lineage chain lives inside this call.
-		util := f.Config.Utilization / (1 + q.Overhead)
-		p, delta, err := f.ReflowAt(util)
-		if err != nil {
-			return nil, 0, fmt.Errorf("serve: hw at %g: %w", q.Overhead, err)
-		}
-		an, err := f.AnalyzeWithCtx(ctx, p, flow.AnalyzeOptions{Parent: baseline, Delta: delta})
-		if err != nil {
-			return nil, 0, fmt.Errorf("serve: hw at %g: %w", q.Overhead, err)
-		}
-		spots := hotspot.Detect(an.Thermal.RiseMap(), hotspot.Options{ThresholdFrac: 0.75, MinCells: 2})
-		if len(spots) == 0 {
-			return nil, 0, &httpStatusError{
-				status:   http.StatusUnprocessableEntity,
-				category: "no-hotspots",
-				msg:      fmt.Sprintf("no tight hotspots at overhead %g; nothing to wrap", q.Overhead),
-			}
-		}
-		wopts := core.DefaultWrapperOptions(func(inst *netlist.Instance) float64 {
-			return an.Power.InstancePower(inst)
-		})
-		hp, hdelta, err := core.HotspotWrapperDelta(an.Placement, spots, wopts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("serve: hw at %g: %w", q.Overhead, err)
-		}
-		han, err := f.AnalyzeWithCtx(ctx, hp, flow.AnalyzeOptions{Parent: an, Delta: hdelta})
-		if err != nil {
-			return nil, 0, fmt.Errorf("serve: hw at %g: %w", q.Overhead, err)
-		}
-		return finish(han, 0)
 
 	case KindSweep:
 		// Workers: 1 — the server's concurrency unit is the query, and the
 		// admission controller's in-flight bound must bound solver work; a
 		// sweep fanning out internally would break that accounting.
 		sopts := core.SweepOptions{
-			Overheads:   q.Overheads,
-			Workers:     1,
-			Incremental: true,
+			Overheads: q.Overheads,
+			Workers:   1,
 		}
 		if q.Adaptive {
 			scale := q.GridScale
