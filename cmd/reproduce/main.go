@@ -33,7 +33,7 @@ import (
 	"thermplace/internal/core"
 	"thermplace/internal/fault"
 	"thermplace/internal/flow"
-	"thermplace/internal/netlist"
+	"thermplace/internal/place"
 	"thermplace/internal/thermal"
 	"thermplace/internal/timing"
 )
@@ -48,7 +48,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random stimulus seed")
 		util      = flag.Float64("util", 0.85, "baseline placement utilization")
 		workers   = flag.Int("workers", 0, "concurrent sweep points (0 = GOMAXPROCS, 1 = sequential)")
-		precond   = flag.String("precond", "auto", "thermal CG preconditioner: auto, mg or jacobi")
+		precond   = flag.String("precond", "mg", "thermal CG preconditioner: mg or jacobi")
 		adaptive  = flag.Bool("adaptive", false, "with fig6, run the two-phase multi-fidelity sweep: densify the overhead grid, triage candidates on coarse-grid estimates, measure only the estimated Pareto front exactly")
 		gridScale = flag.Int("grid-scale", 4, "with -adaptive, densification factor of the overhead grid")
 		margin    = flag.Float64("margin", 0.25, "with -adaptive, triage safety margin as a fraction of the estimated rise range")
@@ -116,7 +116,7 @@ func main() {
 	}
 	if want("timing") {
 		ran = true
-		runTiming(ctx, design, mkFlow(scatteredWorkload(*small)))
+		runTiming(ctx, mkFlow(scatteredWorkload(*small)))
 	}
 	if want("congestion") {
 		ran = true
@@ -254,16 +254,46 @@ func runTable1(ctx context.Context, f *flow.Flow, small bool) {
 	fmt.Println()
 }
 
-func runTiming(ctx context.Context, design *netlist.Design, f *flow.Flow) {
+// timingOverhead is the area overhead of the Default and HW placements the
+// timing experiment compares: the Fig6 sweep's 16% point.
+const timingOverhead = 0.16
+
+// sweepDefaultAndHW derives the Default and HW placements at timingOverhead
+// through core.Evaluator, exactly as the Fig6 sweep does: Default reflows
+// the baseline, and HW wraps that Default point's tight hotspots. hw is nil
+// when the Default point has no tight hotspot to wrap.
+func sweepDefaultAndHW(ctx context.Context, f *flow.Flow) (def, hw *place.Placement, err error) {
+	ev, err := core.NewEvaluator(ctx, f)
+	if err != nil {
+		return nil, nil, err
+	}
+	util := f.Config.Utilization / (1 + timingOverhead)
+	_, defAn, err := ev.Evaluate(ctx, core.Point{Strategy: core.StrategyDefault, Utilization: util}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, hwAn, err := ev.Evaluate(ctx, core.Point{Strategy: core.StrategyHW, Utilization: util}, defAn)
+	if err != nil || hwAn == nil {
+		return defAn.Placement, nil, err
+	}
+	return defAn.Placement, hwAn.Placement, nil
+}
+
+// runTiming times the baseline, two ERI placements and the sweep's Default
+// and HW placements with one timing graph. Timing is not derated: the
+// paper's ~2% is the effect of moving cells, not of temperature.
+func runTiming(ctx context.Context, f *flow.Flow) {
 	fmt.Println("=== Timing overhead of the transforms (paper: around 2%) ===")
 	base, err := f.AnalyzeBaselineCtx(ctx)
 	if err != nil {
 		fatal(err)
 	}
-	baseT, err := timing.Analyze(design, base.Placement, timing.DefaultOptions())
+	ta, err := timing.NewAnalyzer(f.Design)
 	if err != nil {
 		fatal(err)
 	}
+	opts := timing.DefaultOptions()
+	baseT := ta.Analyze(base.Placement, opts)
 	fmt.Printf("baseline critical path: %.1f ps (max %.3f GHz)\n", baseT.CriticalPathPs, baseT.MaxFrequencyGHz)
 
 	for _, ov := range []float64{0.161, 0.322} {
@@ -272,37 +302,22 @@ func runTiming(ctx context.Context, design *netlist.Design, f *flow.Flow) {
 		if err != nil {
 			fatal(err)
 		}
-		eriT, err := timing.Analyze(design, eriP, timing.DefaultOptions())
-		if err != nil {
-			fatal(err)
-		}
+		eriT := ta.Analyze(eriP, opts)
 		fmt.Printf("ERI (%d rows, %4.1f%% area): %.1f ps  -> overhead %.2f%%\n",
 			rows, ov*100, eriT.CriticalPathPs, timing.Overhead(baseT, eriT)*100)
 	}
 
-	relaxed, err := f.PlaceAt(f.Config.Utilization / 1.16)
+	defP, hwP, err := sweepDefaultAndHW(ctx, f)
 	if err != nil {
 		fatal(err)
 	}
-	relAn, err := f.AnalyzeCtx(ctx, relaxed)
-	if err != nil {
-		fatal(err)
+	if hwP == nil {
+		fmt.Printf("HW (%.0f%% area)         : no tight hotspot on its Default point; nothing to wrap\n\n", timingOverhead*100)
+		return
 	}
-	powerOf := func(inst *netlist.Instance) float64 { return relAn.Power.InstancePower(inst) }
-	hwP, err := core.HotspotWrapper(relaxed, relAn.Hotspots, core.DefaultWrapperOptions(powerOf))
-	if err != nil {
-		fatal(err)
-	}
-	relT, err := timing.Analyze(design, relaxed, timing.DefaultOptions())
-	if err != nil {
-		fatal(err)
-	}
-	hwT, err := timing.Analyze(design, hwP, timing.DefaultOptions())
-	if err != nil {
-		fatal(err)
-	}
+	defT, hwT := ta.Analyze(defP, opts), ta.Analyze(hwP, opts)
 	fmt.Printf("HW (vs its default)   : %.1f ps  -> overhead %.2f%%\n",
-		hwT.CriticalPathPs, timing.Overhead(relT, hwT)*100)
+		hwT.CriticalPathPs, timing.Overhead(defT, hwT)*100)
 	fmt.Println()
 }
 

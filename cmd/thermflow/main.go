@@ -36,7 +36,6 @@ import (
 
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
-	"thermplace/internal/congestion"
 	"thermplace/internal/core"
 	"thermplace/internal/def"
 	"thermplace/internal/fault"
@@ -64,7 +63,7 @@ func main() {
 		heat        = flag.Bool("heatmap", false, "print an ASCII heat map of the die to stdout")
 		withTiming  = flag.Bool("timing", true, "run static timing analysis")
 		withCongest = flag.Bool("congestion", true, "run the routing congestion estimate")
-		precond     = flag.String("precond", "auto", "thermal CG preconditioner: auto, mg or jacobi")
+		precond     = flag.String("precond", "mg", "thermal CG preconditioner: mg or jacobi")
 		strategyStr = flag.String("strategy", "", "apply one strategy to the baseline and report before/after: default, eri or hw")
 		overhead    = flag.Float64("overhead", 0.16, "with -strategy, target fractional area overhead (default/hw, and eri when -rows is 0)")
 		rows        = flag.Int("rows", 0, "with -strategy eri, empty rows to insert (0 derives the count from -overhead)")
@@ -144,25 +143,14 @@ func main() {
 	}
 
 	// The flow already ran temperature-derated timing and congestion as part
-	// of the co-analysis (DefaultConfig enables it); fall back to a direct
-	// call only when the analyzers were disabled or released.
+	// of the co-analysis (DefaultConfig enables it).
 	if *withTiming {
 		rep := an.Timing
-		if rep == nil {
-			topts := timing.DefaultOptions()
-			topts.TemperatureMap = an.Thermal.Surface
-			if rep, err = timing.Analyze(design, an.Placement, topts); err != nil {
-				fatal(err)
-			}
-		}
 		fmt.Printf("critical path     : %.1f ps (max %.3f GHz, slack %.1f ps at 1 GHz)\n",
 			rep.CriticalPathPs, rep.MaxFrequencyGHz, rep.SlackPs)
 	}
 	if *withCongest {
 		rep := an.Congestion
-		if rep == nil {
-			rep = congestion.Estimate(an.Placement, congestion.DefaultOptions())
-		}
 		fmt.Printf("wirelength        : %.0f um\n", rep.TotalWirelength)
 		fmt.Printf("congestion        : mean %.3f, max %.3f, %d overflowing bins\n",
 			rep.MeanUtilization, rep.MaxUtilization, rep.Overflows)
@@ -197,10 +185,8 @@ func main() {
 			ep.AreaOverhead*100, opt.Placement.FP.Core.W(), opt.Placement.FP.Core.H())
 		fmt.Printf("peak rise         : %.3f C -> %.3f C (reduction %.1f%%)\n",
 			an.Thermal.PeakRise, ep.PeakRise, ep.TempReduction*100)
-		if an.Timing != nil && opt.Timing != nil {
-			fmt.Printf("critical path     : %.1f ps -> %.1f ps derated (timing overhead %.2f%%)\n",
-				an.Timing.CriticalPathPs, opt.Timing.CriticalPathPs, timing.Overhead(an.Timing, opt.Timing)*100)
-		}
+		fmt.Printf("critical path     : %.1f ps -> %.1f ps derated (timing overhead %.2f%%)\n",
+			an.Timing.CriticalPathPs, opt.Timing.CriticalPathPs, timing.Overhead(an.Timing, opt.Timing)*100)
 		placed = opt.Placement
 	}
 

@@ -55,7 +55,7 @@ func run() int {
 		queue    = flag.Int("queue", 16, "max queued queries per design before shedding")
 		deadline = flag.Duration("deadline", 30*time.Second, "default per-request deadline (requests may override with deadline_ms)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-drain timeout on SIGTERM before stragglers are canceled")
-		cacheMB  = flag.Int64("cache-mb", 64, "per-design solved-state cache budget in MiB (negative disables)")
+		cacheMB  = flag.Int64("cache-mb", 64, "per-design result cache budget in MiB, charged per analysis footprint (negative disables)")
 		trips    = flag.Int("breaker-trips", 3, "consecutive solver faults that open a design's multigrid circuit breaker")
 		cooldown = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker pins the Jacobi fallback before probing")
 	)

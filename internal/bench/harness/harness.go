@@ -27,7 +27,6 @@ import (
 	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
 	"thermplace/internal/netlist"
-	"thermplace/internal/place"
 	"thermplace/internal/thermal"
 	"thermplace/internal/timing"
 )
@@ -69,12 +68,6 @@ type Options struct {
 	// the site grid before the legality check. Like InjectThermalBiasC it
 	// exists to prove the harness catches a broken placer.
 	CorruptPlacement bool
-	// CorruptTimingDelta, when true, deliberately moves one cell of the ERI
-	// placement after its delta was recorded, so the incremental timing
-	// update works from an under-reported delta. Like the knobs above it
-	// exists to prove the timing-incremental-equality check cannot silently
-	// pass: Run must fail when the delta contract is broken.
-	CorruptTimingDelta bool
 	// InjectAdaptiveBiasC, when nonzero, deliberately corrupts the adaptive
 	// sweep's coarse estimates (core.AdaptiveOptions.InjectEstRiseBiasC) so
 	// the triage drops true-front candidates. Like the knobs above it exists
@@ -289,7 +282,7 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 		}
 	}
 
-	if err := coAnalysisChecks(rep, gen, base, opts); err != nil {
+	if err := coAnalysisChecks(rep, gen, base); err != nil {
 		return rep, err
 	}
 
@@ -430,22 +423,19 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 //     non-decreasing in temperature;
 //   - eri-congestion-hotspot: empty-row insertion spreads the hotspot cells
 //     apart, so it must not increase the congestion overflow count in the
-//     hotspot region (mapped through the vertical stretch);
-//   - timing-incremental-equality: Analyzer.Update through the ERI delta is
-//     bit-identical (== on every float) to a from-scratch analysis of the
-//     same placement under the same options.
-func coAnalysisChecks(rep *Report, gen *bench.Generated, base *flow.Analysis, opts Options) error {
+//     hotspot region (mapped through the vertical stretch).
+func coAnalysisChecks(rep *Report, gen *bench.Generated, base *flow.Analysis) error {
 	ta, err := timing.NewAnalyzer(gen.Design)
 	if err != nil {
 		return fmt.Errorf("harness: %s: timing analyzer: %w", gen.Scenario, err)
 	}
 	topts := timing.DefaultOptions()
 	topts.TemperatureMap = base.Thermal.Surface
-	prev := ta.Analyze(base.Placement, topts)
+	solved := ta.Analyze(base.Placement, topts)
 
 	// Property: derated critical path is monotone non-decreasing in
 	// temperature.
-	cp := prev.CriticalPathPs
+	cp := solved.CriticalPathPs
 	for _, bias := range []float64{15, 30} {
 		hot := base.Thermal.Surface.Clone()
 		for i, v := range hot.Values() {
@@ -461,15 +451,14 @@ func coAnalysisChecks(rep *Report, gen *bench.Generated, base *flow.Analysis, op
 		cp = hr.CriticalPathPs
 	}
 	rep.pass("timing-temperature-monotonicity",
-		fmt.Sprintf("critical path %.1f ps grows to %.1f ps at +30 C", prev.CriticalPathPs, cp))
+		fmt.Sprintf("critical path %.1f ps grows to %.1f ps at +30 C", solved.CriticalPathPs, cp))
 
 	if len(base.Hotspots) == 0 {
 		rep.skipped("eri-congestion-hotspot", "baseline has no hotspots")
-		rep.skipped("timing-incremental-equality", "baseline has no hotspots")
 		return nil
 	}
 	const eriRows = 4
-	eriP, eriDelta, err := core.EmptyRowInsertionDelta(base.Placement, base.Hotspots, core.DefaultERIOptions(eriRows))
+	eriP, err := core.EmptyRowInsertion(base.Placement, base.Hotspots, core.DefaultERIOptions(eriRows))
 	if err != nil {
 		return fmt.Errorf("harness: %s: eri for co-analysis checks: %w", gen.Scenario, err)
 	}
@@ -488,92 +477,6 @@ func coAnalysisChecks(rep *Report, gen *bench.Generated, base *flow.Analysis, op
 			gen.Scenario, before, after)
 	}
 	rep.pass("eri-congestion-hotspot", fmt.Sprintf("hotspot overflow bins %d -> %d", before, after))
-
-	// Negative injection (testing the harness itself): one extra move the
-	// delta never recorded — the equality check below must catch it.
-	if opts.CorruptTimingDelta {
-		if err := corruptDelta(gen.Design, eriP, eriDelta, prev); err != nil {
-			return fmt.Errorf("harness: %s: %w", gen.Scenario, err)
-		}
-	}
-
-	// Property: the incremental update through the ERI delta is
-	// bit-identical to analyzing the stretched placement from scratch.
-	full := ta.Analyze(eriP, topts)
-	inc := ta.Update(prev, eriP, eriDelta, topts)
-	if err := timingReportsEqual(full, inc); err != nil {
-		return fmt.Errorf("harness: %s: timing incremental vs from-scratch: %w", gen.Scenario, err)
-	}
-	rep.pass("timing-incremental-equality",
-		fmt.Sprintf("%d arrivals bit-identical through %d dirty nets", len(full.ArrivalPs), len(eriDelta.DirtyNets())))
-	return nil
-}
-
-// corruptDelta moves one cell the delta does not cover: a non-filler driver
-// of a reached, fan-out net none of whose ordinals are in the delta's dirty
-// set, displaced by half the core width.
-func corruptDelta(d *netlist.Design, p *place.Placement, delta *place.Delta, prev *timing.Report) error {
-	dirty := map[int32]bool{}
-	for _, o := range delta.DirtyNets() {
-		dirty[o] = true
-	}
-	for _, n := range d.Nets() {
-		if dirty[int32(n.Ord())] || n.Driver.Inst == nil || n.Driver.Inst.IsFiller() ||
-			len(n.Loads) == 0 || prev.ArrivalPs[n.Name] <= 0 {
-			continue
-		}
-		inst := n.Driver.Inst
-		clean := true
-		for _, cn := range inst.Conns() {
-			if cn != nil && dirty[int32(cn.Ord())] {
-				clean = false
-				break
-			}
-		}
-		if !clean {
-			continue
-		}
-		l, ok := p.Loc(inst)
-		if !ok {
-			continue
-		}
-		if l.X > p.FP.Core.Center().X {
-			l.X -= p.FP.Core.W() / 2
-		} else {
-			l.X += p.FP.Core.W() / 2
-		}
-		p.SetLoc(inst, l)
-		return nil
-	}
-	return fmt.Errorf("corrupt timing delta: no movable cell outside the delta's dirty cone")
-}
-
-// timingReportsEqual requires exactly identical timing reports: == on every
-// float, every arrival entry, every critical-path step.
-func timingReportsEqual(full, inc *timing.Report) error {
-	if full.CriticalPathPs != inc.CriticalPathPs || full.SlackPs != inc.SlackPs ||
-		full.MaxFrequencyGHz != inc.MaxFrequencyGHz || full.Endpoints != inc.Endpoints {
-		return fmt.Errorf("summary differs: full {cp %v slack %v fmax %v ep %d} vs inc {cp %v slack %v fmax %v ep %d}",
-			full.CriticalPathPs, full.SlackPs, full.MaxFrequencyGHz, full.Endpoints,
-			inc.CriticalPathPs, inc.SlackPs, inc.MaxFrequencyGHz, inc.Endpoints)
-	}
-	if len(full.ArrivalPs) != len(inc.ArrivalPs) {
-		return fmt.Errorf("arrival count differs: %d vs %d", len(full.ArrivalPs), len(inc.ArrivalPs))
-	}
-	for name, at := range full.ArrivalPs {
-		if iat, ok := inc.ArrivalPs[name]; !ok || iat != at {
-			return fmt.Errorf("arrival at %q differs: %v vs %v", name, at, iat)
-		}
-	}
-	if len(full.CriticalPath) != len(inc.CriticalPath) {
-		return fmt.Errorf("critical path length differs: %d vs %d", len(full.CriticalPath), len(inc.CriticalPath))
-	}
-	for i, s := range full.CriticalPath {
-		c := inc.CriticalPath[i]
-		if s.Inst != c.Inst || s.Net != c.Net || s.DelayPs != c.DelayPs || s.ArrivalPs != c.ArrivalPs {
-			return fmt.Errorf("critical path step %d differs", i)
-		}
-	}
 	return nil
 }
 

@@ -113,20 +113,6 @@ func TestHarnessFailsOnCorruptedSolver(t *testing.T) {
 	}
 }
 
-// TestHarnessFailsOnCorruptedTimingDelta proves the incremental-timing
-// equality check bites: a cell moved after the ERI delta was recorded (so
-// the delta under-reports the dirty cone) must fail the run.
-func TestHarnessFailsOnCorruptedTimingDelta(t *testing.T) {
-	sc := bench.Scenario{Family: bench.FamilyHotspotCluster, Seed: 9, TargetCells: 1200}
-	_, err := Run(sc, Options{CorruptTimingDelta: true, SkipSweep: true, SkipDeterminism: true})
-	if err == nil {
-		t.Fatal("harness passed with an under-reported timing delta")
-	}
-	if !strings.Contains(err.Error(), "timing incremental") {
-		t.Fatalf("corrupted timing delta tripped the wrong check: %v", err)
-	}
-}
-
 // TestHarnessFailsOnCorruptedAdaptiveEstimates proves the
 // adaptive-front-exactness check bites: biased coarse estimates make the
 // triage drop true-front candidates, which must fail the run.

@@ -37,10 +37,6 @@ type LoadChaosOptions struct {
 	// mean 2 / 2 — deliberately tight, so the storm actually sheds.
 	MaxInFlight int
 	MaxQueue    int
-	// CacheBytes is the per-design solved-state budget. Zero means 512 KiB —
-	// room for about two solved analyses now that each carries its timing
-	// and congestion reports, so the query set still forces evictions.
-	CacheBytes int64
 	// DeadlineMS is the per-query deadline the clients send. Zero means 1500.
 	DeadlineMS int
 	// DrainTimeout bounds the graceful drain before stragglers are canceled.
@@ -72,9 +68,6 @@ func (o LoadChaosOptions) normalized() LoadChaosOptions {
 	}
 	if o.MaxQueue == 0 {
 		o.MaxQueue = 2
-	}
-	if o.CacheBytes == 0 {
-		o.CacheBytes = 512 << 10
 	}
 	if o.DeadlineMS == 0 {
 		o.DeadlineMS = 1500
@@ -133,20 +126,14 @@ func (t *chaosTally) mismatchf(format string, a ...any) {
 //     to a direct serve.Exec / flow.AnalyzeCtx on a fresh reference flow;
 //   - every non-200 carries a recognized fault category, and shed queries
 //     never started (admission counters stay consistent);
-//   - the solved-state cache stays inside its byte budget and evicts under
-//     pressure rather than growing;
+//   - the result cache stays inside its byte budget (twice the costliest
+//     reference result) and evicts under pressure rather than growing;
 //   - after BeginDrain no query is admitted, stragglers are canceled within
 //     the drain timeout, and the goroutine count settles back to baseline.
 func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 	opts = opts.normalized()
 	lib := celllib.Default65nm()
 	baseGoroutines := runtime.NumGoroutine()
-
-	srv := serve.NewServer(serve.Config{
-		MaxInFlight: opts.MaxInFlight,
-		MaxQueue:    opts.MaxQueue,
-		CacheBytes:  opts.CacheBytes,
-	})
 
 	type residentDesign struct {
 		name   string
@@ -156,8 +143,11 @@ func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 		ref    *flow.Flow // clean reference for bit-identity
 	}
 	var designs []*residentDesign
+	var srv *serve.Server
 	closeAll := func() {
-		srv.Close()
+		if srv != nil {
+			srv.Close()
+		}
 		for _, d := range designs {
 			d.ref.Close()
 		}
@@ -180,18 +170,13 @@ func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 		fcfg.SimCycles = opts.SimCycles
 		fcfg.RefinePasses = 0
 		fcfg.Thermal.NX, fcfg.Thermal.NY = opts.Grid, opts.Grid
-		d := &residentDesign{
+		designs = append(designs, &residentDesign{
 			name:   string(fam),
 			gen:    gen,
 			fcfg:   fcfg,
-			inject: &fault.Injector{}, // wired now, armed after warm-up
+			inject: &fault.Injector{}, // wired at load, armed after warm-up
 			ref:    flow.New(gen.Design, gen.Workload, fcfg),
-		}
-		if err := srv.AddDesign(context.Background(), d.name, gen.Design, gen.Workload, fcfg, d.inject); err != nil {
-			closeAll()
-			return rep, fmt.Errorf("harness: loading %s: %w", fam, err)
-		}
-		designs = append(designs, d)
+		})
 	}
 
 	// The per-design query set: mixed kinds, including the baseline
@@ -215,14 +200,16 @@ func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 	// set — the server would report the same typed failure.
 	expected := map[string]*serve.Result{} // design + path + params
 	var queries = map[string][]chaosQuery{}
+	var maxCost int64
 	for _, d := range designs {
 		for _, cq := range querySet(d) {
-			want, _, err := serve.Exec(context.Background(), d.ref, cq.query)
+			want, cost, err := serve.Exec(context.Background(), d.ref, cq.query)
 			if err != nil {
 				continue
 			}
 			queries[d.name] = append(queries[d.name], cq)
 			expected[d.name+cq.path+"?"+cq.params] = want
+			maxCost = max(maxCost, cost)
 		}
 		if len(queries[d.name]) < 4 {
 			closeAll()
@@ -230,6 +217,21 @@ func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 		}
 	}
 	rep.pass("reference-queries", fmt.Sprintf("%d designs x %d query kinds solved directly", len(designs), len(queries[designs[0].name])))
+
+	// The cache budget holds two of the costliest results, so the storm's
+	// distinct queries must evict.
+	cacheBytes := 2 * maxCost
+	srv = serve.NewServer(serve.Config{
+		MaxInFlight: opts.MaxInFlight,
+		MaxQueue:    opts.MaxQueue,
+		CacheBytes:  cacheBytes,
+	})
+	for _, d := range designs {
+		if err := srv.AddDesign(context.Background(), d.name, d.gen.Design, d.gen.Workload, d.fcfg, d.inject); err != nil {
+			closeAll()
+			return rep, fmt.Errorf("harness: loading %s: %w", d.name, err)
+		}
+	}
 
 	// Cross-check the execution path itself: serve.Exec's analyze result
 	// must equal a direct flow.ReflowAt + AnalyzeCtx — the plain pipeline a
@@ -458,17 +460,17 @@ func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 	// deliberately smaller than the working set).
 	evictions := uint64(0)
 	for _, d := range designs {
-		if got := srv.CacheBytesFor(d.name); got > opts.CacheBytes {
+		if got := srv.CacheBytesFor(d.name); got > cacheBytes {
 			closeAll()
-			return rep, fmt.Errorf("harness: %s: cache footprint %d exceeds budget %d", d.name, got, opts.CacheBytes)
+			return rep, fmt.Errorf("harness: %s: cache footprint %d exceeds budget %d", d.name, got, cacheBytes)
 		}
 		evictions += srv.StatsFor(d.name).Evicted
 	}
 	if evictions == 0 {
 		closeAll()
-		return rep, fmt.Errorf("harness: no evictions under a %d-byte budget; memory bounding unexercised", opts.CacheBytes)
+		return rep, fmt.Errorf("harness: no evictions under a %d-byte budget; memory bounding unexercised", cacheBytes)
 	}
-	rep.pass("cache-budget-bounded", fmt.Sprintf("%d evictions, every footprint <= %d bytes", evictions, opts.CacheBytes))
+	rep.pass("cache-budget-bounded", fmt.Sprintf("%d evictions, every footprint <= %d bytes", evictions, cacheBytes))
 
 	// Phase 3 — drain while queries are parked in-flight. Every subsequent
 	// analysis stalls (no deadline), so the drain must cancel them through

@@ -243,9 +243,6 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 		return nil, fmt.Errorf("core: adaptive sweep needs a non-negative Margin, got %g", af.Margin)
 	}
 	f, baseline := ev.flow, ev.baseline
-	if baseline.PowerMap == nil {
-		return nil, fmt.Errorf("core: adaptive sweep needs the baseline power map (was it released?)")
-	}
 	baseArea := baseline.Placement.FP.CoreArea()
 	stats := &TriageStats{Margin: af.Margin}
 	result := &SweepResult{Baseline: baseline, BaselineUtilization: ev.baseUtil, Triage: stats}

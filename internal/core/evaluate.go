@@ -53,13 +53,6 @@ type Evaluator struct {
 	flow     *flow.Flow
 	baseline *flow.Analysis
 	baseUtil float64
-
-	// keepParents leaves the heavy state of the Default analyses HW points
-	// are stacked on in place; a sweep that retains its analyses sets it.
-	// Otherwise Evaluate releases that state (flow.Analysis.ReleaseHeavy)
-	// once the hotspots to wrap are detected, so a sweep task does not pin
-	// the parent's thermal layers and timing state through the HW solve.
-	keepParents bool
 }
 
 // NewEvaluator returns an evaluator for the flow, analyzing its baseline
@@ -110,11 +103,6 @@ func (e *Evaluator) Evaluate(ctx context.Context, pt Point, parent *flow.Analysi
 			}
 		}
 		spots := hotspot.Detect(parent.Thermal.RiseMap(), wrapperDetection)
-		if !e.keepParents && parent != e.baseline {
-			// The wrapper only consumes the parent's placement, power
-			// report and solved-field seed.
-			parent.ReleaseHeavy()
-		}
 		if len(spots) == 0 {
 			return nil, nil, nil
 		}

@@ -115,9 +115,7 @@ type SweepResult struct {
 }
 
 // coMetrics copies the co-analysis scalars of an analysis into the point
-// (zeros when the flow ran without Config.CoAnalysis). This runs before the
-// sweep releases the analysis' heavy state, so the point records survive
-// ReleaseHeavy.
+// (zeros when the flow ran without Config.CoAnalysis).
 func (pt *EfficiencyPoint) coMetrics(an *flow.Analysis) *EfficiencyPoint {
 	pt.HPWL = an.HPWL
 	if an.Timing != nil {
@@ -275,7 +273,6 @@ func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*
 	if len(ev.baseline.Hotspots) == 0 {
 		return nil, fmt.Errorf("core: baseline has no detectable hotspots; nothing to optimize")
 	}
-	ev.keepParents = opts.KeepAnalyses
 	if opts.Adaptive != nil {
 		return sweepAdaptive(ctx, ev, opts)
 	}

@@ -87,7 +87,7 @@ func (s *Stats) AddDegraded() {
 	}
 }
 
-// AddEvicted records a solved-state cache entry dropped to stay inside the
+// AddEvicted records a result cache entry dropped to stay inside the
 // memory budget; the next query for it re-derives the state via the
 // warm-start fallback.
 func (s *Stats) AddEvicted() {
@@ -118,7 +118,7 @@ type StatsSnapshot struct {
 	TimedOut uint64
 	// Degraded counts queries served on a fallback path.
 	Degraded uint64
-	// Evicted counts solved-state cache entries dropped for memory budget.
+	// Evicted counts result cache entries dropped for memory budget.
 	Evicted uint64
 }
 

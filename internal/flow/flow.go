@@ -471,11 +471,10 @@ type Analysis struct {
 
 	// Timing is the static timing report of the placement, derated with the
 	// solved temperature field (hot cells slow down). Nil when
-	// Config.CoAnalysis is off or ReleaseHeavy dropped it.
+	// Config.CoAnalysis is off.
 	Timing *timing.Report
 	// Congestion is the probabilistic routing-congestion estimate of the
-	// placement. Nil when Config.CoAnalysis is off or ReleaseHeavy dropped
-	// it.
+	// placement. Nil when Config.CoAnalysis is off.
 	Congestion *congestion.Report
 	// HPWL is the total half-perimeter wirelength of the placement in um
 	// (zero when Config.CoAnalysis is off).
@@ -495,28 +494,21 @@ func (a *Analysis) PeakRise() float64 { return a.Thermal.PeakRise }
 
 // MemoryBytes estimates the retained size of the analysis' numeric payload
 // — the solved-state warm-start field, the power map, the materialized
-// thermal layers and the power report's per-instance breakdowns — which is
-// what dominates a resident cached analysis. Shared structures (the
-// placement, the design) are deliberately excluded: cached analyses of one
-// design share them, so charging them per entry would overcount. The
-// estimate is the accounting unit of the query server's solved-state LRU.
+// thermal layers, the power report's per-instance breakdowns and the
+// co-analysis reports — which is what dominates a resident analysis. Shared
+// structures (the placement, the design) are deliberately excluded:
+// analyses of one design share them, so charging them per entry would
+// overcount. The estimate is the accounting unit of the query server's
+// result cache.
 func (a *Analysis) MemoryBytes() int64 {
 	const f64 = 8
-	n := int64(0)
-	n += f64 * int64(len(a.state))
-	if a.PowerMap != nil {
-		n += f64 * int64(len(a.PowerMap.Values()))
-	}
-	if a.Thermal != nil {
-		for _, l := range a.Thermal.Layers {
-			if l != nil {
-				n += f64 * int64(len(l.Values()))
-			}
+	n := f64 * int64(len(a.state)+len(a.PowerMap.Values()))
+	for _, l := range a.Thermal.Layers {
+		if l != nil {
+			n += f64 * int64(len(l.Values()))
 		}
 	}
-	if a.Power != nil {
-		n += a.Power.MemoryBytes()
-	}
+	n += a.Power.MemoryBytes()
 	if a.Timing != nil {
 		n += a.Timing.MemoryBytes()
 	}
@@ -628,7 +620,7 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		state:     state,
 		stateID:   stateID,
 	}
-	if err := f.coAnalyze(an, opts); err != nil {
+	if err := f.coAnalyze(an); err != nil {
 		return nil, err
 	}
 	return an, nil
@@ -668,12 +660,9 @@ func (f *Flow) timingOptions(tres *thermal.Result) timing.Options {
 }
 
 // coAnalyze fills the analysis' timing, congestion and wirelength fields
-// (Config.CoAnalysis). Timing takes the incremental dirty-cone path when the
-// lineage parent carries a report computed under identical options (the
-// same temperature field); otherwise timing.Analyzer.Update falls back to
-// the full propagation, which is bit-identical to a from-scratch
-// timing.Analyze by construction (same cached graph, same operation order).
-func (f *Flow) coAnalyze(an *Analysis, opts AnalyzeOptions) error {
+// (Config.CoAnalysis). Timing runs once per analysis through the flow's
+// cached timing graph, derated with the analysis' own solved surface.
+func (f *Flow) coAnalyze(an *Analysis) error {
 	if !f.Config.CoAnalysis {
 		return nil
 	}
@@ -681,12 +670,7 @@ func (f *Flow) coAnalyze(an *Analysis, opts AnalyzeOptions) error {
 	if err != nil {
 		return fmt.Errorf("flow: timing analysis: %w", err)
 	}
-	topts := f.timingOptions(an.Thermal)
-	if par := opts.Parent; par != nil && opts.Delta != nil && par.Timing != nil {
-		an.Timing = ta.Update(par.Timing, an.Placement, opts.Delta, topts)
-	} else {
-		an.Timing = ta.Analyze(an.Placement, topts)
-	}
+	an.Timing = ta.Analyze(an.Placement, f.timingOptions(an.Thermal))
 	an.Congestion = congestion.Estimate(an.Placement, f.Config.Congestion)
 	an.HPWL = an.Placement.TotalHPWL()
 	return nil
@@ -761,19 +745,6 @@ func (f *Flow) AnalyzeBaselineCtx(ctx context.Context) (*Analysis, error) {
 	f.baseAnThermal.Stack = append(thermal.Stack(nil), f.Config.Thermal.Stack...)
 	f.mu.Unlock()
 	return an, nil
-}
-
-// ReleaseHeavy drops the analysis' thermal result, power map and
-// co-analysis reports, keeping exactly what a lineage child needs: the
-// placement, the power report, the detected hotspots and the solved-field
-// seed. The sweep calls it on Default-point analyses it will not retain
-// (after copying the point's scalar metrics), so an in-flight task does not
-// pin multi-layer grids or per-net timing state through the HW pass.
-func (an *Analysis) ReleaseHeavy() {
-	an.Thermal = nil
-	an.PowerMap = nil
-	an.Timing = nil
-	an.Congestion = nil
 }
 
 // ReflowAt derives the placement at the given utilization from the cached

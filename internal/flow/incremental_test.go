@@ -153,11 +153,9 @@ func TestAnalyzeWithDeltaBitIdentical(t *testing.T) {
 
 // TestCoAnalysisPopulatedAndIncremental verifies the co-analysis contract:
 // every analysis under DefaultConfig carries a temperature-derated timing
-// report, a congestion report and the HPWL; a delta-driven child analysis
-// reports exactly the timing a from-scratch analysis of its placement under
-// its own resolved options does; and the dirty-cone update through the
-// same delta is bit-identical to a from-scratch analysis under fixed
-// options.
+// report, a congestion report and the HPWL, and a delta-driven child
+// analysis reports exactly the timing a from-scratch analysis of its
+// placement under its own resolved options does.
 func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 	f := smallFlow(t)
 	defer f.Close()
@@ -213,30 +211,5 @@ func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 	if ref.CriticalPathPs != child.Timing.CriticalPathPs || ref.SlackPs != child.Timing.SlackPs {
 		t.Fatalf("delta-driven timing differs: full cp %v slack %v vs child cp %v slack %v",
 			ref.CriticalPathPs, ref.SlackPs, child.Timing.CriticalPathPs, child.Timing.SlackPs)
-	}
-
-	// Dirty-cone update under the parent's options against a from-scratch
-	// analysis under the same options.
-	topts := f.timingOptions(base.Thermal)
-	full := ta.Analyze(twin, topts)
-	inc := ta.Update(base.Timing, twin, delta, topts)
-	if full.CriticalPathPs != inc.CriticalPathPs || full.SlackPs != inc.SlackPs {
-		t.Fatalf("incremental timing differs: full cp %v slack %v vs inc cp %v slack %v",
-			full.CriticalPathPs, full.SlackPs, inc.CriticalPathPs, inc.SlackPs)
-	}
-	if len(full.ArrivalPs) != len(inc.ArrivalPs) {
-		t.Fatalf("arrival count differs: %d vs %d", len(full.ArrivalPs), len(inc.ArrivalPs))
-	}
-	changed := 0
-	for name, at := range full.ArrivalPs {
-		if iat, ok := inc.ArrivalPs[name]; !ok || iat != at {
-			t.Fatalf("arrival at %q differs: full %v vs inc %v", name, at, iat)
-		}
-		if at != base.Timing.ArrivalPs[name] {
-			changed++
-		}
-	}
-	if changed == 0 {
-		t.Fatal("moves changed no arrival time; the incremental path was not exercised")
 	}
 }

@@ -3,13 +3,13 @@ package place
 import "slices"
 
 // Delta describes how a derived placement differs from the placement it was
-// derived from: which instances moved, which rows their old and new
-// positions touch, and which nets had a pin cell move (and so may have a
-// changed bounding box / wirelength). It is the contract between the
-// placement transforms that produce derived sweep points (Reflow,
-// EmptyRowInsertionDelta, HotspotWrapperDelta in package core) and the
-// downstream consumers that re-evaluate only what changed
-// (power.Report.Update, the flow's power-map solve gate).
+// derived from: which instances moved, and which nets had a pin cell move
+// (and so may have a changed bounding box and wirelength). It is the
+// contract between the placement transforms that produce derived sweep
+// points (Reflow, EmptyRowInsertionDelta, HotspotWrapperDelta in package
+// core) and the consumers that re-evaluate only what changed:
+// power.Report.Update re-estimates the dirty nets, and the flow returns the
+// parent analysis unchanged for an empty delta.
 //
 // A full delta stands for "assume everything moved": consumers fall back to
 // their from-scratch path. Reflow returns a full delta — relaxing the
@@ -17,13 +17,12 @@ import "slices"
 // transforms record surgically which cells the edit and the subsequent
 // legalization actually displaced.
 //
-// The moved/dirty sets are reported in ascending ordinal order, so every
+// The moved and dirty sets are reported in ascending ordinal order, so every
 // iteration over a delta is deterministic.
 type Delta struct {
 	full bool
 
 	moved     []int32 // instance ordinals, ascending
-	dirtyRows []int32 // row indices, ascending
 	dirtyNets []int32 // net ordinals, ascending
 }
 
@@ -40,82 +39,17 @@ func (d *Delta) Empty() bool { return d != nil && !d.full && len(d.moved) == 0 }
 // The slice is shared; callers must not modify it.
 func (d *Delta) Moved() []int32 { return d.moved }
 
-// DirtyRows returns the indices of the rows touched by a move (old or new
-// position) in ascending order. No consumer reads it yet — it is the
-// forward-looking half of the contract for row-scoped incremental
-// legalization/re-placement (see ROADMAP), recorded now so the transforms
-// do not need a second instrumentation pass later.
-func (d *Delta) DirtyRows() []int32 { return d.dirtyRows }
-
 // DirtyNets returns the ordinals of the nets with at least one moved pin
 // cell in ascending order. Their cached bounding boxes were invalidated by
 // the moves themselves (SetLoc); the list tells delta consumers which
 // wirelength-dependent values to re-evaluate.
 func (d *Delta) DirtyNets() []int32 { return d.dirtyNets }
 
-// Merge returns the composition of d (A→B) with next (B→C): a delta valid
-// for A→C. Either side being full makes the result full.
-func (d *Delta) Merge(next *Delta) *Delta {
-	if d == nil {
-		return next
-	}
-	if next == nil {
-		return d
-	}
-	if d.full || next.full {
-		return FullDelta()
-	}
-	return &Delta{
-		moved:     mergeSorted(d.moved, next.moved),
-		dirtyRows: mergeSorted(d.dirtyRows, next.dirtyRows),
-		dirtyNets: mergeSorted(d.dirtyNets, next.dirtyNets),
-	}
-}
-
-// mergeSorted unions two ascending lists into a new ascending list.
-func mergeSorted(a, b []int32) []int32 {
-	if len(a) == 0 {
-		return append([]int32(nil), b...)
-	}
-	if len(b) == 0 {
-		return append([]int32(nil), a...)
-	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // deltaRecorder accumulates the effect of SetLoc calls between BeginDelta
 // and EndDelta.
 type deltaRecorder struct {
 	moved   []int32 // first-touch order; sorted at EndDelta
 	touched []bool  // by instance ordinal
-	rows    []bool  // by row index (grown on demand)
-}
-
-func (r *deltaRecorder) markRow(row int) {
-	if row < 0 {
-		return
-	}
-	for row >= len(r.rows) {
-		r.rows = append(r.rows, false)
-	}
-	r.rows[row] = true
 }
 
 // BeginDelta starts recording placement changes: every subsequent SetLoc
@@ -139,17 +73,6 @@ func (p *Placement) EndDelta() *Delta {
 	// moved, ascending.
 	d.moved = append(d.moved, rec.moved...)
 	slices.Sort(d.moved)
-	// Dirty rows from the recorded bitmap plus the instances' current rows.
-	for _, ord := range d.moved {
-		if p.placed[ord] {
-			rec.markRow(p.locs[ord].Row)
-		}
-	}
-	for row, dirty := range rec.rows {
-		if dirty {
-			d.dirtyRows = append(d.dirtyRows, int32(row))
-		}
-	}
 	// Dirty nets: every net touching a moved instance, deduped via bitmap.
 	netDirty := make([]bool, len(p.netBoxValid))
 	for _, ord := range d.moved {
@@ -167,9 +90,8 @@ func (p *Placement) EndDelta() *Delta {
 	return d
 }
 
-// record folds one real move into the active recorder. oldRow is the row
-// the instance occupied before the move (ignored when it was unplaced).
-func (p *Placement) record(ord int, wasPlaced bool, oldRow int) {
+// record folds one real move into the active recorder.
+func (p *Placement) record(ord int) {
 	rec := p.rec
 	for ord >= len(rec.touched) {
 		rec.touched = append(rec.touched, false)
@@ -177,8 +99,5 @@ func (p *Placement) record(ord int, wasPlaced bool, oldRow int) {
 	if !rec.touched[ord] {
 		rec.touched[ord] = true
 		rec.moved = append(rec.moved, int32(ord))
-	}
-	if wasPlaced {
-		rec.markRow(oldRow)
 	}
 }

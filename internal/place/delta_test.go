@@ -133,8 +133,7 @@ func TestReflowOfReflowedPlacement(t *testing.T) {
 }
 
 // TestDeltaRecordingSurgical verifies BeginDelta/EndDelta capture exactly
-// the touched instances, their old and new rows, and the nets on their
-// pins.
+// the touched instances and the nets on their pins.
 func TestDeltaRecordingSurgical(t *testing.T) {
 	d, p := placedSmall(t, 0.85)
 	insts := d.Instances()
@@ -155,44 +154,7 @@ func TestDeltaRecordingSurgical(t *testing.T) {
 	if len(delta.Moved()) != 1 || int(delta.Moved()[0]) != a.Ord() {
 		t.Fatalf("moved = %v, want just ordinal %d", delta.Moved(), a.Ord())
 	}
-	wantRows := map[int32]bool{int32(la.Row): true, int32(lb.Row): true}
-	if len(delta.DirtyRows()) != len(wantRows) {
-		t.Fatalf("dirty rows %v, want old+new rows %d,%d", delta.DirtyRows(), la.Row, lb.Row)
-	}
-	for _, r := range delta.DirtyRows() {
-		if !wantRows[r] {
-			t.Fatalf("unexpected dirty row %d (want %d and %d)", r, la.Row, lb.Row)
-		}
-	}
 	if len(delta.DirtyNets()) != len(q.instNets[a.Ord()]) {
 		t.Fatalf("dirty nets %v, want the %d nets touching %s", delta.DirtyNets(), len(q.instNets[a.Ord()]), a.Name)
-	}
-}
-
-// TestDeltaMerge exercises composition: sparse∪sparse unions the sets,
-// anything merged with a full delta is full.
-func TestDeltaMerge(t *testing.T) {
-	d1 := &Delta{moved: []int32{1, 5}, dirtyRows: []int32{0}, dirtyNets: []int32{2, 9}}
-	d2 := &Delta{moved: []int32{5, 7}, dirtyRows: []int32{3}, dirtyNets: []int32{9, 11}}
-	m := d1.Merge(d2)
-	wantInts := func(got []int32, want ...int32) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("got %v want %v", got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("got %v want %v", got, want)
-			}
-		}
-	}
-	wantInts(m.Moved(), 1, 5, 7)
-	wantInts(m.DirtyRows(), 0, 3)
-	wantInts(m.DirtyNets(), 2, 9, 11)
-	if !d1.Merge(FullDelta()).IsFull() || !FullDelta().Merge(d2).IsFull() {
-		t.Fatal("merge with a full delta must be full")
-	}
-	if got := (&Delta{}).Merge(&Delta{}); !got.Empty() {
-		t.Fatalf("empty∪empty = %+v, want empty", got)
 	}
 }

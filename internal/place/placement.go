@@ -210,12 +210,8 @@ func (p *Placement) rowAligned(l Loc) bool {
 func (p *Placement) SetLoc(inst *netlist.Instance, loc Loc) {
 	ord := inst.Ord()
 	p.ensureInst(ord)
-	if p.rec != nil {
-		if !p.placed[ord] {
-			p.record(ord, false, 0)
-		} else if p.locs[ord] != loc {
-			p.record(ord, true, p.locs[ord].Row)
-		}
+	if p.rec != nil && (!p.placed[ord] || p.locs[ord] != loc) {
+		p.record(ord)
 	}
 	if p.placed[ord] {
 		if p.locs[ord] == loc {

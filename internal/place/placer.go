@@ -114,17 +114,6 @@ func spreadUnits(p *Placement, groups []unitGroup) error {
 	return nil
 }
 
-// SpreadIntoRegion re-places the given cells uniformly across the rows
-// overlapping the region, distributing the region's whitespace evenly.
-// Cell order is preserved (so locality established by an earlier placement
-// survives). It is the building block the hotspot-wrapper transform uses to
-// "evenly redistribute the hot cells" inside the wrapper, and it leaves the
-// placement in a pre-legalization state: callers should run Legalize and
-// InsertFillers afterwards.
-func SpreadIntoRegion(p *Placement, cells []*netlist.Instance, region geom.Rect) error {
-	return placeInRegion(p, cells, region)
-}
-
 // orderByConnectivity orders cells with a breadth-first traversal of the
 // connectivity graph restricted to the given cell set, starting from the
 // first cell in creation order. Cells unreachable from earlier seeds start

@@ -87,7 +87,8 @@ func TestUpdateBitIdenticalToFreshReport(t *testing.T) {
 }
 
 // TestUpdateAfterComposedDeltas chains two recorded edits and updates the
-// original report across the merged delta.
+// original report across each delta in turn: an updated report must itself
+// be a valid base for the next update.
 func TestUpdateAfterComposedDeltas(t *testing.T) {
 	d, p, act := preparedDesign(t, bench.UniformWorkload(0.3))
 	est := NewEstimator(d, act, 1e9)
@@ -109,5 +110,5 @@ func TestUpdateAfterComposedDeltas(t *testing.T) {
 	place.Legalize(step2)
 	d2 := step2.EndDelta()
 
-	sameReport(t, est.Report(step2), base.Update(step2, d1.Merge(d2)), "composed")
+	sameReport(t, est.Report(step2), base.Update(step1, d1).Update(step2, d2), "composed")
 }

@@ -171,7 +171,7 @@ type DesignStatz struct {
 	Design string `json:"design"`
 	// Breaker is the circuit-breaker state: closed, open or half-open.
 	Breaker string `json:"breaker"`
-	// CacheBytes is the accounted footprint of the solved-state LRU.
+	// CacheBytes is the accounted footprint of the result LRU.
 	CacheBytes int64 `json:"cache_bytes"`
 	// CacheEntries is the number of resident cached results.
 	CacheEntries int `json:"cache_entries"`

@@ -242,7 +242,7 @@ type Result struct {
 	// an open circuit breaker: numerically sound, but not bit-identical to
 	// the multigrid primary.
 	Degraded bool `json:"degraded"`
-	// Cached marks a response served from the solved-state LRU.
+	// Cached marks a response served from the result LRU.
 	Cached bool `json:"cached"`
 
 	Utilization   float64 `json:"utilization,omitempty"`

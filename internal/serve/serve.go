@@ -17,10 +17,12 @@
 //     Jacobi-preconditioned fallback flow for a cooldown window, then a
 //     half-open probe decides whether the primary recovered. Degraded
 //     responses are flagged, never silent.
-//   - An LRU of solved analyses keyed by query lineage under a configurable
-//     memory budget. Eviction only ever forces the warm-start fallback (the
-//     query recomputes from the resident baseline, bit-identical); it can
-//     never produce a wrong answer.
+//   - An LRU of query results under a configurable memory budget. It holds
+//     the *Result summaries served to clients, keyed by the canonical
+//     query, and charges each at the MemoryBytes of the flow.Analysis that
+//     produced it. Eviction only ever forces a recompute (the query reruns
+//     from the resident baseline, bit-identical); it can never produce a
+//     wrong answer.
 //   - Graceful drain: BeginDrain stops admissions (readyz flips to 503),
 //     in-flight queries get up to a drain timeout to finish, stragglers are
 //     then canceled through their contexts.
@@ -74,8 +76,9 @@ type Config struct {
 	// Jacobi fallback before a half-open probe retries the primary. Zero
 	// means 5s.
 	BreakerCooldown time.Duration
-	// CacheBytes is the per-design memory budget of the solved-analysis
-	// LRU. Zero means 64 MiB; negative disables caching.
+	// CacheBytes is the per-design memory budget of the result LRU,
+	// charged in flow.Analysis.MemoryBytes. Zero means 64 MiB; negative
+	// disables caching.
 	CacheBytes int64
 }
 
@@ -387,7 +390,7 @@ func (s *Server) StatsFor(name string) fault.StatsSnapshot {
 	return fault.StatsSnapshot{}
 }
 
-// CacheBytesFor returns the current solved-analysis cache footprint of one
+// CacheBytesFor returns the current result-cache footprint of one
 // design in bytes.
 func (s *Server) CacheBytesFor(name string) int64 {
 	if d := s.design(name); d != nil {

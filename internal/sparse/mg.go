@@ -10,23 +10,12 @@ import (
 
 // MGOptions tunes the geometric multigrid preconditioner.
 type MGOptions struct {
-	// PreSmooth and PostSmooth are the number of Gauss-Seidel sweeps before
-	// and after the coarse-grid correction. Zero means 1. The cycle is only
-	// a symmetric operator (a CG requirement) when the two are equal, so
-	// NewMG rejects unequal non-zero values.
-	PreSmooth, PostSmooth int
 	// CoarsestN stops the coarsening once a level has at most this many
 	// unknowns; that level is solved directly by dense Cholesky. Zero means
 	// 128: the factorization is O(n³) and runs on every Refresh, and the
 	// W-cycle hits the coarsest level 2^(levels-1) times per application,
 	// so a small direct level beats a shallow hierarchy on both counts.
 	CoarsestN int
-	// VCycle selects the plain V-cycle (one coarse-grid correction per
-	// level). The default is the W-cycle — two corrections per level —
-	// whose iteration counts stay flat as the grid grows; with 4x
-	// coarsening per level it costs only ~2x the fine-grid work of a
-	// V-cycle.
-	VCycle bool
 	// Pool runs the red-black smoother, residual and prolongation of the
 	// large levels on a shared worker pool (typically the same pool as the
 	// enclosing CG). Rows of one color never read each other, so the
@@ -36,7 +25,7 @@ type MGOptions struct {
 	Pool *Pool
 }
 
-// MG is a geometric multigrid V-cycle specialized to the 7-point stencil of
+// MG is a geometric multigrid W-cycle specialized to the 7-point stencil of
 // an nx-by-ny-by-nl structured grid (node (l, ix, iy) at (l*ny+iy)*nx + ix,
 // the layout of NewStencil7 and of the thermal solver). It implements
 // Preconditioner, so it plugs into CG via CGOptions.Precond.
@@ -49,10 +38,13 @@ type MGOptions struct {
 // same SymCSR layout (each fine off-diagonal either crosses to exactly one
 // neighbouring aggregate or collapses onto the coarse diagonal). Smoothing
 // is red-black Gauss-Seidel — the 7-point stencil is bipartite under
-// (ix+iy+l) parity — applied red-then-black before the correction and
-// black-then-red after, which makes the V-cycle a fixed symmetric
-// positive-definite operator as CG requires. The coarsest level is solved
-// exactly by dense Cholesky.
+// (ix+iy+l) parity — one sweep applied red-then-black before the coarse
+// correction and black-then-red after, which makes the cycle a fixed
+// symmetric positive-definite operator as CG requires. Every intermediate
+// level takes two coarse corrections (the W-cycle), whose iteration counts
+// stay flat as the grid grows; with 4x coarsening per level it costs only
+// ~2x the fine-grid work of a single-correction V-cycle. The coarsest level
+// is solved exactly by dense Cholesky.
 //
 // The fine matrix is referenced, not copied: after changing its values
 // (e.g. a die-geometry refresh), call Refresh to rebuild the coarse
@@ -62,7 +54,6 @@ type MGOptions struct {
 // An MG value is not safe for concurrent use.
 type MG struct {
 	levels []*mgLevel
-	opt    MGOptions
 
 	// ctx and ctxErr carry the cancellation state of an ApplyCtx in flight:
 	// cycle checks ctx at every level entry and records the abort in ctxErr,
@@ -121,22 +112,11 @@ func NewMG(m *SymCSR, nx, ny, nl int, opt MGOptions) (*MG, error) {
 		return nil, &fault.ErrSetup{Stage: "grid",
 			Err: fmt.Errorf("sparse: MG grid %dx%dx%d does not match matrix size %d", nx, ny, nl, m.N)}
 	}
-	if opt.PreSmooth <= 0 {
-		opt.PreSmooth = 1
-	}
-	// A cycle with unequal pre/post smoothing is not a symmetric operator;
-	// CG would silently diverge. Reject the misconfiguration instead of
-	// ignoring the field.
-	if opt.PostSmooth > 0 && opt.PostSmooth != opt.PreSmooth {
-		return nil, &fault.ErrSetup{Stage: "smoother",
-			Err: fmt.Errorf("sparse: MG needs PostSmooth == PreSmooth for a symmetric cycle (got %d/%d)", opt.PreSmooth, opt.PostSmooth)}
-	}
-	opt.PostSmooth = opt.PreSmooth
 	if opt.CoarsestN <= 0 {
 		opt.CoarsestN = 128
 	}
 
-	g := &MG{opt: opt}
+	g := &MG{}
 	lv := newMGLevel(m, nx, ny, nl)
 	g.levels = append(g.levels, lv)
 	for lv.m.N > opt.CoarsestN {
@@ -406,7 +386,7 @@ func (lv *mgLevel) solveDirect(b, x []float64) {
 	}
 }
 
-// Apply runs one V-cycle on r: z = B·r with B the fixed SPD multigrid
+// Apply runs one W-cycle on r: z = B·r with B the fixed SPD multigrid
 // operator. r is left untouched. It delegates to ApplyCtx with a background
 // context, whose nil-Done fast path is exactly the uninstrumented cycle.
 func (g *MG) Apply(r, z []float64) {
@@ -434,7 +414,7 @@ func (g *MG) ApplyCtx(ctx context.Context, r, z []float64) error {
 // Levels returns the depth of the hierarchy (1 = direct solve only).
 func (g *MG) Levels() int { return len(g.levels) }
 
-// cycle runs the V-cycle at one level: x = (approximate A⁻¹)·b with a zero
+// cycle runs the W-cycle at one level: x = (approximate A⁻¹)·b with a zero
 // initial iterate.
 func (g *MG) cycle(l int, b, x []float64) {
 	if g.ctx != nil {
@@ -457,15 +437,11 @@ func (g *MG) cycle(l int, b, x []float64) {
 	// no explicit zeroing of x is needed.
 	lv.zeroRed(b, x)
 	lv.gsPass(b, x, black)
-	for s := 1; s < g.opt.PreSmooth; s++ {
-		lv.gsPass(b, x, red)
-		lv.gsPass(b, x, black)
-	}
 	lv.residual(b, x, lv.r)
 	next := g.levels[l+1]
 	Restrict(lv.r, lv.parent, next.b)
 	g.cycle(l+1, next.b, next.x)
-	if !g.opt.VCycle && next.chol == nil {
+	if next.chol == nil {
 		// W-cycle: a second correction against the coarse residual. The
 		// compound step v + M(b - Av) is still a fixed symmetric
 		// positive-definite operator (error propagation (I-MA)²), so CG
@@ -477,10 +453,8 @@ func (g *MG) cycle(l int, b, x []float64) {
 		}
 	}
 	lv.prolong(x, next.x)
-	for s := 0; s < g.opt.PostSmooth; s++ {
-		lv.gsPass(b, x, black)
-		lv.gsPass(b, x, red)
-	}
+	lv.gsPass(b, x, black)
+	lv.gsPass(b, x, red)
 }
 
 // Color classes of the red-black smoother.

@@ -215,9 +215,6 @@ func TestMGRejectsDimensionMismatch(t *testing.T) {
 	if _, err := NewMG(m, 5, 4, 2, MGOptions{}); err == nil {
 		t.Fatal("mismatched grid dimensions must be rejected")
 	}
-	if _, err := NewMG(m, 4, 4, 2, MGOptions{PreSmooth: 1, PostSmooth: 2}); err == nil {
-		t.Fatal("unequal pre/post smoothing (an asymmetric cycle) must be rejected")
-	}
 }
 
 // TestMGSingleLevelIsDirect: a grid below the coarsest threshold degenerates

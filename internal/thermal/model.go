@@ -14,28 +14,24 @@ import (
 type PrecondKind int
 
 const (
-	// PrecondAuto picks the default: the geometric multigrid W-cycle, whose
+	// PrecondMG, the default, is the geometric multigrid W-cycle, whose
 	// iteration count is essentially independent of the grid resolution.
-	PrecondAuto PrecondKind = iota
-	// PrecondMG forces the multigrid preconditioner.
-	PrecondMG
+	PrecondMG PrecondKind = iota
 	// PrecondJacobi falls back to the diagonal preconditioner (the pre-MG
 	// behaviour); its iteration count grows with the grid resolution.
 	PrecondJacobi
 )
 
-// ParsePrecond maps a flag-style name (auto, mg, jacobi; "" means auto)
-// onto a PrecondKind. The commands exposing -precond share it.
+// ParsePrecond maps a flag-style name (mg or jacobi) onto a PrecondKind.
+// The commands exposing -precond share it.
 func ParsePrecond(name string) (PrecondKind, error) {
 	switch name {
-	case "auto", "":
-		return PrecondAuto, nil
 	case "mg":
 		return PrecondMG, nil
 	case "jacobi":
 		return PrecondJacobi, nil
 	}
-	return 0, fmt.Errorf("unknown preconditioner %q (want auto, mg or jacobi)", name)
+	return 0, fmt.Errorf("unknown preconditioner %q (want mg or jacobi)", name)
 }
 
 // Config describes one thermal analysis setup.

@@ -68,6 +68,29 @@ func TestConfigEqual(t *testing.T) {
 	}
 }
 
+func TestParsePrecond(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		want    PrecondKind
+		wantErr bool
+	}{
+		{"mg", PrecondMG, false},
+		{"jacobi", PrecondJacobi, false},
+		{"auto", 0, true},
+		{"", 0, true},
+		{"MG", 0, true},
+	} {
+		got, err := ParsePrecond(tc.name)
+		if (err != nil) != tc.wantErr || got != tc.want {
+			t.Errorf("ParsePrecond(%q) = %v, %v; want %v, error %v", tc.name, got, err, tc.want, tc.wantErr)
+		}
+	}
+	var zero Config
+	if zero.Precond != PrecondMG {
+		t.Error("the zero Config must select the multigrid preconditioner")
+	}
+}
+
 // TestSolverMatchesDenseOracle checks the fast path against the dense
 // Cholesky oracle on small grids, where the dense solve is exact to machine
 // precision.

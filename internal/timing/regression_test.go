@@ -6,7 +6,6 @@ import (
 	"thermplace/internal/celllib"
 	"thermplace/internal/geom"
 	"thermplace/internal/netlist"
-	"thermplace/internal/place"
 )
 
 // libWithDINFlop returns the default library extended with a flip-flop whose
@@ -87,8 +86,10 @@ func TestEndpointPinNotNamedD(t *testing.T) {
 	if rep.Endpoints != 1 {
 		t.Fatalf("Endpoints = %d, want 1 (the DIN net)", rep.Endpoints)
 	}
-	if want := rep.ArrivalPs[cur.Name]; rep.CriticalPathPs != want {
-		t.Fatalf("critical path %g ps, want the DIN-net arrival %g ps", rep.CriticalPathPs, want)
+	last := rep.CriticalPath[len(rep.CriticalPath)-1]
+	if last.Net != cur || last.TimePs != rep.CriticalPathPs {
+		t.Fatalf("critical path ends at %s arriving %g ps, want the DIN net %s arriving at the critical path %g ps",
+			last.Net.Name, last.TimePs, cur.Name, rep.CriticalPathPs)
 	}
 }
 
@@ -163,36 +164,8 @@ func TestZeroNominalIsExpressible(t *testing.T) {
 	}
 }
 
-// stretchWithDelta applies the ERI-like vertical stretch of
-// TestPostPlacementTransformTimingOverheadIsSmall under delta recording,
-// returning the derived placement and its recorded delta.
-func stretchWithDelta(t *testing.T, d *netlist.Design, p *place.Placement) (*place.Placement, *place.Delta) {
-	t.Helper()
-	stretched := p.Clone()
-	stretched.BeginDelta()
-	stretched.FP.Core.Yhi += 4 * p.FP.RowHeight
-	for i := 0; i < 4; i++ {
-		if err := stretched.FP.InsertRows(stretched.FP.NumRows(), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mid := p.FP.Core.Center().Y
-	for _, inst := range d.Instances() {
-		if inst.IsFiller() {
-			continue
-		}
-		if l, ok := stretched.Loc(inst); ok && l.Y > mid {
-			l.Row += 4
-			l.Y = stretched.FP.Rows[l.Row].Y
-			stretched.SetLoc(inst, l)
-		}
-	}
-	place.Legalize(stretched)
-	return stretched, stretched.EndDelta()
-}
-
 // gradientMap builds a non-uniform temperature field so the derates vary
-// across the core and the incremental path has to re-derate moved cells.
+// across the core.
 func gradientMap(core geom.Rect) *geom.Grid {
 	g := geom.NewGrid(10, 10, core)
 	for iy := 0; iy < g.NY; iy++ {
@@ -201,128 +174,4 @@ func gradientMap(core geom.Rect) *geom.Grid {
 		}
 	}
 	return g
-}
-
-// TestAnalyzerUpdateMatchesFromScratch pins the incremental contract: after
-// a recorded placement delta, Update must be bit-identical (== on floats) to
-// a from-scratch Analyze of the derived placement.
-func TestAnalyzerUpdateMatchesFromScratch(t *testing.T) {
-	d, p := placedBenchmark(t)
-	a, err := NewAnalyzer(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.TemperatureMap = gradientMap(p.FP.Core)
-	base := a.Analyze(p, opts)
-
-	stretched, delta := stretchWithDelta(t, d, p)
-	if delta.IsFull() || delta.Empty() {
-		t.Fatalf("expected a sparse non-empty delta, got full=%v empty=%v", delta.IsFull(), delta.Empty())
-	}
-	full := a.Analyze(stretched, opts)
-	inc := a.Update(base, stretched, delta, opts)
-
-	if inc.CriticalPathPs != full.CriticalPathPs || inc.SlackPs != full.SlackPs ||
-		inc.MaxFrequencyGHz != full.MaxFrequencyGHz || inc.Endpoints != full.Endpoints {
-		t.Fatalf("incremental summary differs:\n inc  %+v\n full %+v",
-			[]any{inc.CriticalPathPs, inc.SlackPs, inc.MaxFrequencyGHz, inc.Endpoints},
-			[]any{full.CriticalPathPs, full.SlackPs, full.MaxFrequencyGHz, full.Endpoints})
-	}
-	if len(inc.ArrivalPs) != len(full.ArrivalPs) {
-		t.Fatalf("arrival map size differs: %d vs %d", len(inc.ArrivalPs), len(full.ArrivalPs))
-	}
-	for name, want := range full.ArrivalPs {
-		if got, ok := inc.ArrivalPs[name]; !ok || got != want {
-			t.Fatalf("arrival of %q differs: %v (present=%v) vs %v", name, got, ok, want)
-		}
-	}
-	if len(inc.CriticalPath) != len(full.CriticalPath) {
-		t.Fatalf("critical path length differs: %d vs %d", len(inc.CriticalPath), len(full.CriticalPath))
-	}
-	for i := range full.CriticalPath {
-		if inc.CriticalPath[i] != full.CriticalPath[i] {
-			t.Fatalf("critical path step %d differs: %+v vs %+v", i, inc.CriticalPath[i], full.CriticalPath[i])
-		}
-	}
-	changed := 0
-	for name, v := range full.ArrivalPs {
-		if base.ArrivalPs[name] != v {
-			changed++
-		}
-	}
-	if changed == 0 {
-		t.Fatal("stretch did not change any arrival; the equality above proved nothing")
-	}
-	t.Logf("stretch moved %d of %d arrivals; incremental bit-identical", changed, len(full.ArrivalPs))
-}
-
-// TestAnalyzerUpdateNegativeUnderReportedDelta is the PR 5-style corruption
-// check: feeding Update a delta that hides the moves (here: an empty one for
-// a placement that really changed) must produce a report that the
-// bit-identity comparison rejects — proving the equality test above can
-// fail.
-func TestAnalyzerUpdateNegativeUnderReportedDelta(t *testing.T) {
-	d, p := placedBenchmark(t)
-	a, err := NewAnalyzer(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.TemperatureMap = gradientMap(p.FP.Core)
-	base := a.Analyze(p, opts)
-
-	// Record nothing, then move cells anyway: the delta under-reports.
-	lying := p.Clone()
-	lying.BeginDelta()
-	empty := lying.EndDelta()
-	lying.FP.Core.Yhi += 4 * p.FP.RowHeight
-	for i := 0; i < 4; i++ {
-		if err := lying.FP.InsertRows(lying.FP.NumRows(), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mid := p.FP.Core.Center().Y
-	for _, inst := range d.Instances() {
-		if inst.IsFiller() {
-			continue
-		}
-		if l, ok := lying.Loc(inst); ok && l.Y > mid {
-			l.Row += 4
-			l.Y = lying.FP.Rows[l.Row].Y
-			lying.SetLoc(inst, l)
-		}
-	}
-	place.Legalize(lying)
-
-	full := a.Analyze(lying, opts)
-	inc := a.Update(base, lying, empty, opts)
-	differs := 0
-	for name, v := range full.ArrivalPs {
-		if inc.ArrivalPs[name] != v {
-			differs++
-		}
-	}
-	if differs == 0 {
-		t.Fatal("under-reported delta went undetected: incremental equals from-scratch")
-	}
-}
-
-// TestAnalyzerUpdateFallsBackOnChangedOptions: different options (including
-// a different temperature map) must not reuse the previous propagation.
-func TestAnalyzerUpdateFallsBackOnChangedOptions(t *testing.T) {
-	d, p := placedBenchmark(t)
-	a, err := NewAnalyzer(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := a.Analyze(p, DefaultOptions())
-	stretched, delta := stretchWithDelta(t, d, p)
-	opts := DefaultOptions()
-	opts.TemperatureMap = gradientMap(p.FP.Core)
-	full := a.Analyze(stretched, opts)
-	inc := a.Update(base, stretched, delta, opts)
-	if inc.CriticalPathPs != full.CriticalPathPs {
-		t.Fatalf("option-change fallback broken: %g vs %g", inc.CriticalPathPs, full.CriticalPathPs)
-	}
 }

@@ -15,9 +15,11 @@
 // The analyzer caches everything that depends only on the netlist — the
 // levelized gate order, the sequential elements and the deduplicated
 // endpoint nets — in an Analyzer, so a sweep re-analyzing many placements
-// of one design pays the graph construction once. Analyzer.Update
-// additionally re-propagates only the fan-out cone of a placement delta's
-// dirty nets, bit-identical to a from-scratch Analyze.
+// of one design pays the graph construction once. Each Analyze call then
+// propagates arrival times through the whole graph; a report keeps only the
+// summary and the critical path. The propagation is checked against an
+// explicit enumeration of every launch-to-endpoint path in
+// TestAnalyzeMatchesPathEnumeration.
 package timing
 
 import (
@@ -72,8 +74,9 @@ type PathStep struct {
 	Net *netlist.Net
 	// DelayPs is the step's contribution (cell + wire) in picoseconds.
 	DelayPs float64
-	// ArrivalPs is the cumulative arrival time at the net in picoseconds.
-	ArrivalPs float64
+	// TimePs is the arrival time at the net: the path's cumulative delay up
+	// to and including this step, in picoseconds.
+	TimePs float64
 }
 
 // Report is the result of a timing analysis.
@@ -87,30 +90,16 @@ type Report struct {
 	SlackPs float64
 	// MaxFrequencyGHz is 1000 / CriticalPathPs.
 	MaxFrequencyGHz float64
-	// ArrivalPs maps every reached net name to its worst arrival time.
-	ArrivalPs map[string]float64
 	// Endpoints is the number of distinct timing endpoint nets analyzed.
 	Endpoints int
-
-	// Incremental-update state: the per-net (by ordinal) arrival times,
-	// reachability and worst driver steps this report was computed from, and
-	// the options that produced it. Analyzer.Update starts from these
-	// instead of re-propagating the whole graph.
-	opts    Options
-	arrival []float64
-	reached []bool
-	steps   []PathStep
 }
 
-// MemoryBytes coarsely estimates the retained size of the report's numeric
-// payload — the per-net arrival/step state kept for incremental updates and
-// the arrival-time map. It feeds flow.Analysis.MemoryBytes, the accounting
-// unit of the query server's result cache.
+// MemoryBytes coarsely estimates the retained size of the report: its
+// critical path, the only per-step payload it keeps. It feeds
+// flow.Analysis.MemoryBytes, the accounting unit of the query server's
+// result cache.
 func (r *Report) MemoryBytes() int64 {
-	n := int64(len(r.arrival))*8 + int64(len(r.reached)) + int64(len(r.steps))*48
-	n += int64(len(r.ArrivalPs)) * 48 // map entry + short name, coarse
-	n += int64(len(r.CriticalPath)) * 48
-	return n
+	return int64(len(r.CriticalPath)) * 48
 }
 
 // Overhead returns the fractional critical-path increase of after relative
@@ -249,7 +238,7 @@ func (a *Analyzer) Analyze(p *place.Placement, opts Options) *Report {
 		if t > arrival[o] {
 			arrival[o] = t
 			reached[o] = true
-			steps[o] = PathStep{Inst: ff, Net: out, DelayPs: t, ArrivalPs: t}
+			steps[o] = PathStep{Inst: ff, Net: out, DelayPs: t, TimePs: t}
 		}
 	}
 
@@ -268,126 +257,17 @@ func (a *Analyzer) Analyze(p *place.Placement, opts Options) *Report {
 		if t > arrival[o] {
 			arrival[o] = t
 			reached[o] = true
-			steps[o] = PathStep{Inst: n.inst, Net: n.outNet, DelayPs: delay, ArrivalPs: t}
+			steps[o] = PathStep{Inst: n.inst, Net: n.outNet, DelayPs: delay, TimePs: t}
 		}
 	}
 	return a.finish(opts, arrival, reached, steps)
 }
 
-// Update re-analyzes the design after a placement delta, re-derating and
-// re-propagating only the fan-out cone of the delta's dirty nets. The result
-// is bit-identical to a.Analyze(p, opts) — same float operations on the same
-// operands — provided prev came from this analyzer, p was derived from
-// prev's placement by the moves the delta records (port locations
-// unchanged), and opts equals prev's options including the identical
-// TemperatureMap grid. When any precondition is not met (nil/full delta,
-// different options, foreign report) it falls back to the full propagation.
-func (a *Analyzer) Update(prev *Report, p *place.Placement, delta *place.Delta, opts Options) *Report {
-	if prev == nil || prev.arrival == nil || len(prev.arrival) != a.numNets ||
-		prev.opts != opts || delta == nil || delta.IsFull() {
-		return a.Analyze(p, opts)
-	}
-	if delta.Empty() {
-		return prev
-	}
-	dirty := make([]bool, a.numNets)
-	any := false
-	for _, ord := range delta.DirtyNets() {
-		if int(ord) < a.numNets {
-			dirty[ord] = true
-			any = true
-		}
-	}
-	if !any {
-		return prev
-	}
-	arrival := append([]float64(nil), prev.arrival...)
-	reached := append([]bool(nil), prev.reached...)
-	steps := append([]PathStep(nil), prev.steps...)
-	// affected marks nets whose arrival (or reachability) changed; a node is
-	// re-evaluated when its own delay may have changed (dirty output net) or
-	// any of its inputs was affected — the dirty fan-out cone.
-	affected := make([]bool, a.numNets)
-
-	// set replicates the from-scratch launch/propagation decision for a
-	// single-driver net starting from the zero state: arrival t is recorded
-	// iff t > 0.
-	set := func(o int, t float64, step PathStep) {
-		nt, nr := 0.0, false
-		if t > 0 {
-			nt, nr = t, true
-		}
-		if nt != arrival[o] || nr != reached[o] {
-			arrival[o], reached[o] = nt, nr
-			affected[o] = true
-		}
-		if nr {
-			steps[o] = step
-		} else {
-			steps[o] = PathStep{}
-		}
-	}
-
-	for _, ff := range a.seqs {
-		out := ff.Conn(ff.Master.OutputPin())
-		if out == nil || !dirty[out.Ord()] {
-			continue
-		}
-		t := cellDelay(a.d, p, ff, out, opts) + wireDelay(a.d, p, out, opts)
-		set(out.Ord(), t, PathStep{Inst: ff, Net: out, DelayPs: t, ArrivalPs: t})
-	}
-	for i := range a.nodes {
-		n := &a.nodes[i]
-		o := n.outNet.Ord()
-		recompute := dirty[o]
-		if !recompute {
-			for _, in := range n.inNets {
-				if affected[in.Ord()] {
-					recompute = true
-					break
-				}
-			}
-			if !recompute {
-				continue
-			}
-		}
-		var delay float64
-		if dirty[o] {
-			delay = cellDelay(a.d, p, n.inst, n.outNet, opts) + wireDelay(a.d, p, n.outNet, opts)
-		} else {
-			// The net's pins did not move, so the delay the previous pass
-			// recorded on its driver step is the value a from-scratch
-			// propagation would recompute.
-			delay = steps[o].DelayPs
-		}
-		worst := 0.0
-		for _, in := range n.inNets {
-			if t := arrival[in.Ord()]; t >= worst {
-				worst = t
-			}
-		}
-		t := worst + delay
-		set(o, t, PathStep{Inst: n.inst, Net: n.outNet, DelayPs: delay, ArrivalPs: t})
-	}
-	return a.finish(opts, arrival, reached, steps)
-}
-
-// finish derives the report from a propagated arrival state. Analyze and
-// Update share it, so their endpoint selection, path reconstruction and
-// derived metrics are the same code on the same operands.
+// finish derives the report from a propagated arrival state: the worst
+// endpoint, the path leading to it and the derived metrics. The per-net
+// state is not retained.
 func (a *Analyzer) finish(opts Options, arrival []float64, reached []bool, steps []PathStep) *Report {
-	rep := &Report{
-		ArrivalPs: make(map[string]float64, a.numNets),
-		opts:      opts,
-		arrival:   arrival,
-		reached:   reached,
-		steps:     steps,
-	}
-	for _, net := range a.d.Nets() {
-		if reached[net.Ord()] {
-			rep.ArrivalPs[net.Name] = arrival[net.Ord()]
-		}
-	}
+	rep := &Report{}
 	var worstNet *netlist.Net
 	for _, net := range a.endNets {
 		rep.Endpoints++
@@ -491,7 +371,7 @@ func (a *Analyzer) tracePath(arrival []float64, steps []PathStep, end *netlist.N
 		net = worst
 	}
 	// Reverse into launch-to-capture order.
-	sort.SliceStable(rev, func(i, j int) bool { return rev[i].ArrivalPs < rev[j].ArrivalPs })
+	sort.SliceStable(rev, func(i, j int) bool { return rev[i].TimePs < rev[j].TimePs })
 	return rev
 }
 

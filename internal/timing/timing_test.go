@@ -90,7 +90,7 @@ func TestChainDelayWithoutPlacement(t *testing.T) {
 	}
 	// Arrival times must be monotone along the path.
 	for i := 1; i < len(rep.CriticalPath); i++ {
-		if rep.CriticalPath[i].ArrivalPs < rep.CriticalPath[i-1].ArrivalPs {
+		if rep.CriticalPath[i].TimePs < rep.CriticalPath[i-1].TimePs {
 			t.Fatal("critical path arrivals not monotone")
 		}
 	}
