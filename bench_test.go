@@ -1,30 +1,22 @@
-// Benchmarks that regenerate the paper's evaluation (one benchmark per table
-// and figure) plus ablation benches for the design choices called out in
-// README.md's design notes. Key result quantities are attached to every
-// benchmark run via b.ReportMetric, so
+// Ablation benchmarks for the design choices called out in README.md's
+// design notes, plus micro-benchmarks of single layers (placement, thermal
+// solve, scenario generation, logic simulation, power, STA, fillers). Key
+// result quantities are attached via b.ReportMetric, so
 //
-//	go test -bench=. -benchmem
+//	go test -run NONE -bench=. -benchmem
 //
-// prints the same rows/series the paper reports alongside the runtime cost
-// of producing them.
+// prints them alongside the runtime cost. The paper's tables and figures are
+// regenerated by cmd/reproduce; end-to-end cost is measured by perfbench
+// (BENCHMARK.json, bash perfbench/run.sh).
 package thermplace_test
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
-	"thermplace/internal/congestion"
 	"thermplace/internal/core"
 	"thermplace/internal/flow"
 	"thermplace/internal/geom"
@@ -33,7 +25,6 @@ import (
 	"thermplace/internal/netlist"
 	"thermplace/internal/place"
 	"thermplace/internal/power"
-	"thermplace/internal/serve"
 	"thermplace/internal/spice"
 	"thermplace/internal/thermal"
 	"thermplace/internal/timing"
@@ -64,234 +55,6 @@ func paperFlow(b *testing.B, wl bench.Workload) *flow.Flow {
 	f := flow.New(paperBenchmark(b), wl, cfg)
 	b.Cleanup(f.Close) // release the pooled solvers' worker goroutines
 	return f
-}
-
-// BenchmarkFig5_Profiles regenerates Figure 5: the power and thermal
-// profiles of test set 1 (four scattered small hotspots) on the 40x40 grid.
-// Reported metrics: total power (mW), peak temperature rise (C), detected
-// hotspots.
-func BenchmarkFig5_Profiles(b *testing.B) {
-	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	// This series tracks the activity->power->thermal profile pipeline
-	// across revisions; the timing/congestion co-analysis is measured
-	// separately (BenchmarkFig5_ProfilesCoAnalysis and
-	// BenchmarkFig6_CoAnalysisSweep), so it is off here.
-	f.Config.CoAnalysis = false
-	var an *flow.Analysis
-	for i := 0; i < b.N; i++ {
-		// Analyze the (cached) baseline placement directly: AnalyzeBaseline
-		// now caches the whole analysis, which would turn this loop into a
-		// cache hit instead of the power→thermal pipeline it measures.
-		p, err := f.Baseline()
-		if err != nil {
-			b.Fatal(err)
-		}
-		an, err = f.Analyze(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(an.Power.Total()*1e3, "power_mW")
-	b.ReportMetric(an.Thermal.PeakRise, "peak_rise_C")
-	b.ReportMetric(float64(len(an.Hotspots)), "hotspots")
-	b.ReportMetric(an.Thermal.GradientC, "gradient_C")
-}
-
-// BenchmarkFig5_ProfilesCoAnalysis runs the same profile extraction with
-// the timing/congestion co-analysis enabled (the DefaultConfig setting),
-// making the marginal cost of the derated-timing and congestion reports
-// visible next to the plain pipeline above.
-func BenchmarkFig5_ProfilesCoAnalysis(b *testing.B) {
-	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	var an *flow.Analysis
-	for i := 0; i < b.N; i++ {
-		p, err := f.Baseline()
-		if err != nil {
-			b.Fatal(err)
-		}
-		an, err = f.Analyze(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(an.Thermal.PeakRise, "peak_rise_C")
-	b.ReportMetric(an.Timing.CriticalPathPs, "critical_path_ps")
-	b.ReportMetric(float64(an.Congestion.Overflows), "overflow_bins")
-	b.ReportMetric(an.HPWL, "hpwl_um")
-}
-
-// BenchmarkFig6_EfficiencySweep regenerates Figure 6: temperature reduction
-// versus area overhead for the Default, ERI and HW strategies on the
-// scattered-hotspot workload. Reported metrics: the reduction (in percent)
-// of each strategy at roughly 16% and 32% area overhead.
-//
-// The flow is shared across iterations, so from the second sweep on the
-// baseline analysis is a cache hit (AnalyzeBaseline caches since the
-// incremental pipeline landed) — deliberately so: repeated sweeps on a
-// warm flow are the product's what-if-query shape, and the uncached
-// baseline pipeline is measured by BenchmarkFig5_Profiles and the
-// fresh-flow-per-op BenchmarkScenarioFamilies.
-func BenchmarkFig6_EfficiencySweep(b *testing.B) {
-	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	opts := core.SweepOptions{Overheads: []float64{0.16, 0.32}}
-	var res *core.SweepResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.SweepEfficiency(f, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report := func(s core.Strategy, label string) {
-		pts := res.PointsFor(s)
-		for i, p := range pts {
-			suffix := "16"
-			if i == 1 {
-				suffix = "32"
-			}
-			b.ReportMetric(p.TempReduction*100, label+suffix+"_pct")
-		}
-	}
-	report(core.StrategyDefault, "default")
-	report(core.StrategyERI, "eri")
-	report(core.StrategyHW, "hw")
-}
-
-// BenchmarkFig6_CoAnalysisSweep is the multi-objective sweep: every point
-// carries temperature-derated timing (4%/10C cell, 5%/10C wire above the
-// solved surface field) and routing congestion alongside the thermal
-// metrics, and the Pareto front is extracted from the joint records. The
-// reported metrics pin the co-analysis outputs the smoke run watches.
-func BenchmarkFig6_CoAnalysisSweep(b *testing.B) {
-	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	opts := core.SweepOptions{Overheads: []float64{0.16, 0.32}}
-	var res *core.SweepResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.SweepEfficiency(f, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	worstSlack, overflows := 0.0, 0
-	for _, p := range res.Points {
-		if p.WorstSlackPs < worstSlack {
-			worstSlack = p.WorstSlackPs
-		}
-		overflows += p.CongestionOverflows
-	}
-	b.ReportMetric(float64(len(res.ParetoFront())), "pareto_points")
-	b.ReportMetric(worstSlack, "worst_slack_ps")
-	b.ReportMetric(float64(overflows), "total_overflow_bins")
-}
-
-// BenchmarkFig6_AdaptiveSweep is the two-phase multi-fidelity sweep over a
-// design space an order of magnitude denser than Figure 6's: the overhead
-// axis is densified 12x and crossed with two floorplan aspect ratios, then
-// candidates are triaged on calibrated coarse-grid estimates so only the
-// estimated Pareto front (plus a safety margin) is measured exactly. The
-// reported metrics pin the triage economics: how many grid candidates were
-// enumerated, what fraction never reached the exact phase, and how many
-// exact solves the run actually paid for.
-func BenchmarkFig6_AdaptiveSweep(b *testing.B) {
-	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	opts := core.SweepOptions{
-		Overheads: []float64{0.16, 0.32},
-		Adaptive: &core.AdaptiveOptions{
-			GridScale: 12,
-			Margin:    0.05,
-			Aspects:   []float64{1.0, 2.0},
-		},
-	}
-	var res *core.SweepResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.SweepEfficiency(f, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	ts := res.Triage
-	b.ReportMetric(float64(ts.Candidates), "grid_candidates")
-	b.ReportMetric(100*float64(ts.Candidates-ts.Survivors)/float64(ts.Candidates), "triaged_pct")
-	b.ReportMetric(float64(ts.CoarseSolves), "coarse_solves")
-	b.ReportMetric(float64(ts.ExactSolves), "exact_solves")
-	b.ReportMetric(float64(len(res.ParetoFront())), "pareto_points")
-	b.ReportMetric(ts.MaxEstErrC, "max_est_err_c")
-}
-
-// BenchmarkTable1_ConcentratedHotspot regenerates Table I: Default versus
-// ERI on the single large concentrated hotspot at the paper's two area
-// overheads (16.1% with 20 rows and 32.2% with 40 rows).
-func BenchmarkTable1_ConcentratedHotspot(b *testing.B) {
-	f := paperFlow(b, bench.ConcentratedLargeHotspot())
-	var res *core.ConcentratedResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.ConcentratedExperiment(f, core.DefaultConcentratedOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	labels := []string{"default16_pct", "default32_pct", "eri20rows_pct", "eri40rows_pct"}
-	for i, row := range res.Rows {
-		if i < len(labels) {
-			b.ReportMetric(row.TempReduction*100, labels[i])
-		}
-	}
-}
-
-// BenchmarkTimingOverhead measures the claim from Section IV that the
-// transforms cost "around 2%" in timing: the critical-path increase of an
-// ERI placement at ~32% area overhead over the compact baseline.
-func BenchmarkTimingOverhead(b *testing.B) {
-	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	base, err := f.AnalyzeBaseline()
-	if err != nil {
-		b.Fatal(err)
-	}
-	baseT, err := timing.Analyze(paperBenchmark(b), base.Placement, timing.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := core.RowsForAreaOverhead(base.Placement, 0.32)
-	var overhead float64
-	for i := 0; i < b.N; i++ {
-		eriP, err := core.EmptyRowInsertion(base.Placement, base.Hotspots, core.DefaultERIOptions(rows))
-		if err != nil {
-			b.Fatal(err)
-		}
-		eriT, err := timing.Analyze(paperBenchmark(b), eriP, timing.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		overhead = timing.Overhead(baseT, eriT)
-	}
-	b.ReportMetric(baseT.CriticalPathPs, "base_path_ps")
-	b.ReportMetric(overhead*100, "timing_overhead_pct")
-}
-
-// BenchmarkCongestionByproduct quantifies the Section III-A remark that
-// empty-row insertion reduces routing congestion in the hotspot region.
-func BenchmarkCongestionByproduct(b *testing.B) {
-	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	base, err := f.AnalyzeBaseline()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := core.RowsForAreaOverhead(base.Placement, 0.16)
-	var before, after *congestion.Report
-	for i := 0; i < b.N; i++ {
-		before = congestion.Estimate(base.Placement, congestion.DefaultOptions())
-		eriP, err := core.EmptyRowInsertion(base.Placement, base.Hotspots, core.DefaultERIOptions(rows))
-		if err != nil {
-			b.Fatal(err)
-		}
-		after = congestion.Estimate(eriP, congestion.DefaultOptions())
-	}
-	region := base.Hotspots[0].Rect
-	b.ReportMetric(before.RegionUtilization(region), "hotspot_congestion_before")
-	b.ReportMetric(after.RegionUtilization(region), "hotspot_congestion_after")
 }
 
 // --- Ablation benches (design choices called out in README.md) -------------
@@ -662,86 +425,6 @@ func BenchmarkScenarioPlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioFullFlow runs the whole pipeline — place, simulate,
-// power, thermal, hotspots — on large scenarios with the 80x80 and 160x160
-// thermal grids, the resolutions the solver benchmarks exercise only in
-// isolation.
-func BenchmarkScenarioFullFlow(b *testing.B) {
-	cases := []struct {
-		fam   bench.Family
-		cells int
-		grid  int
-	}{
-		{bench.FamilyHotspotCluster, 25000, 80},
-		{bench.FamilyWideDatapath, 50000, 160},
-	}
-	for _, c := range cases {
-		b.Run(fmt.Sprintf("family=%s/cells=%d/grid=%dx%d", c.fam, c.cells, c.grid, c.grid), func(b *testing.B) {
-			g := scenarioBenchmark(b, c.fam, c.cells)
-			// A fresh flow per iteration: the flow caches placement,
-			// activity and pooled solvers, so reusing one would time warm
-			// re-solves instead of the full pipeline.
-			var an *flow.Analysis
-			for i := 0; i < b.N; i++ {
-				f := scenarioFlow(b, g, c.grid)
-				var err error
-				an, err = f.AnalyzeBaseline()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(g.Design.NumInstances()), "cells")
-			b.ReportMetric(an.Thermal.PeakRise, "peak_rise_C")
-			b.ReportMetric(float64(len(an.Hotspots)), "hotspots")
-		})
-	}
-}
-
-// BenchmarkScenarioSweep runs the concurrent efficiency sweep on a 25k-cell
-// scenario with the 80x80 grid: the sweep engine on a workload well past
-// the paper's size.
-func BenchmarkScenarioSweep(b *testing.B) {
-	g := scenarioBenchmark(b, bench.FamilyHotspotCluster, 25000)
-	f := scenarioFlow(b, g, 80)
-	opts := core.SweepOptions{Overheads: []float64{0.16, 0.32}}
-	var res *core.SweepResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.SweepEfficiency(f, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, pt := range res.PointsFor(core.StrategyERI) {
-		b.ReportMetric(pt.TempReduction*100, fmt.Sprintf("eri%d_pct", int(pt.AreaOverhead*100+0.5)))
-	}
-}
-
-// BenchmarkScenarioFamilies is the per-family smoke benchmark CI archives:
-// one small seed of every family through the full flow on the paper's
-// 40x40 grid, reporting the family's thermal signature.
-func BenchmarkScenarioFamilies(b *testing.B) {
-	for _, fam := range bench.Families() {
-		b.Run("family="+string(fam), func(b *testing.B) {
-			g := scenarioBenchmark(b, fam, 4000)
-			// Fresh flow per iteration so every op is the cold full flow,
-			// not a warm cached re-solve.
-			var an *flow.Analysis
-			for i := 0; i < b.N; i++ {
-				f := scenarioFlow(b, g, 0)
-				var err error
-				an, err = f.AnalyzeBaseline()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(g.Design.NumInstances()), "cells")
-			b.ReportMetric(an.Thermal.PeakRise, "peak_rise_C")
-			b.ReportMetric(float64(len(an.Hotspots)), "hotspots")
-		})
-	}
-}
-
 // BenchmarkLogicSimActivity measures random-vector activity extraction on
 // the paper benchmark (128 cycles).
 func BenchmarkLogicSimActivity(b *testing.B) {
@@ -825,83 +508,5 @@ func BenchmarkFillerInsertion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		place.InsertFillers(p)
-	}
-}
-
-// BenchmarkThermserveQueries drives the resident-design query server the way
-// its production shape intends — concurrent what-if queries over HTTP/JSON
-// against a warm flow — and reports service metrics alongside the runtime
-// cost: completed queries per second, the shed rate under the configured
-// admission bounds, and the p99 end-to-end latency. The query mix covers the
-// cached-baseline fast path, a re-placement analysis, an ERI delta and a
-// one-point sweep.
-func BenchmarkThermserveQueries(b *testing.B) {
-	sc := bench.Scenario{Family: bench.FamilyPaperSynth9, Seed: 7, TargetCells: 800}
-	gen, err := sc.Generate(celllib.Default65nm())
-	if err != nil {
-		b.Fatal(err)
-	}
-	fcfg := flow.ScenarioConfig(gen.Scenario)
-	fcfg.SimCycles = 32
-	fcfg.RefinePasses = 0
-	fcfg.Thermal.NX, fcfg.Thermal.NY = 16, 16
-	srv := serve.NewServer(serve.Config{MaxInFlight: 4, MaxQueue: 8})
-	b.Cleanup(srv.Close)
-	if err := srv.AddDesign(context.Background(), "bench", gen.Design, gen.Workload, fcfg, nil); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(ts.Close)
-	client := ts.Client()
-
-	paths := []string{
-		"/analyze?design=bench&util=" + strconv.FormatFloat(fcfg.Utilization, 'g', -1, 64),
-		"/analyze?design=bench&util=0.7",
-		"/delta?design=bench&strategy=eri&rows=2",
-		"/sweep?design=bench&overheads=0.3",
-	}
-	var (
-		mu              sync.Mutex
-		latencies       []float64 // milliseconds
-		completed, shed int
-		seq             atomic.Int64
-	)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			url := ts.URL + paths[int(seq.Add(1))%len(paths)]
-			t0 := time.Now()
-			resp, err := client.Get(url)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			ms := float64(time.Since(t0)) / float64(time.Millisecond)
-			mu.Lock()
-			switch resp.StatusCode {
-			case http.StatusOK:
-				completed++
-				latencies = append(latencies, ms)
-			case http.StatusServiceUnavailable:
-				shed++ // admission bound under concurrent fire: expected
-			default:
-				mu.Unlock()
-				b.Errorf("query %s: unexpected status %d", url, resp.StatusCode)
-				return
-			}
-			mu.Unlock()
-		}
-	})
-	b.StopTimer()
-	if completed+shed == 0 {
-		b.Fatal("no queries ran")
-	}
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "queries/s")
-	b.ReportMetric(100*float64(shed)/float64(completed+shed), "shed_pct")
-	if len(latencies) > 0 {
-		sort.Float64s(latencies)
-		b.ReportMetric(latencies[len(latencies)*99/100], "p99_ms")
 	}
 }

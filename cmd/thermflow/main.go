@@ -28,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -61,8 +62,6 @@ func main() {
 		thermalOut  = flag.String("thermal-map", "", "write the thermal map (matrix of degrees C) to this path")
 		powerOut    = flag.String("power-map", "", "write the power map (matrix of watts per cell) to this path")
 		heat        = flag.Bool("heatmap", false, "print an ASCII heat map of the die to stdout")
-		withTiming  = flag.Bool("timing", true, "run static timing analysis")
-		withCongest = flag.Bool("congestion", true, "run the routing congestion estimate")
 		precond     = flag.String("precond", "mg", "thermal CG preconditioner: mg or jacobi")
 		strategyStr = flag.String("strategy", "", "apply one strategy to the baseline and report before/after: default, eri or hw")
 		overhead    = flag.Float64("overhead", 0.16, "with -strategy, target fractional area overhead (default/hw, and eri when -rows is 0)")
@@ -75,6 +74,9 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels cleanly")
 	)
 	flag.Parse()
+	if math.IsNaN(*overhead) || math.IsInf(*overhead, 0) {
+		fatal(fmt.Errorf("bad -overhead %g: want a finite area overhead", *overhead))
+	}
 
 	// A SIGINT/SIGTERM (or the -timeout deadline) cancels the analysis
 	// pipeline cooperatively: in-flight thermal solves abort within a few CG
@@ -144,17 +146,11 @@ func main() {
 
 	// The flow already ran temperature-derated timing and congestion as part
 	// of the co-analysis (DefaultConfig enables it).
-	if *withTiming {
-		rep := an.Timing
-		fmt.Printf("critical path     : %.1f ps (max %.3f GHz, slack %.1f ps at 1 GHz)\n",
-			rep.CriticalPathPs, rep.MaxFrequencyGHz, rep.SlackPs)
-	}
-	if *withCongest {
-		rep := an.Congestion
-		fmt.Printf("wirelength        : %.0f um\n", rep.TotalWirelength)
-		fmt.Printf("congestion        : mean %.3f, max %.3f, %d overflowing bins\n",
-			rep.MeanUtilization, rep.MaxUtilization, rep.Overflows)
-	}
+	fmt.Printf("critical path     : %.1f ps (max %.3f GHz, slack %.1f ps at 1 GHz)\n",
+		an.Timing.CriticalPathPs, an.Timing.MaxFrequencyGHz, an.Timing.SlackPs)
+	fmt.Printf("wirelength        : %.0f um\n", an.Congestion.TotalWirelength)
+	fmt.Printf("congestion        : mean %.3f, max %.3f, %d overflowing bins\n",
+		an.Congestion.MeanUtilization, an.Congestion.MaxUtilization, an.Congestion.Overflows)
 	if *heat {
 		fmt.Println("thermal heat map (hot = @):")
 		fmt.Print(an.Thermal.Surface.ASCIIHeatmap())
@@ -202,7 +198,7 @@ func main() {
 		fmt.Printf("efficiency sweep  : baseline rise %.3f C, %d points\n",
 			res.Baseline.Thermal.PeakRise, len(res.Points))
 		if ts := res.Triage; ts != nil {
-			fmt.Printf("adaptive triage   : %d/%d candidates pruned on coarse estimates (%d coarse + %d exact solves, max est err %.3f C)\n",
+			fmt.Printf("adaptive triage   : %d/%d candidates pruned on coarse estimates (%d coarse + %d exact solves, max est err over survivors %.3f C)\n",
 				ts.Candidates-ts.Survivors, ts.Candidates, ts.CoarseSolves, ts.ExactSolves, ts.MaxEstErrC)
 		}
 		pareto := map[int]bool{}

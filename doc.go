@@ -11,8 +11,9 @@
 //
 // The implementation lives under internal/; the command-line tools under
 // cmd/ (benchgen, thermflow, reproduce, thermserve) and the runnable examples
-// under examples/ are the intended entry points. bench_test.go at this level
-// regenerates every table and figure of the paper's evaluation as Go
-// benchmarks. See README.md for the quickstart, package map, solver
-// architecture and design notes.
+// under examples/ are the intended entry points. cmd/reproduce regenerates
+// every table and figure of the paper's evaluation; perfbench/ is the
+// benchmark of record, and bench_test.go at this level holds ablation and
+// layer micro-benchmarks. See README.md for the quickstart, package map,
+// solver architecture and design notes.
 package thermplace

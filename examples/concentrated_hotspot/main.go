@@ -35,7 +35,13 @@ func main() {
 	cfg := flow.DefaultConfig()
 	f := flow.New(design, workload, cfg)
 
-	result, err := core.ConcentratedExperiment(f, core.DefaultConcentratedOptions())
+	// Table I is the Figure 6 sweep restricted to Default and ERI.
+	result, err := core.SweepEfficiency(f, core.SweepOptions{
+		Strategies:   []core.Strategy{core.StrategyDefault, core.StrategyERI},
+		Overheads:    []float64{0.161, 0.322},
+		ERIRows:      []int{20, 40},
+		KeepAnalyses: true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,13 +51,14 @@ func main() {
 		base.Thermal.PeakRise, 100*base.Hotspots[0].FracOfArea(base.Placement.FP.Core))
 
 	fmt.Printf("\n%-9s %-18s %6s %15s %16s\n", "strategy", "core [um x um]", "rows", "area overhead", "temp reduction")
-	for _, row := range result.Rows {
+	for _, pt := range result.Points {
 		rows := "-"
-		if row.Rows > 0 {
-			rows = fmt.Sprintf("%d", row.Rows)
+		if pt.Rows > 0 {
+			rows = fmt.Sprintf("%d", pt.Rows)
 		}
+		c := pt.Placement.FP.Core
 		fmt.Printf("%-9s %7.0f x %-9.0f %6s %14.1f%% %15.1f%%\n",
-			row.Strategy, row.CoreW, row.CoreH, rows, row.AreaOverhead*100, row.TempReduction*100)
+			pt.Strategy, c.W(), c.H(), rows, pt.AreaOverhead*100, pt.TempReduction*100)
 	}
 	fmt.Println("\npaper Table I for reference: Default 16.1% -> 11.3%, 32.2% -> 20.2%;")
 	fmt.Println("ERI 20 rows -> 13.1%, 40 rows -> 28.6%.")

@@ -102,7 +102,7 @@ func (b *builder) gate(master string, conns map[string]*netlist.Net) *netlist.Ne
 	return out
 }
 
-// inv, and2, or2, xor2, nand2, mux2 are small wrappers used by the unit
+// inv, and2, or2, xor2, mux2 are small wrappers used by the unit
 // generators; they return the output net of the created gate.
 func (b *builder) inv(a *netlist.Net) *netlist.Net {
 	return b.gate("INV_X1", map[string]*netlist.Net{"A": a})
@@ -118,14 +118,6 @@ func (b *builder) or2(a, c *netlist.Net) *netlist.Net {
 
 func (b *builder) xor2(a, c *netlist.Net) *netlist.Net {
 	return b.gate("XOR2_X1", map[string]*netlist.Net{"A": a, "B": c})
-}
-
-func (b *builder) nand2(a, c *netlist.Net) *netlist.Net {
-	return b.gate("NAND2_X1", map[string]*netlist.Net{"A": a, "B": c})
-}
-
-func (b *builder) nor2(a, c *netlist.Net) *netlist.Net {
-	return b.gate("NOR2_X1", map[string]*netlist.Net{"A": a, "B": c})
 }
 
 func (b *builder) mux2(a, c, s *netlist.Net) *netlist.Net {

@@ -119,17 +119,6 @@ func (m *Master) PinCap(name string) float64 {
 	return 0
 }
 
-// InputCapTotal returns the sum of all input pin capacitances in fF.
-func (m *Master) InputCapTotal() float64 {
-	total := 0.0
-	for _, p := range m.Pins {
-		if p.Dir == Input {
-			total += p.Cap
-		}
-	}
-	return total
-}
-
 // Library is a named collection of cell masters plus the technology
 // parameters shared by all of them.
 type Library struct {
@@ -213,9 +202,6 @@ func (l *Library) Masters() []*Master {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// NumMasters returns the number of masters in the library.
-func (l *Library) NumMasters() int { return len(l.masters) }
 
 // Fillers returns the filler masters sorted by decreasing width, the order
 // in which a gap-filling pass wants to try them.

@@ -96,7 +96,8 @@ type TriageStats struct {
 	// over the surviving candidates: <1%, <2%, <5%, <10%, >=10%.
 	ErrHist [5]int
 	// MaxEstErrC is the largest absolute est-vs-exact peak-rise difference
-	// observed over the surviving candidates, in C.
+	// observed over the surviving candidates, in C. Triaged candidates are
+	// never measured exactly, so it cannot reveal a lost front point.
 	MaxEstErrC float64
 }
 

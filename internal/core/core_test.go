@@ -358,31 +358,36 @@ func TestSweepFastPathMatchesSpiceOracle(t *testing.T) {
 	}
 }
 
-func TestConcentratedExperimentShape(t *testing.T) {
+// TestTable1SweepShape runs Table I's two-strategy sweep (Default and ERI,
+// no HW) at one overhead, with the ERI row count derived from it.
+func TestTable1SweepShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("concentrated experiment skipped in -short mode")
+		t.Skip("Table I sweep skipped in -short mode")
 	}
 	f := hotFlow(t, "mult8")
-	res, err := ConcentratedExperiment(f, ConcentratedOptions{Overheads: []float64{0.16}, ERIRows: nil})
+	res, err := SweepEfficiency(f, SweepOptions{
+		Strategies: []Strategy{StrategyDefault, StrategyERI},
+		Overheads:  []float64{0.16},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("expected one Default and one ERI row, got %d", len(res.Rows))
+	if len(res.Points) != 2 {
+		t.Fatalf("expected one Default and one ERI point, got %d", len(res.Points))
 	}
-	defRow, eriRow := res.Rows[0], res.Rows[1]
-	if defRow.Strategy != StrategyDefault || eriRow.Strategy != StrategyERI {
-		t.Fatalf("unexpected row order: %+v", res.Rows)
+	defPt, eriPt := res.Points[0], res.Points[1]
+	if defPt.Strategy != StrategyDefault || eriPt.Strategy != StrategyERI {
+		t.Fatalf("unexpected point order: %+v", res.Points)
 	}
 	t.Logf("Table-I style: Default %.1f%% @ %.1f%% area, ERI %.1f%% @ %.1f%% area (%d rows)",
-		defRow.TempReduction*100, defRow.AreaOverhead*100, eriRow.TempReduction*100, eriRow.AreaOverhead*100, eriRow.Rows)
+		defPt.TempReduction*100, defPt.AreaOverhead*100, eriPt.TempReduction*100, eriPt.AreaOverhead*100, eriPt.Rows)
 	// ERI must be at least as good as Default at matched overhead (Table I).
-	if eriRow.TempReduction < defRow.TempReduction-0.02 {
-		t.Errorf("ERI (%.3f) should not be materially below Default (%.3f)", eriRow.TempReduction, defRow.TempReduction)
+	if eriPt.TempReduction < defPt.TempReduction-0.02 {
+		t.Errorf("ERI (%.3f) should not be materially below Default (%.3f)", eriPt.TempReduction, defPt.TempReduction)
 	}
 	// Overheads should be close to the request.
-	if math.Abs(defRow.AreaOverhead-0.16) > 0.08 || math.Abs(eriRow.AreaOverhead-0.16) > 0.08 {
-		t.Errorf("area overheads drifted: default %.3f, ERI %.3f", defRow.AreaOverhead, eriRow.AreaOverhead)
+	if math.Abs(defPt.AreaOverhead-0.16) > 0.08 || math.Abs(eriPt.AreaOverhead-0.16) > 0.08 {
+		t.Errorf("area overheads drifted: default %.3f, ERI %.3f", defPt.AreaOverhead, eriPt.AreaOverhead)
 	}
 }
 
@@ -400,9 +405,6 @@ func TestSweepPropagatesPipelineErrors(t *testing.T) {
 	f := flow.New(d, bench.UniformWorkload(0.2), flow.FastConfig())
 	if _, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{0.1}}); err == nil {
 		t.Fatal("sweep on an unsimulatable design must fail")
-	}
-	if _, err := ConcentratedExperiment(f, DefaultConcentratedOptions()); err == nil {
-		t.Fatal("concentrated experiment on an unsimulatable design must fail")
 	}
 }
 

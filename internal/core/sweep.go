@@ -560,117 +560,3 @@ func runOneTask(ctx context.Context, idx int, task func(context.Context) error) 
 	}()
 	return task(ctx)
 }
-
-// ConcentratedRow is one row of the paper's Table I.
-type ConcentratedRow struct {
-	Strategy      Strategy
-	CoreW, CoreH  float64
-	Rows          int
-	AreaOverhead  float64
-	TempReduction float64
-	PeakRise      float64
-}
-
-// ConcentratedOptions configures the Table I experiment.
-type ConcentratedOptions struct {
-	// Overheads are the two (or more) area-overhead points; the paper uses
-	// 16.1% and 32.2%.
-	Overheads []float64
-	// ERIRows are the matching empty-row counts; the paper uses 20 and 40.
-	// When empty, counts matching Overheads are derived from the baseline.
-	ERIRows []int
-	// KeepAnalyses retains each row's analysis (not exported in the row,
-	// but reachable through the returned analyses slice).
-	KeepAnalyses bool
-}
-
-// DefaultConcentratedOptions mirrors Table I of the paper.
-func DefaultConcentratedOptions() ConcentratedOptions {
-	return ConcentratedOptions{
-		Overheads: []float64{0.161, 0.322},
-		ERIRows:   []int{20, 40},
-	}
-}
-
-// ConcentratedResult is the reproduced Table I.
-type ConcentratedResult struct {
-	Baseline *flow.Analysis
-	Rows     []ConcentratedRow
-}
-
-// ConcentratedExperiment reproduces Table I: for a workload producing one
-// large concentrated hotspot, it compares the Default strategy at the given
-// area overheads against Empty Row Insertion with the given row counts
-// (the wrapper method "is not suitable for large hotspots", so it is not
-// part of this experiment, exactly as in the paper).
-func ConcentratedExperiment(f *flow.Flow, opts ConcentratedOptions) (*ConcentratedResult, error) {
-	return ConcentratedExperimentCtx(context.Background(), f, opts)
-}
-
-// ConcentratedExperimentCtx is ConcentratedExperiment with cancellation: the
-// context is threaded into every row's thermal solve, so a cancel aborts the
-// experiment mid-row with an error matching fault.ErrCanceled. When the
-// context never fires the result is bit-identical to ConcentratedExperiment.
-func ConcentratedExperimentCtx(ctx context.Context, f *flow.Flow, opts ConcentratedOptions) (*ConcentratedResult, error) {
-	if len(opts.Overheads) == 0 {
-		opts = DefaultConcentratedOptions()
-	}
-	baseline, err := f.AnalyzeBaselineCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("core: concentrated baseline: %w", err)
-	}
-	if len(baseline.Hotspots) == 0 {
-		return nil, fmt.Errorf("core: concentrated baseline has no hotspots")
-	}
-	baseRise := baseline.Thermal.PeakRise
-	baseArea := baseline.Placement.FP.CoreArea()
-	out := &ConcentratedResult{Baseline: baseline}
-
-	for _, ov := range opts.Overheads {
-		util := f.Config.Utilization / (1 + ov)
-		p, err := f.PlaceAt(util)
-		if err != nil {
-			return nil, err
-		}
-		an, err := f.AnalyzeCtx(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, ConcentratedRow{
-			Strategy:      StrategyDefault,
-			CoreW:         p.FP.Core.W(),
-			CoreH:         p.FP.Core.H(),
-			AreaOverhead:  p.FP.CoreArea()/baseArea - 1,
-			TempReduction: reduction(baseRise, an.Thermal.PeakRise),
-			PeakRise:      an.Thermal.PeakRise,
-		})
-	}
-
-	rowCounts := opts.ERIRows
-	if len(rowCounts) == 0 {
-		//repolint:allow ctxpair(geometry-only derivation over a handful of overheads; no solves inside)
-		for _, ov := range opts.Overheads {
-			rowCounts = append(rowCounts, RowsForAreaOverhead(baseline.Placement, ov))
-		}
-	}
-	for _, rows := range rowCounts {
-		p, err := EmptyRowInsertion(baseline.Placement, baseline.Hotspots[:1], DefaultERIOptions(rows))
-		if err != nil {
-			return nil, err
-		}
-		an, err := f.AnalyzeCtx(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, ConcentratedRow{
-			Strategy:      StrategyERI,
-			CoreW:         p.FP.Core.W(),
-			CoreH:         p.FP.Core.H(),
-			Rows:          rows,
-			AreaOverhead:  p.FP.CoreArea()/baseArea - 1,
-			TempReduction: reduction(baseRise, an.Thermal.PeakRise),
-			PeakRise:      an.Thermal.PeakRise,
-		})
-	}
-	return out, nil
-}

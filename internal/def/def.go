@@ -1,9 +1,9 @@
-// Package def reads and writes placements in a DEF-lite exchange format, a
-// small subset of the LEF/DEF conventions used by physical-design tools:
+// Package def writes placements in a DEF-lite exchange format, a small
+// subset of the LEF/DEF conventions used by physical-design tools:
 // distances are stored as integer database units (1000 per micrometre), the
 // die area and per-component placed locations are recorded, and filler cells
-// and pin (pad) locations are included so a placement can be fully
-// reconstructed by the command-line tools.
+// and pin (pad) locations are included so the file describes the complete
+// placement.
 package def
 
 import (
@@ -11,11 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 
-	"thermplace/internal/floorplan"
-	"thermplace/internal/geom"
 	"thermplace/internal/netlist"
 	"thermplace/internal/place"
 )
@@ -23,8 +19,7 @@ import (
 // dbuPerUm is the database-unit resolution written into the DEF header.
 const dbuPerUm = 1000
 
-func toDBU(um float64) int    { return int(math.Round(um * dbuPerUm)) }
-func fromDBU(dbu int) float64 { return float64(dbu) / dbuPerUm }
+func toDBU(um float64) int { return int(math.Round(um * dbuPerUm)) }
 
 // Write emits the placement as DEF-lite.
 func Write(w io.Writer, p *place.Placement) error {
@@ -75,158 +70,4 @@ func Write(w io.Writer, p *place.Placement) error {
 	fmt.Fprintf(bw, "END PINS\n")
 	fmt.Fprintf(bw, "END DESIGN\n")
 	return bw.Flush()
-}
-
-// Read parses DEF-lite and reconstructs a placement for the given design.
-// Component and pin names must exist in the design; fillers are restored as
-// placement fillers.
-func Read(r io.Reader, d *netlist.Design) (*place.Placement, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1024*1024), 64*1024*1024)
-
-	var core geom.Rect
-	rowHeight := d.Lib.RowHeight
-	siteWidth := d.Lib.SiteWidth
-	var p *place.Placement
-
-	ensurePlacement := func() (*place.Placement, error) {
-		if p != nil {
-			return p, nil
-		}
-		if core.Empty() {
-			return nil, fmt.Errorf("def: component section before DIEAREA")
-		}
-		nRows := int(math.Round(core.H() / rowHeight))
-		if nRows < 1 {
-			return nil, fmt.Errorf("def: die area %v smaller than one row", core)
-		}
-		fp := &floorplan.Floorplan{
-			Core:      core,
-			RowHeight: rowHeight,
-			SiteWidth: siteWidth,
-			Regions:   map[string]*floorplan.Region{},
-		}
-		for i := 0; i < nRows; i++ {
-			fp.Rows = append(fp.Rows, floorplan.Row{
-				Index: i,
-				Y:     core.Ylo + float64(i)*rowHeight,
-				X0:    core.Xlo,
-				X1:    core.Xhi,
-			})
-		}
-		p = place.NewPlacement(d, fp)
-		return p, nil
-	}
-
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch {
-		case strings.HasPrefix(line, "VERSION"), strings.HasPrefix(line, "UNITS"),
-			strings.HasPrefix(line, "DESIGN"), strings.HasPrefix(line, "COMPONENTS"),
-			strings.HasPrefix(line, "PINS"), strings.HasPrefix(line, "END COMPONENTS"),
-			strings.HasPrefix(line, "END PINS"), strings.HasPrefix(line, "END DESIGN"):
-			// Header / section markers: nothing to extract.
-		case strings.HasPrefix(line, "DIEAREA"):
-			// DIEAREA ( x1 y1 ) ( x2 y2 ) ;
-			nums := extractInts(fields)
-			if len(nums) != 4 {
-				return nil, fmt.Errorf("def: line %d: malformed DIEAREA", lineNo)
-			}
-			core = geom.Rect{Xlo: fromDBU(nums[0]), Ylo: fromDBU(nums[1]), Xhi: fromDBU(nums[2]), Yhi: fromDBU(nums[3])}
-		case strings.HasPrefix(line, "ROWHEIGHT"):
-			nums := extractInts(fields)
-			if len(nums) != 1 {
-				return nil, fmt.Errorf("def: line %d: malformed ROWHEIGHT", lineNo)
-			}
-			rowHeight = fromDBU(nums[0])
-		case strings.HasPrefix(line, "SITEWIDTH"):
-			nums := extractInts(fields)
-			if len(nums) != 1 {
-				return nil, fmt.Errorf("def: line %d: malformed SITEWIDTH", lineNo)
-			}
-			siteWidth = fromDBU(nums[0])
-		case strings.HasPrefix(line, "- "):
-			pl, err := ensurePlacement()
-			if err != nil {
-				return nil, err
-			}
-			if err := parseComponentOrPin(pl, d, fields, lineNo); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("def: line %d: unrecognized statement %q", lineNo, line)
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("def: reading input: %w", err)
-	}
-	if p == nil {
-		return nil, fmt.Errorf("def: no placement data found")
-	}
-	return p, nil
-}
-
-// extractInts pulls every integer-looking token from the fields.
-func extractInts(fields []string) []int {
-	var out []int
-	for _, f := range fields {
-		if v, err := strconv.Atoi(f); err == nil {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// parseComponentOrPin handles "- name ..." component, filler and pin lines.
-func parseComponentOrPin(p *place.Placement, d *netlist.Design, fields []string, lineNo int) error {
-	if len(fields) < 3 {
-		return fmt.Errorf("def: line %d: malformed element line", lineNo)
-	}
-	name := fields[1]
-	nums := extractInts(fields)
-	if len(nums) < 2 {
-		return fmt.Errorf("def: line %d: missing coordinates", lineNo)
-	}
-	x, y := fromDBU(nums[0]), fromDBU(nums[1])
-	switch {
-	case contains(fields, "FILLER"):
-		master := d.Lib.Master(fields[2])
-		if master == nil || !master.Filler {
-			return fmt.Errorf("def: line %d: unknown filler master %q", lineNo, fields[2])
-		}
-		row := p.FP.RowAt(y + p.FP.RowHeight/2)
-		p.Fillers = append(p.Fillers, place.Filler{Master: master, X: x, Y: row.Y, Row: row.Index})
-	case contains(fields, "INPUT") || contains(fields, "OUTPUT"):
-		port := d.Port(name)
-		if port == nil {
-			return fmt.Errorf("def: line %d: unknown pin %q", lineNo, name)
-		}
-		p.SetPortLoc(port, geom.Point{X: x, Y: y})
-	default:
-		inst := d.Instance(name)
-		if inst == nil {
-			return fmt.Errorf("def: line %d: unknown component %q", lineNo, name)
-		}
-		if inst.Master.Name != fields[2] {
-			return fmt.Errorf("def: line %d: component %q master mismatch: %s vs %s", lineNo, name, fields[2], inst.Master.Name)
-		}
-		row := p.FP.RowAt(y + p.FP.RowHeight/2)
-		p.SetLoc(inst, place.Loc{X: x, Y: row.Y, Row: row.Index})
-	}
-	return nil
-}
-
-func contains(fields []string, want string) bool {
-	for _, f := range fields {
-		if f == want {
-			return true
-		}
-	}
-	return false
 }

@@ -1,7 +1,7 @@
 package def
 
 import (
-	"math"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +12,7 @@ import (
 	"thermplace/internal/place"
 )
 
-func placedSmall(t *testing.T) (*netlist.Design, *place.Placement) {
+func placedSmall(t *testing.T) *place.Placement {
 	t.Helper()
 	lib := celllib.Default65nm()
 	d, err := bench.Generate(lib, bench.SmallConfig())
@@ -27,117 +27,64 @@ func placedSmall(t *testing.T) (*netlist.Design, *place.Placement) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, p
+	return p
 }
 
-func TestDEFRoundTrip(t *testing.T) {
-	d, p := placedSmall(t)
+// TestWriteListsEveryElement checks that Write prints the header, the die
+// area, the component and pin counts and one line per placed instance,
+// filler and pin, with every coordinate in database units, and nothing
+// else.
+func TestWriteListsEveryElement(t *testing.T) {
+	p := placedSmall(t)
+	d, core := p.Design, p.FP.Core
 	var buf strings.Builder
 	if err := Write(&buf, p); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	text := buf.String()
-	for _, want := range []string{"VERSION 5.8", "DESIGN synth_small", "DIEAREA", "COMPONENTS", "END COMPONENTS", "PINS", "END DESIGN"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("DEF output missing %q", want)
-		}
+	got := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	lines := map[string]bool{}
+	for _, l := range got {
+		lines[l] = true
 	}
-	got, err := Read(strings.NewReader(text), d)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	// Core geometry must survive (within the 1/1000 um DBU rounding).
-	if math.Abs(got.FP.Core.Xhi-p.FP.Core.Xhi) > 1e-3 || math.Abs(got.FP.Core.Yhi-p.FP.Core.Yhi) > 1e-3 {
-		t.Fatalf("core changed: %v vs %v", got.FP.Core, p.FP.Core)
-	}
-	if got.FP.NumRows() != p.FP.NumRows() {
-		t.Fatalf("row count changed: %d vs %d", got.FP.NumRows(), p.FP.NumRows())
-	}
-	// Every cell location must survive within DBU rounding.
+	placed := 0
+	var want []string
 	for _, inst := range d.Instances() {
-		if inst.IsFiller() {
-			continue
-		}
-		lo, okO := p.Loc(inst)
-		ln, okN := got.Loc(inst)
-		if okO != okN {
-			t.Fatalf("instance %q placement presence changed", inst.Name)
-		}
-		if !okO {
-			continue
-		}
-		if math.Abs(lo.X-ln.X) > 1e-3 || math.Abs(lo.Y-ln.Y) > 1e-3 || lo.Row != ln.Row {
-			t.Fatalf("instance %q moved: %+v vs %+v", inst.Name, lo, ln)
+		if l, ok := p.Loc(inst); ok {
+			placed++
+			want = append(want, fmt.Sprintf("- %s %s + PLACED ( %d %d ) N ;", inst.Name, inst.Master.Name, toDBU(l.X), toDBU(l.Y)))
 		}
 	}
-	// Fillers and pins survive.
-	if len(got.Fillers) != len(p.Fillers) {
-		t.Fatalf("filler count changed: %d vs %d", len(got.Fillers), len(p.Fillers))
+	for i, f := range p.Fillers {
+		want = append(want, fmt.Sprintf("- FILLER_%d %s + FILLER ( %d %d ) N ;", i, f.Master.Name, toDBU(f.X), toDBU(f.Y)))
 	}
+	pins := 0
 	for _, port := range d.Ports() {
-		po, okO := p.PortLoc(port)
-		pn, okN := got.PortLoc(port)
-		if okO != okN {
-			t.Fatalf("port %q location presence changed", port.Name)
-		}
-		if okO && (math.Abs(po.X-pn.X) > 1e-3 || math.Abs(po.Y-pn.Y) > 1e-3) {
-			t.Fatalf("port %q moved", port.Name)
-		}
-	}
-	// The reconstructed placement is still legal.
-	if errs := got.Validate(); len(errs) != 0 {
-		t.Fatalf("round-tripped placement invalid: %v", errs[0])
-	}
-	// And it computes the same wirelength.
-	if math.Abs(got.TotalHPWL()-p.TotalHPWL()) > 1e-2*p.TotalHPWL() {
-		t.Fatalf("HPWL changed: %g vs %g", got.TotalHPWL(), p.TotalHPWL())
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	d, _ := placedSmall(t)
-	cases := []struct {
-		name string
-		text string
-	}{
-		{"empty", ""},
-		{"component before diearea", "- mult8_g1 AND2_X1 + PLACED ( 0 0 ) N ;\n"},
-		{"unknown component", "DIEAREA ( 0 0 ) ( 10000 10000 ) ;\n- nosuch AND2_X1 + PLACED ( 0 0 ) N ;\n"},
-		{"master mismatch", "DIEAREA ( 0 0 ) ( 10000 10000 ) ;\n- mult8_g1 DFF_X1 + PLACED ( 0 0 ) N ;\n"},
-		{"unknown pin", "DIEAREA ( 0 0 ) ( 10000 10000 ) ;\n- nosuchpin + INPUT + PLACED ( 0 0 ) ;\n"},
-		{"unknown filler", "DIEAREA ( 0 0 ) ( 10000 10000 ) ;\n- FILLER_0 BOGUS + FILLER ( 0 0 ) N ;\n"},
-		{"garbage line", "WHAT IS THIS ;\n"},
-		{"bad diearea", "DIEAREA ( 0 0 ) ( 10000 ) ;\n"},
-		{"tiny diearea", "DIEAREA ( 0 0 ) ( 100 100 ) ;\n- mult8_g1 AND2_X1 + PLACED ( 0 0 ) N ;\n"},
-	}
-	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c.text), d); err == nil {
-			t.Errorf("%s: expected error", c.name)
+		if pt, ok := p.PortLoc(port); ok {
+			pins++
+			dir := "INPUT"
+			if port.Dir == netlist.Out {
+				dir = "OUTPUT"
+			}
+			want = append(want, fmt.Sprintf("- %s + %s + PLACED ( %d %d ) ;", port.Name, dir, toDBU(pt.X), toDBU(pt.Y)))
 		}
 	}
-}
-
-func TestReadSkipsCommentsAndHeaders(t *testing.T) {
-	d, _ := placedSmall(t)
-	text := `# comment
-VERSION 5.8 ;
-DESIGN synth_small ;
-UNITS DISTANCE MICRONS 1000 ;
-DIEAREA ( 0 0 ) ( 50000 50000 ) ;
-ROWHEIGHT 2000 ;
-SITEWIDTH 200 ;
-COMPONENTS 1 ;
-- mult8_g1 AND2_X1 + PLACED ( 1000 2000 ) N ;
-END COMPONENTS
-END DESIGN
-`
-	p, err := Read(strings.NewReader(text), d)
-	if err != nil {
-		t.Fatal(err)
+	if placed == 0 || len(p.Fillers) == 0 || pins == 0 {
+		t.Fatalf("fixture must place instances, fillers and pins: %d, %d, %d", placed, len(p.Fillers), pins)
 	}
-	inst := d.Instance("mult8_g1")
-	l, ok := p.Loc(inst)
-	if !ok || math.Abs(l.X-1.0) > 1e-9 || math.Abs(l.Y-2.0) > 1e-9 || l.Row != 1 {
-		t.Fatalf("parsed location wrong: %+v (ok=%v)", l, ok)
+	want = append(want,
+		"VERSION 5.8 ;", "DESIGN synth_small ;", "UNITS DISTANCE MICRONS 1000 ;",
+		fmt.Sprintf("DIEAREA ( %d %d ) ( %d %d ) ;", toDBU(core.Xlo), toDBU(core.Ylo), toDBU(core.Xhi), toDBU(core.Yhi)),
+		fmt.Sprintf("ROWHEIGHT %d ;", toDBU(p.FP.RowHeight)),
+		fmt.Sprintf("SITEWIDTH %d ;", toDBU(p.FP.SiteWidth)),
+		fmt.Sprintf("COMPONENTS %d ;", placed+len(p.Fillers)),
+		fmt.Sprintf("PINS %d ;", pins),
+		"END COMPONENTS", "END PINS", "END DESIGN")
+	for _, w := range want {
+		if !lines[w] {
+			t.Fatalf("DEF output missing line %q", w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("DEF output has %d lines, want %d", len(got), len(want))
 	}
 }

@@ -85,7 +85,7 @@ func DefaultConfig() Config {
 // proportional to its cell area, computed by recursive bisection so the
 // units tile the core exactly.
 func New(d *netlist.Design, cfg Config) (*Floorplan, error) {
-	if cfg.Utilization <= 0 || cfg.Utilization > 1 {
+	if !(cfg.Utilization > 0 && cfg.Utilization <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("floorplan: utilization %g out of range (0, 1]", cfg.Utilization)
 	}
 	if cfg.AspectRatio <= 0 {

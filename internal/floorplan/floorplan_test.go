@@ -52,6 +52,9 @@ func TestNewFloorplanValidation(t *testing.T) {
 	if _, err := New(d, Config{Utilization: 1.5}); err == nil {
 		t.Error("utilization > 1 must fail")
 	}
+	if _, err := New(d, Config{Utilization: math.NaN()}); err == nil {
+		t.Error("NaN utilization must fail")
+	}
 	lib := celllib.Default65nm()
 	empty := netlist.NewDesign("empty", lib)
 	if _, err := New(empty, DefaultConfig()); err == nil {

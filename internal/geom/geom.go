@@ -16,26 +16,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p + q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
-
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// Manhattan returns the Manhattan (L1) distance between p and q.
-func (p Point) Manhattan(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
 func (p Point) String() string { return fmt.Sprintf("(%.3f, %.3f)", p.X, p.Y) }
 
 // Rect is an axis-aligned rectangle with inclusive lower-left corner and
@@ -129,39 +109,12 @@ func (r Rect) Translate(dx, dy float64) Rect {
 	return Rect{r.Xlo + dx, r.Ylo + dy, r.Xhi + dx, r.Yhi + dy}
 }
 
-// ExpandToInclude grows the rectangle so that it contains p.
-func (r Rect) ExpandToInclude(p Point) Rect {
-	if r.Empty() {
-		return Rect{p.X, p.Y, p.X, p.Y}
-	}
-	return Rect{
-		math.Min(r.Xlo, p.X), math.Min(r.Ylo, p.Y),
-		math.Max(r.Xhi, p.X), math.Max(r.Yhi, p.Y),
-	}
-}
-
 // HalfPerimeter returns the half-perimeter wirelength of the rectangle,
 // the usual HPWL net-length estimate.
 func (r Rect) HalfPerimeter() float64 { return r.W() + r.H() }
 
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.3f %.3f %.3f %.3f]", r.Xlo, r.Ylo, r.Xhi, r.Yhi)
-}
-
-// BoundingBox returns the smallest rectangle containing all points.
-// It returns an empty Rect when pts is empty.
-func BoundingBox(pts []Point) Rect {
-	if len(pts) == 0 {
-		return Rect{}
-	}
-	r := Rect{pts[0].X, pts[0].Y, pts[0].X, pts[0].Y}
-	for _, p := range pts[1:] {
-		r = Rect{
-			math.Min(r.Xlo, p.X), math.Min(r.Ylo, p.Y),
-			math.Max(r.Xhi, p.X), math.Max(r.Yhi, p.Y),
-		}
-	}
-	return r
 }
 
 // Clamp restricts v to the closed interval [lo, hi].

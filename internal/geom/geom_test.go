@@ -8,26 +8,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestPointArithmetic(t *testing.T) {
-	p := Point{1, 2}
-	q := Point{3, -1}
-	if got := p.Add(q); got != (Point{4, 1}) {
-		t.Errorf("Add = %v, want (4,1)", got)
-	}
-	if got := p.Sub(q); got != (Point{-2, 3}) {
-		t.Errorf("Sub = %v, want (-2,3)", got)
-	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Errorf("Scale = %v, want (2,4)", got)
-	}
-	if got := p.Dist(q); !almostEqual(got, math.Sqrt(13), 1e-12) {
-		t.Errorf("Dist = %v, want sqrt(13)", got)
-	}
-	if got := p.Manhattan(q); got != 5 {
-		t.Errorf("Manhattan = %v, want 5", got)
-	}
-}
-
 func TestNewRectNormalizes(t *testing.T) {
 	r := NewRect(5, 7, 1, 2)
 	want := Rect{1, 2, 5, 7}
@@ -96,19 +76,6 @@ func TestRectExpandTranslate(t *testing.T) {
 	if got := r.Translate(3, -2); got != (Rect{5, 0, 7, 2}) {
 		t.Fatalf("Translate = %v", got)
 	}
-	if got := r.ExpandToInclude(Point{10, 0}); got != (Rect{2, 0, 10, 4}) {
-		t.Fatalf("ExpandToInclude = %v", got)
-	}
-}
-
-func TestBoundingBox(t *testing.T) {
-	if !BoundingBox(nil).Empty() {
-		t.Fatal("bounding box of no points must be empty")
-	}
-	bb := BoundingBox([]Point{{1, 1}, {4, -2}, {0, 3}})
-	if bb != (Rect{0, -2, 4, 3}) {
-		t.Fatalf("BoundingBox = %v", bb)
-	}
 }
 
 func TestClamp(t *testing.T) {
@@ -141,22 +108,6 @@ func TestRectIntersectUnionProperties(t *testing.T) {
 			return false
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Manhattan distance >= Euclidean distance and both are symmetric.
-func TestDistanceProperties(t *testing.T) {
-	f := func(ax, ay, bx, by float64) bool {
-		norm := func(v float64) float64 { return math.Mod(v, 1e6) }
-		p := Point{norm(ax), norm(ay)}
-		q := Point{norm(bx), norm(by)}
-		if p.Manhattan(q)+1e-9 < p.Dist(q) {
-			return false
-		}
-		return almostEqual(p.Dist(q), q.Dist(p), 1e-9) && almostEqual(p.Manhattan(q), q.Manhattan(p), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -41,9 +40,6 @@ func (g *Grid) CellW() float64 { return g.Region.W() / float64(g.NX) }
 
 // CellH returns the physical height of one grid cell.
 func (g *Grid) CellH() float64 { return g.Region.H() / float64(g.NY) }
-
-// CellArea returns the physical area of one grid cell.
-func (g *Grid) CellArea() float64 { return g.CellW() * g.CellH() }
 
 // index converts (ix, iy) to a linear index; it panics on out-of-range
 // coordinates since those always indicate a programming error.
@@ -236,27 +232,6 @@ func (g *Grid) Sum() float64 {
 // Mean returns the arithmetic mean of all cell values.
 func (g *Grid) Mean() float64 { return g.Sum() / float64(len(g.data)) }
 
-// Percentile returns the p-th percentile (0..100) of the cell values.
-func (g *Grid) Percentile(p float64) float64 {
-	vals := make([]float64, len(g.data))
-	copy(vals, g.data)
-	sort.Float64s(vals)
-	if p <= 0 {
-		return vals[0]
-	}
-	if p >= 100 {
-		return vals[len(vals)-1]
-	}
-	idx := p / 100 * float64(len(vals)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return vals[lo]
-	}
-	frac := idx - float64(lo)
-	return vals[lo]*(1-frac) + vals[hi]*frac
-}
-
 // Gradient returns the maximum absolute difference between any two
 // 4-neighbouring cells; a simple spatial-gradient figure of merit.
 func (g *Grid) Gradient() float64 {
@@ -279,49 +254,12 @@ func (g *Grid) Gradient() float64 {
 	return max
 }
 
-// Resample returns a new grid with nx by ny cells covering the same region,
-// where each target cell receives the area-weighted average of the source.
-func (g *Grid) Resample(nx, ny int) *Grid {
-	out := NewGrid(nx, ny, g.Region)
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			cell := out.CellRect(i, j)
-			total, area := 0.0, 0.0
-			// Find overlapping source cells.
-			sx0, sy0 := g.CellOf(Point{cell.Xlo, cell.Ylo})
-			sx1, sy1 := g.CellOf(Point{math.Nextafter(cell.Xhi, cell.Xlo), math.Nextafter(cell.Yhi, cell.Ylo)})
-			for sy := sy0; sy <= sy1; sy++ {
-				for sx := sx0; sx <= sx1; sx++ {
-					ov := g.CellRect(sx, sy).Intersect(cell).Area()
-					total += g.At(sx, sy) * ov
-					area += ov
-				}
-			}
-			if area > 0 {
-				out.Set(i, j, total/area)
-			}
-		}
-	}
-	return out
-}
-
 // Scale multiplies every cell by k and returns the grid for chaining.
 func (g *Grid) Scale(k float64) *Grid {
 	for i := range g.data {
 		g.data[i] *= k
 	}
 	return g
-}
-
-// AddGrid accumulates other into g cell-by-cell; the two grids must have the
-// same dimensions.
-func (g *Grid) AddGrid(other *Grid) {
-	if g.NX != other.NX || g.NY != other.NY {
-		panic("geom: AddGrid dimension mismatch")
-	}
-	for i := range g.data {
-		g.data[i] += other.data[i]
-	}
 }
 
 // String renders the grid as a whitespace-separated matrix with the

@@ -149,16 +149,6 @@ func makeHotspot(rise *geom.Grid, cells [][2]int) Hotspot {
 	return h
 }
 
-// Hottest returns the single hottest hotspot, or a zero Hotspot and false
-// when none exist.
-func Hottest(rise *geom.Grid, opts Options) (Hotspot, bool) {
-	spots := Detect(rise, opts)
-	if len(spots) == 0 {
-		return Hotspot{}, false
-	}
-	return spots[0], true
-}
-
 // MergedRect returns the union bounding box of all hotspots; useful when a
 // single transformation must cover every hot region at once.
 func MergedRect(spots []Hotspot) geom.Rect {
@@ -167,22 +157,4 @@ func MergedRect(spots []Hotspot) geom.Rect {
 		out = out.Union(h.Rect)
 	}
 	return out
-}
-
-// Classify splits hotspots into "small" and "large" relative to the region:
-// a hotspot whose bounding box covers at least largeFrac of the region is
-// large. The paper applies the wrapper technique only to small concentrated
-// hotspots and prefers empty-row insertion for large ones.
-func Classify(spots []Hotspot, region geom.Rect, largeFrac float64) (small, large []Hotspot) {
-	if largeFrac <= 0 {
-		largeFrac = 0.15
-	}
-	for _, h := range spots {
-		if h.Rect.Area()/region.Area() >= largeFrac {
-			large = append(large, h)
-		} else {
-			small = append(small, h)
-		}
-	}
-	return small, large
 }

@@ -16,9 +16,6 @@ func TestDetectNoRise(t *testing.T) {
 	if spots := Detect(g, DefaultOptions()); len(spots) != 0 {
 		t.Fatalf("flat map should have no hotspots, got %d", len(spots))
 	}
-	if _, ok := Hottest(g, DefaultOptions()); ok {
-		t.Fatal("Hottest should report none on a flat map")
-	}
 }
 
 func TestDetectSingleHotspot(t *testing.T) {
@@ -123,38 +120,5 @@ func TestDetectFlatPositiveMap(t *testing.T) {
 	g.Fill(3.0)
 	if spots := Detect(g, DefaultOptions()); len(spots) != 0 {
 		t.Fatalf("a spatially flat map has no hotspots, got %d", len(spots))
-	}
-}
-
-func TestHottest(t *testing.T) {
-	g := riseMap(10, 10, 100)
-	g.Set(1, 1, 3)
-	g.Set(8, 8, 6)
-	h, ok := Hottest(g, Options{ThresholdFrac: 0.4, MinCells: 1})
-	if !ok {
-		t.Fatal("expected a hotspot")
-	}
-	if h.PeakRise != 6 {
-		t.Fatalf("hottest peak = %g, want 6", h.PeakRise)
-	}
-}
-
-func TestClassify(t *testing.T) {
-	region := geom.Rect{Xlo: 0, Ylo: 0, Xhi: 100, Yhi: 100}
-	spots := []Hotspot{
-		{ID: 0, Rect: geom.Rect{Xlo: 0, Ylo: 0, Xhi: 50, Yhi: 50}, AreaUm2: 2500},  // 25% of region
-		{ID: 1, Rect: geom.Rect{Xlo: 60, Ylo: 60, Xhi: 70, Yhi: 70}, AreaUm2: 100}, // 1%
-	}
-	small, large := Classify(spots, region, 0.15)
-	if len(large) != 1 || large[0].ID != 0 {
-		t.Fatalf("large = %+v", large)
-	}
-	if len(small) != 1 || small[0].ID != 1 {
-		t.Fatalf("small = %+v", small)
-	}
-	// Default threshold path.
-	small, large = Classify(spots, region, 0)
-	if len(large) != 1 || len(small) != 1 {
-		t.Fatal("default largeFrac classification failed")
 	}
 }

@@ -249,9 +249,6 @@ func (s *Simulator) Step() {
 	s.cycles++
 }
 
-// Cycles returns the number of Step calls so far.
-func (s *Simulator) Cycles() int { return s.cycles }
-
 // NetValue returns the current settled value of the named net.
 func (s *Simulator) NetValue(name string) (bool, error) {
 	n := s.design.Net(name)

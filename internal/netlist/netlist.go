@@ -74,15 +74,6 @@ func (inst *Instance) Ord() int { return inst.ord }
 // Conn returns the net connected to the named pin, or nil.
 func (inst *Instance) Conn(pin string) *Net { return inst.conns[pin] }
 
-// Conns returns a copy of the pin -> net connection map.
-func (inst *Instance) Conns() map[string]*Net {
-	out := make(map[string]*Net, len(inst.conns))
-	for k, v := range inst.conns {
-		out[k] = v
-	}
-	return out
-}
-
 // IsFiller reports whether the instance is a dummy/filler cell.
 func (inst *Instance) IsFiller() bool { return inst.Master.Filler }
 
@@ -308,15 +299,6 @@ func (d *Design) TotalCellArea() float64 {
 	return total
 }
 
-// CountByMaster returns the number of instances per master name.
-func (d *Design) CountByMaster() map[string]int {
-	out := make(map[string]int)
-	for _, inst := range d.instOrder {
-		out[inst.Master.Name]++
-	}
-	return out
-}
-
 // Check validates structural consistency: every non-filler instance has all
 // pins connected, every net with loads has a driver, and every primary
 // output is driven. It returns all problems found.
@@ -338,18 +320,4 @@ func (d *Design) Check() []error {
 		}
 	}
 	return errs
-}
-
-// Fanout returns the number of loads on the net driven by the instance's
-// output pin, or 0 when it drives nothing.
-func (d *Design) Fanout(inst *Instance) int {
-	out := inst.Master.OutputPin()
-	if out == "" {
-		return 0
-	}
-	n := inst.Conn(out)
-	if n == nil {
-		return 0
-	}
-	return len(n.Loads)
 }

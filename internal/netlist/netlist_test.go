@@ -76,8 +76,8 @@ func TestDesignConstruction(t *testing.T) {
 	if len(z.Loads) != 1 || !z.Loads[0].IsPort() {
 		t.Fatalf("output port z should load its net, got %v", z.Loads)
 	}
-	if d.Fanout(d.Instance("u1")) != 1 {
-		t.Fatalf("Fanout(u1) = %d", d.Fanout(d.Instance("u1")))
+	if loads := d.Instance("u1").Conn("Z").Loads; len(loads) != 1 {
+		t.Fatalf("u1 drives %d loads, want 1", len(loads))
 	}
 }
 
@@ -168,10 +168,6 @@ func TestUnitsAndArea(t *testing.T) {
 	if got := d.TotalCellArea(); got != want {
 		t.Fatalf("TotalCellArea = %v, want %v", got, want)
 	}
-	counts := d.CountByMaster()
-	if counts["NAND2_X1"] != 1 || counts["INV_X1"] != 1 {
-		t.Fatalf("CountByMaster = %v", counts)
-	}
 }
 
 func TestTotalCellAreaExcludesFillers(t *testing.T) {
@@ -200,15 +196,5 @@ func TestPinRefString(t *testing.T) {
 func TestPortDirString(t *testing.T) {
 	if In.String() != "input" || Out.String() != "output" {
 		t.Fatal("PortDir.String mismatch")
-	}
-}
-
-func TestInstanceConnsCopy(t *testing.T) {
-	d := buildSmallDesign(t)
-	u1 := d.Instance("u1")
-	conns := u1.Conns()
-	delete(conns, "A")
-	if u1.Conn("A") == nil {
-		t.Fatal("Conns must return a copy, not the internal map")
 	}
 }

@@ -95,16 +95,6 @@ func TestHPWLAndDensity(t *testing.T) {
 			t.Fatalf("net %s HPWL %g out of bounds", n.Name, h)
 		}
 	}
-	// Density grid conserves the placed cell area.
-	g := p.CellDensityGrid(16, 16)
-	if math.Abs(g.Sum()-p.PlacedArea()) > 1e-6*p.PlacedArea() {
-		t.Fatalf("density grid sum %g != placed area %g", g.Sum(), p.PlacedArea())
-	}
-	// Utilization grid values should hover around the target utilization.
-	u := p.UtilizationGrid(8, 8)
-	if u.Mean() < 0.3 || u.Mean() > 1.1 {
-		t.Fatalf("mean local utilization %g implausible", u.Mean())
-	}
 }
 
 func TestConnectivityOrderingKeepsNetsShort(t *testing.T) {
@@ -226,25 +216,6 @@ func TestInsertFillersFillsWhitespace(t *testing.T) {
 		if math.Abs(f.Y-p.FP.Rows[f.Row].Y) > 1e-9 {
 			t.Fatalf("filler not aligned to its row: %+v", f)
 		}
-	}
-}
-
-func TestWhitespacePerRow(t *testing.T) {
-	_, p := placedSmall(t, 0.80)
-	ws := p.WhitespacePerRow()
-	if len(ws) != p.FP.NumRows() {
-		t.Fatalf("whitespace rows = %d, want %d", len(ws), p.FP.NumRows())
-	}
-	total := 0.0
-	for _, w := range ws {
-		if w < -1e-6 {
-			t.Fatalf("negative whitespace %g", w)
-		}
-		total += w
-	}
-	wantTotal := (p.FP.CoreArea() - p.PlacedArea()) / p.FP.RowHeight
-	if math.Abs(total-wantTotal) > 1e-6*wantTotal {
-		t.Fatalf("total whitespace %g != expected %g", total, wantTotal)
 	}
 }
 

@@ -44,7 +44,7 @@ func (f Filler) Rect(rowHeight float64) geom.Rect {
 // a dense slice keyed by the netlist ordinals (Instance.Ord, Net.Ord,
 // Port.Ord) rather than in maps, and per-row occupancy lists are maintained
 // incrementally by SetLoc, so row queries (rowOccupants, Validate,
-// InsertFillers, WhitespacePerRow) cost O(row size) instead of a scan over
+// InsertFillers) cost O(row size) instead of a scan over
 // all instances. Net bounding boxes are cached and invalidated per SetLoc.
 //
 // The placement assumes the design's structure (instances, nets, pin
@@ -458,28 +458,6 @@ func (p *Placement) TotalHPWL() float64 {
 	return total
 }
 
-// CellDensityGrid returns an nx-by-ny grid over the core where each cell
-// holds the standard-cell area (um^2) placed inside it, fillers excluded.
-// Dividing by geom.Grid.CellArea gives the local utilization.
-func (p *Placement) CellDensityGrid(nx, ny int) *geom.Grid {
-	g := geom.NewGrid(nx, ny, p.FP.Core)
-	for _, inst := range p.Design.Instances() {
-		if inst.IsFiller() {
-			continue
-		}
-		if r, ok := p.CellRect(inst); ok {
-			g.SpreadRect(r, r.Area())
-		}
-	}
-	return g
-}
-
-// UtilizationGrid returns the local utilization (0..1+) per grid cell.
-func (p *Placement) UtilizationGrid(nx, ny int) *geom.Grid {
-	g := p.CellDensityGrid(nx, ny)
-	return g.Scale(1 / g.CellArea())
-}
-
 // PlacedArea returns the total placed non-filler cell area in um^2.
 func (p *Placement) PlacedArea() float64 {
 	total := 0.0
@@ -611,20 +589,4 @@ func (p *Placement) Validate() []error {
 		}
 	}
 	return errs
-}
-
-// WhitespacePerRow returns, for every row, the total unoccupied width in um
-// (fillers are not counted as occupancy).
-func (p *Placement) WhitespacePerRow() []float64 {
-	out := make([]float64, p.FP.NumRows())
-	for row := range out {
-		used := 0.0
-		if row < len(p.rowOcc) {
-			for _, ord := range p.rowOcc[row] {
-				used += p.insts[ord].Master.Width
-			}
-		}
-		out[row] = p.FP.Rows[row].Width() - used
-	}
-	return out
 }

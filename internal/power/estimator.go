@@ -91,9 +91,6 @@ func NewEstimator(d *netlist.Design, act *logicsim.Activity, clockHz float64) *E
 	return e
 }
 
-// ClockHz returns the clock frequency the estimator was built for.
-func (e *Estimator) ClockHz() float64 { return e.clockHz }
-
 // loadPower evaluates the wirelength-dependent switching-load term for one
 // instance on the given placement, with exactly the historical Estimate
 // expression: loadCap accumulates pin caps first (precomputed, same order)

@@ -18,8 +18,6 @@
 package power
 
 import (
-	"sort"
-
 	"thermplace/internal/geom"
 	"thermplace/internal/logicsim"
 	"thermplace/internal/netlist"
@@ -122,22 +120,6 @@ func (r *Report) PerUnit() map[string]float64 {
 	return out
 }
 
-// TopConsumers returns the n highest-power instances in descending order.
-func (r *Report) TopConsumers(n int) []*netlist.Instance {
-	insts := append([]*netlist.Instance(nil), r.insts...)
-	sort.Slice(insts, func(i, j int) bool {
-		pi, pj := r.InstancePower(insts[i]), r.InstancePower(insts[j])
-		if pi != pj {
-			return pi > pj
-		}
-		return insts[i].Name < insts[j].Name
-	})
-	if n > len(insts) {
-		n = len(insts)
-	}
-	return insts[:n]
-}
-
 // Estimate computes the power report for a placed design: a one-shot
 // Estimator build plus its placement pass. Callers that estimate several
 // placements of the same design under the same activity (the sweep) hold
@@ -167,10 +149,4 @@ func Map(rep *Report, p *place.Placement, nx, ny int) *geom.Grid {
 		g.SpreadRect(r, rep.perInst[inst.Ord()].Total())
 	}
 	return g
-}
-
-// DensityMap returns the power density in W/um^2 on the same grid as Map.
-func DensityMap(rep *Report, p *place.Placement, nx, ny int) *geom.Grid {
-	g := Map(rep, p, nx, ny)
-	return g.Scale(1 / g.CellArea())
 }

@@ -163,29 +163,6 @@ func TestHotUnitDominatesPowerMap(t *testing.T) {
 	if math.Abs(g.Sum()-rep.Total()) > 1e-9*rep.Total() {
 		t.Fatalf("power map sum %g != total %g", g.Sum(), rep.Total())
 	}
-	// Density map is map / cell area.
-	dm := DensityMap(rep, p, 20, 20)
-	if math.Abs(dm.At(ix, iy)-g.At(ix, iy)/g.CellArea()) > 1e-18 {
-		t.Fatal("density map inconsistent with power map")
-	}
-}
-
-func TestTopConsumers(t *testing.T) {
-	d, p, act := preparedDesign(t, bench.UniformWorkload(0.4))
-	rep := Estimate(d, p, act, 1e9)
-	top := rep.TopConsumers(10)
-	if len(top) != 10 {
-		t.Fatalf("TopConsumers returned %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if rep.InstancePower(top[i]) > rep.InstancePower(top[i-1]) {
-			t.Fatal("TopConsumers not sorted by descending power")
-		}
-	}
-	all := rep.TopConsumers(1 << 20)
-	if len(all) != len(rep.Instances()) {
-		t.Fatal("TopConsumers with huge n must return all instances")
-	}
 }
 
 func TestEstimateWithoutPlacement(t *testing.T) {

@@ -52,8 +52,8 @@ import (
 	"thermplace/internal/thermal"
 )
 
-// Config tunes the service layer. Every knob has a usable default; see
-// DefaultConfig.
+// Config tunes the service layer. The zero value of every knob selects the
+// production default documented on it.
 type Config struct {
 	// MaxInFlight bounds the queries of one design that execute
 	// concurrently. Zero means 4.
@@ -80,19 +80,6 @@ type Config struct {
 	// charged in flow.Analysis.MemoryBytes. Zero means 64 MiB; negative
 	// disables caching.
 	CacheBytes int64
-}
-
-// DefaultConfig returns the production defaults documented on Config.
-func DefaultConfig() Config {
-	return Config{
-		MaxInFlight:     4,
-		MaxQueue:        16,
-		DefaultDeadline: 30 * time.Second,
-		RetryAfter:      time.Second,
-		BreakerTrips:    3,
-		BreakerCooldown: 5 * time.Second,
-		CacheBytes:      64 << 20,
-	}
 }
 
 func (c Config) normalized() Config {

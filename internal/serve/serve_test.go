@@ -289,10 +289,19 @@ func TestQueryParseAndKey(t *testing.T) {
 	}{
 		{KindAnalyze, url.Values{"util": {"nope"}}},
 		{KindAnalyze, url.Values{"util": {"1.5"}}},
+		{KindAnalyze, url.Values{"util": {"NaN"}}},
+		{KindAnalyze, url.Values{"util": {"-Inf"}}},
 		{KindERI, url.Values{}},
 		{KindERI, url.Values{"rows": {"-1"}}},
+		{KindERI, url.Values{"overhead": {"NaN"}}},
+		{KindERI, url.Values{"overhead": {"Inf"}}},
+		{KindERI, url.Values{"rows": {"2"}, "overhead": {"NaN"}}},
 		{KindHW, url.Values{"overhead": {"0"}}},
+		{KindHW, url.Values{"overhead": {"NaN"}}},
+		{KindHW, url.Values{"overhead": {"Inf"}}},
 		{KindSweep, url.Values{"overheads": {"0.1,bogus"}}},
+		{KindSweep, url.Values{"overheads": {"NaN"}}},
+		{KindSweep, url.Values{"overheads": {"0.1,Inf"}}},
 		{KindSweep, url.Values{"adaptive": {"maybe"}}},
 		{KindSweep, url.Values{"adaptive": {"1"}, "grid_scale": {"0"}}},
 		{KindSweep, url.Values{"grid_scale": {"3"}}},
@@ -303,8 +312,8 @@ func TestQueryParseAndKey(t *testing.T) {
 			t.Fatalf("ParseQuery(%s, %v) accepted bad input", c.kind, c.vals)
 		}
 		var hse *httpStatusError
-		if _, err := ParseQuery(c.kind, c.vals); !errors.As(err, &hse) || hse.status != http.StatusBadRequest {
-			t.Fatalf("ParseQuery(%s, %v) error not a 400: %v", c.kind, c.vals, err)
+		if _, err := ParseQuery(c.kind, c.vals); !errors.As(err, &hse) || hse.status != http.StatusBadRequest || hse.category != "bad-request" {
+			t.Fatalf("ParseQuery(%s, %v) error not a 400 bad-request: %v", c.kind, c.vals, err)
 		}
 	}
 }

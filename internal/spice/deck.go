@@ -4,16 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
-// This file provides a minimal SPICE-deck reader and writer so that the
-// thermal networks built by package thermal can be dumped to disk, inspected
-// and re-solved — mirroring the paper's flow where the thermal simulator
-// emits a SPICE netlist of resistors, current sources and voltage sources.
+// This file provides a minimal SPICE-deck writer so that the thermal
+// networks built by package thermal can be dumped to disk and inspected —
+// mirroring the paper's flow where the thermal simulator emits a SPICE
+// netlist of resistors, current sources and voltage sources.
 //
-// Supported card formats (one element per line, '*' starts a comment):
+// Card formats written (one element per line after a '*' title comment):
 //
 //	R<name> <nodeA> <nodeB> <ohms>
 //	I<name> <nodeFrom> <nodeTo> <amps>
@@ -36,56 +34,4 @@ func WriteDeck(w io.Writer, c *Circuit, title string) error {
 	}
 	fmt.Fprintf(bw, ".end\n")
 	return bw.Flush()
-}
-
-// ParseDeck reads a SPICE-like deck written by WriteDeck (or by hand in the
-// same subset) and reconstructs the circuit.
-func ParseDeck(r io.Reader) (*Circuit, error) {
-	c := NewCircuit()
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "*") {
-			continue
-		}
-		if strings.EqualFold(line, ".end") {
-			break
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("spice: line %d: expected 4 fields, got %d: %q", lineNo, len(fields), line)
-		}
-		card := fields[0]
-		if len(card) < 2 {
-			return nil, fmt.Errorf("spice: line %d: malformed element name %q", lineNo, card)
-		}
-		value, err := strconv.ParseFloat(fields[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("spice: line %d: bad value %q: %w", lineNo, fields[3], err)
-		}
-		name := card[1:]
-		switch card[0] {
-		case 'R', 'r':
-			err = c.AddResistor(name, fields[1], fields[2], value)
-		case 'I', 'i':
-			err = c.AddCurrentSource(name, fields[1], fields[2], value)
-		case 'V', 'v':
-			if fields[2] != Ground {
-				return nil, fmt.Errorf("spice: line %d: voltage sources must reference ground, got %q", lineNo, fields[2])
-			}
-			err = c.AddVoltageSource(name, fields[1], value)
-		default:
-			return nil, fmt.Errorf("spice: line %d: unsupported element card %q", lineNo, card)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("spice: line %d: %w", lineNo, err)
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("spice: reading deck: %w", err)
-	}
-	return c, nil
 }

@@ -475,9 +475,6 @@ func (s *Solver) SeedState(field []float64) error {
 // Unknowns returns the size of the assembled linear system.
 func (s *Solver) Unknowns() int { return s.n }
 
-// Workers returns the CG solver's degree of parallelism.
-func (s *Solver) Workers() int { return s.cg.Workers() }
-
 // MGLevels returns the depth of the multigrid hierarchy (0 with Jacobi).
 func (s *Solver) MGLevels() int {
 	if s.mg == nil {

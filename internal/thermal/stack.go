@@ -36,15 +36,6 @@ func (s Stack) PowerLayer() int {
 	return -1
 }
 
-// TotalThickness returns the stack thickness in micrometres.
-func (s Stack) TotalThickness() float64 {
-	t := 0.0
-	for _, l := range s {
-		t += l.Thickness
-	}
-	return t
-}
-
 // DefaultStack returns the nine-layer stack used by the experiments. The
 // layer count matches the paper (z discretized into 9 layers); the
 // conductivities follow the usual on-chip values (silicon ~110 W/mK, the

@@ -64,9 +64,6 @@ func TestDefaultStackAndConfig(t *testing.T) {
 	if s.PowerLayer() < 0 {
 		t.Fatal("default stack must have a power layer")
 	}
-	if s.TotalThickness() <= 0 {
-		t.Fatal("stack thickness must be positive")
-	}
 	cfg := DefaultConfig()
 	if cfg.NX != 40 || cfg.NY != 40 {
 		t.Fatalf("default grid is %dx%d, the paper uses 40x40", cfg.NX, cfg.NY)

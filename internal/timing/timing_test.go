@@ -220,8 +220,8 @@ func TestPostPlacementTransformTimingOverheadIsSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate an ERI-like stretch: move the top half of the rows up by
-	// four row heights (the real transform is exercised in bench_test.go at
-	// the repository root; here we only need the STA sensitivity).
+	// four row heights (the real transform's overhead is what `reproduce
+	// -exp timing` reports; here we only need the STA sensitivity).
 	stretched := p.Clone()
 	stretched.FP.Core.Yhi += 4 * p.FP.RowHeight
 	for i := 0; i < 4; i++ {
