@@ -18,6 +18,7 @@ import (
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
 	"thermplace/internal/core"
+	"thermplace/internal/fault"
 	"thermplace/internal/flow"
 	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
@@ -59,9 +60,10 @@ func paperFlow(b *testing.B, wl bench.Workload) *flow.Flow {
 
 // --- Ablation benches (design choices called out in README.md) -------------
 
-// BenchmarkAblation_Solvers compares the three linear solvers on the same
-// mid-sized thermal network (correctness is asserted in the spice and
-// thermal unit tests; this reports their cost).
+// BenchmarkAblation_Solvers compares the three SPICE linear solvers and the
+// structured-grid fast path on the same mid-sized thermal network
+// (correctness is asserted in the spice and thermal unit tests; this reports
+// their cost).
 func BenchmarkAblation_Solvers(b *testing.B) {
 	pm := geom.NewGrid(20, 20, geom.Rect{Xlo: 0, Ylo: 0, Xhi: 200, Yhi: 200})
 	pm.Fill(0.02 / 400)
@@ -70,28 +72,40 @@ func BenchmarkAblation_Solvers(b *testing.B) {
 			pm.Add(ix, iy, 0.01/16)
 		}
 	}
+	cfg := thermal.DefaultConfig()
+	cfg.NX, cfg.NY = 20, 20
+	cfg.Stack = thermal.Stack{
+		{Name: "si", Thickness: 60, Conductivity: 110},
+		{Name: "active", Thickness: 5, Conductivity: 80, Power: true},
+		{Name: "beol", Thickness: 20, Conductivity: 2},
+	}
+	circuit, err := thermal.BuildNetwork(pm, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, m := range []spice.Method{spice.MethodCG, spice.MethodGaussSeidel, spice.MethodDense} {
-		b.Run(m.String(), func(b *testing.B) {
-			cfg := thermal.DefaultConfig()
-			cfg.NX, cfg.NY = 20, 20
-			cfg.Stack = thermal.Stack{
-				{Name: "si", Thickness: 60, Conductivity: 110},
-				{Name: "active", Thickness: 5, Conductivity: 80, Power: true},
-				{Name: "beol", Thickness: 20, Conductivity: 2},
-			}
-			cfg.Solver = m
-			var res *thermal.Result
+		b.Run("spice-"+m.String(), func(b *testing.B) {
+			var sol *spice.Solution
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = thermal.Solve(pm, cfg)
-				if err != nil {
+				if sol, err = circuit.Solve(spice.SolveOptions{Method: m}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(res.PeakRise, "peak_rise_C")
-			b.ReportMetric(float64(res.Iterations), "iterations")
+			b.ReportMetric(float64(sol.Iterations), "iterations")
 		})
 	}
+	b.Run("fast", func(b *testing.B) {
+		var res *thermal.Result
+		for i := 0; i < b.N; i++ {
+			var err error
+			if res, err = thermal.Solve(pm, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(res.PeakRise, "peak_rise_C")
+		b.ReportMetric(float64(res.Iterations), "iterations")
+	})
 }
 
 // BenchmarkAblation_HotspotThreshold sweeps the hotspot-detection threshold
@@ -292,10 +306,11 @@ func BenchmarkThermalSolve40x40x9(b *testing.B) {
 
 // BenchmarkThermalSolveGrid sweeps the thermal grid size and compares the
 // legacy SPICE-circuit path against the structured-grid fast path — with
-// its default multigrid preconditioner ("fast") and the Jacobi fallback
-// ("fast-jacobi") — both cold (fresh solver per solve, the "first sweep
-// point" cost) and reused (warm-started re-solve, the steady-state sweep
-// cost, multigrid). Each sub-benchmark
+// its multigrid preconditioner ("fast") and the Jacobi fallback
+// ("fast-jacobi", reached through an injected multigrid setup failure, so
+// it also pays the hierarchy build) — both cold (fresh solver per solve,
+// the "first sweep point" cost) and reused (warm-started re-solve, the
+// steady-state sweep cost, multigrid). Each sub-benchmark
 // reports ns/solve and allocs/solve via b.ReportMetric so future PRs have a
 // perf trajectory to track. Run with -benchtime 1x for a quick look: the
 // spice path at 160x160x9 (230k nodes) takes seconds per solve.
@@ -335,7 +350,7 @@ func BenchmarkThermalSolveGrid(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("grid=%dx%dx9/fast-jacobi", n, n), func(b *testing.B) {
 			jcfg := cfg
-			jcfg.Precond = thermal.PrecondJacobi
+			jcfg.Inject = &fault.Injector{FailMGSetup: true}
 			solveOnce(b, func() error { _, err := thermal.Solve(pm, jcfg); return err })
 		})
 		b.Run(fmt.Sprintf("grid=%dx%dx9/fast-reuse", n, n), func(b *testing.B) {

@@ -34,7 +34,6 @@ import (
 	"thermplace/internal/fault"
 	"thermplace/internal/flow"
 	"thermplace/internal/place"
-	"thermplace/internal/thermal"
 	"thermplace/internal/timing"
 )
 
@@ -48,17 +47,12 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random stimulus seed")
 		util      = flag.Float64("util", 0.85, "baseline placement utilization")
 		workers   = flag.Int("workers", 0, "concurrent sweep points (0 = GOMAXPROCS, 1 = sequential)")
-		precond   = flag.String("precond", "mg", "thermal CG preconditioner: mg or jacobi")
 		adaptive  = flag.Bool("adaptive", false, "with fig6, run the two-phase multi-fidelity sweep: densify the overhead grid, triage candidates on coarse-grid estimates, measure only the estimated Pareto front exactly")
 		gridScale = flag.Int("grid-scale", 4, "with -adaptive, densification factor of the overhead grid")
 		margin    = flag.Float64("margin", 0.25, "with -adaptive, triage safety margin as a fraction of the estimated rise range")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels cleanly")
 	)
 	flag.Parse()
-	pk, err := thermal.ParsePrecond(*precond)
-	if err != nil {
-		fatal(err)
-	}
 	sweepOpts := core.SweepOptions{Workers: *workers}
 	if *adaptive {
 		sweepOpts.Adaptive = &core.AdaptiveOptions{GridScale: *gridScale, Margin: *margin}
@@ -96,7 +90,6 @@ func main() {
 		cfg.ClockHz = cfgBench.ClockHz()
 		cfg.Thermal.NX = *gridN
 		cfg.Thermal.NY = *gridN
-		cfg.Thermal.Precond = pk
 		return flow.New(design, wl, cfg)
 	}
 

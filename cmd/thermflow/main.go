@@ -62,7 +62,6 @@ func main() {
 		thermalOut  = flag.String("thermal-map", "", "write the thermal map (matrix of degrees C) to this path")
 		powerOut    = flag.String("power-map", "", "write the power map (matrix of watts per cell) to this path")
 		heat        = flag.Bool("heatmap", false, "print an ASCII heat map of the die to stdout")
-		precond     = flag.String("precond", "mg", "thermal CG preconditioner: mg or jacobi")
 		strategyStr = flag.String("strategy", "", "apply one strategy to the baseline and report before/after: default, eri or hw")
 		overhead    = flag.Float64("overhead", 0.16, "with -strategy, target fractional area overhead (default/hw, and eri when -rows is 0)")
 		rows        = flag.Int("rows", 0, "with -strategy eri, empty rows to insert (0 derives the count from -overhead)")
@@ -114,11 +113,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Thermal.NX = *gridN
 	cfg.Thermal.NY = *gridN
-	pk, err := thermal.ParsePrecond(*precond)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Thermal.Precond = pk
 	f := flow.New(design, wl, cfg)
 	defer f.Close()
 

@@ -7,9 +7,9 @@
 //
 // Robustness is the point: bounded admission with load shedding (503 +
 // Retry-After), per-request deadlines that cancel in-flight solves, a
-// circuit breaker that pins a misbehaving multigrid preconditioner to the
-// Jacobi fallback (responses flagged "degraded"), a memory-budgeted LRU of
-// solved states, and graceful drain on SIGTERM. See internal/serve.
+// memory-budgeted LRU of solved states, and graceful drain on SIGTERM. Each
+// design keeps one thermal solver configuration; the solver's own Jacobi
+// fallback is the only degraded mode, counted on /statz. See internal/serve.
 //
 // Usage:
 //
@@ -56,8 +56,6 @@ func run() int {
 		deadline = flag.Duration("deadline", 30*time.Second, "default per-request deadline (requests may override with deadline_ms)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-drain timeout on SIGTERM before stragglers are canceled")
 		cacheMB  = flag.Int64("cache-mb", 64, "per-design result cache budget in MiB, charged per analysis footprint (negative disables)")
-		trips    = flag.Int("breaker-trips", 3, "consecutive solver faults that open a design's multigrid circuit breaker")
-		cooldown = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker pins the Jacobi fallback before probing")
 	)
 	flag.Parse()
 
@@ -82,8 +80,6 @@ func run() int {
 		MaxInFlight:     *inflight,
 		MaxQueue:        *queue,
 		DefaultDeadline: *deadline,
-		BreakerTrips:    *trips,
-		BreakerCooldown: *cooldown,
 		CacheBytes:      cacheBytes,
 	})
 	defer srv.Close()

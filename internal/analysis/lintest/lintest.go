@@ -82,8 +82,8 @@ type wantExpr struct {
 	matched bool
 }
 
-// wantRE extracts the backquoted or double-quoted expectation strings from
-// a `// want "..." `...`` comment.
+// wantRE extracts the expectation strings of a want comment, each one
+// double-quoted or backquoted.
 var wantRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
 // parseWants extracts the expectations of one comment. The comment must be

@@ -23,6 +23,7 @@ import (
 	"thermplace/internal/celllib"
 	"thermplace/internal/congestion"
 	"thermplace/internal/core"
+	"thermplace/internal/fault"
 	"thermplace/internal/flow"
 	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
@@ -249,10 +250,11 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 		rep.pass("warm-vs-cold-solve", fmt.Sprintf("max |dT| = %.3g C", d))
 	}
 
-	// Property: the multigrid-preconditioned solve agrees with the Jacobi
-	// fallback (same system, different preconditioner).
+	// Property: the multigrid preconditioned solve agrees with the Jacobi
+	// fallback (same system, different preconditioner), reached the way
+	// production reaches it: a multigrid setup failure.
 	jcfg := cfg.Thermal
-	jcfg.Precond = thermal.PrecondJacobi
+	jcfg.Inject = &fault.Injector{FailMGSetup: true}
 	jac, err := thermal.Solve(base.PowerMap, jcfg)
 	if err != nil {
 		return rep, fmt.Errorf("harness: %s: jacobi solve: %w", gen.Scenario, err)

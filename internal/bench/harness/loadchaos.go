@@ -295,12 +295,6 @@ func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 				tally.unexpectedf("%s: bad 200 body: %v", url, err)
 				return resp.StatusCode
 			}
-			if res.Degraded {
-				// No breaker trips are injected (one not-converged failure is
-				// below the trip threshold): nothing may be served degraded.
-				tally.unexpectedf("%s: unexpected degraded response", url)
-				return resp.StatusCode
-			}
 			want := expected[d.name+cq.path+"?"+cq.params]
 			if want == nil {
 				tally.unexpectedf("%s: no reference for completed query", url)

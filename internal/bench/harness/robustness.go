@@ -185,7 +185,7 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 		rep.pass("mg-setup-degradation", fmt.Sprintf("Jacobi fallback within %.3g C, %d failures recorded", d, stats.MGSetupFailures))
 	}
 
-	// Property: a non-converging multigrid-preconditioned solve is retried
+	// Property: a non-converging multigrid preconditioned solve is retried
 	// once on Jacobi and completes within TolC of the clean result.
 	{
 		f := mkFlow(&fault.Injector{FailCGSolveN: 1})

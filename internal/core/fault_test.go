@@ -225,8 +225,7 @@ func TestSweepNotConvergedExtraction(t *testing.T) {
 		t.Fatalf("wrong provenance %q/%q point %d: %v", pv.Design, pv.Strategy, pv.Point, err)
 	}
 
-	// The sweep works once the injection is disarmed (counter already past).
-	f.Config.Thermal.Inject = nil
+	// The sweep works once the injected solve ordinal is past.
 	if _, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{0.2}, Workers: 1}); err != nil {
 		t.Fatalf("sweep after surfaced failure: %v", err)
 	}

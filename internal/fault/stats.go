@@ -3,15 +3,14 @@ package fault
 import "sync/atomic"
 
 // Stats counts the robustness events of one analysis owner (a flow, a
-// standalone thermal solver, or a query server design): every graceful
+// standalone thermal solver, or a query server design): every solver
 // degradation, contained panic and cancellation is recorded here so callers
-// can observe that a result was produced on a fallback path. The service
-// counters (admitted, shed, timed-out, degraded, evicted) record the
-// admission-control and graceful-degradation decisions of a long-running
-// query server on the same collector, so one snapshot tells the whole
-// robustness story of a design. All methods are safe for concurrent use and
-// nil-safe, so solvers can record unconditionally whether or not an owner
-// attached a Stats.
+// can observe that a result was produced on the solver's Jacobi fallback.
+// The service counters (admitted, shed, timed-out, evicted) record the
+// admission-control and cache decisions of a long-running query server on
+// the same collector, so one snapshot tells the whole robustness story of a
+// design. All methods are safe for concurrent use and nil-safe, so solvers
+// can record unconditionally whether or not an owner attached a Stats.
 type Stats struct {
 	mgSetupFailures atomic.Uint64
 	solveRetries    atomic.Uint64
@@ -21,7 +20,6 @@ type Stats struct {
 	admitted atomic.Uint64
 	shed     atomic.Uint64
 	timedOut atomic.Uint64
-	degraded atomic.Uint64
 	evicted  atomic.Uint64
 }
 
@@ -79,14 +77,6 @@ func (s *Stats) AddTimedOut() {
 	}
 }
 
-// AddDegraded records a query served on a fallback path (for example the
-// Jacobi flow behind an open multigrid circuit breaker).
-func (s *Stats) AddDegraded() {
-	if s != nil {
-		s.degraded.Add(1)
-	}
-}
-
 // AddEvicted records a result cache entry dropped to stay inside the
 // memory budget; the next query for it re-derives the state via the
 // warm-start fallback.
@@ -106,7 +96,7 @@ type StatsSnapshot struct {
 	SolveRetries uint64
 	// PanicsContained counts panics converted into typed errors.
 	PanicsContained uint64
-	// Canceled counts solves aborted by context cancellation.
+	// Canceled counts solves and analyses aborted by context cancellation.
 	Canceled uint64
 	// Admitted counts queries that passed admission control and started.
 	Admitted uint64
@@ -116,8 +106,6 @@ type StatsSnapshot struct {
 	// TimedOut counts admitted queries canceled mid-analysis by their
 	// deadline or client.
 	TimedOut uint64
-	// Degraded counts queries served on a fallback path.
-	Degraded uint64
 	// Evicted counts result cache entries dropped for memory budget.
 	Evicted uint64
 }
@@ -135,7 +123,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Admitted:        s.admitted.Load(),
 		Shed:            s.shed.Load(),
 		TimedOut:        s.timedOut.Load(),
-		Degraded:        s.degraded.Load(),
 		Evicted:         s.evicted.Load(),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,15 +45,33 @@ func TestAnalyzeCtxBitIdenticalAndCancelable(t *testing.T) {
 		}
 	}
 
-	// Cancellation before the solve surfaces as fault.ErrCanceled. A stalled
-	// solve is exercised separately via the injector.
+	// Cancellation before the solve surfaces as fault.ErrCanceled and is
+	// counted on the flow. A stalled solve is exercised separately via the
+	// injector.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := f.AnalyzeCtx(ctx, p); !errors.Is(err, fault.ErrCanceled) {
 		t.Fatalf("canceled analysis did not report fault.ErrCanceled: %v", err)
 	}
+	if n := f.FaultStats().Canceled; n != 1 {
+		t.Fatalf("FaultStats().Canceled = %d after one canceled analysis, want 1", n)
+	}
 	f.Close()
 	waitGoroutines(t, base)
+}
+
+// parkedCtx is a cancelable context whose first Done call closes parked.
+// On the stalled-solve path the injected stall makes that call, so a test
+// can cancel once the solve has parked instead of on a timer.
+type parkedCtx struct {
+	context.Context
+	once   sync.Once
+	parked chan struct{}
+}
+
+func (c *parkedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.parked) })
+	return c.Context.Done()
 }
 
 // TestAnalyzeCancelMidSolveNoLeak cancels an analysis stalled inside the
@@ -67,9 +86,20 @@ func TestAnalyzeCancelMidSolveNoLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	timer := time.AfterFunc(20*time.Millisecond, cancel)
-	defer timer.Stop()
-	if _, err := f.AnalyzeCtx(ctx, p); !errors.Is(err, fault.ErrCanceled) {
+	defer cancel()
+	pctx := &parkedCtx{Context: ctx, parked: make(chan struct{})}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := f.AnalyzeCtx(pctx, p)
+		errc <- err
+	}()
+	select {
+	case <-pctx.parked:
+	case err := <-errc:
+		t.Fatalf("analysis returned before parking in the stall: %v", err)
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, fault.ErrCanceled) {
 		t.Fatalf("stalled analysis did not report fault.ErrCanceled: %v", err)
 	}
 	if f.FaultStats().Canceled == 0 {

@@ -128,36 +128,32 @@ func FastConfig() Config {
 // (run AnalyzeBaseline first, as the sweep does); when the very first
 // solves race, whichever finishes first becomes the seed for the rest.
 //
-// Analyze (and everything it calls) is safe for concurrent use once the
-// flow's Config is no longer being mutated; the concurrent sweep in package
-// core relies on this. Mutating Config between calls remains allowed for
-// sequential use.
+// The caches are built once from Config and never invalidated: set every
+// Config field, the thermal injector included, before the first call, and
+// build a new Flow for another configuration. Analyze (and everything it
+// calls) is then safe for concurrent use; the concurrent sweep in package
+// core relies on this.
 type Flow struct {
 	Design   *netlist.Design
 	Workload bench.Workload
 	Config   Config
 
 	// mu guards every cache below.
-	mu          sync.Mutex
-	activity    *logicsim.Activity
-	baseline    *place.Placement
-	baselineKey placementKey
+	mu       sync.Mutex
+	activity *logicsim.Activity
+	baseline *place.Placement
 
 	// est is the power estimator bound to the cached activity and the
-	// clock it was built for (placement-independent model terms).
-	est      *power.Estimator
-	estClock float64
+	// configured clock (placement-independent model terms).
+	est *power.Estimator
 
 	// baseAn caches the baseline analysis, so repeated AnalyzeBaseline
 	// calls (every sweep starts with one) and the zero-delta Reflow no-op
 	// return the same *Analysis instead of re-running the pipeline.
-	baseAn        *Analysis
-	baseAnKey     analysisKey
-	baseAnThermal thermal.Config
+	baseAn *Analysis
 
-	// pool holds the idle solvers for the thermal configuration they were
-	// built from; it is replaced when Config.Thermal stops being Equal to
-	// that configuration.
+	// pool holds the idle thermal solvers; Close drops it, and the next
+	// solve builds a fresh one.
 	pool *solverPool
 
 	// ta is the cached timing analyzer of the design (levelized graph and
@@ -171,15 +167,16 @@ type Flow struct {
 	stateSeq atomic.Uint64
 
 	// stats aggregates the robustness counters of every solver the flow
-	// runs — degradations, retries, contained panics, cancellations. It is
-	// wired into each pooled solver unless Config.Thermal.Stats supplies an
-	// external collector.
+	// runs — degradations, retries, contained panics, cancellations — and
+	// the analyses canceled before their solve. It is wired into each
+	// pooled solver unless Config.Thermal.Stats supplies an external
+	// collector.
 	stats fault.Stats
 }
 
 // FaultStats returns a snapshot of the flow's robustness counters: multigrid
-// degradations, Jacobi retries, contained panics and observed cancellations
-// across every thermal solve the flow has run.
+// degradations, Jacobi retries, contained panics and the solves and
+// analyses canceled by their context.
 func (f *Flow) FaultStats() fault.StatsSnapshot { return f.stats.Snapshot() }
 
 // pooledSolver pairs a pooled thermal solver with the identity of the
@@ -189,12 +186,10 @@ type pooledSolver struct {
 	stateID uint64
 }
 
-// solverPool holds the idle pooled solvers for one thermal configuration,
-// plus the fixed warm-start seed recorded from the first completed solve at
-// that configuration — the default seed for analyses without a lineage
-// parent. Its fields are guarded by the flow mutex.
+// solverPool holds the idle pooled solvers, plus the fixed warm-start seed
+// recorded from the first completed solve — the default seed for analyses
+// without a lineage parent. Its fields are guarded by the flow mutex.
 type solverPool struct {
-	cfg     thermal.Config // snapshot; Stack is a private copy
 	solvers []pooledSolver
 	seed    []float64
 	seedID  uint64
@@ -205,25 +200,6 @@ func (pl *solverPool) defaultSeedLocked() *lineageSeed {
 		return nil
 	}
 	return &lineageSeed{field: pl.seed, id: pl.seedID}
-}
-
-// analysisKey captures the comparable Config knobs that shape a baseline
-// analysis (the thermal config is snapshotted and compared separately —
-// its layer stack is a slice).
-type analysisKey struct {
-	pk    placementKey
-	clock float64
-	hs    hotspot.Options
-	co    bool
-	topts timing.Options
-	copts congestion.Options
-}
-
-func (f *Flow) analysisKey() analysisKey {
-	return analysisKey{
-		pk: f.placementKey(), clock: f.Config.ClockHz, hs: f.Config.HotspotOptions,
-		co: f.Config.CoAnalysis, topts: f.Config.Timing, copts: f.Config.Congestion,
-	}
 }
 
 // New creates a flow for the design under the given workload.
@@ -295,8 +271,7 @@ func (f *Flow) PlaceAtAspect(utilization, aspect float64) (*place.Placement, err
 func (f *Flow) Baseline() (*place.Placement, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	key := f.placementKey()
-	if f.baseline != nil && f.baselineKey == key {
+	if f.baseline != nil {
 		return f.baseline, nil
 	}
 	p, err := f.PlaceAt(f.Config.Utilization)
@@ -304,19 +279,7 @@ func (f *Flow) Baseline() (*place.Placement, error) {
 		return nil, err
 	}
 	f.baseline = p
-	f.baselineKey = key
 	return p, nil
-}
-
-// placementKey captures every Config knob that shapes a baseline placement,
-// so the cache is invalidated when any of them changes.
-type placementKey struct {
-	util, aspect float64
-	refine       int
-}
-
-func (f *Flow) placementKey() placementKey {
-	return placementKey{util: f.Config.Utilization, aspect: f.Config.AspectRatio, refine: f.Config.RefinePasses}
 }
 
 // lineageSeed is a warm-start temperature field tagged with the identity
@@ -326,31 +289,24 @@ type lineageSeed struct {
 	id    uint64
 }
 
-// thermalSolve routes the analysis through a pooled structured-grid solver
-// when the configuration allows it, falling back to thermal.Solve for
-// oracle/non-CG configurations. Each concurrent caller checks out its own
-// solver (growing the pool on demand) and every solve after the first is
-// warm-started from a fixed seed — the caller's lineage parent when given,
-// the pool's recorded first-solve (baseline) field otherwise — so the
-// result of a solve depends only on its own inputs, not on which pooled
-// solver ran it or what that solver computed before. A lineage seed of the
-// wrong size (a parent solved under another thermal configuration) is
-// ignored in favour of the pool's own default rather than erroring. The
-// pool is LIFO and every solver remembers which analysis' field it holds,
-// so a Default→HW task chain typically checks out the solver that just
-// produced its parent's field and skips the seed copy.
+// thermalSolve routes the analysis through a pooled structured-grid solver,
+// or through thermal.Solve when the configuration selects the SPICE oracle.
+// Each concurrent caller checks out its own solver (growing the pool on
+// demand) and every solve after the first is warm-started from a fixed
+// seed — the caller's lineage parent when given, the pool's recorded
+// first-solve (baseline) field otherwise — so the result of a solve depends
+// only on its own inputs, not on which pooled solver ran it or what that
+// solver computed before. A lineage seed of the wrong size (a parent
+// analyzed by a flow with another thermal grid) is ignored in favour of the
+// pool's own default rather than erroring. The pool is LIFO and every
+// solver remembers which analysis' field it holds, so a Default→HW task
+// chain typically checks out the solver that just produced its parent's
+// field and skips the seed copy.
 //
 // On success it returns the solved temperature field (a copy, in solver
 // node order) and its identity tag, for the caller to hand to child
 // analyses as their lineage seed.
 func (f *Flow) thermalSolve(ctx context.Context, pm *geom.Grid, tcfg thermal.Config, seed *lineageSeed) (*thermal.Result, []float64, uint64, error) {
-	if tcfg.Stats == nil {
-		// Aggregate solver robustness events into the per-flow counters
-		// unless the caller wired an external collector. Stats (like Inject)
-		// is deliberately outside thermal.Config.Equal, so this does not
-		// invalidate the solver pool.
-		tcfg.Stats = &f.stats
-	}
 	if !tcfg.FastPath() {
 		res, err := thermal.SolveCtx(ctx, pm, tcfg)
 		return res, nil, 0, err
@@ -381,8 +337,8 @@ func (f *Flow) thermalSolve(ctx context.Context, pm *geom.Grid, tcfg thermal.Con
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.pool != pool {
-		// The pool was replaced or closed while we were solving. Drop the
-		// solver rather than re-pooling it into a dead pool.
+		// The flow was closed while we were solving. Drop the solver rather
+		// than re-pooling it into a dead pool.
 		ps.s.Close()
 		return res, state, stateID, err
 	}
@@ -394,15 +350,18 @@ func (f *Flow) thermalSolve(ctx context.Context, pm *geom.Grid, tcfg thermal.Con
 	return res, state, stateID, err
 }
 
-// acquireSolver checks a solver for tcfg out of the flow's pool, (re)building
-// the pool when tcfg differs from its configuration, and returns the pool's
-// default warm-start seed (nil before its first completed solve) plus the
-// pool itself, for the caller to return the solver to. Solver construction
+// acquireSolver checks a solver for tcfg out of the flow's pool, building
+// the pool on first use (or after Close), and returns the pool's default
+// warm-start seed (nil before its first completed solve) plus the pool
+// itself, for the caller to return the solver to. Solver construction
 // (stencil, multigrid hierarchy, Cholesky buffer) happens outside the flow
 // mutex so concurrent pool growth does not serialize the other workers.
 func (f *Flow) acquireSolver(tcfg thermal.Config) (pooledSolver, *lineageSeed, *solverPool, error) {
 	f.mu.Lock()
-	pool := f.poolLocked(tcfg)
+	if f.pool == nil {
+		f.pool = &solverPool{}
+	}
+	pool := f.pool
 	seed := pool.defaultSeedLocked()
 	if n := len(pool.solvers); n > 0 {
 		ps := pool.solvers[n-1]
@@ -422,21 +381,6 @@ func (f *Flow) acquireSolver(tcfg thermal.Config) (pooledSolver, *lineageSeed, *
 	seed = pool.defaultSeedLocked()
 	f.mu.Unlock()
 	return pooledSolver{s: s}, seed, pool, nil
-}
-
-// poolLocked returns the flow's solver pool for tcfg, replacing the pool
-// (and closing its idle solvers) when it was built for a configuration tcfg
-// is not Equal to.
-func (f *Flow) poolLocked(tcfg thermal.Config) *solverPool {
-	if f.pool == nil || !f.pool.cfg.Equal(tcfg) {
-		f.closePoolLocked()
-		f.pool = &solverPool{cfg: tcfg}
-		// Snapshot the stack: tcfg.Stack aliases the caller's slice, and
-		// Equal must detect in-place layer mutations against the state the
-		// solvers were actually built from.
-		f.pool.cfg.Stack = append(thermal.Stack(nil), tcfg.Stack...)
-	}
-	return f.pool
 }
 
 func (f *Flow) closePoolLocked() {
@@ -572,7 +516,13 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		// Zero-delta no-op: the parent already measured this placement.
 		return par, nil
 	}
-	if in := f.Config.Thermal.Inject; in.StallAnalyze(in.NextAnalyze()) {
+	tcfg := f.Config.Thermal
+	if tcfg.Stats == nil {
+		// Aggregate robustness events into the per-flow counters unless the
+		// caller wired an external collector.
+		tcfg.Stats = &f.stats
+	}
+	if in := tcfg.Inject; in.StallAnalyze(in.NextAnalyze()) {
 		// Injected stall (Injector.StallAnalyzeN): park until the caller
 		// cancels, simulating an analysis that hangs before reaching the
 		// solver — the overload the service chaos harness drives. The
@@ -580,6 +530,7 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		<-ctx.Done()
 	}
 	if cerr := ctx.Err(); cerr != nil {
+		tcfg.Stats.AddCanceled()
 		return nil, fmt.Errorf("flow: analysis: %w", fault.Canceled(cerr))
 	}
 	est, err := f.estimator()
@@ -592,7 +543,6 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 	} else {
 		rep = est.Report(p)
 	}
-	tcfg := f.Config.Thermal
 	// Bin the power map directly at the solver's effective resolution (NX x
 	// NY unless the thermal config downsamples; the solver accepts either).
 	pmNX, pmNY := tcfg.GridDims()
@@ -685,9 +635,8 @@ func (f *Flow) estimator() (*power.Estimator, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.est == nil || f.estClock != f.Config.ClockHz {
+	if f.est == nil {
 		f.est = power.NewEstimator(f.Design, act, f.Config.ClockHz)
-		f.estClock = f.Config.ClockHz
 	}
 	return f.est, nil
 }
@@ -726,23 +675,17 @@ func (f *Flow) AnalyzeBaselineCtx(ctx context.Context) (*Analysis, error) {
 		return nil, err
 	}
 	f.mu.Lock()
-	key := f.analysisKey()
-	if f.baseAn != nil && f.baseAnKey == key && f.baseAn.Placement == p &&
-		f.baseAnThermal.Equal(f.Config.Thermal) {
-		an := f.baseAn
-		f.mu.Unlock()
+	an := f.baseAn
+	f.mu.Unlock()
+	if an != nil {
 		return an, nil
 	}
-	f.mu.Unlock()
-	an, err := f.AnalyzeCtx(ctx, p)
+	an, err = f.AnalyzeCtx(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
-	f.baseAn, f.baseAnKey = an, key
-	// Snapshot the thermal config (its Stack aliases the caller's slice).
-	f.baseAnThermal = f.Config.Thermal
-	f.baseAnThermal.Stack = append(thermal.Stack(nil), f.Config.Thermal.Stack...)
+	f.baseAn = an
 	f.mu.Unlock()
 	return an, nil
 }

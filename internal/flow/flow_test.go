@@ -110,72 +110,6 @@ func TestAnalyzeFastPathMatchesSpiceOracle(t *testing.T) {
 	}
 }
 
-func TestSolverCacheInvalidatedOnConfigChange(t *testing.T) {
-	f := smallFlow(t)
-	a1, err := f.AnalyzeBaseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Coarsen the thermal grid mid-flight: the cached solver must be
-	// rebuilt, not fed a mismatched power map.
-	f.Config.Thermal.NX = 10
-	f.Config.Thermal.NY = 10
-	a2, err := f.Analyze(a1.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2.Thermal.Surface.NX != 10 {
-		t.Fatalf("analysis used stale grid %d", a2.Thermal.Surface.NX)
-	}
-	// In-place mutation of a stack layer must also invalidate the cache:
-	// the conductances change even though the slice header does not.
-	before := a2.PeakRise()
-	f.Config.Thermal.Stack[1].Conductivity /= 10
-	a3, err := f.Analyze(a1.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a3.PeakRise()-before) < 1e-9 {
-		t.Fatal("stack mutation did not change the thermal answer; stale solver reused")
-	}
-}
-
-// TestSolverPoolRebuildIsBitIdentical switches the flow between two thermal
-// configurations and back: the flow keeps one solver pool, rebuilt on every
-// switch, and the rebuilt pool reproduces the first exact answer bit for
-// bit (a cold first solve seeds it, exactly as it seeded the original).
-func TestSolverPoolRebuildIsBitIdentical(t *testing.T) {
-	f := smallFlow(t)
-	defer f.Close()
-	base, err := f.AnalyzeBaseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := f.Config.Thermal
-	coarse := exact
-	coarse.CoarseFactor = 4
-	for i := 0; i < 2; i++ {
-		f.Config.Thermal = coarse
-		if _, err := f.Analyze(base.Placement); err != nil {
-			t.Fatalf("coarse round %d: %v", i, err)
-		}
-		f.Config.Thermal = exact
-		an, err := f.Analyze(base.Placement)
-		if err != nil {
-			t.Fatalf("exact round %d: %v", i, err)
-		}
-		if an.PeakRise() != base.PeakRise() {
-			t.Fatalf("exact peak rise drifted after a config switch: %g vs %g", an.PeakRise(), base.PeakRise())
-		}
-	}
-	f.mu.Lock()
-	cfg := f.pool.cfg
-	f.mu.Unlock()
-	if !cfg.Equal(exact) {
-		t.Fatal("the live pool is not the current configuration's")
-	}
-}
-
 // TestPlaceAtAspect checks the explicit-aspect placement entry point: the
 // configured-aspect call stays bit-identical to PlaceAt, and a different
 // aspect reshapes the core without touching the shared Config.
@@ -202,22 +136,6 @@ func TestPlaceAtAspect(t *testing.T) {
 	}
 	if f.Config.AspectRatio != 1.0 {
 		t.Fatal("PlaceAtAspect mutated the shared Config")
-	}
-}
-
-func TestBaselineCacheInvalidatedOnUtilizationChange(t *testing.T) {
-	f := smallFlow(t)
-	p1, err := f.Baseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Config.Utilization = 0.60
-	p2, err := f.Baseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 == p1 || p2.FP.CoreArea() <= p1.FP.CoreArea() {
-		t.Fatal("utilization change must rebuild the baseline placement")
 	}
 }
 

@@ -16,9 +16,7 @@ import (
 // baseline through the same pure execution path and returns bit-identical
 // values — the cache can serve stale-ordering, never stale-values, because
 // every entry is keyed by the full canonical query (Query.Key) and results
-// are pure functions of the query given the resident baseline. Degraded
-// (fallback-flow) results are never inserted: once the breaker closes, the
-// primary's answer must not be shadowed by a cached Jacobi one.
+// are pure functions of the query given the resident baseline.
 type resultCache struct {
 	mu      sync.Mutex
 	budget  int64 // <= 0 disables the cache entirely

@@ -82,7 +82,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind Kind) {
 		return
 	}
 	defer s.track.exit()
-	if d.fcfg.Thermal.Inject.FailAdmit() {
+	if d.fl.Config.Thermal.Inject.FailAdmit() {
 		d.stats.AddShed()
 		s.writeError(w, &shedError{reason: ShedInjected})
 		return
@@ -133,14 +133,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind Kind) {
 		return
 	}
 
-	primary, probe := d.brk.route()
-	fl := d.primary
-	if !primary {
-		fl = d.jacobiFallback()
-		d.stats.AddDegraded()
-	}
-	res, cost, err := Exec(ctx, fl, q)
-	d.brk.record(primary, probe, err)
+	res, cost, err := Exec(ctx, d.fl, q)
 	if err != nil {
 		if _, body := classify(err); body.Category == "deadline" || body.Category == "canceled" {
 			d.stats.AddTimedOut()
@@ -149,7 +142,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind Kind) {
 		return
 	}
 	res.Design = d.name
-	res.Degraded = !primary
 	if ts := res.Triage; ts != nil {
 		// Freshly computed adaptive sweep (cache hits returned above): fold
 		// its triage work into the per-design /statz counters.
@@ -158,19 +150,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind Kind) {
 		d.adaptiveTriaged.Add(int64(ts.Candidates - ts.Survivors))
 		d.adaptiveExact.Add(int64(ts.ExactSolves))
 	}
-	if primary {
-		// Degraded results are never cached: once the breaker closes, the
-		// primary's bit-exact answer must not be shadowed by a Jacobi one.
-		d.cache.put(key, res, cost)
-	}
+	d.cache.put(key, res, cost)
 	writeJSON(w, http.StatusOK, res)
 }
 
 // DesignStatz is the /statz entry of one design.
 type DesignStatz struct {
 	Design string `json:"design"`
-	// Breaker is the circuit-breaker state: closed, open or half-open.
-	Breaker string `json:"breaker"`
 	// CacheBytes is the accounted footprint of the result LRU.
 	CacheBytes int64 `json:"cache_bytes"`
 	// CacheEntries is the number of resident cached results.
@@ -197,9 +183,9 @@ type DesignStatz struct {
 	AdaptiveExact      int64 `json:"adaptive_exact_solves"`
 
 	// Counter semantics are documented on fault.StatsSnapshot: Admitted,
-	// Shed, TimedOut, Degraded, Evicted are the service counters; the
-	// solver-level MGSetupFailures, SolveRetries, PanicsContained and
-	// Canceled tell the degradation story underneath them.
+	// Shed, TimedOut, Evicted are the service counters; the solver-level
+	// MGSetupFailures, SolveRetries, PanicsContained and Canceled tell the
+	// degradation story underneath them.
 	MGSetupFailures uint64 `json:"mg_setup_failures"`
 	SolveRetries    uint64 `json:"solve_retries"`
 	PanicsContained uint64 `json:"panics_contained"`
@@ -207,7 +193,6 @@ type DesignStatz struct {
 	Admitted        uint64 `json:"admitted"`
 	Shed            uint64 `json:"shed"`
 	TimedOut        uint64 `json:"timed_out"`
-	Degraded        uint64 `json:"degraded"`
 	Evicted         uint64 `json:"evicted"`
 }
 
@@ -228,7 +213,6 @@ func (s *Server) Statz() StatzResponse {
 		snap := d.stats.Snapshot()
 		out.Designs = append(out.Designs, DesignStatz{
 			Design:                 d.name,
-			Breaker:                d.brk.current(),
 			CacheBytes:             d.cache.footprint(),
 			CacheEntries:           d.cache.entriesLen(),
 			InFlight:               d.adm.inFlight(),
@@ -248,19 +232,22 @@ func (s *Server) Statz() StatzResponse {
 			Admitted:               snap.Admitted,
 			Shed:                   snap.Shed,
 			TimedOut:               snap.TimedOut,
-			Degraded:               snap.Degraded,
 			Evicted:                snap.Evicted,
 		})
 	}
 	return out
 }
 
+// retryAfterSeconds is the Retry-After backoff hint of shed (503)
+// responses.
+const retryAfterSeconds = "1"
+
 // writeError classifies the error and writes the JSON error body; shed
 // responses carry the Retry-After backoff hint.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status, body := classify(err)
 	if isShed(err) {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	writeJSON(w, status, body)
 }

@@ -41,6 +41,10 @@ const (
 // exactly, so a lost front point would not show in the triage statistics.
 const serveAdaptiveMargin = 0.25
 
+// defaultGridScale is the densification factor of an adaptive sweep query
+// that names no grid_scale.
+const defaultGridScale = 3
+
 // Query is one parsed what-if question against a resident design. Its
 // canonical form (Key) is the cache key: two requests that parse to the same
 // Query are interchangeable.
@@ -63,19 +67,23 @@ type Query struct {
 	// exactly. Every returned point is still an exact measurement.
 	Adaptive bool
 	// GridScale is the adaptive densification factor (KindSweep with
-	// Adaptive; zero selects 3).
+	// Adaptive). ParseQuery fills in defaultGridScale when the request
+	// names none.
 	GridScale int
 	// Full requests the solved surface temperature map in the response.
 	Full bool
 }
 
-// Key returns the canonical cache key of the query. Floats are formatted
-// with strconv 'g'/-1, which round-trips float64 exactly — two queries share
-// a key if and only if they are the same computation.
+// Key returns the canonical cache key of the query, in the URL query syntax
+// ParseQuery reads: parsing a key's parameters gives back the same key.
+// Floats are formatted with strconv 'g'/-1, which round-trips float64
+// exactly, and query-escaped (an exponent's '+' would otherwise parse as a
+// space) — two queries share a key if and only if they are the same
+// computation.
 func (q Query) Key() string {
 	var b strings.Builder
 	b.WriteString(string(q.Kind))
-	ff := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	ff := func(v float64) string { return url.QueryEscape(strconv.FormatFloat(v, 'g', -1, 64)) }
 	switch q.Kind {
 	case KindAnalyze:
 		b.WriteString("?util=" + ff(q.Utilization))
@@ -92,7 +100,7 @@ func (q Query) Key() string {
 			b.WriteString(ff(ov))
 		}
 		if q.Adaptive {
-			b.WriteString("&adaptive=1&scale=" + strconv.Itoa(q.GridScale))
+			b.WriteString("&adaptive=1&grid_scale=" + strconv.Itoa(q.GridScale))
 		}
 	}
 	if q.Full {
@@ -177,6 +185,9 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 			}
 			q.GridScale = n
 		}
+		if q.Adaptive && q.GridScale == 0 {
+			q.GridScale = defaultGridScale
+		}
 	default:
 		return badReq("unknown query kind %q", kind)
 	}
@@ -253,10 +264,6 @@ type Result struct {
 	Design string `json:"design"`
 	Kind   Kind   `json:"kind"`
 	Query  string `json:"query"`
-	// Degraded marks a response computed on the Jacobi fallback flow behind
-	// an open circuit breaker: numerically sound, but not bit-identical to
-	// the multigrid primary.
-	Degraded bool `json:"degraded"`
 	// Cached marks a response served from the result LRU.
 	Cached bool `json:"cached"`
 
@@ -373,12 +380,8 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 			Workers:   1,
 		}
 		if q.Adaptive {
-			scale := q.GridScale
-			if scale == 0 {
-				scale = 3
-			}
 			sopts.Adaptive = &core.AdaptiveOptions{
-				GridScale:    scale,
+				GridScale:    q.GridScale,
 				Margin:       serveAdaptiveMargin,
 				CoarseFactor: 2,
 			}

@@ -12,11 +12,12 @@
 //     and core.SweepEfficiencyCtx, so an abandoned or timed-out request
 //     cancels its CG iterations within milliseconds instead of wasting a
 //     solver on an answer nobody will read.
-//   - A circuit breaker around the multigrid preconditioner per design:
-//     after N ErrNotConverged/ErrSetup trips the design is pinned to a
-//     Jacobi-preconditioned fallback flow for a cooldown window, then a
-//     half-open probe decides whether the primary recovered. Degraded
-//     responses are flagged, never silent.
+//   - One flow per design, its thermal solver configuration fixed at
+//     AddDesign. The solver's own degradation is the only degraded mode:
+//     a multigrid refresh failure drops to Jacobi in place, and a
+//     non-converged solve is retried once on Jacobi with a raised budget;
+//     /statz counts both. A solve that fails both ways answers 500
+//     not-converged.
 //   - An LRU of query results under a configurable memory budget. It holds
 //     the *Result summaries served to clients, keyed by the canonical
 //     query, and charges each at the MemoryBytes of the flow.Analysis that
@@ -28,8 +29,8 @@
 //     then canceled through their contexts.
 //
 // Every error response carries the fault-taxonomy category of its cause, and
-// every admission/degradation decision is counted in the per-design
-// fault.Stats exposed on /statz.
+// every admission decision and solver degradation is counted in the
+// per-design fault.Stats exposed on /statz.
 //
 // The query execution itself (Exec) is a pure function of the resident flow
 // and the query, which is what the chaos harness exploits: any completed
@@ -49,7 +50,6 @@ import (
 	"thermplace/internal/fault"
 	"thermplace/internal/flow"
 	"thermplace/internal/netlist"
-	"thermplace/internal/thermal"
 )
 
 // Config tunes the service layer. The zero value of every knob selects the
@@ -65,17 +65,6 @@ type Config struct {
 	// does not send one (deadline_ms query parameter). Zero means 30s;
 	// negative means no default deadline.
 	DefaultDeadline time.Duration
-	// RetryAfter is the Retry-After hint attached to shed (503) responses.
-	// Zero means 1s.
-	RetryAfter time.Duration
-	// BreakerTrips is the number of consecutive solver-fault query failures
-	// (ErrNotConverged / ErrSetup) that opens a design's multigrid circuit
-	// breaker. Zero means 3.
-	BreakerTrips int
-	// BreakerCooldown is how long an open breaker pins the design to the
-	// Jacobi fallback before a half-open probe retries the primary. Zero
-	// means 5s.
-	BreakerCooldown time.Duration
 	// CacheBytes is the per-design memory budget of the result LRU,
 	// charged in flow.Analysis.MemoryBytes. Zero means 64 MiB; negative
 	// disables caching.
@@ -92,34 +81,20 @@ func (c Config) normalized() Config {
 	if c.DefaultDeadline == 0 {
 		c.DefaultDeadline = 30 * time.Second
 	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.BreakerTrips == 0 {
-		c.BreakerTrips = 3
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
 	}
 	return c
 }
 
-// design is one resident design: its primary flow, the lazily built Jacobi
-// fallback behind the circuit breaker, and the per-design robustness state.
+// design is one resident design: its flow and the per-design robustness
+// state.
 type design struct {
-	name string
-	wl   bench.Workload
-	net  *netlist.Design
-	fcfg flow.Config
-
-	primary *flow.Flow
-	adm     *admission
-	brk     *breaker
-	cache   *resultCache
-	stats   *fault.Stats
+	name  string
+	fl    *flow.Flow
+	adm   *admission
+	cache *resultCache
+	stats *fault.Stats
 
 	// Baseline co-analysis scalars, captured once at AddDesign warm-up and
 	// reported on /statz. All zero when co-analysis is off for the design.
@@ -134,26 +109,6 @@ type design struct {
 	adaptiveCandidates atomic.Int64
 	adaptiveTriaged    atomic.Int64
 	adaptiveExact      atomic.Int64
-
-	// fallbackOnce builds the Jacobi fallback flow on the breaker's first
-	// open; flow.New is infallible (solvers are built on first solve), so
-	// a plain Once suffices.
-	fallbackOnce sync.Once
-	fallback     *flow.Flow
-}
-
-func (d *design) jacobiFallback() *flow.Flow {
-	d.fallbackOnce.Do(func() {
-		cfg := d.fcfg
-		cfg.Thermal.Precond = thermal.PrecondJacobi
-		// The fallback reports into the same per-design Stats but carries no
-		// injector: the degraded path must stay clean, or an injected fault
-		// storm could never be survived.
-		cfg.Thermal.Inject = nil
-		cfg.Thermal.Stats = d.stats
-		d.fallback = flow.New(d.net, d.wl, cfg)
-	})
-	return d.fallback
 }
 
 // Server is the query server. Designs are registered with AddDesign before
@@ -171,9 +126,6 @@ type Server struct {
 	cancelBase context.CancelFunc
 
 	track tracker
-
-	// now is the clock, swappable in tests (the breaker shares it).
-	now func() time.Time
 }
 
 // NewServer creates an empty server with the given configuration.
@@ -184,7 +136,6 @@ func NewServer(cfg Config) *Server {
 		designs:    map[string]*design{},
 		base:       base,
 		cancelBase: cancel,
-		now:        time.Now,
 	}
 }
 
@@ -192,27 +143,23 @@ func NewServer(cfg Config) *Server {
 // baseline placement and analysis are computed once, so every query that
 // follows reuses the resident baseline (and its recorded warm-start field,
 // which is what makes query results pure functions of their lineage). The
-// injector, when non-nil, is wired into the primary flow's thermal config —
-// note the warm-up itself consumes analysis ordinal 1 and solve ordinal 1,
-// so probes armed afterwards count from ordinal 2.
+// injector, when non-nil, is wired into the flow's thermal config — note the
+// warm-up itself consumes analysis ordinal 1 and solve ordinal 1, so probes
+// armed afterwards count from ordinal 2.
 func (s *Server) AddDesign(ctx context.Context, name string, net *netlist.Design, wl bench.Workload, fcfg flow.Config, inject *fault.Injector) error {
 	stats := &fault.Stats{}
 	fcfg.Thermal.Stats = stats
 	fcfg.Thermal.Inject = inject
 	d := &design{
-		name:    name,
-		wl:      wl,
-		net:     net,
-		fcfg:    fcfg,
-		primary: flow.New(net, wl, fcfg),
-		adm:     newAdmission(s.cfg.MaxInFlight, s.cfg.MaxQueue),
-		brk:     newBreaker(s.cfg.BreakerTrips, s.cfg.BreakerCooldown, s.clock),
-		cache:   newResultCache(s.cfg.CacheBytes, stats),
-		stats:   stats,
+		name:  name,
+		fl:    flow.New(net, wl, fcfg),
+		adm:   newAdmission(s.cfg.MaxInFlight, s.cfg.MaxQueue),
+		cache: newResultCache(s.cfg.CacheBytes, stats),
+		stats: stats,
 	}
-	baseline, err := d.primary.AnalyzeBaselineCtx(ctx)
+	baseline, err := d.fl.AnalyzeBaselineCtx(ctx)
 	if err != nil {
-		d.primary.Close()
+		d.fl.Close()
 		return err
 	}
 	d.baseHPWL = baseline.HPWL
@@ -226,15 +173,13 @@ func (s *Server) AddDesign(ctx context.Context, name string, net *netlist.Design
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.designs[name]; dup {
-		d.primary.Close()
+		d.fl.Close()
 		return &httpStatusError{status: http.StatusConflict, category: "duplicate-design", msg: "design " + name + " already registered"}
 	}
 	s.designs[name] = d
 	s.order = append(s.order, name)
 	return nil
 }
-
-func (s *Server) clock() time.Time { return s.now() }
 
 // Designs returns the registered design names, in registration order.
 func (s *Server) Designs() []string {
@@ -282,11 +227,7 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, name := range s.order {
-		d := s.designs[name]
-		d.primary.Close()
-		if d.fallback != nil {
-			d.fallback.Close()
-		}
+		s.designs[name].fl.Close()
 	}
 }
 

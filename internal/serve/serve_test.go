@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +17,6 @@ import (
 	"thermplace/internal/celllib"
 	"thermplace/internal/fault"
 	"thermplace/internal/flow"
-	"thermplace/internal/thermal"
 )
 
 func TestTrackerDrain(t *testing.T) {
@@ -124,70 +123,6 @@ func TestAdmissionBounds(t *testing.T) {
 	wg.Wait()
 }
 
-func TestBreakerAutomaton(t *testing.T) {
-	var mu sync.Mutex
-	tm := time.Unix(0, 0)
-	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return tm }
-	advance := func(d time.Duration) { mu.Lock(); tm = tm.Add(d); mu.Unlock() }
-
-	b := newBreaker(2, time.Minute, now)
-	fail := fmt.Errorf("flow: thermal simulation: %w", &fault.ErrNotConverged{Iters: 9})
-
-	// Closed: primary in use; one failure does not trip, a success resets.
-	if p, _ := b.route(); !p {
-		t.Fatal("closed breaker must route to primary")
-	}
-	b.record(true, false, fail)
-	b.record(true, false, nil)
-	b.record(true, false, fail)
-	if p, _ := b.route(); !p {
-		t.Fatal("one failure after a success must not trip a trips=2 breaker")
-	}
-	// Two consecutive qualifying failures open it. Cancellations never count.
-	b.record(true, false, fault.Canceled(context.Canceled))
-	b.record(true, false, fail)
-	b.record(true, false, fail)
-	if p, _ := b.route(); p {
-		t.Fatal("breaker must be open after two consecutive solver faults")
-	}
-	if got := b.current(); got != "open" {
-		t.Fatalf("state = %s, want open", got)
-	}
-
-	// Cooldown over: exactly one probe goes to the primary, the rest stay on
-	// the fallback.
-	advance(2 * time.Minute)
-	p1, probe1 := b.route()
-	if !p1 || !probe1 {
-		t.Fatalf("first route after cooldown must probe the primary (primary=%v probe=%v)", p1, probe1)
-	}
-	if p2, _ := b.route(); p2 {
-		t.Fatal("second route during a probe must stay on the fallback")
-	}
-	// A canceled probe is inconclusive: stay half-open, probe again.
-	b.record(true, true, fault.Canceled(context.DeadlineExceeded))
-	if p, probe := b.route(); !p || !probe {
-		t.Fatal("after an inconclusive probe the next route must probe again")
-	}
-	// A faulted probe reopens for another full cooldown.
-	b.record(true, true, fail)
-	if p, _ := b.route(); p {
-		t.Fatal("breaker must reopen after a faulted probe")
-	}
-	advance(2 * time.Minute)
-	if p, probe := b.route(); !p || !probe {
-		t.Fatal("reopened breaker must probe again after its cooldown")
-	}
-	// A clean probe closes it.
-	b.record(true, true, nil)
-	if p, _ := b.route(); !p {
-		t.Fatal("breaker must close after a clean probe")
-	}
-	if got := b.current(); got != "closed" {
-		t.Fatalf("state = %s, want closed", got)
-	}
-}
-
 func TestResultCacheLRU(t *testing.T) {
 	stats := &fault.Stats{}
 	c := newResultCache(100, stats)
@@ -283,31 +218,14 @@ func TestQueryParseAndKey(t *testing.T) {
 	if !qa.Adaptive || qa.GridScale != 4 {
 		t.Fatalf("adaptive params lost in parse: %+v", qa)
 	}
-	bad := []struct {
-		kind Kind
-		vals url.Values
-	}{
-		{KindAnalyze, url.Values{"util": {"nope"}}},
-		{KindAnalyze, url.Values{"util": {"1.5"}}},
-		{KindAnalyze, url.Values{"util": {"NaN"}}},
-		{KindAnalyze, url.Values{"util": {"-Inf"}}},
-		{KindERI, url.Values{}},
-		{KindERI, url.Values{"rows": {"-1"}}},
-		{KindERI, url.Values{"overhead": {"NaN"}}},
-		{KindERI, url.Values{"overhead": {"Inf"}}},
-		{KindERI, url.Values{"rows": {"2"}, "overhead": {"NaN"}}},
-		{KindHW, url.Values{"overhead": {"0"}}},
-		{KindHW, url.Values{"overhead": {"NaN"}}},
-		{KindHW, url.Values{"overhead": {"Inf"}}},
-		{KindSweep, url.Values{"overheads": {"0.1,bogus"}}},
-		{KindSweep, url.Values{"overheads": {"NaN"}}},
-		{KindSweep, url.Values{"overheads": {"0.1,Inf"}}},
-		{KindSweep, url.Values{"adaptive": {"maybe"}}},
-		{KindSweep, url.Values{"adaptive": {"1"}, "grid_scale": {"0"}}},
-		{KindSweep, url.Values{"grid_scale": {"3"}}},
-		{Kind("mystery"), url.Values{}},
+	// An adaptive sweep without grid_scale runs the default scale, so it
+	// shares the key of the same sweep naming that scale.
+	qd, _ := ParseQuery(KindSweep, url.Values{"overheads": {"0.05,0.2"}, "adaptive": {"1"}})
+	qs, _ := ParseQuery(KindSweep, url.Values{"overheads": {"0.05,0.2"}, "adaptive": {"1"}, "grid_scale": {strconv.Itoa(defaultGridScale)}})
+	if qd.Key() != qs.Key() {
+		t.Fatalf("default and explicit grid scale key differently: %q vs %q", qd.Key(), qs.Key())
 	}
-	for _, c := range bad {
+	for _, c := range badQueries {
 		if _, err := ParseQuery(c.kind, c.vals); err == nil {
 			t.Fatalf("ParseQuery(%s, %v) accepted bad input", c.kind, c.vals)
 		}
@@ -316,6 +234,78 @@ func TestQueryParseAndKey(t *testing.T) {
 			t.Fatalf("ParseQuery(%s, %v) error not a 400 bad-request: %v", c.kind, c.vals, err)
 		}
 	}
+}
+
+// badQueries are inputs ParseQuery must answer with a 400 bad-request.
+var badQueries = []struct {
+	kind Kind
+	vals url.Values
+}{
+	{KindAnalyze, url.Values{"util": {"nope"}}},
+	{KindAnalyze, url.Values{"util": {"1.5"}}},
+	{KindAnalyze, url.Values{"util": {"NaN"}}},
+	{KindAnalyze, url.Values{"util": {"-Inf"}}},
+	{KindERI, url.Values{}},
+	{KindERI, url.Values{"rows": {"-1"}}},
+	{KindERI, url.Values{"overhead": {"NaN"}}},
+	{KindERI, url.Values{"overhead": {"Inf"}}},
+	{KindERI, url.Values{"rows": {"2"}, "overhead": {"NaN"}}},
+	{KindHW, url.Values{"overhead": {"0"}}},
+	{KindHW, url.Values{"overhead": {"NaN"}}},
+	{KindHW, url.Values{"overhead": {"Inf"}}},
+	{KindSweep, url.Values{"overheads": {"0.1,bogus"}}},
+	{KindSweep, url.Values{"overheads": {"NaN"}}},
+	{KindSweep, url.Values{"overheads": {"0.1,Inf"}}},
+	{KindSweep, url.Values{"adaptive": {"maybe"}}},
+	{KindSweep, url.Values{"adaptive": {"1"}, "grid_scale": {"0"}}},
+	{KindSweep, url.Values{"grid_scale": {"3"}}},
+	{Kind("mystery"), url.Values{}},
+}
+
+// FuzzParseQuery holds ParseQuery to its contract on any query kind and raw
+// query string: it never panics, every error is a 400 bad-request, and a
+// parsed query's Key round-trips — parsing the key's own parameters gives
+// back the same key.
+func FuzzParseQuery(f *testing.F) {
+	for _, raw := range []string{
+		"util=0.7&full=1",
+		"overheads=0.2,0.05",
+		"overheads=0.05, 0.2",
+		"overheads=0.05,0.2&adaptive=1&grid_scale=4",
+		"adaptive=1&grid_scale=5",
+		"overhead=1e21&overheads=1e21", // keys with an exponent's '+'
+	} {
+		for _, kind := range []Kind{KindAnalyze, KindERI, KindHW, KindSweep} {
+			f.Add(string(kind), raw)
+		}
+	}
+	for _, c := range badQueries {
+		f.Add(string(c.kind), c.vals.Encode())
+	}
+	f.Fuzz(func(t *testing.T, kind, raw string) {
+		vals, _ := url.ParseQuery(raw) // the handler's r.URL.Query() drops the error too
+		q, err := ParseQuery(Kind(kind), vals)
+		if err != nil {
+			var hse *httpStatusError
+			if !errors.As(err, &hse) || hse.status != http.StatusBadRequest || hse.category != "bad-request" {
+				t.Fatalf("ParseQuery(%q, %q) error not a 400 bad-request: %v", kind, raw, err)
+			}
+			return
+		}
+		key := q.Key()
+		k, params, _ := strings.Cut(key, "?")
+		kvals, err := url.ParseQuery(params)
+		if err != nil {
+			t.Fatalf("key %q of (%q, %q) has unparsable parameters: %v", key, kind, raw, err)
+		}
+		q2, err := ParseQuery(Kind(k), kvals)
+		if err != nil {
+			t.Fatalf("key %q of (%q, %q) does not parse: %v", key, kind, raw, err)
+		}
+		if got := q2.Key(); got != key {
+			t.Fatalf("key of (%q, %q) does not round-trip: %q parses to %q", kind, raw, key, got)
+		}
+	})
 }
 
 // TestServerAdaptiveSweep runs the two-phase multi-fidelity sweep through the
@@ -467,8 +457,8 @@ func TestServerEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if got.Degraded || got.Cached {
-		t.Fatalf("fresh primary result flagged degraded=%v cached=%v", got.Degraded, got.Cached)
+	if got.Cached {
+		t.Fatal("fresh result flagged cached")
 	}
 
 	// The same query again is a cache hit with identical values.
@@ -545,7 +535,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("statz designs: %+v", stz.Designs)
 	}
 	ds := stz.Designs[0]
-	if ds.Admitted < 5 || ds.Breaker != "closed" || ds.CacheBytes <= 0 {
+	if ds.Admitted < 5 || ds.CacheBytes <= 0 {
 		t.Fatalf("statz counters implausible: %+v", ds)
 	}
 	if ds.BaselineCriticalPathPs <= 0 || ds.BaselineHPWLUm <= 0 {
@@ -634,12 +624,14 @@ func TestServerDeadlines(t *testing.T) {
 	}
 }
 
-func TestServerBreakerDegradation(t *testing.T) {
+// TestServerNotConvergedThenRecovers covers the one degraded mode a query
+// can meet, the solver's own: a solve whose multigrid attempt and Jacobi
+// retry both fail answers 500 not-converged, and the same query sent again
+// is computed afresh (errors are never cached), bit-identical to a clean
+// flow, with the retry counted on the design's stats.
+func TestServerNotConvergedThenRecovers(t *testing.T) {
 	gen, cfg := testDesign(t)
-	srv := NewServer(Config{BreakerTrips: 1, BreakerCooldown: time.Hour})
-	var mu sync.Mutex
-	tm := time.Unix(0, 0)
-	srv.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return tm }
+	srv := NewServer(Config{})
 	inject := &fault.Injector{}
 	if err := srv.AddDesign(context.Background(), "d", gen.Design, gen.Workload, cfg, inject); err != nil {
 		t.Fatalf("AddDesign: %v", err)
@@ -649,58 +641,33 @@ func TestServerBreakerDegradation(t *testing.T) {
 	defer ts.Close()
 
 	// Warm-up consumed solve ordinal 1; fail solve 2 and its retry, so the
-	// next primary query surfaces ErrNotConverged and trips the breaker.
+	// next query surfaces ErrNotConverged.
 	inject.FailCGSolveN = 2
 	inject.FailRetry = true
 	var eb errorBody
 	if code, _ := getJSON(t, ts.Client(), ts.URL+"/analyze?design=d&util=0.7", &eb); code != http.StatusInternalServerError || eb.Category != "not-converged" {
-		t.Fatalf("tripping query: status %d category %q", code, eb.Category)
+		t.Fatalf("doubly failed solve: status %d category %q", code, eb.Category)
 	}
 
-	// Open breaker: the same query now runs on the Jacobi fallback, flagged
-	// degraded and matching a direct Exec on a Jacobi-configured flow.
-	var deg Result
-	if code, _ := getJSON(t, ts.Client(), ts.URL+"/analyze?design=d&util=0.7", &deg); code != http.StatusOK {
-		t.Fatalf("degraded query: status %d", code)
+	// Solve 3 is clean: the same query answers from a fresh computation that
+	// matches a direct Exec on an unprobed flow.
+	var got Result
+	if code, _ := getJSON(t, ts.Client(), ts.URL+"/analyze?design=d&util=0.7", &got); code != http.StatusOK {
+		t.Fatalf("query after the failure: status %d", code)
 	}
-	if !deg.Degraded {
-		t.Fatal("fallback result not flagged degraded")
+	if got.Cached {
+		t.Fatal("query after the failure served from cache")
 	}
-	jref := flow.New(gen.Design, gen.Workload, func() flow.Config {
-		c := cfg
-		c.Thermal.Precond = thermal.PrecondJacobi
-		return c
-	}())
-	defer jref.Close()
-	want, _, err := Exec(context.Background(), jref, Query{Kind: KindAnalyze, Utilization: 0.7})
+	ref := flow.New(gen.Design, gen.Workload, cfg)
+	defer ref.Close()
+	want, _, err := Exec(context.Background(), ref, Query{Kind: KindAnalyze, Utilization: 0.7})
 	if err != nil {
-		t.Fatalf("jacobi reference Exec: %v", err)
+		t.Fatalf("reference Exec: %v", err)
 	}
-	if deg.PeakRiseK != want.PeakRiseK {
-		t.Fatalf("degraded result %g != jacobi reference %g (bit-exact)", deg.PeakRiseK, want.PeakRiseK)
+	if got.PeakRiseK != want.PeakRiseK || got.TotalPowerW != want.TotalPowerW || got.CriticalPathPs != want.CriticalPathPs {
+		t.Fatalf("recovered result differs from a clean Exec:\n got %+v\nwant %+v", got, want)
 	}
-	var stz StatzResponse
-	if code, _ := getJSON(t, ts.Client(), ts.URL+"/statz", &stz); code != http.StatusOK || stz.Designs[0].Breaker != "open" {
-		t.Fatalf("statz after trip: code %d breaker %q", code, stz.Designs[0].Breaker)
-	}
-	if stz.Designs[0].Degraded == 0 {
-		t.Fatal("degraded counter not incremented")
-	}
-
-	// Degraded results are not cached: once the cooldown elapses and the
-	// (now fault-free) primary probe succeeds, the same query is served by
-	// the primary again, not from a stale Jacobi entry.
-	mu.Lock()
-	tm = tm.Add(2 * time.Hour)
-	mu.Unlock()
-	var rec Result
-	if code, _ := getJSON(t, ts.Client(), ts.URL+"/analyze?design=d&util=0.7", &rec); code != http.StatusOK {
-		t.Fatalf("probe query: status %d", code)
-	}
-	if rec.Degraded || rec.Cached {
-		t.Fatalf("recovered probe served degraded=%v cached=%v", rec.Degraded, rec.Cached)
-	}
-	if code, _ := getJSON(t, ts.Client(), ts.URL+"/statz", &stz); code != http.StatusOK || stz.Designs[0].Breaker != "closed" {
-		t.Fatalf("breaker did not close after a clean probe: %q", stz.Designs[0].Breaker)
+	if n := srv.StatsFor("d").SolveRetries; n != 1 {
+		t.Fatalf("SolveRetries = %d, want 1", n)
 	}
 }

@@ -157,7 +157,7 @@ func (c *CG) Workers() int { return c.workers }
 
 // SetPrecond replaces the preconditioner for subsequent solves (nil restores
 // the built-in Jacobi). The thermal solver's degradation path uses it to
-// retry a non-converged multigrid-preconditioned solve on plain Jacobi.
+// retry a non-converged multigrid preconditioned solve on plain Jacobi.
 func (c *CG) SetPrecond(p Preconditioner) { c.opt.Precond = p }
 
 // MaxIterations returns the current iteration budget.

@@ -236,7 +236,7 @@ func TestMGSingleLevelIsDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if iters > 2 {
-		t.Fatalf("direct-preconditioned CG took %d iterations", iters)
+		t.Fatalf("direct preconditioned CG took %d iterations", iters)
 	}
 }
 

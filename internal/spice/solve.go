@@ -10,7 +10,7 @@ import (
 type Method int
 
 const (
-	// MethodCG is Jacobi-preconditioned conjugate gradients; the default and
+	// MethodCG is Jacobi preconditioned conjugate gradients; the default and
 	// the right choice for the large sparse symmetric systems produced by
 	// the 3-D thermal grid.
 	MethodCG Method = iota
@@ -272,7 +272,7 @@ func norm(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// solveCG solves the system with Jacobi-preconditioned conjugate gradients.
+// solveCG solves the system with Jacobi preconditioned conjugate gradients.
 func solveCG(s *assembled, tol float64, maxIter int) (x []float64, iters int, residual float64, err error) {
 	n := len(s.rhs)
 	x = make([]float64, n)

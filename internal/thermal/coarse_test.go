@@ -32,22 +32,6 @@ func TestGridDims(t *testing.T) {
 	}
 }
 
-func TestCoarseFactorConfigEqual(t *testing.T) {
-	a := testConfig(40, 40)
-	b := a
-	b.CoarseFactor = 1
-	if !a.Equal(b) {
-		t.Fatal("factors 0 and 1 both mean full fidelity and must compare equal")
-	}
-	b.CoarseFactor = 4
-	if a.Equal(b) {
-		t.Fatal("an active coarse factor changes the assembled model and must not compare equal")
-	}
-	if !b.Equal(b) {
-		t.Fatal("coarse config must equal itself")
-	}
-}
-
 func TestCoarseFactorValidates(t *testing.T) {
 	cfg := testConfig(8, 8)
 	cfg.CoarseFactor = -1
@@ -146,10 +130,7 @@ func TestCoarseSolveMatchesSpiceOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fast: %v", err)
 	}
-	oracle := cfg
-	oracle.UseSpice = true
-	oracle.Solver = spice.MethodDense
-	ref, err := Solve(fine, oracle)
+	ref, err := solveSpice(fine, cfg, spice.MethodDense)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}

@@ -34,11 +34,10 @@ func surfaceMaxDiff(a, b *Result) float64 {
 	return m
 }
 
-// referenceSolve solves the same system on the plain Jacobi path, as the
-// oracle for the degraded results.
+// referenceSolve solves the same system on a clean multigrid solver, as
+// the oracle for the degraded results.
 func referenceSolve(t *testing.T, cfg Config, pm *geom.Grid) *Result {
 	t.Helper()
-	cfg.Precond = PrecondJacobi
 	cfg.Stats, cfg.Inject = nil, nil
 	res, err := Solve(pm, cfg)
 	if err != nil {
@@ -49,7 +48,7 @@ func referenceSolve(t *testing.T, cfg Config, pm *geom.Grid) *Result {
 
 // TestSolverDegradesOnMGSetupFailure asserts the graceful-degradation path
 // for a multigrid setup failure: the solve completes on the Jacobi fallback,
-// within tolerance of a clean Jacobi solve, and the event is counted.
+// within tolerance of a clean multigrid solve, and the event is counted.
 func TestSolverDegradesOnMGSetupFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Stats = &fault.Stats{}
@@ -77,7 +76,7 @@ func TestSolverDegradesOnMGSetupFailure(t *testing.T) {
 	}
 	want := referenceSolve(t, cfg, pm)
 	if d := surfaceMaxDiff(res, want); d > 1e-6 {
-		t.Fatalf("degraded solve differs from Jacobi reference by %g C (> 1e-6)", d)
+		t.Fatalf("degraded solve differs from the multigrid reference by %g C (> 1e-6)", d)
 	}
 
 	// The degradation is permanent but harmless: the next solve still works.
@@ -87,7 +86,7 @@ func TestSolverDegradesOnMGSetupFailure(t *testing.T) {
 }
 
 // TestSolverRetriesOnInjectedNonConvergence asserts the retry path: an
-// injected non-convergence of the multigrid-preconditioned solve is retried
+// injected non-convergence of the multigrid preconditioned solve is retried
 // once on Jacobi with a raised budget, succeeds, and is counted.
 func TestSolverRetriesOnInjectedNonConvergence(t *testing.T) {
 	cfg := DefaultConfig()
@@ -110,7 +109,7 @@ func TestSolverRetriesOnInjectedNonConvergence(t *testing.T) {
 	}
 	want := referenceSolve(t, cfg, pm)
 	if d := surfaceMaxDiff(res, want); d > 1e-6 {
-		t.Fatalf("retried solve differs from Jacobi reference by %g C (> 1e-6)", d)
+		t.Fatalf("retried solve differs from the multigrid reference by %g C (> 1e-6)", d)
 	}
 
 	// Solve 2 is not probed: the multigrid preconditioner is restored and

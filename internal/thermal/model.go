@@ -10,30 +10,6 @@ import (
 	"thermplace/internal/spice"
 )
 
-// PrecondKind selects the preconditioner of the structured-grid CG solver.
-type PrecondKind int
-
-const (
-	// PrecondMG, the default, is the geometric multigrid W-cycle, whose
-	// iteration count is essentially independent of the grid resolution.
-	PrecondMG PrecondKind = iota
-	// PrecondJacobi falls back to the diagonal preconditioner (the pre-MG
-	// behaviour); its iteration count grows with the grid resolution.
-	PrecondJacobi
-)
-
-// ParsePrecond maps a flag-style name (mg or jacobi) onto a PrecondKind.
-// The commands exposing -precond share it.
-func ParsePrecond(name string) (PrecondKind, error) {
-	switch name {
-	case "mg":
-		return PrecondMG, nil
-	case "jacobi":
-		return PrecondJacobi, nil
-	}
-	return 0, fmt.Errorf("unknown preconditioner %q (want mg or jacobi)", name)
-}
-
 // Config describes one thermal analysis setup.
 type Config struct {
 	// NX and NY are the lateral grid resolution. The paper uses 40 x 40,
@@ -58,14 +34,9 @@ type Config struct {
 	// (W/(m^2*K)) from the bottom layer, top layer and lateral faces of the
 	// model to ambient. They lump the package, heat sink and board paths.
 	HBottom, HTop, HSide float64
-	// Solver selects the linear solver used on the thermal network.
-	Solver spice.Method
 	// Tolerance is the iterative-solver relative residual target
 	// (0 = solver default).
 	Tolerance float64
-	// Precond selects the fast-path CG preconditioner; the zero value picks
-	// multigrid. It has no effect on the SPICE path.
-	Precond PrecondKind
 	// SurfaceOnly skips materializing the temperature maps of the
 	// non-power layers: Result.Layers keeps only the power-injection layer
 	// (the entry Surface aliases) and leaves the rest nil. The sweep flow
@@ -73,10 +44,10 @@ type Config struct {
 	// per solve.
 	SurfaceOnly bool
 	// UseSpice forces the legacy path that builds a string-named SPICE
-	// circuit and solves it with package spice. It exists as a
-	// cross-validation oracle for the structured-grid fast path (the
-	// default whenever Solver is MethodCG) and for SPICE deck export
-	// workflows; it is roughly an order of magnitude slower.
+	// circuit and solves it with package spice's conjugate gradients. It
+	// exists as a cross-validation oracle for the structured-grid fast path
+	// (the default) and for SPICE deck export workflows; it is roughly an
+	// order of magnitude slower.
 	UseSpice bool
 	// Stats, when non-nil, receives the solver's robustness counters:
 	// multigrid setup failures degraded to Jacobi, non-converged solves
@@ -90,9 +61,8 @@ type Config struct {
 }
 
 // FastPath reports whether the configuration is served by the
-// structured-grid CSR solver instead of the SPICE-circuit path. The
-// Gauss-Seidel and dense oracle methods always go through package spice.
-func (cfg Config) FastPath() bool { return !cfg.UseSpice && cfg.Solver == spice.MethodCG }
+// structured-grid CSR solver instead of the SPICE-circuit oracle.
+func (cfg Config) FastPath() bool { return !cfg.UseSpice }
 
 // coarseFactor returns the normalized downsampling factor: 1 for the full
 // resolution (CoarseFactor 0 or 1), the factor itself otherwise.
@@ -122,30 +92,6 @@ func (cfg Config) GridDims() (nx, ny int) {
 	return nx, ny
 }
 
-// Equal reports whether two configurations describe the same thermal model
-// and solver setup; package flow uses it to decide whether a cached Solver
-// can be reused. The Stats and Inject wiring is deliberately ignored: both
-// are observability/test attachments the owner re-applies identically to
-// every solver it builds, not part of the model.
-func (cfg Config) Equal(o Config) bool {
-	if cfg.NX != o.NX || cfg.NY != o.NY ||
-		cfg.coarseFactor() != o.coarseFactor() ||
-		cfg.AmbientC != o.AmbientC ||
-		cfg.HBottom != o.HBottom || cfg.HTop != o.HTop || cfg.HSide != o.HSide ||
-		cfg.Solver != o.Solver || cfg.Tolerance != o.Tolerance ||
-		cfg.Precond != o.Precond || cfg.SurfaceOnly != o.SurfaceOnly ||
-		cfg.UseSpice != o.UseSpice ||
-		len(cfg.Stack) != len(o.Stack) {
-		return false
-	}
-	for i, l := range cfg.Stack {
-		if l != o.Stack[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // DefaultConfig returns the configuration used throughout the experiments:
 // the paper's 40 x 40 x 9 grid, 25 C ambient and a package path calibrated
 // so the synthetic benchmark sits a few degrees to a few tens of degrees
@@ -159,7 +105,6 @@ func DefaultConfig() Config {
 		HBottom:  1.2e6,
 		HTop:     2.0e4,
 		HSide:    1.0e3,
-		Solver:   spice.MethodCG,
 	}
 }
 
@@ -354,7 +299,7 @@ func BuildNetwork(powerMap *geom.Grid, cfg Config) (*spice.Circuit, error) {
 // that solve repeatedly should hold a Solver themselves to also reuse the
 // assembled structure and warm-start between solves; this function builds a
 // fresh one per call. The legacy SPICE-circuit path serves as the oracle
-// when cfg.UseSpice is set or a non-CG method is selected.
+// when cfg.UseSpice is set.
 func Solve(powerMap *geom.Grid, cfg Config) (*Result, error) {
 	return SolveCtx(context.Background(), powerMap, cfg)
 }
@@ -378,17 +323,17 @@ func SolveCtx(ctx context.Context, powerMap *geom.Grid, cfg Config) (*Result, er
 		cfg.Stats.AddCanceled()
 		return nil, fmt.Errorf("thermal: spice path: %w", fault.Canceled(err))
 	}
-	return solveSpice(powerMap, cfg)
+	return solveSpice(powerMap, cfg, spice.MethodCG)
 }
 
 // solveSpice is the legacy oracle path: build the named-node resistive
-// circuit and solve it with package spice.
-func solveSpice(powerMap *geom.Grid, cfg Config) (*Result, error) {
+// circuit and solve it with package spice by the given method.
+func solveSpice(powerMap *geom.Grid, cfg Config, method spice.Method) (*Result, error) {
 	circuit, err := BuildNetwork(powerMap, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := circuit.Solve(spice.SolveOptions{Method: cfg.Solver, Tolerance: cfg.Tolerance})
+	sol, err := circuit.Solve(spice.SolveOptions{Method: method, Tolerance: cfg.Tolerance})
 	if err != nil {
 		return nil, fmt.Errorf("thermal: solving network: %w", err)
 	}

@@ -42,8 +42,8 @@ type Solver struct {
 	mat  *sparse.SymCSR
 	cg   *sparse.CG
 	pool *sparse.Pool
-	// mg is the multigrid preconditioner (nil with PrecondJacobi); its
-	// coarse operators are rebuilt by fillValues.
+	// mg is the multigrid preconditioner (nil once dropMG has degraded the
+	// solver to Jacobi); its coarse operators are rebuilt by fillValues.
 	mg *sparse.MG
 	// restrictMap and coarsePM serve configurations with an active
 	// CoarseFactor: the aggregation of full-resolution power-map cells onto
@@ -78,9 +78,8 @@ type Solver struct {
 const raisedBudgetFactor = 4
 
 // NewSolver validates the configuration and builds the sparsity pattern and
-// the multigrid hierarchy (unless PrecondJacobi is selected). Matrix values
-// are filled on the first Solve, when the die region (and so the cell size)
-// is known.
+// the multigrid hierarchy. Matrix values are filled on the first Solve, when
+// the die region (and so the cell size) is known.
 func NewSolver(cfg Config) (*Solver, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -105,21 +104,18 @@ func NewSolver(cfg Config) (*Solver, error) {
 	// and the multigrid smoother park on the same goroutines.
 	s.pool = sparse.NewPool(sparse.AutoWorkers(s.n))
 	s.baseBudget = 10 * s.n
-	opts := sparse.CGOptions{
+	mg, err := sparse.NewMG(s.mat, s.nx, s.ny, s.nl, sparse.MGOptions{Pool: s.pool})
+	if err != nil {
+		s.pool.Close()
+		return nil, fmt.Errorf("thermal: building multigrid hierarchy: %w", err)
+	}
+	s.mg = mg
+	s.cg = sparse.NewCG(s.mat, sparse.CGOptions{
 		Tolerance:     cfg.Tolerance,
 		MaxIterations: s.baseBudget,
+		Precond:       mg,
 		Pool:          s.pool,
-	}
-	if cfg.Precond != PrecondJacobi {
-		mg, err := sparse.NewMG(s.mat, s.nx, s.ny, s.nl, sparse.MGOptions{Pool: s.pool})
-		if err != nil {
-			s.pool.Close()
-			return nil, fmt.Errorf("thermal: building multigrid hierarchy: %w", err)
-		}
-		s.mg = mg
-		opts.Precond = mg
-	}
-	s.cg = sparse.NewCG(s.mat, opts)
+	})
 	return s, nil
 }
 
@@ -276,7 +272,7 @@ func (s *Solver) Solve(powerMap *geom.Grid) (*Result, error) {
 //     iteration and once per multigrid cycle); an abort returns an error
 //     matching fault.ErrCanceled and invalidates the warm start. When the
 //     context never fires the solve is bit-identical to Solve.
-//   - A multigrid-preconditioned solve that fails to converge is retried
+//   - A multigrid preconditioned solve that fails to converge is retried
 //     once on the Jacobi preconditioner with a raised iteration budget,
 //     from the same warm start, before an ErrNotConverged is reported.
 //   - A panic anywhere inside the solve (worker task, preconditioner) is
@@ -475,7 +471,8 @@ func (s *Solver) SeedState(field []float64) error {
 // Unknowns returns the size of the assembled linear system.
 func (s *Solver) Unknowns() int { return s.n }
 
-// MGLevels returns the depth of the multigrid hierarchy (0 with Jacobi).
+// MGLevels returns the depth of the multigrid hierarchy (0 once degraded to
+// Jacobi).
 func (s *Solver) MGLevels() int {
 	if s.mg == nil {
 		return 0

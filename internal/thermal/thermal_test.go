@@ -22,7 +22,6 @@ func testConfig(nx, ny int) Config {
 		HBottom:  1.2e6,
 		HTop:     2e4,
 		HSide:    1e3,
-		Solver:   spice.MethodCG,
 	}
 }
 
@@ -229,25 +228,27 @@ func TestSolversAgreeOnThermalNetwork(t *testing.T) {
 	pm.Set(1, 1, 0.004)
 	pm.Set(3, 3, 0.002)
 
-	cfgDense := cfg
-	cfgDense.Solver = spice.MethodDense
-	ref, err := Solve(pm, cfgDense)
+	ref, err := solveSpice(pm, cfg, spice.MethodDense)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []spice.Method{spice.MethodCG, spice.MethodGaussSeidel} {
-		c := cfg
-		c.Solver = m
-		c.Tolerance = 1e-11
-		got, err := Solve(pm, c)
+	cfg.Tolerance = 1e-11
+	for _, tc := range []struct {
+		name  string
+		solve func() (*Result, error)
+	}{
+		{"fast path", func() (*Result, error) { return Solve(pm, cfg) }},
+		{"spice gauss-seidel", func() (*Result, error) { return solveSpice(pm, cfg, spice.MethodGaussSeidel) }},
+	} {
+		got, err := tc.solve()
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for iy := 0; iy < 5; iy++ {
 			for ix := 0; ix < 5; ix++ {
 				a, b := got.Surface.At(ix, iy), ref.Surface.At(ix, iy)
 				if math.Abs(a-b) > 1e-4 {
-					t.Fatalf("%v: cell (%d,%d) = %g, dense reference %g", m, ix, iy, a, b)
+					t.Fatalf("%s: cell (%d,%d) = %g, dense reference %g", tc.name, ix, iy, a, b)
 				}
 			}
 		}
