@@ -341,9 +341,7 @@ func BenchmarkThermalSolveGrid(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/solve")
 		}
 		b.Run(fmt.Sprintf("grid=%dx%dx9/spice", n, n), func(b *testing.B) {
-			scfg := cfg
-			scfg.UseSpice = true
-			solveOnce(b, func() error { _, err := thermal.Solve(pm, scfg); return err })
+			solveOnce(b, func() error { _, err := thermal.SolveSpice(pm, cfg, spice.MethodCG); return err })
 		})
 		b.Run(fmt.Sprintf("grid=%dx%dx9/fast", n, n), func(b *testing.B) {
 			solveOnce(b, func() error { _, err := thermal.Solve(pm, cfg); return err })
@@ -432,7 +430,7 @@ func BenchmarkScenarioPlacement(b *testing.B) {
 			f := scenarioFlow(b, g, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.PlaceAt(g.Scenario.Utilization); err != nil {
+				if _, err := f.PlaceAt(f.Config.Utilization); err != nil {
 					b.Fatal(err)
 				}
 			}

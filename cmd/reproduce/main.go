@@ -121,20 +121,19 @@ func main() {
 }
 
 // scatteredWorkload is the paper's test set 1 (four small scattered
-// hotspots); on the reduced benchmark the hottest unit is the multiplier.
+// hotspots), reduced on the small benchmark.
 func scatteredWorkload(small bool) bench.Workload {
 	if small {
-		return bench.Workload{Name: "scattered-small(reduced)",
-			Activity: map[string]float64{"mult8": 0.55, "alu8": 0.5}, Default: 0.04}
+		return bench.SmallScatteredWorkload()
 	}
 	return bench.ScatteredSmallHotspots()
 }
 
-// concentratedWorkload is the paper's test set 2 (one large hotspot).
+// concentratedWorkload is the paper's test set 2 (one large hotspot),
+// reduced on the small benchmark.
 func concentratedWorkload(small bool) bench.Workload {
 	if small {
-		return bench.Workload{Name: "concentrated(reduced)",
-			Activity: map[string]float64{"mult8": 0.55}, Default: 0.04}
+		return bench.SmallConcentratedWorkload()
 	}
 	return bench.ConcentratedLargeHotspot()
 }

@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	wl, err := parseWorkload(*workload)
+	wl, err := parseWorkload(*workload, *netlistPath == "" && *benchName == "small")
 	if err != nil {
 		fatal(err)
 	}
@@ -274,14 +274,20 @@ func loadDesign(netlistPath, benchName string, lib *celllib.Library) (*netlist.D
 }
 
 // parseWorkload accepts scattered, concentrated, uniform (activity 0.25) and
-// uniform:<a>, where a is a per-cycle toggle probability in [0, 1].
-func parseWorkload(s string) (bench.Workload, error) {
-	switch s {
-	case "scattered":
+// uniform:<a>, where a is a per-cycle toggle probability in [0, 1]. On the
+// small benchmark the two named workloads are its reduced versions, which
+// drive units that benchmark has.
+func parseWorkload(s string, small bool) (bench.Workload, error) {
+	switch {
+	case s == "scattered" && small:
+		return bench.SmallScatteredWorkload(), nil
+	case s == "scattered":
 		return bench.ScatteredSmallHotspots(), nil
-	case "concentrated":
+	case s == "concentrated" && small:
+		return bench.SmallConcentratedWorkload(), nil
+	case s == "concentrated":
 		return bench.ConcentratedLargeHotspot(), nil
-	case "uniform":
+	case s == "uniform":
 		return bench.UniformWorkload(0.25), nil
 	}
 	if a, ok := strings.CutPrefix(s, "uniform:"); ok {

@@ -56,6 +56,21 @@ func SmallConfig() Config {
 	}
 }
 
+// SmallScatteredWorkload is the paper's first test set reduced to
+// SmallConfig's units, which lack the paper benchmark's multipliers and
+// MAC: the multiplier and the ALU run hot.
+func SmallScatteredWorkload() Workload {
+	return Workload{Name: "scattered-small(reduced)",
+		Activity: map[string]float64{"mult8": 0.55, "alu8": 0.5}, Default: 0.04}
+}
+
+// SmallConcentratedWorkload is the paper's second test set reduced to
+// SmallConfig's units: the multiplier alone runs hot.
+func SmallConcentratedWorkload() Workload {
+	return Workload{Name: "concentrated(reduced)",
+		Activity: map[string]float64{"mult8": 0.55}, Default: 0.04}
+}
+
 // Generate builds the benchmark design described by cfg using lib.
 // The returned design has a single clock input named "clk" connected to all
 // flip-flops and one set of primary inputs/outputs per unit, each tagged

@@ -28,6 +28,7 @@ import (
 	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
 	"thermplace/internal/netlist"
+	"thermplace/internal/spice"
 	"thermplace/internal/thermal"
 	"thermplace/internal/timing"
 )
@@ -271,9 +272,7 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	if unknowns > opts.OracleMaxUnknowns {
 		rep.skipped("fastpath-vs-spice-oracle", fmt.Sprintf("%d unknowns > limit %d", unknowns, opts.OracleMaxUnknowns))
 	} else {
-		scfg := cfg.Thermal
-		scfg.UseSpice = true
-		oracle, err := thermal.Solve(base.PowerMap, scfg)
+		oracle, err := thermal.SolveSpice(base.PowerMap, cfg.Thermal, spice.MethodCG)
 		if err != nil {
 			return rep, fmt.Errorf("harness: %s: spice oracle: %w", gen.Scenario, err)
 		}

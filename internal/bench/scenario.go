@@ -77,34 +77,16 @@ type Scenario struct {
 	TargetCells int
 	// ClockGHz is the clock frequency; zero means 1.0.
 	ClockGHz float64
-	// AspectRatio is the intended core aspect ratio (height / width) for
-	// flows built from this scenario; zero means 1.0.
-	AspectRatio float64
-	// Utilization is the intended baseline placement utilization; zero
-	// means 0.85.
-	Utilization float64
-	// HotActivity overrides the family's center toggle probability for hot
-	// units (zero keeps the family default).
-	HotActivity float64
-	// BaseActivity overrides the family's background toggle probability
-	// (zero keeps the family default).
-	BaseActivity float64
 }
 
 // Normalized returns the scenario with every zero knob replaced by its
-// default. Family-level activity defaults are resolved during Generate.
+// default.
 func (sc Scenario) Normalized() Scenario {
 	if sc.TargetCells == 0 {
 		sc.TargetCells = 12000
 	}
 	if sc.ClockGHz == 0 {
 		sc.ClockGHz = 1.0
-	}
-	if sc.AspectRatio == 0 {
-		sc.AspectRatio = 1.0
-	}
-	if sc.Utilization == 0 {
-		sc.Utilization = 0.85
 	}
 	return sc
 }
@@ -119,15 +101,6 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.ClockGHz <= 0 {
 		return fmt.Errorf("bench: clock %v GHz must be positive", sc.ClockGHz)
-	}
-	if sc.AspectRatio <= 0 {
-		return fmt.Errorf("bench: aspect ratio %v must be positive", sc.AspectRatio)
-	}
-	if sc.Utilization <= 0 || sc.Utilization > 1 {
-		return fmt.Errorf("bench: utilization %v outside (0, 1]", sc.Utilization)
-	}
-	if sc.HotActivity < 0 || sc.HotActivity > 1 || sc.BaseActivity < 0 || sc.BaseActivity > 1 {
-		return fmt.Errorf("bench: activities must lie in [0, 1]")
 	}
 	return nil
 }
@@ -316,19 +289,6 @@ func (p *unitPlan) fillToTarget(target int) {
 	}
 }
 
-// activity resolves the scenario's hot/base activity overrides against the
-// family defaults.
-func (sc Scenario) activity(hotDefault, baseDefault float64) (hot, base float64) {
-	hot, base = hotDefault, baseDefault
-	if sc.HotActivity > 0 {
-		hot = sc.HotActivity
-	}
-	if sc.BaseActivity > 0 {
-		base = sc.BaseActivity
-	}
-	return hot, base
-}
-
 // jitter returns v perturbed by up to ±frac (relative), drawn from rng and
 // clamped to the [0, 1] toggle-probability domain.
 func jitter(rng *rand.Rand, v, frac float64) float64 {
@@ -392,7 +352,7 @@ func (sc Scenario) planPaperSynth9(rng *rand.Rand) ([]UnitSpec, Workload) {
 		{KindCarrySelectAdder, 64, false},
 	}
 	scale := math.Sqrt(float64(sc.TargetCells) / paperBaseCells)
-	hot, cold := sc.activity(0.50, 0.04)
+	hot, cold := 0.50, 0.04
 	p := newUnitPlan()
 	wl := Workload{
 		Name:     "scattered-" + sc.Name(),
@@ -413,7 +373,7 @@ func (sc Scenario) planPaperSynth9(rng *rand.Rand) ([]UnitSpec, Workload) {
 }
 
 func (sc Scenario) planHotspotCluster(rng *rand.Rand) ([]UnitSpec, Workload) {
-	hot, cold := sc.activity(0.58, 0.02)
+	hot, cold := 0.58, 0.02
 	nHot := 2 + rng.Intn(2)
 	// Spend no more than about half the budget on the hot cluster.
 	wHot := clampInt(int(math.Sqrt(float64(sc.TargetCells)/(8*float64(nHot)))), 6, 14)
@@ -442,7 +402,7 @@ func (sc Scenario) planHotspotCluster(rng *rand.Rand) ([]UnitSpec, Workload) {
 }
 
 func (sc Scenario) planGradientMix(rng *rand.Rand) ([]UnitSpec, Workload) {
-	hot, cold := sc.activity(0.55, 0.02)
+	hot, cold := 0.55, 0.02
 	kinds := []UnitKind{
 		KindMultiplier, KindALU, KindCarrySelectAdder,
 		KindComparator, KindMAC, KindRippleAdder,
@@ -489,7 +449,7 @@ func (sc Scenario) planGradientMix(rng *rand.Rand) ([]UnitSpec, Workload) {
 }
 
 func (sc Scenario) planManyUnits(rng *rand.Rand) ([]UnitSpec, Workload) {
-	hot, cold := sc.activity(0.60, 0.05)
+	hot, cold := 0.60, 0.05
 	kinds := []UnitKind{
 		KindMultiplier, KindRippleAdder, KindCarrySelectAdder,
 		KindMAC, KindALU, KindComparator,
@@ -521,7 +481,7 @@ func (sc Scenario) planManyUnits(rng *rand.Rand) ([]UnitSpec, Workload) {
 }
 
 func (sc Scenario) planWideDatapath(rng *rand.Rand) ([]UnitSpec, Workload) {
-	hot, cold := sc.activity(0.52, 0.04)
+	hot, cold := 0.52, 0.04
 	p := newUnitPlan()
 	wl := Workload{
 		Name:     "wide-" + sc.Name(),

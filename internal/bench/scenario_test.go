@@ -37,16 +37,13 @@ func TestFamiliesAndParse(t *testing.T) {
 
 func TestScenarioNormalizeAndValidate(t *testing.T) {
 	sc := Scenario{Family: FamilyGradientMix}.Normalized()
-	if sc.TargetCells != 12000 || sc.ClockGHz != 1.0 || sc.AspectRatio != 1.0 || sc.Utilization != 0.85 {
+	if sc.TargetCells != 12000 || sc.ClockGHz != 1.0 {
 		t.Fatalf("defaults not applied: %+v", sc)
 	}
 	bad := []Scenario{
 		{Family: "bogus"},
 		{Family: FamilyManyUnits, TargetCells: 10},
 		{Family: FamilyManyUnits, ClockGHz: -1},
-		{Family: FamilyManyUnits, AspectRatio: -2},
-		{Family: FamilyManyUnits, Utilization: 1.5},
-		{Family: FamilyManyUnits, HotActivity: 1.5},
 	}
 	for _, sc := range bad {
 		if err := sc.Normalized().Validate(); err == nil {
@@ -69,8 +66,8 @@ func serializeScenario(t *testing.T, sc Scenario) (verilog, defBytes []byte, g *
 		t.Fatal(err)
 	}
 	fp, err := floorplan.New(g.Design, floorplan.Config{
-		Utilization: g.Scenario.Utilization,
-		AspectRatio: g.Scenario.AspectRatio,
+		Utilization: 0.85,
+		AspectRatio: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,29 +290,5 @@ func TestEstimateCellsMatchesGenerator(t *testing.T) {
 		if math.Abs(float64(got-est)) > 0.05*float64(got) {
 			t.Errorf("%s (%v w=%d): estimate %d vs generated %d", spec.Name, spec.Kind, spec.Width, est, got)
 		}
-	}
-}
-
-// TestScenarioActivityOverrides checks the hot/base activity knobs.
-func TestScenarioActivityOverrides(t *testing.T) {
-	lib := celllib.Default65nm()
-	g, err := Scenario{
-		Family: FamilyHotspotCluster, Seed: 4, TargetCells: 1500,
-		HotActivity: 0.9, BaseActivity: 0.01,
-	}.Generate(lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Workload.Default != 0.01 {
-		t.Fatalf("base activity override not applied: %v", g.Workload.Default)
-	}
-	maxA := 0.0
-	for _, a := range g.Workload.Activity {
-		if a > maxA {
-			maxA = a
-		}
-	}
-	if maxA < 0.8 {
-		t.Fatalf("hot activity override not applied: max %v", maxA)
 	}
 }

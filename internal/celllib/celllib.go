@@ -163,7 +163,7 @@ func (l *Library) AddMaster(m *Master) error {
 	if _, ok := l.masters[m.Name]; ok {
 		return fmt.Errorf("celllib: duplicate master %q", m.Name)
 	}
-	if m.Width <= 0 {
+	if !(m.Width > 0) {
 		return fmt.Errorf("celllib: master %q has non-positive width %g", m.Name, m.Width)
 	}
 	if !m.Filler && m.OutputPin() == "" {

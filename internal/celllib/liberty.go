@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -142,7 +143,12 @@ func (p *libertyParser) parseGroupHeader(keyword string) (string, error) {
 	if err := p.expect("("); err != nil {
 		return "", err
 	}
+	// A name must write back as itself: a bare token, not punctuation, a
+	// comment or a quoted string holding delimiters.
 	name := p.next()
+	if name == "" || strings.ContainsAny(name, " \t\n\r(){}:;\"") || strings.HasPrefix(name, "//") {
+		return "", fmt.Errorf("celllib: liberty parse error: bad %s name %q (token %d)", keyword, name, p.pos-1)
+	}
 	if err := p.expect(")"); err != nil {
 		return "", err
 	}
@@ -186,25 +192,46 @@ func (p *libertyParser) parseLibrary() (*Library, error) {
 }
 
 func applyLibraryAttr(lib *Library, attr, val string) error {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return fmt.Errorf("celllib: library attribute %s: %w", attr, err)
-	}
+	var num *float64
+	positive := true // the supply voltage and the row and site dimensions
 	switch attr {
 	case "voltage":
-		lib.Vdd = f
+		num = &lib.Vdd
 	case "row_height":
-		lib.RowHeight = f
+		num = &lib.RowHeight
 	case "site_width":
-		lib.SiteWidth = f
+		num = &lib.SiteWidth
 	case "wire_cap_per_um":
-		lib.WireCapPerUm = f
+		num, positive = &lib.WireCapPerUm, false
 	case "wire_res_per_um":
-		lib.WireResPerUm = f
+		num, positive = &lib.WireResPerUm, false
 	default:
 		return fmt.Errorf("celllib: unknown library attribute %q", attr)
 	}
+	f, err := parseNumber(val, positive)
+	if err != nil {
+		return fmt.Errorf("celllib: library attribute %s: %w", attr, err)
+	}
+	*num = f
 	return nil
+}
+
+// parseNumber parses the value of a numeric attribute. Every quantity the
+// format carries is a finite, non-negative physical value; positive also
+// rejects zero (the supply voltage and the cell and site dimensions).
+func parseNumber(val string, positive bool) (float64, error) {
+	f, err := strconv.ParseFloat(val, 64)
+	switch {
+	case err != nil:
+		return 0, err
+	case math.IsNaN(f) || math.IsInf(f, 0):
+		return 0, fmt.Errorf("%q is not finite", val)
+	case positive && f <= 0:
+		return 0, fmt.Errorf("%q is not positive", val)
+	case f < 0:
+		return 0, fmt.Errorf("%q is negative", val)
+	}
+	return f, nil
 }
 
 // parseAttribute parses `name : value ;` and returns (name, value).
@@ -252,57 +279,39 @@ func (p *libertyParser) parseCell() (*Master, error) {
 }
 
 func applyCellAttr(m *Master, attr, val string) error {
-	parseF := func() (float64, error) {
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return 0, fmt.Errorf("celllib: cell %q attribute %s: %w", m.Name, attr, err)
-		}
-		return f, nil
-	}
+	var num *float64
 	switch attr {
 	case "width":
-		f, err := parseF()
-		if err != nil {
-			return err
-		}
-		m.Width = f
+		num = &m.Width
 	case "drive_res":
-		f, err := parseF()
-		if err != nil {
-			return err
-		}
-		m.DriveRes = f
+		num = &m.DriveRes
 	case "intrinsic_delay":
-		f, err := parseF()
-		if err != nil {
-			return err
-		}
-		m.Intrinsic = f
+		num = &m.Intrinsic
 	case "leakage":
-		f, err := parseF()
-		if err != nil {
-			return err
-		}
-		m.Leakage = f
+		num = &m.Leakage
 	case "switch_energy":
-		f, err := parseF()
-		if err != nil {
-			return err
-		}
-		m.SwitchEnergy = f
+		num = &m.SwitchEnergy
 	case "function":
 		fn, err := ParseFunc(val)
 		if err != nil {
 			return err
 		}
 		m.Function = fn
+		return nil
 	case "sequential":
 		m.Sequential = val == "true"
+		return nil
 	case "filler":
 		m.Filler = val == "true"
+		return nil
 	default:
 		return fmt.Errorf("celllib: unknown cell attribute %q in cell %q", attr, m.Name)
 	}
+	f, err := parseNumber(val, attr == "width")
+	if err != nil {
+		return fmt.Errorf("celllib: cell %q attribute %s: %w", m.Name, attr, err)
+	}
+	*num = f
 	return nil
 }
 
@@ -334,7 +343,7 @@ func (p *libertyParser) parsePin() (Pin, error) {
 					return Pin{}, fmt.Errorf("celllib: pin %q has unknown direction %q", name, val)
 				}
 			case "cap":
-				f, err := strconv.ParseFloat(val, 64)
+				f, err := parseNumber(val, false)
 				if err != nil {
 					return Pin{}, fmt.Errorf("celllib: pin %q cap: %w", name, err)
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"thermplace/internal/fault"
@@ -12,6 +11,7 @@ import (
 	"thermplace/internal/flow"
 	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
+	"thermplace/internal/sparse"
 	"thermplace/internal/thermal"
 )
 
@@ -20,8 +20,8 @@ import (
 // the base overhead axis refined GridScale times, crossed with the Aspects
 // axis — and scores every candidate with a cheap coarse-fidelity estimate:
 // no placement is built; the baseline power map is transformed
-// geometrically into the candidate's floorplan and solved on a CoarseFactor
-// downsampled thermal grid. The coarse model's bias is systematic and
+// geometrically into the candidate's floorplan and solved on a thermal grid
+// downsampled by CoarseFactor. The coarse model's bias is systematic and
 // nearly linear in area overhead, so the estimates are calibrated with a
 // two-point scheme: the exact/coarse rise ratio is interpolated linearly in
 // area between the baseline (area 0) and one exact anchor measurement per
@@ -51,9 +51,12 @@ type AdaptiveOptions struct {
 	// compares against.
 	Margin float64
 	// CoarseFactor is the thermal grid downsampling factor of the estimate
-	// phase (thermal.Config.CoarseFactor). 0 selects 4; values below 2 are
-	// otherwise rejected (a factor of 1 would make "triage" as expensive as
-	// the exact phase).
+	// phase: it solves a ceil(NX/f) x ceil(NY/f) grid (never below 2x2)
+	// over the same die, and restricts the baseline power map onto it with
+	// the multigrid hierarchy's own power-conserving aggregation
+	// (sparse.Aggregate). 0 selects 4; values below 2 are otherwise
+	// rejected (a factor of 1 would make "triage" as expensive as the exact
+	// phase).
 	CoarseFactor int
 	// Aspects is the core aspect-ratio axis of the candidate grid, applied
 	// to Default and HW candidates (ERI stretches the baseline placement,
@@ -151,59 +154,11 @@ func adaptiveOverheads(base []float64, scale int) []float64 {
 	return out
 }
 
-// coarsePool is the adaptive sweep's private pool of downsampled thermal
-// solvers. Every solve is seeded from the same coarse-baseline field, so
-// the estimates are independent of which pooled solver (and hence which
-// worker schedule) ran them.
-type coarsePool struct {
-	cfg  thermal.Config
-	seed []float64
-
-	mu   sync.Mutex
-	free []*thermal.Solver
-
-	solves atomic.Int64
-}
-
-func (cp *coarsePool) solve(ctx context.Context, pm *geom.Grid) (*thermal.Result, error) {
-	cp.mu.Lock()
-	var s *thermal.Solver
-	if n := len(cp.free); n > 0 {
-		s, cp.free = cp.free[n-1], cp.free[:n-1]
-	}
-	cp.mu.Unlock()
-	if s == nil {
-		var err error
-		s, err = thermal.NewSolver(cp.cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cp.seed != nil {
-		if err := s.SeedState(cp.seed); err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
-	res, err := s.SolveCtx(ctx, pm)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	cp.solves.Add(1)
-	cp.mu.Lock()
-	cp.free = append(cp.free, s)
-	cp.mu.Unlock()
-	return res, nil
-}
-
-func (cp *coarsePool) close() {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	for _, s := range cp.free {
-		s.Close()
-	}
-	cp.free = nil
+// coarseDims returns the lateral resolution of the estimate phase's thermal
+// grid for a full nx x ny grid and downsampling factor f: ceil(nx/f) x
+// ceil(ny/f), never below 2x2.
+func coarseDims(nx, ny, f int) (cnx, cny int) {
+	return max((nx+f-1)/f, 2), max((ny+f-1)/f, 2)
 }
 
 // rebinInto maps every cell of src into dst by relative position (src's
@@ -273,35 +228,47 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 
 	// ---- Phase 1: coarse-fidelity estimates, placement-free. ----
 	ccfg := f.Config.Thermal
-	ccfg.CoarseFactor = af.CoarseFactor
-	cnx, cny := ccfg.GridDims()
-	pool := &coarsePool{cfg: ccfg}
-	defer pool.close()
-
-	// Calibration solve: the baseline through the coarse model (the solver
-	// restricts the full-resolution baseline power map itself). The
-	// exact/coarse baseline rise ratio anchors the calibration at area 0,
-	// and the solved coarse-baseline field becomes the fixed warm-start
-	// seed of every candidate solve — determinism does not depend on worker
-	// scheduling.
-	s0, err := thermal.NewSolver(ccfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: adaptive coarse solver: %w", err)
+	ccfg.NX, ccfg.NY = coarseDims(ccfg.NX, ccfg.NY, af.CoarseFactor)
+	cnx, cny := ccfg.NX, ccfg.NY
+	pool := thermal.NewPool(ccfg)
+	defer pool.Close()
+	var coarseSolves atomic.Int64
+	// coarseSolve runs one solve on a pooled coarse solver. Only the
+	// calibration solve hands its field back (keep), so that field is the
+	// pool's default seed and every candidate solve starts from it: the
+	// estimates do not depend on worker scheduling.
+	coarseSolve := func(tctx context.Context, pm *geom.Grid, keep bool) (*thermal.Result, error) {
+		cs, err := pool.Get(nil)
+		if err != nil {
+			return nil, err
+		}
+		res, err := cs.SolveCtx(tctx, pm)
+		var field []float64
+		if err == nil && keep {
+			field = cs.State()
+		}
+		pool.Put(cs, field)
+		if err != nil {
+			return nil, err
+		}
+		coarseSolves.Add(1)
+		return res, nil
 	}
-	cbase, err := s0.SolveCtx(ctx, baseline.PowerMap)
+
+	// Calibration solve: the baseline power map, restricted onto the coarse
+	// grid, through the coarse model. The exact/coarse baseline rise ratio
+	// anchors the calibration at area 0.
+	basePM := baseline.PowerMap
+	cbasePM := geom.NewGrid(cnx, cny, basePM.Region)
+	sparse.Restrict(basePM.Values(), sparse.Aggregate(basePM.NX, basePM.NY, 1, cnx, cny), cbasePM.Values())
+	cbase, err := coarseSolve(ctx, cbasePM, true)
 	if err != nil {
-		s0.Close()
 		return nil, fmt.Errorf("core: adaptive coarse baseline: %w", err)
 	}
 	if cbase.PeakRise <= 0 {
-		s0.Close()
 		return nil, fmt.Errorf("core: adaptive coarse baseline lost the temperature rise")
 	}
-	pool.seed = s0.State()
-	pool.free = append(pool.free, s0)
-	pool.solves.Add(1)
 
-	basePM := baseline.PowerMap
 	baseFP := baseline.Placement.FP
 
 	// estDefault builds the coarse estimate of a Default candidate: the
@@ -317,7 +284,7 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 		}
 		pm := geom.NewGrid(cnx, cny, fp.Core)
 		rebinInto(pm, basePM)
-		res, err := pool.solve(tctx, pm)
+		res, err := coarseSolve(tctx, pm, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -378,7 +345,7 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 			// wrap): survive conservatively, like the no-spots case.
 			return nil
 		}
-		res, err := pool.solve(tctx, pm)
+		res, err := coarseSolve(tctx, pm, false)
 		if err != nil {
 			return err
 		}
@@ -437,7 +404,7 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 					pm.AddAt(geom.Point{X: ct.X, Y: ct.Y + float64(shift)*baseFP.RowHeight}, v)
 				}
 			}
-			res, err := pool.solve(tctx, pm)
+			res, err := coarseSolve(tctx, pm, false)
 			if err != nil {
 				return provenance(err, c)
 			}
@@ -545,7 +512,7 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 			stats.Survivors++
 		}
 	}
-	stats.CoarseSolves = int(pool.solves.Load())
+	stats.CoarseSolves = int(coarseSolves.Load())
 
 	// ---- Phase 2: exact refinement of the survivors on the classic
 	// sweep's fan-out. ----

@@ -115,6 +115,39 @@ func TestAdaptiveSweepMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestAdaptiveEstimatesIndependentOfWorkers checks that the coarse phase
+// is a pure function of its inputs: every estimate solve is seeded from the
+// calibration solve's field, so the triage record — which folds in every
+// surviving candidate's estimate — and the points are == for one worker
+// and for four.
+func TestAdaptiveEstimatesIndependentOfWorkers(t *testing.T) {
+	f := hotFlow(t, "mult8")
+	defer f.Close()
+	run := func(workers int) *SweepResult {
+		res, err := SweepEfficiency(f, SweepOptions{
+			Overheads: []float64{0.05, 0.40},
+			Workers:   workers,
+			Adaptive:  &AdaptiveOptions{GridScale: 3, Margin: 0.04, CoarseFactor: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq, par := run(1), run(4)
+	if *seq.Triage != *par.Triage {
+		t.Fatalf("triage differs between 1 and 4 workers:\n  1: %+v\n  4: %+v", *seq.Triage, *par.Triage)
+	}
+	if len(seq.Points) != len(par.Points) {
+		t.Fatalf("%d points with 1 worker, %d with 4", len(seq.Points), len(par.Points))
+	}
+	for i := range seq.Points {
+		if seq.Points[i] != par.Points[i] {
+			t.Fatalf("point %d differs between 1 and 4 workers:\n  1: %+v\n  4: %+v", i, seq.Points[i], par.Points[i])
+		}
+	}
+}
+
 // TestAdaptiveInjectionBreaksFront drives the negative-injection knob: a
 // biased coarse estimate must push true-front points out of the survivor
 // set, which the harness turns into a failed run.
@@ -168,6 +201,29 @@ func TestAdaptiveValidation(t *testing.T) {
 		af := af
 		if _, err := SweepEfficiency(f, SweepOptions{Adaptive: &af}); err == nil {
 			t.Fatalf("options %+v must be rejected", af)
+		}
+	}
+}
+
+// TestCoarseDims pins the estimate phase's grid arithmetic: ceil division
+// by the factor, clamped to the 2x2 minimum.
+func TestCoarseDims(t *testing.T) {
+	cases := []struct {
+		nx, ny, f      int
+		wantNX, wantNY int
+	}{
+		{40, 40, 1, 40, 40},
+		{40, 40, 4, 10, 10},
+		{40, 40, 2, 20, 20},
+		{41, 40, 2, 21, 20}, // ceil division
+		{40, 40, 30, 2, 2},  // clamped to the 2x2 minimum
+		{6, 9, 3, 2, 3},
+	}
+	for _, c := range cases {
+		nx, ny := coarseDims(c.nx, c.ny, c.f)
+		if nx != c.wantNX || ny != c.wantNY {
+			t.Errorf("coarseDims(%d, %d, %d) = %dx%d, want %dx%d",
+				c.nx, c.ny, c.f, nx, ny, c.wantNX, c.wantNY)
 		}
 	}
 }

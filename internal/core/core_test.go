@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"thermplace/internal/flow"
 	"thermplace/internal/hotspot"
 	"thermplace/internal/netlist"
+	"thermplace/internal/spice"
+	"thermplace/internal/thermal"
 )
 
 func TestStrategyParsing(t *testing.T) {
@@ -315,46 +318,43 @@ func TestSweepEfficiencyReproducesFigure6Shape(t *testing.T) {
 	}
 }
 
-// TestSweepFastPathMatchesSpiceOracle runs the same sweep through the
+// TestSweepFastPathMatchesSpiceOracle runs a sweep through the
 // structured-grid fast path (with its solver reuse and warm starts across
-// points) and through the legacy SPICE oracle, and requires identical
-// efficiency curves. This is the end-to-end guarantee that the fast path
-// changes nothing about the paper's reproduced results.
+// points) and solves the baseline's and every point's own power map with
+// the SPICE-circuit oracle: each surface must agree cell by cell. This is
+// the end-to-end guarantee that the fast path changes nothing about the
+// paper's reproduced results.
 func TestSweepFastPathMatchesSpiceOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("double sweep skipped in -short mode")
+		t.Skip("oracle solves skipped in -short mode")
 	}
-	run := func(useSpice bool) *SweepResult {
-		f := hotFlow(t, "mult8")
-		f.Config.Thermal.UseSpice = useSpice
-		res, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{0.15}})
+	f := hotFlow(t, "mult8")
+	res, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{0.15}, KeepAnalyses: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, an *flow.Analysis) {
+		t.Helper()
+		oracle, err := thermal.SolveSpice(an.PowerMap, f.Config.Thermal, spice.MethodCG)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		return res
+		fast, ref := an.Thermal.Surface.Values(), oracle.Surface.Values()
+		for i := range fast {
+			if d := math.Abs(fast[i] - ref[i]); d > 1e-6 {
+				t.Fatalf("%s: surface cell %d differs from the spice oracle by %g C", name, i, d)
+			}
+		}
+		if d := math.Abs(an.PeakRise() - oracle.PeakRise); d > 1e-6 {
+			t.Fatalf("%s: peak rise fast %g vs oracle %g", name, an.PeakRise(), oracle.PeakRise)
+		}
 	}
-	fast := run(false)
-	oracle := run(true)
-	if math.Abs(fast.Baseline.PeakRise()-oracle.Baseline.PeakRise()) > 1e-6 {
-		t.Fatalf("baseline peak rise: fast %g vs oracle %g",
-			fast.Baseline.PeakRise(), oracle.Baseline.PeakRise())
+	check("baseline", res.Baseline)
+	if len(res.Points) != 3 {
+		t.Fatalf("got %d points, want one per strategy", len(res.Points))
 	}
-	if len(fast.Points) != len(oracle.Points) {
-		t.Fatalf("point count: fast %d vs oracle %d", len(fast.Points), len(oracle.Points))
-	}
-	for i, fp := range fast.Points {
-		op := oracle.Points[i]
-		if fp.Strategy != op.Strategy {
-			t.Fatalf("point %d strategy mismatch: %s vs %s", i, fp.Strategy, op.Strategy)
-		}
-		if math.Abs(fp.PeakRise-op.PeakRise) > 1e-6 {
-			t.Fatalf("point %d (%s): peak rise fast %g vs oracle %g",
-				i, fp.Strategy, fp.PeakRise, op.PeakRise)
-		}
-		if math.Abs(fp.TempReduction-op.TempReduction) > 1e-6 {
-			t.Fatalf("point %d (%s): reduction fast %g vs oracle %g",
-				i, fp.Strategy, fp.TempReduction, op.TempReduction)
-		}
+	for i, pt := range res.Points {
+		check(fmt.Sprintf("point %d (%s)", i, pt.Strategy), pt.Analysis)
 	}
 }
 

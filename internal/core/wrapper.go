@@ -20,19 +20,10 @@ type WrapperOptions struct {
 	// RingWidth is the width of the whitespace ring around each wrapped
 	// region in micrometres. Zero selects a default of two row heights.
 	RingWidth float64
-	// ExpandFactor is the factor by which the wrapped region's area exceeds
-	// the detected hotspot's bounding box, so the hot cells end up with
-	// more room than they currently occupy. Zero selects the default of
-	// 1 / utilization of the starting placement (i.e. the wrapper soaks up
-	// the placement's average whitespace share), clamped to [1.2, 3].
-	ExpandFactor float64
 	// HotCellFactor marks a cell as hot when its power exceeds
 	// HotCellFactor times the average cell power inside the detected
 	// hotspot box. Zero selects the default of 1.0.
 	HotCellFactor float64
-	// MaxHotspots bounds how many hotspots are wrapped (hottest first).
-	// Zero means all.
-	MaxHotspots int
 }
 
 // DefaultWrapperOptions returns the settings used in the experiments.
@@ -79,16 +70,13 @@ func hotspotWrapper(p *place.Placement, spots []hotspot.Hotspot, opts WrapperOpt
 	if opts.HotCellFactor <= 0 {
 		opts.HotCellFactor = 1.0
 	}
-	if opts.ExpandFactor <= 0 {
-		util := p.Utilization()
-		if util <= 0 || util >= 1 {
-			opts.ExpandFactor = 1.5
-		} else {
-			opts.ExpandFactor = geom.Clamp(1/util, 1.2, 3.0)
-		}
-	}
-	if opts.MaxHotspots > 0 && len(spots) > opts.MaxHotspots {
-		spots = spots[:opts.MaxHotspots]
+	// The wrapped region's area exceeds the hotspot's bounding box by
+	// 1/utilization of the starting placement (the wrapper soaks up the
+	// placement's average whitespace share), clamped to [1.2, 3], so the
+	// hot cells end up with more room than they currently occupy.
+	expand := 1.5
+	if util := p.Utilization(); util > 0 && util < 1 {
+		expand = geom.Clamp(1/util, 1.2, 3.0)
 	}
 
 	out := p.Clone()
@@ -103,8 +91,8 @@ func hotspotWrapper(p *place.Placement, spots []hotspot.Hotspot, opts WrapperOpt
 			continue
 		}
 		// The wrapped (outer) region: the hotspot bounding box grown so its
-		// area increases by ExpandFactor, clipped to the core.
-		growth := (math.Sqrt(opts.ExpandFactor) - 1) / 2
+		// area increases by the expansion factor, clipped to the core.
+		growth := (math.Sqrt(expand) - 1) / 2
 		outer := hotBox.Expand(growth * (hotBox.W() + hotBox.H()) / 2).Intersect(core)
 		// The inner region (where the hot cells will live) excludes the
 		// whitespace ring.

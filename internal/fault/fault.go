@@ -10,7 +10,7 @@
 // errors.As:
 //
 //	errors.Is(err, fault.ErrCanceled)        // the context fired
-//	errors.Is(err, fault.ErrBudgetExceeded)  // ... because a deadline passed
+//	errors.Is(err, context.DeadlineExceeded) // ... because a deadline passed
 //	errors.As(err, &ncErr)                   // *fault.ErrNotConverged
 //	errors.As(err, &setupErr)                // *fault.ErrSetup
 //	errors.As(err, &panicErr)                // *fault.ErrPanic
@@ -29,31 +29,18 @@ import (
 // computation itself went wrong.
 var ErrCanceled = errors.New("fault: analysis canceled")
 
-// ErrBudgetExceeded is the sentinel matched (in addition to ErrCanceled) when
-// the cancellation cause was an expired deadline — a -timeout flag or a
-// context.WithTimeout budget — rather than an explicit cancel.
-var ErrBudgetExceeded = errors.New("fault: time budget exceeded")
-
-// canceledError wraps the context cause so both the taxonomy sentinels and
+// canceledError wraps the context cause so both the taxonomy sentinel and
 // the standard context errors keep matching through errors.Is.
 type canceledError struct{ cause error }
 
-func (e *canceledError) Error() string { return "fault: analysis canceled: " + e.cause.Error() }
-func (e *canceledError) Unwrap() error { return e.cause }
-func (e *canceledError) Is(target error) bool {
-	switch target {
-	case ErrCanceled:
-		return true
-	case ErrBudgetExceeded:
-		return errors.Is(e.cause, context.DeadlineExceeded)
-	}
-	return false
-}
+func (e *canceledError) Error() string        { return "fault: analysis canceled: " + e.cause.Error() }
+func (e *canceledError) Unwrap() error        { return e.cause }
+func (e *canceledError) Is(target error) bool { return target == ErrCanceled }
 
 // Canceled wraps a context cause (ctx.Err()) into the taxonomy: the result
-// matches ErrCanceled, matches ErrBudgetExceeded when the cause was a
-// deadline, and still matches the original context error. A nil cause is
-// treated as context.Canceled.
+// matches ErrCanceled and still matches the original context error, so an
+// expired deadline matches context.DeadlineExceeded. A nil cause is treated
+// as context.Canceled.
 func Canceled(cause error) error {
 	if cause == nil {
 		cause = context.Canceled

@@ -15,13 +15,13 @@ func TestCanceledTaxonomy(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cause not reachable: %v", err)
 	}
-	if errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("plain cancel must not match ErrBudgetExceeded: %v", err)
+	if errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("plain cancel must not match context.DeadlineExceeded: %v", err)
 	}
 
 	derr := Canceled(context.DeadlineExceeded)
-	if !errors.Is(derr, ErrCanceled) || !errors.Is(derr, ErrBudgetExceeded) {
-		t.Fatalf("deadline cancel must match both sentinels: %v", derr)
+	if !errors.Is(derr, ErrCanceled) {
+		t.Fatalf("deadline cancel must match ErrCanceled: %v", derr)
 	}
 	if !errors.Is(derr, context.DeadlineExceeded) {
 		t.Fatalf("deadline cause not reachable: %v", derr)

@@ -10,9 +10,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"thermplace/internal/bench"
 	"thermplace/internal/congestion"
@@ -89,16 +89,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// ScenarioConfig maps the physical-design knobs of a bench.Scenario —
-// utilization, aspect ratio, clock, and stimulus seed — onto a flow
-// configuration, so a generated scenario runs the pipeline under the
-// conditions it was generated for. Grid resolution and simulation depth
-// keep their defaults; callers tune them on the returned Config.
+// ScenarioConfig maps the knobs of a bench.Scenario that reach the flow —
+// clock and stimulus seed — onto DefaultConfig, so a generated scenario
+// runs the pipeline under the conditions it was generated for. Utilization,
+// aspect ratio, grid resolution and simulation depth keep their defaults;
+// callers tune them on the returned Config.
 func ScenarioConfig(sc bench.Scenario) Config {
 	sc = sc.Normalized()
 	cfg := DefaultConfig()
-	cfg.Utilization = sc.Utilization
-	cfg.AspectRatio = sc.AspectRatio
 	cfg.ClockHz = sc.ClockGHz * 1e9
 	cfg.Seed = sc.Seed
 	return cfg
@@ -118,15 +116,16 @@ func FastConfig() Config {
 // Flow binds a design and a workload to an analysis configuration and caches
 // everything that is reusable across analyses: the workload-dependent (but
 // placement-independent) switching activity, the deterministic baseline
-// placement, and one pool of structured-grid thermal solvers. The solver pool
-// is what makes a sweep cheap and concurrent: every ERI/HW/Default point
-// reuses an assembled thermal system, and each solve warm-starts from the
-// recorded first-solve temperature field — a fixed seed rather than
-// "whatever the pooled solver computed last". Results are therefore
-// independent of how analyses are scheduled across solvers provided the
-// first fast-path analysis completes before the concurrent calls begin
-// (run AnalyzeBaseline first, as the sweep does); when the very first
-// solves race, whichever finishes first becomes the seed for the rest.
+// placement, and one thermal.Pool of structured-grid solvers. The pool is
+// what makes a sweep cheap and concurrent: every ERI/HW/Default point
+// reuses an assembled thermal system, and each solve warm-starts from a
+// fixed field — its lineage parent's solved field, or else the pool's
+// default seed, the first completed solve — rather than "whatever the
+// pooled solver computed last". Results are therefore independent of how
+// analyses are scheduled across solvers provided the first analysis
+// completes before the concurrent calls begin (run AnalyzeBaseline first,
+// as the sweep does); when the very first solves race, whichever finishes
+// first becomes the seed for the rest.
 //
 // The caches are built once from Config and never invalidated: set every
 // Config field, the thermal injector included, before the first call, and
@@ -152,9 +151,9 @@ type Flow struct {
 	// return the same *Analysis instead of re-running the pipeline.
 	baseAn *Analysis
 
-	// pool holds the idle thermal solvers; Close drops it, and the next
-	// solve builds a fresh one.
-	pool *solverPool
+	// pool holds the idle thermal solvers and their default seed; Close
+	// closes and drops it, and the next solve builds a fresh one.
+	pool *thermal.Pool
 
 	// ta is the cached timing analyzer of the design (levelized graph and
 	// endpoint set, placement-independent), built on the first co-analysis;
@@ -162,9 +161,6 @@ type Flow struct {
 	// per analysis.
 	ta    *timing.Analyzer
 	taErr error
-
-	// stateSeq tags solved temperature fields.
-	stateSeq atomic.Uint64
 
 	// stats aggregates the robustness counters of every solver the flow
 	// runs — degradations, retries, contained panics, cancellations — and
@@ -178,29 +174,6 @@ type Flow struct {
 // degradations, Jacobi retries, contained panics and the solves and
 // analyses canceled by their context.
 func (f *Flow) FaultStats() fault.StatsSnapshot { return f.stats.Snapshot() }
-
-// pooledSolver pairs a pooled thermal solver with the identity of the
-// temperature field it currently holds.
-type pooledSolver struct {
-	s       *thermal.Solver
-	stateID uint64
-}
-
-// solverPool holds the idle pooled solvers, plus the fixed warm-start seed
-// recorded from the first completed solve — the default seed for analyses
-// without a lineage parent. Its fields are guarded by the flow mutex.
-type solverPool struct {
-	solvers []pooledSolver
-	seed    []float64
-	seedID  uint64
-}
-
-func (pl *solverPool) defaultSeedLocked() *lineageSeed {
-	if pl.seed == nil {
-		return nil
-	}
-	return &lineageSeed{field: pl.seed, id: pl.seedID}
-}
 
 // New creates a flow for the design under the given workload.
 func New(d *netlist.Design, wl bench.Workload, cfg Config) *Flow {
@@ -217,6 +190,9 @@ func (f *Flow) Activity() (*logicsim.Activity, error) {
 	if f.activity != nil {
 		return f.activity, nil
 	}
+	if err := checkWorkloadUnits(f.Design, f.Workload); err != nil {
+		return nil, err
+	}
 	stim := logicsim.RandomStimulus(f.Config.Seed, func(port string) float64 {
 		// strings.Cut instead of SplitN: same unit prefix, no slice
 		// allocation per (port, cycle) lookup.
@@ -229,6 +205,24 @@ func (f *Flow) Activity() (*logicsim.Activity, error) {
 	}
 	f.activity = act
 	return act, nil
+}
+
+// checkWorkloadUnits rejects a workload that drives a unit the design
+// lacks: that activity would silently apply to nothing.
+func checkWorkloadUnits(d *netlist.Design, wl bench.Workload) error {
+	var missing []string
+	units := d.Units()
+	for u := range wl.Activity {
+		if !slices.Contains(units, u) {
+			missing = append(missing, u)
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	slices.Sort(missing)
+	return fmt.Errorf("flow: workload %q drives unit(s) %s that design %s lacks",
+		wl.Name, strings.Join(missing, ", "), d.Name)
 }
 
 // PlaceAt builds a floorplan at the given utilization and places the design
@@ -282,115 +276,15 @@ func (f *Flow) Baseline() (*place.Placement, error) {
 	return p, nil
 }
 
-// lineageSeed is a warm-start temperature field tagged with the identity
-// of the analysis that produced it.
-type lineageSeed struct {
-	field []float64
-	id    uint64
-}
-
-// thermalSolve routes the analysis through a pooled structured-grid solver,
-// or through thermal.Solve when the configuration selects the SPICE oracle.
-// Each concurrent caller checks out its own solver (growing the pool on
-// demand) and every solve after the first is warm-started from a fixed
-// seed — the caller's lineage parent when given, the pool's recorded
-// first-solve (baseline) field otherwise — so the result of a solve depends
-// only on its own inputs, not on which pooled solver ran it or what that
-// solver computed before. A lineage seed of the wrong size (a parent
-// analyzed by a flow with another thermal grid) is ignored in favour of the
-// pool's own default rather than erroring. The pool is LIFO and every
-// solver remembers which analysis' field it holds, so a Default→HW task
-// chain typically checks out the solver that just produced its parent's
-// field and skips the seed copy.
-//
-// On success it returns the solved temperature field (a copy, in solver
-// node order) and its identity tag, for the caller to hand to child
-// analyses as their lineage seed.
-func (f *Flow) thermalSolve(ctx context.Context, pm *geom.Grid, tcfg thermal.Config, seed *lineageSeed) (*thermal.Result, []float64, uint64, error) {
-	if !tcfg.FastPath() {
-		res, err := thermal.SolveCtx(ctx, pm, tcfg)
-		return res, nil, 0, err
-	}
-	ps, defSeed, pool, err := f.acquireSolver(tcfg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if seed == nil || len(seed.field) != ps.s.Unknowns() {
-		seed = defSeed
-	}
-	if seed != nil && (seed.id == 0 || seed.id != ps.stateID) {
-		if err := ps.s.SeedState(seed.field); err != nil {
-			return nil, nil, 0, err
-		}
-		ps.stateID = seed.id
-	}
-	res, err := ps.s.SolveCtx(ctx, pm)
-	var state []float64
-	var stateID uint64
-	if err == nil {
-		state = ps.s.State()
-		stateID = f.stateSeq.Add(1)
-		ps.stateID = stateID
-	} else {
-		ps.stateID = 0
-	}
+// thermalPool returns the flow's thermal solver pool, building it on first
+// use (or after Close).
+func (f *Flow) thermalPool(tcfg thermal.Config) *thermal.Pool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.pool != pool {
-		// The flow was closed while we were solving. Drop the solver rather
-		// than re-pooling it into a dead pool.
-		ps.s.Close()
-		return res, state, stateID, err
-	}
-	if err == nil && pool.seed == nil {
-		pool.seed = state
-		pool.seedID = stateID
-	}
-	pool.solvers = append(pool.solvers, ps)
-	return res, state, stateID, err
-}
-
-// acquireSolver checks a solver for tcfg out of the flow's pool, building
-// the pool on first use (or after Close), and returns the pool's default
-// warm-start seed (nil before its first completed solve) plus the pool
-// itself, for the caller to return the solver to. Solver construction
-// (stencil, multigrid hierarchy, Cholesky buffer) happens outside the flow
-// mutex so concurrent pool growth does not serialize the other workers.
-func (f *Flow) acquireSolver(tcfg thermal.Config) (pooledSolver, *lineageSeed, *solverPool, error) {
-	f.mu.Lock()
 	if f.pool == nil {
-		f.pool = &solverPool{}
+		f.pool = thermal.NewPool(tcfg)
 	}
-	pool := f.pool
-	seed := pool.defaultSeedLocked()
-	if n := len(pool.solvers); n > 0 {
-		ps := pool.solvers[n-1]
-		pool.solvers = pool.solvers[:n-1]
-		f.mu.Unlock()
-		return ps, seed, pool, nil
-	}
-	f.mu.Unlock()
-
-	s, err := thermal.NewSolver(tcfg)
-	if err != nil {
-		return pooledSolver{}, nil, nil, err
-	}
-	// Re-read the seed: another worker may have published it while this
-	// solver was being built.
-	f.mu.Lock()
-	seed = pool.defaultSeedLocked()
-	f.mu.Unlock()
-	return pooledSolver{s: s}, seed, pool, nil
-}
-
-func (f *Flow) closePoolLocked() {
-	if f.pool == nil {
-		return
-	}
-	for _, ps := range f.pool.solvers {
-		ps.s.Close()
-	}
-	f.pool = nil
+	return f.pool
 }
 
 // Close releases the worker pools of the pooled thermal solvers. The flow
@@ -398,7 +292,10 @@ func (f *Flow) closePoolLocked() {
 func (f *Flow) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.closePoolLocked()
+	if f.pool != nil {
+		f.pool.Close()
+		f.pool = nil
+	}
 }
 
 // Analysis is the full measurement of one placement.
@@ -426,11 +323,8 @@ type Analysis struct {
 
 	// state is the full solved temperature field (solver node order,
 	// including the layers SurfaceOnly omits from Thermal), the warm-start
-	// seed a lineage child's solve starts from; stateID identifies it for
-	// the pooled-solver seed-copy skip. Nil/0 when the solve ran outside
-	// the structured-grid fast path.
-	state   []float64
-	stateID uint64
+	// seed a lineage child's solve starts from.
+	state []float64
 }
 
 // PeakRise returns the peak temperature rise above ambient in kelvin.
@@ -543,20 +437,29 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 	} else {
 		rep = est.Report(p)
 	}
-	// Bin the power map directly at the solver's effective resolution (NX x
-	// NY unless the thermal config downsamples; the solver accepts either).
-	pmNX, pmNY := tcfg.GridDims()
-	pm := power.Map(rep, p, pmNX, pmNY)
+	pm := power.Map(rep, p, tcfg.NX, tcfg.NY)
 	tcfg.Inject.CorruptPower(pm.Values())
 	if err := validatePowerMap(pm); err != nil {
 		return nil, err
 	}
 
-	var seed *lineageSeed
-	if par := opts.Parent; par != nil && par.state != nil {
-		seed = &lineageSeed{field: par.state, id: par.stateID}
+	// Warm-start from the lineage parent's field; the pool falls back to
+	// its default (baseline) seed without one.
+	var seed []float64
+	if opts.Parent != nil {
+		seed = opts.Parent.state
 	}
-	tres, state, stateID, err := f.thermalSolve(ctx, pm, tcfg, seed)
+	pool := f.thermalPool(tcfg)
+	s, err := pool.Get(seed)
+	if err != nil {
+		return nil, fmt.Errorf("flow: thermal simulation: %w", err)
+	}
+	tres, err := s.SolveCtx(ctx, pm)
+	var state []float64
+	if err == nil {
+		state = s.State()
+	}
+	pool.Put(s, state)
 	if err != nil {
 		return nil, fmt.Errorf("flow: thermal simulation: %w", err)
 	}
@@ -568,7 +471,6 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		Thermal:   tres,
 		Hotspots:  spots,
 		state:     state,
-		stateID:   stateID,
 	}
 	if err := f.coAnalyze(an); err != nil {
 		return nil, err

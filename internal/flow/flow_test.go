@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"thermplace/internal/celllib"
 	"thermplace/internal/netlist"
 	"thermplace/internal/place"
+	"thermplace/internal/spice"
+	"thermplace/internal/thermal"
 )
 
 // smallFlow builds a flow over the small benchmark with a workload that
@@ -61,6 +64,35 @@ func TestActivityCachedAndWorkloadDriven(t *testing.T) {
 	}
 }
 
+// TestActivityRejectsMissingUnits checks that a workload driving a unit
+// the design lacks (the paper workloads on the small benchmark) is an
+// error, from Activity and from every analysis, rather than a silently
+// uniform stimulus.
+func TestActivityRejectsMissingUnits(t *testing.T) {
+	lib := celllib.Default65nm()
+	d, err := bench.Generate(lib, bench.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(d, bench.ScatteredSmallHotspots(), FastConfig())
+	_, err = f.Activity()
+	if err == nil {
+		t.Fatal("a workload naming units the design lacks must be rejected")
+	}
+	for _, unit := range []string{"mac16", "mult16a", "mult16b", "mult20"} {
+		if !strings.Contains(err.Error(), unit) {
+			t.Errorf("error %q does not name the missing unit %s", err, unit)
+		}
+	}
+	if _, err := f.AnalyzeBaseline(); err == nil {
+		t.Fatal("analysis with a workload naming missing units must fail")
+	}
+	own := bench.Workload{Name: "hot-mult8", Activity: map[string]float64{"mult8": 0.55}, Default: 0.04}
+	if _, err := New(d, own, FastConfig()).Activity(); err != nil {
+		t.Fatalf("a workload driving the design's own unit: %v", err)
+	}
+}
+
 func TestBaselineCachedAndAnalysesConsistent(t *testing.T) {
 	f := smallFlow(t)
 	p1, err := f.Baseline()
@@ -89,23 +121,29 @@ func TestBaselineCachedAndAnalysesConsistent(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFastPathMatchesSpiceOracle solves the baseline analysis' own
+// power map with the SPICE-circuit oracle and compares the surface
+// temperature cell by cell.
 func TestAnalyzeFastPathMatchesSpiceOracle(t *testing.T) {
 	f := smallFlow(t)
-	p, err := f.Baseline()
+	an, err := f.AnalyzeBaseline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := f.Analyze(p)
+	oracle, err := thermal.SolveSpice(an.PowerMap, f.Config.Thermal, spice.MethodCG)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(f.Design, f.Workload, f.Config)
-	g.Config.Thermal.UseSpice = true
-	oracle, err := g.Analyze(p)
-	if err != nil {
-		t.Fatal(err)
+	fast, ref := an.Thermal.Surface.Values(), oracle.Surface.Values()
+	if len(fast) != len(ref) {
+		t.Fatalf("surface has %d cells, oracle %d", len(fast), len(ref))
 	}
-	if d := math.Abs(fast.PeakRise() - oracle.PeakRise()); d > 1e-6 {
+	for i := range fast {
+		if d := math.Abs(fast[i] - ref[i]); d > 1e-6 {
+			t.Fatalf("surface cell %d differs from the spice oracle by %g C", i, d)
+		}
+	}
+	if d := math.Abs(an.PeakRise() - oracle.PeakRise); d > 1e-6 {
 		t.Fatalf("fast path peak rise differs from spice oracle by %g C", d)
 	}
 }

@@ -132,6 +132,39 @@ func (p *verilogParser) expect(tok string) error {
 	return nil
 }
 
+// ident consumes the next token as a name (module, port, wire, master,
+// instance, pin or net). End of input, punctuation and string literals are
+// not names, and neither is a token ending in '*': written back before a
+// ')' it would tokenize as the attribute close "*)".
+func (p *verilogParser) ident(what string) (string, error) {
+	tok := p.next()
+	if tok == "" || strings.ContainsAny(tok, "();,.=\"") || strings.HasSuffix(tok, "*") {
+		return "", fmt.Errorf("netlist: verilog parse error: expected %s name, got %q (token %d)", what, tok, p.pos-1)
+	}
+	return tok, nil
+}
+
+// nameList parses the names of a port list or declaration up to and
+// including the end token, skipping separating commas.
+func (p *verilogParser) nameList(what, end string) ([]string, error) {
+	var names []string
+	for {
+		switch p.peek() {
+		case end:
+			p.next()
+			return names, nil
+		case ",":
+			p.next()
+			continue
+		}
+		n, err := p.ident(what)
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, n)
+	}
+}
+
 // ParseVerilog reads one module of structural Verilog-lite and builds a
 // Design bound to lib. Instance masters must all exist in lib.
 func ParseVerilog(r io.Reader, lib *celllib.Library) (*Design, error) {
@@ -147,23 +180,17 @@ func (p *verilogParser) parseModule() (*Design, error) {
 	if err := p.expect("module"); err != nil {
 		return nil, err
 	}
-	name := p.next()
-	if name == "" {
-		return nil, fmt.Errorf("netlist: verilog parse error: missing module name")
+	name, err := p.ident("module")
+	if err != nil {
+		return nil, err
 	}
 	d := NewDesign(name, p.lib)
 	// Port list: record names; directions come from the declarations below.
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
-	var headerPorts []string
-	for p.peek() != ")" && p.peek() != "" {
-		tok := p.next()
-		if tok != "," {
-			headerPorts = append(headerPorts, tok)
-		}
-	}
-	if err := p.expect(")"); err != nil {
+	headerPorts, err := p.nameList("port", ")")
+	if err != nil {
 		return nil, err
 	}
 	if err := p.expect(";"); err != nil {
@@ -195,26 +222,20 @@ func (p *verilogParser) parseModule() (*Design, error) {
 			if tok == "output" {
 				dir = Out
 			}
-			for {
-				n := p.next()
-				if n == ";" {
-					break
-				}
-				if n == "," {
-					continue
-				}
+			names, err := p.nameList("port", ";")
+			if err != nil {
+				return nil, err
+			}
+			for _, n := range names {
 				portDirs[n] = dir
 			}
 		case "wire":
 			p.next()
-			for {
-				n := p.next()
-				if n == ";" {
-					break
-				}
-				if n == "," {
-					continue
-				}
+			names, err := p.nameList("wire", ";")
+			if err != nil {
+				return nil, err
+			}
+			for _, n := range names {
 				if _, err := d.AddNet(n); err != nil {
 					return nil, err
 				}
@@ -255,10 +276,13 @@ func (p *verilogParser) parseAttribute() (string, error) {
 
 // parseInstance parses `MASTER instname (.PIN(net), ...);`.
 func (p *verilogParser) parseInstance(d *Design, unit string) error {
-	master := p.next()
-	instName := p.next()
-	if master == "" || instName == "" {
-		return fmt.Errorf("netlist: verilog parse error: malformed instance near token %d", p.pos)
+	master, err := p.ident("master")
+	if err != nil {
+		return err
+	}
+	instName, err := p.ident("instance")
+	if err != nil {
+		return err
 	}
 	inst, err := d.AddInstance(instName, master, unit)
 	if err != nil {
@@ -275,11 +299,17 @@ func (p *verilogParser) parseInstance(d *Design, unit string) error {
 		if err := p.expect("."); err != nil {
 			return err
 		}
-		pin := p.next()
+		pin, err := p.ident("pin")
+		if err != nil {
+			return err
+		}
 		if err := p.expect("("); err != nil {
 			return err
 		}
-		netName := p.next()
+		netName, err := p.ident("net")
+		if err != nil {
+			return err
+		}
 		if err := p.expect(")"); err != nil {
 			return err
 		}

@@ -75,7 +75,7 @@ func classify(err error) (int, errorBody) {
 	case errors.As(err, &hse):
 		body.Category = hse.category
 		return hse.status, body
-	case errors.Is(err, fault.ErrBudgetExceeded), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		body.Category = "deadline"
 		return http.StatusGatewayTimeout, body
 	case errors.Is(err, fault.ErrCanceled), errors.Is(err, context.Canceled):

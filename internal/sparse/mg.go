@@ -233,10 +233,10 @@ func newMGLevel(m *SymCSR, nx, ny, nl int) *mgLevel {
 // out[i] is the coarse node of fine node i, both in the (l*ny+iy)*nx + ix
 // layout of NewStencil7. Fine cell ix lands in coarse cell ix*cnx/nx (the
 // proportional map), which for cnx = ceil(nx/2) is exactly the 2x-coarsened
-// aggregate map of the MG hierarchy — MG's buildCoarsening and the thermal
-// solver's CoarseFactor power-map restriction both go through it, so a
-// downsampled operator and the hierarchy's own coarse levels agree on which
-// fine cells pool together.
+// aggregate map of the MG hierarchy — MG's buildCoarsening and the adaptive
+// sweep's restriction of the baseline power map onto its coarse thermal
+// grid both go through it, so a downsampled operator and the hierarchy's
+// own coarse levels agree on which fine cells pool together.
 func Aggregate(nx, ny, nl, cnx, cny int) []int32 {
 	parent := make([]int32, nx*ny*nl)
 	for l := 0; l < nl; l++ {

@@ -1,31 +1,20 @@
 package thermal
 
 import (
-	"context"
 	"fmt"
 
 	"thermplace/internal/fault"
 	"thermplace/internal/geom"
-	"thermplace/internal/sparse"
 	"thermplace/internal/spice"
 )
 
-// Config describes one thermal analysis setup.
+// Config describes one thermal grid and how it is solved. A power map
+// solved under it must be exactly NX x NY; a coarser estimate of the same
+// die is a Config with smaller NX and NY.
 type Config struct {
 	// NX and NY are the lateral grid resolution. The paper uses 40 x 40,
 	// which puts fewer than ten standard cells under each measuring point.
 	NX, NY int
-	// CoarseFactor, when 2 or larger, downsamples the lateral resolution by
-	// that factor: the operator is assembled and solved directly on a
-	// ceil(NX/f) x ceil(NY/f) grid (never below 2x2). The aggregation is the
-	// same piecewise-constant map the multigrid hierarchy coarsens with
-	// (sparse.Aggregate), so at a power-of-two factor the coarse grid is
-	// exactly an MG level of the full-resolution solve. Power maps may be
-	// supplied either at the full NX x NY resolution — the solver restricts
-	// them (sparse.Restrict, power-conserving) — or pre-binned at the coarse
-	// dims. This is the cheap estimation mode of the adaptive sweep's triage
-	// phase; values 0 and 1 mean full resolution.
-	CoarseFactor int
 	// Stack is the vertical layer stack.
 	Stack Stack
 	// AmbientC is the ambient temperature in degrees Celsius.
@@ -43,12 +32,6 @@ type Config struct {
 	// only ever reads Surface, so it sets this to avoid copying NL-1 grids
 	// per solve.
 	SurfaceOnly bool
-	// UseSpice forces the legacy path that builds a string-named SPICE
-	// circuit and solves it with package spice's conjugate gradients. It
-	// exists as a cross-validation oracle for the structured-grid fast path
-	// (the default) and for SPICE deck export workflows; it is roughly an
-	// order of magnitude slower.
-	UseSpice bool
 	// Stats, when non-nil, receives the solver's robustness counters:
 	// multigrid setup failures degraded to Jacobi, non-converged solves
 	// retried on the fallback, contained panics, canceled solves. The flow
@@ -60,37 +43,9 @@ type Config struct {
 	Inject *fault.Injector
 }
 
-// FastPath reports whether the configuration is served by the
-// structured-grid CSR solver instead of the SPICE-circuit oracle.
-func (cfg Config) FastPath() bool { return !cfg.UseSpice }
-
-// coarseFactor returns the normalized downsampling factor: 1 for the full
-// resolution (CoarseFactor 0 or 1), the factor itself otherwise.
-func (cfg Config) coarseFactor() int {
-	if cfg.CoarseFactor < 2 {
-		return 1
-	}
-	return cfg.CoarseFactor
-}
-
-// GridDims returns the lateral resolution the system is actually assembled
-// and solved at: NX x NY at full fidelity, ceil(NX/f) x ceil(NY/f) (clamped
-// to at least 2x2) with CoarseFactor f. Everything downstream of the
-// configuration — matrix assembly, the SPICE oracle, result maps — uses
-// these dims, so a coarse solve is simply a solve of a smaller model over
-// the same physical region.
-func (cfg Config) GridDims() (nx, ny int) {
-	f := cfg.coarseFactor()
-	nx = (cfg.NX + f - 1) / f
-	ny = (cfg.NY + f - 1) / f
-	if nx < 2 {
-		nx = 2
-	}
-	if ny < 2 {
-		ny = 2
-	}
-	return nx, ny
-}
+// GridDims returns the lateral resolution the system is assembled and
+// solved at, which is always (NX, NY).
+func (cfg Config) GridDims() (nx, ny int) { return cfg.NX, cfg.NY }
 
 // DefaultConfig returns the configuration used throughout the experiments:
 // the paper's 40 x 40 x 9 grid, 25 C ambient and a package path calibrated
@@ -137,9 +92,6 @@ func (cfg Config) validate() error {
 	if cfg.NX <= 1 || cfg.NY <= 1 {
 		return fmt.Errorf("thermal: grid must be at least 2x2, got %dx%d", cfg.NX, cfg.NY)
 	}
-	if cfg.CoarseFactor < 0 {
-		return fmt.Errorf("thermal: negative coarse factor %d", cfg.CoarseFactor)
-	}
 	if len(cfg.Stack) == 0 {
 		return fmt.Errorf("thermal: empty layer stack")
 	}
@@ -157,6 +109,15 @@ func (cfg Config) validate() error {
 	return nil
 }
 
+// checkPowerMap rejects a power map whose resolution is not the grid's.
+func (cfg Config) checkPowerMap(pm *geom.Grid) error {
+	if pm.NX != cfg.NX || pm.NY != cfg.NY {
+		return fmt.Errorf("thermal: power map resolution %dx%d does not match grid %dx%d",
+			pm.NX, pm.NY, cfg.NX, cfg.NY)
+	}
+	return nil
+}
+
 // nodeName returns the network node of thermal cell (ix, iy) in layer l.
 func nodeName(l, ix, iy int) string { return fmt.Sprintf("t%d_%d_%d", l, ix, iy) }
 
@@ -165,40 +126,17 @@ const (
 	ambientNode = "amb"
 )
 
-// coarsenPowerMap resolves a power map against the configuration's
-// effective dims: at full fidelity — or when the caller pre-binned the map
-// at the coarse dims — the map is returned as is; a full-resolution map
-// under an active CoarseFactor is restricted onto the coarse grid by
-// aggregate summation (power-conserving, fine-index order, the same
-// piecewise-constant operator the MG hierarchy restricts with). Any other
-// resolution is an error.
-func coarsenPowerMap(powerMap *geom.Grid, cfg Config) (*geom.Grid, error) {
-	nx, ny := cfg.GridDims()
-	if powerMap.NX == nx && powerMap.NY == ny {
-		return powerMap, nil
-	}
-	if powerMap.NX != cfg.NX || powerMap.NY != cfg.NY {
-		return nil, fmt.Errorf("thermal: power map resolution %dx%d matches neither config %dx%d nor its coarse grid %dx%d",
-			powerMap.NX, powerMap.NY, cfg.NX, cfg.NY, nx, ny)
-	}
-	out := geom.NewGrid(nx, ny, powerMap.Region)
-	sparse.Restrict(powerMap.Values(), sparse.Aggregate(cfg.NX, cfg.NY, 1, nx, ny), out.Values())
-	return out, nil
-}
-
 // BuildNetwork constructs the steady-state resistive thermal network for the
 // given power map. The power map must cover the die area (its Region) and
-// hold watts per grid cell; its resolution must match cfg.NX x cfg.NY (or,
-// with an active CoarseFactor, may already be binned at cfg.GridDims()).
+// hold watts per grid cell; its resolution must be exactly cfg.NX x cfg.NY.
 func BuildNetwork(powerMap *geom.Grid, cfg Config) (*spice.Circuit, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	powerMap, err := coarsenPowerMap(powerMap, cfg)
-	if err != nil {
+	if err := cfg.checkPowerMap(powerMap); err != nil {
 		return nil, err
 	}
-	nx, ny := powerMap.NX, powerMap.NY
+	nx, ny := cfg.NX, cfg.NY
 	c := spice.NewCircuit()
 	if err := c.AddVoltageSource("amb", ambientNode, cfg.AmbientC); err != nil {
 		return nil, err
@@ -291,44 +229,27 @@ func BuildNetwork(powerMap *geom.Grid, cfg Config) (*spice.Circuit, error) {
 	return c, nil
 }
 
-// Solve runs the full analysis: assemble the steady-state system, solve it,
-// and collect the per-layer temperature maps and summary metrics.
-//
-// The default route is the structured-grid fast path (see Solver), which
-// assembles integer-indexed CSR directly from the configuration. Callers
-// that solve repeatedly should hold a Solver themselves to also reuse the
-// assembled structure and warm-start between solves; this function builds a
-// fresh one per call. The legacy SPICE-circuit path serves as the oracle
-// when cfg.UseSpice is set.
+// Solve runs the full analysis on the structured-grid fast path: assemble
+// the steady-state system, solve it, and collect the per-layer temperature
+// maps and summary metrics. Callers that solve repeatedly should hold a
+// Solver (or a Pool) themselves to also reuse the assembled structure and
+// warm-start between solves; this function builds a fresh one per call.
 func Solve(powerMap *geom.Grid, cfg Config) (*Result, error) {
-	return SolveCtx(context.Background(), powerMap, cfg)
+	s, err := NewSolver(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The solver is one-shot here: release its worker pool rather than
+	// leaving parked goroutines behind.
+	defer s.Close()
+	return s.Solve(powerMap)
 }
 
-// SolveCtx is Solve with cancellation. On the structured-grid fast path the
-// context is checked per CG iteration and per multigrid cycle; the SPICE
-// oracle path only checks before starting (its dense factorizations are not
-// interruptible).
-func SolveCtx(ctx context.Context, powerMap *geom.Grid, cfg Config) (*Result, error) {
-	if cfg.FastPath() {
-		s, err := NewSolver(cfg)
-		if err != nil {
-			return nil, err
-		}
-		// The solver is one-shot here: release its worker pool rather than
-		// leaving parked goroutines behind.
-		defer s.Close()
-		return s.SolveCtx(ctx, powerMap) // reports power-map resolution mismatches
-	}
-	if err := ctx.Err(); err != nil {
-		cfg.Stats.AddCanceled()
-		return nil, fmt.Errorf("thermal: spice path: %w", fault.Canceled(err))
-	}
-	return solveSpice(powerMap, cfg, spice.MethodCG)
-}
-
-// solveSpice is the legacy oracle path: build the named-node resistive
-// circuit and solve it with package spice by the given method.
-func solveSpice(powerMap *geom.Grid, cfg Config, method spice.Method) (*Result, error) {
+// SolveSpice is the cross-validation oracle of the fast path: it builds the
+// string-named resistive circuit (BuildNetwork) and solves it with package
+// spice by the given method. It is roughly an order of magnitude slower
+// than Solve and is not interruptible.
+func SolveSpice(powerMap *geom.Grid, cfg Config, method spice.Method) (*Result, error) {
 	circuit, err := BuildNetwork(powerMap, cfg)
 	if err != nil {
 		return nil, err
@@ -342,7 +263,7 @@ func solveSpice(powerMap *geom.Grid, cfg Config, method spice.Method) (*Result, 
 		Iterations:     sol.Iterations,
 		SolverResidual: sol.Residual,
 	}
-	nx, ny := cfg.GridDims()
+	nx, ny := cfg.NX, cfg.NY
 	powerLayer := cfg.Stack.PowerLayer()
 	res.Layers = make([]*geom.Grid, len(cfg.Stack))
 	for l := range cfg.Stack {

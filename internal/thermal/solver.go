@@ -45,14 +45,6 @@ type Solver struct {
 	// mg is the multigrid preconditioner (nil once dropMG has degraded the
 	// solver to Jacobi); its coarse operators are rebuilt by fillValues.
 	mg *sparse.MG
-	// restrictMap and coarsePM serve configurations with an active
-	// CoarseFactor: the aggregation of full-resolution power-map cells onto
-	// the coarse grid (sparse.Aggregate, the MG hierarchy's own map) and the
-	// reusable coarse scratch the restriction lands in. Both stay nil at
-	// full fidelity or when callers pre-bin at the coarse dims.
-	restrictMap []int32
-	coarsePM    *geom.Grid
-
 	// ambRHS is the constant ambient part of the right-hand side
 	// (conductance to ambient times ambient temperature, per node).
 	ambRHS []float64
@@ -87,13 +79,12 @@ func NewSolver(cfg Config) (*Solver, error) {
 	// Snapshot the stack: the caller's slice may be mutated in place after
 	// construction, and fillValues re-reads it on every geometry change.
 	cfg.Stack = append(Stack(nil), cfg.Stack...)
-	nx, ny := cfg.GridDims()
 	s := &Solver{
 		cfg:        cfg,
-		nx:         nx,
-		ny:         ny,
+		nx:         cfg.NX,
+		ny:         cfg.NY,
 		nl:         len(cfg.Stack),
-		n:          nx * ny * len(cfg.Stack),
+		n:          cfg.NX * cfg.NY * len(cfg.Stack),
 		powerLayer: cfg.Stack.PowerLayer(),
 	}
 	s.mat = sparse.NewStencil7(s.nx, s.ny, s.nl)
@@ -290,14 +281,8 @@ func (s *Solver) SolveCtx(ctx context.Context, powerMap *geom.Grid) (res *Result
 				s.nx, s.ny, s.nl, fault.Recovered("thermal.Solver.Solve", v))
 		}
 	}()
-	if powerMap.NX != s.nx || powerMap.NY != s.ny {
-		if powerMap.NX != s.cfg.NX || powerMap.NY != s.cfg.NY {
-			return nil, fmt.Errorf("thermal: power map resolution %dx%d matches neither solver grid %dx%d nor config %dx%d",
-				powerMap.NX, powerMap.NY, s.nx, s.ny, s.cfg.NX, s.cfg.NY)
-		}
-		// A full-resolution map under an active CoarseFactor: restrict it
-		// onto the coarse grid so callers need not know the fidelity.
-		powerMap = s.restrictPM(powerMap)
+	if err := s.cfg.checkPowerMap(powerMap); err != nil {
+		return nil, err
 	}
 
 	solveN := s.cfg.Inject.NextSolve()
@@ -409,20 +394,6 @@ func (s *Solver) SolveCtx(ctx context.Context, powerMap *geom.Grid) (res *Result
 	res.PeakRise = res.PeakC - s.cfg.AmbientC
 	res.GradientC = res.Surface.Gradient()
 	return res, nil
-}
-
-// restrictPM bins a full-resolution power map onto the coarse grid through
-// the shared piecewise-constant aggregation (power-conserving, fine-index
-// order), reusing a per-solver scratch grid so steady-state coarse solves
-// allocate nothing extra.
-func (s *Solver) restrictPM(pm *geom.Grid) *geom.Grid {
-	if s.restrictMap == nil {
-		s.restrictMap = sparse.Aggregate(s.cfg.NX, s.cfg.NY, 1, s.nx, s.ny)
-		s.coarsePM = geom.NewGrid(s.nx, s.ny, pm.Region)
-	}
-	s.coarsePM.Region = pm.Region
-	sparse.Restrict(pm.Values(), s.restrictMap, s.coarsePM.Values())
-	return s.coarsePM
 }
 
 // injectPanic crashes the current solve on purpose (Injector.PanicCGSolveN):

@@ -29,17 +29,6 @@ func maxLayerDelta(t *testing.T, a, b *Result) float64 {
 	return worst
 }
 
-func TestFastPathSelection(t *testing.T) {
-	cfg := DefaultConfig()
-	if !cfg.FastPath() {
-		t.Fatal("default config must take the fast path")
-	}
-	cfg.UseSpice = true
-	if cfg.FastPath() {
-		t.Fatal("UseSpice must force the oracle path")
-	}
-}
-
 // jacobiSolver returns a fresh solver degraded to the Jacobi preconditioner,
 // the state a multigrid setup failure leaves it in, for the tests that need
 // Jacobi-PCG's iteration counts.
@@ -69,7 +58,7 @@ func TestSolverMatchesDenseOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d fast: %v", size, size, err)
 		}
-		ref, err := solveSpice(pm, cfg, spice.MethodDense)
+		ref, err := SolveSpice(pm, cfg, spice.MethodDense)
 		if err != nil {
 			t.Fatalf("%dx%d dense oracle: %v", size, size, err)
 		}
@@ -101,9 +90,7 @@ func TestSolverMatchesSpiceCGOnPaperGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := cfg
-	oracle.UseSpice = true
-	ref, err := Solve(pm, oracle)
+	ref, err := SolveSpice(pm, cfg, spice.MethodCG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +131,7 @@ func TestMGMatchesJacobiAndSpiceOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Jacobi-PCG: %v", err)
 	}
-	oracle := cfg
-	oracle.UseSpice = true
-	ref, err := Solve(pm, oracle)
+	ref, err := SolveSpice(pm, cfg, spice.MethodCG)
 	if err != nil {
 		t.Fatalf("spice oracle: %v", err)
 	}
@@ -220,9 +205,7 @@ func TestSurfaceOnlySkipsNonPowerLayers(t *testing.T) {
 	}
 
 	// The SPICE path honors the flag the same way.
-	spiceCfg := surfCfg
-	spiceCfg.UseSpice = true
-	sres, err := Solve(pm, spiceCfg)
+	sres, err := SolveSpice(pm, surfCfg, spice.MethodCG)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,7 @@ func TestSolversAgreeOnThermalNetwork(t *testing.T) {
 	pm.Set(1, 1, 0.004)
 	pm.Set(3, 3, 0.002)
 
-	ref, err := solveSpice(pm, cfg, spice.MethodDense)
+	ref, err := SolveSpice(pm, cfg, spice.MethodDense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestSolversAgreeOnThermalNetwork(t *testing.T) {
 		solve func() (*Result, error)
 	}{
 		{"fast path", func() (*Result, error) { return Solve(pm, cfg) }},
-		{"spice gauss-seidel", func() (*Result, error) { return solveSpice(pm, cfg, spice.MethodGaussSeidel) }},
+		{"spice gauss-seidel", func() (*Result, error) { return SolveSpice(pm, cfg, spice.MethodGaussSeidel) }},
 	} {
 		got, err := tc.solve()
 		if err != nil {
