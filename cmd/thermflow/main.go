@@ -76,6 +76,9 @@ func main() {
 	if math.IsNaN(*overhead) || math.IsInf(*overhead, 0) {
 		fatal(fmt.Errorf("bad -overhead %g: want a finite area overhead", *overhead))
 	}
+	if *rows < 0 {
+		fatal(fmt.Errorf("bad -rows %d: want a non-negative row count", *rows))
+	}
 
 	// A SIGINT/SIGTERM (or the -timeout deadline) cancels the analysis
 	// pipeline cooperatively: in-flight thermal solves abort within a few CG

@@ -58,6 +58,9 @@ func run() int {
 		cacheMB  = flag.Int64("cache-mb", 64, "per-design result cache budget in MiB, charged per analysis footprint (negative disables)")
 	)
 	flag.Parse()
+	if *inflight < 0 || *queue < 0 {
+		return fatal(fmt.Errorf("bad -inflight %d / -queue %d: want non-negative bounds (0 = default)", *inflight, *queue))
+	}
 
 	// SIGINT/SIGTERM triggers the graceful drain; a second signal during the
 	// drain kills the process the conventional way (the handler is reset).

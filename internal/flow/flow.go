@@ -69,13 +69,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used by the paper-scale
-// experiments: 85% starting utilization, 1 GHz, 40x40x9 thermal grid. The
-// flow only ever reads the surface (power-layer) temperature map, so the
-// thermal solver is asked to skip materializing the other layers; clear
-// Thermal.SurfaceOnly to get all of Analysis.Thermal.Layers back.
+// experiments: 85% starting utilization, 1 GHz, 40x40x9 thermal grid.
 func DefaultConfig() Config {
-	tcfg := thermal.DefaultConfig()
-	tcfg.SurfaceOnly = true
 	return Config{
 		Utilization:    0.85,
 		AspectRatio:    1.0,
@@ -83,7 +78,7 @@ func DefaultConfig() Config {
 		Seed:           1,
 		ClockHz:        1e9,
 		RefinePasses:   1,
-		Thermal:        tcfg,
+		Thermal:        thermal.DefaultConfig(),
 		HotspotOptions: hotspot.DefaultOptions(),
 		CoAnalysis:     true,
 	}
@@ -321,9 +316,9 @@ type Analysis struct {
 	// (zero when Config.CoAnalysis is off).
 	HPWL float64
 
-	// state is the full solved temperature field (solver node order,
-	// including the layers SurfaceOnly omits from Thermal), the warm-start
-	// seed a lineage child's solve starts from.
+	// state is the full solved temperature field (solver node order, every
+	// layer; Thermal holds only the surface), the warm-start seed a lineage
+	// child's solve starts from.
 	state []float64
 }
 
@@ -331,8 +326,8 @@ type Analysis struct {
 func (a *Analysis) PeakRise() float64 { return a.Thermal.PeakRise }
 
 // MemoryBytes estimates the retained size of the analysis' numeric payload
-// — the solved-state warm-start field, the power map, the materialized
-// thermal layers, the power report's per-instance breakdowns and the
+// — the solved-state warm-start field, the power map, the surface
+// temperature map, the power report's per-instance breakdowns and the
 // co-analysis reports — which is what dominates a resident analysis. Shared
 // structures (the placement, the design) are deliberately excluded:
 // analyses of one design share them, so charging them per entry would
@@ -340,12 +335,7 @@ func (a *Analysis) PeakRise() float64 { return a.Thermal.PeakRise }
 // result cache.
 func (a *Analysis) MemoryBytes() int64 {
 	const f64 = 8
-	n := f64 * int64(len(a.state)+len(a.PowerMap.Values()))
-	for _, l := range a.Thermal.Layers {
-		if l != nil {
-			n += f64 * int64(len(l.Values()))
-		}
-	}
+	n := f64 * int64(len(a.state)+len(a.PowerMap.Values())+len(a.Thermal.Surface.Values()))
 	n += a.Power.MemoryBytes()
 	if a.Timing != nil {
 		n += a.Timing.MemoryBytes()
@@ -436,6 +426,10 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		rep = par.Power.Update(p, opts.Delta)
 	} else {
 		rep = est.Report(p)
+	}
+	// Reject a bad thermal grid before binning onto it.
+	if err := tcfg.Validate(); err != nil {
+		return nil, fmt.Errorf("flow: thermal simulation: %w", err)
 	}
 	pm := power.Map(rep, p, tcfg.NX, tcfg.NY)
 	tcfg.Inject.CorruptPower(pm.Values())

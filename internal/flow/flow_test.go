@@ -285,6 +285,23 @@ func TestAnalyzeRejectsBrokenDesign(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsBadThermalGrid: a thermal grid below 2x2 is the thermal
+// config's named error, reported before the power map is binned onto the
+// grid (where a zero or negative size used to panic).
+func TestAnalyzeRejectsBadThermalGrid(t *testing.T) {
+	small := smallFlow(t)
+	for _, n := range []int{0, -3, 1} {
+		cfg := small.Config
+		cfg.Thermal.NX, cfg.Thermal.NY = n, n
+		f := New(small.Design, small.Workload, cfg)
+		_, err := f.AnalyzeBaseline()
+		f.Close()
+		if err == nil || !strings.Contains(err.Error(), "thermal: grid must be at least 2x2") {
+			t.Fatalf("grid %dx%d: got %v, want the thermal config's grid error", n, n, err)
+		}
+	}
+}
+
 func TestConfigs(t *testing.T) {
 	def := DefaultConfig()
 	if def.Thermal.NX != 40 || def.ClockHz != 1e9 || def.Utilization != 0.85 {

@@ -45,21 +45,35 @@ const serveAdaptiveMargin = 0.25
 // that names no grid_scale.
 const defaultGridScale = 3
 
+// Query bounds. A query's placement work and memory grow with the core area
+// and the candidate count it asks for, in code that never checks a context,
+// so a query beyond them is answered 400 before any placement work instead
+// of running the server out of memory. maxAreaOverhead caps every core at
+// 4x the baseline's, 7.5x the paper's largest Figure 6 overhead (0.40).
+const (
+	maxAreaOverhead   = 3
+	maxSweepOverheads = 16
+	maxGridScale      = 16
+)
+
 // Query is one parsed what-if question against a resident design. Its
 // canonical form (Key) is the cache key: two requests that parse to the same
 // Query are interchangeable.
 type Query struct {
 	Kind Kind
 	// Utilization is the target placement utilization (KindAnalyze; zero
-	// means the design's baseline utilization).
+	// means the design's baseline utilization). Exec rejects one whose area
+	// overhead over the baseline exceeds maxAreaOverhead.
 	Utilization float64
 	// Rows is the empty-row count (KindERI; zero derives it from Overhead).
+	// Exec rejects a count whose area overhead exceeds maxAreaOverhead.
 	Rows int
 	// Overhead is the fractional area overhead (KindHW, and KindERI when
-	// Rows is zero).
+	// Rows is zero), at most maxAreaOverhead.
 	Overhead float64
 	// Overheads are the sweep overheads (KindSweep; empty uses the paper's
-	// Figure 6 range), kept sorted so equivalent sweeps share a cache key.
+	// Figure 6 range), kept sorted so equivalent sweeps share a cache key:
+	// at most maxSweepOverheads of them, each at most maxAreaOverhead.
 	Overheads []float64
 	// Adaptive selects the two-phase multi-fidelity sweep (KindSweep): the
 	// overhead axis is densified GridScale times, candidates are triaged on
@@ -67,8 +81,8 @@ type Query struct {
 	// exactly. Every returned point is still an exact measurement.
 	Adaptive bool
 	// GridScale is the adaptive densification factor (KindSweep with
-	// Adaptive). ParseQuery fills in defaultGridScale when the request
-	// names none.
+	// Adaptive), at most maxGridScale. ParseQuery fills in defaultGridScale
+	// when the request names none.
 	GridScale int
 	// Full requests the solved surface temperature map in the response.
 	Full bool
@@ -109,8 +123,9 @@ func (q Query) Key() string {
 	return b.String()
 }
 
-// ParseQuery builds a Query of the given kind from URL parameters. Errors
-// are *httpStatusError with status 400.
+// ParseQuery builds a Query of the given kind from URL parameters and
+// enforces the query bounds that need no design. Errors are
+// *httpStatusError with status 400.
 func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 	q := Query{Kind: kind}
 	badReq := func(format string, a ...any) (Query, error) {
@@ -126,6 +141,15 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 			return fmt.Errorf("parameter %s=%q: %w", name, s, err)
 		}
 		*dst = v
+		return nil
+	}
+	getOverhead := func() error {
+		if err := getFloat("overhead", &q.Overhead); err != nil {
+			return err
+		}
+		if q.Overhead > maxAreaOverhead {
+			return fmt.Errorf("overhead %g above the bound %d", q.Overhead, maxAreaOverhead)
+		}
 		return nil
 	}
 	switch kind {
@@ -144,14 +168,14 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 			}
 			q.Rows = n
 		}
-		if err := getFloat("overhead", &q.Overhead); err != nil {
+		if err := getOverhead(); err != nil {
 			return badReq("%v", err)
 		}
 		if q.Rows == 0 && q.Overhead <= 0 {
 			return badReq("eri requires rows or a positive overhead")
 		}
 	case KindHW:
-		if err := getFloat("overhead", &q.Overhead); err != nil {
+		if err := getOverhead(); err != nil {
 			return badReq("%v", err)
 		}
 		if q.Overhead <= 0 {
@@ -159,10 +183,14 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 		}
 	case KindSweep:
 		if s := vals.Get("overheads"); s != "" {
-			for _, part := range strings.Split(s, ",") {
+			parts := strings.Split(s, ",")
+			if len(parts) > maxSweepOverheads {
+				return badReq("parameter overheads: %d elements, at most %d", len(parts), maxSweepOverheads)
+			}
+			for _, part := range parts {
 				v, err := parseFinite(strings.TrimSpace(part))
-				if err != nil || v <= 0 {
-					return badReq("parameter overheads: bad element %q", part)
+				if err != nil || v <= 0 || v > maxAreaOverhead {
+					return badReq("parameter overheads: bad element %q (want an overhead in (0, %d])", part, maxAreaOverhead)
 				}
 				q.Overheads = append(q.Overheads, v)
 			}
@@ -177,8 +205,8 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 		}
 		if s := vals.Get("grid_scale"); s != "" {
 			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 {
-				return badReq("parameter grid_scale=%q: not a positive integer", s)
+			if err != nil || n < 1 || n > maxGridScale {
+				return badReq("parameter grid_scale=%q: not an integer in [1, %d]", s, maxGridScale)
 			}
 			if !q.Adaptive {
 				return badReq("grid_scale requires adaptive=1")
@@ -324,10 +352,15 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 			if pt.Utilization == 0 {
 				pt.Utilization = f.Config.Utilization
 			}
+			if ov := f.Config.Utilization/pt.Utilization - 1; ov > maxAreaOverhead {
+				return nil, 0, overBound(fmt.Sprintf("utilization %g", pt.Utilization), ov)
+			}
 		case KindERI:
 			pt = core.Point{Strategy: core.StrategyERI, Rows: q.Rows}
 			if pt.Rows == 0 {
 				pt.Rows = core.RowsForAreaOverhead(baseline.Placement, q.Overhead)
+			} else if ov := core.AreaOverheadForRows(baseline.Placement, pt.Rows); ov > maxAreaOverhead {
+				return nil, 0, overBound(fmt.Sprintf("%d empty rows", pt.Rows), ov)
 			}
 		case KindHW:
 			pt = core.Point{Strategy: core.StrategyHW, Utilization: f.Config.Utilization / (1 + q.Overhead)}
@@ -440,6 +473,13 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 	default:
 		return nil, 0, &httpStatusError{status: http.StatusBadRequest, category: "bad-request", msg: fmt.Sprintf("unknown query kind %q", q.Kind)}
 	}
+}
+
+// overBound is the 400 answer to a query whose core exceeds the
+// maxAreaOverhead bound.
+func overBound(what string, overhead float64) error {
+	return &httpStatusError{status: http.StatusBadRequest, category: "bad-request",
+		msg: fmt.Sprintf("%s is an area overhead of %g, above the bound %d", what, overhead, maxAreaOverhead)}
 }
 
 // gridRows converts a grid to row-major [ny][nx] JSON-ready rows.

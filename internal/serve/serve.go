@@ -40,6 +40,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -56,10 +57,11 @@ import (
 // production default documented on it.
 type Config struct {
 	// MaxInFlight bounds the queries of one design that execute
-	// concurrently. Zero means 4.
+	// concurrently. Zero means 4; AddDesign rejects a negative bound.
 	MaxInFlight int
 	// MaxQueue bounds the queries of one design waiting for an in-flight
-	// slot; a query arriving beyond it is shed immediately. Zero means 16.
+	// slot; a query arriving beyond it is shed immediately. Zero means 16;
+	// AddDesign rejects a negative bound.
 	MaxQueue int
 	// DefaultDeadline is the per-request deadline applied when the client
 	// does not send one (deadline_ms query parameter). Zero means 30s;
@@ -147,6 +149,9 @@ func NewServer(cfg Config) *Server {
 // warm-up itself consumes analysis ordinal 1 and solve ordinal 1, so probes
 // armed afterwards count from ordinal 2.
 func (s *Server) AddDesign(ctx context.Context, name string, net *netlist.Design, wl bench.Workload, fcfg flow.Config, inject *fault.Injector) error {
+	if s.cfg.MaxInFlight < 0 || s.cfg.MaxQueue < 0 {
+		return fmt.Errorf("serve: negative admission bound (MaxInFlight %d, MaxQueue %d)", s.cfg.MaxInFlight, s.cfg.MaxQueue)
+	}
 	stats := &fault.Stats{}
 	fcfg.Thermal.Stats = stats
 	fcfg.Thermal.Inject = inject

@@ -260,12 +260,20 @@ var badQueries = []struct {
 	{KindSweep, url.Values{"adaptive": {"1"}, "grid_scale": {"0"}}},
 	{KindSweep, url.Values{"grid_scale": {"3"}}},
 	{Kind("mystery"), url.Values{}},
+	// Over the query bounds.
+	{KindERI, url.Values{"overhead": {"3.5"}}},
+	{KindHW, url.Values{"overhead": {"1e300"}}},
+	{KindSweep, url.Values{"overheads": {"1000000"}}},
+	{KindSweep, url.Values{"overheads": {strings.Repeat("0.1,", maxSweepOverheads) + "0.2"}}},
+	{KindSweep, url.Values{"adaptive": {"1"}, "grid_scale": {"17"}}},
 }
 
 // FuzzParseQuery holds ParseQuery to its contract on any query kind and raw
-// query string: it never panics, every error is a 400 bad-request, and a
-// parsed query's Key round-trips — parsing the key's own parameters gives
-// back the same key.
+// query string: it never panics, every error is a 400 bad-request, a parsed
+// query stays within the bounds ParseQuery owns (overheads at most
+// maxAreaOverhead, at most maxSweepOverheads of them, grid scale at most
+// maxGridScale), and a parsed query's Key round-trips — parsing the key's
+// own parameters gives back the same key.
 func FuzzParseQuery(f *testing.F) {
 	for _, raw := range []string{
 		"util=0.7&full=1",
@@ -273,7 +281,7 @@ func FuzzParseQuery(f *testing.F) {
 		"overheads=0.05, 0.2",
 		"overheads=0.05,0.2&adaptive=1&grid_scale=4",
 		"adaptive=1&grid_scale=5",
-		"overhead=1e21&overheads=1e21", // keys with an exponent's '+'
+		"overhead=1e21&overheads=1e21", // over the overhead bound: a 400
 	} {
 		for _, kind := range []Kind{KindAnalyze, KindERI, KindHW, KindSweep} {
 			f.Add(string(kind), raw)
@@ -291,6 +299,14 @@ func FuzzParseQuery(f *testing.F) {
 				t.Fatalf("ParseQuery(%q, %q) error not a 400 bad-request: %v", kind, raw, err)
 			}
 			return
+		}
+		if q.Overhead > maxAreaOverhead || len(q.Overheads) > maxSweepOverheads || q.GridScale > maxGridScale {
+			t.Fatalf("ParseQuery(%q, %q) = %+v exceeds the query bounds", kind, raw, q)
+		}
+		for _, ov := range q.Overheads {
+			if ov > maxAreaOverhead {
+				t.Fatalf("ParseQuery(%q, %q) accepted sweep overhead %g above the bound", kind, raw, ov)
+			}
 		}
 		key := q.Key()
 		k, params, _ := strings.Cut(key, "?")
@@ -382,6 +398,53 @@ func TestServerAdaptiveSweep(t *testing.T) {
 		ds.AdaptiveTriaged != int64(tr.Candidates-tr.Survivors) ||
 		ds.AdaptiveExact != int64(tr.ExactSolves) {
 		t.Fatalf("statz triage counters %+v disagree with response summary %+v", ds, tr)
+	}
+}
+
+// TestServerRejectsOverBoundQueries sends queries beyond the query bounds.
+// Each must answer 400 bad-request before any placement work. The first
+// asks for a core 8.5x the baseline's; the other four would allocate
+// without limit (fillers of a huge core, a billion empty rows, a huge sweep
+// overhead, a 1e8x densified candidate grid).
+func TestServerRejectsOverBoundQueries(t *testing.T) {
+	gen, cfg := testDesign(t)
+	srv := NewServer(Config{})
+	if err := srv.AddDesign(context.Background(), "d", gen.Design, gen.Workload, cfg, nil); err != nil {
+		t.Fatalf("AddDesign: %v", err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, q := range []string{
+		"/analyze?design=d&util=0.1",
+		"/analyze?design=d&util=0.00001",
+		"/delta?design=d&strategy=eri&rows=1000000000",
+		"/sweep?design=d&overheads=1000000",
+		"/sweep?design=d&overheads=0.1,0.2&adaptive=1&grid_scale=100000000",
+	} {
+		start := time.Now()
+		var eb errorBody
+		if code, _ := getJSON(t, ts.Client(), ts.URL+q, &eb); code != http.StatusBadRequest || eb.Category != "bad-request" {
+			t.Fatalf("%s: status %d category %q, want 400 bad-request", q, code, eb.Category)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("%s: rejected after %v, want well under a second", q, took)
+		}
+	}
+}
+
+// TestAddDesignRejectsNegativeBounds: a negative admission bound is an
+// error from AddDesign, not a panic or a queue that sheds everything.
+func TestAddDesignRejectsNegativeBounds(t *testing.T) {
+	gen, cfg := testDesign(t)
+	for _, c := range []Config{{MaxInFlight: -1}, {MaxQueue: -1}} {
+		srv := NewServer(c)
+		err := srv.AddDesign(context.Background(), "d", gen.Design, gen.Workload, cfg, nil)
+		srv.Close()
+		if err == nil {
+			t.Fatalf("AddDesign accepted admission bounds %+v", c)
+		}
 	}
 }
 

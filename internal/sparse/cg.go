@@ -8,52 +8,6 @@ import (
 	"thermplace/internal/fault"
 )
 
-// Preconditioner approximates the inverse of the solver's matrix. Apply must
-// implement a fixed symmetric positive-definite linear operation (the same
-// operator on every call) for the preconditioned conjugate-gradient
-// iteration to converge; warm state of any kind inside Apply would silently
-// break CG's orthogonality recurrences.
-type Preconditioner interface {
-	// Apply sets z ≈ A⁻¹r. r must not be modified.
-	Apply(r, z []float64)
-}
-
-// CtxPreconditioner is a Preconditioner that can abort mid-application when
-// a context fires. SolveCtx prefers ApplyCtx when the preconditioner
-// implements it, so a cancellation lands inside an expensive application
-// (e.g. between multigrid cycles) rather than only between CG iterations.
-// When the context never fires, ApplyCtx must be exactly Apply.
-type CtxPreconditioner interface {
-	Preconditioner
-	// ApplyCtx sets z ≈ A⁻¹r, or returns a fault.ErrCanceled-matching error
-	// (leaving z unspecified) once ctx fires.
-	ApplyCtx(ctx context.Context, r, z []float64) error
-}
-
-// CGOptions tunes the conjugate-gradient solver.
-type CGOptions struct {
-	// Tolerance is the relative residual ||b - A*x|| / ||b|| at which the
-	// iteration stops. Zero means the default of 1e-9.
-	Tolerance float64
-	// MaxIterations bounds the iteration count. Zero means 10*N.
-	MaxIterations int
-	// Workers is the number of goroutines used for matrix-vector products
-	// and reductions; an explicit value is honored as given (clamped to the
-	// shared Pool's size when one is supplied). Zero picks GOMAXPROCS,
-	// capped so every worker owns at least minRowsPerWorker rows. 1 runs
-	// everything on the calling goroutine.
-	Workers int
-	// Precond replaces the built-in Jacobi (diagonal) preconditioner. The
-	// multigrid preconditioner in this package (MG) drops the iteration
-	// count of large structured systems several-fold; nil keeps Jacobi.
-	Precond Preconditioner
-	// Pool is an existing worker pool to run on, so a solver stack (CG plus
-	// a multigrid preconditioner) shares one set of goroutines. Nil makes
-	// the CG own a private pool, released by Close; a shared pool is left
-	// running — its owner closes it.
-	Pool *Pool
-}
-
 // minRowsPerWorker keeps the per-iteration synchronization cost well below
 // the arithmetic cost of a worker's row range.
 const minRowsPerWorker = 4096
@@ -62,16 +16,14 @@ const minRowsPerWorker = 4096
 const padStride = 8
 
 // CG is a reusable preconditioned conjugate-gradient solver bound to one
-// matrix (Jacobi by default, or the Preconditioner given in the options).
-// The scratch vectors and the worker pool live as long as the solver: the
-// pool goroutines are started on the first parallel Solve and then parked
-// between solves, so repeated warm-started re-solves pay neither allocation
-// nor goroutine startup. Call Close to release the pool when the solver is
-// no longer needed; a closed solver still works, serially. A CG value is
-// not safe for concurrent use.
+// matrix and to its caller's worker pool. The scratch vectors live as long as
+// the solver and the pool goroutines are parked between solves, so repeated
+// warm-started re-solves pay neither allocation nor goroutine startup. Once
+// the pool is closed the solver still works, serially. A CG value is not
+// safe for concurrent use.
 type CG struct {
 	m   *SymCSR
-	opt CGOptions
+	tol float64
 
 	r, z, p, ap []float64
 
@@ -83,11 +35,9 @@ type CG struct {
 	workers int
 	bounds  []int
 	// pool runs the partitioned ops; tasks is one prebuilt closure per op
-	// code so a solve allocates nothing per iteration. ownPool marks a
-	// private pool that Close releases (a shared pool outlives the CG).
-	pool    *Pool
-	ownPool bool
-	tasks   [opCount]func(w int) float64
+	// code so a solve allocates nothing per iteration.
+	pool  *Pool
+	tasks [opCount]func(w int) float64
 }
 
 // Worker op codes.
@@ -98,50 +48,32 @@ const (
 	opUpdateXR        // x += alpha*p, r -= alpha*ap, partial r·r
 	opPrecond         // z = r / diag, partial r·z
 	opUpdateP         // p = z + beta*p
-	opDotRZ           // partial r·z (external preconditioner)
+	opDotRZ           // partial r·z (multigrid preconditioner)
 	opCount
 )
 
-// NewCG builds a solver for m. The matrix may be modified between Solve
-// calls (for example when the grid geometry changes) as long as its pattern
-// dimensions stay the same.
-func NewCG(m *SymCSR, opt CGOptions) *CG {
-	if opt.Tolerance <= 0 {
-		opt.Tolerance = 1e-9
-	}
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 10 * m.N
-	}
-	w := opt.Workers
-	if w <= 0 {
-		w = AutoWorkers(m.N)
-	}
-	if opt.Pool != nil && w > opt.Pool.Workers() {
-		w = opt.Pool.Workers()
-	}
-	if w > m.N {
-		w = m.N
-	}
-	if w < 1 {
-		w = 1
+// NewCG builds a solver for m whose matrix-vector products and reductions
+// run on pool, split over min(pool.Workers(), m.N) workers. tol is the
+// relative residual ||b - A*x|| / ||b|| at which a solve stops; tol <= 0
+// means 1e-9. The matrix may be modified between solves (for example when
+// the grid geometry changes) as long as its pattern dimensions stay the
+// same.
+func NewCG(m *SymCSR, pool *Pool, tol float64) *CG {
+	if tol <= 0 {
+		tol = 1e-9
 	}
 	c := &CG{
 		m:       m,
-		opt:     opt,
+		tol:     tol,
 		r:       make([]float64, m.N),
 		z:       make([]float64, m.N),
 		p:       make([]float64, m.N),
 		ap:      make([]float64, m.N),
-		workers: w,
+		workers: min(pool.Workers(), m.N),
+		pool:    pool,
 	}
-	if w > 1 {
-		c.bounds = chunkBounds(m.N, w)
-		if opt.Pool != nil {
-			c.pool = opt.Pool
-		} else {
-			c.pool = NewPool(w)
-			c.ownPool = true
-		}
+	if c.workers > 1 {
+		c.bounds = chunkBounds(m.N, c.workers)
 		for op := 0; op < opCount; op++ {
 			op := op
 			c.tasks[op] = func(w int) float64 {
@@ -152,54 +84,22 @@ func NewCG(m *SymCSR, opt CGOptions) *CG {
 	return c
 }
 
-// Workers returns the degree of parallelism the solver settled on.
-func (c *CG) Workers() int { return c.workers }
-
-// SetPrecond replaces the preconditioner for subsequent solves (nil restores
-// the built-in Jacobi). The thermal solver's degradation path uses it to
-// retry a non-converged multigrid preconditioned solve on plain Jacobi.
-func (c *CG) SetPrecond(p Preconditioner) { c.opt.Precond = p }
-
-// MaxIterations returns the current iteration budget.
-func (c *CG) MaxIterations() int { return c.opt.MaxIterations }
-
-// SetMaxIterations replaces the iteration budget for subsequent solves;
-// n <= 0 is ignored.
-func (c *CG) SetMaxIterations(n int) {
-	if n > 0 {
-		c.opt.MaxIterations = n
-	}
-}
-
-// Close stops the persistent worker goroutines of a privately owned pool
-// (a shared CGOptions.Pool is left running for its owner to close).
-// Subsequent Solve calls still work but run serially on the calling
-// goroutine. Close is idempotent.
-func (c *CG) Close() {
-	if c.ownPool {
-		c.pool.Close()
-	}
-}
-
-// Solve solves A*x = b, using the incoming contents of x as the initial
-// guess (warm start). On success x holds the solution; it returns the
-// iteration count and the final relative residual. It is SolveCtx with a
-// context that never fires.
-func (c *CG) Solve(b, x []float64) (iters int, residual float64, err error) {
-	return c.SolveCtx(context.Background(), b, x)
-}
-
-// SolveCtx is Solve with cancellation: the context is checked once per CG
-// iteration (and, with a CtxPreconditioner, once per preconditioner cycle),
-// so even a large solve aborts within a few matrix-vector products of the
-// context firing. An abort returns an error matching fault.ErrCanceled and
-// leaves x mid-iteration — do not warm-start from it. When the context never
-// fires, the iteration is bit-identical to Solve.
+// SolveCtx solves A*x = b, using the incoming contents of x as the initial
+// guess (warm start), within budget iterations. mg preconditions the
+// iteration; nil selects the fused Jacobi (diagonal) preconditioner. On
+// success x holds the solution; it returns the iteration count and the final
+// relative residual, or a fault.ErrNotConverged once the budget is spent.
+//
+// The context is checked once per CG iteration and at every level of a
+// multigrid cycle, so even a large solve aborts within a few matrix-vector
+// products of the context firing. An abort returns an error matching
+// fault.ErrCanceled and leaves x mid-iteration — do not warm-start from it.
+// A context that never fires costs nothing and changes no bit.
 //
 // A panic inside the solve — in a worker task, or in the preconditioner —
 // is contained and returned as a located *fault.ErrPanic instead of
 // crashing the caller; the solver and its pool remain usable.
-func (c *CG) SolveCtx(ctx context.Context, b, x []float64) (iters int, residual float64, err error) {
+func (c *CG) SolveCtx(ctx context.Context, b, x []float64, mg *MG, budget int) (iters int, residual float64, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			iters, residual = 0, 0
@@ -232,15 +132,15 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64) (iters int, residual 
 
 	rr := c.run(opResidual)
 	residual = math.Sqrt(rr) / bnorm
-	if residual <= c.opt.Tolerance {
+	if residual <= c.tol {
 		return 0, residual, nil
 	}
-	rz, perr := c.precond(ctx)
+	rz, perr := c.precond(ctx, mg)
 	if perr != nil {
 		return 0, residual, perr
 	}
 	copy(c.p, c.z)
-	for iters = 1; iters <= c.opt.MaxIterations; iters++ {
+	for iters = 1; iters <= budget; iters++ {
 		if done != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return iters - 1, residual, fault.Canceled(cerr)
@@ -254,10 +154,10 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64) (iters int, residual 
 		c.alpha = rz / pap
 		rr = c.run(opUpdateXR)
 		residual = math.Sqrt(rr) / bnorm
-		if residual <= c.opt.Tolerance {
+		if residual <= c.tol {
 			return iters, residual, nil
 		}
-		rzNew, perr := c.precond(ctx)
+		rzNew, perr := c.precond(ctx, mg)
 		if perr != nil {
 			return iters, residual, perr
 		}
@@ -265,24 +165,18 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64) (iters int, residual 
 		rz = rzNew
 		c.run(opUpdateP)
 	}
-	return c.opt.MaxIterations, residual, fmt.Errorf("sparse: CG: %w",
-		&fault.ErrNotConverged{Iters: c.opt.MaxIterations, Residual: residual})
+	return budget, residual, fmt.Errorf("sparse: CG: %w",
+		&fault.ErrNotConverged{Iters: budget, Residual: residual})
 }
 
 // precond computes z = M⁻¹r and returns r·z: fused with the reduction for
-// the built-in Jacobi, a preconditioner call plus a reduction pass
-// otherwise. A CtxPreconditioner is given the context so cancellation can
-// land between its internal cycles.
-func (c *CG) precond(ctx context.Context) (float64, error) {
-	if c.opt.Precond == nil {
+// Jacobi (mg nil), a multigrid cycle plus a reduction pass otherwise.
+func (c *CG) precond(ctx context.Context, mg *MG) (float64, error) {
+	if mg == nil {
 		return c.run(opPrecond), nil
 	}
-	if cp, ok := c.opt.Precond.(CtxPreconditioner); ok && ctx.Done() != nil {
-		if err := cp.ApplyCtx(ctx, c.r, c.z); err != nil {
-			return 0, err
-		}
-	} else {
-		c.opt.Precond.Apply(c.r, c.z)
+	if err := mg.apply(ctx, c.r, c.z); err != nil {
+		return 0, err
 	}
 	return c.run(opDotRZ), nil
 }

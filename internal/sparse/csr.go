@@ -1,9 +1,9 @@
 // Package sparse provides the numerical kernel of the structured-grid
-// thermal fast path: a symmetric sparse matrix in compressed-sparse-row
-// form, a preconditioned conjugate-gradient solver whose matrix-vector
-// products and reductions run on a persistent goroutine pool, and a
-// geometric multigrid preconditioner (MG) specialized to the 7-point
-// stencil of a structured nx-by-ny-by-nl grid.
+// thermal fast path, and serves exactly one client, thermal.Solver: a
+// symmetric sparse matrix in compressed-sparse-row form, a conjugate-gradient
+// solver (CG) preconditioned by Jacobi or by a geometric multigrid W-cycle
+// (MG) specialized to the 7-point stencil of a structured nx-by-ny-by-nl
+// grid, and the persistent goroutine pool (Pool) both run on.
 //
 // Unlike package spice, which assembles nodal equations from a netlist of
 // named elements, this package works on plain integer-indexed vectors: the

@@ -31,15 +31,14 @@ func spdStencil(nx, ny, nl int) (*SymCSR, []float64) {
 // panic (buildCoarsening): a matrix whose adjacency does not match the
 // claimed grid geometry must surface as a typed fault.ErrSetup, not crash.
 func TestNewMGMalformedStencil(t *testing.T) {
-	// A 4x4x4 stencil has 64 unknowns, so claiming it is an 8x2x4 grid
+	// An 8x8x4 stencil has 256 unknowns, so claiming it is a 16x4x4 grid
 	// passes the size check but breaks the adjacency the coarsening relies
-	// on.
-	// CoarsestN below 64 forces the coarsening (the default 128 would solve
-	// 64 unknowns directly and never look at the adjacency).
-	m, _ := spdStencil(4, 4, 4)
-	mg, err := NewMG(m, 8, 2, 4, MGOptions{CoarsestN: 16})
+	// on; 256 unknowns is above the direct-solve size, so the hierarchy
+	// coarsens and looks at the adjacency.
+	m, _ := spdStencil(8, 8, 4)
+	mg, err := NewMG(m, 16, 4, 4, NewPool(1))
 	if err == nil {
-		t.Fatalf("NewMG accepted a malformed stencil: %v levels", mg.Levels())
+		t.Fatalf("NewMG accepted a malformed stencil: %d levels", len(mg.levels))
 	}
 	var se *fault.ErrSetup
 	if !errors.As(err, &se) {
@@ -50,7 +49,7 @@ func TestNewMGMalformedStencil(t *testing.T) {
 	}
 
 	// The size mismatch rejection is typed too.
-	if _, err := NewMG(m, 5, 5, 5, MGOptions{}); err == nil || !errors.As(err, &se) {
+	if _, err := NewMG(m, 5, 5, 5, NewPool(1)); err == nil || !errors.As(err, &se) {
 		t.Fatalf("grid-mismatch error not a fault.ErrSetup: %v", err)
 	}
 }
@@ -60,9 +59,9 @@ func TestNewMGMalformedStencil(t *testing.T) {
 // matches the returned residual.
 func TestCGNotConvergedTyped(t *testing.T) {
 	m, b := spdStencil(12, 12, 3)
-	cg := NewCG(m, CGOptions{Tolerance: 1e-12, MaxIterations: 2, Workers: 1})
+	cg := NewCG(m, NewPool(1), 1e-12)
 	x := make([]float64, m.N)
-	iters, residual, err := cg.Solve(b, x)
+	iters, residual, err := cg.SolveCtx(context.Background(), b, x, nil, 2)
 	if err == nil {
 		t.Fatalf("2-iteration budget unexpectedly converged (residual %g)", residual)
 	}
@@ -80,23 +79,25 @@ func TestCGNotConvergedTyped(t *testing.T) {
 
 // TestCGCancelMidSolve asserts that a canceled context aborts the iteration
 // with a typed error, the solver stays usable, and no goroutines leak
-// (cancel mid-Solve + Close after cancel).
+// (cancel mid-solve + pool Close after cancel).
 func TestCGCancelMidSolve(t *testing.T) {
 	m, b := spdStencil(24, 24, 4)
 	base := runtime.NumGoroutine()
-	cg := NewCG(m, CGOptions{Workers: 4, Tolerance: 1e-12})
+	pool := NewPool(4)
+	cg := NewCG(m, pool, 1e-12)
 	x := make([]float64, m.N)
+	budget := 10 * m.N
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // fires on the first per-iteration check
-	if _, _, err := cg.SolveCtx(ctx, b, x); !errors.Is(err, fault.ErrCanceled) {
+	if _, _, err := cg.SolveCtx(ctx, b, x, nil, budget); !errors.Is(err, fault.ErrCanceled) {
 		t.Fatalf("canceled solve did not report fault.ErrCanceled: %v", err)
 	}
 
 	// A deadline-based cancel additionally matches context.DeadlineExceeded.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, _, err := cg.SolveCtx(dctx, b, x); !errors.Is(err, fault.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := cg.SolveCtx(dctx, b, x, nil, budget); !errors.Is(err, fault.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline solve did not report fault.ErrCanceled and context.DeadlineExceeded: %v", err)
 	}
 
@@ -104,10 +105,10 @@ func TestCGCancelMidSolve(t *testing.T) {
 	for i := range x {
 		x[i] = 0
 	}
-	if _, _, err := cg.SolveCtx(context.Background(), b, x); err != nil {
+	if _, _, err := cg.SolveCtx(context.Background(), b, x, nil, budget); err != nil {
 		t.Fatalf("solve after cancel: %v", err)
 	}
-	cg.Close()
+	pool.Close()
 	waitGoroutines(t, base)
 }
 
@@ -115,30 +116,27 @@ func TestCGCancelMidSolve(t *testing.T) {
 // multigrid preconditioner.
 func TestMGApplyCtxCancel(t *testing.T) {
 	m, b := spdStencil(16, 16, 3)
-	mg, err := NewMG(m, 16, 16, 3, MGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.Refresh(); err != nil {
-		t.Fatal(err)
-	}
+	mg := refreshedMG(t, m, 16, 16, 3, NewPool(1))
 	z := make([]float64, m.N)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := mg.ApplyCtx(ctx, b, z); !errors.Is(err, fault.ErrCanceled) {
-		t.Fatalf("canceled ApplyCtx did not report fault.ErrCanceled: %v", err)
+	if err := mg.apply(ctx, b, z); !errors.Is(err, fault.ErrCanceled) {
+		t.Fatalf("canceled apply did not report fault.ErrCanceled: %v", err)
 	}
-	// With a live context the result matches Apply exactly.
+	// With a live cancelable context the result matches the uninstrumented
+	// cycle exactly.
 	want := make([]float64, m.N)
-	mg.Apply(b, want)
+	if err := mg.apply(context.Background(), b, want); err != nil {
+		t.Fatal(err)
+	}
 	live, liveCancel := context.WithCancel(context.Background())
 	defer liveCancel()
-	if err := mg.ApplyCtx(live, b, z); err != nil {
+	if err := mg.apply(live, b, z); err != nil {
 		t.Fatal(err)
 	}
 	for i := range z {
 		if z[i] != want[i] {
-			t.Fatalf("ApplyCtx differs from Apply at %d: %g vs %g", i, z[i], want[i])
+			t.Fatalf("cancelable apply differs from the uninstrumented cycle at %d: %g vs %g", i, z[i], want[i])
 		}
 	}
 }
@@ -187,27 +185,25 @@ func TestPoolPanicContained(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestCGPanicContained asserts that a panicking preconditioner surfaces as a
-// typed error from SolveCtx, not a crash, and the CG keeps working.
+// TestCGPanicContained asserts that a panic inside the solve — here an
+// out-of-range column index in the matrix — surfaces as a typed error from
+// SolveCtx, not a crash, and the CG keeps working once the matrix is fixed.
 func TestCGPanicContained(t *testing.T) {
 	m, b := spdStencil(12, 12, 3)
-	cg := NewCG(m, CGOptions{Workers: 1})
-	cg.SetPrecond(panicPrecond{})
+	cg := NewCG(m, NewPool(1), 0)
+	col := m.Col[0]
+	m.Col[0] = int32(m.N)
 	x := make([]float64, m.N)
-	_, _, err := cg.Solve(b, x)
+	_, _, err := solve(cg, b, x, nil)
 	var pe *fault.ErrPanic
 	if !errors.As(err, &pe) {
-		t.Fatalf("preconditioner panic not contained: %v", err)
+		t.Fatalf("out-of-range column panic not contained: %v", err)
 	}
-	cg.SetPrecond(nil)
+	m.Col[0] = col
 	for i := range x {
 		x[i] = 0
 	}
-	if _, _, err := cg.Solve(b, x); err != nil {
+	if _, _, err := solve(cg, b, x, nil); err != nil {
 		t.Fatalf("solve after contained panic: %v", err)
 	}
 }
-
-type panicPrecond struct{}
-
-func (panicPrecond) Apply(r, z []float64) { panic("injected preconditioner panic") }

@@ -24,10 +24,10 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestCGCloseReleasesWorkers is the goroutine-leak regression for the CG
-// worker pool: repeated create / parallel-solve / Close cycles must leave
-// the goroutine count where it started, and a closed solver must keep
-// working serially.
+// TestCGCloseReleasesWorkers is the goroutine-leak regression for the CG's
+// worker pool: repeated create / parallel-solve / pool Close cycles must
+// leave the goroutine count where it started, and a CG whose pool is closed
+// must keep working serially.
 func TestCGCloseReleasesWorkers(t *testing.T) {
 	m := NewStencil7(24, 24, 4)
 	// Strictly diagonally dominant symmetric stencil: SPD by construction.
@@ -45,23 +45,24 @@ func TestCGCloseReleasesWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var last *CG
 	for cycle := 0; cycle < 8; cycle++ {
-		cg := NewCG(m, CGOptions{Workers: 4})
-		if cg.Workers() != 4 {
-			t.Fatalf("explicit worker count not honored: %d", cg.Workers())
+		pool := NewPool(4)
+		cg := NewCG(m, pool, 0)
+		if cg.workers != 4 {
+			t.Fatalf("CG on a 4-worker pool runs %d workers", cg.workers)
 		}
 		x := make([]float64, m.N)
-		if _, _, err := cg.Solve(b, x); err != nil {
+		if _, _, err := solve(cg, b, x, nil); err != nil {
 			t.Fatal(err)
 		}
-		cg.Close()
-		cg.Close() // Close must be idempotent
+		pool.Close()
+		pool.Close() // Close must be idempotent
 		last = cg
 	}
 	waitGoroutines(t, base)
 
-	// A closed solver still solves, serially, without restarting the pool.
+	// A CG on a closed pool still solves, serially, without restarting it.
 	x := make([]float64, m.N)
-	if _, _, err := last.Solve(b, x); err != nil {
+	if _, _, err := solve(last, b, x, nil); err != nil {
 		t.Fatalf("solve after Close: %v", err)
 	}
 	waitGoroutines(t, base)

@@ -8,27 +8,17 @@ import (
 	"thermplace/internal/fault"
 )
 
-// MGOptions tunes the geometric multigrid preconditioner.
-type MGOptions struct {
-	// CoarsestN stops the coarsening once a level has at most this many
-	// unknowns; that level is solved directly by dense Cholesky. Zero means
-	// 128: the factorization is O(n³) and runs on every Refresh, and the
-	// W-cycle hits the coarsest level 2^(levels-1) times per application,
-	// so a small direct level beats a shallow hierarchy on both counts.
-	CoarsestN int
-	// Pool runs the red-black smoother, residual and prolongation of the
-	// large levels on a shared worker pool (typically the same pool as the
-	// enclosing CG). Rows of one color never read each other, so the
-	// parallel sweeps are bit-identical to the serial ones for any worker
-	// count. Nil keeps every level serial. The pool is never closed by the
-	// MG; its owner closes it.
-	Pool *Pool
-}
+// coarsestN stops the coarsening once a level has at most this many
+// unknowns; that level is solved directly by dense Cholesky. The
+// factorization is O(n³) and runs on every Refresh, and the W-cycle hits the
+// coarsest level 2^(levels-1) times per application, so a small direct level
+// beats a shallow hierarchy on both counts.
+const coarsestN = 128
 
 // MG is a geometric multigrid W-cycle specialized to the 7-point stencil of
 // an nx-by-ny-by-nl structured grid (node (l, ix, iy) at (l*ny+iy)*nx + ix,
-// the layout of NewStencil7 and of the thermal solver). It implements
-// Preconditioner, so it plugs into CG via CGOptions.Precond.
+// the layout of NewStencil7 and of the thermal solver). CG.SolveCtx takes it
+// as its preconditioner.
 //
 // The hierarchy coarsens 2x in x and y while keeping all nl layers — the
 // thermal stack has only a handful of layers and carries the strong
@@ -55,10 +45,10 @@ type MGOptions struct {
 type MG struct {
 	levels []*mgLevel
 
-	// ctx and ctxErr carry the cancellation state of an ApplyCtx in flight:
-	// cycle checks ctx at every level entry and records the abort in ctxErr,
-	// unwinding without touching the remaining levels. Both are nil for
-	// plain Apply.
+	// ctx and ctxErr carry the cancellation state of a cancelable apply in
+	// flight: cycle checks ctx at every level entry and records the abort in
+	// ctxErr, unwinding without touching the remaining levels. Both are nil
+	// when the context can never fire.
 	ctx    context.Context
 	ctxErr error
 }
@@ -107,19 +97,21 @@ type mgLevel struct {
 // stencil of an nx-by-ny-by-nl grid in NewStencil7 layout. Matrix values
 // may still be zero at this point; call Refresh once they are filled (and
 // again after every in-place value change).
-func NewMG(m *SymCSR, nx, ny, nl int, opt MGOptions) (*MG, error) {
+//
+// The red-black smoother, residual and prolongation of the levels with at
+// least minRowsPerWorker rows per worker run on pool (the enclosing CG's
+// pool); the rest stay serial. Rows of one color never read each other, so
+// the parallel sweeps are bit-identical to the serial ones for any worker
+// count. The MG never closes the pool; its owner does.
+func NewMG(m *SymCSR, nx, ny, nl int, pool *Pool) (*MG, error) {
 	if nx < 1 || ny < 1 || nl < 1 || nx*ny*nl != m.N {
 		return nil, &fault.ErrSetup{Stage: "grid",
 			Err: fmt.Errorf("sparse: MG grid %dx%dx%d does not match matrix size %d", nx, ny, nl, m.N)}
 	}
-	if opt.CoarsestN <= 0 {
-		opt.CoarsestN = 128
-	}
-
 	g := &MG{}
 	lv := newMGLevel(m, nx, ny, nl)
 	g.levels = append(g.levels, lv)
-	for lv.m.N > opt.CoarsestN {
+	for lv.m.N > coarsestN {
 		nxc, nyc := (lv.nx+1)/2, (lv.ny+1)/2
 		if nxc*nyc*lv.nl >= lv.m.N {
 			break // cannot coarsen further (nx = ny = 1)
@@ -151,10 +143,8 @@ func NewMG(m *SymCSR, nx, ny, nl int, opt MGOptions) (*MG, error) {
 			lv.x2 = make([]float64, n)
 		}
 	}
-	if opt.Pool != nil && opt.Pool.Workers() > 1 {
-		for _, lv := range g.levels {
-			lv.setupPool(opt.Pool)
-		}
+	for _, lv := range g.levels {
+		lv.setupPool(pool)
 	}
 	return g, nil
 }
@@ -386,20 +376,14 @@ func (lv *mgLevel) solveDirect(b, x []float64) {
 	}
 }
 
-// Apply runs one W-cycle on r: z = B·r with B the fixed SPD multigrid
-// operator. r is left untouched. It delegates to ApplyCtx with a background
-// context, whose nil-Done fast path is exactly the uninstrumented cycle.
-func (g *MG) Apply(r, z []float64) {
-	_ = g.ApplyCtx(context.Background(), r, z)
-}
-
-// ApplyCtx is Apply with cancellation: the context is checked at every level
-// entry of the (recursive) cycle, so an abort lands within one smoothing
-// sweep of the context firing even on the largest grids. On cancellation it
-// returns an error matching fault.ErrCanceled and leaves z unspecified; the
-// enclosing CG iteration discards it and aborts. With a context that never
-// fires, ApplyCtx is exactly Apply.
-func (g *MG) ApplyCtx(ctx context.Context, r, z []float64) error {
+// apply runs one W-cycle on r: z = B·r with B the fixed SPD multigrid
+// operator. r is left untouched. A cancelable context is checked at every
+// level entry of the (recursive) cycle, so an abort lands within one
+// smoothing sweep of the context firing even on the largest grids; it
+// returns an error matching fault.ErrCanceled and leaves z unspecified, and
+// the enclosing CG iteration discards it and aborts. A context that can
+// never fire runs the uninstrumented cycle.
+func (g *MG) apply(ctx context.Context, r, z []float64) error {
 	if ctx.Done() == nil {
 		g.cycle(0, r, z)
 		return nil
@@ -410,9 +394,6 @@ func (g *MG) ApplyCtx(ctx context.Context, r, z []float64) error {
 	g.ctx, g.ctxErr = nil, nil
 	return err
 }
-
-// Levels returns the depth of the hierarchy (1 = direct solve only).
-func (g *MG) Levels() int { return len(g.levels) }
 
 // cycle runs the W-cycle at one level: x = (approximate A⁻¹)·b with a zero
 // initial iterate.

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,9 +43,9 @@ func fillThermalLike(m *SymCSR, nx, ny, nl int) {
 	}
 }
 
-func refreshedMG(t *testing.T, m *SymCSR, nx, ny, nl int, opt MGOptions) *MG {
+func refreshedMG(t *testing.T, m *SymCSR, nx, ny, nl int, pool *Pool) *MG {
 	t.Helper()
-	mg, err := NewMG(m, nx, ny, nl, opt)
+	mg, err := NewMG(m, nx, ny, nl, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +57,16 @@ func refreshedMG(t *testing.T, m *SymCSR, nx, ny, nl int, opt MGOptions) *MG {
 
 // TestMGApplyIsSymmetric verifies the W-cycle is a symmetric operator — the
 // property CG depends on — by materializing B column by column on a small
-// grid and comparing B[i][j] against B[j][i].
+// grid and comparing B[i][j] against B[j][i]. The grid is the smallest
+// whose hierarchy has an intermediate level (544 -> 144 -> 40 unknowns), so
+// the W-cycle's second coarse correction is part of B.
 func TestMGApplyIsSymmetric(t *testing.T) {
-	nx, ny, nl := 5, 4, 3
+	nx, ny, nl := 17, 16, 2
 	m := NewStencil7(nx, ny, nl)
 	fillThermalLike(m, nx, ny, nl)
-	mg := refreshedMG(t, m, nx, ny, nl, MGOptions{CoarsestN: 8})
-	if mg.Levels() < 2 {
-		t.Fatalf("want a multi-level hierarchy, got %d levels", mg.Levels())
+	mg := refreshedMG(t, m, nx, ny, nl, NewPool(1))
+	if len(mg.levels) < 3 {
+		t.Fatalf("want a hierarchy with an intermediate level, got %d levels", len(mg.levels))
 	}
 	n := m.N
 	b := make([][]float64, n)
@@ -71,7 +74,9 @@ func TestMGApplyIsSymmetric(t *testing.T) {
 	for j := 0; j < n; j++ {
 		e[j] = 1
 		col := make([]float64, n)
-		mg.Apply(e, col)
+		if err := mg.apply(context.Background(), e, col); err != nil {
+			t.Fatal(err)
+		}
 		b[j] = col
 		e[j] = 0
 	}
@@ -108,14 +113,15 @@ func TestMGPCGMatchesJacobiPCG(t *testing.T) {
 	for i := range b {
 		b[i] = rng.Float64() * 1e-3
 	}
+	c := NewCG(m, NewPool(1), 1e-11)
 	xj := make([]float64, m.N)
-	ij, _, err := NewCG(m, CGOptions{Tolerance: 1e-11, Workers: 1}).Solve(b, xj)
+	ij, _, err := solve(c, b, xj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := refreshedMG(t, m, nx, ny, nl, MGOptions{})
+	mg := refreshedMG(t, m, nx, ny, nl, NewPool(1))
 	xm := make([]float64, m.N)
-	im, res, err := NewCG(m, CGOptions{Tolerance: 1e-11, Workers: 1, Precond: mg}).Solve(b, xm)
+	im, res, err := solve(c, b, xm, mg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +161,13 @@ func TestMGIterationCountGridIndependent(t *testing.T) {
 		for i := range b {
 			b[i] = 1e-4
 		}
-		mg := refreshedMG(t, m, n, n, 9, MGOptions{})
+		mg := refreshedMG(t, m, n, n, 9, NewPool(1))
 		x := make([]float64, m.N)
-		iters, _, err := NewCG(m, CGOptions{Tolerance: 1e-9, Workers: 1, Precond: mg}).Solve(b, x)
+		iters, _, err := solve(NewCG(m, NewPool(1), 1e-9), b, x, mg)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		t.Logf("grid %dx%dx9: %d levels, %d MG-PCG iterations", n, n, mg.Levels(), iters)
+		t.Logf("grid %dx%dx9: %d levels, %d MG-PCG iterations", n, n, len(mg.levels), iters)
 		if iters >= 20 {
 			t.Errorf("grid %dx%dx9: %d iterations, want < 20", n, n, iters)
 		}
@@ -179,14 +185,14 @@ func TestMGRefreshTracksValueChanges(t *testing.T) {
 	nx, ny, nl := 12, 12, 5
 	m := NewStencil7(nx, ny, nl)
 	fillThermalLike(m, nx, ny, nl)
-	mg := refreshedMG(t, m, nx, ny, nl, MGOptions{CoarsestN: 64})
+	mg := refreshedMG(t, m, nx, ny, nl, NewPool(1))
 	b := make([]float64, m.N)
 	for i := range b {
 		b[i] = float64(i%5) * 1e-4
 	}
 	x1 := make([]float64, m.N)
-	c := NewCG(m, CGOptions{Tolerance: 1e-12, Workers: 1, Precond: mg})
-	if _, _, err := c.Solve(b, x1); err != nil {
+	c := NewCG(m, NewPool(1), 1e-12)
+	if _, _, err := solve(c, b, x1, mg); err != nil {
 		t.Fatal(err)
 	}
 	for i := range m.Val {
@@ -199,7 +205,7 @@ func TestMGRefreshTracksValueChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	x2 := make([]float64, m.N)
-	if _, _, err := c.Solve(b, x2); err != nil {
+	if _, _, err := solve(c, b, x2, mg); err != nil {
 		t.Fatal(err)
 	}
 	// Scaling A by 2 halves the solution.
@@ -212,7 +218,7 @@ func TestMGRefreshTracksValueChanges(t *testing.T) {
 
 func TestMGRejectsDimensionMismatch(t *testing.T) {
 	m := NewStencil7(4, 4, 2)
-	if _, err := NewMG(m, 5, 4, 2, MGOptions{}); err == nil {
+	if _, err := NewMG(m, 5, 4, 2, NewPool(1)); err == nil {
 		t.Fatal("mismatched grid dimensions must be rejected")
 	}
 }
@@ -224,14 +230,14 @@ func TestMGSingleLevelIsDirect(t *testing.T) {
 	nx, ny, nl := 4, 4, 3
 	m := NewStencil7(nx, ny, nl)
 	fillThermalLike(m, nx, ny, nl)
-	mg := refreshedMG(t, m, nx, ny, nl, MGOptions{})
-	if mg.Levels() != 1 {
-		t.Fatalf("48 unknowns should be a single direct level, got %d levels", mg.Levels())
+	mg := refreshedMG(t, m, nx, ny, nl, NewPool(1))
+	if len(mg.levels) != 1 {
+		t.Fatalf("48 unknowns should be a single direct level, got %d levels", len(mg.levels))
 	}
 	b := make([]float64, m.N)
 	b[5] = 1e-3
 	x := make([]float64, m.N)
-	iters, _, err := NewCG(m, CGOptions{Tolerance: 1e-10, Workers: 1, Precond: mg}).Solve(b, x)
+	iters, _, err := solve(NewCG(m, NewPool(1), 1e-10), b, x, mg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +247,8 @@ func TestMGSingleLevelIsDirect(t *testing.T) {
 }
 
 // TestCGPersistentPoolReuse drives many solves through one parallel CG and
-// then closes it, checking the answers stay identical and a closed solver
-// still solves (serially).
+// then closes its pool, checking the answers stay identical and a CG on a
+// closed pool still solves (serially).
 func TestCGPersistentPoolReuse(t *testing.T) {
 	m := laplacian2D(40, 40)
 	b := make([]float64, m.N)
@@ -250,13 +256,14 @@ func TestCGPersistentPoolReuse(t *testing.T) {
 		b[i] = float64(i%11) - 5
 	}
 	ref := make([]float64, m.N)
-	if _, _, err := NewCG(m, CGOptions{Workers: 1, Tolerance: 1e-11}).Solve(b, ref); err != nil {
+	if _, _, err := solve(NewCG(m, NewPool(1), 1e-11), b, ref, nil); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCG(m, CGOptions{Workers: 3, Tolerance: 1e-11})
+	pool := NewPool(3)
+	c := NewCG(m, pool, 1e-11)
 	for round := 0; round < 3; round++ {
 		x := make([]float64, m.N)
-		if _, _, err := c.Solve(b, x); err != nil {
+		if _, _, err := solve(c, b, x, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for i := range x {
@@ -265,10 +272,10 @@ func TestCGPersistentPoolReuse(t *testing.T) {
 			}
 		}
 	}
-	c.Close()
-	c.Close() // idempotent
+	pool.Close()
+	pool.Close() // idempotent
 	x := make([]float64, m.N)
-	if _, _, err := c.Solve(b, x); err != nil {
+	if _, _, err := solve(c, b, x, nil); err != nil {
 		t.Fatalf("solve after Close: %v", err)
 	}
 	for i := range x {
@@ -287,11 +294,11 @@ func TestMGPooledSmootherBitIdentical(t *testing.T) {
 	nx, ny, nl := 40, 40, 9 // 14400 rows: enough for a 3-way fine-level split
 	m := NewStencil7(nx, ny, nl)
 	fillThermalLike(m, nx, ny, nl)
-	serial := refreshedMG(t, m, nx, ny, nl, MGOptions{})
+	serial := refreshedMG(t, m, nx, ny, nl, NewPool(1))
 
 	pool := NewPool(3)
 	defer pool.Close()
-	pooled := refreshedMG(t, m, nx, ny, nl, MGOptions{Pool: pool})
+	pooled := refreshedMG(t, m, nx, ny, nl, pool)
 	if pooled.levels[0].kw < 2 {
 		t.Fatalf("fine level not pooled (kw=%d); test needs a parallel smoother", pooled.levels[0].kw)
 	}
@@ -303,8 +310,13 @@ func TestMGPooledSmootherBitIdentical(t *testing.T) {
 	}
 	zs := make([]float64, m.N)
 	zp := make([]float64, m.N)
-	serial.Apply(r, zs)
-	pooled.Apply(r, zp)
+	ctx := context.Background()
+	if err := serial.apply(ctx, r, zs); err != nil {
+		t.Fatal(err)
+	}
+	if err := pooled.apply(ctx, r, zp); err != nil {
+		t.Fatal(err)
+	}
 	for i := range zs {
 		if zs[i] != zp[i] {
 			t.Fatalf("pooled cycle differs at row %d: %v vs %v", i, zp[i], zs[i])
@@ -312,22 +324,22 @@ func TestMGPooledSmootherBitIdentical(t *testing.T) {
 	}
 
 	// The full preconditioned solve must also be bit-identical when CG and
-	// MG share the pool.
+	// MG share the pool. Both solves run the CG on the same 3-worker pool:
+	// CG sums its reductions by worker, so only the MG's pool may differ.
 	b := make([]float64, m.N)
 	for i := range b {
 		b[i] = rng.Float64() * 1e-3
 	}
-	solve := func(mg *MG, p *Pool) []float64 {
-		cg := NewCG(m, CGOptions{Precond: mg, Pool: p, Workers: 3})
-		defer cg.Close()
+	cg := NewCG(m, pool, 0)
+	run := func(mg *MG) []float64 {
 		x := make([]float64, m.N)
-		if _, _, err := cg.Solve(b, x); err != nil {
+		if _, _, err := solve(cg, b, x, mg); err != nil {
 			t.Fatal(err)
 		}
 		return x
 	}
-	xs := solve(serial, nil)
-	xp := solve(pooled, pool)
+	xs := run(serial)
+	xp := run(pooled)
 	for i := range xs {
 		if xs[i] != xp[i] {
 			t.Fatalf("pooled solve differs at row %d: %v vs %v", i, xp[i], xs[i])

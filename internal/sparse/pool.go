@@ -48,9 +48,9 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// AutoWorkers returns the pool size the package would pick for an n-row
-// system: GOMAXPROCS capped so every worker owns at least minRowsPerWorker
-// rows (and at least 1).
+// AutoWorkers returns the pool size for an n-row system: GOMAXPROCS capped
+// so every worker owns at least minRowsPerWorker rows (and at least 1). The
+// thermal solver sizes its pool with it.
 func AutoWorkers(n int) int {
 	w := runtime.GOMAXPROCS(0)
 	if byRows := n / minRowsPerWorker; w > byRows {

@@ -60,14 +60,14 @@ func TestSolverDegradesOnMGSetupFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.MGLevels() == 0 {
+	if s.mg == nil {
 		t.Fatal("solver did not build a multigrid hierarchy to degrade from")
 	}
 	res, err := s.Solve(pm)
 	if err != nil {
 		t.Fatalf("degraded solve failed instead of falling back: %v", err)
 	}
-	if s.MGLevels() != 0 {
+	if s.mg != nil {
 		t.Fatal("solver kept the multigrid preconditioner after a setup failure")
 	}
 	snap := cfg.Stats.Snapshot()
@@ -117,7 +117,7 @@ func TestSolverRetriesOnInjectedNonConvergence(t *testing.T) {
 	if _, err := s.Solve(pm); err != nil {
 		t.Fatalf("solve after retry: %v", err)
 	}
-	if s.MGLevels() == 0 {
+	if s.mg == nil {
 		t.Fatal("retry permanently dropped the multigrid preconditioner")
 	}
 	if got := cfg.Stats.Snapshot().SolveRetries; got != 1 {

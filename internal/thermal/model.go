@@ -26,12 +26,6 @@ type Config struct {
 	// Tolerance is the iterative-solver relative residual target
 	// (0 = solver default).
 	Tolerance float64
-	// SurfaceOnly skips materializing the temperature maps of the
-	// non-power layers: Result.Layers keeps only the power-injection layer
-	// (the entry Surface aliases) and leaves the rest nil. The sweep flow
-	// only ever reads Surface, so it sets this to avoid copying NL-1 grids
-	// per solve.
-	SurfaceOnly bool
 	// Stats, when non-nil, receives the solver's robustness counters:
 	// multigrid setup failures degraded to Jacobi, non-converged solves
 	// retried on the fallback, contained panics, canceled solves. The flow
@@ -66,12 +60,9 @@ func DefaultConfig() Config {
 // Result is the outcome of a thermal analysis.
 type Result struct {
 	// Surface is the temperature map (degrees C) of the power-injection
-	// layer on the NX x NY grid: the paper's "thermal profile".
+	// layer on the NX x NY grid: the paper's "thermal profile". The
+	// temperatures of the other layers are in Solver.State.
 	Surface *geom.Grid
-	// Layers holds the temperature map of every layer, bottom to top. With
-	// Config.SurfaceOnly only the power-injection layer is materialized;
-	// the other entries are nil.
-	Layers []*geom.Grid
 	// AmbientC echoes the ambient temperature of the analysis.
 	AmbientC float64
 	// PeakC is the maximum temperature anywhere in the power layer.
@@ -87,8 +78,19 @@ type Result struct {
 	SolverResidual float64
 }
 
-// validate checks the configuration for obvious mistakes.
-func (cfg Config) validate() error {
+// newResult summarizes a solved surface map.
+func newResult(surface *geom.Grid, ambientC float64, iters int, residual float64) *Result {
+	r := &Result{Surface: surface, AmbientC: ambientC, Iterations: iters, SolverResidual: residual}
+	r.PeakC, _, _ = surface.Max()
+	r.PeakRise = r.PeakC - ambientC
+	r.GradientC = surface.Gradient()
+	return r
+}
+
+// Validate checks the configuration for obvious mistakes: a grid below 2x2,
+// a stack without a power layer or with a non-physical layer, or no heat
+// path to ambient.
+func (cfg Config) Validate() error {
 	if cfg.NX <= 1 || cfg.NY <= 1 {
 		return fmt.Errorf("thermal: grid must be at least 2x2, got %dx%d", cfg.NX, cfg.NY)
 	}
@@ -130,7 +132,7 @@ const (
 // given power map. The power map must cover the die area (its Region) and
 // hold watts per grid cell; its resolution must be exactly cfg.NX x cfg.NY.
 func BuildNetwork(powerMap *geom.Grid, cfg Config) (*spice.Circuit, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.checkPowerMap(powerMap); err != nil {
@@ -230,8 +232,8 @@ func BuildNetwork(powerMap *geom.Grid, cfg Config) (*spice.Circuit, error) {
 }
 
 // Solve runs the full analysis on the structured-grid fast path: assemble
-// the steady-state system, solve it, and collect the per-layer temperature
-// maps and summary metrics. Callers that solve repeatedly should hold a
+// the steady-state system, solve it, and collect the surface temperature
+// map and summary metrics. Callers that solve repeatedly should hold a
 // Solver (or a Pool) themselves to also reuse the assembled structure and
 // warm-start between solves; this function builds a fresh one per call.
 func Solve(powerMap *geom.Grid, cfg Config) (*Result, error) {
@@ -258,31 +260,14 @@ func SolveSpice(powerMap *geom.Grid, cfg Config, method spice.Method) (*Result, 
 	if err != nil {
 		return nil, fmt.Errorf("thermal: solving network: %w", err)
 	}
-	res := &Result{
-		AmbientC:       cfg.AmbientC,
-		Iterations:     sol.Iterations,
-		SolverResidual: sol.Residual,
-	}
-	nx, ny := cfg.NX, cfg.NY
 	powerLayer := cfg.Stack.PowerLayer()
-	res.Layers = make([]*geom.Grid, len(cfg.Stack))
-	for l := range cfg.Stack {
-		if cfg.SurfaceOnly && l != powerLayer {
-			continue
+	surface := geom.NewGrid(cfg.NX, cfg.NY, powerMap.Region)
+	for iy := 0; iy < cfg.NY; iy++ {
+		for ix := 0; ix < cfg.NX; ix++ {
+			surface.Set(ix, iy, sol.Voltages[nodeName(powerLayer, ix, iy)])
 		}
-		g := geom.NewGrid(nx, ny, powerMap.Region)
-		for iy := 0; iy < ny; iy++ {
-			for ix := 0; ix < nx; ix++ {
-				g.Set(ix, iy, sol.Voltages[nodeName(l, ix, iy)])
-			}
-		}
-		res.Layers[l] = g
 	}
-	res.Surface = res.Layers[powerLayer]
-	res.PeakC, _, _ = res.Surface.Max()
-	res.PeakRise = res.PeakC - cfg.AmbientC
-	res.GradientC = res.Surface.Gradient()
-	return res, nil
+	return newResult(surface, cfg.AmbientC, sol.Iterations, sol.Residual), nil
 }
 
 // RiseMap returns the surface temperature rise above ambient as a grid.

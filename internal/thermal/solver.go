@@ -26,8 +26,8 @@ import (
 // fraction of the cold-start iteration count.
 //
 // Node (l, ix, iy) has index (l*NY+iy)*NX + ix, so a layer is a contiguous
-// NX*NY block laid out exactly like geom.Grid, and the per-layer
-// temperature maps are plain copies.
+// NX*NY block laid out exactly like geom.Grid: the result's surface map is a
+// plain copy of the power layer's block, and State returns the whole field.
 type Solver struct {
 	cfg        Config
 	nx, ny, nl int
@@ -56,11 +56,6 @@ type Solver struct {
 	x     []float64
 	xPrev []float64
 	warm  bool
-
-	// baseBudget is the regular CG iteration budget; a degradation retry
-	// temporarily raises it by raisedBudgetFactor, and a permanent Jacobi
-	// fallback (multigrid setup failure) keeps it raised.
-	baseBudget int
 }
 
 // raisedBudgetFactor multiplies the CG iteration budget on the Jacobi
@@ -69,11 +64,21 @@ type Solver struct {
 // reporting ErrNotConverged.
 const raisedBudgetFactor = 4
 
+// budget returns the CG iteration budget of a solve preconditioned by mg:
+// 10 iterations per unknown with multigrid, raisedBudgetFactor times that on
+// Jacobi (mg nil).
+func (s *Solver) budget(mg *sparse.MG) int {
+	if mg == nil {
+		return raisedBudgetFactor * 10 * s.n
+	}
+	return 10 * s.n
+}
+
 // NewSolver validates the configuration and builds the sparsity pattern and
 // the multigrid hierarchy. Matrix values are filled on the first Solve, when
 // the die region (and so the cell size) is known.
 func NewSolver(cfg Config) (*Solver, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	// Snapshot the stack: the caller's slice may be mutated in place after
@@ -94,35 +99,24 @@ func NewSolver(cfg Config) (*Solver, error) {
 	// One worker pool serves the whole solver stack: the CG iteration ops
 	// and the multigrid smoother park on the same goroutines.
 	s.pool = sparse.NewPool(sparse.AutoWorkers(s.n))
-	s.baseBudget = 10 * s.n
-	mg, err := sparse.NewMG(s.mat, s.nx, s.ny, s.nl, sparse.MGOptions{Pool: s.pool})
+	mg, err := sparse.NewMG(s.mat, s.nx, s.ny, s.nl, s.pool)
 	if err != nil {
 		s.pool.Close()
 		return nil, fmt.Errorf("thermal: building multigrid hierarchy: %w", err)
 	}
 	s.mg = mg
-	s.cg = sparse.NewCG(s.mat, sparse.CGOptions{
-		Tolerance:     cfg.Tolerance,
-		MaxIterations: s.baseBudget,
-		Precond:       mg,
-		Pool:          s.pool,
-	})
+	s.cg = sparse.NewCG(s.mat, s.pool, cfg.Tolerance)
 	return s, nil
 }
 
 // index returns the unknown index of thermal cell (ix, iy) in layer l.
 func (s *Solver) index(l, ix, iy int) int { return (l*s.ny+iy)*s.nx + ix }
 
-// dropMG permanently degrades the solver to the Jacobi preconditioner with a
-// raised iteration budget. It is the terminal state of the graceful
-// degradation path: once the multigrid hierarchy has failed to set up there
-// is no point retrying it on later geometry changes.
-func (s *Solver) dropMG() {
-	s.mg = nil
-	s.cg.SetPrecond(nil)
-	s.cg.SetMaxIterations(raisedBudgetFactor * s.baseBudget)
-	s.baseBudget = raisedBudgetFactor * s.baseBudget
-}
+// dropMG permanently degrades the solver to the Jacobi preconditioner, and
+// so to its raised iteration budget. It is the terminal state of the
+// graceful degradation path: once the multigrid hierarchy has failed to set
+// up there is no point retrying it on later geometry changes.
+func (s *Solver) dropMG() { s.mg = nil }
 
 // fillValues assembles the conductances for the given cell size, writing
 // matrix values and the ambient right-hand-side contribution in place, and
@@ -343,22 +337,18 @@ func (s *Solver) SolveCtx(ctx context.Context, powerMap *geom.Grid) (res *Result
 	)
 	if retryable && s.cfg.Inject.FailSolve(solveN, 0) {
 		serr = fmt.Errorf("sparse: CG: %w",
-			&fault.ErrNotConverged{Iters: s.cg.MaxIterations(), Residual: math.Inf(1)})
+			&fault.ErrNotConverged{Iters: s.budget(s.mg), Residual: math.Inf(1)})
 	} else {
-		iters, residual, serr = s.cg.SolveCtx(ctx, s.rhs, s.x)
+		iters, residual, serr = s.cg.SolveCtx(ctx, s.rhs, s.x, s.mg, s.budget(s.mg))
 	}
 	var nc *fault.ErrNotConverged
 	if serr != nil && retryable && errors.As(serr, &nc) {
 		// Graceful degradation: one Jacobi retry with a raised budget.
 		s.cfg.Stats.AddSolveRetry()
 		copy(s.x, s.xPrev)
-		s.cg.SetPrecond(nil)
-		s.cg.SetMaxIterations(raisedBudgetFactor * s.baseBudget)
 		if !s.cfg.Inject.FailSolve(solveN, 1) {
-			iters, residual, serr = s.cg.SolveCtx(ctx, s.rhs, s.x)
+			iters, residual, serr = s.cg.SolveCtx(ctx, s.rhs, s.x, nil, s.budget(nil))
 		}
-		s.cg.SetPrecond(s.mg)
-		s.cg.SetMaxIterations(s.baseBudget)
 	}
 	if serr != nil {
 		s.warm = false // do not warm-start from a failed iterate
@@ -374,26 +364,9 @@ func (s *Solver) SolveCtx(ctx context.Context, powerMap *geom.Grid) (res *Result
 		return nil, fmt.Errorf("thermal: solving %dx%dx%d system: %w", s.nx, s.ny, s.nl, serr)
 	}
 
-	res = &Result{
-		AmbientC:       s.cfg.AmbientC,
-		Iterations:     iters,
-		SolverResidual: residual,
-		Layers:         make([]*geom.Grid, s.nl),
-	}
-	//repolint:allow ctxpair(result marshalling over a few layers, after the solve already returned)
-	for l := 0; l < s.nl; l++ {
-		if s.cfg.SurfaceOnly && l != s.powerLayer {
-			continue
-		}
-		g := geom.NewGrid(s.nx, s.ny, powerMap.Region)
-		copy(g.Values(), s.x[l*nxy:(l+1)*nxy])
-		res.Layers[l] = g
-	}
-	res.Surface = res.Layers[s.powerLayer]
-	res.PeakC, _, _ = res.Surface.Max()
-	res.PeakRise = res.PeakC - s.cfg.AmbientC
-	res.GradientC = res.Surface.Gradient()
-	return res, nil
+	surface := geom.NewGrid(s.nx, s.ny, powerMap.Region)
+	copy(surface.Values(), s.x[powerBase:powerBase+nxy])
+	return newResult(surface, s.cfg.AmbientC, iters, residual), nil
 }
 
 // injectPanic crashes the current solve on purpose (Injector.PanicCGSolveN):
@@ -402,8 +375,7 @@ func (s *Solver) SolveCtx(ctx context.Context, powerMap *geom.Grid) (res *Result
 // serial. Either way the panic is recovered by SolveCtx and surfaces as a
 // located *fault.ErrPanic.
 func (s *Solver) injectPanic(solveN int) {
-	w := s.cg.Workers()
-	if w > 1 && s.pool.Parallel(w) {
+	if w := s.pool.Workers(); s.pool.Parallel(w) {
 		s.pool.Run(w, func(task int) float64 {
 			if task == 0 {
 				panic(fmt.Sprintf("fault: injected panic inside pool task (solve %d)", solveN))
@@ -442,18 +414,6 @@ func (s *Solver) SeedState(field []float64) error {
 // Unknowns returns the size of the assembled linear system.
 func (s *Solver) Unknowns() int { return s.n }
 
-// MGLevels returns the depth of the multigrid hierarchy (0 once degraded to
-// Jacobi).
-func (s *Solver) MGLevels() int {
-	if s.mg == nil {
-		return 0
-	}
-	return s.mg.Levels()
-}
-
 // Close releases the worker pool shared by the CG iteration and the
 // multigrid smoother. The solver remains usable, serially.
-func (s *Solver) Close() {
-	s.cg.Close()
-	s.pool.Close()
-}
+func (s *Solver) Close() { s.pool.Close() }

@@ -2,28 +2,70 @@ package thermal
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"thermplace/internal/geom"
 	"thermplace/internal/spice"
 )
 
-// maxLayerDelta returns the largest absolute per-cell temperature difference
-// across all layers of two results.
-func maxLayerDelta(t *testing.T, a, b *Result) float64 {
+// newSolver builds a solver for cfg, closed when the test ends.
+func newSolver(t *testing.T, cfg Config) *Solver {
 	t.Helper()
-	if len(a.Layers) != len(b.Layers) {
-		t.Fatalf("layer count mismatch: %d vs %d", len(a.Layers), len(b.Layers))
+	s, err := NewSolver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// solveState solves pm on s and returns the result together with the full
+// temperature field, every layer in solver node order.
+func solveState(t *testing.T, s *Solver, pm *geom.Grid) (*Result, []float64) {
+	t.Helper()
+	res, err := s.Solve(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, s.State()
+}
+
+// spiceField is the every-layer oracle: it solves the SPICE network of pm
+// under cfg by the given method and returns every node temperature, mapped
+// by nodeName into solver node order.
+func spiceField(t *testing.T, pm *geom.Grid, cfg Config, method spice.Method) []float64 {
+	t.Helper()
+	c, err := BuildNetwork(pm, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := c.Solve(spice.SolveOptions{Method: method, Tolerance: cfg.Tolerance})
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := make([]float64, 0, cfg.NX*cfg.NY*len(cfg.Stack))
+	for l := range cfg.Stack {
+		for iy := 0; iy < cfg.NY; iy++ {
+			for ix := 0; ix < cfg.NX; ix++ {
+				field = append(field, sol.Voltages[nodeName(l, ix, iy)])
+			}
+		}
+	}
+	return field
+}
+
+// maxFieldDelta returns the largest absolute per-node difference of two
+// temperature fields.
+func maxFieldDelta(t *testing.T, a, b []float64) float64 {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("field size mismatch: %d vs %d", len(a), len(b))
 	}
 	worst := 0.0
-	for l := range a.Layers {
-		ga, gb := a.Layers[l], b.Layers[l]
-		for iy := 0; iy < ga.NY; iy++ {
-			for ix := 0; ix < ga.NX; ix++ {
-				if d := math.Abs(ga.At(ix, iy) - gb.At(ix, iy)); d > worst {
-					worst = d
-				}
-			}
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > worst {
+			worst = d
 		}
 	}
 	return worst
@@ -34,10 +76,7 @@ func maxLayerDelta(t *testing.T, a, b *Result) float64 {
 // Jacobi-PCG's iteration counts.
 func jacobiSolver(t *testing.T, cfg Config) *Solver {
 	t.Helper()
-	s, err := NewSolver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSolver(t, cfg)
 	s.dropMG()
 	return s
 }
@@ -54,16 +93,13 @@ func TestSolverMatchesDenseOracle(t *testing.T) {
 		pm.Set(size-2, size-2, 0.002)
 		pm.Set(size/2, size/2, 0.001)
 
-		fast, err := Solve(pm, cfg)
-		if err != nil {
-			t.Fatalf("%dx%d fast: %v", size, size, err)
+		fast, field := solveState(t, newSolver(t, cfg), pm)
+		if d := maxFieldDelta(t, field, spiceField(t, pm, cfg, spice.MethodDense)); d > 1e-6 {
+			t.Fatalf("%dx%d: fast path deviates from dense oracle by %g C", size, size, d)
 		}
 		ref, err := SolveSpice(pm, cfg, spice.MethodDense)
 		if err != nil {
 			t.Fatalf("%dx%d dense oracle: %v", size, size, err)
-		}
-		if d := maxLayerDelta(t, fast, ref); d > 1e-6 {
-			t.Fatalf("%dx%d: fast path deviates from dense oracle by %g C", size, size, d)
 		}
 		if math.Abs(fast.PeakRise-ref.PeakRise) > 1e-6 {
 			t.Fatalf("%dx%d: peak rise %g vs oracle %g", size, size, fast.PeakRise, ref.PeakRise)
@@ -86,19 +122,12 @@ func TestSolverMatchesSpiceCGOnPaperGrid(t *testing.T) {
 			pm.Add(ix, iy, 0.010/64)
 		}
 	}
-	fast, err := Solve(pm, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := SolveSpice(pm, cfg, spice.MethodCG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxLayerDelta(t, fast, ref); d > 1e-6 {
+	fast, field := solveState(t, newSolver(t, cfg), pm)
+	d := maxFieldDelta(t, field, spiceField(t, pm, cfg, spice.MethodCG))
+	if d > 1e-6 {
 		t.Fatalf("fast path deviates from spice CG oracle by %g C on the paper grid", d)
 	}
-	t.Logf("paper grid: fast %d iterations, spice %d iterations, max delta %g C",
-		fast.Iterations, ref.Iterations, maxLayerDelta(t, fast, ref))
+	t.Logf("paper grid: fast %d iterations, max delta %g C", fast.Iterations, d)
 }
 
 // TestMGMatchesJacobiAndSpiceOracle is the three-way equivalence check on
@@ -121,33 +150,23 @@ func TestMGMatchesJacobiAndSpiceOracle(t *testing.T) {
 		}
 	}
 
-	mgRes, err := Solve(pm, cfg)
-	if err != nil {
-		t.Fatalf("MG-PCG: %v", err)
-	}
-	js := jacobiSolver(t, cfg)
-	defer js.Close()
-	jacRes, err := js.Solve(pm)
-	if err != nil {
-		t.Fatalf("Jacobi-PCG: %v", err)
-	}
-	ref, err := SolveSpice(pm, cfg, spice.MethodCG)
-	if err != nil {
-		t.Fatalf("spice oracle: %v", err)
-	}
+	mgRes, mgField := solveState(t, newSolver(t, cfg), pm)
+	jacRes, jacField := solveState(t, jacobiSolver(t, cfg), pm)
+	ref := spiceField(t, pm, cfg, spice.MethodCG)
 
-	if d := maxLayerDelta(t, mgRes, jacRes); d > 1e-6 {
+	if d := maxFieldDelta(t, mgField, jacField); d > 1e-6 {
 		t.Fatalf("MG-PCG deviates from Jacobi-PCG by %g C", d)
 	}
-	if d := maxLayerDelta(t, mgRes, ref); d > 1e-6 {
-		t.Fatalf("MG-PCG deviates from the spice oracle by %g C", d)
+	dRef := maxFieldDelta(t, mgField, ref)
+	if dRef > 1e-6 {
+		t.Fatalf("MG-PCG deviates from the spice oracle by %g C", dRef)
 	}
 	if mgRes.Iterations*3 > jacRes.Iterations {
 		t.Errorf("MG-PCG took %d iterations vs Jacobi's %d: want at least 3x fewer",
 			mgRes.Iterations, jacRes.Iterations)
 	}
 	t.Logf("paper grid (tol 1e-11): MG %d iterations, Jacobi %d, MG-vs-oracle delta %g C",
-		mgRes.Iterations, jacRes.Iterations, maxLayerDelta(t, mgRes, ref))
+		mgRes.Iterations, jacRes.Iterations, dRef)
 
 	// At the production tolerance (1e-9) the cold start must stay under 15
 	// iterations.
@@ -157,62 +176,6 @@ func TestMGMatchesJacobiAndSpiceOracle(t *testing.T) {
 	}
 	if defRes.Iterations >= 15 {
 		t.Errorf("MG-PCG cold start took %d iterations at default tolerance, want < 15", defRes.Iterations)
-	}
-}
-
-// TestSurfaceOnlySkipsNonPowerLayers checks the SurfaceOnly flag on both
-// solver paths: only the power layer is materialized and its content is
-// identical to a full solve.
-func TestSurfaceOnlySkipsNonPowerLayers(t *testing.T) {
-	cfg := testConfig(10, 10)
-	pm := geom.NewGrid(10, 10, dieRegion(250))
-	pm.Set(4, 4, 0.004)
-	full, err := Solve(pm, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	surfCfg := cfg
-	surfCfg.SurfaceOnly = true
-	surf, err := Solve(pm, surfCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	powerLayer := cfg.Stack.PowerLayer()
-	if len(surf.Layers) != len(cfg.Stack) {
-		t.Fatalf("Layers length %d, want %d", len(surf.Layers), len(cfg.Stack))
-	}
-	for l, g := range surf.Layers {
-		if l == powerLayer {
-			if g == nil {
-				t.Fatal("power layer must be materialized")
-			}
-			continue
-		}
-		if g != nil {
-			t.Fatalf("non-power layer %d materialized despite SurfaceOnly", l)
-		}
-	}
-	if surf.Surface != surf.Layers[powerLayer] {
-		t.Fatal("Surface must alias the power layer")
-	}
-	for iy := 0; iy < 10; iy++ {
-		for ix := 0; ix < 10; ix++ {
-			if surf.Surface.At(ix, iy) != full.Surface.At(ix, iy) {
-				t.Fatalf("surface (%d,%d) differs: %g vs %g", ix, iy,
-					surf.Surface.At(ix, iy), full.Surface.At(ix, iy))
-			}
-		}
-	}
-
-	// The SPICE path honors the flag the same way.
-	sres, err := SolveSpice(pm, surfCfg, spice.MethodCG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l, g := range sres.Layers {
-		if (g != nil) != (l == powerLayer) {
-			t.Fatalf("spice path layer %d materialization wrong", l)
-		}
 	}
 }
 
@@ -238,10 +201,7 @@ func TestSolverSeedState(t *testing.T) {
 	if seed == nil {
 		t.Fatal("State must be non-nil after a solve")
 	}
-	want, err := s1.Solve(pmB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantField := solveState(t, s1, pmB)
 
 	// A second solver with a different history, seeded before solving B,
 	// must reproduce the result exactly.
@@ -257,12 +217,9 @@ func TestSolverSeedState(t *testing.T) {
 	if err := s2.SeedState(seed); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.Solve(pmB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxLayerDelta(t, got, want); d != 0 {
-		t.Fatalf("seeded solve differs from reference by %g C (want bit-identical)", d)
+	got, gotField := solveState(t, s2, pmB)
+	if !slices.Equal(gotField, wantField) {
+		t.Fatalf("seeded solve differs from reference by %g C (want bit-identical)", maxFieldDelta(t, gotField, wantField))
 	}
 	if got.Iterations != want.Iterations {
 		t.Fatalf("seeded solve took %d iterations, reference %d", got.Iterations, want.Iterations)
@@ -303,15 +260,9 @@ func TestSolverReuseAndWarmStart(t *testing.T) {
 				pm.Add(ix, iy, tc.power/2/16)
 			}
 		}
-		got, err := s.Solve(pm)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		want, err := jacobiSolver(t, cfg).Solve(pm)
-		if err != nil {
-			t.Fatalf("step %d fresh: %v", step, err)
-		}
-		if d := maxLayerDelta(t, got, want); d > 1e-6 {
+		got, gotField := solveState(t, s, pm)
+		_, wantField := solveState(t, jacobiSolver(t, cfg), pm)
+		if d := maxFieldDelta(t, gotField, wantField); d > 1e-6 {
 			t.Fatalf("step %d: reused solver deviates from fresh solver by %g C", step, d)
 		}
 		if step == 0 {
@@ -332,19 +283,13 @@ func TestSolverWarmStartIdenticalSolveIsFree(t *testing.T) {
 	}
 	pm := geom.NewGrid(10, 10, dieRegion(250))
 	pm.Set(5, 5, 0.006)
-	first, err := s.Solve(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := s.Solve(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, firstField := solveState(t, s, pm)
+	second, secondField := solveState(t, s, pm)
 	if second.Iterations != 0 {
 		t.Fatalf("identical re-solve took %d iterations, want 0", second.Iterations)
 	}
-	if d := maxLayerDelta(t, first, second); d != 0 {
-		t.Fatalf("identical re-solve changed the answer by %g", d)
+	if !slices.Equal(firstField, secondField) {
+		t.Fatalf("identical re-solve changed the answer by %g", maxFieldDelta(t, firstField, secondField))
 	}
 	if first.Iterations == 0 {
 		t.Fatal("first solve should have done iterative work")

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"thermplace/internal/geom"
@@ -67,7 +68,7 @@ func TestDefaultStackAndConfig(t *testing.T) {
 	if cfg.NX != 40 || cfg.NY != 40 {
 		t.Fatalf("default grid is %dx%d, the paper uses 40x40", cfg.NX, cfg.NY)
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 }
@@ -261,22 +262,93 @@ func TestLayersOrderedByDistanceFromSink(t *testing.T) {
 	cfg := testConfig(6, 6)
 	pm := geom.NewGrid(6, 6, dieRegion(150))
 	pm.Fill(0.0003)
-	res, err := Solve(pm, cfg)
-	if err != nil {
-		t.Fatal(err)
+	res, field := solveState(t, newSolver(t, cfg), pm)
+	const nxy = 6 * 6
+	if len(field) != len(cfg.Stack)*nxy {
+		t.Fatalf("field holds %d temperatures, want %d", len(field), len(cfg.Stack)*nxy)
 	}
-	if len(res.Layers) != len(cfg.Stack) {
-		t.Fatalf("got %d layer maps, want %d", len(res.Layers), len(cfg.Stack))
+	pl := cfg.Stack.PowerLayer()
+	bottom, active := field[:nxy], field[pl*nxy:(pl+1)*nxy]
+	// The surface map is the power layer's block of the field.
+	if !slices.Equal(res.Surface.Values(), active) {
+		t.Fatal("Surface is not the power layer's temperature map")
 	}
-	bottom := res.Layers[0]
-	active := res.Layers[cfg.Stack.PowerLayer()]
-	for iy := 0; iy < 6; iy++ {
-		for ix := 0; ix < 6; ix++ {
-			if active.At(ix, iy) < bottom.At(ix, iy)-1e-9 {
-				t.Fatalf("active layer cooler than heat-sink layer at (%d,%d)", ix, iy)
+	for i := range active {
+		if active[i] < bottom[i]-1e-9 {
+			t.Fatalf("active layer cooler than heat-sink layer at (%d,%d)", i%6, i/6)
+		}
+	}
+}
+
+// TestEnergyBalance checks conservation on the full solved field: at steady
+// state the heat leaving through the bottom, top and side boundaries equals
+// the injected power. The boundary conductances are recomputed here from the
+// Config's physical parameters, independently of the solver's assembly, so
+// a dropped or mis-scaled ambient term fails the balance — a bug the SPICE
+// oracle cannot see, because BuildNetwork shares the element formulas.
+func TestEnergyBalance(t *testing.T) {
+	for _, cfg := range []Config{testConfig(9, 7), DefaultConfig()} {
+		// A non-square die and an asymmetric map: a power gradient plus an
+		// off-centre hot cell, so x and y faces carry different heat.
+		pm := geom.NewGrid(cfg.NX, cfg.NY, geom.Rect{Xhi: 360, Yhi: 280})
+		for iy := 0; iy < cfg.NY; iy++ {
+			for ix := 0; ix < cfg.NX; ix++ {
+				pm.Set(ix, iy, 1e-5*float64(1+ix+2*iy)/float64(cfg.NX*cfg.NY))
+			}
+		}
+		pm.Add(1, cfg.NY-2, 0.004)
+		_, field := solveState(t, newSolver(t, cfg), pm)
+		in, out := pm.Sum(), boundaryOutflow(cfg, pm, field)
+		rel := math.Abs(out-in) / in
+		if rel > 1e-6 {
+			t.Fatalf("%dx%d: %g W injected, %g W leaves through the boundaries (relative error %.3g)",
+				cfg.NX, cfg.NY, in, out, rel)
+		}
+		t.Logf("%dx%d: energy balance relative error %.3g", cfg.NX, cfg.NY, rel)
+	}
+}
+
+// boundaryOutflow returns the heat (W) that leaves a solved field to
+// ambient. Every exposed face is half a cell of conduction in series with
+// the face's heat-transfer coefficient: HBottom under layer 0, HTop over the
+// last layer and HSide on the four lateral faces of every layer.
+func boundaryOutflow(cfg Config, pm *geom.Grid, field []float64) float64 {
+	dx, dy := pm.CellW()*metersPerUm, pm.CellH()*metersPerUm
+	face := func(depth, k, area, h float64) float64 {
+		if h <= 0 {
+			return 0
+		}
+		return 1 / (depth/2/(k*area) + 1/(h*area))
+	}
+	out := 0.0
+	for l, layer := range cfg.Stack {
+		dz, k := layer.Thickness*metersPerUm, layer.Conductivity
+		for iy := 0; iy < cfg.NY; iy++ {
+			for ix := 0; ix < cfg.NX; ix++ {
+				g := 0.0
+				if l == 0 {
+					g += face(dz, k, dx*dy, cfg.HBottom)
+				}
+				if l == len(cfg.Stack)-1 {
+					g += face(dz, k, dx*dy, cfg.HTop)
+				}
+				if ix == 0 {
+					g += face(dx, k, dy*dz, cfg.HSide)
+				}
+				if ix == cfg.NX-1 {
+					g += face(dx, k, dy*dz, cfg.HSide)
+				}
+				if iy == 0 {
+					g += face(dy, k, dx*dz, cfg.HSide)
+				}
+				if iy == cfg.NY-1 {
+					g += face(dy, k, dx*dz, cfg.HSide)
+				}
+				out += g * (field[(l*cfg.NY+iy)*cfg.NX+ix] - cfg.AmbientC)
 			}
 		}
 	}
+	return out
 }
 
 func TestBuildNetworkStructure(t *testing.T) {
