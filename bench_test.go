@@ -11,6 +11,7 @@
 package thermplace_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -53,9 +54,7 @@ func paperBenchmark(b *testing.B) *netlist.Design {
 func paperFlow(b *testing.B, wl bench.Workload) *flow.Flow {
 	b.Helper()
 	cfg := flow.DefaultConfig()
-	f := flow.New(paperBenchmark(b), wl, cfg)
-	b.Cleanup(f.Close) // release the pooled solvers' worker goroutines
-	return f
+	return flow.New(paperBenchmark(b), wl, cfg)
 }
 
 // --- Ablation benches (design choices called out in README.md) -------------
@@ -130,7 +129,7 @@ func BenchmarkAblation_HotspotThreshold(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				an, err := f.Analyze(p)
+				an, err := f.AnalyzeWithCtx(context.Background(), p, flow.AnalyzeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -177,7 +176,7 @@ func BenchmarkAblation_ERIPolicy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				an, err := f.Analyze(p)
+				an, err := f.AnalyzeWithCtx(context.Background(), p, flow.AnalyzeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -196,11 +195,11 @@ func BenchmarkAblation_WrapperWidth(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	relaxed, err := f.PlaceAt(f.Config.Utilization / 1.24)
+	relaxed, err := f.PlaceAtAspect(f.Config.Utilization/1.24, f.Config.AspectRatio)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defAn, err := f.Analyze(relaxed)
+	defAn, err := f.AnalyzeWithCtx(context.Background(), relaxed, flow.AnalyzeOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -219,7 +218,7 @@ func BenchmarkAblation_WrapperWidth(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				an, err := f.Analyze(p)
+				an, err := f.AnalyzeWithCtx(context.Background(), p, flow.AnalyzeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -252,7 +251,6 @@ func BenchmarkAblation_GridResolution(b *testing.B) {
 			cfg.Thermal.NX = n
 			cfg.Thermal.NY = n
 			f := flow.New(design, wl, cfg)
-			defer f.Close()
 			var an *flow.Analysis
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -284,7 +282,7 @@ func gridName(n int) string {
 func BenchmarkPlacement12kCells(b *testing.B) {
 	f := paperFlow(b, bench.ScatteredSmallHotspots())
 	for i := 0; i < b.N; i++ {
-		if _, err := f.PlaceAt(0.85); err != nil {
+		if _, err := f.PlaceAtAspect(0.85, f.Config.AspectRatio); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -356,7 +354,6 @@ func BenchmarkThermalSolveGrid(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
 			if _, err := s.Solve(pm); err != nil { // prime structure + warm start
 				b.Fatal(err)
 			}
@@ -396,9 +393,7 @@ func scenarioFlow(b *testing.B, g *bench.Generated, gridN int) *flow.Flow {
 	if gridN > 0 {
 		cfg.Thermal.NX, cfg.Thermal.NY = gridN, gridN
 	}
-	f := flow.New(g.Design, g.Workload, cfg)
-	b.Cleanup(f.Close)
-	return f
+	return flow.New(g.Design, g.Workload, cfg)
 }
 
 // BenchmarkScenarioGeneration measures building 25k- and 50k-cell netlists,
@@ -430,7 +425,7 @@ func BenchmarkScenarioPlacement(b *testing.B) {
 			f := scenarioFlow(b, g, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.PlaceAt(f.Config.Utilization); err != nil {
+				if _, err := f.PlaceAtAspect(f.Config.Utilization, f.Config.AspectRatio); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -514,7 +509,7 @@ func BenchmarkBenchmarkGeneration(b *testing.B) {
 // BenchmarkFillerInsertion measures whitespace filling with dummy cells.
 func BenchmarkFillerInsertion(b *testing.B) {
 	f := paperFlow(b, bench.ScatteredSmallHotspots())
-	p, err := f.PlaceAt(0.7)
+	p, err := f.PlaceAtAspect(0.7, f.Config.AspectRatio)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,7 +24,6 @@ func TestTimingHWIsTheSweepsHWPoint(t *testing.T) {
 	cfg := flow.DefaultConfig()
 	cfg.ClockHz = cfgBench.ClockHz()
 	f := flow.New(design, scatteredWorkload(true), cfg)
-	defer f.Close()
 
 	ctx := context.Background()
 	_, hw, err := sweepDefaultAndHW(ctx, f)

@@ -117,7 +117,6 @@ func main() {
 	cfg.Thermal.NX = *gridN
 	cfg.Thermal.NY = *gridN
 	f := flow.New(design, wl, cfg)
-	defer f.Close()
 
 	an, err := f.AnalyzeBaselineCtx(ctx)
 	if err != nil {

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 	f := flow.New(design, workload, cfg)
 
 	// Table I is the Figure 6 sweep restricted to Default and ERI.
-	result, err := core.SweepEfficiency(f, core.SweepOptions{
+	result, err := core.SweepEfficiencyCtx(context.Background(), f, core.SweepOptions{
 		Strategies:   []core.Strategy{core.StrategyDefault, core.StrategyERI},
 		Overheads:    []float64{0.161, 0.322},
 		ERIRows:      []int{20, 40},

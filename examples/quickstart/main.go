@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := f.Analyze(optimized)
+	after, err := f.AnalyzeWithCtx(context.Background(), optimized, flow.AnalyzeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 	cfg := flow.DefaultConfig() // 40x40x9 thermal grid, 85% starting utilization
 	f := flow.New(design, workload, cfg)
 
-	result, err := core.SweepEfficiency(f, core.SweepOptions{
+	result, err := core.SweepEfficiencyCtx(context.Background(), f, core.SweepOptions{
 		Overheads: []float64{0.08, 0.16, 0.24, 0.32, 0.40},
 	})
 	if err != nil {

@@ -9,10 +9,10 @@ import (
 
 // BareGo forbids raw `go` statements in the numeric-core packages. The
 // pipeline's concurrency runs on exactly two primitives — sparse.Pool
-// (parked, panic-containing solver workers) and core's runTasks (bounded
+// (fork-join, panic-containing solver workers) and core's runTasks (bounded
 // sweep group with sibling cancellation and lowest-index error selection)
 // — and the leak/robustness suites assert their guarantees: a contained
-// panic instead of a crash, zero goroutines left behind after Close, and
+// panic instead of a crash, no goroutine outliving its run, and
 // deterministic error selection. A goroutine spawned outside them has none
 // of that coverage. The primitives' own spawn sites carry
 // //repolint:allow bareGo(...) directives: they are the implementation the
@@ -27,8 +27,8 @@ var BareGo = &analysis.Analyzer{
 // bareGoPackages extends the numeric core for this one analyzer: the query
 // server (internal/serve) holds no numeric code — which is why it is not in
 // corePackages and the clock-hostile nondeterminism analyzer leaves it alone
-// — but its drain contract ("zero goroutines after Close, every in-flight
-// request tracked") depends on no goroutine existing outside the tracked
+// — but its drain contract ("zero goroutines after the drain, every
+// in-flight request tracked") depends on no goroutine existing outside the tracked
 // request path, so raw spawns are forbidden there too.
 var bareGoPackages = map[string]bool{
 	"serve": true,

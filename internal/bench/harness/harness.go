@@ -15,6 +15,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -202,7 +203,6 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	cfg.Thermal.NX, cfg.Thermal.NY = opts.Grid, opts.Grid
 
 	f := flow.New(gen.Design, gen.Workload, cfg)
-	defer f.Close()
 	base, err := f.AnalyzeBaseline()
 	if err != nil {
 		return rep, fmt.Errorf("harness: %s: baseline analysis: %w", gen.Scenario, err)
@@ -306,8 +306,7 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	// fresh flow reproduces the first flow's baseline exactly.
 	runSweep := func(workers int, keep bool) (*core.SweepResult, error) {
 		g := flow.New(gen.Design, gen.Workload, cfg)
-		defer g.Close()
-		return core.SweepEfficiency(g, core.SweepOptions{
+		return core.SweepEfficiencyCtx(context.Background(), g, core.SweepOptions{
 			Overheads:    opts.Overheads,
 			Workers:      workers,
 			KeepAnalyses: keep,
@@ -342,10 +341,7 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	// baseline, ERI/HW points derived through placement deltas, power
 	// reports updated through them — is bit-identical to re-deriving every
 	// point from scratch with public non-delta calls.
-	g := flow.New(gen.Design, gen.Workload, cfg)
-	err = checkFromScratch(g, seq)
-	g.Close()
-	if err != nil {
+	if err := checkFromScratch(flow.New(gen.Design, gen.Workload, cfg), seq); err != nil {
 		return rep, fmt.Errorf("harness: %s: sweep vs from-scratch oracle: %w", gen.Scenario, err)
 	}
 	rep.pass("sweep-from-scratch-oracle", fmt.Sprintf("%d points and their placements bit-identical from scratch", len(seq.Points)))
@@ -372,8 +368,7 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	}
 	runAdaptive := func(margin, bias float64) (*core.SweepResult, error) {
 		g := flow.New(gen.Design, gen.Workload, cfg)
-		defer g.Close()
-		return core.SweepEfficiency(g, core.SweepOptions{
+		return core.SweepEfficiencyCtx(context.Background(), g, core.SweepOptions{
 			Overheads: adOverheads,
 			Workers:   opts.Workers,
 			Adaptive: &core.AdaptiveOptions{

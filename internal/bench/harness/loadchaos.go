@@ -123,7 +123,7 @@ func (t *chaosTally) mismatchf(format string, a ...any) {
 // It verifies the service contracts end to end:
 //
 //   - every completed (200) response is bit-identical — == on every float —
-//     to a direct serve.Exec / flow.AnalyzeCtx on a fresh reference flow;
+//     to a direct serve.Exec / flow.AnalyzeWithCtx on a fresh reference flow;
 //   - every non-200 carries a recognized fault category, and shed queries
 //     never started (admission counters stay consistent);
 //   - the result cache stays inside its byte budget (twice the costliest
@@ -147,9 +147,6 @@ func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 	closeAll := func() {
 		if srv != nil {
 			srv.Close()
-		}
-		for _, d := range designs {
-			d.ref.Close()
 		}
 	}
 
@@ -234,7 +231,7 @@ func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 	}
 
 	// Cross-check the execution path itself: serve.Exec's analyze result
-	// must equal a direct flow.ReflowAt + AnalyzeCtx — the plain pipeline a
+	// must equal a direct flow.ReflowAt + AnalyzeWithCtx — the plain pipeline a
 	// non-server caller would run.
 	{
 		d := designs[0]
@@ -244,17 +241,17 @@ func RunLoadChaos(opts LoadChaosOptions) (*Report, error) {
 			closeAll()
 			return rep, fmt.Errorf("harness: %s: direct reflow: %w", d.name, err)
 		}
-		an, err := d.ref.AnalyzeCtx(context.Background(), p)
+		an, err := d.ref.AnalyzeWithCtx(context.Background(), p, flow.AnalyzeOptions{})
 		if err != nil {
 			closeAll()
-			return rep, fmt.Errorf("harness: %s: direct AnalyzeCtx: %w", d.name, err)
+			return rep, fmt.Errorf("harness: %s: direct AnalyzeWithCtx: %w", d.name, err)
 		}
 		if want := expected[key]; want == nil || an.Thermal.PeakRise != want.PeakRiseK || an.Power.Total() != want.TotalPowerW {
 			closeAll()
-			return rep, fmt.Errorf("harness: %s: serve.Exec differs from direct AnalyzeCtx: rise %v vs %v",
+			return rep, fmt.Errorf("harness: %s: serve.Exec differs from direct AnalyzeWithCtx: rise %v vs %v",
 				d.name, want.PeakRiseK, an.Thermal.PeakRise)
 		}
-		rep.pass("exec-vs-direct-analyzectx", fmt.Sprintf("peak rise %.6f K bit-identical", an.Thermal.PeakRise))
+		rep.pass("exec-vs-direct-analyze", fmt.Sprintf("peak rise %.6f K bit-identical", an.Thermal.PeakRise))
 	}
 
 	ts := httptest.NewServer(srv.Handler())

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"thermplace/internal/core"
@@ -48,7 +49,7 @@ func checkFromScratch(g *flow.Flow, res *core.SweepResult) error {
 		if err != nil {
 			return fmt.Errorf("point %d (%s): %w", i, got.Strategy, err)
 		}
-		an, err := g.AnalyzeWith(p, flow.AnalyzeOptions{Parent: parent})
+		an, err := g.AnalyzeWithCtx(context.Background(), p, flow.AnalyzeOptions{Parent: parent})
 		if err != nil {
 			return fmt.Errorf("point %d (%s): %w", i, got.Strategy, err)
 		}

@@ -95,35 +95,30 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 	clean := mkFlow(nil)
 	cleanBase, err := clean.AnalyzeBaseline()
 	if err != nil {
-		clean.Close()
 		return rep, fmt.Errorf("harness: %s: clean baseline: %w", gen.Scenario, err)
 	}
 	hasHotspots := len(cleanBase.Hotspots) > 0
 	rep.PeakRise = cleanBase.PeakRise()
 	rep.Hotspots = len(cleanBase.Hotspots)
 
-	// Property: a context that never fires changes nothing — the Ctx sweep
-	// is bit-identical (== on every float) to the context-free one.
+	// Property: a context that never fires changes nothing — a sweep under a
+	// live cancelable context is bit-identical (== on every float) to the
+	// same sweep under context.Background().
 	if !hasHotspots {
 		rep.skipped("sweep-ctx-bit-identity", "baseline has no hotspots to sweep")
 	} else {
-		ref, err := core.SweepEfficiency(clean, sweepOpts)
+		ref, err := core.SweepEfficiencyCtx(context.Background(), clean, sweepOpts)
 		if err != nil {
-			clean.Close()
 			return rep, fmt.Errorf("harness: %s: reference sweep: %w", gen.Scenario, err)
 		}
-		g := mkFlow(nil)
 		liveCtx, liveCancel := context.WithCancel(context.Background())
-		ctxRes, err := core.SweepEfficiencyCtx(liveCtx, g, sweepOpts)
+		ctxRes, err := core.SweepEfficiencyCtx(liveCtx, mkFlow(nil), sweepOpts)
 		liveCancel()
-		g.Close()
 		if err != nil {
-			clean.Close()
 			return rep, fmt.Errorf("harness: %s: ctx sweep: %w", gen.Scenario, err)
 		}
 		if err := compareSweeps(ref, ctxRes); err != nil {
-			clean.Close()
-			return rep, fmt.Errorf("harness: %s: ctx sweep vs plain sweep: %w", gen.Scenario, err)
+			return rep, fmt.Errorf("harness: %s: live-context sweep vs Background sweep: %w", gen.Scenario, err)
 		}
 		rep.pass("sweep-ctx-bit-identity", fmt.Sprintf("%d points bit-identical under a live context", len(ref.Points)))
 	}
@@ -150,7 +145,6 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 		cancel()
 		serr := <-done
 		latency := time.Since(tCancel)
-		f.Close()
 		if !errors.Is(serr, fault.ErrCanceled) {
 			return rep, fmt.Errorf("harness: %s: canceled sweep returned %w, want fault.ErrCanceled", gen.Scenario, serr)
 		}
@@ -170,12 +164,10 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 		f := mkFlow(&fault.Injector{FailMGSetup: true})
 		an, err := f.AnalyzeBaseline()
 		if err != nil {
-			f.Close()
 			return rep, fmt.Errorf("harness: %s: MG-setup-failure analysis did not degrade: %w", gen.Scenario, err)
 		}
 		d := maxAbsDiff(an.Thermal.Surface, cleanBase.Thermal.Surface)
 		stats := f.FaultStats()
-		f.Close()
 		if stats.MGSetupFailures == 0 {
 			return rep, fmt.Errorf("harness: %s: MG setup failure not recorded in FaultStats", gen.Scenario)
 		}
@@ -191,12 +183,10 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 		f := mkFlow(&fault.Injector{FailCGSolveN: 1})
 		an, err := f.AnalyzeBaseline()
 		if err != nil {
-			f.Close()
 			return rep, fmt.Errorf("harness: %s: non-convergence was not retried: %w", gen.Scenario, err)
 		}
 		d := maxAbsDiff(an.Thermal.Surface, cleanBase.Thermal.Surface)
 		stats := f.FaultStats()
-		f.Close()
 		if stats.SolveRetries == 0 {
 			return rep, fmt.Errorf("harness: %s: solve retry not recorded in FaultStats", gen.Scenario)
 		}
@@ -212,7 +202,6 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 	{
 		f := mkFlow(&fault.Injector{FailCGSolveN: 1, FailRetry: true})
 		_, err := f.AnalyzeBaseline()
-		f.Close()
 		var nc *fault.ErrNotConverged
 		if err == nil || !errors.As(err, &nc) {
 			return rep, fmt.Errorf("harness: %s: doubly-failed solve did not surface ErrNotConverged: %w", gen.Scenario, err)
@@ -227,18 +216,14 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 		_, err := f.AnalyzeBaseline()
 		var pe *fault.ErrPanic
 		if err == nil || !errors.As(err, &pe) {
-			f.Close()
 			return rep, fmt.Errorf("harness: %s: injected panic not contained: %w", gen.Scenario, err)
 		}
 		if pe.Where == "" {
-			f.Close()
 			return rep, fmt.Errorf("harness: %s: contained panic lost its location", gen.Scenario)
 		}
 		if _, err := f.AnalyzeBaseline(); err != nil {
-			f.Close()
 			return rep, fmt.Errorf("harness: %s: flow broken after contained panic: %w", gen.Scenario, err)
 		}
-		f.Close()
 		rep.pass("panic-containment", fmt.Sprintf("panic located at %q, flow usable after", pe.Where))
 	}
 
@@ -247,7 +232,6 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 	{
 		f := mkFlow(&fault.Injector{CorruptPowerW: math.NaN()})
 		_, err := f.AnalyzeBaseline()
-		f.Close()
 		var se *fault.ErrSetup
 		if err == nil || !errors.As(err, &se) || se.Stage != "power-map" {
 			return rep, fmt.Errorf("harness: %s: corrupted power map not detected: %w", gen.Scenario, err)
@@ -255,10 +239,8 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 		rep.pass("corrupt-power-detected", fmt.Sprintf("rejected at stage %q", se.Stage))
 	}
 
-	clean.Close()
-
-	// Property: after every injected failure, cancellation and Close above,
-	// the goroutine count settles back to where it started — nothing leaked.
+	// Property: after every injected failure and cancellation above, with
+	// nothing closed, the goroutine count settles back to where it started — nothing leaked.
 	if err := waitGoroutines(baseGoroutines, 5*time.Second); err != nil {
 		return rep, fmt.Errorf("harness: %s: %w", gen.Scenario, err)
 	}

@@ -34,7 +34,8 @@ import (
 type AdaptiveOptions struct {
 	// GridScale densifies the overhead axis: the candidate grid spans the
 	// base Overheads range with len(Overheads)*GridScale uniformly spaced
-	// points. 0 or 1 keeps the base overheads verbatim.
+	// points. 0 or 1 keeps the base overheads verbatim; negative values and
+	// values above MaxGridScale are rejected.
 	GridScale int
 	// Margin widens the survivor set around the estimated front. Candidate
 	// s is triaged away only when some candidate q dominates it by more
@@ -71,6 +72,11 @@ type AdaptiveOptions struct {
 	// fail. Zero injects nothing.
 	InjectEstRiseBiasC float64
 }
+
+// MaxGridScale bounds AdaptiveOptions.GridScale: enumeration allocates in
+// proportion to it without checking a context, so a larger scale is an
+// error up front rather than an out-of-memory crash.
+const MaxGridScale = 16
 
 // TriageStats records what the coarse phase of an adaptive sweep did.
 type TriageStats struct {
@@ -198,6 +204,9 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 	if math.IsNaN(af.Margin) || af.Margin < 0 {
 		return nil, fmt.Errorf("core: adaptive sweep needs a non-negative Margin, got %g", af.Margin)
 	}
+	if af.GridScale < 0 || af.GridScale > MaxGridScale {
+		return nil, fmt.Errorf("core: adaptive sweep needs GridScale in [0, %d], got %d", MaxGridScale, af.GridScale)
+	}
 	f, baseline := ev.flow, ev.baseline
 	baseArea := baseline.Placement.FP.CoreArea()
 	stats := &TriageStats{Margin: af.Margin}
@@ -231,7 +240,6 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 	ccfg.NX, ccfg.NY = coarseDims(ccfg.NX, ccfg.NY, af.CoarseFactor)
 	cnx, cny := ccfg.NX, ccfg.NY
 	pool := thermal.NewPool(ccfg)
-	defer pool.Close()
 	var coarseSolves atomic.Int64
 	// coarseSolve runs one solve on a pooled coarse solver. Only the
 	// calibration solve hands its field back (keep), so that field is the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +27,6 @@ func keyOf(p *EfficiencyPoint) adaptiveKey {
 // of the adaptive run.
 func TestAdaptiveSweepMatchesExhaustive(t *testing.T) {
 	f := hotFlow(t, "mult8")
-	defer f.Close()
 	base := SweepOptions{
 		Overheads: []float64{0.05, 0.40},
 		Workers:   4,
@@ -33,13 +34,13 @@ func TestAdaptiveSweepMatchesExhaustive(t *testing.T) {
 	aspects := []float64{1.0, 2.5}
 	exOpts := base
 	exOpts.Adaptive = &AdaptiveOptions{GridScale: 3, Margin: math.Inf(1), CoarseFactor: 2, Aspects: aspects}
-	exhaustive, err := SweepEfficiency(f, exOpts)
+	exhaustive, err := SweepEfficiencyCtx(context.Background(), f, exOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adOpts := base
 	adOpts.Adaptive = &AdaptiveOptions{GridScale: 3, Margin: 0.04, CoarseFactor: 2, Aspects: aspects}
-	adaptive, err := SweepEfficiency(f, adOpts)
+	adaptive, err := SweepEfficiencyCtx(context.Background(), f, adOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +123,8 @@ func TestAdaptiveSweepMatchesExhaustive(t *testing.T) {
 // and for four.
 func TestAdaptiveEstimatesIndependentOfWorkers(t *testing.T) {
 	f := hotFlow(t, "mult8")
-	defer f.Close()
 	run := func(workers int) *SweepResult {
-		res, err := SweepEfficiency(f, SweepOptions{
+		res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
 			Overheads: []float64{0.05, 0.40},
 			Workers:   workers,
 			Adaptive:  &AdaptiveOptions{GridScale: 3, Margin: 0.04, CoarseFactor: 2},
@@ -153,7 +153,6 @@ func TestAdaptiveEstimatesIndependentOfWorkers(t *testing.T) {
 // set, which the harness turns into a failed run.
 func TestAdaptiveInjectionBreaksFront(t *testing.T) {
 	f := hotFlow(t, "mult8")
-	defer f.Close()
 	base := SweepOptions{
 		Overheads: []float64{0.05, 0.40},
 		Workers:   4,
@@ -161,7 +160,7 @@ func TestAdaptiveInjectionBreaksFront(t *testing.T) {
 	aspects := []float64{1.0, 2.5}
 	exOpts := base
 	exOpts.Adaptive = &AdaptiveOptions{GridScale: 3, Margin: math.Inf(1), CoarseFactor: 2, Aspects: aspects}
-	exhaustive, err := SweepEfficiency(f, exOpts)
+	exhaustive, err := SweepEfficiencyCtx(context.Background(), f, exOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestAdaptiveInjectionBreaksFront(t *testing.T) {
 		GridScale: 3, Margin: 0.04, CoarseFactor: 2, Aspects: aspects,
 		InjectEstRiseBiasC: 1000,
 	}
-	broken, err := SweepEfficiency(f, adOpts)
+	broken, err := SweepEfficiencyCtx(context.Background(), f, adOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,18 +188,25 @@ func TestAdaptiveInjectionBreaksFront(t *testing.T) {
 	}
 }
 
-// TestAdaptiveValidation rejects nonsensical options.
+// TestAdaptiveValidation rejects nonsensical options with an error naming
+// the option. A GridScale above MaxGridScale is rejected before any
+// candidate is enumerated (enumerating at a large scale ran the process out
+// of memory), and a negative one no longer runs as if it were 1.
 func TestAdaptiveValidation(t *testing.T) {
 	f := hotFlow(t, "mult8")
-	defer f.Close()
-	for _, af := range []AdaptiveOptions{
-		{CoarseFactor: 1},
-		{Margin: -0.1, CoarseFactor: 2},
-		{Margin: math.NaN(), CoarseFactor: 2},
+	for _, tc := range []struct {
+		af   AdaptiveOptions
+		want string
+	}{
+		{AdaptiveOptions{CoarseFactor: 1}, "CoarseFactor >= 2"},
+		{AdaptiveOptions{Margin: -0.1, CoarseFactor: 2}, "non-negative Margin"},
+		{AdaptiveOptions{Margin: math.NaN(), CoarseFactor: 2}, "non-negative Margin"},
+		{AdaptiveOptions{GridScale: MaxGridScale + 1}, "GridScale in [0, 16], got 17"},
+		{AdaptiveOptions{GridScale: -1}, "GridScale in [0, 16], got -1"},
 	} {
-		af := af
-		if _, err := SweepEfficiency(f, SweepOptions{Adaptive: &af}); err == nil {
-			t.Fatalf("options %+v must be rejected", af)
+		_, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Adaptive: &tc.af})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("options %+v: got error %v, want one containing %q", tc.af, err, tc.want)
 		}
 	}
 }

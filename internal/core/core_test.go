@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -125,7 +126,7 @@ func TestEmptyRowInsertionReducesPeakTemperature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := f.Analyze(p)
+	an, err := f.AnalyzeWithCtx(context.Background(), p, flow.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestEmptyRowInsertionReducesPeakTemperature(t *testing.T) {
 func TestHotspotWrapperTransform(t *testing.T) {
 	f := hotFlow(t, "mult8")
 	// HW is applied on a relaxed (Default) placement, as in the paper.
-	relaxed, err := f.PlaceAt(f.Config.Utilization / 1.3)
+	relaxed, err := f.PlaceAtAspect(f.Config.Utilization/1.3, f.Config.AspectRatio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defAn, err := f.Analyze(relaxed)
+	defAn, err := f.AnalyzeWithCtx(context.Background(), relaxed, flow.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +200,11 @@ func TestHotspotWrapperImprovesOnDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxed, err := f.PlaceAt(f.Config.Utilization / 1.3)
+	relaxed, err := f.PlaceAtAspect(f.Config.Utilization/1.3, f.Config.AspectRatio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defAn, err := f.Analyze(relaxed)
+	defAn, err := f.AnalyzeWithCtx(context.Background(), relaxed, flow.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestHotspotWrapperImprovesOnDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hwAn, err := f.Analyze(hwPlacement)
+	hwAn, err := f.AnalyzeWithCtx(context.Background(), hwPlacement, flow.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +238,11 @@ func TestHotspotWrapperImprovesOnDefault(t *testing.T) {
 
 func TestHotCellsSpreadByWrapper(t *testing.T) {
 	f := hotFlow(t, "mult8")
-	relaxed, err := f.PlaceAt(f.Config.Utilization / 1.4)
+	relaxed, err := f.PlaceAtAspect(f.Config.Utilization/1.4, f.Config.AspectRatio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defAn, err := f.Analyze(relaxed)
+	defAn, err := f.AnalyzeWithCtx(context.Background(), relaxed, flow.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestSweepEfficiencyReproducesFigure6Shape(t *testing.T) {
 	}
 	f := hotFlow(t, "mult8")
 	opts := SweepOptions{Overheads: []float64{0.10, 0.25}}
-	res, err := SweepEfficiency(f, opts)
+	res, err := SweepEfficiencyCtx(context.Background(), f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestSweepFastPathMatchesSpiceOracle(t *testing.T) {
 		t.Skip("oracle solves skipped in -short mode")
 	}
 	f := hotFlow(t, "mult8")
-	res, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{0.15}, KeepAnalyses: true})
+	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{0.15}, KeepAnalyses: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestTable1SweepShape(t *testing.T) {
 		t.Skip("Table I sweep skipped in -short mode")
 	}
 	f := hotFlow(t, "mult8")
-	res, err := SweepEfficiency(f, SweepOptions{
+	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
 		Strategies: []Strategy{StrategyDefault, StrategyERI},
 		Overheads:  []float64{0.16},
 	})
@@ -403,7 +404,7 @@ func TestSweepPropagatesPipelineErrors(t *testing.T) {
 	_ = d.Connect(u2, "A", n1)
 	_ = d.Connect(u2, "Z", n2)
 	f := flow.New(d, bench.UniformWorkload(0.2), flow.FastConfig())
-	if _, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{0.1}}); err == nil {
+	if _, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{0.1}}); err == nil {
 		t.Fatal("sweep on an unsimulatable design must fail")
 	}
 }
@@ -420,8 +421,7 @@ func TestConcurrentSweepBitIdenticalToSequential(t *testing.T) {
 	}
 	run := func(workers int) *SweepResult {
 		f := hotFlow(t, "mult8")
-		defer f.Close()
-		res, err := SweepEfficiency(f, SweepOptions{
+		res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
 			Overheads: []float64{0.10, 0.20, 0.30},
 			Workers:   workers,
 		})
@@ -461,8 +461,7 @@ func TestSweepStrategySubsets(t *testing.T) {
 		t.Skip("sweep skipped in -short mode")
 	}
 	f := hotFlow(t, "mult8")
-	defer f.Close()
-	res, err := SweepEfficiency(f, SweepOptions{
+	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
 		Overheads:  []float64{0.15},
 		Strategies: []Strategy{StrategyHW},
 	})
@@ -474,7 +473,7 @@ func TestSweepStrategySubsets(t *testing.T) {
 			t.Fatalf("unexpected strategy %s in HW-only sweep", p.Strategy)
 		}
 	}
-	res, err = SweepEfficiency(f, SweepOptions{
+	res, err = SweepEfficiencyCtx(context.Background(), f, SweepOptions{
 		Overheads:  []float64{0.15},
 		Strategies: []Strategy{StrategyERI},
 		Workers:    2,

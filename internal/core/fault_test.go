@@ -190,7 +190,6 @@ func TestSweepCancelMidSweep(t *testing.T) {
 	if f.FaultStats().Canceled == 0 {
 		t.Fatal("cancellation not recorded in the flow's fault stats")
 	}
-	f.Close()
 	waitGoroutines(t, base)
 }
 
@@ -201,12 +200,11 @@ func TestSweepCancelMidSweep(t *testing.T) {
 // the strategy and the point that failed.
 func TestSweepNotConvergedExtraction(t *testing.T) {
 	f := hotFlow(t, "mult8")
-	defer f.Close()
 	// Solve 1 is the baseline; solve 2 is the first Default point with
 	// Workers=1. FailRetry makes the Jacobi fallback fail too, so the
 	// non-convergence surfaces instead of degrading.
 	f.Config.Thermal.Inject = &fault.Injector{FailCGSolveN: 2, FailRetry: true}
-	_, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{0.2}, Workers: 1})
+	_, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{0.2}, Workers: 1})
 	if err == nil {
 		t.Fatal("sweep with a doubly-failed solve reported success")
 	}
@@ -226,21 +224,20 @@ func TestSweepNotConvergedExtraction(t *testing.T) {
 	}
 
 	// The sweep works once the injected solve ordinal is past.
-	if _, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{0.2}, Workers: 1}); err != nil {
+	if _, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{0.2}, Workers: 1}); err != nil {
 		t.Fatalf("sweep after surfaced failure: %v", err)
 	}
 }
 
 // TestSweepCtxBitIdentical asserts the never-fires half of the context
 // contract at the sweep level: SweepEfficiencyCtx with a live cancelable
-// context is == (every float) to SweepEfficiency.
+// context is == (every float) to a context.Background() run.
 func TestSweepCtxBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-sweep comparison skipped in -short mode")
 	}
 	run := func(ctx context.Context) *SweepResult {
 		f := hotFlow(t, "mult8")
-		defer f.Close()
 		res, err := SweepEfficiencyCtx(ctx, f, SweepOptions{Overheads: []float64{0.2}, Workers: 2})
 		if err != nil {
 			t.Fatal(err)

@@ -230,7 +230,7 @@ func wantStrategy(opts SweepOptions, s Strategy) bool {
 	return false
 }
 
-// SweepEfficiency reproduces the paper's Figure 6 experiment on the flow's
+// SweepEfficiencyCtx reproduces the paper's Figure 6 experiment on the flow's
 // design and workload: it measures the baseline placement, then for every
 // requested area overhead measures the Default strategy (utilization
 // relaxation), the ERI strategy (empty rows targeted at the baseline's
@@ -245,16 +245,11 @@ func wantStrategy(opts SweepOptions, s Strategy) bool {
 // per-candidate slots and assembled in the sequential order afterwards, so
 // both the values (thermal warm starts are seeded from the lineage parent's
 // field) and the ordering are bit-identical to a Workers=1 run.
-func SweepEfficiency(f *flow.Flow, opts SweepOptions) (*SweepResult, error) {
-	return SweepEfficiencyCtx(context.Background(), f, opts)
-}
-
-// SweepEfficiencyCtx is SweepEfficiency with cancellation: the context is
-// threaded into every sweep point's thermal solve (checked per CG
-// iteration), so a mid-sweep cancel aborts the in-flight points within
-// milliseconds and skips the queued ones, returning an error matching
-// fault.ErrCanceled. When the context never fires the sweep result is
-// bit-identical to SweepEfficiency.
+//
+// The context is threaded into every sweep point's thermal solve (checked
+// per CG iteration), so a mid-sweep cancel aborts the in-flight points
+// within milliseconds and skips the queued ones, returning an error
+// matching fault.ErrCanceled. A context that never fires changes no bit.
 //
 // Point failures carry provenance: the returned error names the design, the
 // strategy and the point index it came from (extractable with errors.As on

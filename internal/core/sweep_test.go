@@ -109,8 +109,7 @@ func TestSweepWorkersEdgeCases(t *testing.T) {
 	}
 	run := func(workers int) *SweepResult {
 		f := hotFlow(t, "mult8")
-		defer f.Close()
-		res, err := SweepEfficiency(f, SweepOptions{
+		res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
 			Overheads: []float64{0.2},
 			Workers:   workers,
 		})
@@ -132,8 +131,7 @@ func TestSweepSinglePoint(t *testing.T) {
 		t.Skip("sweep skipped in -short mode")
 	}
 	f := hotFlow(t, "mult8")
-	defer f.Close()
-	res, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{0.25}, Workers: 3})
+	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{0.25}, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +150,7 @@ func TestSweepSinglePoint(t *testing.T) {
 		}
 	}
 	// A single ERI row count must also produce exactly one ERI point.
-	res, err = SweepEfficiency(f, SweepOptions{
+	res, err = SweepEfficiencyCtx(context.Background(), f, SweepOptions{
 		Overheads:  []float64{0.25},
 		ERIRows:    []int{4},
 		Strategies: []Strategy{StrategyERI},
@@ -180,11 +178,10 @@ func TestSweepConcurrentErrorPropagation(t *testing.T) {
 	_ = d.Connect(u2, "Z", n2)
 	for _, workers := range []int{4, -1} {
 		f := flow.New(d, bench.UniformWorkload(0.2), flow.FastConfig())
-		res, err := SweepEfficiency(f, SweepOptions{
+		res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
 			Overheads: []float64{0.1, 0.2, 0.3},
 			Workers:   workers,
 		})
-		f.Close()
 		if err == nil {
 			t.Fatalf("workers=%d: sweep on an unsimulatable design returned %+v, want error", workers, res)
 		}
@@ -198,8 +195,7 @@ func TestSweepConcurrentErrorPropagation(t *testing.T) {
 func TestEvaluateMatchesSweep(t *testing.T) {
 	const ov = 0.16
 	f := hotFlow(t, "mult8")
-	defer f.Close()
-	res, err := SweepEfficiency(f, SweepOptions{Overheads: []float64{ov}, Strategies: []Strategy{StrategyHW}})
+	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{ov}, Strategies: []Strategy{StrategyHW}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +203,6 @@ func TestEvaluateMatchesSweep(t *testing.T) {
 		t.Fatalf("sweep reported %d HW points, want 1", len(res.Points))
 	}
 	g := hotFlow(t, "mult8")
-	defer g.Close()
 	ev, err := NewEvaluator(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +226,6 @@ func TestEvaluateMatchesSweep(t *testing.T) {
 // equal a from-scratch analysis of the final placement bit for bit.
 func TestERIDeltaComposesWithDefaultDelta(t *testing.T) {
 	f := hotFlow(t, "mult8")
-	defer f.Close()
 	base, err := f.AnalyzeBaseline()
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +237,7 @@ func TestERIDeltaComposesWithDefaultDelta(t *testing.T) {
 	if !d1.IsFull() {
 		t.Fatal("a reflowed Default point must carry a full delta")
 	}
-	defAn, err := f.AnalyzeWith(defPl, flow.AnalyzeOptions{Parent: base, Delta: d1})
+	defAn, err := f.AnalyzeWithCtx(context.Background(), defPl, flow.AnalyzeOptions{Parent: base, Delta: d1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +251,11 @@ func TestERIDeltaComposesWithDefaultDelta(t *testing.T) {
 	if d2.Empty() || d2.IsFull() {
 		t.Fatalf("ERI delta should be surgical, got full=%v empty=%v", d2.IsFull(), d2.Empty())
 	}
-	eriAn, err := f.AnalyzeWith(eriPl, flow.AnalyzeOptions{Parent: defAn, Delta: d2})
+	eriAn, err := f.AnalyzeWithCtx(context.Background(), eriPl, flow.AnalyzeOptions{Parent: defAn, Delta: d2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := f.Analyze(eriPl)
+	scratch, err := f.AnalyzeWithCtx(context.Background(), eriPl, flow.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,8 +343,7 @@ func TestParetoFrontDegenerateCases(t *testing.T) {
 // scalar is finite and the fronts over the exact points are well defined.
 func TestAdaptiveTriageStatsNaNFree(t *testing.T) {
 	f := hotFlow(t, "mult8")
-	defer f.Close()
-	r, err := SweepEfficiency(f, SweepOptions{
+	r, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
 		Overheads: []float64{0.05, 0.40},
 		Workers:   2,
 		Adaptive:  &AdaptiveOptions{GridScale: 2, Margin: 0.04, CoarseFactor: 2},

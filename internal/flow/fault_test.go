@@ -9,14 +9,16 @@ import (
 	"testing"
 	"time"
 
+	"thermplace/internal/bench"
+	"thermplace/internal/celllib"
 	"thermplace/internal/fault"
 	"thermplace/internal/place"
 )
 
 // TestAnalyzeCtxBitIdenticalAndCancelable covers both halves of the context
 // contract at the flow layer: a context that never fires leaves every float
-// of the analysis identical to Analyze, and a canceled context aborts with a
-// typed error without leaking the pooled solver's goroutines.
+// of the analysis identical to a context.Background() analysis, and a
+// canceled context aborts with a typed error without leaking goroutines.
 func TestAnalyzeCtxBitIdenticalAndCancelable(t *testing.T) {
 	base := runtime.NumGoroutine()
 	f := smallFlow(t)
@@ -24,18 +26,18 @@ func TestAnalyzeCtxBitIdenticalAndCancelable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := f.Analyze(p)
+	want, err := f.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	live, liveCancel := context.WithCancel(context.Background())
 	defer liveCancel()
-	got, err := f.AnalyzeCtx(live, p)
+	got, err := f.AnalyzeWithCtx(live, p, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Thermal.PeakC != want.Thermal.PeakC || got.Thermal.GradientC != want.Thermal.GradientC {
-		t.Fatalf("AnalyzeCtx differs from Analyze: peak %v vs %v, gradient %v vs %v",
+		t.Fatalf("analysis under a live context differs from a Background one: peak %v vs %v, gradient %v vs %v",
 			got.Thermal.PeakC, want.Thermal.PeakC, got.Thermal.GradientC, want.Thermal.GradientC)
 	}
 	gv, wv := got.Thermal.Surface.Values(), want.Thermal.Surface.Values()
@@ -50,13 +52,12 @@ func TestAnalyzeCtxBitIdenticalAndCancelable(t *testing.T) {
 	// injector.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.AnalyzeCtx(ctx, p); !errors.Is(err, fault.ErrCanceled) {
+	if _, err := f.AnalyzeWithCtx(ctx, p, AnalyzeOptions{}); !errors.Is(err, fault.ErrCanceled) {
 		t.Fatalf("canceled analysis did not report fault.ErrCanceled: %v", err)
 	}
 	if n := f.FaultStats().Canceled; n != 1 {
 		t.Fatalf("FaultStats().Canceled = %d after one canceled analysis, want 1", n)
 	}
-	f.Close()
 	waitGoroutines(t, base)
 }
 
@@ -76,7 +77,8 @@ func (c *parkedCtx) Done() <-chan struct{} {
 
 // TestAnalyzeCancelMidSolveNoLeak cancels an analysis stalled inside the
 // thermal solve (injected stall on the first solve) and asserts the typed
-// error, the per-flow stats, and that Close after the cancel leaks nothing.
+// error, the per-flow stats, and that nothing outlives the canceled and the
+// following analysis.
 func TestAnalyzeCancelMidSolveNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	f := smallFlow(t)
@@ -90,7 +92,7 @@ func TestAnalyzeCancelMidSolveNoLeak(t *testing.T) {
 	pctx := &parkedCtx{Context: ctx, parked: make(chan struct{})}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := f.AnalyzeCtx(pctx, p)
+		_, err := f.AnalyzeWithCtx(pctx, p, AnalyzeOptions{})
 		errc <- err
 	}()
 	select {
@@ -107,10 +109,9 @@ func TestAnalyzeCancelMidSolveNoLeak(t *testing.T) {
 	}
 
 	// The flow recovers: the next analysis (solve 2, not stalled) succeeds.
-	if _, err := f.AnalyzeCtx(context.Background(), p); err != nil {
+	if _, err := f.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{}); err != nil {
 		t.Fatalf("analysis after cancellation: %v", err)
 	}
-	f.Close()
 	waitGoroutines(t, base)
 }
 
@@ -123,7 +124,6 @@ func TestAnalyzeCancelMidSolveNoLeak(t *testing.T) {
 func TestStallAnalyzeProbe(t *testing.T) {
 	base := runtime.NumGoroutine()
 	f := smallFlow(t)
-	defer f.Close()
 	in := &fault.Injector{}
 	f.Config.Thermal.Inject = in
 	an, err := f.AnalyzeBaseline() // analysis ordinal 1, before arming
@@ -144,7 +144,7 @@ func TestStallAnalyzeProbe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := f.AnalyzeCtx(ctx, an.Placement)
+		_, err := f.AnalyzeWithCtx(ctx, an.Placement, AnalyzeOptions{})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let it reach the park
@@ -160,14 +160,13 @@ func TestStallAnalyzeProbe(t *testing.T) {
 
 	// Ordinal 3 is past the prefix: the same call now succeeds, and the
 	// result is bit-identical to the unprobed baseline.
-	redo, err := f.AnalyzeCtx(context.Background(), an.Placement)
+	redo, err := f.AnalyzeWithCtx(context.Background(), an.Placement, AnalyzeOptions{})
 	if err != nil {
 		t.Fatalf("analysis past the stall prefix failed: %v", err)
 	}
 	if redo.Thermal.PeakRise != an.Thermal.PeakRise {
 		t.Fatalf("post-stall analysis diverged: peak rise %v vs %v", redo.Thermal.PeakRise, an.Thermal.PeakRise)
 	}
-	f.Close()
 	waitGoroutines(t, base)
 }
 
@@ -176,13 +175,12 @@ func TestStallAnalyzeProbe(t *testing.T) {
 // naming the power-map stage.
 func TestCorruptPowerMapDetected(t *testing.T) {
 	f := smallFlow(t)
-	defer f.Close()
 	f.Config.Thermal.Inject = &fault.Injector{CorruptPowerW: math.NaN()}
 	p, err := f.Baseline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, aerr := f.Analyze(p)
+	_, aerr := f.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{})
 	if aerr == nil {
 		t.Fatal("corrupted power map reached the thermal solver undetected")
 	}
@@ -192,7 +190,7 @@ func TestCorruptPowerMapDetected(t *testing.T) {
 	}
 
 	// The injector corrupts only the first map: the next analysis is clean.
-	if _, err := f.Analyze(p); err != nil {
+	if _, err := f.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{}); err != nil {
 		t.Fatalf("analysis after contained corruption: %v", err)
 	}
 }
@@ -201,16 +199,61 @@ func TestCorruptPowerMapDetected(t *testing.T) {
 // visible through Flow.FaultStats.
 func TestFlowAggregatesSolverFaults(t *testing.T) {
 	f := smallFlow(t)
-	defer f.Close()
 	f.Config.Thermal.Inject = &fault.Injector{FailCGSolveN: 1}
 	p, err := f.Baseline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Analyze(p); err != nil {
+	if _, err := f.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{}); err != nil {
 		t.Fatalf("degraded analysis failed instead of retrying: %v", err)
 	}
 	if got := f.FaultStats().SolveRetries; got != 1 {
 		t.Fatalf("FaultStats().SolveRetries = %d, want 1", got)
 	}
+}
+
+// waitGoroutines polls until the goroutine count returns to base, failing
+// with a full stack dump if it does not settle.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if n := runtime.NumGoroutine(); n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: %d > %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestAnalysesLeaveNoGoroutines is the goroutine-leak regression for the
+// flow's pooled thermal solvers: repeated flows and analyses must leave the
+// goroutine count where it started, with nothing to close.
+func TestAnalysesLeaveNoGoroutines(t *testing.T) {
+	lib := celllib.Default65nm()
+	d, err := bench.Generate(lib, bench.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := bench.Workload{Name: "hot-mult8", Activity: map[string]float64{"mult8": 0.6}, Default: 0.03}
+	cfg := FastConfig()
+	// The paper grid (40x40x9 unknowns) is large enough for the CG solvers
+	// to run their operations on parallel workers.
+	cfg.Thermal.NX, cfg.Thermal.NY = 40, 40
+
+	base := runtime.NumGoroutine()
+	for cycle := 0; cycle < 4; cycle++ {
+		f := New(d, wl, cfg)
+		if _, err := f.AnalyzeBaseline(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.AnalyzeBaseline(); err != nil { // seeded pooled re-solve
+			t.Fatal(err)
+		}
+	}
+	waitGoroutines(t, base)
 }

@@ -124,9 +124,9 @@ func FastConfig() Config {
 //
 // The caches are built once from Config and never invalidated: set every
 // Config field, the thermal injector included, before the first call, and
-// build a new Flow for another configuration. Analyze (and everything it
-// calls) is then safe for concurrent use; the concurrent sweep in package
-// core relies on this.
+// build a new Flow for another configuration. AnalyzeWithCtx (and
+// everything it calls) is then safe for concurrent use; the concurrent
+// sweep in package core relies on this.
 type Flow struct {
 	Design   *netlist.Design
 	Workload bench.Workload
@@ -146,8 +146,8 @@ type Flow struct {
 	// return the same *Analysis instead of re-running the pipeline.
 	baseAn *Analysis
 
-	// pool holds the idle thermal solvers and their default seed; Close
-	// closes and drops it, and the next solve builds a fresh one.
+	// pool holds the idle thermal solvers and their default seed, built on
+	// the first solve.
 	pool *thermal.Pool
 
 	// ta is the cached timing analyzer of the design (levelized graph and
@@ -220,15 +220,11 @@ func checkWorkloadUnits(d *netlist.Design, wl bench.Workload) error {
 		wl.Name, strings.Join(missing, ", "), d.Name)
 }
 
-// PlaceAt builds a floorplan at the given utilization and places the design
-// into it (the "Logic and Physical Synthesis" box of the paper's flow).
-func (f *Flow) PlaceAt(utilization float64) (*place.Placement, error) {
-	return f.PlaceAtAspect(utilization, f.Config.AspectRatio)
-}
-
-// PlaceAtAspect is PlaceAt with an explicit core aspect ratio instead of
-// the configured one — the adaptive sweep's aspect axis places candidate
-// floorplans through it without mutating the shared flow Config.
+// PlaceAtAspect builds a floorplan at the given utilization and core aspect
+// ratio and places the design into it (the "Logic and Physical Synthesis"
+// box of the paper's flow). The aspect is explicit so the adaptive sweep's
+// aspect axis places candidate floorplans without mutating the shared flow
+// Config; other callers pass Config.AspectRatio.
 func (f *Flow) PlaceAtAspect(utilization, aspect float64) (*place.Placement, error) {
 	fp, err := floorplan.New(f.Design, floorplan.Config{
 		Utilization: utilization,
@@ -263,7 +259,7 @@ func (f *Flow) Baseline() (*place.Placement, error) {
 	if f.baseline != nil {
 		return f.baseline, nil
 	}
-	p, err := f.PlaceAt(f.Config.Utilization)
+	p, err := f.PlaceAtAspect(f.Config.Utilization, f.Config.AspectRatio)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +268,7 @@ func (f *Flow) Baseline() (*place.Placement, error) {
 }
 
 // thermalPool returns the flow's thermal solver pool, building it on first
-// use (or after Close).
+// use.
 func (f *Flow) thermalPool(tcfg thermal.Config) *thermal.Pool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -282,16 +278,9 @@ func (f *Flow) thermalPool(tcfg thermal.Config) *thermal.Pool {
 	return f.pool
 }
 
-// Close releases the worker pools of the pooled thermal solvers. The flow
-// remains usable; solvers created afterwards build a fresh pool.
-func (f *Flow) Close() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.pool != nil {
-		f.pool.Close()
-		f.pool = nil
-	}
-}
+// Close does nothing: a flow's pooled solvers hold no goroutines between
+// analyses. It is kept only because the perfbench module calls it.
+func (f *Flow) Close() {}
 
 // Analysis is the full measurement of one placement.
 type Analysis struct {
@@ -364,37 +353,19 @@ type AnalyzeOptions struct {
 	Delta *place.Delta
 }
 
-// Analyze runs power estimation and thermal simulation on the placement and
-// localizes the hotspots of the resulting thermal map.
+// AnalyzeWithCtx runs power estimation and thermal simulation on the
+// placement and localizes the hotspots of the resulting thermal map. With
+// a parent and a delta (the sweep's path) it re-estimates power only where
+// the delta is dirty and warm-starts the solve from the parent's field;
+// every path yields the from-scratch values bit for bit. The context is
+// checked per CG iteration, so a large analysis aborts within milliseconds
+// with an error matching fault.ErrCanceled; one that never fires changes
+// no bit.
 //
-// Analyze is safe for concurrent use with one caveat: the power estimate
-// fills the placement's lazy net-bounding-box cache, so a *Placement may
-// only be shared between concurrent Analyze calls if it has already been
-// analyzed once (which warms the cache — the baseline in a sweep is exactly
-// that case). Distinct placements need no coordination.
-func (f *Flow) Analyze(p *place.Placement) (*Analysis, error) {
-	return f.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{})
-}
-
-// AnalyzeCtx is Analyze with cancellation: the context is threaded into the
-// thermal solve (checked per CG iteration), so even a large analysis aborts
-// within milliseconds of the context firing, returning an error matching
-// fault.ErrCanceled. When the context never fires the analysis is
-// bit-identical to Analyze.
-func (f *Flow) AnalyzeCtx(ctx context.Context, p *place.Placement) (*Analysis, error) {
-	return f.AnalyzeWithCtx(ctx, p, AnalyzeOptions{})
-}
-
-// AnalyzeWith is Analyze with explicit lineage: the delta-driven analysis
-// path of the sweep. With a zero AnalyzeOptions it is exactly Analyze. With
-// a parent and a delta it re-estimates power only where the delta is dirty
-// and warm-starts the thermal solve from the parent's field. Every path
-// yields the same values as the from-scratch pipeline, bit for bit.
-func (f *Flow) AnalyzeWith(p *place.Placement, opts AnalyzeOptions) (*Analysis, error) {
-	return f.AnalyzeWithCtx(context.Background(), p, opts)
-}
-
-// AnalyzeWithCtx is AnalyzeWith with cancellation (see AnalyzeCtx).
+// It is safe for concurrent use with one caveat: the power estimate fills
+// the placement's lazy net-bounding-box cache, so a *Placement may only be
+// shared between concurrent calls once it has been analyzed (the sweep's
+// baseline is). Distinct placements need no coordination.
 func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts AnalyzeOptions) (*Analysis, error) {
 	if par := opts.Parent; par != nil && opts.Delta != nil && opts.Delta.Empty() && par.Placement == p {
 		// Zero-delta no-op: the parent already measured this placement.
@@ -563,8 +534,9 @@ func (f *Flow) AnalyzeBaseline() (*Analysis, error) {
 	return f.AnalyzeBaselineCtx(context.Background())
 }
 
-// AnalyzeBaselineCtx is AnalyzeBaseline with cancellation (see AnalyzeCtx).
-// A cached baseline analysis is returned without consulting the context.
+// AnalyzeBaselineCtx is AnalyzeBaseline with cancellation (see
+// AnalyzeWithCtx). A cached baseline analysis is returned without
+// consulting the context.
 func (f *Flow) AnalyzeBaselineCtx(ctx context.Context) (*Analysis, error) {
 	p, err := f.Baseline()
 	if err != nil {
@@ -576,7 +548,7 @@ func (f *Flow) AnalyzeBaselineCtx(ctx context.Context) (*Analysis, error) {
 	if an != nil {
 		return an, nil
 	}
-	an, err = f.AnalyzeCtx(ctx, p)
+	an, err = f.AnalyzeWithCtx(ctx, p, AnalyzeOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -588,11 +560,11 @@ func (f *Flow) AnalyzeBaselineCtx(ctx context.Context) (*Analysis, error) {
 
 // ReflowAt derives the placement at the given utilization from the cached
 // baseline placement (place.Placement.Reflow) instead of re-running global
-// placement, applying the same refinement and filler passes as PlaceAt so
-// the result is bit-identical to PlaceAt(utilization). At the baseline
-// utilization itself it returns the cached baseline placement with an
-// empty delta — the zero-delta no-op AnalyzeWith resolves to the cached
-// baseline analysis.
+// placement, applying the same refinement and filler passes as PlaceAtAspect
+// so the result is bit-identical to PlaceAtAspect(utilization,
+// Config.AspectRatio). At the baseline utilization itself it returns the
+// cached baseline placement with an empty delta — the zero-delta no-op
+// AnalyzeWithCtx resolves to the cached baseline analysis.
 func (f *Flow) ReflowAt(utilization float64) (*place.Placement, *place.Delta, error) {
 	base, err := f.Baseline()
 	if err != nil {

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -148,12 +149,12 @@ func TestAnalyzeFastPathMatchesSpiceOracle(t *testing.T) {
 	}
 }
 
-// TestPlaceAtAspect checks the explicit-aspect placement entry point: the
-// configured-aspect call stays bit-identical to PlaceAt, and a different
-// aspect reshapes the core without touching the shared Config.
+// TestPlaceAtAspect checks the explicit-aspect placement entry point:
+// repeated calls at the configured aspect agree, and a different aspect
+// reshapes the core without touching the shared Config.
 func TestPlaceAtAspect(t *testing.T) {
 	f := smallFlow(t)
-	p1, err := f.PlaceAt(0.7)
+	p1, err := f.PlaceAtAspect(0.7, f.Config.AspectRatio)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestPlaceAtAndBaseline(t *testing.T) {
 	if math.Abs(got-f.Config.Utilization) > 0.1 {
 		t.Fatalf("baseline utilization %g too far from target %g", got, f.Config.Utilization)
 	}
-	relaxed, err := f.PlaceAt(0.6)
+	relaxed, err := f.PlaceAtAspect(0.6, f.Config.AspectRatio)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,6 @@ func TestAnalyzeRejectsBadThermalGrid(t *testing.T) {
 		cfg.Thermal.NX, cfg.Thermal.NY = n, n
 		f := New(small.Design, small.Workload, cfg)
 		_, err := f.AnalyzeBaseline()
-		f.Close()
 		if err == nil || !strings.Contains(err.Error(), "thermal: grid must be at least 2x2") {
 			t.Fatalf("grid %dx%d: got %v, want the thermal config's grid error", n, n, err)
 		}
@@ -313,7 +313,7 @@ func TestConfigs(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnalyzeMatchesSequential drives Analyze from many
+// TestConcurrentAnalyzeMatchesSequential drives AnalyzeWithCtx from many
 // goroutines at once (the concurrent sweep's usage pattern: baseline first,
 // then independent placements in parallel) and checks every result against
 // a sequential reference flow. Because every thermal solve after the first
@@ -328,7 +328,7 @@ func TestConcurrentAnalyzeMatchesSequential(t *testing.T) {
 	utils := []float64{0.80, 0.75, 0.70, 0.65, 0.60, 0.55}
 	placements := make([]*place.Placement, len(utils))
 	for i, u := range utils {
-		p, err := f.PlaceAt(u)
+		p, err := f.PlaceAtAspect(u, f.Config.AspectRatio)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestConcurrentAnalyzeMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p *place.Placement) {
 			defer wg.Done()
-			an, err := f.Analyze(p)
+			an, err := f.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{})
 			if err != nil {
 				errCh <- err
 				return
@@ -364,7 +364,7 @@ func TestConcurrentAnalyzeMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range placements {
-		an, err := ref.Analyze(p)
+		an, err := ref.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,22 +373,4 @@ func TestConcurrentAnalyzeMatchesSequential(t *testing.T) {
 				i, utils[i], got[i], an.PeakRise())
 		}
 	}
-	f.Close()
-	ref.Close()
-
-	// The flow stays usable after Close.
-	if _, err := f.AnalyzeBaseline(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFlowCloseIdempotent closes a fresh and a used flow.
-func TestFlowCloseIdempotent(t *testing.T) {
-	f := smallFlow(t)
-	f.Close()
-	if _, err := f.AnalyzeBaseline(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	f.Close()
 }

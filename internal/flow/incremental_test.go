@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"testing"
 
 	"thermplace/internal/place"
@@ -10,7 +11,6 @@ import (
 // bit-identical to the from-scratch one at sweep-typical utilizations.
 func TestReflowAtMatchesPlaceAt(t *testing.T) {
 	f := smallFlow(t)
-	defer f.Close()
 	for _, util := range []float64{0.60, 0.71, 0.92} {
 		inc, delta, err := f.ReflowAt(util)
 		if err != nil {
@@ -19,7 +19,7 @@ func TestReflowAtMatchesPlaceAt(t *testing.T) {
 		if !delta.IsFull() {
 			t.Fatalf("ReflowAt(%v): want full delta, got %+v", util, delta)
 		}
-		scratch, err := f.PlaceAt(util)
+		scratch, err := f.PlaceAtAspect(util, f.Config.AspectRatio)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,11 +41,10 @@ func TestReflowAtMatchesPlaceAt(t *testing.T) {
 
 // TestReflowAtZeroDeltaReturnsCachedAnalysis is the zero-delta no-op
 // contract: reflowing to the baseline utilization hands back the cached
-// baseline placement with an empty delta, and AnalyzeWith resolves that to
+// baseline placement with an empty delta, and AnalyzeWithCtx resolves that to
 // the cached baseline analysis without re-running anything.
 func TestReflowAtZeroDeltaReturnsCachedAnalysis(t *testing.T) {
 	f := smallFlow(t)
-	defer f.Close()
 	base, err := f.AnalyzeBaseline()
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func TestReflowAtZeroDeltaReturnsCachedAnalysis(t *testing.T) {
 	if p != base.Placement {
 		t.Fatal("want the cached baseline placement, got a fresh one")
 	}
-	an, err := f.AnalyzeWith(p, AnalyzeOptions{Parent: base, Delta: delta})
+	an, err := f.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{Parent: base, Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,6 @@ func TestReflowAtZeroDeltaReturnsCachedAnalysis(t *testing.T) {
 // flow-level half of the incremental sweep's bit-identity guarantee.
 func TestAnalyzeWithDeltaBitIdentical(t *testing.T) {
 	f := smallFlow(t)
-	defer f.Close()
 	base, err := f.AnalyzeBaseline()
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +111,7 @@ func TestAnalyzeWithDeltaBitIdentical(t *testing.T) {
 		t.Fatalf("edit should record a surgical delta, got full=%v empty=%v", delta.IsFull(), delta.Empty())
 	}
 
-	inc, err := f.AnalyzeWith(edited, AnalyzeOptions{Parent: base, Delta: delta})
+	inc, err := f.AnalyzeWithCtx(context.Background(), edited, AnalyzeOptions{Parent: base, Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +119,11 @@ func TestAnalyzeWithDeltaBitIdentical(t *testing.T) {
 	// From-scratch reference on a fresh flow (identical config/workload),
 	// analyzed with the same lineage seeding but no delta.
 	g := New(f.Design, f.Workload, f.Config)
-	defer g.Close()
 	gbase, err := g.AnalyzeBaseline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := g.AnalyzeWith(edited.Clone(), AnalyzeOptions{Parent: gbase})
+	ref, err := g.AnalyzeWithCtx(context.Background(), edited.Clone(), AnalyzeOptions{Parent: gbase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +155,6 @@ func TestAnalyzeWithDeltaBitIdentical(t *testing.T) {
 // placement under its own resolved options does.
 func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 	f := smallFlow(t)
-	defer f.Close()
 	base, err := f.AnalyzeBaseline()
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +192,7 @@ func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 		}
 	}
 	delta := twin.EndDelta()
-	child, err := f.AnalyzeWith(twin, AnalyzeOptions{Parent: base, Delta: delta})
+	child, err := f.AnalyzeWithCtx(context.Background(), twin, AnalyzeOptions{Parent: base, Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}

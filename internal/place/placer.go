@@ -36,8 +36,8 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan) (*Placement, error) {
 
 // PlaceWithoutFillers runs the same global placement and legalization as
 // Place but skips the filler-insertion pass. Callers that refine the
-// placement afterwards (flow.PlaceAt with RefinePasses > 0) use it so the
-// whitespace is filled exactly once, on the final cell positions.
+// placement afterwards (flow.PlaceAtAspect with RefinePasses > 0) use it so
+// the whitespace is filled exactly once, on the final cell positions.
 func PlaceWithoutFillers(d *netlist.Design, fp *floorplan.Floorplan) (*Placement, error) {
 	p := NewPlacement(d, fp)
 	groups, err := orderedUnitGroups(d, fp)

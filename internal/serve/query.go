@@ -50,10 +50,11 @@ const defaultGridScale = 3
 // so a query beyond them is answered 400 before any placement work instead
 // of running the server out of memory. maxAreaOverhead caps every core at
 // 4x the baseline's, 7.5x the paper's largest Figure 6 overhead (0.40).
+// The grid_scale bound is core.MaxGridScale, which the sweep enforces
+// itself; parsing checks it too so the query never reaches a design.
 const (
 	maxAreaOverhead   = 3
 	maxSweepOverheads = 16
-	maxGridScale      = 16
 )
 
 // Query is one parsed what-if question against a resident design. Its
@@ -81,8 +82,8 @@ type Query struct {
 	// exactly. Every returned point is still an exact measurement.
 	Adaptive bool
 	// GridScale is the adaptive densification factor (KindSweep with
-	// Adaptive), at most maxGridScale. ParseQuery fills in defaultGridScale
-	// when the request names none.
+	// Adaptive), at most core.MaxGridScale. ParseQuery fills in
+	// defaultGridScale when the request names none.
 	GridScale int
 	// Full requests the solved surface temperature map in the response.
 	Full bool
@@ -205,8 +206,8 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 		}
 		if s := vals.Get("grid_scale"); s != "" {
 			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 || n > maxGridScale {
-				return badReq("parameter grid_scale=%q: not an integer in [1, %d]", s, maxGridScale)
+			if err != nil || n < 1 || n > core.MaxGridScale {
+				return badReq("parameter grid_scale=%q: not an integer in [1, %d]", s, core.MaxGridScale)
 			}
 			if !q.Adaptive {
 				return badReq("grid_scale requires adaptive=1")

@@ -26,7 +26,8 @@
 //     wrong answer.
 //   - Graceful drain: BeginDrain stops admissions (readyz flips to 503),
 //     in-flight queries get up to a drain timeout to finish, stragglers are
-//     then canceled through their contexts.
+//     then canceled through their contexts. Close then only cancels the base
+//     context: a resident flow holds no goroutines between queries.
 //
 // Every error response carries the fault-taxonomy category of its cause, and
 // every admission decision and solver degradation is counted in the
@@ -164,7 +165,6 @@ func (s *Server) AddDesign(ctx context.Context, name string, net *netlist.Design
 	}
 	baseline, err := d.fl.AnalyzeBaselineCtx(ctx)
 	if err != nil {
-		d.fl.Close()
 		return err
 	}
 	d.baseHPWL = baseline.HPWL
@@ -178,7 +178,6 @@ func (s *Server) AddDesign(ctx context.Context, name string, net *netlist.Design
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.designs[name]; dup {
-		d.fl.Close()
 		return &httpStatusError{status: http.StatusConflict, category: "duplicate-design", msg: "design " + name + " already registered"}
 	}
 	s.designs[name] = d
@@ -225,16 +224,10 @@ func (s *Server) Drain(timeout time.Duration) int {
 	return stragglers
 }
 
-// Close releases every resident flow's solver pools and cancels the base
-// context. Call after Drain; queries issued after Close fail.
-func (s *Server) Close() {
-	s.cancelBase()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, name := range s.order {
-		s.designs[name].fl.Close()
-	}
-}
+// Close cancels the base context, which every request context is linked
+// to. Call after Drain; queries issued after Close fail. The resident flows
+// hold no goroutines, so there is nothing else to release.
+func (s *Server) Close() { s.cancelBase() }
 
 // tracker counts in-flight requests and gates admissions during drain. It
 // replaces a sync.WaitGroup because Add-after-Wait is undefined there, while

@@ -15,6 +15,7 @@ import (
 
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
+	"thermplace/internal/core"
 	"thermplace/internal/fault"
 	"thermplace/internal/flow"
 )
@@ -272,7 +273,7 @@ var badQueries = []struct {
 // query string: it never panics, every error is a 400 bad-request, a parsed
 // query stays within the bounds ParseQuery owns (overheads at most
 // maxAreaOverhead, at most maxSweepOverheads of them, grid scale at most
-// maxGridScale), and a parsed query's Key round-trips — parsing the key's
+// core.MaxGridScale), and a parsed query's Key round-trips — parsing the key's
 // own parameters gives back the same key.
 func FuzzParseQuery(f *testing.F) {
 	for _, raw := range []string{
@@ -300,7 +301,7 @@ func FuzzParseQuery(f *testing.F) {
 			}
 			return
 		}
-		if q.Overhead > maxAreaOverhead || len(q.Overheads) > maxSweepOverheads || q.GridScale > maxGridScale {
+		if q.Overhead > maxAreaOverhead || len(q.Overheads) > maxSweepOverheads || q.GridScale > core.MaxGridScale {
 			t.Fatalf("ParseQuery(%q, %q) = %+v exceeds the query bounds", kind, raw, q)
 		}
 		for _, ov := range q.Overheads {
@@ -339,7 +340,6 @@ func TestServerAdaptiveSweep(t *testing.T) {
 	defer ts.Close()
 
 	ref := flow.New(gen.Design, gen.Workload, cfg)
-	defer ref.Close()
 	q, err := ParseQuery(KindSweep, url.Values{"overheads": {"0.1,0.3"}, "adaptive": {"1"}, "grid_scale": {"2"}})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -489,7 +489,6 @@ func TestServerEndToEnd(t *testing.T) {
 	// A served analyze query must be bit-identical to a direct Exec on an
 	// equivalently configured flow (JSON round-trips float64 exactly).
 	ref := flow.New(gen.Design, gen.Workload, cfg)
-	defer ref.Close()
 	want, _, err := Exec(context.Background(), ref, Query{Kind: KindAnalyze, Utilization: 0.7, Full: true})
 	if err != nil {
 		t.Fatalf("reference Exec: %v", err)
@@ -722,7 +721,6 @@ func TestServerNotConvergedThenRecovers(t *testing.T) {
 		t.Fatal("query after the failure served from cache")
 	}
 	ref := flow.New(gen.Design, gen.Workload, cfg)
-	defer ref.Close()
 	want, _, err := Exec(context.Background(), ref, Query{Kind: KindAnalyze, Utilization: 0.7})
 	if err != nil {
 		t.Fatalf("reference Exec: %v", err)

@@ -16,19 +16,18 @@ const minRowsPerWorker = 4096
 const padStride = 8
 
 // CG is a reusable preconditioned conjugate-gradient solver bound to one
-// matrix and to its caller's worker pool. The scratch vectors live as long as
-// the solver and the pool goroutines are parked between solves, so repeated
-// warm-started re-solves pay neither allocation nor goroutine startup. Once
-// the pool is closed the solver still works, serially. A CG value is not
-// safe for concurrent use.
+// matrix and to its caller's worker pool. The scratch vectors and the
+// per-op tasks live as long as the solver, so repeated warm-started
+// re-solves allocate nothing but the goroutines each parallel op forks and
+// joins. A CG value is not safe for concurrent use.
 type CG struct {
 	m   *SymCSR
 	tol float64
 
 	r, z, p, ap []float64
 
-	// Per-solve state shared with the workers. The barrier in Pool.Run
-	// orders writes to alpha/beta/b/x before the workers read them.
+	// Per-solve state shared with the workers. Pool.Run's fork and join
+	// order writes to alpha/beta/b/x before the workers read them.
 	b, x        []float64
 	alpha, beta float64
 
@@ -98,7 +97,7 @@ func NewCG(m *SymCSR, pool *Pool, tol float64) *CG {
 //
 // A panic inside the solve — in a worker task, or in the preconditioner —
 // is contained and returned as a located *fault.ErrPanic instead of
-// crashing the caller; the solver and its pool remain usable.
+// crashing the caller; the solver remains usable.
 func (c *CG) SolveCtx(ctx context.Context, b, x []float64, mg *MG, budget int) (iters int, residual float64, err error) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -3,14 +3,15 @@
 // symmetric sparse matrix in compressed-sparse-row form, a conjugate-gradient
 // solver (CG) preconditioned by Jacobi or by a geometric multigrid W-cycle
 // (MG) specialized to the 7-point stencil of a structured nx-by-ny-by-nl
-// grid, and the persistent goroutine pool (Pool) both run on.
+// grid, and the fork-join worker pool (Pool) both run on.
 //
 // Unlike package spice, which assembles nodal equations from a netlist of
 // named elements, this package works on plain integer-indexed vectors: the
 // caller (package thermal) maps grid cells to contiguous indices once and
 // never touches strings or maps on the solve path. All numeric buffers and
-// the worker pool are reusable across solves, so a re-solve with a new
-// right-hand side allocates nothing and spawns no goroutines.
+// the per-operation tasks are reusable across solves, so a re-solve with a
+// new right-hand side allocates nothing beyond the goroutines each parallel
+// operation starts and joins; none outlives the operation.
 package sparse
 
 // SymCSR is a symmetric positive-definite matrix stored as a diagonal

@@ -77,9 +77,27 @@ func TestCGNotConvergedTyped(t *testing.T) {
 	}
 }
 
+// waitGoroutines polls until the goroutine count returns to base, failing
+// with a full stack dump if it does not settle.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if n := runtime.NumGoroutine(); n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: %d > %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestCGCancelMidSolve asserts that a canceled context aborts the iteration
-// with a typed error, the solver stays usable, and no goroutines leak
-// (cancel mid-solve + pool Close after cancel).
+// with a typed error, the solver stays usable, and no goroutine outlives
+// the solves.
 func TestCGCancelMidSolve(t *testing.T) {
 	m, b := spdStencil(24, 24, 4)
 	base := runtime.NumGoroutine()
@@ -108,7 +126,6 @@ func TestCGCancelMidSolve(t *testing.T) {
 	if _, _, err := cg.SolveCtx(context.Background(), b, x, nil, budget); err != nil {
 		t.Fatalf("solve after cancel: %v", err)
 	}
-	pool.Close()
 	waitGoroutines(t, base)
 }
 
@@ -142,9 +159,9 @@ func TestMGApplyCtxCancel(t *testing.T) {
 }
 
 // TestPoolPanicContained asserts that a panic inside a pool task does not
-// kill the worker goroutine, deadlock the sibling tasks or leak goroutines:
-// it is rethrown on the caller as a located *fault.ErrPanic and the pool
-// stays usable.
+// crash the process, deadlock the sibling tasks or leak goroutines: it is
+// rethrown on the caller as a located *fault.ErrPanic and the pool stays
+// usable.
 func TestPoolPanicContained(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := NewPool(3)
@@ -181,7 +198,44 @@ func TestPoolPanicContained(t *testing.T) {
 	if sum != 6 {
 		t.Fatalf("pool broken after contained panic: sum = %g, want 6", sum)
 	}
-	p.Close()
+	waitGoroutines(t, base)
+}
+
+// TestPoolRunJoinsBeforeRethrow pins the order inside Run when task 0 —
+// the one on the calling goroutine — panics: the siblings are joined before
+// the panic is rethrown, so every write they make is visible to the
+// caller's recovery and no goroutine outlives the run. A rethrow before
+// the join would let a solver's recovery, and its next solve, race with
+// siblings still writing its vectors; run under -race.
+func TestPoolRunJoinsBeforeRethrow(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := NewPool(3)
+	if !p.Parallel(3) {
+		t.Fatal("pool refused parallel run")
+	}
+	out := make([]float64, 3)
+	caught := func() (pe *fault.ErrPanic) {
+		defer func() {
+			if v := recover(); v != nil {
+				pe, _ = v.(*fault.ErrPanic)
+			}
+		}()
+		p.Run(3, func(w int) float64 {
+			if w == 0 {
+				panic("injected caller-task panic")
+			}
+			time.Sleep(20 * time.Millisecond)
+			out[w] = float64(w)
+			return 0
+		})
+		return nil
+	}()
+	if caught == nil || caught.Where != "sparse.Pool worker 0" {
+		t.Fatalf("task-0 panic not rethrown as a located *fault.ErrPanic: %v", caught)
+	}
+	if out[1] != 1 || out[2] != 2 {
+		t.Fatalf("sibling writes not visible after the rethrow: %v", out)
+	}
 	waitGoroutines(t, base)
 }
 

@@ -102,7 +102,7 @@ type mgLevel struct {
 // least minRowsPerWorker rows per worker run on pool (the enclosing CG's
 // pool); the rest stay serial. Rows of one color never read each other, so
 // the parallel sweeps are bit-identical to the serial ones for any worker
-// count. The MG never closes the pool; its owner does.
+// count.
 func NewMG(m *SymCSR, nx, ny, nl int, pool *Pool) (*MG, error) {
 	if nx < 1 || ny < 1 || nl < 1 || nx*ny*nl != m.N {
 		return nil, &fault.ErrSetup{Stage: "grid",

@@ -8,28 +8,14 @@ import (
 	"thermplace/internal/fault"
 )
 
-// Pool is a set of parked worker goroutines executing row-partitioned
-// operations. It is shared by the kernels in this package that want
-// parallelism without per-solve goroutine churn: the CG iteration ops and
-// the multigrid red-black smoother run on the same pool, so a thermal
-// solver owns exactly one set of workers regardless of how many operators
-// are stacked inside it.
-//
-// The goroutines are started lazily on the first parallel run and parked on
-// their channels between runs. A Pool is not safe for concurrent Run calls;
-// the solvers in this repository issue strictly sequential operations.
+// Pool runs the row-partitioned operations of this package's kernels: the
+// CG iteration ops and the multigrid smoother share one Pool, so a thermal
+// solver splits every operation the same number of ways. Run is fork-join,
+// so no goroutine outlives a run and a Pool needs no Close. A Pool is not
+// safe for concurrent Run calls; the solvers issue sequential operations.
 type Pool struct {
 	workers int
-	ops     []chan func(w int) float64
-	wg      sync.WaitGroup
 	partial []float64
-	started bool
-	closed  bool
-
-	// panicMu guards panicErr, the first panic a worker contained during
-	// the run in flight; Run rethrows it on the calling goroutine.
-	panicMu  sync.Mutex
-	panicErr *fault.ErrPanic
 }
 
 // NewPool creates a pool of the given size. workers <= 0 picks GOMAXPROCS.
@@ -40,10 +26,6 @@ func NewPool(workers int) *Pool {
 	p := &Pool{workers: workers}
 	if workers > 1 {
 		p.partial = make([]float64, workers*padStride)
-		p.ops = make([]chan func(w int) float64, workers)
-		for i := range p.ops {
-			p.ops[i] = make(chan func(w int) float64, 1)
-		}
 	}
 	return p
 }
@@ -65,86 +47,51 @@ func AutoWorkers(n int) int {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Parallel reports whether a k-way partitioned operation runs on the pool,
-// starting the worker goroutines lazily. It returns false once the pool is
-// closed or when k < 2; callers then run their serial fallback.
-func (p *Pool) Parallel(k int) bool {
-	if p == nil || k < 2 || p.workers < 2 || p.closed {
-		return false
-	}
-	if !p.started {
-		for w := 0; w < p.workers; w++ {
-			//repolint:allow bareGo(Pool is itself the solver concurrency primitive the rule points to)
-			go p.worker(w)
-		}
-		p.started = true
-	}
-	return true
-}
+// Parallel reports whether a k-way operation runs on the pool (not on a nil
+// or 1-worker pool, nor for k < 2); callers otherwise run it serially.
+func (p *Pool) Parallel(k int) bool { return p != nil && k >= 2 && p.workers >= 2 }
 
-// Run executes task(w) for w = 0..k-1 on the pool workers and returns the
-// per-worker results summed in worker order (so reductions are bit-stable
-// for a fixed k). Callers must have obtained Parallel(k) == true; k must
-// not exceed Workers().
+// Run executes task(w) for w = 0..k-1, task 0 on the caller and the others
+// on goroutines started for this run, joins them, and returns the
+// per-worker results summed in worker order (bit-stable for a fixed k,
+// whichever goroutine ran which task). Callers must have obtained
+// Parallel(k) == true; k must not exceed Workers().
 //
-// A panic inside a task does not kill the worker goroutine or deadlock the
-// sibling workers: the worker contains it, the siblings finish their ranges,
-// and Run rethrows the first contained panic — as a located *fault.ErrPanic
-// — on the calling goroutine, where the owning solver's recovery converts it
-// into an ordinary error. The pool stays usable afterwards.
+// A panicking task is contained: the siblings finish their ranges, and
+// after the join Run rethrows the first panic as a located *fault.ErrPanic
+// on the caller, whose solver's recovery converts it into an error.
 func (p *Pool) Run(k int, task func(w int) float64) float64 {
-	p.wg.Add(k)
-	for w := 0; w < k; w++ {
-		p.ops[w] <- task
+	var (
+		wg       sync.WaitGroup
+		panicMu  sync.Mutex
+		panicErr *fault.ErrPanic
+	)
+	runTask := func(w int) {
+		defer wg.Done()
+		defer func() {
+			if v := recover(); v != nil {
+				panicMu.Lock()
+				if panicErr == nil {
+					panicErr = fault.Recovered(fmt.Sprintf("sparse.Pool worker %d", w), v)
+				}
+				panicMu.Unlock()
+			}
+		}()
+		p.partial[w*padStride] = task(w)
 	}
-	p.wg.Wait()
-	p.panicMu.Lock()
-	pe := p.panicErr
-	p.panicErr = nil
-	p.panicMu.Unlock()
-	if pe != nil {
-		panic(pe)
+	wg.Add(k)
+	for w := 1; w < k; w++ {
+		//repolint:allow bareGo(Pool is itself the solver concurrency primitive the rule points to)
+		go runTask(w)
+	}
+	runTask(0)
+	wg.Wait()
+	if panicErr != nil {
+		panic(panicErr)
 	}
 	sum := 0.0
 	for w := 0; w < k; w++ {
 		sum += p.partial[w*padStride]
 	}
 	return sum
-}
-
-func (p *Pool) worker(w int) {
-	for task := range p.ops[w] {
-		p.runTask(w, task)
-	}
-}
-
-// runTask executes one task, containing a panic so the worker survives and
-// the barrier in Run is always released.
-func (p *Pool) runTask(w int, task func(w int) float64) {
-	defer p.wg.Done()
-	defer func() {
-		if v := recover(); v != nil {
-			p.panicMu.Lock()
-			if p.panicErr == nil {
-				p.panicErr = fault.Recovered(fmt.Sprintf("sparse.Pool worker %d", w), v)
-			}
-			p.panicMu.Unlock()
-		}
-	}()
-	p.partial[w*padStride] = task(w)
-}
-
-// Close stops the worker goroutines. Operations issued afterwards run
-// serially on the calling goroutine. Close is idempotent.
-func (p *Pool) Close() {
-	if p == nil || p.closed {
-		return
-	}
-	if p.started {
-		for _, ch := range p.ops {
-			close(ch)
-		}
-		p.started = false
-	}
-	p.closed = true
 }

@@ -140,15 +140,12 @@ func TestCGParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 4} {
-		pool := NewPool(workers)
-		c := NewCG(m, pool, 1e-11)
+		c := NewCG(m, NewPool(workers), 1e-11)
 		if c.workers != workers {
 			t.Fatalf("CG on a %d-worker pool runs %d workers", workers, c.workers)
 		}
 		xp := make([]float64, m.N)
-		_, _, err := solve(c, b, xp, nil)
-		pool.Close()
-		if err != nil {
+		if _, _, err := solve(c, b, xp, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range xp {

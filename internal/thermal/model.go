@@ -235,15 +235,13 @@ func BuildNetwork(powerMap *geom.Grid, cfg Config) (*spice.Circuit, error) {
 // the steady-state system, solve it, and collect the surface temperature
 // map and summary metrics. Callers that solve repeatedly should hold a
 // Solver (or a Pool) themselves to also reuse the assembled structure and
-// warm-start between solves; this function builds a fresh one per call.
+// warm-start between solves; this function builds a fresh one per call and
+// leaves nothing running behind it.
 func Solve(powerMap *geom.Grid, cfg Config) (*Result, error) {
 	s, err := NewSolver(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The solver is one-shot here: release its worker pool rather than
-	// leaving parked goroutines behind.
-	defer s.Close()
 	return s.Solve(powerMap)
 }
 

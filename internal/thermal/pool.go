@@ -10,15 +10,14 @@ import "sync"
 // it or on how solves are scheduled across goroutines.
 //
 // The default seed is the first field handed back through Put; until then
-// solves without a seed of their own start cold. A Pool is safe for
-// concurrent use.
+// solves without a seed of their own start cold. Idle solvers hold no
+// goroutines, so a Pool needs no Close. A Pool is safe for concurrent use.
 type Pool struct {
 	cfg Config
 
-	mu     sync.Mutex
-	idle   []*Solver
-	seed   []float64
-	closed bool
+	mu   sync.Mutex
+	idle []*Solver
+	seed []float64
 }
 
 // NewPool returns an empty pool of solvers for cfg. Solvers are built on
@@ -62,28 +61,12 @@ func (p *Pool) Get(seed []float64) (*Solver, error) {
 // Put returns a solver checked out by Get. A non-nil field (the solver's
 // State after a successful solve) becomes the pool's default seed when
 // there is none yet; the pool keeps the slice, so the caller must not
-// modify it afterwards. A solver returned after Close is closed instead of
-// pooled.
+// modify it afterwards.
 func (p *Pool) Put(s *Solver, field []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		s.Close()
-		return
-	}
 	if p.seed == nil && len(field) == s.Unknowns() {
 		p.seed = field
 	}
 	p.idle = append(p.idle, s)
-}
-
-// Close closes the idle solvers and every solver Put back later.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, s := range p.idle {
-		s.Close()
-	}
-	p.idle = nil
-	p.closed = true
 }

@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -25,7 +24,6 @@ func TestPoolSolveIsFreshSeededSolve(t *testing.T) {
 	pmA, pmB, pmOther := poolTestPM(3, 3, 0.005), poolTestPM(8, 8, 0.004), poolTestPM(6, 1, 0.009)
 
 	p := NewPool(cfg)
-	defer p.Close()
 	s, err := p.Get(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +38,6 @@ func TestPoolSolveIsFreshSeededSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
 	if err := fresh.SeedState(seed); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +86,6 @@ func TestPoolSolveIsFreshSeededSolve(t *testing.T) {
 func TestPoolDefaultSeed(t *testing.T) {
 	cfg := testConfig(12, 12)
 	p := NewPool(cfg)
-	defer p.Close()
 
 	s, err := p.Get(make([]float64, 3))
 	if err != nil {
@@ -141,44 +137,11 @@ func TestPoolDefaultSeed(t *testing.T) {
 	}
 }
 
-// TestPoolCloseWithCheckout checks that Close closes the idle solvers, that
-// a solver checked out across Close is closed when it is Put back, and
-// that the goroutine count then settles.
-func TestPoolCloseWithCheckout(t *testing.T) {
-	cfg := DefaultConfig() // 40x40x9: big enough for a parallel CG pool
-	pm := geom.NewGrid(cfg.NX, cfg.NY, dieRegion(360))
-	pm.Fill(0.02 / float64(cfg.NX*cfg.NY))
-
-	base := runtime.NumGoroutine()
-	p := NewPool(cfg)
-	idle, err := p.Get(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Get(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*Solver{idle, out} {
-		if _, err := s.Solve(pm); err != nil { // starts the solver's workers
-			t.Fatal(err)
-		}
-	}
-	p.Put(idle, idle.State())
-	p.Close()
-	if _, err := out.Solve(pm); err != nil { // a solve that returns after Close
-		t.Fatal(err)
-	}
-	p.Put(out, out.State())
-	waitGoroutines(t, base)
-}
-
 // TestPoolConcurrent runs concurrent Get/Solve/Put cycles (meant for -race)
 // and checks every result against the sequential reference.
 func TestPoolConcurrent(t *testing.T) {
 	cfg := testConfig(12, 12)
 	p := NewPool(cfg)
-	defer p.Close()
 	s, err := p.Get(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -97,11 +97,10 @@ func NewSolver(cfg Config) (*Solver, error) {
 	s.rhs = make([]float64, s.n)
 	s.x = make([]float64, s.n)
 	// One worker pool serves the whole solver stack: the CG iteration ops
-	// and the multigrid smoother park on the same goroutines.
+	// and the multigrid smoother split the same number of ways.
 	s.pool = sparse.NewPool(sparse.AutoWorkers(s.n))
 	mg, err := sparse.NewMG(s.mat, s.nx, s.ny, s.nl, s.pool)
 	if err != nil {
-		s.pool.Close()
 		return nil, fmt.Errorf("thermal: building multigrid hierarchy: %w", err)
 	}
 	s.mg = mg
@@ -370,14 +369,14 @@ func (s *Solver) SolveCtx(ctx context.Context, powerMap *geom.Grid) (res *Result
 }
 
 // injectPanic crashes the current solve on purpose (Injector.PanicCGSolveN):
-// inside a pool task when the solver runs parallel — exercising the pool's
-// panic containment end to end — or directly on the calling goroutine when
-// serial. Either way the panic is recovered by SolveCtx and surfaces as a
-// located *fault.ErrPanic.
+// inside the last pool task when the solver runs parallel — a task on a
+// goroutine Run started, exercising the pool's panic containment end to
+// end — or directly on the calling goroutine when serial. Either way the
+// panic is recovered by SolveCtx and surfaces as a located *fault.ErrPanic.
 func (s *Solver) injectPanic(solveN int) {
 	if w := s.pool.Workers(); s.pool.Parallel(w) {
 		s.pool.Run(w, func(task int) float64 {
-			if task == 0 {
+			if task == w-1 {
 				panic(fmt.Sprintf("fault: injected panic inside pool task (solve %d)", solveN))
 			}
 			return 0
@@ -414,6 +413,6 @@ func (s *Solver) SeedState(field []float64) error {
 // Unknowns returns the size of the assembled linear system.
 func (s *Solver) Unknowns() int { return s.n }
 
-// Close releases the worker pool shared by the CG iteration and the
-// multigrid smoother. The solver remains usable, serially.
-func (s *Solver) Close() { s.pool.Close() }
+// Close does nothing: a solver holds no goroutines between solves. It is
+// kept only because the perfbench module calls it.
+func (s *Solver) Close() {}

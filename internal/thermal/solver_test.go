@@ -9,14 +9,13 @@ import (
 	"thermplace/internal/spice"
 )
 
-// newSolver builds a solver for cfg, closed when the test ends.
+// newSolver builds a solver for cfg, failing the test on an error.
 func newSolver(t *testing.T, cfg Config) *Solver {
 	t.Helper()
 	s, err := NewSolver(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	return s
 }
 
