@@ -304,11 +304,12 @@ func BenchmarkThermalSolve40x40x9(b *testing.B) {
 
 // BenchmarkThermalSolveGrid sweeps the thermal grid size and compares the
 // legacy SPICE-circuit path against the structured-grid fast path — with
-// its multigrid preconditioner ("fast") and the Jacobi fallback
-// ("fast-jacobi", reached through an injected multigrid setup failure, so
-// it also pays the hierarchy build) — both cold (fresh solver per solve,
-// the "first sweep point" cost) and reused (warm-started re-solve, the
-// steady-state sweep cost, multigrid). Each sub-benchmark
+// its spectral preconditioner ("fast") and the Jacobi retry ("fast-jacobi",
+// reached through an injected non-convergence of the preconditioned
+// attempt, which reports without running, so it also pays the
+// preconditioner's setup) — both cold (fresh solver per solve, the "first
+// sweep point" cost) and reused (warm-started re-solve, the steady-state
+// sweep cost, spectral). Each sub-benchmark
 // reports ns/solve and allocs/solve via b.ReportMetric so future PRs have a
 // perf trajectory to track. Run with -benchtime 1x for a quick look: the
 // spice path at 160x160x9 (230k nodes) takes seconds per solve.
@@ -345,9 +346,14 @@ func BenchmarkThermalSolveGrid(b *testing.B) {
 			solveOnce(b, func() error { _, err := thermal.Solve(pm, cfg); return err })
 		})
 		b.Run(fmt.Sprintf("grid=%dx%dx9/fast-jacobi", n, n), func(b *testing.B) {
-			jcfg := cfg
-			jcfg.Inject = &fault.Injector{FailMGSetup: true}
-			solveOnce(b, func() error { _, err := thermal.Solve(pm, jcfg); return err })
+			solveOnce(b, func() error {
+				// A fresh injector per solve: its counter is per injector, so
+				// each solve's preconditioned attempt is solve 1 and fails.
+				jcfg := cfg
+				jcfg.Inject = &fault.Injector{FailCGSolveN: 1}
+				_, err := thermal.Solve(pm, jcfg)
+				return err
+			})
 		})
 		b.Run(fmt.Sprintf("grid=%dx%dx9/fast-reuse", n, n), func(b *testing.B) {
 			s, err := thermal.NewSolver(cfg)

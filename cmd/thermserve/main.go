@@ -107,7 +107,7 @@ func run() int {
 		}
 		snap := srv.StatsFor(string(fam))
 		fmt.Printf("thermserve: loaded %-18s %6d cells, baseline warm in %v (degradations: %d)\n",
-			fam, gen.Design.NumInstances(), time.Since(t0).Round(time.Millisecond), snap.MGSetupFailures+snap.SolveRetries)
+			fam, gen.Design.NumInstances(), time.Since(t0).Round(time.Millisecond), snap.SolveRetries)
 	}
 
 	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}

@@ -1,7 +1,7 @@
 // Package harness runs the entire analysis flow over generated scenarios
 // and checks metamorphic, cross-implementation properties instead of golden
 // numbers: the structured-grid fast path against the SPICE oracle, the
-// multigrid preconditioner against the Jacobi fallback, warm-started pooled
+// spectral preconditioner against the Jacobi retry, warm-started pooled
 // solves against cold solves, the concurrent sweep engine against the
 // sequential one, the delta-driven sweep against a from-scratch
 // re-derivation, and the placer's legality invariants — each of which must
@@ -251,19 +251,21 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 		rep.pass("warm-vs-cold-solve", fmt.Sprintf("max |dT| = %.3g C", d))
 	}
 
-	// Property: the multigrid preconditioned solve agrees with the Jacobi
-	// fallback (same system, different preconditioner), reached the way
-	// production reaches it: a multigrid setup failure.
+	// Property: the spectral preconditioned solve agrees with the Jacobi
+	// retry (same system, different preconditioner), reached the way
+	// production reaches it: the preconditioned attempt reports
+	// non-convergence without running, so the retry is a pure Jacobi solve
+	// from the same start.
 	jcfg := cfg.Thermal
-	jcfg.Inject = &fault.Injector{FailMGSetup: true}
+	jcfg.Inject = &fault.Injector{FailCGSolveN: 1}
 	jac, err := thermal.Solve(base.PowerMap, jcfg)
 	if err != nil {
 		return rep, fmt.Errorf("harness: %s: jacobi solve: %w", gen.Scenario, err)
 	}
 	if d := maxAbsDiff(base.Thermal.Surface, jac.Surface); d > opts.TolC {
-		return rep, fmt.Errorf("harness: %s: MG vs Jacobi differ by %.3g C (tol %.3g)", gen.Scenario, d, opts.TolC)
+		return rep, fmt.Errorf("harness: %s: spectral vs Jacobi differ by %.3g C (tol %.3g)", gen.Scenario, d, opts.TolC)
 	} else {
-		rep.pass("mg-vs-jacobi", fmt.Sprintf("max |dT| = %.3g C", d))
+		rep.pass("spectral-vs-jacobi", fmt.Sprintf("max |dT| = %.3g C", d))
 	}
 
 	// Property: the structured-grid fast path matches the SPICE-circuit

@@ -11,7 +11,7 @@ import (
 // TestScenarioFamiliesFullFlow is the metamorphic acceptance test: every
 // scenario family, at two sizes each, runs the entire place → power →
 // thermal → sweep pipeline and must satisfy every cross-implementation
-// property (fast path vs SPICE oracle, MG vs Jacobi, warm vs cold solves,
+// property (fast path vs SPICE oracle, spectral vs Jacobi, warm vs cold solves,
 // Workers=1 vs Workers=N bit-identity, placement legality). In -short mode
 // one small seed per family still covers the full flow, which is what the
 // CI scenario-harness job runs.

@@ -9,8 +9,8 @@ import (
 
 // TestScenarioFamiliesRobustness is the fault-injection acceptance test:
 // every scenario family runs the robustness suite — deterministic
-// injections of multigrid setup failure, CG non-convergence, worker panics,
-// stalled solves and corrupted power maps — and must exhibit the documented
+// injections of CG non-convergence, worker panics, stalled solves and
+// corrupted power maps — and must exhibit the documented
 // reactions: graceful degradation within tolerance, typed extractable
 // errors, prompt cancellation and zero goroutine leakage.
 func TestScenarioFamiliesRobustness(t *testing.T) {

@@ -53,9 +53,9 @@ type AdaptiveOptions struct {
 	Margin float64
 	// CoarseFactor is the thermal grid downsampling factor of the estimate
 	// phase: it solves a ceil(NX/f) x ceil(NY/f) grid (never below 2x2)
-	// over the same die, and restricts the baseline power map onto it with
-	// the multigrid hierarchy's own power-conserving aggregation
-	// (sparse.Aggregate). 0 selects 4; values below 2 are otherwise
+	// over the same die, and restricts the baseline power map onto it by
+	// power-conserving piecewise-constant aggregation (sparse.Aggregate and
+	// sparse.Restrict). 0 selects 4; values below 2 are otherwise
 	// rejected (a factor of 1 would make "triage" as expensive as the exact
 	// phase).
 	CoarseFactor int

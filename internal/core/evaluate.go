@@ -43,6 +43,26 @@ func (pt Point) String() string {
 	return fmt.Sprintf("strategy %q", pt.Strategy)
 }
 
+// MaxAreaOverhead bounds a point's fractional core-area overhead over the
+// baseline: 4x the baseline's core, 7.5x the paper's largest Figure 6
+// overhead (0.40). Placement work and memory grow with the core area in
+// code that checks no context, so a point above it is an error before any
+// placement work rather than an out-of-memory crash.
+const MaxAreaOverhead = 3
+
+// areaOverhead returns the fractional core-area overhead a point asks for:
+// baseline over point utilization for Default and HW (an HW point keeps its
+// Default parent's core), the inserted rows' share of the core for ERI.
+func (e *Evaluator) areaOverhead(pt Point) float64 {
+	switch pt.Strategy {
+	case StrategyDefault, StrategyHW:
+		return e.baseUtil/pt.Utilization - 1
+	case StrategyERI:
+		return AreaOverheadForRows(e.baseline.Placement, pt.Rows)
+	}
+	return 0
+}
+
 // Evaluator measures design points against one flow's baseline analysis. It
 // is the only code that derives a point's placement and analyzes it, so the
 // classic and adaptive sweeps, thermserve and thermflow measure a point
@@ -81,8 +101,12 @@ func (e *Evaluator) Baseline() *flow.Analysis { return e.baseline }
 // Every placement is analyzed with its lineage parent and placement delta
 // (flow.AnalyzeOptions), the baseline for Default and ERI. Evaluate
 // returns the point and its analysis; an HW point whose parent has no tight
-// hotspot is skipped with a nil point, a nil analysis and a nil error.
+// hotspot is skipped with a nil point, a nil analysis and a nil error. A
+// point whose area overhead exceeds MaxAreaOverhead is an error.
 func (e *Evaluator) Evaluate(ctx context.Context, pt Point, parent *flow.Analysis) (*EfficiencyPoint, *flow.Analysis, error) {
+	if ov := e.areaOverhead(pt); ov > MaxAreaOverhead {
+		return nil, nil, fmt.Errorf("core: %v: area overhead %g above the bound %d", pt, ov, MaxAreaOverhead)
+	}
 	var p *place.Placement
 	var delta *place.Delta
 	var err error

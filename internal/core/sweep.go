@@ -57,10 +57,12 @@ type EfficiencyPoint struct {
 // SweepOptions controls an efficiency sweep.
 type SweepOptions struct {
 	// Overheads are the target fractional area overheads for the Default
-	// and HW strategies, e.g. {0.05, 0.1, 0.2, 0.3, 0.4}.
+	// and HW strategies, e.g. {0.05, 0.1, 0.2, 0.3, 0.4}, each at most
+	// MaxAreaOverhead.
 	Overheads []float64
 	// ERIRows are the empty-row counts for the ERI strategy; when empty,
-	// row counts approximating Overheads are used.
+	// row counts approximating Overheads are used. A count whose area
+	// overhead exceeds MaxAreaOverhead is rejected.
 	ERIRows []int
 	// Strategies selects which strategies to sweep; empty means all three.
 	Strategies []Strategy
@@ -268,6 +270,9 @@ func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*
 	if len(ev.baseline.Hotspots) == 0 {
 		return nil, fmt.Errorf("core: baseline has no detectable hotspots; nothing to optimize")
 	}
+	if err := checkAreaBounds(ev, opts); err != nil {
+		return nil, err
+	}
 	if opts.Adaptive != nil {
 		return sweepAdaptive(ctx, ev, opts)
 	}
@@ -292,6 +297,22 @@ func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*
 		return nil, err
 	}
 	return &SweepResult{Baseline: ev.baseline, BaselineUtilization: ev.baseUtil, Points: s.points()}, nil
+}
+
+// checkAreaBounds rejects sweep overheads and ERI row counts whose area
+// overhead exceeds MaxAreaOverhead, before any candidate is placed.
+func checkAreaBounds(ev *Evaluator, opts SweepOptions) error {
+	for _, ov := range opts.Overheads {
+		if ov > MaxAreaOverhead {
+			return fmt.Errorf("core: sweep overhead %g above the bound %d", ov, MaxAreaOverhead)
+		}
+	}
+	for _, rows := range opts.ERIRows {
+		if ov := AreaOverheadForRows(ev.baseline.Placement, rows); ov > MaxAreaOverhead {
+			return fmt.Errorf("core: sweep ERI rows %d are an area overhead of %g, above the bound %d", rows, ov, MaxAreaOverhead)
+		}
+	}
+	return nil
 }
 
 // candidate is one cell of a sweep's design-space grid.

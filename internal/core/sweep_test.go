@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -216,6 +217,40 @@ func TestEvaluateMatchesSweep(t *testing.T) {
 	}
 	if *pt != res.Points[0] {
 		t.Fatalf("evaluator point differs from the sweep's:\n  evaluate: %+v\n  sweep:    %+v", *pt, res.Points[0])
+	}
+}
+
+// TestAreaOverheadBound sends every strategy's point, and both sweep
+// options, at an area overhead just above MaxAreaOverhead and wants an error
+// that names the bound. A large enough overhead used to run the CLIs out of
+// memory in ERI's row insertion or the Default reflow's filler insertion.
+func TestAreaOverheadBound(t *testing.T) {
+	const ov = 3.2
+	f := hotFlow(t, "mult8")
+	ctx := context.Background()
+	ev, err := NewEvaluator(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	util := f.Config.Utilization / (1 + ov)
+	rows := RowsForAreaOverhead(ev.Baseline().Placement, ov)
+	const want = "above the bound 3"
+	for _, pt := range []Point{
+		{Strategy: StrategyDefault, Utilization: util},
+		{Strategy: StrategyERI, Rows: rows},
+		{Strategy: StrategyHW, Utilization: util},
+	} {
+		if _, _, err := ev.Evaluate(ctx, pt, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: got error %v, want one containing %q", pt, err, want)
+		}
+	}
+	for _, opts := range []SweepOptions{
+		{Overheads: []float64{0.1, ov}},
+		{ERIRows: []int{1, rows}, Strategies: []Strategy{StrategyERI}},
+	} {
+		if _, err := SweepEfficiencyCtx(ctx, f, opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("sweep %+v: got error %v, want one containing %q", opts, err, want)
+		}
 	}
 }
 

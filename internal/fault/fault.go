@@ -60,10 +60,9 @@ func (e *ErrNotConverged) Error() string {
 	return fmt.Sprintf("fault: solver did not converge in %d iterations (residual %g)", e.Iters, e.Residual)
 }
 
-// ErrSetup reports a solver or preconditioner construction/refresh failure —
-// a malformed stencil, a non-positive-definite coarse factorization — as
-// distinct from a failure of the solve itself. Stage names the construction
-// step that failed.
+// ErrSetup reports an analysis input rejected before the solve — a power map
+// holding non-physical values — as distinct from a failure of the solve
+// itself. Stage names the step that rejected it.
 type ErrSetup struct {
 	Stage string
 	Err   error

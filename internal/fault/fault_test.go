@@ -63,7 +63,7 @@ func TestProvenanceWrapping(t *testing.T) {
 	if WithProvenance(nil, "d", "s", 0) != nil {
 		t.Fatal("nil error must stay nil")
 	}
-	base := &ErrSetup{Stage: "coarsen", Err: errors.New("missing entry")}
+	base := &ErrSetup{Stage: "power-map", Err: errors.New("cell 0 holds non-physical power NaN W")}
 	err := WithProvenance(fmt.Errorf("flow: thermal simulation: %w", base), "paper-synth9", "hw", 3)
 	var pe *ProvenanceError
 	if !errors.As(err, &pe) {
@@ -73,7 +73,7 @@ func TestProvenanceWrapping(t *testing.T) {
 		t.Fatalf("provenance fields wrong: %+v", pe)
 	}
 	var se *ErrSetup
-	if !errors.As(err, &se) || se.Stage != "coarsen" {
+	if !errors.As(err, &se) || se.Stage != "power-map" {
 		t.Fatalf("inner setup error unreachable: %v", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestProvenanceWrapping(t *testing.T) {
 func TestInjectorProbes(t *testing.T) {
 	var nilInj *Injector
 	if nilInj.NextSolve() != 0 || nilInj.FailSolve(1, 0) || nilInj.StallSolve(1) ||
-		nilInj.PanicSolve(1) || nilInj.MGSetupError() != nil || nilInj.CorruptPower([]float64{1}) {
+		nilInj.PanicSolve(1) || nilInj.CorruptPower([]float64{1}) {
 		t.Fatal("nil injector must inject nothing")
 	}
 
@@ -110,12 +110,6 @@ func TestInjectorProbes(t *testing.T) {
 	}
 	if in.CorruptPower(vals) || vals[0] != 1.5 {
 		t.Fatalf("corruption must fire exactly once: %v", vals)
-	}
-
-	var setupInj *Injector = &Injector{FailMGSetup: true}
-	var se *ErrSetup
-	if err := setupInj.MGSetupError(); err == nil || !errors.As(err, &se) {
-		t.Fatalf("injected setup failure not typed: %v", err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"errors"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Injector is a set of deterministic fault-injection probe points. The zero
 // value (and a nil *Injector) injects nothing; tests arm exactly the faults
@@ -17,8 +14,8 @@ import (
 // All probe methods are nil-safe and safe for concurrent use.
 type Injector struct {
 	// FailCGSolveN makes the preconditioned attempt of the Nth (1-based)
-	// thermal CG solve report ErrNotConverged, which engages the solver's
-	// Jacobi degradation path. Zero disables.
+	// thermal CG solve report ErrNotConverged without running it, which
+	// engages the solver's Jacobi retry. Zero disables.
 	FailCGSolveN int
 	// FailRetry additionally fails the Jacobi retry of that same solve, so
 	// the ErrNotConverged surfaces through the pipeline instead of being
@@ -32,9 +29,6 @@ type Injector struct {
 	// PanicCGSolveN makes the Nth (1-based) thermal CG solve panic inside a
 	// pool task, exercising the panic-containment path. Zero disables.
 	PanicCGSolveN int
-	// FailMGSetup makes every multigrid refresh report ErrSetup, forcing the
-	// thermal solver onto its permanent Jacobi fallback.
-	FailMGSetup bool
 	// CorruptPowerW, when nonzero, adds this many watts to the first cell of
 	// the first power map built through the flow — a deliberate corruption
 	// the cross-implementation equality checks must catch.
@@ -87,15 +81,6 @@ func (in *Injector) StallSolve(n int) bool {
 // PanicSolve reports whether solve number n should panic inside a pool task.
 func (in *Injector) PanicSolve(n int) bool {
 	return in != nil && in.PanicCGSolveN != 0 && n == in.PanicCGSolveN
-}
-
-// MGSetupError returns the injected multigrid setup failure, or nil when the
-// probe is unarmed.
-func (in *Injector) MGSetupError() error {
-	if in == nil || !in.FailMGSetup {
-		return nil
-	}
-	return &ErrSetup{Stage: "refresh", Err: errors.New("fault: injected multigrid setup failure")}
 }
 
 // NextAnalyze advances and returns the 1-based flow-analysis ordinal; 0 from

@@ -3,16 +3,15 @@ package fault
 import "sync/atomic"
 
 // Stats counts the robustness events of one analysis owner (a flow, a
-// standalone thermal solver, or a query server design): every solver
-// degradation, contained panic and cancellation is recorded here so callers
-// can observe that a result was produced on the solver's Jacobi fallback.
+// standalone thermal solver, or a query server design): every solve retried
+// on Jacobi, contained panic and cancellation is recorded here so callers
+// can observe that a result was produced on the solver's Jacobi retry.
 // The service counters (admitted, shed, timed-out, evicted) record the
 // admission-control and cache decisions of a long-running query server on
 // the same collector, so one snapshot tells the whole robustness story of a
 // design. All methods are safe for concurrent use and nil-safe, so solvers
 // can record unconditionally whether or not an owner attached a Stats.
 type Stats struct {
-	mgSetupFailures atomic.Uint64
 	solveRetries    atomic.Uint64
 	panicsContained atomic.Uint64
 	canceled        atomic.Uint64
@@ -23,16 +22,8 @@ type Stats struct {
 	evicted  atomic.Uint64
 }
 
-// AddMGSetupFailure records a multigrid setup/refresh failure that degraded
-// the solver to the Jacobi preconditioner.
-func (s *Stats) AddMGSetupFailure() {
-	if s != nil {
-		s.mgSetupFailures.Add(1)
-	}
-}
-
-// AddSolveRetry records a non-converged preconditioned solve retried on the
-// Jacobi fallback with a raised iteration budget.
+// AddSolveRetry records a non-converged preconditioned solve retried on
+// Jacobi with a raised iteration budget.
 func (s *Stats) AddSolveRetry() {
 	if s != nil {
 		s.solveRetries.Add(1)
@@ -88,9 +79,6 @@ func (s *Stats) AddEvicted() {
 
 // StatsSnapshot is a plain-value copy of the counters at one instant.
 type StatsSnapshot struct {
-	// MGSetupFailures counts multigrid setup/refresh failures degraded to
-	// the Jacobi preconditioner.
-	MGSetupFailures uint64
 	// SolveRetries counts non-converged solves retried with Jacobi and a
 	// raised iteration budget.
 	SolveRetries uint64
@@ -116,7 +104,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		return StatsSnapshot{}
 	}
 	return StatsSnapshot{
-		MGSetupFailures: s.mgSetupFailures.Load(),
 		SolveRetries:    s.solveRetries.Load(),
 		PanicsContained: s.panicsContained.Load(),
 		Canceled:        s.canceled.Load(),

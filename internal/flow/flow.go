@@ -158,16 +158,16 @@ type Flow struct {
 	taErr error
 
 	// stats aggregates the robustness counters of every solver the flow
-	// runs — degradations, retries, contained panics, cancellations — and
+	// runs — Jacobi retries, contained panics, cancellations — and
 	// the analyses canceled before their solve. It is wired into each
 	// pooled solver unless Config.Thermal.Stats supplies an external
 	// collector.
 	stats fault.Stats
 }
 
-// FaultStats returns a snapshot of the flow's robustness counters: multigrid
-// degradations, Jacobi retries, contained panics and the solves and
-// analyses canceled by their context.
+// FaultStats returns a snapshot of the flow's robustness counters: Jacobi
+// retries, contained panics and the solves and analyses canceled by their
+// context.
 func (f *Flow) FaultStats() fault.StatsSnapshot { return f.stats.Snapshot() }
 
 // New creates a flow for the design under the given workload.

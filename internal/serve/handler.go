@@ -184,9 +184,8 @@ type DesignStatz struct {
 
 	// Counter semantics are documented on fault.StatsSnapshot: Admitted,
 	// Shed, TimedOut, Evicted are the service counters; the solver-level
-	// MGSetupFailures, SolveRetries, PanicsContained and Canceled tell the
-	// degradation story underneath them.
-	MGSetupFailures uint64 `json:"mg_setup_failures"`
+	// SolveRetries, PanicsContained and Canceled tell the degradation story
+	// underneath them.
 	SolveRetries    uint64 `json:"solve_retries"`
 	PanicsContained uint64 `json:"panics_contained"`
 	Canceled        uint64 `json:"canceled"`
@@ -225,7 +224,6 @@ func (s *Server) Statz() StatzResponse {
 			AdaptiveCandidates:     d.adaptiveCandidates.Load(),
 			AdaptiveTriaged:        d.adaptiveTriaged.Load(),
 			AdaptiveExact:          d.adaptiveExact.Load(),
-			MGSetupFailures:        snap.MGSetupFailures,
 			SolveRetries:           snap.SolveRetries,
 			PanicsContained:        snap.PanicsContained,
 			Canceled:               snap.Canceled,

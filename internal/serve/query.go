@@ -45,17 +45,14 @@ const serveAdaptiveMargin = 0.25
 // that names no grid_scale.
 const defaultGridScale = 3
 
-// Query bounds. A query's placement work and memory grow with the core area
-// and the candidate count it asks for, in code that never checks a context,
-// so a query beyond them is answered 400 before any placement work instead
-// of running the server out of memory. maxAreaOverhead caps every core at
-// 4x the baseline's, 7.5x the paper's largest Figure 6 overhead (0.40).
-// The grid_scale bound is core.MaxGridScale, which the sweep enforces
-// itself; parsing checks it too so the query never reaches a design.
-const (
-	maxAreaOverhead   = 3
-	maxSweepOverheads = 16
-)
+// maxSweepOverheads bounds a sweep query's candidate count. A query's
+// placement work and memory grow with the core area and the candidate count
+// it asks for, in code that never checks a context, so a query beyond the
+// bounds is answered 400 before any placement work instead of running the
+// server out of memory. The area bound is core.MaxAreaOverhead and the
+// grid_scale bound core.MaxGridScale, which core enforces itself; the
+// server checks them too, so such a query never reaches a design.
+const maxSweepOverheads = 16
 
 // Query is one parsed what-if question against a resident design. Its
 // canonical form (Key) is the cache key: two requests that parse to the same
@@ -64,17 +61,17 @@ type Query struct {
 	Kind Kind
 	// Utilization is the target placement utilization (KindAnalyze; zero
 	// means the design's baseline utilization). Exec rejects one whose area
-	// overhead over the baseline exceeds maxAreaOverhead.
+	// overhead over the baseline exceeds core.MaxAreaOverhead.
 	Utilization float64
 	// Rows is the empty-row count (KindERI; zero derives it from Overhead).
-	// Exec rejects a count whose area overhead exceeds maxAreaOverhead.
+	// Exec rejects a count whose area overhead exceeds core.MaxAreaOverhead.
 	Rows int
 	// Overhead is the fractional area overhead (KindHW, and KindERI when
-	// Rows is zero), at most maxAreaOverhead.
+	// Rows is zero), at most core.MaxAreaOverhead.
 	Overhead float64
 	// Overheads are the sweep overheads (KindSweep; empty uses the paper's
 	// Figure 6 range), kept sorted so equivalent sweeps share a cache key:
-	// at most maxSweepOverheads of them, each at most maxAreaOverhead.
+	// at most maxSweepOverheads of them, each at most core.MaxAreaOverhead.
 	Overheads []float64
 	// Adaptive selects the two-phase multi-fidelity sweep (KindSweep): the
 	// overhead axis is densified GridScale times, candidates are triaged on
@@ -148,8 +145,8 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 		if err := getFloat("overhead", &q.Overhead); err != nil {
 			return err
 		}
-		if q.Overhead > maxAreaOverhead {
-			return fmt.Errorf("overhead %g above the bound %d", q.Overhead, maxAreaOverhead)
+		if q.Overhead > core.MaxAreaOverhead {
+			return fmt.Errorf("overhead %g above the bound %d", q.Overhead, core.MaxAreaOverhead)
 		}
 		return nil
 	}
@@ -190,8 +187,8 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 			}
 			for _, part := range parts {
 				v, err := parseFinite(strings.TrimSpace(part))
-				if err != nil || v <= 0 || v > maxAreaOverhead {
-					return badReq("parameter overheads: bad element %q (want an overhead in (0, %d])", part, maxAreaOverhead)
+				if err != nil || v <= 0 || v > core.MaxAreaOverhead {
+					return badReq("parameter overheads: bad element %q (want an overhead in (0, %d])", part, core.MaxAreaOverhead)
 				}
 				q.Overheads = append(q.Overheads, v)
 			}
@@ -353,14 +350,14 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 			if pt.Utilization == 0 {
 				pt.Utilization = f.Config.Utilization
 			}
-			if ov := f.Config.Utilization/pt.Utilization - 1; ov > maxAreaOverhead {
+			if ov := f.Config.Utilization/pt.Utilization - 1; ov > core.MaxAreaOverhead {
 				return nil, 0, overBound(fmt.Sprintf("utilization %g", pt.Utilization), ov)
 			}
 		case KindERI:
 			pt = core.Point{Strategy: core.StrategyERI, Rows: q.Rows}
 			if pt.Rows == 0 {
 				pt.Rows = core.RowsForAreaOverhead(baseline.Placement, q.Overhead)
-			} else if ov := core.AreaOverheadForRows(baseline.Placement, pt.Rows); ov > maxAreaOverhead {
+			} else if ov := core.AreaOverheadForRows(baseline.Placement, pt.Rows); ov > core.MaxAreaOverhead {
 				return nil, 0, overBound(fmt.Sprintf("%d empty rows", pt.Rows), ov)
 			}
 		case KindHW:
@@ -477,10 +474,10 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 }
 
 // overBound is the 400 answer to a query whose core exceeds the
-// maxAreaOverhead bound.
+// core.MaxAreaOverhead bound.
 func overBound(what string, overhead float64) error {
 	return &httpStatusError{status: http.StatusBadRequest, category: "bad-request",
-		msg: fmt.Sprintf("%s is an area overhead of %g, above the bound %d", what, overhead, maxAreaOverhead)}
+		msg: fmt.Sprintf("%s is an area overhead of %g, above the bound %d", what, overhead, core.MaxAreaOverhead)}
 }
 
 // gridRows converts a grid to row-major [ny][nx] JSON-ready rows.

@@ -13,10 +13,9 @@
 //     cancels its CG iterations within milliseconds instead of wasting a
 //     solver on an answer nobody will read.
 //   - One flow per design, its thermal solver configuration fixed at
-//     AddDesign. The solver's own degradation is the only degraded mode:
-//     a multigrid refresh failure drops to Jacobi in place, and a
-//     non-converged solve is retried once on Jacobi with a raised budget;
-//     /statz counts both. A solve that fails both ways answers 500
+//     AddDesign. The solver's own retry is the only degraded mode: a
+//     non-converged solve is retried once on Jacobi with a raised budget,
+//     and /statz counts it. A solve that fails both ways answers 500
 //     not-converged.
 //   - An LRU of query results under a configurable memory budget. It holds
 //     the *Result summaries served to clients, keyed by the canonical

@@ -272,7 +272,7 @@ var badQueries = []struct {
 // FuzzParseQuery holds ParseQuery to its contract on any query kind and raw
 // query string: it never panics, every error is a 400 bad-request, a parsed
 // query stays within the bounds ParseQuery owns (overheads at most
-// maxAreaOverhead, at most maxSweepOverheads of them, grid scale at most
+// core.MaxAreaOverhead, at most maxSweepOverheads of them, grid scale at most
 // core.MaxGridScale), and a parsed query's Key round-trips — parsing the key's
 // own parameters gives back the same key.
 func FuzzParseQuery(f *testing.F) {
@@ -301,11 +301,11 @@ func FuzzParseQuery(f *testing.F) {
 			}
 			return
 		}
-		if q.Overhead > maxAreaOverhead || len(q.Overheads) > maxSweepOverheads || q.GridScale > core.MaxGridScale {
+		if q.Overhead > core.MaxAreaOverhead || len(q.Overheads) > maxSweepOverheads || q.GridScale > core.MaxGridScale {
 			t.Fatalf("ParseQuery(%q, %q) = %+v exceeds the query bounds", kind, raw, q)
 		}
 		for _, ov := range q.Overheads {
-			if ov > maxAreaOverhead {
+			if ov > core.MaxAreaOverhead {
 				t.Fatalf("ParseQuery(%q, %q) accepted sweep overhead %g above the bound", kind, raw, ov)
 			}
 		}
@@ -687,8 +687,8 @@ func TestServerDeadlines(t *testing.T) {
 }
 
 // TestServerNotConvergedThenRecovers covers the one degraded mode a query
-// can meet, the solver's own: a solve whose multigrid attempt and Jacobi
-// retry both fail answers 500 not-converged, and the same query sent again
+// can meet, the solver's own: a solve whose preconditioned attempt and
+// Jacobi retry both fail answers 500 not-converged, and the same query sent again
 // is computed afresh (errors are never cached), bit-identical to a clean
 // flow, with the retry counted on the design's stats.
 func TestServerNotConvergedThenRecovers(t *testing.T) {

@@ -47,7 +47,7 @@ const (
 	opUpdateXR        // x += alpha*p, r -= alpha*ap, partial r·r
 	opPrecond         // z = r / diag, partial r·z
 	opUpdateP         // p = z + beta*p
-	opDotRZ           // partial r·z (multigrid preconditioner)
+	opDotRZ           // partial r·z (spectral preconditioner)
 	opCount
 )
 
@@ -84,21 +84,21 @@ func NewCG(m *SymCSR, pool *Pool, tol float64) *CG {
 }
 
 // SolveCtx solves A*x = b, using the incoming contents of x as the initial
-// guess (warm start), within budget iterations. mg preconditions the
+// guess (warm start), within budget iterations. pre preconditions the
 // iteration; nil selects the fused Jacobi (diagonal) preconditioner. On
 // success x holds the solution; it returns the iteration count and the final
 // relative residual, or a fault.ErrNotConverged once the budget is spent.
 //
-// The context is checked once per CG iteration and at every level of a
-// multigrid cycle, so even a large solve aborts within a few matrix-vector
-// products of the context firing. An abort returns an error matching
-// fault.ErrCanceled and leaves x mid-iteration — do not warm-start from it.
-// A context that never fires costs nothing and changes no bit.
+// The context is checked once per CG iteration, so even a large solve
+// aborts within one matrix-vector product and one preconditioner apply of
+// the context firing. An abort returns an error matching fault.ErrCanceled
+// and leaves x mid-iteration — do not warm-start from it. A context that
+// never fires costs nothing and changes no bit.
 //
 // A panic inside the solve — in a worker task, or in the preconditioner —
 // is contained and returned as a located *fault.ErrPanic instead of
 // crashing the caller; the solver remains usable.
-func (c *CG) SolveCtx(ctx context.Context, b, x []float64, mg *MG, budget int) (iters int, residual float64, err error) {
+func (c *CG) SolveCtx(ctx context.Context, b, x []float64, pre *Spectral, budget int) (iters int, residual float64, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			iters, residual = 0, 0
@@ -134,10 +134,7 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64, mg *MG, budget int) (
 	if residual <= c.tol {
 		return 0, residual, nil
 	}
-	rz, perr := c.precond(ctx, mg)
-	if perr != nil {
-		return 0, residual, perr
-	}
+	rz := c.precond(pre)
 	copy(c.p, c.z)
 	for iters = 1; iters <= budget; iters++ {
 		if done != nil {
@@ -156,10 +153,7 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64, mg *MG, budget int) (
 		if residual <= c.tol {
 			return iters, residual, nil
 		}
-		rzNew, perr := c.precond(ctx, mg)
-		if perr != nil {
-			return iters, residual, perr
-		}
+		rzNew := c.precond(pre)
 		c.beta = rzNew / rz
 		rz = rzNew
 		c.run(opUpdateP)
@@ -169,15 +163,22 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64, mg *MG, budget int) (
 }
 
 // precond computes z = M⁻¹r and returns r·z: fused with the reduction for
-// Jacobi (mg nil), a multigrid cycle plus a reduction pass otherwise.
-func (c *CG) precond(ctx context.Context, mg *MG) (float64, error) {
-	if mg == nil {
-		return c.run(opPrecond), nil
+// Jacobi (pre nil), a spectral apply plus a reduction pass otherwise.
+func (c *CG) precond(pre *Spectral) float64 {
+	if pre == nil {
+		return c.run(opPrecond)
 	}
-	if err := mg.apply(ctx, c.r, c.z); err != nil {
-		return 0, err
+	pre.apply(c.r, c.z)
+	return c.run(opDotRZ)
+}
+
+// chunkBounds splits [0, n) into k contiguous ranges.
+func chunkBounds(n, k int) []int {
+	b := make([]int, k+1)
+	for i := 0; i <= k; i++ {
+		b[i] = i * n / k
 	}
-	return c.run(opDotRZ), nil
+	return b
 }
 
 // run executes one op over all rows, either inline or on the worker pool,

@@ -1,9 +1,10 @@
 // Package sparse provides the numerical kernel of the structured-grid
 // thermal fast path, and serves exactly one client, thermal.Solver: a
 // symmetric sparse matrix in compressed-sparse-row form, a conjugate-gradient
-// solver (CG) preconditioned by Jacobi or by a geometric multigrid W-cycle
-// (MG) specialized to the 7-point stencil of a structured nx-by-ny-by-nl
-// grid, and the fork-join worker pool (Pool) both run on.
+// solver (CG) preconditioned by Jacobi or by a separable spectral solve
+// (Spectral: a DCT of every layer and one tridiagonal solve per lateral mode)
+// of the 7-point stencil of a structured nx-by-ny-by-nl grid, and the
+// fork-join worker pool (Pool) both run on.
 //
 // Unlike package spice, which assembles nodal equations from a netlist of
 // named elements, this package works on plain integer-indexed vectors: the
@@ -118,4 +119,38 @@ func (m *SymCSR) residualRange(b, x, r []float64, lo, hi int) float64 {
 		s += r[i] * r[i]
 	}
 	return s
+}
+
+// Aggregate returns the piecewise-constant aggregation map from a fine
+// nx-by-ny-by-nl grid onto a coarse cnx-by-cny grid with the same nl layers:
+// out[i] is the coarse node of fine node i, both in the (l*ny+iy)*nx + ix
+// layout of NewStencil7. Fine cell ix lands in coarse cell ix*cnx/nx (the
+// proportional map), so every coarse cell pools a contiguous block of fine
+// cells. The adaptive sweep restricts the baseline power map onto its
+// coarse thermal grid through it.
+func Aggregate(nx, ny, nl, cnx, cny int) []int32 {
+	parent := make([]int32, nx*ny*nl)
+	for l := 0; l < nl; l++ {
+		for iy := 0; iy < ny; iy++ {
+			ciy := iy * cny / ny
+			for ix := 0; ix < nx; ix++ {
+				parent[(l*ny+iy)*nx+ix] = int32((l*cny+ciy)*cnx + ix*cnx/nx)
+			}
+		}
+	}
+	return parent
+}
+
+// Restrict applies the transpose of piecewise-constant interpolation: coarse
+// is zeroed and every fine entry is summed into its aggregate, in fine-index
+// order (float addition order is fixed, so the result is reproducible). It
+// downsamples grid-shaped data, such as a power map, without losing any of
+// its total.
+func Restrict(fine []float64, parent []int32, coarse []float64) {
+	for i := range coarse {
+		coarse[i] = 0
+	}
+	for i, p := range parent {
+		coarse[p] += fine[i]
+	}
 }

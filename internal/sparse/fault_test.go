@@ -27,33 +27,6 @@ func spdStencil(nx, ny, nl int) (*SymCSR, []float64) {
 	return m, b
 }
 
-// TestNewMGMalformedStencil is the regression for the former coarse-operator
-// panic (buildCoarsening): a matrix whose adjacency does not match the
-// claimed grid geometry must surface as a typed fault.ErrSetup, not crash.
-func TestNewMGMalformedStencil(t *testing.T) {
-	// An 8x8x4 stencil has 256 unknowns, so claiming it is a 16x4x4 grid
-	// passes the size check but breaks the adjacency the coarsening relies
-	// on; 256 unknowns is above the direct-solve size, so the hierarchy
-	// coarsens and looks at the adjacency.
-	m, _ := spdStencil(8, 8, 4)
-	mg, err := NewMG(m, 16, 4, 4, NewPool(1))
-	if err == nil {
-		t.Fatalf("NewMG accepted a malformed stencil: %d levels", len(mg.levels))
-	}
-	var se *fault.ErrSetup
-	if !errors.As(err, &se) {
-		t.Fatalf("malformed stencil error not a fault.ErrSetup: %v", err)
-	}
-	if se.Stage != "coarsen" {
-		t.Fatalf("wrong setup stage %q: %v", se.Stage, err)
-	}
-
-	// The size mismatch rejection is typed too.
-	if _, err := NewMG(m, 5, 5, 5, NewPool(1)); err == nil || !errors.As(err, &se) {
-		t.Fatalf("grid-mismatch error not a fault.ErrSetup: %v", err)
-	}
-}
-
 // TestCGNotConvergedTyped pins the fields of the typed non-convergence
 // error: the iteration count equals the exhausted budget and the residual
 // matches the returned residual.
@@ -127,35 +100,6 @@ func TestCGCancelMidSolve(t *testing.T) {
 		t.Fatalf("solve after cancel: %v", err)
 	}
 	waitGoroutines(t, base)
-}
-
-// TestMGApplyCtxCancel asserts the per-cycle cancellation check of the
-// multigrid preconditioner.
-func TestMGApplyCtxCancel(t *testing.T) {
-	m, b := spdStencil(16, 16, 3)
-	mg := refreshedMG(t, m, 16, 16, 3, NewPool(1))
-	z := make([]float64, m.N)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := mg.apply(ctx, b, z); !errors.Is(err, fault.ErrCanceled) {
-		t.Fatalf("canceled apply did not report fault.ErrCanceled: %v", err)
-	}
-	// With a live cancelable context the result matches the uninstrumented
-	// cycle exactly.
-	want := make([]float64, m.N)
-	if err := mg.apply(context.Background(), b, want); err != nil {
-		t.Fatal(err)
-	}
-	live, liveCancel := context.WithCancel(context.Background())
-	defer liveCancel()
-	if err := mg.apply(live, b, z); err != nil {
-		t.Fatal(err)
-	}
-	for i := range z {
-		if z[i] != want[i] {
-			t.Fatalf("cancelable apply differs from the uninstrumented cycle at %d: %g vs %g", i, z[i], want[i])
-		}
-	}
 }
 
 // TestPoolPanicContained asserts that a panic inside a pool task does not

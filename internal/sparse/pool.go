@@ -8,9 +8,9 @@ import (
 	"thermplace/internal/fault"
 )
 
-// Pool runs the row-partitioned operations of this package's kernels: the
-// CG iteration ops and the multigrid smoother share one Pool, so a thermal
-// solver splits every operation the same number of ways. Run is fork-join,
+// Pool runs the partitioned operations of this package's kernels: the CG
+// iteration ops and the spectral preconditioner's passes share one Pool, so
+// a thermal solver splits every operation over the same workers. Run is fork-join,
 // so no goroutine outlives a run and a Pool needs no Close. A Pool is not
 // safe for concurrent Run calls; the solvers issue sequential operations.
 type Pool struct {

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// solve runs c from the guess in x, preconditioned by mg (nil for Jacobi),
+// solve runs c from the guess in x, preconditioned by pre (nil for Jacobi),
 // with the thermal solver's budget of 10 iterations per unknown.
-func solve(c *CG, b, x []float64, mg *MG) (int, float64, error) {
-	return c.SolveCtx(context.Background(), b, x, mg, 10*len(b))
+func solve(c *CG, b, x []float64, pre *Spectral) (int, float64, error) {
+	return c.SolveCtx(context.Background(), b, x, pre, 10*len(b))
 }
 
 // laplacian1D builds the classic tridiagonal SPD matrix (2 on the diagonal,

@@ -10,9 +10,9 @@ import (
 
 // TestCoarseSolveApproximatesExact bounds the estimation error the adaptive
 // sweep's margin has to cover: restricting the power map onto a grid of
-// half the resolution (the multigrid hierarchy's own power-conserving
-// aggregation) and solving that smaller grid smooths a hotspot over larger
-// cells, which must move the peak rise, but not wildly.
+// half the resolution (the power-conserving aggregation the adaptive sweep
+// uses) and solving that smaller grid smooths a hotspot over larger cells,
+// which must move the peak rise, but not wildly.
 func TestCoarseSolveApproximatesExact(t *testing.T) {
 	region := dieRegion(600)
 	fine := geom.NewGrid(20, 20, region)

@@ -52,8 +52,8 @@ func surfaceMaxDiff(a, b *Result) float64 {
 	return m
 }
 
-// referenceSolve solves the same system on a clean multigrid solver, as
-// the oracle for the degraded results.
+// referenceSolve solves the same system on a clean solver, as the oracle
+// for the retried results.
 func referenceSolve(t *testing.T, cfg Config, pm *geom.Grid) *Result {
 	t.Helper()
 	cfg.Stats, cfg.Inject = nil, nil
@@ -64,47 +64,9 @@ func referenceSolve(t *testing.T, cfg Config, pm *geom.Grid) *Result {
 	return res
 }
 
-// TestSolverDegradesOnMGSetupFailure asserts the graceful-degradation path
-// for a multigrid setup failure: the solve completes on the Jacobi fallback,
-// within tolerance of a clean multigrid solve, and the event is counted.
-func TestSolverDegradesOnMGSetupFailure(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Stats = &fault.Stats{}
-	cfg.Inject = &fault.Injector{FailMGSetup: true}
-	pm := faultTestPower(cfg)
-
-	s, err := NewSolver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.mg == nil {
-		t.Fatal("solver did not build a multigrid hierarchy to degrade from")
-	}
-	res, err := s.Solve(pm)
-	if err != nil {
-		t.Fatalf("degraded solve failed instead of falling back: %v", err)
-	}
-	if s.mg != nil {
-		t.Fatal("solver kept the multigrid preconditioner after a setup failure")
-	}
-	snap := cfg.Stats.Snapshot()
-	if snap.MGSetupFailures == 0 {
-		t.Fatal("MG setup failure not recorded in fault.Stats")
-	}
-	want := referenceSolve(t, cfg, pm)
-	if d := surfaceMaxDiff(res, want); d > 1e-6 {
-		t.Fatalf("degraded solve differs from the multigrid reference by %g C (> 1e-6)", d)
-	}
-
-	// The degradation is permanent but harmless: the next solve still works.
-	if _, err := s.Solve(pm); err != nil {
-		t.Fatalf("solve after degradation: %v", err)
-	}
-}
-
 // TestSolverRetriesOnInjectedNonConvergence asserts the retry path: an
-// injected non-convergence of the multigrid preconditioned solve is retried
-// once on Jacobi with a raised budget, succeeds, and is counted.
+// injected non-convergence of the preconditioned solve is retried once on
+// Jacobi with a raised budget, succeeds, and is counted.
 func TestSolverRetriesOnInjectedNonConvergence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Stats = &fault.Stats{}
@@ -125,16 +87,19 @@ func TestSolverRetriesOnInjectedNonConvergence(t *testing.T) {
 	}
 	want := referenceSolve(t, cfg, pm)
 	if d := surfaceMaxDiff(res, want); d > 1e-6 {
-		t.Fatalf("retried solve differs from the multigrid reference by %g C (> 1e-6)", d)
+		t.Fatalf("retried solve differs from the clean reference by %g C (> 1e-6)", d)
 	}
 
-	// Solve 2 is not probed: the multigrid preconditioner is restored and
-	// the solve is clean.
-	if _, err := s.Solve(pm); err != nil {
+	// Solve 2 is not probed: it is preconditioned again and clean, so a new
+	// hotspot takes the spectral preconditioner's few iterations, not the
+	// hundreds Jacobi needs on this grid.
+	pm.Values()[3*cfg.NX+5] += 0.004
+	again, err := s.Solve(pm)
+	if err != nil {
 		t.Fatalf("solve after retry: %v", err)
 	}
-	if s.mg == nil {
-		t.Fatal("retry permanently dropped the multigrid preconditioner")
+	if again.Iterations > 10 {
+		t.Fatalf("solve after retry took %d iterations: not preconditioned", again.Iterations)
 	}
 	if got := cfg.Stats.Snapshot().SolveRetries; got != 1 {
 		t.Fatalf("clean solve was counted as a retry: SolveRetries = %d", got)

@@ -27,9 +27,9 @@ type Config struct {
 	// (0 = solver default).
 	Tolerance float64
 	// Stats, when non-nil, receives the solver's robustness counters:
-	// multigrid setup failures degraded to Jacobi, non-converged solves
-	// retried on the fallback, contained panics, canceled solves. The flow
-	// wires its own per-flow Stats into every pooled solver.
+	// non-converged solves retried on Jacobi, contained panics, canceled
+	// solves. The flow wires its own per-flow Stats into every pooled
+	// solver.
 	Stats *fault.Stats
 	// Inject, when non-nil, arms the deterministic fault-injection probe
 	// points of package fault on this solver's solves. Test wiring only;

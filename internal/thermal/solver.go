@@ -21,9 +21,8 @@ import (
 // (the sweep strategies grow the core, which changes the cell size and
 // hence every conductance) only refreshes the matrix values in place. Each
 // solve warm-starts the conjugate-gradient iteration from the previous
-// temperature field, which is how consecutive sweep points — whose
-// temperature fields differ by a few degrees at most — converge in a
-// fraction of the cold-start iteration count.
+// temperature field; with the spectral preconditioner that saves little
+// (on the Figure 6 sweep, 4.3 iterations per point against 5 from ambient).
 //
 // Node (l, ix, iy) has index (l*NY+iy)*NX + ix, so a layer is a contiguous
 // NX*NY block laid out exactly like geom.Grid: the result's surface map is a
@@ -42,41 +41,31 @@ type Solver struct {
 	mat  *sparse.SymCSR
 	cg   *sparse.CG
 	pool *sparse.Pool
-	// mg is the multigrid preconditioner (nil once dropMG has degraded the
-	// solver to Jacobi); its coarse operators are rebuilt by fillValues.
-	mg *sparse.MG
+	// pre is the spectral preconditioner; fillValues refactors it with the
+	// matrix values. Only the package's Jacobi reference tests clear it,
+	// which runs every solve on Jacobi.
+	pre *sparse.Spectral
 	// ambRHS is the constant ambient part of the right-hand side
 	// (conductance to ambient times ambient temperature, per node).
 	ambRHS []float64
 	rhs    []float64
 	// x is the temperature field of the previous solve, kept as the CG
-	// warm-start guess; xPrev snapshots it before a solve whose failure can
-	// be retried on the Jacobi fallback, so the retry starts from the same
-	// warm start as the failed attempt.
+	// warm-start guess; xPrev snapshots it before every solve, so a Jacobi
+	// retry starts from the same warm start as the failed attempt.
 	x     []float64
 	xPrev []float64
 	warm  bool
 }
 
-// raisedBudgetFactor multiplies the CG iteration budget on the Jacobi
-// degradation path: without the multigrid preconditioner the iteration count
-// grows with the grid resolution, so the fallback gets more room before
-// reporting ErrNotConverged.
+// raisedBudgetFactor multiplies the CG iteration budget (10 iterations per
+// unknown) on the Jacobi retry: without the spectral preconditioner the
+// iteration count grows with the grid resolution, so the retry gets more
+// room before reporting ErrNotConverged.
 const raisedBudgetFactor = 4
 
-// budget returns the CG iteration budget of a solve preconditioned by mg:
-// 10 iterations per unknown with multigrid, raisedBudgetFactor times that on
-// Jacobi (mg nil).
-func (s *Solver) budget(mg *sparse.MG) int {
-	if mg == nil {
-		return raisedBudgetFactor * 10 * s.n
-	}
-	return 10 * s.n
-}
-
 // NewSolver validates the configuration and builds the sparsity pattern and
-// the multigrid hierarchy. Matrix values are filled on the first Solve, when
-// the die region (and so the cell size) is known.
+// the spectral preconditioner. Matrix values are filled on the first Solve,
+// when the die region (and so the cell size) is known.
 func NewSolver(cfg Config) (*Solver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -96,14 +85,11 @@ func NewSolver(cfg Config) (*Solver, error) {
 	s.ambRHS = make([]float64, s.n)
 	s.rhs = make([]float64, s.n)
 	s.x = make([]float64, s.n)
+	s.xPrev = make([]float64, s.n)
 	// One worker pool serves the whole solver stack: the CG iteration ops
-	// and the multigrid smoother split the same number of ways.
+	// and the preconditioner's passes split over the same workers.
 	s.pool = sparse.NewPool(sparse.AutoWorkers(s.n))
-	mg, err := sparse.NewMG(s.mat, s.nx, s.ny, s.nl, s.pool)
-	if err != nil {
-		return nil, fmt.Errorf("thermal: building multigrid hierarchy: %w", err)
-	}
-	s.mg = mg
+	s.pre = sparse.NewSpectral(s.nx, s.ny, s.nl, s.pool)
 	s.cg = sparse.NewCG(s.mat, s.pool, cfg.Tolerance)
 	return s, nil
 }
@@ -111,23 +97,11 @@ func NewSolver(cfg Config) (*Solver, error) {
 // index returns the unknown index of thermal cell (ix, iy) in layer l.
 func (s *Solver) index(l, ix, iy int) int { return (l*s.ny+iy)*s.nx + ix }
 
-// dropMG permanently degrades the solver to the Jacobi preconditioner, and
-// so to its raised iteration budget. It is the terminal state of the
-// graceful degradation path: once the multigrid hierarchy has failed to set
-// up there is no point retrying it on later geometry changes.
-func (s *Solver) dropMG() { s.mg = nil }
-
 // fillValues assembles the conductances for the given cell size, writing
 // matrix values and the ambient right-hand-side contribution in place, and
-// rebuilds the multigrid coarse operators from the new values. The element
-// formulas are exactly those of BuildNetwork, so the fast path and the
-// SPICE oracle solve the same linear system.
-//
-// A multigrid refresh failure (a coarse factorization that breaks on the new
-// values) does not fail the solve: the solver degrades to Jacobi with a
-// raised iteration budget and keeps going, recording the event in
-// Config.Stats. The matrix itself is already assembled at that point, so the
-// degraded solve computes the same temperatures to within the CG tolerance.
+// refactors the spectral preconditioner from the same per-layer values. The
+// element formulas are exactly those of BuildNetwork, so the fast path and
+// the SPICE oracle solve the same linear system.
 func (s *Solver) fillValues(cellW, cellH float64) {
 	s.cellW, s.cellH = cellW, cellH
 	dx := cellW * metersPerUm
@@ -145,6 +119,11 @@ func (s *Solver) fillValues(cellW, cellH float64) {
 	gLatX := make([]float64, s.nl)
 	gLatY := make([]float64, s.nl)
 	gVert := make([]float64, s.nl-1) // between layer l and l+1
+	// gDiag is each layer's conductance to ambient per cell, with the side
+	// faces' total spread evenly over the layer: the preconditioner's
+	// uniform stand-in for the perimeter terms the matrix carries. Without
+	// it a side-only configuration would leave the uniform mode singular.
+	gDiag := make([]float64, s.nl)
 	for l, layer := range cfg.Stack {
 		dz := layer.Thickness * metersPerUm
 		k := layer.Conductivity
@@ -174,6 +153,7 @@ func (s *Solver) fillValues(cellW, cellH float64) {
 			faceY := dx * dz
 			gSideY = 1 / ((dy/2)/(kc*faceY) + 1/(cfg.HSide*faceY))
 		}
+		gDiag[l] = gBot + gTop + (2*float64(s.ny)*gSideX+2*float64(s.nx)*gSideY)/float64(s.nx*s.ny)
 		for iy := 0; iy < s.ny; iy++ {
 			for ix := 0; ix < s.nx; ix++ {
 				i := s.index(l, ix, iy)
@@ -230,15 +210,8 @@ func (s *Solver) fillValues(cellW, cellH float64) {
 			}
 		}
 	}
-	if s.mg != nil {
-		rerr := s.cfg.Inject.MGSetupError()
-		if rerr == nil {
-			rerr = s.mg.Refresh()
-		}
-		if rerr != nil {
-			s.cfg.Stats.AddMGSetupFailure()
-			s.dropMG()
-		}
+	if s.pre != nil {
+		s.pre.Refresh(gLatX, gLatY, gVert, gDiag)
 	}
 }
 
@@ -253,17 +226,17 @@ func (s *Solver) Solve(powerMap *geom.Grid) (*Result, error) {
 // SolveCtx is Solve with cancellation and fault tolerance:
 //
 //   - The context is threaded into the CG iteration (checked once per
-//     iteration and once per multigrid cycle); an abort returns an error
-//     matching fault.ErrCanceled and invalidates the warm start. When the
-//     context never fires the solve is bit-identical to Solve.
-//   - A multigrid preconditioned solve that fails to converge is retried
-//     once on the Jacobi preconditioner with a raised iteration budget,
-//     from the same warm start, before an ErrNotConverged is reported.
+//     iteration); an abort returns an error matching fault.ErrCanceled and
+//     invalidates the warm start. When the context never fires the solve is
+//     bit-identical to Solve.
+//   - A preconditioned solve that fails to converge is retried once on the
+//     Jacobi preconditioner with a raised iteration budget, from the same
+//     warm start, before an ErrNotConverged is reported.
 //   - A panic anywhere inside the solve (worker task, preconditioner) is
 //     contained and returned as a located *fault.ErrPanic.
 //
-// Degradations, cancellations and contained panics are counted in
-// Config.Stats when one is wired.
+// Retries, cancellations and contained panics are counted in Config.Stats
+// when one is wired.
 func (s *Solver) SolveCtx(ctx context.Context, powerMap *geom.Grid) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -319,34 +292,28 @@ func (s *Solver) SolveCtx(ctx context.Context, powerMap *geom.Grid) (res *Result
 		s.warm = true
 	}
 
-	// While a Jacobi fallback retry is possible, snapshot the warm start so
-	// the retry begins from the same guess as the failed attempt, not from
-	// its diverged iterate.
-	retryable := s.mg != nil
-	if retryable {
-		if s.xPrev == nil {
-			s.xPrev = make([]float64, s.n)
-		}
-		copy(s.xPrev, s.x)
-	}
+	// Snapshot the warm start so a Jacobi retry begins from the same guess
+	// as the failed attempt, not from its diverged iterate.
+	copy(s.xPrev, s.x)
 	var (
 		iters    int
 		residual float64
 		serr     error
+		budget   = 10 * s.n
 	)
-	if retryable && s.cfg.Inject.FailSolve(solveN, 0) {
+	if s.cfg.Inject.FailSolve(solveN, 0) {
 		serr = fmt.Errorf("sparse: CG: %w",
-			&fault.ErrNotConverged{Iters: s.budget(s.mg), Residual: math.Inf(1)})
+			&fault.ErrNotConverged{Iters: budget, Residual: math.Inf(1)})
 	} else {
-		iters, residual, serr = s.cg.SolveCtx(ctx, s.rhs, s.x, s.mg, s.budget(s.mg))
+		iters, residual, serr = s.cg.SolveCtx(ctx, s.rhs, s.x, s.pre, budget)
 	}
 	var nc *fault.ErrNotConverged
-	if serr != nil && retryable && errors.As(serr, &nc) {
+	if serr != nil && errors.As(serr, &nc) {
 		// Graceful degradation: one Jacobi retry with a raised budget.
 		s.cfg.Stats.AddSolveRetry()
 		copy(s.x, s.xPrev)
 		if !s.cfg.Inject.FailSolve(solveN, 1) {
-			iters, residual, serr = s.cg.SolveCtx(ctx, s.rhs, s.x, nil, s.budget(nil))
+			iters, residual, serr = s.cg.SolveCtx(ctx, s.rhs, s.x, nil, raisedBudgetFactor*budget)
 		}
 	}
 	if serr != nil {
