@@ -11,7 +11,6 @@ import (
 	"thermplace/internal/flow"
 	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
-	"thermplace/internal/sparse"
 	"thermplace/internal/thermal"
 )
 
@@ -53,11 +52,13 @@ type AdaptiveOptions struct {
 	Margin float64
 	// CoarseFactor is the thermal grid downsampling factor of the estimate
 	// phase: it solves a ceil(NX/f) x ceil(NY/f) grid (never below 2x2)
-	// over the same die, and restricts the baseline power map onto it by
-	// power-conserving piecewise-constant aggregation (sparse.Aggregate and
-	// sparse.Restrict). 0 selects 4; values below 2 are otherwise
-	// rejected (a factor of 1 would make "triage" as expensive as the exact
-	// phase).
+	// over the same die, and rebins the baseline power map onto it by cell
+	// centre, conserving power. When f divides NX and NY every coarse cell
+	// sums exactly f x f fine cells; otherwise a fine cell that straddles
+	// two coarse cells lands wholly in the one holding its centre, which
+	// moves the estimates (and so possibly the triage) but never a measured
+	// point. 0 selects 4; values below 2 are otherwise rejected (a factor of
+	// 1 would make "triage" as expensive as the exact phase).
 	CoarseFactor int
 	// Aspects is the core aspect-ratio axis of the candidate grid, applied
 	// to Default and HW candidates (ERI stretches the baseline placement,
@@ -263,12 +264,12 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 		return res, nil
 	}
 
-	// Calibration solve: the baseline power map, restricted onto the coarse
+	// Calibration solve: the baseline power map, rebinned onto the coarse
 	// grid, through the coarse model. The exact/coarse baseline rise ratio
 	// anchors the calibration at area 0.
 	basePM := baseline.PowerMap
 	cbasePM := geom.NewGrid(cnx, cny, basePM.Region)
-	sparse.Restrict(basePM.Values(), sparse.Aggregate(basePM.NX, basePM.NY, 1, cnx, cny), cbasePM.Values())
+	rebinInto(cbasePM, basePM)
 	cbase, err := coarseSolve(ctx, cbasePM, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: adaptive coarse baseline: %w", err)

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"thermplace/internal/geom"
+	"thermplace/internal/thermal"
 )
 
 // adaptiveKey identifies a sweep point across runs (the candidate it came
@@ -231,5 +234,59 @@ func TestCoarseDims(t *testing.T) {
 			t.Errorf("coarseDims(%d, %d, %d) = %dx%d, want %dx%d",
 				c.nx, c.ny, c.f, nx, ny, c.wantNX, c.wantNY)
 		}
+	}
+}
+
+// TestCoarseSolveApproximatesExact bounds the estimation error the adaptive
+// sweep's margin has to cover: rebinning a power map onto a grid of half the
+// resolution (as the estimate phase does with the baseline map) and solving
+// that smaller grid smooths a hotspot over larger cells, which must move the
+// peak rise, but not wildly.
+func TestCoarseSolveApproximatesExact(t *testing.T) {
+	config := func(n int) thermal.Config {
+		return thermal.Config{
+			NX: n, NY: n,
+			Stack: thermal.Stack{
+				{Name: "si", Thickness: 40, Conductivity: 110},
+				{Name: "active", Thickness: 5, Conductivity: 80, Power: true},
+				{Name: "beol", Thickness: 10, Conductivity: 2},
+			},
+			AmbientC: 25, HBottom: 1.2e6, HTop: 2e4, HSide: 1e3,
+		}
+	}
+	region := geom.Rect{Xhi: 600, Yhi: 600}
+	fine := geom.NewGrid(20, 20, region)
+	for iy := 0; iy < 20; iy++ {
+		for ix := 0; ix < 20; ix++ {
+			fine.Set(ix, iy, 1e-5*float64(1+(ix*7+iy*3)%5))
+		}
+	}
+	// Real power maps put hotspots over several grid cells (a hot unit spans
+	// many standard cells); a patch — unlike a one-cell delta spike — keeps
+	// its local density visible at the coarse resolution.
+	for iy := 6; iy < 9; iy++ {
+		for ix := 6; ix < 9; ix++ {
+			fine.Set(ix, iy, 0.0012)
+		}
+	}
+	exact, err := thermal.Solve(fine, config(20))
+	if err != nil {
+		t.Fatalf("exact: %v", err)
+	}
+	coarse := geom.NewGrid(10, 10, region)
+	rebinInto(coarse, fine)
+	if math.Abs(coarse.Sum()-fine.Sum()) > 1e-12 {
+		t.Fatalf("rebinning changed total power: %g -> %g W", fine.Sum(), coarse.Sum())
+	}
+	est, err := thermal.Solve(coarse, config(10))
+	if err != nil {
+		t.Fatalf("coarse: %v", err)
+	}
+	if est.PeakRise <= 0 {
+		t.Fatal("coarse estimate lost the rise entirely")
+	}
+	if rel := math.Abs(est.PeakRise-exact.PeakRise) / exact.PeakRise; rel > 0.35 {
+		t.Fatalf("coarse peak rise %g vs exact %g: %.0f%% off, estimation mode useless",
+			est.PeakRise, exact.PeakRise, rel*100)
 	}
 }

@@ -16,12 +16,12 @@ const minRowsPerWorker = 4096
 const padStride = 8
 
 // CG is a reusable preconditioned conjugate-gradient solver bound to one
-// matrix and to its caller's worker pool. The scratch vectors and the
+// operator and to its caller's worker pool. The scratch vectors and the
 // per-op tasks live as long as the solver, so repeated warm-started
 // re-solves allocate nothing but the goroutines each parallel op forks and
 // joins. A CG value is not safe for concurrent use.
 type CG struct {
-	m   *SymCSR
+	a   *Stencil
 	tol float64
 
 	r, z, p, ap []float64
@@ -51,28 +51,28 @@ const (
 	opCount
 )
 
-// NewCG builds a solver for m whose matrix-vector products and reductions
-// run on pool, split over min(pool.Workers(), m.N) workers. tol is the
-// relative residual ||b - A*x|| / ||b|| at which a solve stops; tol <= 0
-// means 1e-9. The matrix may be modified between solves (for example when
-// the grid geometry changes) as long as its pattern dimensions stay the
-// same.
-func NewCG(m *SymCSR, pool *Pool, tol float64) *CG {
+// NewCG builds a solver for the operator a whose matrix-vector products and
+// reductions run on pool, split over min(pool.Workers(), n) workers for n
+// nodes. tol is the relative residual ||b - A*x|| / ||b|| at which a solve
+// stops; tol <= 0 means 1e-9. The operator's values may change between
+// solves (for example when the grid geometry changes).
+func NewCG(a *Stencil, pool *Pool, tol float64) *CG {
 	if tol <= 0 {
 		tol = 1e-9
 	}
+	n := len(a.Diag)
 	c := &CG{
-		m:       m,
+		a:       a,
 		tol:     tol,
-		r:       make([]float64, m.N),
-		z:       make([]float64, m.N),
-		p:       make([]float64, m.N),
-		ap:      make([]float64, m.N),
-		workers: min(pool.Workers(), m.N),
+		r:       make([]float64, n),
+		z:       make([]float64, n),
+		p:       make([]float64, n),
+		ap:      make([]float64, n),
+		workers: min(pool.Workers(), n),
 		pool:    pool,
 	}
 	if c.workers > 1 {
-		c.bounds = chunkBounds(m.N, c.workers)
+		c.bounds = chunkBounds(n, c.workers)
 		for op := 0; op < opCount; op++ {
 			op := op
 			c.tasks[op] = func(w int) float64 {
@@ -105,9 +105,9 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64, pre *Spectral, budget
 			err = fault.Recovered("sparse.CG.Solve", v)
 		}
 	}()
-	n := c.m.N
+	n := len(c.r)
 	if len(b) != n || len(x) != n {
-		return 0, 0, fmt.Errorf("sparse: vector length %d/%d does not match matrix size %d", len(b), len(x), n)
+		return 0, 0, fmt.Errorf("sparse: vector length %d/%d does not match operator size %d", len(b), len(x), n)
 	}
 	bnorm2 := 0.0
 	for _, v := range b {
@@ -145,7 +145,7 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64, pre *Spectral, budget
 		c.run(opMatVec)
 		pap := c.run(opDotPAp)
 		if pap <= 0 {
-			return iters, residual, fmt.Errorf("sparse: CG breakdown (non-positive curvature); matrix not positive definite")
+			return iters, residual, fmt.Errorf("sparse: CG breakdown (non-positive curvature); operator not positive definite")
 		}
 		c.alpha = rz / pap
 		rr = c.run(opUpdateXR)
@@ -181,22 +181,22 @@ func chunkBounds(n, k int) []int {
 	return b
 }
 
-// run executes one op over all rows, either inline or on the worker pool,
+// run executes one op over all nodes, either inline or on the worker pool,
 // and returns the summed partial result (0 for ops without a reduction).
 func (c *CG) run(op int) float64 {
 	if !c.pool.Parallel(c.workers) {
-		return c.runRange(op, 0, c.m.N)
+		return c.runRange(op, 0, len(c.r))
 	}
 	return c.pool.Run(c.workers, c.tasks[op])
 }
 
-// runRange executes one op over rows [lo, hi) and returns its partial sum.
+// runRange executes one op over nodes [lo, hi) and returns its partial sum.
 func (c *CG) runRange(op, lo, hi int) float64 {
 	switch op {
 	case opResidual:
-		return c.m.residualRange(c.b, c.x, c.r, lo, hi)
+		return c.a.residualRange(c.b, c.x, c.r, lo, hi)
 	case opMatVec:
-		c.m.matVecRange(c.p, c.ap, lo, hi)
+		c.a.matVecRange(c.p, c.ap, lo, hi)
 	case opDotPAp:
 		s := 0.0
 		for i := lo; i < hi; i++ {
@@ -214,7 +214,7 @@ func (c *CG) runRange(op, lo, hi int) float64 {
 		return s
 	case opPrecond:
 		s := 0.0
-		r, z, diag := c.r, c.z, c.m.Diag
+		r, z, diag := c.r, c.z, c.a.Diag
 		for i := lo; i < hi; i++ {
 			z[i] = r[i] / diag[i]
 			s += r[i] * z[i]

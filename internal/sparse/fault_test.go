@@ -12,15 +12,17 @@ import (
 
 // spdStencil returns a strictly diagonally dominant (hence SPD) 7-point
 // system with a deterministic right-hand side.
-func spdStencil(nx, ny, nl int) (*SymCSR, []float64) {
-	m := NewStencil7(nx, ny, nl)
+func spdStencil(nx, ny, nl int) (*Stencil, []float64) {
+	m := NewStencil(nx, ny, nl)
+	for _, g := range [][]float64{m.GX, m.GY, m.GZ} {
+		for i := range g {
+			g[i] = 1
+		}
+	}
 	for i := range m.Diag {
 		m.Diag[i] = 8
 	}
-	for i := range m.Val {
-		m.Val[i] = -1
-	}
-	b := make([]float64, m.N)
+	b := make([]float64, len(m.Diag))
 	for i := range b {
 		b[i] = float64(i%13) + 1
 	}
@@ -33,7 +35,7 @@ func spdStencil(nx, ny, nl int) (*SymCSR, []float64) {
 func TestCGNotConvergedTyped(t *testing.T) {
 	m, b := spdStencil(12, 12, 3)
 	cg := NewCG(m, NewPool(1), 1e-12)
-	x := make([]float64, m.N)
+	x := make([]float64, len(b))
 	iters, residual, err := cg.SolveCtx(context.Background(), b, x, nil, 2)
 	if err == nil {
 		t.Fatalf("2-iteration budget unexpectedly converged (residual %g)", residual)
@@ -76,8 +78,8 @@ func TestCGCancelMidSolve(t *testing.T) {
 	base := runtime.NumGoroutine()
 	pool := NewPool(4)
 	cg := NewCG(m, pool, 1e-12)
-	x := make([]float64, m.N)
-	budget := 10 * m.N
+	x := make([]float64, len(b))
+	budget := 10 * len(b)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // fires on the first per-iteration check
@@ -184,20 +186,21 @@ func TestPoolRunJoinsBeforeRethrow(t *testing.T) {
 }
 
 // TestCGPanicContained asserts that a panic inside the solve — here an
-// out-of-range column index in the matrix — surfaces as a typed error from
-// SolveCtx, not a crash, and the CG keeps working once the matrix is fixed.
+// out-of-range index into a stencil stripped of its lateral conductances —
+// surfaces as a typed error from SolveCtx, not a crash, and the CG keeps
+// working once the stencil is fixed.
 func TestCGPanicContained(t *testing.T) {
 	m, b := spdStencil(12, 12, 3)
 	cg := NewCG(m, NewPool(1), 0)
-	col := m.Col[0]
-	m.Col[0] = int32(m.N)
-	x := make([]float64, m.N)
+	gx := m.GX
+	m.GX = nil
+	x := make([]float64, len(b))
 	_, _, err := solve(cg, b, x, nil)
 	var pe *fault.ErrPanic
 	if !errors.As(err, &pe) {
-		t.Fatalf("out-of-range column panic not contained: %v", err)
+		t.Fatalf("out-of-range index panic not contained: %v", err)
 	}
-	m.Col[0] = col
+	m.GX = gx
 	for i := range x {
 		x[i] = 0
 	}

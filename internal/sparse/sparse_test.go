@@ -13,84 +13,46 @@ func solve(c *CG, b, x []float64, pre *Spectral) (int, float64, error) {
 	return c.SolveCtx(context.Background(), b, x, pre, 10*len(b))
 }
 
-// laplacian1D builds the classic tridiagonal SPD matrix (2 on the diagonal,
-// -1 off) with Dirichlet ends.
-func laplacian1D(n int) *SymCSR {
-	nnz := 2*n - 2
-	m := NewSymCSR(n, nnz)
-	k := int32(0)
-	for i := 0; i < n; i++ {
-		m.RowPtr[i] = k
-		m.Diag[i] = 2
-		if i > 0 {
-			m.Col[k], m.Val[k] = int32(i-1), -1
-			k++
-		}
-		if i+1 < n {
-			m.Col[k], m.Val[k] = int32(i+1), -1
-			k++
-		}
+// laplacian1D builds the classic tridiagonal SPD operator (2 on the
+// diagonal, -1 off) with Dirichlet ends, as an n-by-1-by-1 stencil.
+func laplacian1D(n int) *Stencil {
+	a := NewStencil(n, 1, 1)
+	a.GX[0] = 1
+	for i := range a.Diag {
+		a.Diag[i] = 2
 	}
-	m.RowPtr[n] = k
-	return m
+	return a
 }
 
 // laplacian2D builds the 5-point SPD grid Laplacian on an nx-by-ny grid with
 // a small diagonal shift (every node weakly tied to a reference), mirroring
 // the structure of the thermal system.
-func laplacian2D(nx, ny int) *SymCSR {
-	n := nx * ny
-	deg := 0
+func laplacian2D(nx, ny int) *Stencil {
+	a := NewStencil(nx, ny, 1)
+	a.GX[0], a.GY[0] = 1, 1
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
-			if ix > 0 {
-				deg++
+			links := 0
+			for _, has := range []bool{ix > 0, ix+1 < nx, iy > 0, iy+1 < ny} {
+				if has {
+					links++
+				}
 			}
-			if ix+1 < nx {
-				deg++
-			}
-			if iy > 0 {
-				deg++
-			}
-			if iy+1 < ny {
-				deg++
-			}
+			a.Diag[iy*nx+ix] = float64(links) + 0.01 // the tie keeps it non-singular
 		}
 	}
-	m := NewSymCSR(n, deg)
-	k := int32(0)
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			i := iy*nx + ix
-			m.RowPtr[i] = k
-			d := 0.01 // tie to reference keeps the matrix non-singular
-			add := func(j int) {
-				m.Col[k], m.Val[k] = int32(j), -1
-				k++
-				d++
-			}
-			if iy > 0 {
-				add(i - nx)
-			}
-			if ix > 0 {
-				add(i - 1)
-			}
-			if ix+1 < nx {
-				add(i + 1)
-			}
-			if iy+1 < ny {
-				add(i + nx)
-			}
-			m.Diag[i] = d
-		}
-	}
-	m.RowPtr[n] = k
-	return m
+	return a
 }
 
-func residualNorm(m *SymCSR, b, x []float64) float64 {
-	r := make([]float64, m.N)
-	m.MatVec(x, r)
+// matVec returns A*x.
+func matVec(a *Stencil, x []float64) []float64 {
+	y := make([]float64, len(x))
+	a.matVecRange(x, y, 0, len(x))
+	return y
+}
+
+func residualNorm(a *Stencil, b, x []float64) float64 {
+	r := matVec(a, x)
 	s, bs := 0.0, 0.0
 	for i := range r {
 		d := b[i] - r[i]
@@ -108,8 +70,7 @@ func TestCGSolvesTridiagonal(t *testing.T) {
 	for i := range want {
 		want[i] = math.Sin(float64(i) / 5)
 	}
-	b := make([]float64, n)
-	m.MatVec(want, b)
+	b := matVec(m, want)
 	x := make([]float64, n)
 	iters, res, err := solve(NewCG(m, NewPool(1), 1e-12), b, x, nil)
 	if err != nil {
@@ -130,12 +91,13 @@ func TestCGSolvesTridiagonal(t *testing.T) {
 
 func TestCGParallelMatchesSerial(t *testing.T) {
 	m := laplacian2D(40, 40)
+	n := len(m.Diag)
 	rng := rand.New(rand.NewSource(7))
-	b := make([]float64, m.N)
+	b := make([]float64, n)
 	for i := range b {
 		b[i] = rng.Float64()
 	}
-	xs := make([]float64, m.N)
+	xs := make([]float64, n)
 	if _, _, err := solve(NewCG(m, NewPool(1), 1e-11), b, xs, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +106,7 @@ func TestCGParallelMatchesSerial(t *testing.T) {
 		if c.workers != workers {
 			t.Fatalf("CG on a %d-worker pool runs %d workers", workers, c.workers)
 		}
-		xp := make([]float64, m.N)
+		xp := make([]float64, n)
 		if _, _, err := solve(c, b, xp, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -158,18 +120,19 @@ func TestCGParallelMatchesSerial(t *testing.T) {
 
 func TestCGWarmStartConvergesFaster(t *testing.T) {
 	m := laplacian2D(30, 30)
-	b := make([]float64, m.N)
+	n := len(m.Diag)
+	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
 	c := NewCG(m, NewPool(1), 0)
-	cold := make([]float64, m.N)
+	cold := make([]float64, n)
 	coldIters, _, err := solve(c, b, cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm start from the exact solution: must converge immediately.
-	again := make([]float64, m.N)
+	again := make([]float64, n)
 	copy(again, cold)
 	warmIters, res, err := solve(c, b, again, nil)
 	if err != nil {
@@ -182,11 +145,11 @@ func TestCGWarmStartConvergesFaster(t *testing.T) {
 		t.Fatalf("warm-start residual %g", res)
 	}
 	// Warm start from a nearby RHS's solution: must beat the cold count.
-	b2 := make([]float64, m.N)
+	b2 := make([]float64, n)
 	for i := range b2 {
 		b2[i] = 1.05
 	}
-	near := make([]float64, m.N)
+	near := make([]float64, n)
 	copy(near, cold)
 	nearIters, _, err := solve(c, b2, near, nil)
 	if err != nil {
@@ -224,7 +187,7 @@ func TestCGDimensionMismatch(t *testing.T) {
 func TestCGNotPositiveDefinite(t *testing.T) {
 	m := laplacian1D(5)
 	for i := range m.Diag {
-		m.Diag[i] = -2 // makes the matrix negative definite
+		m.Diag[i] = -2 // makes the operator negative definite
 	}
 	b := []float64{1, 1, 1, 1, 1}
 	if _, _, err := solve(NewCG(m, NewPool(1), 0), b, make([]float64, 5), nil); err == nil {
@@ -234,36 +197,37 @@ func TestCGNotPositiveDefinite(t *testing.T) {
 
 func TestCGMaxIterations(t *testing.T) {
 	m := laplacian2D(20, 20)
-	b := make([]float64, m.N)
+	n := len(m.Diag)
+	b := make([]float64, n)
 	for i := range b {
 		b[i] = float64(i % 7)
 	}
-	_, _, err := NewCG(m, NewPool(1), 1e-14).SolveCtx(context.Background(), b, make([]float64, m.N), nil, 2)
+	_, _, err := NewCG(m, NewPool(1), 1e-14).SolveCtx(context.Background(), b, make([]float64, n), nil, 2)
 	if err == nil {
 		t.Fatal("unreachable tolerance within 2 iterations must error")
 	}
 }
 
 func TestCGReuseAfterMatrixValueChange(t *testing.T) {
-	// The thermal solver refreshes matrix values in place when the die
-	// geometry changes; the bound CG must pick the new values up.
+	// The thermal solver refreshes the stencil's values in place when the
+	// die geometry changes; the bound CG must pick the new values up.
 	m := laplacian2D(15, 15)
+	n := len(m.Diag)
 	c := NewCG(m, NewPool(1), 0)
-	b := make([]float64, m.N)
+	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
-	x1 := make([]float64, m.N)
+	x1 := make([]float64, n)
 	if _, _, err := solve(c, b, x1, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.Diag {
-		m.Diag[i] *= 2
+	for _, v := range [][]float64{m.GX, m.GY, m.GZ, m.Diag} {
+		for i := range v {
+			v[i] *= 2
+		}
 	}
-	for i := range m.Val {
-		m.Val[i] *= 2
-	}
-	x2 := make([]float64, m.N)
+	x2 := make([]float64, n)
 	copy(x2, x1) // warm start from the old solution
 	if _, _, err := solve(c, b, x2, nil); err != nil {
 		t.Fatal(err)
@@ -285,8 +249,74 @@ func TestWorkersAutoCap(t *testing.T) {
 	if w := AutoWorkers(100); w != 1 {
 		t.Fatalf("100-row system got %d workers, want 1", w)
 	}
-	// A CG never splits wider than its matrix.
+	// A CG never splits wider than its operator.
 	if w := NewCG(laplacian1D(3), NewPool(8), 0).workers; w != 3 {
 		t.Fatalf("3-row CG on an 8-worker pool runs %d workers, want 3", w)
+	}
+}
+
+// TestStencilMatchesDense materializes the operator column by column (A·e_j)
+// and requires every entry to equal a dense matrix built here from the
+// stencil's per-layer values, on a layered grid with side ties and on a
+// line (ny = nl = 1). It also requires the product over the node range
+// split 1, 2, 3 and 7 ways, so that ranges start mid-row, to equal the
+// unsplit product bit for bit.
+func TestStencilMatchesDense(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a    *Stencil
+	}{
+		{"5x4x3 with side ties", thermalLike(5, 4, 3, 3e-4).matrix()},
+		{"9x1x1 line", laplacian1D(9)},
+	} {
+		a := c.a
+		nx, ny, nl := a.nx, a.ny, a.nl
+		n := nx * ny * nl
+		dense := make([][]float64, n)
+		for i := range dense {
+			dense[i] = make([]float64, n)
+			dense[i][i] = a.Diag[i]
+		}
+		link := func(i, j int, g float64) { dense[i][j], dense[j][i] = -g, -g }
+		for l := 0; l < nl; l++ {
+			for iy := 0; iy < ny; iy++ {
+				for ix := 0; ix < nx; ix++ {
+					i := (l*ny+iy)*nx + ix
+					if ix+1 < nx {
+						link(i, i+1, a.GX[l])
+					}
+					if iy+1 < ny {
+						link(i, i+nx, a.GY[l])
+					}
+					if l+1 < nl {
+						link(i, i+nx*ny, a.GZ[l])
+					}
+				}
+			}
+		}
+		e := make([]float64, n)
+		for j := 0; j < n; j++ {
+			e[j] = 1
+			col := matVec(a, e)
+			e[j] = 0
+			for i := range col {
+				if col[i] != dense[i][j] {
+					t.Fatalf("%s: A[%d][%d] = %v, dense %v", c.name, i, j, col[i], dense[i][j])
+				}
+			}
+		}
+
+		x := randomVec(3, n, 1)
+		want := matVec(a, x)
+		for _, k := range []int{1, 2, 3, 7} {
+			y := make([]float64, n)
+			bounds := chunkBounds(n, k)
+			for w := 0; w < k; w++ {
+				a.matVecRange(x, y, bounds[w], bounds[w+1])
+			}
+			if i := firstDiff(y, want); i >= 0 {
+				t.Fatalf("%s: product split %d ways differs at node %d: %v vs %v", c.name, k, i, y[i], want[i])
+			}
+		}
 	}
 }

@@ -2,29 +2,29 @@ package sparse
 
 import "math"
 
-// Spectral is the separable preconditioner of the 7-point stencil of an
-// nx-by-ny-by-nl structured grid (node (l, ix, iy) at (l*ny+iy)*nx + ix, the
-// layout of NewStencil7) whose layers each carry one x and one y lateral
-// conductance; CG.SolveCtx takes it as its preconditioner. With adiabatic
-// side faces such an operator is separable: an orthonormal DCT-II of every
-// layer diagonalizes the lateral coupling (the 1-D Neumann Laplacian of n
-// cells has the eigenvectors cos(πk(i+½)/n) and the eigenvalues
-// 2 - 2cos(πk/n)) and leaves one nl-by-nl tridiagonal per lateral mode.
-// Applying M⁻¹ is three passes: the DCT of every layer, one Thomas solve
-// per mode, and the inverse DCT. The transforms are orthonormal, so
-// M⁻¹ = QᵀD⁻¹Q is symmetric as CG requires.
+// Spectral is the separable preconditioner of a Stencil, built from the
+// stencil's per-layer conductances; CG.SolveCtx takes it as its
+// preconditioner. With adiabatic side faces such an operator is separable:
+// an orthonormal DCT-II of every layer diagonalizes the lateral coupling
+// (the 1-D Neumann Laplacian of n cells has the eigenvectors cos(πk(i+½)/n)
+// and the eigenvalues 2 - 2cos(πk/n)) and leaves one nl-by-nl tridiagonal
+// per lateral mode. Applying M⁻¹ is three passes: the DCT of every layer,
+// one Thomas solve per mode, and the inverse DCT. The transforms are
+// orthonormal, so M⁻¹ = QᵀD⁻¹Q is symmetric as CG requires.
 //
 // The passes split over the caller's Pool; every layer and every mode has
 // exactly one owner, so the result is bit-identical for any worker count.
 // A Spectral value is not safe for concurrent use.
 type Spectral struct {
+	a          *Stencil
 	nx, ny, nl int
 	tx, ty     *dct
 	lamX, lamY []float64
 
-	// gz holds the vertical conductance from layer l to l+1; w and invPiv
-	// are the Thomas factors of every mode (node layout): y[l] += w[l]*y[l-1]
-	// in the forward sweep, and invPiv[l] is the reciprocal pivot.
+	// gz holds the vertical conductances the factors were built from; w and
+	// invPiv are the Thomas factors of every mode (node layout):
+	// y[l] += w[l]*y[l-1] in the forward sweep, and invPiv[l] is the
+	// reciprocal pivot.
 	gz, w, invPiv []float64
 
 	// pool runs the passes split k ways (k = 1: inline) over the layer and
@@ -39,13 +39,14 @@ type Spectral struct {
 	fwd, modes, inverse func(w int) float64
 }
 
-// NewSpectral builds the preconditioner for an nx-by-ny-by-nl grid whose
-// passes run on pool (the enclosing CG's pool), split over at most nl
-// workers. Call Refresh before the first apply.
-func NewSpectral(nx, ny, nl int, pool *Pool) *Spectral {
+// NewSpectral builds the preconditioner of a, whose passes run on pool (the
+// enclosing CG's pool), split over at most nl workers. Call Refresh before
+// the first apply.
+func NewSpectral(a *Stencil, pool *Pool) *Spectral {
+	nx, ny, nl := a.nx, a.ny, a.nl
 	nxy := nx * ny
 	p := &Spectral{
-		nx: nx, ny: ny, nl: nl,
+		a: a, nx: nx, ny: ny, nl: nl,
 		tx: newDCT(nx), ty: newDCT(ny),
 		lamX:   laplacianEigenvalues(nx),
 		lamY:   laplacianEigenvalues(ny),
@@ -95,16 +96,16 @@ func laplacianEigenvalues(n int) []float64 {
 	return lam
 }
 
-// Refresh refactors every mode's tridiagonal from per-layer values: gx and
-// gy are layer l's lateral link conductances, gz[l] the vertical
-// conductance from layer l to l+1 (nl-1 values) and gd[l] a uniform
-// per-cell diagonal (the layer's conductance to ambient; the caller spreads
-// side-face terms, which the true operator carries on the perimeter cells
-// only, over the layer, and PCG absorbs the difference). A positive gd on
-// one layer keeps every mode's tridiagonal irreducibly diagonally dominant,
-// so its pivots are positive and the factorization cannot fail.
-func (p *Spectral) Refresh(gx, gy, gz, gd []float64) {
+// Refresh refactors every mode's tridiagonal from the stencil's current
+// GX, GY and GZ and from gd[l], a uniform per-cell diagonal of layer l
+// (the layer's conductance to ambient; the caller spreads side-face terms,
+// which the stencil's diagonal carries on the perimeter cells only, over
+// the layer, and PCG absorbs the difference). A positive gd on one layer
+// keeps every mode's tridiagonal irreducibly diagonally dominant, so its
+// pivots are positive and the factorization cannot fail.
+func (p *Spectral) Refresh(gd []float64) {
 	nxy := p.nx * p.ny
+	gx, gy, gz := p.a.GX, p.a.GY, p.a.GZ
 	copy(p.gz, gz)
 	for l := 0; l < p.nl; l++ {
 		base := gd[l]

@@ -10,7 +10,7 @@ import (
 // layered is a thermal-like 7-point system with per-layer conductances:
 // lateral links gx and gy, vertical links gz[l] from layer l to l+1, a
 // per-cell tie gd[l] to ambient on every node of layer l, and a side tie on
-// the perimeter cells that only the matrix carries exactly (the
+// the perimeter cells that only the stencil's diagonal carries exactly (the
 // preconditioner sees it spread over the layer, as the thermal solver passes
 // it).
 type layered struct {
@@ -36,48 +36,57 @@ func thermalLike(nx, ny, nl int, side float64) layered {
 	return s
 }
 
-// matrix assembles the system with the side tie on the perimeter cells.
-func (s layered) matrix() *SymCSR {
-	m := NewStencil7(s.nx, s.ny, s.nl)
-	nxy := s.nx * s.ny
-	for i := 0; i < m.N; i++ {
-		l, ix, iy := i/nxy, i%s.nx, i%nxy/s.nx
-		d := s.gd[l]
-		if ix == 0 || ix == s.nx-1 {
-			d += s.side
-		}
-		if iy == 0 || iy == s.ny-1 {
-			d += s.side
-		}
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			var g float64
-			switch j := int(m.Col[k]); {
-			case j == i-1 || j == i+1:
-				g = s.gx[l]
-			case j == i-s.nx || j == i+s.nx:
-				g = s.gy[l]
-			case j < i:
-				g = s.gz[l-1]
-			default:
-				g = s.gz[l]
+// matrix assembles the system's stencil, with the side tie on the
+// perimeter cells' diagonal.
+func (s layered) matrix() *Stencil {
+	a := NewStencil(s.nx, s.ny, s.nl)
+	copy(a.GX, s.gx)
+	copy(a.GY, s.gy)
+	copy(a.GZ, s.gz)
+	for l := 0; l < s.nl; l++ {
+		for iy := 0; iy < s.ny; iy++ {
+			for ix := 0; ix < s.nx; ix++ {
+				d := s.gd[l]
+				if ix == 0 || ix == s.nx-1 {
+					d += s.side
+				}
+				if iy == 0 || iy == s.ny-1 {
+					d += s.side
+				}
+				if ix > 0 {
+					d += s.gx[l]
+				}
+				if ix+1 < s.nx {
+					d += s.gx[l]
+				}
+				if iy > 0 {
+					d += s.gy[l]
+				}
+				if iy+1 < s.ny {
+					d += s.gy[l]
+				}
+				if l > 0 {
+					d += s.gz[l-1]
+				}
+				if l+1 < s.nl {
+					d += s.gz[l]
+				}
+				a.Diag[(l*s.ny+iy)*s.nx+ix] = d
 			}
-			m.Val[k] = -g
-			d += g
 		}
-		m.Diag[i] = d
 	}
-	return m
+	return a
 }
 
-// spectral builds the preconditioner of the system on pool, with the side
-// ties spread evenly over each layer.
-func (s layered) spectral(pool *Pool) *Spectral {
-	p := NewSpectral(s.nx, s.ny, s.nl, pool)
+// spectral builds the preconditioner of the system's stencil a on pool,
+// with the side ties spread evenly over each layer.
+func (s layered) spectral(a *Stencil, pool *Pool) *Spectral {
+	p := NewSpectral(a, pool)
 	gd := make([]float64, s.nl)
 	for l := range gd {
 		gd[l] = s.gd[l] + s.side*float64(2*s.nx+2*s.ny)/float64(s.nx*s.ny)
 	}
-	p.Refresh(s.gx, s.gy, s.gz, gd)
+	p.Refresh(gd)
 	return p
 }
 
@@ -137,11 +146,11 @@ func TestDCTMatchesDense(t *testing.T) {
 }
 
 // TestSpectralApplyIsSymmetric materializes M⁻¹ column by column on a small
-// grid with side ties (so M is not the matrix itself) and requires the
+// grid with side ties (so M is not the operator itself) and requires the
 // symmetry CG depends on, with a positive diagonal.
 func TestSpectralApplyIsSymmetric(t *testing.T) {
 	sys := thermalLike(5, 4, 3, 3e-4)
-	pre := sys.spectral(NewPool(1))
+	pre := sys.spectral(sys.matrix(), NewPool(1))
 	n := sys.nx * sys.ny * sys.nl
 	b := make([][]float64, n)
 	e := make([]float64, n)
@@ -174,8 +183,9 @@ func TestSpectralIsDirectWithoutSideTerms(t *testing.T) {
 	for _, g := range [][3]int{{9, 7, 3}, {17, 16, 4}, {40, 40, 9}} {
 		sys := thermalLike(g[0], g[1], g[2], 0)
 		m := sys.matrix()
-		x := make([]float64, m.N)
-		iters, res, err := solve(NewCG(m, NewPool(1), 1e-10), randomVec(5, m.N, 1e-3), x, sys.spectral(NewPool(1)))
+		n := len(m.Diag)
+		x := make([]float64, n)
+		iters, res, err := solve(NewCG(m, NewPool(1), 1e-10), randomVec(5, n, 1e-3), x, sys.spectral(m, NewPool(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,15 +201,16 @@ func TestSpectralIsDirectWithoutSideTerms(t *testing.T) {
 func TestSpectralPCGMatchesJacobiPCG(t *testing.T) {
 	sys := thermalLike(40, 40, 9, 3e-5)
 	m := sys.matrix()
-	b := randomVec(7, m.N, 1e-3)
+	n := len(m.Diag)
+	b := randomVec(7, n, 1e-3)
 	c := NewCG(m, NewPool(1), 1e-11)
-	xj := make([]float64, m.N)
+	xj := make([]float64, n)
 	ij, _, err := solve(c, b, xj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := make([]float64, m.N)
-	is, _, err := solve(c, b, xs, sys.spectral(NewPool(1)))
+	xs := make([]float64, n)
+	is, _, err := solve(c, b, xs, sys.spectral(m, NewPool(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +238,12 @@ func TestSpectralIterationCountGridIndependent(t *testing.T) {
 	for _, n := range []int{40, 80, 160} {
 		sys := thermalLike(n, n, 9, 3e-5)
 		m := sys.matrix()
-		b := make([]float64, m.N)
+		b := make([]float64, len(m.Diag))
 		for i := range b {
 			b[i] = 1e-4
 		}
-		x := make([]float64, m.N)
-		iters, _, err := solve(NewCG(m, NewPool(1), 1e-9), b, x, sys.spectral(NewPool(1)))
+		x := make([]float64, len(b))
+		iters, _, err := solve(NewCG(m, NewPool(1), 1e-9), b, x, sys.spectral(m, NewPool(1)))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -254,10 +265,11 @@ func TestSpectralIterationCountGridIndependent(t *testing.T) {
 func TestSpectralRefreshTracksValueChanges(t *testing.T) {
 	sys := thermalLike(12, 12, 5, 0)
 	m := sys.matrix()
-	pre := sys.spectral(NewPool(1))
+	n := len(m.Diag)
+	pre := sys.spectral(m, NewPool(1))
 	c := NewCG(m, NewPool(1), 1e-12)
-	b := randomVec(9, m.N, 1e-3)
-	x1 := make([]float64, m.N)
+	b := randomVec(9, n, 1e-3)
+	x1 := make([]float64, n)
 	if _, _, err := solve(c, b, x1, pre); err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +279,8 @@ func TestSpectralRefreshTracksValueChanges(t *testing.T) {
 		}
 	}
 	*m = *sys.matrix()
-	pre.Refresh(sys.gx, sys.gy, sys.gz, sys.gd)
-	x2 := make([]float64, m.N)
+	pre.Refresh(sys.gd) // no side ties to spread
+	x2 := make([]float64, n)
 	iters, _, err := solve(c, b, x2, pre)
 	if err != nil {
 		t.Fatal(err)
@@ -289,9 +301,10 @@ func TestSpectralRefreshTracksValueChanges(t *testing.T) {
 func TestCGPoolReuse(t *testing.T) {
 	sys := thermalLike(40, 40, 9, 3e-5)
 	m := sys.matrix()
-	b := randomVec(13, m.N, 1e-3)
-	ref := make([]float64, m.N)
-	if _, _, err := solve(NewCG(m, NewPool(1), 1e-11), b, ref, sys.spectral(NewPool(1))); err != nil {
+	n := len(m.Diag)
+	b := randomVec(13, n, 1e-3)
+	ref := make([]float64, n)
+	if _, _, err := solve(NewCG(m, NewPool(1), 1e-11), b, ref, sys.spectral(m, NewPool(1))); err != nil {
 		t.Fatal(err)
 	}
 	scale := 0.0
@@ -299,10 +312,10 @@ func TestCGPoolReuse(t *testing.T) {
 		scale = max(scale, math.Abs(v))
 	}
 	pool := NewPool(3)
-	c, pre := NewCG(m, pool, 1e-11), sys.spectral(pool)
+	c, pre := NewCG(m, pool, 1e-11), sys.spectral(m, pool)
 	var first []float64
 	for round := 0; round < 3; round++ {
-		x := make([]float64, m.N)
+		x := make([]float64, n)
 		if _, _, err := solve(c, b, x, pre); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -327,23 +340,24 @@ func TestCGPoolReuse(t *testing.T) {
 func TestSpectralPooledApplyBitIdentical(t *testing.T) {
 	sys := thermalLike(40, 40, 9, 3e-5)
 	m := sys.matrix()
-	r := randomVec(11, m.N, 1)
+	n := len(m.Diag)
+	r := randomVec(11, n, 1)
 	cgPool := NewPool(3)
 	cg := NewCG(m, cgPool, 0)
-	b := randomVec(12, m.N, 1e-3)
+	b := randomVec(12, n, 1e-3)
 	var wantZ, wantX []float64
 	for _, workers := range []int{1, 2, 3} {
 		pool := NewPool(workers)
 		if workers == 3 {
 			pool = cgPool
 		}
-		pre := sys.spectral(pool)
+		pre := sys.spectral(m, pool)
 		if workers > 1 && pre.k != workers {
 			t.Fatalf("%d-worker pool split the passes %d ways", workers, pre.k)
 		}
-		z := make([]float64, m.N)
+		z := make([]float64, n)
 		pre.apply(r, z)
-		x := make([]float64, m.N)
+		x := make([]float64, n)
 		if _, _, err := solve(cg, b, x, pre); err != nil {
 			t.Fatal(err)
 		}

@@ -87,12 +87,21 @@ func newResult(surface *geom.Grid, ambientC float64, iters int, residual float64
 	return r
 }
 
-// Validate checks the configuration for obvious mistakes: a grid below 2x2,
-// a stack without a power layer or with a non-physical layer, or no heat
-// path to ambient.
+// MaxGridSide bounds NX and NY. A solver allocates about a dozen vectors of
+// NX*NY*layers values, so a larger grid is an error up front rather than an
+// out-of-memory crash; 640 is four times per side the largest grid in use
+// (160), and a 640x640x9 solver takes about 325 MB.
+const MaxGridSide = 640
+
+// Validate checks the configuration for obvious mistakes: a grid below 2x2
+// or above MaxGridSide per side, a stack without a power layer or with a
+// non-physical layer, or no heat path to ambient.
 func (cfg Config) Validate() error {
 	if cfg.NX <= 1 || cfg.NY <= 1 {
 		return fmt.Errorf("thermal: grid must be at least 2x2, got %dx%d", cfg.NX, cfg.NY)
+	}
+	if cfg.NX > MaxGridSide || cfg.NY > MaxGridSide {
+		return fmt.Errorf("thermal: grid %dx%d is above the bound of %d cells per side", cfg.NX, cfg.NY, MaxGridSide)
 	}
 	if len(cfg.Stack) == 0 {
 		return fmt.Errorf("thermal: empty layer stack")

@@ -12,15 +12,16 @@ import (
 )
 
 // Solver is the structured-grid fast path: the steady-state thermal system
-// of a (NX x NY x layers) grid assembled directly into an integer-indexed
-// CSR matrix, with no string node names, no netlist and no maps anywhere on
-// the solve path.
+// of a (NX x NY x layers) grid held as a matrix-free 7-point stencil (one
+// lateral conductance per layer and axis, one vertical conductance per
+// layer interface and a per-node diagonal), with no string node names, no
+// netlist and no maps anywhere on the solve path.
 //
 // A Solver is built once per grid topology and reused across analyses: a
 // new power map only refreshes the right-hand side, and a new die region
 // (the sweep strategies grow the core, which changes the cell size and
-// hence every conductance) only refreshes the matrix values in place. Each
-// solve warm-starts the conjugate-gradient iteration from the previous
+// hence every conductance) only refreshes the stencil's values in place.
+// Each solve warm-starts the conjugate-gradient iteration from the previous
 // temperature field; with the spectral preconditioner that saves little
 // (on the Figure 6 sweep, 4.3 iterations per point against 5 from ambient).
 //
@@ -33,16 +34,16 @@ type Solver struct {
 	n          int // nx*ny*nl unknowns
 	powerLayer int
 
-	// cellW/cellH are the die-cell dimensions (um) the matrix values were
+	// cellW/cellH are the die-cell dimensions (um) the stencil values were
 	// assembled for; a solve against a region with different cell sizes
 	// triggers a value refresh.
 	cellW, cellH float64
 
-	mat  *sparse.SymCSR
+	op   *sparse.Stencil
 	cg   *sparse.CG
 	pool *sparse.Pool
 	// pre is the spectral preconditioner; fillValues refactors it with the
-	// matrix values. Only the package's Jacobi reference tests clear it,
+	// stencil values. Only the package's Jacobi reference tests clear it,
 	// which runs every solve on Jacobi.
 	pre *sparse.Spectral
 	// ambRHS is the constant ambient part of the right-hand side
@@ -63,8 +64,8 @@ type Solver struct {
 // room before reporting ErrNotConverged.
 const raisedBudgetFactor = 4
 
-// NewSolver validates the configuration and builds the sparsity pattern and
-// the spectral preconditioner. Matrix values are filled on the first Solve,
+// NewSolver validates the configuration and allocates the stencil and the
+// spectral preconditioner. Their values are filled on the first Solve,
 // when the die region (and so the cell size) is known.
 func NewSolver(cfg Config) (*Solver, error) {
 	if err := cfg.Validate(); err != nil {
@@ -81,7 +82,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 		n:          cfg.NX * cfg.NY * len(cfg.Stack),
 		powerLayer: cfg.Stack.PowerLayer(),
 	}
-	s.mat = sparse.NewStencil7(s.nx, s.ny, s.nl)
+	s.op = sparse.NewStencil(s.nx, s.ny, s.nl)
 	s.ambRHS = make([]float64, s.n)
 	s.rhs = make([]float64, s.n)
 	s.x = make([]float64, s.n)
@@ -89,8 +90,8 @@ func NewSolver(cfg Config) (*Solver, error) {
 	// One worker pool serves the whole solver stack: the CG iteration ops
 	// and the preconditioner's passes split over the same workers.
 	s.pool = sparse.NewPool(sparse.AutoWorkers(s.n))
-	s.pre = sparse.NewSpectral(s.nx, s.ny, s.nl, s.pool)
-	s.cg = sparse.NewCG(s.mat, s.pool, cfg.Tolerance)
+	s.pre = sparse.NewSpectral(s.op, s.pool)
+	s.cg = sparse.NewCG(s.op, s.pool, cfg.Tolerance)
 	return s, nil
 }
 
@@ -98,45 +99,38 @@ func NewSolver(cfg Config) (*Solver, error) {
 func (s *Solver) index(l, ix, iy int) int { return (l*s.ny+iy)*s.nx + ix }
 
 // fillValues assembles the conductances for the given cell size, writing
-// matrix values and the ambient right-hand-side contribution in place, and
-// refactors the spectral preconditioner from the same per-layer values. The
-// element formulas are exactly those of BuildNetwork, so the fast path and
-// the SPICE oracle solve the same linear system.
+// the stencil's values and the ambient right-hand-side contribution in
+// place, and refactors the spectral preconditioner from the same stencil.
+// The element formulas are exactly those of BuildNetwork, so the fast path
+// and the SPICE oracle solve the same linear system.
 func (s *Solver) fillValues(cellW, cellH float64) {
 	s.cellW, s.cellH = cellW, cellH
 	dx := cellW * metersPerUm
 	dy := cellH * metersPerUm
 	cellArea := dx * dy
 	cfg := &s.cfg
-
-	for i := range s.mat.Diag {
-		s.mat.Diag[i] = 0
-		s.ambRHS[i] = 0
-	}
+	a := s.op
 
 	// Per-layer lateral conductances and per-interface vertical
-	// conductances.
-	gLatX := make([]float64, s.nl)
-	gLatY := make([]float64, s.nl)
-	gVert := make([]float64, s.nl-1) // between layer l and l+1
+	// conductances (GZ[l] between layer l and l+1).
 	// gDiag is each layer's conductance to ambient per cell, with the side
 	// faces' total spread evenly over the layer: the preconditioner's
-	// uniform stand-in for the perimeter terms the matrix carries. Without
-	// it a side-only configuration would leave the uniform mode singular.
+	// uniform stand-in for the perimeter terms the stencil's diagonal
+	// carries. Without it a side-only configuration would leave the uniform
+	// mode singular.
 	gDiag := make([]float64, s.nl)
 	for l, layer := range cfg.Stack {
 		dz := layer.Thickness * metersPerUm
 		k := layer.Conductivity
-		gLatX[l] = 1 / (dx / (k * dy * dz))
-		gLatY[l] = 1 / (dy / (k * dx * dz))
+		a.GX[l] = 1 / (dx / (k * dy * dz))
+		a.GY[l] = 1 / (dy / (k * dx * dz))
 		if l+1 < s.nl {
 			up := cfg.Stack[l+1]
 			rVert := (dz/2)/(k*cellArea) + (up.Thickness*metersPerUm/2)/(up.Conductivity*cellArea)
-			gVert[l] = 1 / rVert
+			a.GZ[l] = 1 / rVert
 		}
 	}
 
-	k := 0 // running off-diagonal cursor, in pattern order
 	for l, layer := range cfg.Stack {
 		dz := layer.Thickness * metersPerUm
 		kc := layer.Conductivity
@@ -158,37 +152,25 @@ func (s *Solver) fillValues(cellW, cellH float64) {
 			for ix := 0; ix < s.nx; ix++ {
 				i := s.index(l, ix, iy)
 				diag := 0.0
-				// Off-diagonals in pattern order: z-1, y-1, x-1, x+1,
+				// The links in the stencil's order: z-1, y-1, x-1, x+1,
 				// y+1, z+1.
 				if l > 0 {
-					s.mat.Val[k] = -gVert[l-1]
-					diag += gVert[l-1]
-					k++
+					diag += a.GZ[l-1]
 				}
 				if iy > 0 {
-					s.mat.Val[k] = -gLatY[l]
-					diag += gLatY[l]
-					k++
+					diag += a.GY[l]
 				}
 				if ix > 0 {
-					s.mat.Val[k] = -gLatX[l]
-					diag += gLatX[l]
-					k++
+					diag += a.GX[l]
 				}
 				if ix+1 < s.nx {
-					s.mat.Val[k] = -gLatX[l]
-					diag += gLatX[l]
-					k++
+					diag += a.GX[l]
 				}
 				if iy+1 < s.ny {
-					s.mat.Val[k] = -gLatY[l]
-					diag += gLatY[l]
-					k++
+					diag += a.GY[l]
 				}
 				if l+1 < s.nl {
-					s.mat.Val[k] = -gVert[l]
-					diag += gVert[l]
-					k++
+					diag += a.GZ[l]
 				}
 				// Ambient boundaries add to the diagonal and to the
 				// constant RHS part.
@@ -205,13 +187,13 @@ func (s *Solver) fillValues(cellW, cellH float64) {
 				if iy == 0 || iy == s.ny-1 {
 					gAmb += gSideY
 				}
-				s.mat.Diag[i] = diag + gAmb
+				a.Diag[i] = diag + gAmb
 				s.ambRHS[i] = gAmb * cfg.AmbientC
 			}
 		}
 	}
 	if s.pre != nil {
-		s.pre.Refresh(gLatX, gLatY, gVert, gDiag)
+		s.pre.Refresh(gDiag)
 	}
 }
 

@@ -3,6 +3,7 @@ package thermal
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"thermplace/internal/geom"
@@ -34,20 +35,24 @@ func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Config)
+		want string // a part of the error message, when it matters
 	}{
-		{"tiny grid", func(c *Config) { c.NX = 1 }},
-		{"empty stack", func(c *Config) { c.Stack = nil }},
+		{"tiny grid", func(c *Config) { c.NX = 1 }, ""},
+		// The power map's resolution mismatches too; the grid bound must be
+		// what rejects the configuration, before any solver allocation.
+		{"huge grid", func(c *Config) { c.NX = MaxGridSide + 1 }, "bound of 640 cells per side"},
+		{"empty stack", func(c *Config) { c.Stack = nil }, ""},
 		{"no power layer", func(c *Config) {
 			c.Stack = Stack{{Name: "x", Thickness: 10, Conductivity: 100}}
-		}},
-		{"bad layer", func(c *Config) { c.Stack[0].Thickness = 0 }},
-		{"no ambient path", func(c *Config) { c.HBottom, c.HTop, c.HSide = 0, 0, 0 }},
+		}, ""},
+		{"bad layer", func(c *Config) { c.Stack[0].Thickness = 0 }, ""},
+		{"no ambient path", func(c *Config) { c.HBottom, c.HTop, c.HSide = 0, 0, 0 }, ""},
 	}
 	for _, cse := range cases {
 		cfg := testConfig(4, 4)
 		cse.mut(&cfg)
-		if _, err := Solve(pm, cfg); err == nil {
-			t.Errorf("%s: expected error", cse.name)
+		if _, err := Solve(pm, cfg); err == nil || !strings.Contains(err.Error(), cse.want) {
+			t.Errorf("%s: got error %v, want one containing %q", cse.name, err, cse.want)
 		}
 	}
 	// Resolution mismatch.
@@ -287,7 +292,11 @@ func TestLayersOrderedByDistanceFromSink(t *testing.T) {
 // a dropped or mis-scaled ambient term fails the balance — a bug the SPICE
 // oracle cannot see, because BuildNetwork shares the element formulas.
 func TestEnergyBalance(t *testing.T) {
-	for _, cfg := range []Config{testConfig(9, 7), DefaultConfig()} {
+	// A side-only configuration makes the HSide faces carry all the heat,
+	// so an error in their conductance cannot hide behind the sinks.
+	sideOnly := testConfig(9, 7)
+	sideOnly.HBottom, sideOnly.HTop = 0, 0
+	for _, cfg := range []Config{testConfig(9, 7), sideOnly, DefaultConfig()} {
 		// A non-square die and an asymmetric map: a power gradient plus an
 		// off-centre hot cell, so x and y faces carry different heat.
 		pm := geom.NewGrid(cfg.NX, cfg.NY, geom.Rect{Xhi: 360, Yhi: 280})
@@ -301,10 +310,10 @@ func TestEnergyBalance(t *testing.T) {
 		in, out := pm.Sum(), boundaryOutflow(cfg, pm, field)
 		rel := math.Abs(out-in) / in
 		if rel > 1e-6 {
-			t.Fatalf("%dx%d: %g W injected, %g W leaves through the boundaries (relative error %.3g)",
-				cfg.NX, cfg.NY, in, out, rel)
+			t.Errorf("%dx%d, HBottom %g, HTop %g: %g W injected, %g W leaves through the boundaries (relative error %.3g)",
+				cfg.NX, cfg.NY, cfg.HBottom, cfg.HTop, in, out, rel)
 		}
-		t.Logf("%dx%d: energy balance relative error %.3g", cfg.NX, cfg.NY, rel)
+		t.Logf("%dx%d, HBottom %g, HTop %g: energy balance relative error %.3g", cfg.NX, cfg.NY, cfg.HBottom, cfg.HTop, rel)
 	}
 }
 
