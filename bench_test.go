@@ -439,20 +439,27 @@ func BenchmarkScenarioPlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkLogicSimActivity measures random-vector activity extraction on
-// the paper benchmark (128 cycles).
+// BenchmarkLogicSimActivity measures random-vector activity extraction
+// (128 cycles, seed 1) on the paper benchmark and on the 50k-cell
+// wide-datapath scenario, the design cold-50k simulates every op.
 func BenchmarkLogicSimActivity(b *testing.B) {
-	design := paperBenchmark(b)
-	wl := bench.ScatteredSmallHotspots()
-	stim := logicsim.RandomStimulus(1, func(port string) float64 {
-		return wl.ActivityFor(splitUnit(port))
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := logicsim.RunRandom(design, 128, stim); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, design *netlist.Design, wl bench.Workload) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := logicsim.RunRandom(design, 128, 1, func(port string) float64 {
+				return wl.ActivityFor(splitUnit(port))
+			}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("paper", func(b *testing.B) {
+		run(b, paperBenchmark(b), bench.ScatteredSmallHotspots())
+	})
+	b.Run("cells=50000", func(b *testing.B) {
+		g := scenarioBenchmark(b, bench.FamilyWideDatapath, 50000)
+		run(b, g.Design, g.Workload)
+	})
 }
 
 func splitUnit(port string) string {

@@ -172,12 +172,26 @@ func (l *Library) AddMaster(m *Master) error {
 	if m.Filler && (m.Leakage != 0 || m.SwitchEnergy != 0) {
 		return fmt.Errorf("celllib: filler master %q must have zero power", m.Name)
 	}
+	// The function must agree with the pins: the logic simulator compiles
+	// each combinational master by evaluating its function over the input
+	// pins. A flip-flop's data pin need not be named D (timing finds it by
+	// excluding the clock pins), so only its function is checked.
+	in := m.Inputs()
+	switch {
+	case m.Filler:
+	case m.Sequential:
+		if m.Function != FuncDFF {
+			return fmt.Errorf("celllib: sequential master %q has function %s, want DFF", m.Name, m.Function)
+		}
+	case m.Function == FuncDFF || m.Function == FuncNone:
+		return fmt.Errorf("celllib: combinational master %q has function %s", m.Name, m.Function)
+	case len(in) != m.Function.NumInputs():
+		return fmt.Errorf("celllib: master %q function %s takes %d inputs, the cell has %d", m.Name, m.Function, m.Function.NumInputs(), len(in))
+	}
 	// Memoize the input pin list: simulation and timing walk Inputs once
 	// per instance visit, and recomputing it allocated tens of thousands
 	// of small slices per analysis on the paper benchmark.
-	if m.inputs == nil {
-		m.inputs = m.Inputs()
-	}
+	m.inputs = in
 	l.masters[m.Name] = m
 	return nil
 }

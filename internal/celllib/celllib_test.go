@@ -96,6 +96,11 @@ func TestAddMasterValidation(t *testing.T) {
 		{"bad width", &Master{Name: "W", Width: 0, Pins: ok.Pins}},
 		{"no output", &Master{Name: "N", Width: 1, Pins: []Pin{{Name: "A", Dir: Input}}}},
 		{"powered filler", &Master{Name: "F", Width: 1, Filler: true, Leakage: 5}},
+		{"function wants more inputs", &Master{Name: "X3", Width: 1, Pins: []Pin{{Name: "A", Dir: Input}, {Name: "B", Dir: Input}, {Name: "Z", Dir: Output}}, Function: FuncXor3}},
+		{"function wants fewer inputs", &Master{Name: "I2", Width: 1, Pins: []Pin{{Name: "A", Dir: Input}, {Name: "B", Dir: Input}, {Name: "Z", Dir: Output}}, Function: FuncInv}},
+		{"combinational DFF", &Master{Name: "CD", Width: 1, Pins: []Pin{{Name: "D", Dir: Input}, {Name: "Z", Dir: Output}}, Function: FuncDFF}},
+		{"combinational NONE", &Master{Name: "CN", Width: 1, Pins: []Pin{{Name: "Z", Dir: Output}}, Function: FuncNone}},
+		{"sequential not DFF", &Master{Name: "SQ", Width: 1, Pins: []Pin{{Name: "D", Dir: Input}, {Name: "CK", Dir: Input}, {Name: "Z", Dir: Output}}, Function: FuncBuf, Sequential: true}},
 	}
 	for _, c := range cases {
 		if err := lib.AddMaster(c.m); err == nil {
@@ -183,7 +188,8 @@ func TestParseLibertyErrors(t *testing.T) {
 		{"bad cell attr", "library(x) { cell(C) { nonsense : 2; } }"},
 		{"bad pin dir", "library(x) { cell(C) { width : 1; function : \"INV\"; pin(A) { direction : sideways; } pin(Z) { direction : output; } } }"},
 		{"bad function", "library(x) { cell(C) { width : 1; function : \"WAT\"; pin(Z) { direction : output; } } }"},
-		{"duplicate cell", "library(x) { cell(C) { width : 1; function : \"INV\"; pin(Z) { direction : output; } } cell(C) { width : 1; function : \"INV\"; pin(Z) { direction : output; } } }"},
+		{"function disagrees with pins", "library(x) { cell(C) { width : 1; function : \"XOR3\"; pin(A) { direction : input; } pin(B) { direction : input; } pin(Z) { direction : output; } } }"},
+		{"duplicate cell", "library(x) { cell(C) { width : 1; function : \"INV\"; pin(A) { direction : input; } pin(Z) { direction : output; } } cell(C) { width : 1; function : \"INV\"; pin(A) { direction : input; } pin(Z) { direction : output; } } }"},
 	}
 	for _, c := range cases {
 		if _, err := ParseLiberty(strings.NewReader(c.in)); err == nil {

@@ -3,8 +3,9 @@ package celllib
 import "fmt"
 
 // Func identifies the boolean function computed by a cell master's output.
-// The event-driven logic simulator evaluates these directly, which keeps the
-// library and the simulator in a single consistent vocabulary.
+// The cycle-based logic simulator compiles each master's function into a
+// truth table by evaluating it (Eval) over every input combination, which
+// keeps the library and the simulator in a single consistent vocabulary.
 type Func int
 
 // Supported cell functions. Input ordering follows the master's input pin

@@ -8,8 +8,8 @@ import (
 
 // FuzzParseLiberty holds the Liberty-lite reader to its contract: no input
 // panics, every numeric field of a parsed library is finite and in range,
-// and a parsed library writes back to text that parses again and writes
-// the same bytes.
+// every master's function agrees with its pins, and a parsed library
+// writes back to text that parses again and writes the same bytes.
 //
 //	go test -run NONE -fuzz FuzzParseLiberty -fuzztime 30s -fuzzminimizetime 1s ./internal/celllib/
 func FuzzParseLiberty(f *testing.F) {
@@ -18,6 +18,9 @@ func FuzzParseLiberty(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(def.String())
+	// XOR2_X1 declared as XOR3: a function that takes more inputs than the
+	// cell has pins.
+	f.Add(strings.Replace(def.String(), `function : "XOR2"`, `function : "XOR3"`, 1))
 	const small = "library(t) {\n  voltage : 1;\n  cell(INV_X1) {\n    width : 1;\n    function : \"INV\";\n" +
 		"    pin(A) { direction : input; cap : 1; }\n    pin(Z) { direction : output; }\n  }\n}\n"
 	// Non-finite and out-of-range physical values.
@@ -67,7 +70,8 @@ func FuzzParseLiberty(f *testing.F) {
 }
 
 // checkLibraryRanges fails the test on any numeric library, cell or pin
-// field that is non-finite or out of its physical range.
+// field that is non-finite or out of its physical range, and on any master
+// whose function disagrees with its pins.
 func checkLibraryRanges(t *testing.T, lib *Library) {
 	t.Helper()
 	check := func(what string, v float64, positive bool) {
@@ -86,6 +90,15 @@ func checkLibraryRanges(t *testing.T, lib *Library) {
 		check(m.Name+" intrinsic_delay", m.Intrinsic, false)
 		check(m.Name+" leakage", m.Leakage, false)
 		check(m.Name+" switch_energy", m.SwitchEnergy, false)
+		switch {
+		case m.Filler:
+		case m.Sequential:
+			if m.Function != FuncDFF {
+				t.Fatalf("parsed sequential master %s has function %s", m.Name, m.Function)
+			}
+		case m.Function == FuncDFF || m.Function == FuncNone || len(m.Inputs()) != m.Function.NumInputs():
+			t.Fatalf("parsed master %s has function %s and inputs %v", m.Name, m.Function, m.Inputs())
+		}
 		for _, p := range m.Pins {
 			check(m.Name+"."+p.Name+" cap", p.Cap, false)
 		}

@@ -188,13 +188,10 @@ func (f *Flow) Activity() (*logicsim.Activity, error) {
 	if err := checkWorkloadUnits(f.Design, f.Workload); err != nil {
 		return nil, err
 	}
-	stim := logicsim.RandomStimulus(f.Config.Seed, func(port string) float64 {
-		// strings.Cut instead of SplitN: same unit prefix, no slice
-		// allocation per (port, cycle) lookup.
+	act, err := logicsim.RunRandom(f.Design, f.Config.SimCycles, f.Config.Seed, func(port string) float64 {
 		unit, _, _ := strings.Cut(port, "_")
 		return f.Workload.ActivityFor(unit)
 	})
-	act, err := logicsim.RunRandom(f.Design, f.Config.SimCycles, stim)
 	if err != nil {
 		return nil, fmt.Errorf("flow: activity simulation: %w", err)
 	}

@@ -45,16 +45,13 @@ func TestActivityCachedAndWorkloadDriven(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("activity must be cached between calls")
 	}
-	if a1.MeanActivity() <= 0 {
-		t.Fatal("mean activity must be positive")
-	}
 	// The hot unit's cells must switch more than the cold units' cells.
 	sumFor := func(unit string) float64 {
 		total := 0.0
 		for _, inst := range f.Design.InstancesInUnit(unit) {
 			if out := inst.Master.OutputPin(); out != "" {
 				if net := inst.Conn(out); net != nil {
-					total += a1.For(net.Name)
+					total += a1.For(net)
 				}
 			}
 		}

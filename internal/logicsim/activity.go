@@ -3,58 +3,48 @@ package logicsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"thermplace/internal/netlist"
 )
 
 // Activity holds per-net switching activities extracted from a simulation
 // run: the average number of transitions per clock cycle of every net.
-// It is the hand-off between logic simulation and power estimation.
+// It is the hand-off between logic simulation and power estimation, and it
+// is indexed by the net ordinals of the design it was computed for.
 type Activity struct {
-	// TogglesPerCycle maps net name to its average transitions per cycle.
-	TogglesPerCycle map[string]float64
+	// Rates holds each net's average transitions per cycle, indexed by
+	// netlist.Net.Ord().
+	Rates []float64
 	// Cycles is the number of simulated cycles the averages are based on.
 	Cycles int
 }
 
-// For returns the toggle rate of the named net (0 when unknown).
-func (a *Activity) For(net string) float64 { return a.TogglesPerCycle[net] }
+// For returns the toggle rate of a net of the activity's design.
+func (a *Activity) For(n *netlist.Net) float64 { return a.Rates[n.Ord()] }
 
 // Uniform returns an Activity that assigns the same toggle rate to every net
 // of the design; useful as a quick estimate when no simulation is wanted.
 func Uniform(d *netlist.Design, rate float64) *Activity {
-	act := &Activity{TogglesPerCycle: make(map[string]float64, d.NumNets()), Cycles: 0}
-	for _, n := range d.Nets() {
+	act := &Activity{Rates: make([]float64, d.NumNets())}
+	for i, n := range d.Nets() {
 		if isClockNet(n) {
-			act.TogglesPerCycle[n.Name] = 2.0
+			act.Rates[i] = 2.0
 			continue
 		}
-		act.TogglesPerCycle[n.Name] = rate
+		act.Rates[i] = rate
 	}
 	return act
 }
 
-// StimulusFunc decides, for each primary input and cycle, whether the input
-// toggles. It receives the port name and the cycle number.
-type StimulusFunc func(port string, cycle int) bool
-
-// RandomStimulus returns a StimulusFunc that toggles each primary input with
-// the probability returned by activityFor(port), using the given seed.
-// activityFor typically routes through a bench.Workload keyed on the unit
-// prefix of the port name.
-func RandomStimulus(seed int64, activityFor func(port string) float64) StimulusFunc {
-	rng := rand.New(rand.NewSource(seed))
-	return func(port string, cycle int) bool {
-		return rng.Float64() < activityFor(port)
-	}
-}
-
-// RunRandom simulates the design for the given number of cycles, driving
-// primary inputs with the stimulus function, and returns the extracted
-// switching activities. Clock nets are reported with two transitions per
-// cycle (one rising and one falling edge).
-func RunRandom(d *netlist.Design, cycles int, stim StimulusFunc) (*Activity, error) {
+// RunRandom simulates the design for the given number of cycles under
+// random stimulus and returns the extracted switching activities. Each
+// cycle draws one number in [0, 1) from a generator seeded with seed for
+// every drivable primary input, in sorted port-name order, and toggles the
+// input when the draw is below activityFor(port); activityFor is called
+// once per input, and typically routes through a bench.Workload keyed on
+// the unit prefix of the port name. Clock nets are reported with two
+// transitions per cycle (one rising and one falling edge).
+func RunRandom(d *netlist.Design, cycles int, seed int64, activityFor func(port string) float64) (*Activity, error) {
 	if cycles <= 0 {
 		return nil, fmt.Errorf("logicsim: cycle count must be positive, got %d", cycles)
 	}
@@ -62,62 +52,29 @@ func RunRandom(d *netlist.Design, cycles int, stim StimulusFunc) (*Activity, err
 	if err != nil {
 		return nil, err
 	}
-	// Current input values; toggled per the stimulus. Inputs are visited in
-	// sorted order so that a given seed always produces the same vectors.
-	names := sim.Inputs()
-	sort.Strings(names)
-	inputVals := make(map[string]bool, len(names))
+	p := make([]float64, len(sim.inputs))
+	for i, in := range sim.inputs {
+		p[i] = activityFor(in.name)
+	}
+	rng := rand.New(rand.NewSource(seed))
 	for c := 0; c < cycles; c++ {
-		for _, name := range names {
-			if stim(name, c) {
-				inputVals[name] = !inputVals[name]
-			}
-			if err := sim.SetInput(name, inputVals[name]); err != nil {
-				return nil, err
+		for i, in := range sim.inputs {
+			if rng.Float64() < p[i] {
+				sim.v[in.net] ^= 1
 			}
 		}
 		sim.Step()
 	}
-	act := &Activity{TogglesPerCycle: make(map[string]float64, len(sim.netNames)), Cycles: cycles}
+	act := &Activity{Rates: make([]float64, len(sim.toggles)), Cycles: cycles}
 	denom := float64(cycles - 1)
 	if denom <= 0 {
 		denom = 1
 	}
-	for i, name := range sim.netNames {
-		if sim.clockNets[i] {
-			act.TogglesPerCycle[name] = 2.0
-			continue
-		}
-		act.TogglesPerCycle[name] = float64(sim.toggles[i]) / denom
+	for i, t := range sim.toggles {
+		act.Rates[i] = float64(t) / denom
+	}
+	for _, c := range sim.clocks {
+		act.Rates[c] = 2.0
 	}
 	return act, nil
-}
-
-// MeanActivity returns the average toggle rate over all non-clock nets; a
-// convenient summary statistic for tests and reports.
-func (a *Activity) MeanActivity() float64 {
-	if len(a.TogglesPerCycle) == 0 {
-		return 0
-	}
-	// Accumulate in sorted-key order: float addition does not commute in
-	// rounding, so summing in map order would make the mean differ in the
-	// last bits from run to run.
-	names := make([]string, 0, len(a.TogglesPerCycle))
-	for name := range a.TogglesPerCycle {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	sum, n := 0.0, 0
-	for _, name := range names {
-		v := a.TogglesPerCycle[name]
-		if v == 2.0 { // clock convention
-			continue
-		}
-		sum += v
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

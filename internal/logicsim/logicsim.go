@@ -8,11 +8,17 @@
 // the settled states of consecutive cycles. Glitch power is therefore
 // excluded, which matches the averaged-activity power-estimation flow the
 // paper relies on.
+//
+// New compiles the design once: every net becomes a byte indexed by its
+// ordinal, and every combinational instance becomes an 8-bit truth table
+// over at most three input ordinals, derived from its master's
+// celllib.Func.Eval and levelized so that one pass settles the logic.
 package logicsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"thermplace/internal/celllib"
 	"thermplace/internal/netlist"
@@ -22,73 +28,67 @@ import (
 type Simulator struct {
 	design *netlist.Design
 
-	netIndex map[*netlist.Net]int
-	netNames []string
-	values   []bool
-	prev     []bool
-	toggles  []int64
+	// v holds each net's value (0 or 1) by net ordinal, plus one constant-0
+	// slot at index NumNets() that unused gate inputs read.
+	v       []uint8
+	prev    []uint8
+	toggles []int64
 
-	// gates holds combinational instances in topological order.
+	// gates holds the combinational instances in topological order.
 	gates []gate
-	// dffs holds the sequential elements.
-	dffs []dff
-	// inputs maps primary-input port name to net index (clock excluded).
-	inputs map[string]int
-	// clockNets are nets driven by ports identified as clocks ("clk"/"CK"
-	// loads only); their activity is reported as two toggles per cycle.
-	clockNets map[int]bool
+	// dffD and dffQ are the flip-flops' D and output net ordinals; state
+	// holds the value each captured at the last clock edge.
+	dffD, dffQ []int32
+	state      []uint8
+	// inputs are the drivable primary inputs (clocks excluded), sorted by
+	// port name: the order RunRandom draws their stimulus in.
+	inputs []input
+	// clocks are the nets of input ports identified as clocks; they keep
+	// value 0 and report two transitions per cycle.
+	clocks []int32
 
 	cycles int
 }
 
+// gate is one compiled combinational instance: bit k of the table index is
+// input k in Master.Inputs() order, and an unused input reads the
+// constant-0 slot.
 type gate struct {
-	inst   *netlist.Instance
-	fn     celllib.Func
-	inIdx  []int
-	outIdx int
+	tt  uint8
+	out int32
+	in  [3]int32
 }
 
-type dff struct {
-	inst   *netlist.Instance
-	dIdx   int
-	outIdx int
-	state  bool
+type input struct {
+	name string
+	net  int32
 }
 
-// New builds a simulator for the design. It returns an error when the design
-// contains combinational loops, undriven nets feeding logic, or masters the
-// simulator cannot evaluate.
+// New compiles a simulator for the design. It returns an error when the
+// design contains combinational loops, unconnected gate or flip-flop pins,
+// or masters the simulator cannot evaluate.
 func New(d *netlist.Design) (*Simulator, error) {
+	n := d.NumNets()
 	s := &Simulator{
-		design:    d,
-		netIndex:  make(map[*netlist.Net]int),
-		inputs:    make(map[string]int),
-		clockNets: make(map[int]bool),
+		design:  d,
+		v:       make([]uint8, n+1),
+		prev:    make([]uint8, n),
+		toggles: make([]int64, n),
 	}
-	for i, n := range d.Nets() {
-		s.netIndex[n] = i
-		s.netNames = append(s.netNames, n.Name)
-	}
-	s.values = make([]bool, len(s.netNames))
-	s.prev = make([]bool, len(s.netNames))
-	s.toggles = make([]int64, len(s.netNames))
-
 	for _, p := range d.Ports() {
 		if p.Dir != netlist.In {
 			continue
 		}
-		idx, ok := s.netIndex[p.Net]
-		if !ok {
-			return nil, fmt.Errorf("logicsim: port %q net not indexed", p.Name)
-		}
 		if isClockNet(p.Net) {
-			s.clockNets[idx] = true
+			s.clocks = append(s.clocks, int32(p.Net.Ord()))
 			continue
 		}
-		s.inputs[p.Name] = idx
+		s.inputs = append(s.inputs, input{name: p.Name, net: int32(p.Net.Ord())})
 	}
+	slices.SortFunc(s.inputs, func(a, b input) int { return strings.Compare(a.name, b.name) })
 
-	var combo []gate
+	tables := make(map[*celllib.Master]uint8)
+	var gates []gate
 	for _, inst := range d.Instances() {
 		m := inst.Master
 		switch {
@@ -100,31 +100,61 @@ func New(d *netlist.Design) (*Simulator, error) {
 			if dNet == nil || outNet == nil {
 				return nil, fmt.Errorf("logicsim: flip-flop %q missing D or output connection", inst.Name)
 			}
-			s.dffs = append(s.dffs, dff{inst: inst, dIdx: s.netIndex[dNet], outIdx: s.netIndex[outNet]})
+			s.dffD = append(s.dffD, int32(dNet.Ord()))
+			s.dffQ = append(s.dffQ, int32(outNet.Ord()))
 		default:
-			g := gate{inst: inst, fn: m.Function}
-			for _, pin := range m.Inputs() {
+			tt, ok := tables[m]
+			if !ok {
+				var err error
+				if tt, err = truthTable(m); err != nil {
+					return nil, err
+				}
+				tables[m] = tt
+			}
+			g := gate{tt: tt, in: [3]int32{int32(n), int32(n), int32(n)}}
+			for k, pin := range m.Inputs() {
 				net := inst.Conn(pin)
 				if net == nil {
 					return nil, fmt.Errorf("logicsim: pin %s.%s unconnected", inst.Name, pin)
 				}
-				g.inIdx = append(g.inIdx, s.netIndex[net])
+				g.in[k] = int32(net.Ord())
 			}
 			outNet := inst.Conn(m.OutputPin())
 			if outNet == nil {
 				return nil, fmt.Errorf("logicsim: gate %q output unconnected", inst.Name)
 			}
-			g.outIdx = s.netIndex[outNet]
-			combo = append(combo, g)
+			g.out = int32(outNet.Ord())
+			gates = append(gates, g)
 		}
 	}
+	s.state = make([]uint8, len(s.dffD))
 
-	ordered, err := topoSort(combo, s)
+	ordered, err := levelize(gates, n)
 	if err != nil {
 		return nil, err
 	}
 	s.gates = ordered
 	return s, nil
+}
+
+// truthTable compiles a combinational master: bit i of the table is the
+// function's output when input k carries bit k of i.
+func truthTable(m *celllib.Master) (uint8, error) {
+	fn, k := m.Function, len(m.Inputs())
+	if k > 3 || k != fn.NumInputs() || fn == celllib.FuncDFF {
+		return 0, fmt.Errorf("logicsim: master %s: cannot compile function %s over %d inputs", m.Name, fn, k)
+	}
+	var tt uint8
+	in := make([]bool, k)
+	for i := 0; i < 8; i++ {
+		for b := range in {
+			in[b] = i>>b&1 == 1
+		}
+		if fn.Eval(in) {
+			tt |= 1 << i
+		}
+	}
+	return tt, nil
 }
 
 // isClockNet reports whether the net looks like a clock: it is named "clk"
@@ -144,56 +174,84 @@ func isClockNet(n *netlist.Net) bool {
 	return true
 }
 
-// topoSort orders the combinational gates so that every gate appears after
-// all gates driving its inputs. Sources are primary inputs, flip-flop
-// outputs and constant (tie) cells.
-func topoSort(gates []gate, s *Simulator) ([]gate, error) {
-	// Map from net index to the combinational gate driving it (if any).
-	driverOf := make(map[int]int) // net index -> gate position in gates
+// levelize orders the gates so that every gate appears after all gates
+// driving its inputs (Kahn's algorithm). Sources are primary inputs,
+// flip-flop outputs and constant (tie) cells. numNets bounds the net
+// ordinals, the constant-0 slot included.
+func levelize(gates []gate, numNets int) ([]gate, error) {
+	driverOf := make([]int32, numNets+1) // net ordinal -> driving gate + 1, 0 if none
 	for gi, g := range gates {
-		driverOf[g.outIdx] = gi
+		driverOf[g.out] = int32(gi) + 1
 	}
-	indeg := make([]int, len(gates))
-	dependents := make([][]int, len(gates))
+	// Dependents of each gate in CSR form: start[gi]..start[gi+1] in deps.
+	indeg := make([]int32, len(gates))
+	start := make([]int32, len(gates)+1)
 	for gi, g := range gates {
-		for _, in := range g.inIdx {
-			if di, ok := driverOf[in]; ok {
+		for _, in := range g.in {
+			if di := driverOf[in]; di > 0 {
 				indeg[gi]++
-				dependents[di] = append(dependents[di], gi)
+				start[di]++
 			}
 		}
 	}
-	queue := make([]int, 0, len(gates))
-	for gi, deg := range indeg {
-		if deg == 0 {
-			queue = append(queue, gi)
+	for i := 1; i <= len(gates); i++ {
+		start[i] += start[i-1]
+	}
+	deps := make([]int32, start[len(gates)])
+	fill := slices.Clone(start[:len(gates)])
+	for gi, g := range gates {
+		for _, in := range g.in {
+			if di := driverOf[in]; di > 0 {
+				deps[fill[di-1]] = int32(gi)
+				fill[di-1]++
+			}
 		}
 	}
-	ordered := make([]gate, 0, len(gates))
-	for len(queue) > 0 {
-		gi := queue[0]
-		queue = queue[1:]
-		ordered = append(ordered, gates[gi])
-		for _, dep := range dependents[gi] {
+
+	queue := make([]int32, 0, len(gates))
+	for gi, deg := range indeg {
+		if deg == 0 {
+			queue = append(queue, int32(gi))
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		gi := queue[head]
+		for _, dep := range deps[start[gi]:start[gi+1]] {
 			indeg[dep]--
 			if indeg[dep] == 0 {
 				queue = append(queue, dep)
 			}
 		}
 	}
-	if len(ordered) != len(gates) {
-		return nil, fmt.Errorf("logicsim: combinational loop detected (%d of %d gates unorderable)", len(gates)-len(ordered), len(gates))
+	if len(queue) != len(gates) {
+		return nil, fmt.Errorf("logicsim: combinational loop detected (%d of %d gates unorderable)", len(gates)-len(queue), len(gates))
+	}
+	ordered := make([]gate, len(gates))
+	for i, gi := range queue {
+		ordered[i] = gates[gi]
 	}
 	return ordered, nil
 }
 
+// inputNet returns the net ordinal of the named drivable primary input.
+func (s *Simulator) inputNet(port string) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(s.inputs, port, func(in input, name string) int { return strings.Compare(in.name, name) })
+	if !ok {
+		return 0, false
+	}
+	return s.inputs[i].net, true
+}
+
 // SetInput sets the value of a primary input for the current cycle.
 func (s *Simulator) SetInput(port string, v bool) error {
-	idx, ok := s.inputs[port]
+	net, ok := s.inputNet(port)
 	if !ok {
 		return fmt.Errorf("logicsim: unknown primary input %q", port)
 	}
-	s.values[idx] = v
+	s.v[net] = 0
+	if v {
+		s.v[net] = 1
+	}
 	return nil
 }
 
@@ -201,28 +259,22 @@ func (s *Simulator) SetInput(port string, v bool) error {
 // in sorted order, so callers that drive vectors positionally are
 // reproducible.
 func (s *Simulator) Inputs() []string {
-	out := make([]string, 0, len(s.inputs))
-	for name := range s.inputs {
-		out = append(out, name)
+	out := make([]string, len(s.inputs))
+	for i, in := range s.inputs {
+		out[i] = in.name
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Eval propagates the current input and register values through the
 // combinational logic.
 func (s *Simulator) Eval() {
-	// Drive flip-flop outputs from their stored state.
-	for _, f := range s.dffs {
-		s.values[f.outIdx] = f.state
+	v := s.v
+	for i, q := range s.dffQ {
+		v[q] = s.state[i]
 	}
-	buf := make([]bool, 0, 4)
 	for _, g := range s.gates {
-		buf = buf[:0]
-		for _, idx := range g.inIdx {
-			buf = append(buf, s.values[idx])
-		}
-		s.values[g.outIdx] = g.fn.Eval(buf)
+		v[g.out] = g.tt >> (v[g.in[0]] | v[g.in[1]]<<1 | v[g.in[2]]<<2) & 1
 	}
 }
 
@@ -231,21 +283,17 @@ func (s *Simulator) Eval() {
 // the previous cycle's settled state.
 func (s *Simulator) Step() {
 	s.Eval()
-	// Capture D inputs.
-	for i := range s.dffs {
-		s.dffs[i].state = s.values[s.dffs[i].dIdx]
+	for i, d := range s.dffD {
+		s.state[i] = s.v[d]
 	}
-	// Propagate the new register outputs.
 	s.Eval()
-	// Toggle accounting.
+	v := s.v[:len(s.prev)]
 	if s.cycles > 0 {
-		for i := range s.values {
-			if s.values[i] != s.prev[i] {
-				s.toggles[i]++
-			}
+		for i, prev := range s.prev {
+			s.toggles[i] += int64(v[i] ^ prev)
 		}
 	}
-	copy(s.prev, s.values)
+	copy(s.prev, v)
 	s.cycles++
 }
 
@@ -255,7 +303,7 @@ func (s *Simulator) NetValue(name string) (bool, error) {
 	if n == nil {
 		return false, fmt.Errorf("logicsim: unknown net %q", name)
 	}
-	return s.values[s.netIndex[n]], nil
+	return s.v[n.Ord()] == 1, nil
 }
 
 // ReadBus reads port nets named prefix0, prefix1, ... and returns them as an
@@ -268,7 +316,7 @@ func (s *Simulator) ReadBus(prefix string) (uint64, int) {
 		if n == nil {
 			break
 		}
-		if s.values[s.netIndex[n]] && i < 64 {
+		if s.v[n.Ord()] == 1 && i < 64 {
 			val |= 1 << uint(i)
 		}
 		width++
@@ -280,7 +328,7 @@ func (s *Simulator) ReadBus(prefix string) (uint64, int) {
 func (s *Simulator) SetBus(prefix string, val uint64) error {
 	for i := 0; ; i++ {
 		name := fmt.Sprintf("%s%d", prefix, i)
-		if _, ok := s.inputs[name]; !ok {
+		if _, ok := s.inputNet(name); !ok {
 			if i == 0 {
 				return fmt.Errorf("logicsim: no input bus %q", prefix)
 			}

@@ -141,11 +141,11 @@ func TestClockNetDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sim.inputs["clk"]; ok {
-		t.Fatal("clock must not be a drivable input")
+	if got := sim.Inputs(); len(got) != 1 || got[0] != "en" {
+		t.Fatalf("drivable inputs = %v, want [en] (the clock is not drivable)", got)
 	}
-	if _, ok := sim.inputs["en"]; !ok {
-		t.Fatal("en must be a drivable input")
+	if err := sim.SetInput("clk", true); err == nil {
+		t.Fatal("clock must not be a drivable input")
 	}
 }
 
@@ -190,40 +190,61 @@ func TestUnconnectedPinRejected(t *testing.T) {
 	}
 }
 
+// rateOf returns the simulated toggle rate of the named net.
+func rateOf(t *testing.T, d *netlist.Design, act *Activity, name string) float64 {
+	t.Helper()
+	n := d.Net(name)
+	if n == nil {
+		t.Fatalf("no net %q", name)
+	}
+	return act.For(n)
+}
+
+// TestUncompilableMasterRejected edits a library master after AddMaster
+// validated it: a function that disagrees with the pins is an error from
+// New, never a panic.
+func TestUncompilableMasterRejected(t *testing.T) {
+	d := buildSeqDesign(t)
+	d.Lib.Master("XOR2_X1").Function = celllib.FuncXor3
+	if _, err := New(d); err == nil {
+		t.Fatal("XOR3 function on a two-input cell must be rejected")
+	}
+}
+
 func TestToggleCountingAndActivity(t *testing.T) {
 	d := buildSeqDesign(t)
-	// Always-toggling enable: internal q net toggles every cycle.
-	act, err := RunRandom(d, 101, func(port string, cycle int) bool { return false })
+	// An enable that never toggles stays 0, so q holds at 0.
+	act, err := RunRandom(d, 101, 1, func(string) float64 { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// en never toggles (starts false) -> q holds at 0 -> zero activity.
-	if r := act.For("qi"); r != 0 {
+	if r := rateOf(t, d, act, "qi"); r != 0 {
 		t.Fatalf("q activity with idle enable = %v, want 0", r)
 	}
-	if act.For("clk") != 2.0 {
-		t.Fatalf("clock activity = %v, want 2", act.For("clk"))
+	if r := rateOf(t, d, act, "clk"); r != 2.0 {
+		t.Fatalf("clock activity = %v, want 2", r)
 	}
 
-	// Stimulus that always toggles en: en alternates, q toggles when en is 1.
-	act2, err := RunRandom(d, 200, func(port string, cycle int) bool { return true })
+	// An enable that toggles every cycle alternates, and q toggles in
+	// every cycle the enable is 1.
+	act2, err := RunRandom(d, 200, 1, func(string) float64 { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := act2.For("qi"); r < 0.3 || r > 0.7 {
+	if r := rateOf(t, d, act2, "en"); r != 1 {
+		t.Fatalf("en activity with p = 1 is %v, want 1", r)
+	}
+	if r := rateOf(t, d, act2, "qi"); r < 0.3 || r > 0.7 {
 		t.Fatalf("q activity with alternating enable = %v, want about 0.5", r)
 	}
 	if act2.Cycles != 200 {
 		t.Fatalf("Cycles = %d", act2.Cycles)
 	}
-	if act2.MeanActivity() <= 0 {
-		t.Fatal("mean activity should be positive")
-	}
 }
 
 func TestRunRandomValidation(t *testing.T) {
 	d := buildCombDesign(t)
-	if _, err := RunRandom(d, 0, func(string, int) bool { return false }); err == nil {
+	if _, err := RunRandom(d, 0, 1, func(string) float64 { return 0 }); err == nil {
 		t.Fatal("zero cycles must error")
 	}
 }
@@ -231,32 +252,35 @@ func TestRunRandomValidation(t *testing.T) {
 func TestUniformActivity(t *testing.T) {
 	d := buildSeqDesign(t)
 	act := Uniform(d, 0.3)
-	if act.For("d") != 0.3 {
-		t.Fatalf("uniform activity = %v", act.For("d"))
+	if r := rateOf(t, d, act, "d"); r != 0.3 {
+		t.Fatalf("uniform activity = %v", r)
 	}
-	if act.For("clk") != 2.0 {
-		t.Fatalf("clock uniform activity = %v", act.For("clk"))
+	if r := rateOf(t, d, act, "clk"); r != 2.0 {
+		t.Fatalf("clock uniform activity = %v", r)
 	}
 }
 
+// TestRandomStimulusRespectsProbability drives one input at probability 1
+// and one at 0: draws fall in [0, 1), so the first toggles every cycle and
+// the second never does.
 func TestRandomStimulusRespectsProbability(t *testing.T) {
-	stim := RandomStimulus(42, func(port string) float64 {
+	d := netlist.NewDesign("probs", celllib.Default65nm())
+	for _, name := range []string{"cold", "hot"} {
+		if _, err := d.AddPort(name, netlist.In); err != nil {
+			t.Fatal(err)
+		}
+	}
+	act, err := RunRandom(d, 100, 42, func(port string) float64 {
 		if port == "hot" {
 			return 1.0
 		}
 		return 0.0
 	})
-	hot, cold := 0, 0
-	for c := 0; c < 100; c++ {
-		if stim("hot", c) {
-			hot++
-		}
-		if stim("cold", c) {
-			cold++
-		}
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hot != 100 || cold != 0 {
-		t.Fatalf("stimulus probabilities not respected: hot=%d cold=%d", hot, cold)
+	if hot, cold := rateOf(t, d, act, "hot"), rateOf(t, d, act, "cold"); hot != 1 || cold != 0 {
+		t.Fatalf("stimulus probabilities not respected: hot rate %v, cold rate %v", hot, cold)
 	}
 }
 

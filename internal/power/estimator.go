@@ -1,6 +1,8 @@
 package power
 
 import (
+	"fmt"
+
 	"thermplace/internal/logicsim"
 	"thermplace/internal/netlist"
 	"thermplace/internal/place"
@@ -13,7 +15,7 @@ import (
 // wire capacitance term, so estimating the power of one more placement —
 // or re-estimating just the instances a place.Delta touched — is a pass
 // over cached floats plus one (cached) net-bounding-box query per output
-// net, with no netlist or activity-map traversal.
+// net, with no netlist or activity traversal.
 //
 // The per-instance arithmetic mirrors the historical single-pass Estimate
 // expression for expression (same operand order, same accumulation order),
@@ -38,8 +40,12 @@ type Estimator struct {
 	pinCapSum []float64      // fanout pin capacitance in fF, summed in load order
 }
 
-// NewEstimator builds the placement-independent power model.
+// NewEstimator builds the placement-independent power model. The activity
+// must have been computed for d: it is indexed by d's net ordinals.
 func NewEstimator(d *netlist.Design, act *logicsim.Activity, clockHz float64) *Estimator {
+	if len(act.Rates) != d.NumNets() {
+		panic(fmt.Sprintf("power: activity covers %d nets, design %s has %d", len(act.Rates), d.Name, d.NumNets()))
+	}
 	lib := d.Lib
 	n := d.NumInstances()
 	e := &Estimator{
@@ -63,7 +69,7 @@ func NewEstimator(d *netlist.Design, act *logicsim.Activity, clockHz float64) *E
 
 		if outPin := m.OutputPin(); outPin != "" {
 			if outNet := inst.Conn(outPin); outNet != nil {
-				alpha := act.For(outNet.Name)
+				alpha := act.For(outNet)
 				// Fanout pin capacitance, summed in net load order — the
 				// same order (and so the same float) as a from-scratch
 				// estimate's accumulation.

@@ -29,10 +29,9 @@ func preparedDesign(t *testing.T, wl bench.Workload) (*netlist.Design, *place.Pl
 	if err != nil {
 		t.Fatal(err)
 	}
-	stim := logicsim.RandomStimulus(99, func(port string) float64 {
+	act, err := logicsim.RunRandom(d, 64, 99, func(port string) float64 {
 		return wl.ActivityFor(strings.SplitN(port, "_", 2)[0])
 	})
-	act, err := logicsim.RunRandom(d, 64, stim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +138,9 @@ func TestHotUnitDominatesPowerMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	wl := bench.Workload{Name: "skew", Activity: map[string]float64{"hotm": 0.6}, Default: 0.02}
-	stim := logicsim.RandomStimulus(7, func(port string) float64 {
+	act, err := logicsim.RunRandom(d, 128, 7, func(port string) float64 {
 		return wl.ActivityFor(strings.SplitN(port, "_", 2)[0])
 	})
-	act, err := logicsim.RunRandom(d, 128, stim)
 	if err != nil {
 		t.Fatal(err)
 	}
