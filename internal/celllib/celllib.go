@@ -9,12 +9,15 @@
 //
 // Only single-output combinational cells, a D flip-flop and zero-power
 // filler (dummy) cells are modelled: that is all the post-placement
-// temperature-reduction flow requires.
+// temperature-reduction flow requires. AddMaster resolves each flip-flop's
+// clock and data pins once, for simulation, timing and power to read.
 package celllib
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // PinDir is the direction of a cell pin.
@@ -68,7 +71,8 @@ type Master struct {
 	// in femtojoules (excluding the energy spent charging the external
 	// load, which power estimation adds from net capacitance).
 	SwitchEnergy float64
-	// Sequential marks storage elements (flip-flops).
+	// Sequential marks storage elements (flip-flops), whose two inputs are
+	// a clock pin (see ClockPin) and a data pin.
 	Sequential bool
 	// Filler marks dummy cells: no active transistors, zero power. They
 	// only guarantee power/ground rail continuity, exactly as in the paper.
@@ -78,6 +82,22 @@ type Master struct {
 	// populates it; Pins must not change afterwards. Masters built outside
 	// a Library (tests) leave it nil and Inputs falls back to a scan.
 	inputs []string
+	// clockPin and dataPin are a flip-flop's, resolved by AddMaster.
+	clockPin, dataPin string
+}
+
+// clockPinNames are the lower-cased names of a flip-flop's clock input.
+var clockPinNames = []string{"ck", "clk", "clock", "cp", "ckb", "clkb"}
+
+// PinError reports a master with two pins of one name, or a flip-flop
+// without exactly one clock input and one data input.
+type PinError struct {
+	Master, Reason string
+	Inputs         []string
+}
+
+func (e *PinError) Error() string {
+	return fmt.Sprintf("celllib: master %q (inputs %v) %s", e.Master, e.Inputs, e.Reason)
 }
 
 // Area returns the cell area in um^2 given the library row height.
@@ -98,6 +118,15 @@ func (m *Master) Inputs() []string {
 	}
 	return in
 }
+
+// ClockPin returns the name of a flip-flop's clock input: the one input
+// whose lower-cased name is ck, clk, clock, cp, ckb or clkb. AddMaster
+// resolves it; other masters, and masters outside a library, return "".
+func (m *Master) ClockPin() string { return m.clockPin }
+
+// DataPin returns the name of a flip-flop's data input, its one input that
+// is not the clock, as AddMaster resolved it ("" for other masters).
+func (m *Master) DataPin() string { return m.dataPin }
 
 // OutputPin returns the name of the output pin, or "" for filler cells.
 func (m *Master) OutputPin() string {
@@ -172,17 +201,30 @@ func (l *Library) AddMaster(m *Master) error {
 	if m.Filler && (m.Leakage != 0 || m.SwitchEnergy != 0) {
 		return fmt.Errorf("celllib: filler master %q must have zero power", m.Name)
 	}
+	in := m.Inputs()
+	for i, p := range m.Pins {
+		for _, q := range m.Pins[:i] {
+			if p.Name == q.Name {
+				return &PinError{m.Name, fmt.Sprintf("declares pin %q twice", p.Name), in}
+			}
+		}
+	}
 	// The function must agree with the pins: the logic simulator compiles
 	// each combinational master by evaluating its function over the input
-	// pins. A flip-flop's data pin need not be named D (timing finds it by
-	// excluding the clock pins), so only its function is checked.
-	in := m.Inputs()
+	// pins, and a flip-flop needs one clock input and one data input.
 	switch {
 	case m.Filler:
 	case m.Sequential:
 		if m.Function != FuncDFF {
 			return fmt.Errorf("celllib: sequential master %q has function %s, want DFF", m.Name, m.Function)
 		}
+		isClock := func(pin string) bool { return slices.Contains(clockPinNames, strings.ToLower(pin)) }
+		k := slices.IndexFunc(in, isClock)
+		if len(in) != 2 || k < 0 || isClock(in[1-k]) {
+			return &PinError{m.Name, fmt.Sprintf("is a flip-flop: it needs two inputs, one clock named %s (in any case) and one data pin",
+				strings.Join(clockPinNames, ", ")), in}
+		}
+		m.clockPin, m.dataPin = in[k], in[1-k]
 	case m.Function == FuncDFF || m.Function == FuncNone:
 		return fmt.Errorf("celllib: combinational master %q has function %s", m.Name, m.Function)
 	case len(in) != m.Function.NumInputs():

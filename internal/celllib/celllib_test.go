@@ -1,6 +1,8 @@
 package celllib
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,10 +103,56 @@ func TestAddMasterValidation(t *testing.T) {
 		{"combinational DFF", &Master{Name: "CD", Width: 1, Pins: []Pin{{Name: "D", Dir: Input}, {Name: "Z", Dir: Output}}, Function: FuncDFF}},
 		{"combinational NONE", &Master{Name: "CN", Width: 1, Pins: []Pin{{Name: "Z", Dir: Output}}, Function: FuncNone}},
 		{"sequential not DFF", &Master{Name: "SQ", Width: 1, Pins: []Pin{{Name: "D", Dir: Input}, {Name: "CK", Dir: Input}, {Name: "Z", Dir: Output}}, Function: FuncBuf, Sequential: true}},
+		{"duplicate pin", &Master{Name: "DP", Width: 1, Pins: []Pin{{Name: "A", Dir: Input, Cap: 1}, {Name: "A", Dir: Input, Cap: 2}, {Name: "Z", Dir: Output}}, Function: FuncNand2}},
 	}
 	for _, c := range cases {
 		if err := lib.AddMaster(c.m); err == nil {
 			t.Errorf("AddMaster(%s) should fail", c.name)
+		}
+	}
+}
+
+// TestFlipFlopPins holds AddMaster's pin rule: a flip-flop's clock pin is
+// its one input named ck, clk, clock, cp, ckb or clkb in any case, its data
+// pin the one other input, and anything else is a PinError naming the
+// master and its inputs.
+func TestFlipFlopPins(t *testing.T) {
+	flop := func(name string, inputs ...string) *Master {
+		m := &Master{Name: name, Width: 1, Function: FuncDFF, Sequential: true}
+		for _, in := range inputs {
+			m.Pins = append(m.Pins, Pin{Name: in, Dir: Input, Cap: 1})
+		}
+		m.Pins = append(m.Pins, Pin{Name: "Q", Dir: Output})
+		return m
+	}
+	lib := NewLibrary("t", 2, 0.2, 1)
+	for _, c := range []struct{ m, clock, data string }{
+		{"F1", "CK", "D"}, {"F2", "CP", "DIN"}, {"F3", "Clk", "D"}, {"F4", "clock", "x"}, {"F5", "CKB", "SD"},
+	} {
+		m := flop(c.m, c.data, c.clock)
+		if err := lib.AddMaster(m); err != nil {
+			t.Fatalf("AddMaster(%s): %v", c.m, err)
+		}
+		if m.ClockPin() != c.clock || m.DataPin() != c.data {
+			t.Errorf("%s: clock %q data %q, want %q and %q", c.m, m.ClockPin(), m.DataPin(), c.clock, c.data)
+		}
+	}
+	if nand := Default65nm().Master("NAND2_X1"); nand.ClockPin() != "" || nand.DataPin() != "" {
+		t.Errorf("a combinational master resolves clock %q data %q", nand.ClockPin(), nand.DataPin())
+	}
+	for _, c := range []struct {
+		name   string
+		inputs []string
+	}{
+		{"clock named outside the rule", []string{"D", "G"}},
+		{"third input", []string{"D", "CK", "EN"}},
+		{"two clocks", []string{"CK", "CLK"}},
+		{"no data pin", []string{"CK"}},
+	} {
+		err := lib.AddMaster(flop("BAD", c.inputs...))
+		var pe *PinError
+		if !errors.As(err, &pe) || pe.Master != "BAD" || !slices.Equal(pe.Inputs, c.inputs) {
+			t.Errorf("%s: AddMaster error %v, want a PinError naming BAD and inputs %v", c.name, err, c.inputs)
 		}
 	}
 }
@@ -189,6 +237,8 @@ func TestParseLibertyErrors(t *testing.T) {
 		{"bad pin dir", "library(x) { cell(C) { width : 1; function : \"INV\"; pin(A) { direction : sideways; } pin(Z) { direction : output; } } }"},
 		{"bad function", "library(x) { cell(C) { width : 1; function : \"WAT\"; pin(Z) { direction : output; } } }"},
 		{"function disagrees with pins", "library(x) { cell(C) { width : 1; function : \"XOR3\"; pin(A) { direction : input; } pin(B) { direction : input; } pin(Z) { direction : output; } } }"},
+		{"duplicate pin", "library(x) { cell(C) { width : 1; function : \"NAND2\"; pin(A) { direction : input; cap : 1; } pin(A) { direction : input; cap : 2; } pin(Z) { direction : output; } } }"},
+		{"flip-flop clock named outside the rule", "library(x) { cell(F) { width : 1; function : \"DFF\"; sequential : true; pin(D) { direction : input; } pin(G) { direction : input; } pin(Q) { direction : output; } } }"},
 		{"duplicate cell", "library(x) { cell(C) { width : 1; function : \"INV\"; pin(A) { direction : input; } pin(Z) { direction : output; } } cell(C) { width : 1; function : \"INV\"; pin(A) { direction : input; } pin(Z) { direction : output; } } }"},
 	}
 	for _, c := range cases {

@@ -99,7 +99,7 @@ func ParseFunc(s string) (Func, error) {
 }
 
 // NumInputs returns the number of logic inputs the function expects.
-// Sequential (DFF) returns 1 (the D pin); clock handling is separate.
+// Sequential (DFF) returns 1 (the data pin); clock handling is separate.
 func (f Func) NumInputs() int {
 	switch f {
 	case FuncNone, FuncConst0, FuncConst1:

@@ -8,8 +8,10 @@ import (
 
 // FuzzParseLiberty holds the Liberty-lite reader to its contract: no input
 // panics, every numeric field of a parsed library is finite and in range,
-// every master's function agrees with its pins, and a parsed library
-// writes back to text that parses again and writes the same bytes.
+// every master's pin names are unique and its function agrees with its
+// pins, every flip-flop has a clock and a data pin by the name rule, and a
+// parsed library writes back to text that parses again and writes the
+// same bytes.
 //
 //	go test -run NONE -fuzz FuzzParseLiberty -fuzztime 30s -fuzzminimizetime 1s ./internal/celllib/
 func FuzzParseLiberty(f *testing.F) {
@@ -21,6 +23,11 @@ func FuzzParseLiberty(f *testing.F) {
 	// XOR2_X1 declared as XOR3: a function that takes more inputs than the
 	// cell has pins.
 	f.Add(strings.Replace(def.String(), `function : "XOR2"`, `function : "XOR3"`, 1))
+	// A NAND2 with two pins named A, and the flip-flops' pins renamed: CK to
+	// CP (a clock name) and to G (not one), D to DIN.
+	f.Add(strings.Replace(def.String(), "pin(B)", "pin(A)", 1))
+	f.Add(strings.NewReplacer("pin(CK)", "pin(CP)", "pin(D)", "pin(DIN)").Replace(def.String()))
+	f.Add(strings.Replace(def.String(), "pin(CK)", "pin(G)", 1))
 	const small = "library(t) {\n  voltage : 1;\n  cell(INV_X1) {\n    width : 1;\n    function : \"INV\";\n" +
 		"    pin(A) { direction : input; cap : 1; }\n    pin(Z) { direction : output; }\n  }\n}\n"
 	// Non-finite and out-of-range physical values.
@@ -70,8 +77,10 @@ func FuzzParseLiberty(f *testing.F) {
 }
 
 // checkLibraryRanges fails the test on any numeric library, cell or pin
-// field that is non-finite or out of its physical range, and on any master
-// whose function disagrees with its pins.
+// field that is non-finite or out of its physical range, on any master
+// with two pins of one name or whose function disagrees with its pins, and
+// on any flip-flop whose resolved clock and data pins are not its two
+// inputs, the clock's lower-cased name on the rule's list.
 func checkLibraryRanges(t *testing.T, lib *Library) {
 	t.Helper()
 	check := func(what string, v float64, positive bool) {
@@ -96,11 +105,23 @@ func checkLibraryRanges(t *testing.T, lib *Library) {
 			if m.Function != FuncDFF {
 				t.Fatalf("parsed sequential master %s has function %s", m.Name, m.Function)
 			}
+			in := m.Inputs()
+			ck, data := m.ClockPin(), m.DataPin()
+			clockName := map[string]bool{"ck": true, "clk": true, "clock": true, "cp": true, "ckb": true, "clkb": true}
+			if len(in) != 2 || !clockName[strings.ToLower(ck)] || clockName[strings.ToLower(data)] ||
+				!(in[0] == ck && in[1] == data || in[0] == data && in[1] == ck) {
+				t.Fatalf("parsed flip-flop %s has inputs %v, clock pin %q and data pin %q", m.Name, in, ck, data)
+			}
 		case m.Function == FuncDFF || m.Function == FuncNone || len(m.Inputs()) != m.Function.NumInputs():
 			t.Fatalf("parsed master %s has function %s and inputs %v", m.Name, m.Function, m.Inputs())
 		}
-		for _, p := range m.Pins {
+		for i, p := range m.Pins {
 			check(m.Name+"."+p.Name+" cap", p.Cap, false)
+			for _, q := range m.Pins[:i] {
+				if p.Name == q.Name {
+					t.Fatalf("parsed master %s has two pins named %s", m.Name, p.Name)
+				}
+			}
 		}
 	}
 }

@@ -22,28 +22,14 @@ type Activity struct {
 // For returns the toggle rate of a net of the activity's design.
 func (a *Activity) For(n *netlist.Net) float64 { return a.Rates[n.Ord()] }
 
-// Uniform returns an Activity that assigns the same toggle rate to every net
-// of the design; useful as a quick estimate when no simulation is wanted.
-func Uniform(d *netlist.Design, rate float64) *Activity {
-	act := &Activity{Rates: make([]float64, d.NumNets())}
-	for i, n := range d.Nets() {
-		if isClockNet(n) {
-			act.Rates[i] = 2.0
-			continue
-		}
-		act.Rates[i] = rate
-	}
-	return act
-}
-
 // RunRandom simulates the design for the given number of cycles under
 // random stimulus and returns the extracted switching activities. Each
 // cycle draws one number in [0, 1) from a generator seeded with seed for
 // every drivable primary input, in sorted port-name order, and toggles the
 // input when the draw is below activityFor(port); activityFor is called
 // once per input, and typically routes through a bench.Workload keyed on
-// the unit prefix of the port name. Clock nets are reported with two
-// transitions per cycle (one rising and one falling edge).
+// the unit prefix of the port name. Clock nets (netlist.Graph.Clocks), buffered
+// ones included, report two transitions per cycle and draw no stimulus.
 func RunRandom(d *netlist.Design, cycles int, seed int64, activityFor func(port string) float64) (*Activity, error) {
 	if cycles <= 0 {
 		return nil, fmt.Errorf("logicsim: cycle count must be positive, got %d", cycles)

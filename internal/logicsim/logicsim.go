@@ -3,16 +3,18 @@
 // playing the role Synopsys VCS plays in the paper's flow.
 //
 // Semantics are zero-delay and cycle-based: within a clock cycle all
-// combinational logic settles instantly, flip-flops capture their D inputs
+// combinational logic settles instantly, flip-flops capture their data inputs
 // on the (implicit) rising clock edge, and toggle counts are taken between
 // the settled states of consecutive cycles. Glitch power is therefore
 // excluded, which matches the averaged-activity power-estimation flow the
 // paper relies on.
 //
-// New compiles the design once: every net becomes a byte indexed by its
-// ordinal, and every combinational instance becomes an 8-bit truth table
-// over at most three input ordinals, derived from its master's
-// celllib.Func.Eval and levelized so that one pass settles the logic.
+// New compiles the design's levelized graph (netlist.Design.Levelize) once:
+// every net becomes a byte indexed by its ordinal, and every combinational
+// instance, in the graph's topological order, an 8-bit truth table over at
+// most three input ordinals, derived from its master's celllib.Func.Eval.
+// The graph's clock nets, buffered ones included, read two transitions
+// per cycle.
 package logicsim
 
 import (
@@ -43,8 +45,8 @@ type Simulator struct {
 	// inputs are the drivable primary inputs (clocks excluded), sorted by
 	// port name: the order RunRandom draws their stimulus in.
 	inputs []input
-	// clocks are the nets of input ports identified as clocks; they keep
-	// value 0 and report two transitions per cycle.
+	// clocks are the graph's clock nets; the input ports among them keep
+	// value 0, and every one reports two transitions per cycle.
 	clocks []int32
 
 	cycles int
@@ -64,76 +66,46 @@ type input struct {
 	net  int32
 }
 
-// New compiles a simulator for the design. It returns an error when the
-// design contains combinational loops, unconnected gate or flip-flop pins,
-// or masters the simulator cannot evaluate.
+// New compiles a simulator for the design from its levelized graph. It
+// returns an error when netlist.Design.Levelize does, or when the design
+// contains masters the simulator cannot evaluate.
 func New(d *netlist.Design) (*Simulator, error) {
+	g, err := d.Levelize()
+	if err != nil {
+		return nil, fmt.Errorf("logicsim: %w", err)
+	}
 	n := d.NumNets()
 	s := &Simulator{
 		design:  d,
 		v:       make([]uint8, n+1),
 		prev:    make([]uint8, n),
 		toggles: make([]int64, n),
+		gates:   make([]gate, len(g.Gates)),
+		dffD:    g.FlopD,
+		dffQ:    g.FlopQ,
+		state:   make([]uint8, len(g.Flops)),
+		clocks:  g.Clocks,
 	}
 	for _, p := range d.Ports() {
-		if p.Dir != netlist.In {
-			continue
+		if p.Dir == netlist.In && !slices.Contains(g.Clocks, int32(p.Net.Ord())) {
+			s.inputs = append(s.inputs, input{name: p.Name, net: int32(p.Net.Ord())})
 		}
-		if isClockNet(p.Net) {
-			s.clocks = append(s.clocks, int32(p.Net.Ord()))
-			continue
-		}
-		s.inputs = append(s.inputs, input{name: p.Name, net: int32(p.Net.Ord())})
 	}
 	slices.SortFunc(s.inputs, func(a, b input) int { return strings.Compare(a.name, b.name) })
 
 	tables := make(map[*celllib.Master]uint8)
-	var gates []gate
-	for _, inst := range d.Instances() {
+	for i, inst := range g.Gates {
 		m := inst.Master
-		switch {
-		case m.Filler:
-			continue
-		case m.Sequential:
-			dNet := inst.Conn("D")
-			outNet := inst.Conn(m.OutputPin())
-			if dNet == nil || outNet == nil {
-				return nil, fmt.Errorf("logicsim: flip-flop %q missing D or output connection", inst.Name)
+		tt, ok := tables[m]
+		if !ok {
+			if tt, err = truthTable(m); err != nil {
+				return nil, err
 			}
-			s.dffD = append(s.dffD, int32(dNet.Ord()))
-			s.dffQ = append(s.dffQ, int32(outNet.Ord()))
-		default:
-			tt, ok := tables[m]
-			if !ok {
-				var err error
-				if tt, err = truthTable(m); err != nil {
-					return nil, err
-				}
-				tables[m] = tt
-			}
-			g := gate{tt: tt, in: [3]int32{int32(n), int32(n), int32(n)}}
-			for k, pin := range m.Inputs() {
-				net := inst.Conn(pin)
-				if net == nil {
-					return nil, fmt.Errorf("logicsim: pin %s.%s unconnected", inst.Name, pin)
-				}
-				g.in[k] = int32(net.Ord())
-			}
-			outNet := inst.Conn(m.OutputPin())
-			if outNet == nil {
-				return nil, fmt.Errorf("logicsim: gate %q output unconnected", inst.Name)
-			}
-			g.out = int32(outNet.Ord())
-			gates = append(gates, g)
+			tables[m] = tt
 		}
+		s.gates[i] = gate{tt: tt, out: g.Out[i], in: [3]int32{int32(n), int32(n), int32(n)}}
+		copy(s.gates[i].in[:], g.In[g.InStart[i]:g.InStart[i+1]])
 	}
-	s.state = make([]uint8, len(s.dffD))
-
-	ordered, err := levelize(gates, n)
-	if err != nil {
-		return nil, err
-	}
-	s.gates = ordered
 	return s, nil
 }
 
@@ -155,82 +127,6 @@ func truthTable(m *celllib.Master) (uint8, error) {
 		}
 	}
 	return tt, nil
-}
-
-// isClockNet reports whether the net looks like a clock: it is named "clk"
-// or "clock", or every instance load is a CK pin.
-func isClockNet(n *netlist.Net) bool {
-	if n.Name == "clk" || n.Name == "clock" || n.Name == "CK" {
-		return true
-	}
-	if len(n.Loads) == 0 {
-		return false
-	}
-	for _, l := range n.Loads {
-		if l.Inst == nil || l.Pin != "CK" {
-			return false
-		}
-	}
-	return true
-}
-
-// levelize orders the gates so that every gate appears after all gates
-// driving its inputs (Kahn's algorithm). Sources are primary inputs,
-// flip-flop outputs and constant (tie) cells. numNets bounds the net
-// ordinals, the constant-0 slot included.
-func levelize(gates []gate, numNets int) ([]gate, error) {
-	driverOf := make([]int32, numNets+1) // net ordinal -> driving gate + 1, 0 if none
-	for gi, g := range gates {
-		driverOf[g.out] = int32(gi) + 1
-	}
-	// Dependents of each gate in CSR form: start[gi]..start[gi+1] in deps.
-	indeg := make([]int32, len(gates))
-	start := make([]int32, len(gates)+1)
-	for gi, g := range gates {
-		for _, in := range g.in {
-			if di := driverOf[in]; di > 0 {
-				indeg[gi]++
-				start[di]++
-			}
-		}
-	}
-	for i := 1; i <= len(gates); i++ {
-		start[i] += start[i-1]
-	}
-	deps := make([]int32, start[len(gates)])
-	fill := slices.Clone(start[:len(gates)])
-	for gi, g := range gates {
-		for _, in := range g.in {
-			if di := driverOf[in]; di > 0 {
-				deps[fill[di-1]] = int32(gi)
-				fill[di-1]++
-			}
-		}
-	}
-
-	queue := make([]int32, 0, len(gates))
-	for gi, deg := range indeg {
-		if deg == 0 {
-			queue = append(queue, int32(gi))
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		gi := queue[head]
-		for _, dep := range deps[start[gi]:start[gi+1]] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				queue = append(queue, dep)
-			}
-		}
-	}
-	if len(queue) != len(gates) {
-		return nil, fmt.Errorf("logicsim: combinational loop detected (%d of %d gates unorderable)", len(gates)-len(queue), len(gates))
-	}
-	ordered := make([]gate, len(gates))
-	for i, gi := range queue {
-		ordered[i] = gates[gi]
-	}
-	return ordered, nil
 }
 
 // inputNet returns the net ordinal of the named drivable primary input.

@@ -1,6 +1,8 @@
 package logicsim
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"thermplace/internal/celllib"
@@ -179,6 +181,28 @@ func TestCombinationalLoopDetection(t *testing.T) {
 	}
 }
 
+// TestGatedClockRejected clocks a flip-flop through an AND2. Gated clocks
+// are not modeled, so New returns the netlist's GraphError naming the
+// flip-flop rather than simulating the clock as data.
+func TestGatedClockRejected(t *testing.T) {
+	const src = `module gated (clk, en, d, q);
+  input clk, en, d;
+  output q;
+  AND2_X1 g (.A(clk), .B(en), .Z(gck));
+  DFF_X1 ff (.D(d), .CK(gck), .Z(q));
+endmodule
+`
+	d, err := netlist.ParseVerilog(strings.NewReader(src), celllib.Default65nm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(d)
+	var ge *netlist.GraphError
+	if !errors.As(err, &ge) || ge.Inst != "ff" {
+		t.Fatalf("New = %v, want a netlist.GraphError naming ff", err)
+	}
+}
+
 func TestUnconnectedPinRejected(t *testing.T) {
 	lib := celllib.Default65nm()
 	d := netlist.NewDesign("open", lib)
@@ -246,17 +270,6 @@ func TestRunRandomValidation(t *testing.T) {
 	d := buildCombDesign(t)
 	if _, err := RunRandom(d, 0, 1, func(string) float64 { return 0 }); err == nil {
 		t.Fatal("zero cycles must error")
-	}
-}
-
-func TestUniformActivity(t *testing.T) {
-	d := buildSeqDesign(t)
-	act := Uniform(d, 0.3)
-	if r := rateOf(t, d, act, "d"); r != 0.3 {
-		t.Fatalf("uniform activity = %v", r)
-	}
-	if r := rateOf(t, d, act, "clk"); r != 2.0 {
-		t.Fatalf("clock uniform activity = %v", r)
 	}
 }
 

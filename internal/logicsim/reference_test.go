@@ -17,22 +17,31 @@ import (
 // gives its current value, a flip-flop output its state, a combinational
 // driver celllib.Func.Eval of its input nets in Master.Inputs() order, and
 // an undriven net false — with no levelization, truth tables or net
-// ordinals. It settles twice per cycle (capturing every D between the two)
-// and draws the stimulus exactly as RunRandom documents.
+// ordinals. It finds the clock nets by its own recursion from every
+// flip-flop's clock pin back through BUF and INV drivers, settles twice
+// per cycle (capturing every data pin between the two) and draws the
+// stimulus exactly as RunRandom documents.
 func referenceActivity(d *netlist.Design, cycles int, seed int64, activityFor func(port string) float64) map[*netlist.Net]float64 {
+	clocks := make(map[*netlist.Net]bool)
+	var markClock func(n *netlist.Net)
+	markClock = func(n *netlist.Net) {
+		clocks[n] = true
+		if drv := n.Driver.Inst; drv != nil && (drv.Master.Function == celllib.FuncBuf || drv.Master.Function == celllib.FuncInv) {
+			markClock(drv.Conn(drv.Master.Inputs()[0]))
+		}
+	}
+	for _, inst := range d.Instances() {
+		if inst.Master.Sequential {
+			markClock(inst.Conn(inst.Master.ClockPin()))
+		}
+	}
 	var names []string
 	inputNet := make(map[string]*netlist.Net)
-	clocks := make(map[*netlist.Net]bool)
 	for _, p := range d.Ports() {
-		if p.Dir != netlist.In {
-			continue
+		if p.Dir == netlist.In && !clocks[p.Net] {
+			names = append(names, p.Name)
+			inputNet[p.Name] = p.Net
 		}
-		if isClockNet(p.Net) {
-			clocks[p.Net] = true
-			continue
-		}
-		names = append(names, p.Name)
-		inputNet[p.Name] = p.Net
 	}
 	sort.Strings(names)
 
@@ -76,7 +85,7 @@ func referenceActivity(d *netlist.Design, cycles int, seed int64, activityFor fu
 		next := make(map[*netlist.Instance]bool)
 		for _, inst := range d.Instances() {
 			if inst.Master.Sequential {
-				next[inst] = value(inst.Conn("D"))
+				next[inst] = value(inst.Conn(inst.Master.DataPin()))
 			}
 		}
 		state = next
@@ -159,16 +168,32 @@ func TestRunRandomMatchesReference(t *testing.T) {
 	})
 }
 
-// decodeDesign builds a netlist from fuzz input. The first byte sets one
-// to four primary inputs; the next bytes give their toggle probabilities
-// in quarters. Each remaining record picks a master (every combinational
-// and sequential Default65nm master) and, per input pin, a net among those
-// created earlier: the primary inputs, one undriven net and every earlier
-// cell output, so the combinational logic is loop-free. A flip-flop's D
-// byte may pick any net of the finished design, closing feedback loops
-// through the register. It returns the design and the probabilities by
-// port name.
-func decodeDesign(lib *celllib.Library, data []byte) (*netlist.Design, map[string]float64, error) {
+// renamedFlopLib returns Default65nm with the flip-flops' pins renamed,
+// the clock CK to CP and the data pin D to DIN, through Liberty-lite text.
+func renamedFlopLib(tb testing.TB) *celllib.Library {
+	tb.Helper()
+	var src strings.Builder
+	if err := celllib.WriteLiberty(&src, celllib.Default65nm()); err != nil {
+		tb.Fatal(err)
+	}
+	lib, err := celllib.ParseLiberty(strings.NewReader(strings.NewReplacer("pin(CK)", "pin(CP)", "pin(D)", "pin(DIN)").Replace(src.String())))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lib
+}
+
+// decodeDesign builds a netlist from fuzz input. The first byte picks one
+// of libs, the second sets one to four primary inputs, and the next bytes
+// give their toggle probabilities in quarters. Each remaining record picks
+// a master (every combinational and sequential master) and, per input pin,
+// a net among those created earlier: the primary inputs, one undriven net
+// and every earlier cell output, so the combinational logic is loop-free.
+// A flip-flop's ClockPin byte inserts zero to two BUF or INV stages
+// between the clk port and the pin; its DataPin byte may pick any net of the
+// finished design, closing feedback loops through the register. It
+// returns the design and the probabilities by port name.
+func decodeDesign(libs []*celllib.Library, data []byte) (*netlist.Design, map[string]float64, error) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -177,6 +202,7 @@ func decodeDesign(lib *celllib.Library, data []byte) (*netlist.Design, map[strin
 		data = data[1:]
 		return b
 	}
+	lib := libs[int(next())%len(libs)]
 	var masters []*celllib.Master
 	for _, m := range lib.Masters() {
 		if !m.Filler {
@@ -200,6 +226,31 @@ func decodeDesign(lib *celllib.Library, data []byte) (*netlist.Design, map[strin
 	}
 	nets = append(nets, d.GetOrCreateNet("floating"))
 
+	// clockChain drives a new net from clk through (b&3)%3 stages, bit 2+k
+	// of b choosing INV over BUF for stage k.
+	clockChain := func(c int, b byte) (*netlist.Net, error) {
+		net := clk.Net
+		for k := 0; k < int(b&3)%3; k++ {
+			master := "BUF_X1"
+			if b>>(2+k)&1 == 1 {
+				master = "INV_X1"
+			}
+			inst, err := d.AddInstance(fmt.Sprintf("ck%d_%d", c, k), master, "")
+			if err != nil {
+				return nil, err
+			}
+			out := d.GetOrCreateNet(inst.Name)
+			if err := d.Connect(inst, "A", net); err != nil {
+				return nil, err
+			}
+			if err := d.Connect(inst, "Z", out); err != nil {
+				return nil, err
+			}
+			net = out
+		}
+		return net, nil
+	}
+
 	type flop struct {
 		inst *netlist.Instance
 		d    byte
@@ -212,10 +263,13 @@ func decodeDesign(lib *celllib.Library, data []byte) (*netlist.Design, map[strin
 			return nil, nil, err
 		}
 		for _, pin := range m.Inputs() {
-			switch {
-			case pin == "CK":
-				err = d.Connect(inst, pin, clk.Net)
-			case m.Sequential:
+			switch pin {
+			case m.ClockPin():
+				var ck *netlist.Net
+				if ck, err = clockChain(c, next()); err == nil {
+					err = d.Connect(inst, pin, ck)
+				}
+			case m.DataPin():
 				flops = append(flops, flop{inst, next()})
 			default:
 				err = d.Connect(inst, pin, nets[int(next())%len(nets)])
@@ -231,7 +285,7 @@ func decodeDesign(lib *celllib.Library, data []byte) (*netlist.Design, map[strin
 		nets = append(nets, out)
 	}
 	for _, f := range flops {
-		if err := d.Connect(f.inst, "D", nets[int(f.d)%len(nets)]); err != nil {
+		if err := d.Connect(f.inst, f.inst.Master.DataPin(), nets[int(f.d)%len(nets)]); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -239,20 +293,26 @@ func decodeDesign(lib *celllib.Library, data []byte) (*netlist.Design, map[strin
 }
 
 // FuzzRunRandom holds the compiled simulator to the reference on generated
-// netlists with per-input probabilities, cycle counts and seeds.
+// netlists with per-input probabilities, cycle counts and seeds, over the
+// default library and one whose flip-flop pins are named CP and DIN.
 //
 //	go test -run NONE -fuzz FuzzRunRandom -fuzztime 30s -fuzzminimizetime 1s ./internal/logicsim/
 func FuzzRunRandom(f *testing.F) {
-	lib := celllib.Default65nm()
+	libs := []*celllib.Library{celllib.Default65nm(), renamedFlopLib(f)}
 	var every []byte
-	for i := range lib.Masters() {
+	for i := range libs[0].Masters() {
 		every = append(every, byte(i), 0, 1, 2)
 	}
-	f.Add([]byte{3, 4, 2, 0, 1}, uint8(16), int64(1))
-	f.Add(append([]byte{3, 4, 2, 0, 1}, every...), uint8(32), int64(2))
-	f.Add(append([]byte{1, 2, 3}, every...), uint8(1), int64(21))
+	f.Add([]byte{0, 3, 4, 2, 0, 1}, uint8(16), int64(1))
+	f.Add(append([]byte{0, 3, 4, 2, 0, 1}, every...), uint8(32), int64(2))
+	f.Add(append([]byte{1, 1, 2, 3}, every...), uint8(1), int64(21))
+	// Renamed pins, an XOR feeding two flip-flops clocked through one BUF
+	// and through an INV then a BUF.
+	f.Add([]byte{1, 1, 2, 3, 21, 0, 1, 4, 4, 1, 5, 3, 6}, uint8(24), int64(3))
+	// Default pins, a flip-flop clocked through one INV.
+	f.Add([]byte{0, 0, 4, 4, 3, 5, 6, 0, 3}, uint8(24), int64(4))
 	f.Fuzz(func(t *testing.T, data []byte, cycles uint8, seed int64) {
-		d, probs, err := decodeDesign(lib, data)
+		d, probs, err := decodeDesign(libs, data)
 		if err != nil {
 			t.Fatal(err)
 		}

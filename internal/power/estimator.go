@@ -88,7 +88,7 @@ func NewEstimator(d *netlist.Design, act *logicsim.Activity, clockHz float64) *E
 		if m.Sequential {
 			// The clock pin toggles twice per cycle regardless of data
 			// activity.
-			ckCap := m.PinCap("CK")
+			ckCap := m.PinCap(m.ClockPin())
 			b.Clock = 0.5 * ckCap * femto * e.vdd2 * 2 * clockHz
 		}
 		e.static[ord] = b

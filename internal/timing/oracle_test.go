@@ -31,10 +31,8 @@ func enumeratePaths(d *netlist.Design, p *place.Placement, opts Options) []oracl
 		if !inst.Master.Sequential {
 			continue
 		}
-		for _, pin := range inst.Master.Inputs() {
-			if !isClockPin(pin) && inst.Conn(pin) != nil {
-				endpoint[inst.Conn(pin)] = true
-			}
+		if dn := inst.Conn(inst.Master.DataPin()); dn != nil {
+			endpoint[dn] = true
 		}
 	}
 	for _, port := range d.Ports() {

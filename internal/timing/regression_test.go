@@ -1,6 +1,8 @@
 package timing
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"thermplace/internal/celllib"
@@ -174,4 +176,26 @@ func gradientMap(core geom.Rect) *geom.Grid {
 		}
 	}
 	return g
+}
+
+// TestGatedClockRejected clocks a flip-flop through an AND2. Gated clocks
+// are not modeled, so NewAnalyzer returns the netlist's GraphError naming
+// the flip-flop instead of timing the design as if the clock were ideal.
+func TestGatedClockRejected(t *testing.T) {
+	const src = `module gated (clk, en, d, q);
+  input clk, en, d;
+  output q;
+  AND2_X1 g (.A(clk), .B(en), .Z(gck));
+  DFF_X1 ff (.D(d), .CK(gck), .Z(q));
+endmodule
+`
+	d, err := netlist.ParseVerilog(strings.NewReader(src), celllib.Default65nm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewAnalyzer(d)
+	var ge *netlist.GraphError
+	if !errors.As(err, &ge) || ge.Inst != "ff" {
+		t.Fatalf("NewAnalyzer = %v, want a netlist.GraphError naming ff", err)
+	}
 }

@@ -13,19 +13,19 @@
 // the placed net's half-perimeter wirelength.
 //
 // The analyzer caches everything that depends only on the netlist — the
-// levelized gate order, the sequential elements and the deduplicated
-// endpoint nets — in an Analyzer, so a sweep re-analyzing many placements
-// of one design pays the graph construction once. Each Analyze call then
-// propagates arrival times through the whole graph; a report keeps only the
-// summary and the critical path. The propagation is checked against an
-// explicit enumeration of every launch-to-endpoint path in
+// levelized graph it shares with logic simulation (netlist.Design.Levelize)
+// and the endpoints, each flip-flop's data net (celllib.Master.DataPin) and
+// the primary outputs — in an Analyzer, so a sweep re-analyzing many
+// placements of one design pays the graph construction once. Each Analyze
+// call then propagates arrival times through the whole graph; a report
+// keeps only the summary and the critical path. The propagation is checked
+// against an explicit enumeration of every launch-to-endpoint path in
 // TestAnalyzeMatchesPathEnumeration.
 package timing
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"thermplace/internal/geom"
 	"thermplace/internal/netlist"
@@ -111,7 +111,8 @@ func Overhead(before, after *Report) float64 {
 	return (after.CriticalPathPs - before.CriticalPathPs) / before.CriticalPathPs
 }
 
-// node is the per-gate record used during levelized arrival propagation.
+// node is the per-gate record used during levelized arrival propagation;
+// the inNets of all nodes share one backing slice.
 type node struct {
 	inst   *netlist.Instance
 	inNets []*netlist.Net
@@ -122,8 +123,8 @@ type node struct {
 // combinational nodes in a fixed topological order, the sequential launch
 // points and the deduplicated endpoint nets. It is immutable after
 // construction and safe for concurrent use; building it once and calling
-// Analyze per placement skips the graph extraction and levelization that
-// dominate small analyses.
+// Analyze per placement skips the levelization that dominates small
+// analyses.
 type Analyzer struct {
 	d       *netlist.Design
 	nodes   []node // topological order
@@ -132,42 +133,25 @@ type Analyzer struct {
 	numNets int
 }
 
-// NewAnalyzer extracts and levelizes the timing graph of the design.
+// NewAnalyzer builds the timing graph from the design's levelized graph
+// (netlist.Design.Levelize).
 func NewAnalyzer(d *netlist.Design) (*Analyzer, error) {
-	a := &Analyzer{d: d, numNets: d.NumNets()}
-	var nodes []node
-	for _, inst := range d.Instances() {
-		m := inst.Master
-		switch {
-		case m.Filler:
-			continue
-		case m.Sequential:
-			a.seqs = append(a.seqs, inst)
-		default:
-			out := inst.Conn(m.OutputPin())
-			if out == nil {
-				return nil, fmt.Errorf("timing: gate %q output unconnected", inst.Name)
-			}
-			n := node{inst: inst, outNet: out}
-			for _, pin := range m.Inputs() {
-				net := inst.Conn(pin)
-				if net == nil {
-					return nil, fmt.Errorf("timing: pin %s.%s unconnected", inst.Name, pin)
-				}
-				n.inNets = append(n.inNets, net)
-			}
-			nodes = append(nodes, n)
-		}
-	}
-	order, err := levelize(nodes)
+	g, err := d.Levelize()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("timing: %w", err)
 	}
-	a.nodes = order
+	nets := d.Nets()
+	a := &Analyzer{d: d, nodes: make([]node, len(g.Gates)), seqs: g.Flops, numNets: len(nets)}
+	in := make([]*netlist.Net, len(g.In))
+	for k, o := range g.In {
+		in[k] = nets[o]
+	}
+	for i, inst := range g.Gates {
+		lo, hi := g.InStart[i], g.InStart[i+1]
+		a.nodes[i] = node{inst: inst, inNets: in[lo:hi:hi], outNet: nets[g.Out[i]]}
+	}
 
-	// Endpoint nets: every sequential data input (any input pin that is not
-	// a clock — the pin name is not hardwired to "D") plus the primary
-	// outputs, deduplicated so a net that is both is counted once.
+	// Endpoint nets, deduplicated: a flip-flop's data net may be an output.
 	endSeen := make([]bool, a.numNets)
 	addEnd := func(net *netlist.Net) {
 		if net == nil || endSeen[net.Ord()] {
@@ -176,13 +160,8 @@ func NewAnalyzer(d *netlist.Design) (*Analyzer, error) {
 		endSeen[net.Ord()] = true
 		a.endNets = append(a.endNets, net)
 	}
-	for _, ff := range a.seqs {
-		for _, pin := range ff.Master.Inputs() {
-			if isClockPin(pin) {
-				continue
-			}
-			addEnd(ff.Conn(pin))
-		}
+	for _, dn := range g.FlopD {
+		addEnd(nets[dn])
 	}
 	for _, port := range d.Ports() {
 		if port.Dir == netlist.Out {
@@ -190,17 +169,6 @@ func NewAnalyzer(d *netlist.Design) (*Analyzer, error) {
 		}
 	}
 	return a, nil
-}
-
-// isClockPin reports whether a sequential input pin name denotes a clock
-// rather than a data input. This mirrors the load-side heuristic logicsim
-// uses to identify clock nets.
-func isClockPin(name string) bool {
-	switch strings.ToLower(name) {
-	case "ck", "clk", "clock", "cp", "ckb", "clkb":
-		return true
-	}
-	return false
 }
 
 // Analyze runs a full-chip static timing analysis on the placed design.
@@ -230,9 +198,6 @@ func (a *Analyzer) Analyze(p *place.Placement, opts Options) *Report {
 	}
 	for _, ff := range a.seqs {
 		out := ff.Conn(ff.Master.OutputPin())
-		if out == nil {
-			continue
-		}
 		o := out.Ord()
 		t := cellDelay(a.d, p, ff, out, opts) + wireDelay(a.d, p, out, opts)
 		if t > arrival[o] {
@@ -301,46 +266,6 @@ func (a *Analyzer) finish(opts Options, arrival []float64, reached []bool, steps
 	return rep
 }
 
-// levelize orders the combinational nodes topologically.
-func levelize(nodes []node) ([]node, error) {
-	driver := make(map[*netlist.Net]int, len(nodes))
-	for i, n := range nodes {
-		driver[n.outNet] = i
-	}
-	indeg := make([]int, len(nodes))
-	deps := make([][]int, len(nodes))
-	for i, n := range nodes {
-		for _, in := range n.inNets {
-			if di, ok := driver[in]; ok {
-				indeg[i]++
-				deps[di] = append(deps[di], i)
-			}
-		}
-	}
-	queue := make([]int, 0, len(nodes))
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	out := make([]node, 0, len(nodes))
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		out = append(out, nodes[i])
-		for _, j := range deps[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-	if len(out) != len(nodes) {
-		return nil, fmt.Errorf("timing: combinational loop detected (%d gates unorderable)", len(nodes)-len(out))
-	}
-	return out, nil
-}
-
 // tracePath rebuilds the critical path from the per-net driver steps.
 func (a *Analyzer) tracePath(arrival []float64, steps []PathStep, end *netlist.Net) []PathStep {
 	var rev []PathStep
@@ -360,9 +285,6 @@ func (a *Analyzer) tracePath(arrival []float64, steps []PathStep, end *netlist.N
 		worstT := -1.0
 		for _, pin := range step.Inst.Master.Inputs() {
 			in := step.Inst.Conn(pin)
-			if in == nil {
-				continue
-			}
 			if t := arrival[in.Ord()]; t > worstT {
 				worstT = t
 				worst = in
