@@ -20,6 +20,7 @@ import (
 	"thermplace/internal/celllib"
 	"thermplace/internal/core"
 	"thermplace/internal/fault"
+	"thermplace/internal/floorplan"
 	"thermplace/internal/flow"
 	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
@@ -286,6 +287,38 @@ func BenchmarkPlacement12kCells(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRefineHPWL measures one detailed-placement pass
+// (place.RefineHPWL), the pass every cold analysis and every reflowed sweep
+// point runs, on the paper benchmark and on cold-50k's 50k-cell
+// wide-datapath design, each unrefined at the flow's default utilization
+// (0.85). Every iteration refines a fresh clone, made outside the timer.
+func BenchmarkRefineHPWL(b *testing.B) {
+	run := func(b *testing.B, design *netlist.Design) {
+		cfg := flow.DefaultConfig()
+		fp, err := floorplan.New(design, floorplan.Config{Utilization: cfg.Utilization, AspectRatio: cfg.AspectRatio})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := place.PlaceWithoutFillers(design, fp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		var swaps int
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := p.Clone()
+			b.StartTimer()
+			swaps = place.RefineHPWL(c, 1)
+		}
+		b.ReportMetric(float64(swaps), "swaps")
+	}
+	b.Run("paper", func(b *testing.B) { run(b, paperBenchmark(b)) })
+	b.Run("cells=50000", func(b *testing.B) {
+		run(b, scenarioBenchmark(b, bench.FamilyWideDatapath, 50000).Design)
+	})
 }
 
 // BenchmarkThermalSolve40x40x9 measures one steady-state solve of the

@@ -89,8 +89,9 @@ type Master struct {
 // clockPinNames are the lower-cased names of a flip-flop's clock input.
 var clockPinNames = []string{"ck", "clk", "clock", "cp", "ckb", "clkb"}
 
-// PinError reports a master with two pins of one name, or a flip-flop
-// without exactly one clock input and one data input.
+// PinError reports a master with two pins of one name, a cell without
+// exactly one output pin (a filler with any), or a flip-flop without
+// exactly one clock input and one data input.
 type PinError struct {
 	Master, Reason string
 	Inputs         []string
@@ -128,7 +129,8 @@ func (m *Master) ClockPin() string { return m.clockPin }
 // is not the clock, as AddMaster resolved it ("" for other masters).
 func (m *Master) DataPin() string { return m.dataPin }
 
-// OutputPin returns the name of the output pin, or "" for filler cells.
+// OutputPin returns the name of the output pin, the one AddMaster requires
+// of every non-filler master, or "" for filler cells.
 func (m *Master) OutputPin() string {
 	for _, p := range m.Pins {
 		if p.Dir == Output {
@@ -195,9 +197,6 @@ func (l *Library) AddMaster(m *Master) error {
 	if !(m.Width > 0) {
 		return fmt.Errorf("celllib: master %q has non-positive width %g", m.Name, m.Width)
 	}
-	if !m.Filler && m.OutputPin() == "" {
-		return fmt.Errorf("celllib: non-filler master %q has no output pin", m.Name)
-	}
 	if m.Filler && (m.Leakage != 0 || m.SwitchEnergy != 0) {
 		return fmt.Errorf("celllib: filler master %q must have zero power", m.Name)
 	}
@@ -208,6 +207,20 @@ func (l *Library) AddMaster(m *Master) error {
 				return &PinError{m.Name, fmt.Sprintf("declares pin %q twice", p.Name), in}
 			}
 		}
+	}
+	// Simulation, timing and power compute a cell's one output (OutputPin):
+	// a second would never be driven.
+	var outs []string
+	for _, p := range m.Pins {
+		if p.Dir == Output {
+			outs = append(outs, p.Name)
+		}
+	}
+	if m.Filler && len(outs) > 0 {
+		return &PinError{m.Name, fmt.Sprintf("is a filler with outputs %v: a filler has none", outs), in}
+	}
+	if !m.Filler && len(outs) != 1 {
+		return &PinError{m.Name, fmt.Sprintf("has outputs %v: a cell has exactly one", outs), in}
 	}
 	// The function must agree with the pins: the logic simulator compiles
 	// each combinational master by evaluating its function over the input

@@ -89,6 +89,8 @@ func TestAddMasterValidation(t *testing.T) {
 	if err := lib.AddMaster(ok); err != nil {
 		t.Fatalf("AddMaster(ok) = %v", err)
 	}
+	// Only its first output would be simulated, timed and powered.
+	inv2 := &Master{Name: "INV2", Width: 1, Pins: []Pin{{Name: "A", Dir: Input, Cap: 1}, {Name: "Z", Dir: Output}, {Name: "Y", Dir: Output}}, Function: FuncInv}
 	cases := []struct {
 		name string
 		m    *Master
@@ -104,11 +106,17 @@ func TestAddMasterValidation(t *testing.T) {
 		{"combinational NONE", &Master{Name: "CN", Width: 1, Pins: []Pin{{Name: "Z", Dir: Output}}, Function: FuncNone}},
 		{"sequential not DFF", &Master{Name: "SQ", Width: 1, Pins: []Pin{{Name: "D", Dir: Input}, {Name: "CK", Dir: Input}, {Name: "Z", Dir: Output}}, Function: FuncBuf, Sequential: true}},
 		{"duplicate pin", &Master{Name: "DP", Width: 1, Pins: []Pin{{Name: "A", Dir: Input, Cap: 1}, {Name: "A", Dir: Input, Cap: 2}, {Name: "Z", Dir: Output}}, Function: FuncNand2}},
+		{"two outputs", inv2},
+		{"filler with an output", &Master{Name: "FZ", Width: 1, Filler: true, Pins: []Pin{{Name: "Z", Dir: Output}}}},
 	}
 	for _, c := range cases {
 		if err := lib.AddMaster(c.m); err == nil {
 			t.Errorf("AddMaster(%s) should fail", c.name)
 		}
+	}
+	var pe *PinError
+	if err := NewLibrary("t", 2, 0.2, 1).AddMaster(inv2); !errors.As(err, &pe) || pe.Master != "INV2" {
+		t.Errorf("AddMaster(two outputs) error %v, want a PinError naming INV2", err)
 	}
 }
 
@@ -238,6 +246,7 @@ func TestParseLibertyErrors(t *testing.T) {
 		{"bad function", "library(x) { cell(C) { width : 1; function : \"WAT\"; pin(Z) { direction : output; } } }"},
 		{"function disagrees with pins", "library(x) { cell(C) { width : 1; function : \"XOR3\"; pin(A) { direction : input; } pin(B) { direction : input; } pin(Z) { direction : output; } } }"},
 		{"duplicate pin", "library(x) { cell(C) { width : 1; function : \"NAND2\"; pin(A) { direction : input; cap : 1; } pin(A) { direction : input; cap : 2; } pin(Z) { direction : output; } } }"},
+		{"two outputs", "library(x) { cell(INV2) { width : 1; function : \"INV\"; pin(A) { direction : input; } pin(Z) { direction : output; } pin(Y) { direction : output; } } }"},
 		{"flip-flop clock named outside the rule", "library(x) { cell(F) { width : 1; function : \"DFF\"; sequential : true; pin(D) { direction : input; } pin(G) { direction : input; } pin(Q) { direction : output; } } }"},
 		{"duplicate cell", "library(x) { cell(C) { width : 1; function : \"INV\"; pin(A) { direction : input; } pin(Z) { direction : output; } } cell(C) { width : 1; function : \"INV\"; pin(A) { direction : input; } pin(Z) { direction : output; } } }"},
 	}

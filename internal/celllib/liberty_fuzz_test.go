@@ -9,7 +9,8 @@ import (
 // FuzzParseLiberty holds the Liberty-lite reader to its contract: no input
 // panics, every numeric field of a parsed library is finite and in range,
 // every master's pin names are unique and its function agrees with its
-// pins, every flip-flop has a clock and a data pin by the name rule, and a
+// pins, every cell has one output pin and every filler none, every
+// flip-flop has a clock and a data pin by the name rule, and a
 // parsed library writes back to text that parses again and writes the
 // same bytes.
 //
@@ -30,6 +31,8 @@ func FuzzParseLiberty(f *testing.F) {
 	f.Add(strings.Replace(def.String(), "pin(CK)", "pin(G)", 1))
 	const small = "library(t) {\n  voltage : 1;\n  cell(INV_X1) {\n    width : 1;\n    function : \"INV\";\n" +
 		"    pin(A) { direction : input; cap : 1; }\n    pin(Z) { direction : output; }\n  }\n}\n"
+	// An inverter with a second output, Y, that nothing would compute.
+	f.Add(strings.Replace(small, "    pin(Z) { direction : output; }\n", "    pin(Z) { direction : output; }\n    pin(Y) { direction : output; }\n", 1))
 	// Non-finite and out-of-range physical values.
 	for _, edit := range [][2]string{
 		{"voltage : 1", "voltage : NaN"},
@@ -78,9 +81,10 @@ func FuzzParseLiberty(f *testing.F) {
 
 // checkLibraryRanges fails the test on any numeric library, cell or pin
 // field that is non-finite or out of its physical range, on any master
-// with two pins of one name or whose function disagrees with its pins, and
-// on any flip-flop whose resolved clock and data pins are not its two
-// inputs, the clock's lower-cased name on the rule's list.
+// with two pins of one name or whose function disagrees with its pins, on
+// any cell without exactly one output pin or filler with one, and on any
+// flip-flop whose resolved clock and data pins are not its two inputs, the
+// clock's lower-cased name on the rule's list.
 func checkLibraryRanges(t *testing.T, lib *Library) {
 	t.Helper()
 	check := func(what string, v float64, positive bool) {
@@ -114,6 +118,19 @@ func checkLibraryRanges(t *testing.T, lib *Library) {
 			}
 		case m.Function == FuncDFF || m.Function == FuncNone || len(m.Inputs()) != m.Function.NumInputs():
 			t.Fatalf("parsed master %s has function %s and inputs %v", m.Name, m.Function, m.Inputs())
+		}
+		outputs := 0
+		for _, p := range m.Pins {
+			if p.Dir == Output {
+				outputs++
+			}
+		}
+		want := 1
+		if m.Filler {
+			want = 0
+		}
+		if outputs != want {
+			t.Fatalf("parsed master %s (filler %v) has %d output pins, want %d", m.Name, m.Filler, outputs, want)
 		}
 		for i, p := range m.Pins {
 			check(m.Name+"."+p.Name+" cap", p.Cap, false)

@@ -45,7 +45,8 @@ func (f Filler) Rect(rowHeight float64) geom.Rect {
 // Port.Ord) rather than in maps, and per-row occupancy lists are maintained
 // incrementally by SetLoc, so row queries (rowOccupants, Validate,
 // InsertFillers) cost O(row size) instead of a scan over
-// all instances. Net bounding boxes are cached and invalidated per SetLoc.
+// all instances. Net bounding boxes are cached and invalidated per SetLoc,
+// except that a refinement swap keeps the boxes it cannot change.
 //
 // The placement assumes the design's structure (instances, nets, pin
 // connections) is frozen once the placement exists: connecting new pins to
@@ -82,7 +83,8 @@ type Placement struct {
 	misalignedCount int
 
 	// netBox caches per-net pin bounding boxes; SetLoc and SetPortLoc
-	// invalidate the nets touching the moved cell or port.
+	// invalidate the nets touching the moved cell or port, and doSwap those
+	// a swap may change.
 	netBox      []geom.Rect
 	netBoxValid []bool
 
@@ -206,7 +208,11 @@ func (p *Placement) rowAligned(l Loc) bool {
 
 // SetLoc places (or re-places) the instance at loc, maintaining the per-row
 // occupancy lists and invalidating the cached bounding boxes of the nets
-// touching the instance.
+// touching the instance; a call that leaves the location as it was changes
+// nothing. The box cache's contract is that a box marked valid is == to
+// computeNetBBox over the current locations, so every move must invalidate
+// each box it can change. RefineHPWL's swaps keep valid only the boxes they
+// prove unchanged (doSwap).
 func (p *Placement) SetLoc(inst *netlist.Instance, loc Loc) {
 	ord := inst.Ord()
 	p.ensureInst(ord)
@@ -235,11 +241,59 @@ func (p *Placement) SetLoc(inst *netlist.Instance, loc Loc) {
 		p.misaligned[ord] = true
 		p.misalignedCount++
 	}
+	p.invalidateNets(ord)
+}
+
+// invalidateNets marks stale the cached boxes of the nets touching the
+// instance.
+func (p *Placement) invalidateNets(ord int) {
 	for _, netOrd := range p.instNets[ord] {
 		if int(netOrd) < len(p.netBoxValid) {
 			p.netBoxValid[netOrd] = false
 		}
 	}
+}
+
+// swapInRow moves cells a and b, which sit next to each other in one row
+// bucket (a first) at one Y, to newAX and newBX with b now first. It leaves
+// the locations, bucket, rowPos, recorded moves and invalidated boxes that
+// SetLoc on b and then on a would, but exchanges the two entries in O(1)
+// where SetLoc's removal and re-insertion renumber the rest of the row.
+// Instance names are unique, so a bucket sorted by (X, Name) has one order,
+// and the exchange gives it whenever b then a sorts strictly between the
+// pair's neighbours. Otherwise it changes nothing and reports false, and
+// the caller falls back to SetLoc; only an unlegalized row, whose cells
+// overlap, can need that.
+func (p *Placement) swapInRow(a, b *netlist.Instance, newAX, newBX float64) bool {
+	ao, bo := a.Ord(), b.Ord()
+	la, lb := p.locs[ao], p.locs[bo]
+	i := int(p.rowPos[ao])
+	if la.Row != lb.Row || la.Y != lb.Y || i < 0 || int(p.rowPos[bo]) != i+1 {
+		return false
+	}
+	bucket := p.rowOcc[la.Row]
+	before := func(x float64, n string, x2 float64, n2 string) bool { return x < x2 || x == x2 && n < n2 }
+	if i > 0 && !before(p.locs[bucket[i-1]].X, p.insts[bucket[i-1]].Name, newBX, b.Name) ||
+		!before(newBX, b.Name, newAX, a.Name) ||
+		i+2 < len(bucket) && !before(newAX, a.Name, p.locs[bucket[i+2]].X, p.insts[bucket[i+2]].Name) {
+		return false
+	}
+	bucket[i], bucket[i+1] = int32(bo), int32(ao)
+	p.rowPos[bo], p.rowPos[ao] = int32(i), int32(i+1)
+	for _, mv := range [2]struct {
+		ord int
+		x   float64
+	}{{bo, newBX}, {ao, newAX}} {
+		if p.locs[mv.ord].X == mv.x {
+			continue // SetLoc's no-op: not recorded, nothing invalidated
+		}
+		if p.rec != nil {
+			p.record(mv.ord)
+		}
+		p.locs[mv.ord].X = mv.x
+		p.invalidateNets(mv.ord)
+	}
+	return true
 }
 
 // removeFromRow detaches a placed instance from its occupancy bucket (or

@@ -3,6 +3,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"thermplace/internal/floorplan"
@@ -366,9 +367,17 @@ func placePorts(p *Placement) {
 
 // RefineHPWL performs a bounded greedy detailed-placement pass: it sweeps
 // every row and swaps adjacent cells when doing so reduces the total
-// half-perimeter wirelength of the nets touching them. It returns the number
-// of accepted swaps. The pass preserves legality (swapped cells exchange
-// positions adjusted for their widths).
+// half-perimeter wirelength of the nets touching them by more than 1e-9 um.
+// It returns the number of accepted swaps. The pass preserves legality
+// (swapped cells exchange positions adjusted for their widths).
+//
+// Each row is swept in its (X, Name) order as it stood when the sweep
+// reached it. A candidate is priced without moving anything (swapDelta),
+// and an accepted swap exchanges the pair's row entries in O(1) (doSwap).
+// Neither rescans a net whose box the swap cannot change: swapDelta skips
+// its zero term and doSwap keeps its cached box valid. Every Loc, row
+// bucket, cached box and the swap count are == to trying each swap with
+// SetLoc and recomputing every touched box from its pins.
 func RefineHPWL(p *Placement, passes int) int {
 	accepted := 0
 	for pass := 0; pass < passes; pass++ {
@@ -392,13 +401,41 @@ func RefineHPWL(p *Placement, passes int) int {
 	return accepted
 }
 
+// swapTargets returns where a swap of adjacent cells a and b (at la and
+// lb) moves them: b to the pair's left edge, a right after it.
+func swapTargets(la, lb Loc, b *netlist.Instance) (newA, newB Loc) {
+	newB = la
+	if lb.X < la.X {
+		newB = lb
+	}
+	newA = newB
+	newA.X += b.Master.Width
+	return newA, newB
+}
+
+// swapSpan returns the lowest and highest pin X of cells a and b before and
+// after a swap moves them to newAX and newBX, each a cell centre in
+// computeNetBBox's arithmetic. A net box with Xlo < lo and Xhi > hi takes
+// both X extremes from other pins, which do not move, and a swap keeps Y,
+// so the swap leaves that box ==.
+func swapSpan(la, lb Loc, a, b *netlist.Instance, newAX, newBX float64) (lo, hi float64) {
+	centre := func(x float64, inst *netlist.Instance) float64 { return (x + (x + inst.Master.Width)) / 2 }
+	ca, cb, na, nb := centre(la.X, a), centre(lb.X, b), centre(newAX, a), centre(newBX, b)
+	return min(ca, cb, na, nb), max(ca, cb, na, nb)
+}
+
 // swapDelta returns the change in HPWL caused by swapping adjacent cells a
 // and b (negative is an improvement). A swap within a row changes only the
 // two cells' X coordinates, so per net the bounding-box height is unchanged
 // and the HPWL delta reduces to the change of the box width: the "before"
 // width comes from the cached net bounding box and the "after" width from an
-// X-only pin scan with the post-swap coordinates substituted in. No trial
-// move mutates the placement and nothing is allocated per candidate swap.
+// X-only pin scan with the post-swap coordinates substituted in. The terms
+// are summed in a fixed order: a's nets, then b's that a does not share.
+//
+// A net whose box strictly contains the pair's span (swapSpan) is not
+// scanned: its term is exactly 0.0, and adding 0.0 changes no bit of a sum
+// that starts at +0.0 and so is never -0.0. No trial move mutates the
+// placement and nothing is allocated per candidate swap.
 func swapDelta(p *Placement, a, b *netlist.Instance) float64 {
 	la, _ := p.Loc(a)
 	lb, _ := p.Loc(b)
@@ -411,32 +448,25 @@ func swapDelta(p *Placement, a, b *netlist.Instance) float64 {
 		// accept such a swap.
 		return math.Inf(1)
 	}
-	left := la
-	if lb.X < la.X {
-		left = lb
+	newA, newB := swapTargets(la, lb, b)
+	lo, hi := swapSpan(la, lb, a, b, newA.X, newB.X)
+	term := func(netOrd int32) float64 {
+		n := p.nets[netOrd]
+		box := p.NetBBox(n)
+		if box.Xlo < lo && box.Xhi > hi {
+			return 0
+		}
+		return p.netWidthIfSwapped(n, a, b, newA.X, newB.X) - box.W()
 	}
-	// After the swap b goes first, then a (mirroring doSwap).
-	newAX := left.X + b.Master.Width
-	newBX := left.X
 	aNets := p.instNets[a.Ord()]
 	delta := 0.0
 	for _, netOrd := range aNets {
-		n := p.nets[netOrd]
-		delta += p.netWidthIfSwapped(n, a, b, newAX, newBX) - p.NetBBox(n).W()
+		delta += term(netOrd)
 	}
 	for _, netOrd := range p.instNets[b.Ord()] {
-		shared := false
-		for _, seen := range aNets {
-			if seen == netOrd {
-				shared = true
-				break
-			}
+		if !slices.Contains(aNets, netOrd) {
+			delta += term(netOrd)
 		}
-		if shared {
-			continue
-		}
-		n := p.nets[netOrd]
-		delta += p.netWidthIfSwapped(n, a, b, newAX, newBX) - p.NetBBox(n).W()
 	}
 	return delta
 }
@@ -498,18 +528,37 @@ func (p *Placement) netWidthIfSwapped(n *netlist.Net, a, b *netlist.Instance, ax
 	return xhi - xlo
 }
 
-// doSwap exchanges the positions of two adjacent cells in a row, keeping the
-// pair's left edge and packing order.
+// doSwap exchanges the positions of two adjacent cells a and b of one row,
+// as swapDelta priced it: b moves to the pair's left edge and a right after
+// it. The row entries are exchanged in O(1) (swapInRow), with SetLoc as the
+// fallback. Like SetLoc, the move invalidates the boxes of the nets touching
+// a moved cell, except those whose box was valid and strictly contains the
+// pair's span (swapSpan): the swap cannot change them, so they stay valid.
 func doSwap(p *Placement, a, b *netlist.Instance) {
 	la, _ := p.Loc(a)
 	lb, _ := p.Loc(b)
-	left := la
-	if lb.X < la.X {
-		left = lb
+	newA, newB := swapTargets(la, lb, b)
+	lo, hi := swapSpan(la, lb, a, b, newA.X, newB.X)
+	// A cell has at most four distinct nets (AddMaster's three inputs and
+	// one output); a net that does not fit in keep is simply invalidated.
+	var keep [8]int32
+	kept := 0
+	for _, nets := range [2][]int32{p.instNets[a.Ord()], p.instNets[b.Ord()]} {
+		for _, netOrd := range nets {
+			if kept < len(keep) && int(netOrd) < len(p.netBoxValid) && p.netBoxValid[netOrd] &&
+				p.netBox[netOrd].Xlo < lo && p.netBox[netOrd].Xhi > hi {
+				keep[kept] = netOrd
+				kept++
+			}
+		}
 	}
-	// b goes first, then a.
-	p.SetLoc(b, Loc{X: left.X, Y: left.Y, Row: left.Row})
-	p.SetLoc(a, Loc{X: left.X + b.Master.Width, Y: left.Y, Row: left.Row})
+	if !p.swapInRow(a, b, newA.X, newB.X) {
+		p.SetLoc(b, newB)
+		p.SetLoc(a, newA)
+	}
+	for _, netOrd := range keep[:kept] {
+		p.netBoxValid[netOrd] = true
+	}
 }
 
 func snapDown(v, step float64) float64 {
