@@ -321,6 +321,35 @@ func BenchmarkRefineHPWL(b *testing.B) {
 	})
 }
 
+// BenchmarkColdAnalysis measures a fresh flow's baseline analysis (the
+// cold-50k operation): activity simulation, placement, model and solver
+// set-up, then the analysis itself. It runs on cold-50k's design
+// (wide-datapath, 50k cells, 160x160x9) and on the paper benchmark (40x40x9).
+// At GOMAXPROCS of at least 2 the flow builds the placement beside the
+// activity and models; compare -cpu 1 and -cpu 2.
+func BenchmarkColdAnalysis(b *testing.B) {
+	run := func(b *testing.B, newFlow func() *flow.Flow) {
+		var an *flow.Analysis
+		for i := 0; i < b.N; i++ {
+			var err error
+			if an, err = newFlow().AnalyzeBaseline(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(an.PeakRise(), "peak_rise_K")
+	}
+	b.Run("paper", func(b *testing.B) {
+		paperBenchmark(b)
+		b.ResetTimer()
+		run(b, func() *flow.Flow { return paperFlow(b, bench.ScatteredSmallHotspots()) })
+	})
+	b.Run("cells=50000", func(b *testing.B) {
+		g := scenarioBenchmark(b, bench.FamilyWideDatapath, 50000)
+		b.ResetTimer()
+		run(b, func() *flow.Flow { return scenarioFlow(b, g, 160) })
+	})
+}
+
 // BenchmarkThermalSolve40x40x9 measures one steady-state solve of the
 // paper's thermal grid.
 func BenchmarkThermalSolve40x40x9(b *testing.B) {

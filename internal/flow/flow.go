@@ -24,6 +24,7 @@ import (
 	"thermplace/internal/netlist"
 	"thermplace/internal/place"
 	"thermplace/internal/power"
+	"thermplace/internal/sparse"
 	"thermplace/internal/thermal"
 	"thermplace/internal/timing"
 )
@@ -111,7 +112,8 @@ func FastConfig() Config {
 // Flow binds a design and a workload to an analysis configuration and caches
 // everything that is reusable across analyses: the workload-dependent (but
 // placement-independent) switching activity, the deterministic baseline
-// placement, and one thermal.Pool of structured-grid solvers. The pool is
+// placement, the power estimator and timing analyzer built from them, the
+// baseline analysis, and one thermal.Pool of structured-grid solvers. The pool is
 // what makes a sweep cheap and concurrent: every ERI/HW/Default point
 // reuses an assembled thermal system, and each solve warm-starts from a
 // fixed field — its lineage parent's solved field, or else the pool's
@@ -124,38 +126,46 @@ func FastConfig() Config {
 //
 // The caches are built once from Config and never invalidated: set every
 // Config field, the thermal injector included, before the first call, and
-// build a new Flow for another configuration. AnalyzeWithCtx (and
-// everything it calls) is then safe for concurrent use; the concurrent
-// sweep in package core relies on this.
+// build a new Flow for another configuration. Each value but the baseline
+// analysis sits behind its own sync.OnceValues (OnceValue for the pool): the
+// first caller builds it, concurrent callers wait for that build, and every
+// later call returns the same value or the same error. The baseline
+// analysis is guarded by a mutex and cached only once one succeeds.
+// Activity, Baseline and the analyses are then safe for concurrent use; the
+// concurrent sweep in package core relies on this.
+//
+// The first baseline analysis is the only place the flow itself forks. With
+// a live context and GOMAXPROCS of at least 2, AnalyzeBaselineCtx places the
+// design and builds the first thermal solver on one core while it simulates
+// the activity and builds the power estimator and timing analyzer on the
+// other, then analyzes on the filled caches. At GOMAXPROCS 1 it builds each
+// value when the analysis first needs it, in sequence. Every output is ==
+// either way: each value is a pure function of the design and Config.
 type Flow struct {
 	Design   *netlist.Design
 	Workload bench.Workload
 	Config   Config
 
-	// mu guards every cache below.
-	mu       sync.Mutex
-	activity *logicsim.Activity
-	baseline *place.Placement
+	// The lazily built values, each made in New: the workload's switching
+	// activity (Activity), the baseline placement (Baseline), the power
+	// estimator bound to that activity and the configured clock, the timing
+	// analyzer (levelized graph and endpoint set) and the pool of idle
+	// thermal solvers with their default seed. A failed build stays cached,
+	// so a broken netlist is not re-walked per analysis. The baseline
+	// placement's net boxes are all cached when it is built, so analyses
+	// only read it.
+	activity func() (*logicsim.Activity, error)
+	baseline func() (*place.Placement, error)
+	est      func() (*power.Estimator, error)
+	ta       func() (*timing.Analyzer, error)
+	pool     func() *thermal.Pool
 
-	// est is the power estimator bound to the cached activity and the
-	// configured clock (placement-independent model terms).
-	est *power.Estimator
-
-	// baseAn caches the baseline analysis, so repeated AnalyzeBaseline
-	// calls (every sweep starts with one) and the zero-delta Reflow no-op
-	// return the same *Analysis instead of re-running the pipeline.
+	// baseMu guards baseAn, the first successful baseline analysis, so
+	// repeated AnalyzeBaseline calls (every sweep starts with one) and the
+	// zero-delta Reflow no-op return the same *Analysis instead of
+	// re-running the pipeline.
+	baseMu sync.Mutex
 	baseAn *Analysis
-
-	// pool holds the idle thermal solvers and their default seed, built on
-	// the first solve.
-	pool *thermal.Pool
-
-	// ta is the cached timing analyzer of the design (levelized graph and
-	// endpoint set, placement-independent), built on the first co-analysis;
-	// taErr pins a failed construction so a broken netlist is not re-walked
-	// per analysis.
-	ta    *timing.Analyzer
-	taErr error
 
 	// stats aggregates the robustness counters of every solver the flow
 	// runs — Jacobi retries, contained panics, cancellations — and
@@ -170,21 +180,40 @@ type Flow struct {
 // context.
 func (f *Flow) FaultStats() fault.StatsSnapshot { return f.stats.Snapshot() }
 
-// New creates a flow for the design under the given workload.
+// New creates a flow for the design under the given workload. Nothing is
+// built yet: each cached value reads Config when it is first needed.
 func New(d *netlist.Design, wl bench.Workload, cfg Config) *Flow {
-	return &Flow{Design: d, Workload: wl, Config: cfg}
+	f := &Flow{Design: d, Workload: wl, Config: cfg}
+	f.activity = sync.OnceValues(f.simulate)
+	f.baseline = sync.OnceValues(func() (*place.Placement, error) {
+		p, err := f.PlaceAtAspect(f.Config.Utilization, f.Config.AspectRatio)
+		if err == nil {
+			// Fill every net's cached box now, so analyses only read the
+			// shared placement, even the first ones when they run at once.
+			p.TotalHPWL()
+		}
+		return p, err
+	})
+	f.est = sync.OnceValues(func() (*power.Estimator, error) {
+		act, err := f.activity()
+		if err != nil {
+			return nil, err
+		}
+		return power.NewEstimator(f.Design, act, f.Config.ClockHz), nil
+	})
+	f.ta = sync.OnceValues(func() (*timing.Analyzer, error) { return timing.NewAnalyzer(f.Design) })
+	f.pool = sync.OnceValue(func() *thermal.Pool { return thermal.NewPool(f.thermalConfig()) })
+	return f
 }
 
 // Activity returns the switching activity of the design under the flow's
-// workload, simulating it on first use and caching the result: the paper's
-// "power estimation based on annotated switching activity of randomly
-// generated test vectors".
-func (f *Flow) Activity() (*logicsim.Activity, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.activity != nil {
-		return f.activity, nil
-	}
+// workload, simulating it on first use and caching the result or its error:
+// the paper's "power estimation based on annotated switching activity of
+// randomly generated test vectors".
+func (f *Flow) Activity() (*logicsim.Activity, error) { return f.activity() }
+
+// simulate runs the random-vector simulation behind Activity.
+func (f *Flow) simulate() (*logicsim.Activity, error) {
 	if err := checkWorkloadUnits(f.Design, f.Workload); err != nil {
 		return nil, err
 	}
@@ -195,7 +224,6 @@ func (f *Flow) Activity() (*logicsim.Activity, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flow: activity simulation: %w", err)
 	}
-	f.activity = act
 	return act, nil
 }
 
@@ -250,29 +278,16 @@ func (f *Flow) PlaceAtAspect(utilization, aspect float64) (*place.Placement, err
 // experiment measures against this same compact placement. The cached
 // placement is shared; callers must treat it as read-only (the core
 // transforms clone before modifying).
-func (f *Flow) Baseline() (*place.Placement, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.baseline != nil {
-		return f.baseline, nil
-	}
-	p, err := f.PlaceAtAspect(f.Config.Utilization, f.Config.AspectRatio)
-	if err != nil {
-		return nil, err
-	}
-	f.baseline = p
-	return p, nil
-}
+func (f *Flow) Baseline() (*place.Placement, error) { return f.baseline() }
 
-// thermalPool returns the flow's thermal solver pool, building it on first
-// use.
-func (f *Flow) thermalPool(tcfg thermal.Config) *thermal.Pool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.pool == nil {
-		f.pool = thermal.NewPool(tcfg)
+// thermalConfig is Config.Thermal with the flow's own robustness counters
+// as its collector, unless the caller wired an external one.
+func (f *Flow) thermalConfig() thermal.Config {
+	tcfg := f.Config.Thermal
+	if tcfg.Stats == nil {
+		tcfg.Stats = &f.stats
 	}
-	return f.pool
+	return tcfg
 }
 
 // Close does nothing: a flow's pooled solvers hold no goroutines between
@@ -361,19 +376,15 @@ type AnalyzeOptions struct {
 //
 // It is safe for concurrent use with one caveat: the power estimate fills
 // the placement's lazy net-bounding-box cache, so a *Placement may only be
-// shared between concurrent calls once it has been analyzed (the sweep's
-// baseline is). Distinct placements need no coordination.
+// shared between concurrent calls once it has been analyzed. The baseline
+// placement may be shared from the start: Baseline fills its cache.
+// Distinct placements need no coordination.
 func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts AnalyzeOptions) (*Analysis, error) {
 	if par := opts.Parent; par != nil && opts.Delta != nil && opts.Delta.Empty() && par.Placement == p {
 		// Zero-delta no-op: the parent already measured this placement.
 		return par, nil
 	}
-	tcfg := f.Config.Thermal
-	if tcfg.Stats == nil {
-		// Aggregate robustness events into the per-flow counters unless the
-		// caller wired an external collector.
-		tcfg.Stats = &f.stats
-	}
+	tcfg := f.thermalConfig()
 	if in := tcfg.Inject; in.StallAnalyze(in.NextAnalyze()) {
 		// Injected stall (Injector.StallAnalyzeN): park until the caller
 		// cancels, simulating an analysis that hangs before reaching the
@@ -385,7 +396,7 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		tcfg.Stats.AddCanceled()
 		return nil, fmt.Errorf("flow: analysis: %w", fault.Canceled(cerr))
 	}
-	est, err := f.estimator()
+	est, err := f.est()
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +422,7 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 	if opts.Parent != nil {
 		seed = opts.Parent.state
 	}
-	pool := f.thermalPool(tcfg)
+	pool := f.pool()
 	s, err := pool.Get(seed)
 	if err != nil {
 		return nil, fmt.Errorf("flow: thermal simulation: %w", err)
@@ -438,17 +449,6 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		return nil, err
 	}
 	return an, nil
-}
-
-// timingAnalyzer returns the cached timing graph of the design, building it
-// on first use.
-func (f *Flow) timingAnalyzer() (*timing.Analyzer, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.ta == nil && f.taErr == nil {
-		f.ta, f.taErr = timing.NewAnalyzer(f.Design)
-	}
-	return f.ta, f.taErr
 }
 
 // timingOptions resolves Config.Timing for one analysis: a zero value means
@@ -480,7 +480,7 @@ func (f *Flow) coAnalyze(an *Analysis) error {
 	if !f.Config.CoAnalysis {
 		return nil
 	}
-	ta, err := f.timingAnalyzer()
+	ta, err := f.ta()
 	if err != nil {
 		return fmt.Errorf("flow: timing analysis: %w", err)
 	}
@@ -488,21 +488,6 @@ func (f *Flow) coAnalyze(an *Analysis) error {
 	an.Congestion = congestion.Estimate(an.Placement, f.Config.Congestion)
 	an.HPWL = an.Placement.TotalHPWL()
 	return nil
-}
-
-// estimator returns the cached power estimator for the flow's activity and
-// clock, building it on first use.
-func (f *Flow) estimator() (*power.Estimator, error) {
-	act, err := f.Activity()
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.est == nil {
-		f.est = power.NewEstimator(f.Design, act, f.Config.ClockHz)
-	}
-	return f.est, nil
 }
 
 // validatePowerMap rejects a power profile that cannot be physical — a NaN,
@@ -533,26 +518,66 @@ func (f *Flow) AnalyzeBaseline() (*Analysis, error) {
 
 // AnalyzeBaselineCtx is AnalyzeBaseline with cancellation (see
 // AnalyzeWithCtx). A cached baseline analysis is returned without
-// consulting the context.
+// consulting the context. Until one is cached, a call with a live context
+// first builds the placement and the models side by side on up to two
+// cores (see Flow), which changes no output, error or cancellation.
 func (f *Flow) AnalyzeBaselineCtx(ctx context.Context) (*Analysis, error) {
+	return f.analyzeBaseline(ctx, 0)
+}
+
+// analyzeBaseline is AnalyzeBaselineCtx with the fork's pool size: workers
+// <= 0 takes GOMAXPROCS, and 1 skips the fork.
+func (f *Flow) analyzeBaseline(ctx context.Context, workers int) (*Analysis, error) {
+	f.baseMu.Lock()
+	an := f.baseAn
+	f.baseMu.Unlock()
+	if an != nil {
+		return an, nil
+	}
+	if ctx.Err() == nil {
+		f.buildCold(sparse.NewPool(workers))
+	}
 	p, err := f.Baseline()
 	if err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	an := f.baseAn
-	f.mu.Unlock()
-	if an != nil {
-		return an, nil
-	}
-	an, err = f.AnalyzeWithCtx(ctx, p, AnalyzeOptions{})
-	if err != nil {
+	if an, err = f.AnalyzeWithCtx(ctx, p, AnalyzeOptions{}); err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	f.baseAn = an
-	f.mu.Unlock()
-	return an, nil
+	f.baseMu.Lock()
+	defer f.baseMu.Unlock()
+	if f.baseAn == nil {
+		f.baseAn = an
+	}
+	return f.baseAn, nil
+}
+
+// buildCold fills the caches a first baseline analysis reads, in two lanes
+// on the pool when Parallel(2) holds and not at all otherwise. One lane
+// places the design and checks one idle thermal solver into the pool, the
+// one the first solve then checks out; the other simulates the activity
+// and builds the power estimator and, with co-analysis, the timing
+// analyzer. Neither lane reads what the other builds. A lane's errors stay
+// cached for the analysis that follows, which reports them in its own
+// order; an invalid thermal config fails Get here and is reported by that
+// analysis' validation.
+func (f *Flow) buildCold(lanes *sparse.Pool) {
+	if !lanes.Parallel(2) {
+		return
+	}
+	lanes.Run(2, func(lane int) float64 {
+		if lane == 0 {
+			if _, err := f.baseline(); err == nil {
+				pool := f.pool()
+				if s, err := pool.Get(nil); err == nil {
+					pool.Put(s, nil)
+				}
+			}
+		} else if _, err := f.est(); err == nil && f.Config.CoAnalysis {
+			_, _ = f.ta()
+		}
+		return 0
+	})
 }
 
 // ReflowAt derives the placement at the given utilization from the cached

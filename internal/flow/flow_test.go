@@ -9,7 +9,6 @@ import (
 
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
-	"thermplace/internal/netlist"
 	"thermplace/internal/place"
 	"thermplace/internal/spice"
 	"thermplace/internal/thermal"
@@ -266,18 +265,8 @@ func TestWorkloadChangesHotspotLocation(t *testing.T) {
 }
 
 func TestAnalyzeRejectsBrokenDesign(t *testing.T) {
-	lib := celllib.Default65nm()
-	d := netlist.NewDesign("broken", lib)
 	// A design with a combinational loop cannot be simulated.
-	u1, _ := d.AddInstance("u1", "INV_X1", "u")
-	u2, _ := d.AddInstance("u2", "INV_X1", "u")
-	n1 := d.GetOrCreateNet("n1")
-	n2 := d.GetOrCreateNet("n2")
-	_ = d.Connect(u1, "A", n2)
-	_ = d.Connect(u1, "Z", n1)
-	_ = d.Connect(u2, "A", n1)
-	_ = d.Connect(u2, "Z", n2)
-	f := New(d, bench.UniformWorkload(0.2), FastConfig())
+	f := New(loopedDesign(t), bench.UniformWorkload(0.2), FastConfig())
 	if _, err := f.Activity(); err == nil {
 		t.Fatal("activity extraction on a looped design must fail")
 	}

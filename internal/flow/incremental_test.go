@@ -199,7 +199,7 @@ func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 	if child.Timing == base.Timing || child.Congestion == nil || child.HPWL <= 0 {
 		t.Fatal("the child analysis must carry its own co-analysis reports")
 	}
-	ta, err := f.timingAnalyzer()
+	ta, err := f.ta()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,6 @@ func InsertFillers(p *Placement) float64 {
 
 	for row := 0; row < fp.NumRows(); row++ {
 		r := fp.Rows[row]
-		// rowOccupants is already sorted by (X, name); re-sorting it with an
-		// X-only comparator used to reorder equal-X entries arbitrarily and
-		// made the filler list non-deterministic.
-		occ := p.rowOccupants(row)
 		cursor := r.X0
 		fillGap := func(from, to float64) {
 			gap := to - from
@@ -45,12 +41,15 @@ func InsertFillers(p *Placement) float64 {
 				}
 			}
 		}
-		for _, inst := range occ {
-			l, _ := p.Loc(inst)
+		// The bucket is already sorted by (X, name); re-sorting it with an
+		// X-only comparator used to reorder equal-X entries arbitrarily and
+		// made the filler list non-deterministic.
+		for _, ord := range p.rowBucket(row) {
+			l := p.locs[ord]
 			if l.X > cursor {
 				fillGap(cursor, l.X)
 			}
-			end := l.X + inst.Master.Width
+			end := l.X + p.insts[ord].Master.Width
 			if end > cursor {
 				cursor = end
 			}

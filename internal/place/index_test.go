@@ -14,6 +14,16 @@ import (
 	"thermplace/internal/netlist"
 )
 
+// rowOccupants returns the instances of the row's bucket (rowBucket), in
+// bucket order.
+func (p *Placement) rowOccupants(row int) []*netlist.Instance {
+	var out []*netlist.Instance
+	for _, ord := range p.rowBucket(row) {
+		out = append(out, p.insts[ord])
+	}
+	return out
+}
+
 // refRowOccupants is the pre-index O(instances) reference implementation of
 // rowOccupants: scan every placed instance, keep the row's, sort by (X, name).
 func refRowOccupants(p *Placement, row int) []*netlist.Instance {

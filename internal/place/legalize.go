@@ -143,10 +143,7 @@ func cellsSortedByX(p *Placement, cells []*netlist.Instance) bool {
 // rowOccupantsNonFiller copies the row's occupancy bucket, dropping filler
 // instances.
 func rowOccupantsNonFiller(p *Placement, row int) []*netlist.Instance {
-	if row < 0 || row >= len(p.rowOcc) {
-		return nil
-	}
-	bucket := p.rowOcc[row]
+	bucket := p.rowBucket(row)
 	if len(bucket) == 0 {
 		return nil
 	}

@@ -43,7 +43,7 @@ func (f Filler) Rect(rowHeight float64) geom.Rect {
 // Internally every per-instance, per-net and per-port attribute is stored in
 // a dense slice keyed by the netlist ordinals (Instance.Ord, Net.Ord,
 // Port.Ord) rather than in maps, and per-row occupancy lists are maintained
-// incrementally by SetLoc, so row queries (rowOccupants, Validate,
+// incrementally by SetLoc, so row queries (rowBucket, Validate,
 // InsertFillers) cost O(row size) instead of a scan over
 // all instances. Net bounding boxes are cached and invalidated per SetLoc,
 // except that a refinement swap keeps the boxes it cannot change.
@@ -582,22 +582,15 @@ func (p *Placement) instancesInRectScan(r geom.Rect) []*netlist.Instance {
 	return out
 }
 
-// rowOccupants returns placed instances in the given row sorted by x (name
-// breaking ties). The returned slice is a copy: callers may reorder it while
-// re-placing cells without corrupting the underlying occupancy index.
-func (p *Placement) rowOccupants(row int) []*netlist.Instance {
+// rowBucket returns the ordinals of the instances placed in the given row,
+// sorted by (X, Name), or nil for a row without a bucket. The slice is the
+// occupancy index itself: callers only read it, and must copy it before
+// moving any cell of the row.
+func (p *Placement) rowBucket(row int) []int32 {
 	if row < 0 || row >= len(p.rowOcc) {
 		return nil
 	}
-	bucket := p.rowOcc[row]
-	if len(bucket) == 0 {
-		return nil
-	}
-	out := make([]*netlist.Instance, len(bucket))
-	for i, ord := range bucket {
-		out[i] = p.insts[ord]
-	}
-	return out
+	return p.rowOcc[row]
 }
 
 // Validate checks the placement for physical legality: every non-filler

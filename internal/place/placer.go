@@ -380,12 +380,15 @@ func placePorts(p *Placement) {
 // SetLoc and recomputing every touched box from its pins.
 func RefineHPWL(p *Placement, passes int) int {
 	accepted := 0
+	// occ is the row being swept, copied because a SetLoc fallback
+	// reorders the bucket; one buffer serves every row and pass.
+	var occ []int32
 	for pass := 0; pass < passes; pass++ {
 		improvedThisPass := 0
 		for row := 0; row < p.FP.NumRows(); row++ {
-			occ := p.rowOccupants(row)
+			occ = append(occ[:0], p.rowBucket(row)...)
 			for i := 0; i+1 < len(occ); i++ {
-				a, b := occ[i], occ[i+1]
+				a, b := p.insts[occ[i]], p.insts[occ[i+1]]
 				if delta := swapDelta(p, a, b); delta < -1e-9 {
 					doSwap(p, a, b)
 					occ[i], occ[i+1] = occ[i+1], occ[i]
