@@ -126,7 +126,7 @@ func BenchmarkAblation_HotspotThreshold(b *testing.B) {
 			}
 			var red float64
 			for i := 0; i < b.N; i++ {
-				p, err := core.EmptyRowInsertion(base.Placement, spots, core.DefaultERIOptions(rows))
+				p, _, err := core.EmptyRowInsertionDelta(base.Placement, spots, core.DefaultERIOptions(rows))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -172,7 +172,7 @@ func BenchmarkAblation_ERIPolicy(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var red float64
 			for i := 0; i < b.N; i++ {
-				p, err := core.EmptyRowInsertion(base.Placement, base.Hotspots,
+				p, _, err := core.EmptyRowInsertionDelta(base.Placement, base.Hotspots,
 					core.ERIOptions{Rows: rows, Interleave: interleave})
 				if err != nil {
 					b.Fatal(err)
@@ -215,7 +215,7 @@ func BenchmarkAblation_WrapperWidth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.DefaultWrapperOptions(powerOf)
 				opts.RingWidth = ringRows * relaxed.FP.RowHeight
-				p, err := core.HotspotWrapper(relaxed, spots, opts)
+				p, _, err := core.HotspotWrapperDelta(relaxed, spots, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -31,16 +31,15 @@ import (
 
 func main() {
 	var (
-		outPath  = flag.String("out", "design.v", "output Verilog-lite netlist path")
-		libPath  = flag.String("lib", "", "optional output path for the Liberty-lite cell library")
-		small    = flag.Bool("small", false, "generate the reduced benchmark instead of the paper-sized one")
-		units    = flag.String("units", "", "custom comma-separated unit list, e.g. mult:32,adder:16,alu:8,mac:16,cmp:32,csadd:64")
-		family   = flag.String("family", "", "scenario family to generate (see -families); overrides -small/-units")
-		seed     = flag.Int64("seed", 1, "scenario RNG seed (with -family)")
-		cells    = flag.Int("cells", 12000, "approximate target standard-cell count (with -family)")
-		clockGHz = flag.Float64("clock", 1.0, "clock frequency in GHz (recorded in the summary only)")
-		list     = flag.Bool("families", false, "list the scenario families and exit")
-		quiet    = flag.Bool("q", false, "suppress the summary printed to stdout")
+		outPath = flag.String("out", "design.v", "output Verilog-lite netlist path")
+		libPath = flag.String("lib", "", "optional output path for the Liberty-lite cell library")
+		small   = flag.Bool("small", false, "generate the reduced benchmark instead of the paper-sized one")
+		units   = flag.String("units", "", "custom comma-separated unit list, e.g. mult:32,adder:16,alu:8,mac:16,cmp:32,csadd:64")
+		family  = flag.String("family", "", "scenario family to generate (see -families); overrides -small/-units")
+		seed    = flag.Int64("seed", 1, "scenario RNG seed (with -family)")
+		cells   = flag.Int("cells", 12000, "approximate target standard-cell count (with -family)")
+		list    = flag.Bool("families", false, "list the scenario families and exit")
+		quiet   = flag.Bool("q", false, "suppress the summary printed to stdout")
 	)
 	flag.Parse()
 
@@ -66,7 +65,6 @@ func main() {
 			Family:      fam,
 			Seed:        *seed,
 			TargetCells: *cells,
-			ClockGHz:    *clockGHz,
 		}.Generate(lib)
 		if err != nil {
 			fatal(err)
@@ -74,7 +72,7 @@ func main() {
 		design, cfg, wl = gen.Design, gen.Config, &gen.Workload
 	} else {
 		var err error
-		cfg, err = buildConfig(*small, *units, *clockGHz)
+		cfg, err = buildConfig(*small, *units)
 		if err != nil {
 			fatal(err)
 		}
@@ -151,10 +149,10 @@ func hotUnits(wl bench.Workload) []string {
 
 // buildConfig resolves the non-scenario flags into a benchmark
 // configuration.
-func buildConfig(small bool, units string, clockGHz float64) (bench.Config, error) {
+func buildConfig(small bool, units string) (bench.Config, error) {
 	switch {
 	case units != "":
-		cfg := bench.Config{Name: "custom", ClockGHz: clockGHz}
+		cfg := bench.Config{Name: "custom", ClockGHz: 1}
 		for i, spec := range strings.Split(units, ",") {
 			parts := strings.SplitN(strings.TrimSpace(spec), ":", 2)
 			if len(parts) != 2 {
@@ -176,13 +174,9 @@ func buildConfig(small bool, units string, clockGHz float64) (bench.Config, erro
 		}
 		return cfg, nil
 	case small:
-		cfg := bench.SmallConfig()
-		cfg.ClockGHz = clockGHz
-		return cfg, nil
+		return bench.SmallConfig(), nil
 	default:
-		cfg := bench.DefaultConfig()
-		cfg.ClockGHz = clockGHz
-		return cfg, nil
+		return bench.DefaultConfig(), nil
 	}
 }
 

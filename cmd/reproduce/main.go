@@ -6,6 +6,7 @@
 //	        (test set 1: four scattered small hotspots)
 //	table1  Default vs ERI on a single large concentrated hotspot
 //	timing  maximum timing overhead of the transforms (the paper's ~2% claim)
+//	        on both test sets
 //	congestion  routing-congestion by-product of empty row insertion
 //	all     everything above
 //
@@ -29,7 +30,6 @@ import (
 
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
-	"thermplace/internal/congestion"
 	"thermplace/internal/core"
 	"thermplace/internal/fault"
 	"thermplace/internal/flow"
@@ -39,24 +39,16 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to reproduce: fig5, fig6, table1, timing, congestion or all")
-		outdir    = flag.String("outdir", "", "optional directory for matrix dumps (fig5)")
-		small     = flag.Bool("small", false, "use the reduced benchmark (fast smoke run, smaller effects)")
-		gridN     = flag.Int("grid", 40, "thermal grid resolution per side (the paper uses 40)")
-		cycles    = flag.Int("cycles", 128, "random simulation cycles for activity extraction")
-		seed      = flag.Int64("seed", 1, "random stimulus seed")
-		util      = flag.Float64("util", 0.85, "baseline placement utilization")
-		workers   = flag.Int("workers", 0, "concurrent sweep points (0 = GOMAXPROCS, 1 = sequential)")
-		adaptive  = flag.Bool("adaptive", false, "with fig6, run the two-phase multi-fidelity sweep: densify the overhead grid, triage candidates on coarse-grid estimates, measure only the estimated Pareto front exactly")
-		gridScale = flag.Int("grid-scale", 4, "with -adaptive, densification factor of the overhead grid")
-		margin    = flag.Float64("margin", 0.25, "with -adaptive, triage safety margin as a fraction of the estimated rise range")
-		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels cleanly")
+		exp     = flag.String("exp", "all", "experiment to reproduce: fig5, fig6, table1, timing, congestion or all")
+		outdir  = flag.String("outdir", "", "optional directory for matrix dumps (fig5)")
+		small   = flag.Bool("small", false, "use the reduced benchmark (fast smoke run, smaller effects)")
+		gridN   = flag.Int("grid", 40, "thermal grid resolution per side (the paper uses 40)")
+		cycles  = flag.Int("cycles", 128, "random simulation cycles for activity extraction")
+		seed    = flag.Int64("seed", 1, "random stimulus seed")
+		util    = flag.Float64("util", 0.85, "baseline placement utilization")
+		timeout = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels cleanly")
 	)
 	flag.Parse()
-	sweepOpts := core.SweepOptions{Workers: *workers}
-	if *adaptive {
-		sweepOpts.Adaptive = &core.AdaptiveOptions{GridScale: *gridScale, Margin: *margin}
-	}
 
 	// A SIGINT/SIGTERM (or the -timeout deadline) cancels the analysis
 	// pipeline cooperatively: the in-flight thermal solves abort within a few
@@ -101,15 +93,16 @@ func main() {
 	}
 	if want("fig6") {
 		ran = true
-		runFig6(ctx, mkFlow(scatteredWorkload(*small)), sweepOpts)
+		runFig6(ctx, mkFlow(scatteredWorkload(*small)))
 	}
 	if want("table1") {
 		ran = true
-		runTable1(ctx, mkFlow(concentratedWorkload(*small)), *small, *workers)
+		runTable1(ctx, mkFlow(concentratedWorkload(*small)), *small)
 	}
 	if want("timing") {
 		ran = true
-		runTiming(ctx, mkFlow(scatteredWorkload(*small)))
+		runTiming(ctx, mkFlow(scatteredWorkload(*small)), 1)
+		runTiming(ctx, mkFlow(concentratedWorkload(*small)), 2)
 	}
 	if want("congestion") {
 		ran = true
@@ -172,21 +165,14 @@ func runFig5(ctx context.Context, f *flow.Flow, outdir string) {
 	fmt.Println()
 }
 
-func runFig6(ctx context.Context, f *flow.Flow, sweepOpts core.SweepOptions) {
+func runFig6(ctx context.Context, f *flow.Flow) {
 	fmt.Println("=== Figure 6: thermal efficiency of the various techniques (test set 1) ===")
-	opts := core.DefaultSweepOptions()
-	opts.Workers = sweepOpts.Workers
-	opts.Adaptive = sweepOpts.Adaptive
-	res, err := core.SweepEfficiencyCtx(ctx, f, opts)
+	res, err := core.SweepEfficiencyCtx(ctx, f, core.DefaultSweepOptions())
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("baseline: utilization %.2f, peak rise %.3f C, %d hotspots\n\n",
 		res.BaselineUtilization, res.Baseline.Thermal.PeakRise, len(res.Baseline.Hotspots))
-	if ts := res.Triage; ts != nil {
-		fmt.Printf("adaptive triage: %d/%d candidates pruned on coarse estimates (%d coarse + %d exact solves, max est err over survivors %.3f C)\n\n",
-			ts.Candidates-ts.Survivors, ts.Candidates, ts.CoarseSolves, ts.ExactSolves, ts.MaxEstErrC)
-	}
 	pareto := map[int]bool{}
 	for _, idx := range res.ParetoFront() {
 		pareto[idx] = true
@@ -217,7 +203,7 @@ func runFig6(ctx context.Context, f *flow.Flow, sweepOpts core.SweepOptions) {
 	fmt.Println()
 }
 
-func runTable1(ctx context.Context, f *flow.Flow, small bool, workers int) {
+func runTable1(ctx context.Context, f *flow.Flow, small bool) {
 	fmt.Println("=== Table I: concentrated hotspot, Default vs Empty Row Insertion ===")
 	// Table I is the Fig6 sweep without HW: the wrapper "is not suitable
 	// for large hotspots", exactly as in the paper.
@@ -226,7 +212,6 @@ func runTable1(ctx context.Context, f *flow.Flow, small bool, workers int) {
 		Overheads:    []float64{0.161, 0.322},
 		ERIRows:      []int{20, 40},
 		KeepAnalyses: true, // for each point's core W x H
-		Workers:      workers,
 	}
 	if small {
 		// The paper's literal 20/40 row counts only make sense on the
@@ -280,15 +265,27 @@ func sweepDefaultAndHW(ctx context.Context, f *flow.Flow) (def, hw *place.Placem
 	return defAn.Placement, hwAn.Placement, nil
 }
 
-// runTiming times the baseline, two ERI placements and the sweep's Default
-// and HW placements with one timing graph. Timing is not derated: the
-// paper's ~2% is the effect of moving cells, not of temperature.
-func runTiming(ctx context.Context, f *flow.Flow) {
-	fmt.Println("=== Timing overhead of the transforms (paper: around 2%) ===")
-	base, err := f.AnalyzeBaselineCtx(ctx)
+// eriPoint measures the ERI point with the given row count through the
+// evaluator, exactly as the Fig6 sweep does.
+func eriPoint(ctx context.Context, ev *core.Evaluator, rows int) *flow.Analysis {
+	_, an, err := ev.Evaluate(ctx, core.Point{Strategy: core.StrategyERI, Rows: rows}, nil)
 	if err != nil {
 		fatal(err)
 	}
+	return an
+}
+
+// runTiming times the baseline of one test set, two ERI placements and the
+// sweep's Default and HW placements with one timing graph. Timing is not
+// derated: the paper's ~2% is the effect of moving cells, not of
+// temperature.
+func runTiming(ctx context.Context, f *flow.Flow, testSet int) {
+	fmt.Printf("=== Timing overhead of the transforms, test set %d (paper: around 2%%) ===\n", testSet)
+	ev, err := core.NewEvaluator(ctx, f)
+	if err != nil {
+		fatal(err)
+	}
+	base := ev.Baseline()
 	ta, err := timing.NewAnalyzer(f.Design)
 	if err != nil {
 		fatal(err)
@@ -299,11 +296,7 @@ func runTiming(ctx context.Context, f *flow.Flow) {
 
 	for _, ov := range []float64{0.161, 0.322} {
 		rows := core.RowsForAreaOverhead(base.Placement, ov)
-		eriP, err := core.EmptyRowInsertion(base.Placement, base.Hotspots, core.DefaultERIOptions(rows))
-		if err != nil {
-			fatal(err)
-		}
-		eriT := ta.Analyze(eriP, opts)
+		eriT := ta.Analyze(eriPoint(ctx, ev, rows).Placement, opts)
 		fmt.Printf("ERI (%d rows, %4.1f%% area): %.1f ps  -> overhead %.2f%%\n",
 			rows, ov*100, eriT.CriticalPathPs, timing.Overhead(baseT, eriT)*100)
 	}
@@ -322,19 +315,17 @@ func runTiming(ctx context.Context, f *flow.Flow) {
 	fmt.Println()
 }
 
+// runCongestion compares the congestion reports of the baseline analysis
+// and of the sweep's ERI point at 16% area overhead.
 func runCongestion(ctx context.Context, f *flow.Flow) {
 	fmt.Println("=== Congestion by-product of empty row insertion (Section III-A) ===")
-	base, err := f.AnalyzeBaselineCtx(ctx)
+	ev, err := core.NewEvaluator(ctx, f)
 	if err != nil {
 		fatal(err)
 	}
-	before := congestion.Estimate(base.Placement, congestion.DefaultOptions())
-	rows := core.RowsForAreaOverhead(base.Placement, 0.16)
-	eriP, err := core.EmptyRowInsertion(base.Placement, base.Hotspots, core.DefaultERIOptions(rows))
-	if err != nil {
-		fatal(err)
-	}
-	after := congestion.Estimate(eriP, congestion.DefaultOptions())
+	base := ev.Baseline()
+	before := base.Congestion
+	after := eriPoint(ctx, ev, core.RowsForAreaOverhead(base.Placement, 0.16)).Congestion
 	region := base.Hotspots[0].Rect
 	fmt.Printf("%-28s %12s %12s\n", "", "baseline", "after ERI")
 	fmt.Printf("%-28s %12.3f %12.3f\n", "mean congestion (die)", before.MeanUtilization, after.MeanUtilization)

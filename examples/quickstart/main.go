@@ -3,7 +3,9 @@
 // It generates a reduced synthetic benchmark, places it, extracts switching
 // activity with random vectors, estimates power, solves the steady-state
 // thermal network, and finally applies Empty Row Insertion to the hotspots,
-// printing the peak temperature before and after.
+// printing the peak temperature before and after. The ERI point is measured
+// through core.Evaluator, as every sweep and command measures its points.
+// The paper's figures and tables are regenerated by cmd/reproduce.
 //
 // Run with:
 //
@@ -41,13 +43,16 @@ func main() {
 	}
 
 	// 3. The analysis flow: place at 85% utilization, simulate, estimate
-	//    power, solve the thermal grid, locate hotspots.
+	//    power, solve the thermal grid, locate hotspots. The evaluator
+	//    analyzes the baseline once and measures design points against it.
 	cfg := flow.FastConfig() // a coarser grid than the paper's 40x40, for speed
 	f := flow.New(design, workload, cfg)
-	baseline, err := f.AnalyzeBaseline()
+	ctx := context.Background()
+	ev, err := core.NewEvaluator(ctx, f)
 	if err != nil {
 		log.Fatal(err)
 	}
+	baseline := ev.Baseline()
 	fmt.Printf("baseline: core %.0f x %.0f um, power %.2f mW, peak rise %.2f C, %d hotspot(s)\n",
 		baseline.Placement.FP.Core.W(), baseline.Placement.FP.Core.H(),
 		baseline.Power.Total()*1e3, baseline.Thermal.PeakRise, len(baseline.Hotspots))
@@ -55,18 +60,12 @@ func main() {
 	// 4. The paper's Empty Row Insertion: add ~20% area as empty rows right
 	//    at the hotspots and measure again.
 	rows := core.RowsForAreaOverhead(baseline.Placement, 0.20)
-	optimized, err := core.EmptyRowInsertion(baseline.Placement, baseline.Hotspots, core.DefaultERIOptions(rows))
+	pt, after, err := ev.Evaluate(ctx, core.Point{Strategy: core.StrategyERI, Rows: rows}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := f.AnalyzeWithCtx(context.Background(), optimized, flow.AnalyzeOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	overhead := optimized.FP.CoreArea()/baseline.Placement.FP.CoreArea() - 1
-	reduction := (baseline.Thermal.PeakRise - after.Thermal.PeakRise) / baseline.Thermal.PeakRise
 	fmt.Printf("ERI (%d rows, %.1f%% area overhead): peak rise %.2f C -> %.2f C (%.1f%% reduction)\n",
-		rows, overhead*100, baseline.Thermal.PeakRise, after.Thermal.PeakRise, reduction*100)
+		rows, pt.AreaOverhead*100, baseline.Thermal.PeakRise, pt.PeakRise, pt.TempReduction*100)
 
 	// 5. A quick look at the thermal map.
 	fmt.Println("\nthermal map after ERI (hot = @):")

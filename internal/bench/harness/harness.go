@@ -342,7 +342,7 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	// Property: the sweep engine — Default points reflowed from the cached
 	// baseline, ERI/HW points derived through placement deltas, power
 	// reports updated through them — is bit-identical to re-deriving every
-	// point from scratch with public non-delta calls.
+	// point from scratch and analyzing it without a delta.
 	if err := checkFromScratch(flow.New(gen.Design, gen.Workload, cfg), seq); err != nil {
 		return rep, fmt.Errorf("harness: %s: sweep vs from-scratch oracle: %w", gen.Scenario, err)
 	}
@@ -456,7 +456,7 @@ func coAnalysisChecks(rep *Report, gen *bench.Generated, base *flow.Analysis) er
 		return nil
 	}
 	const eriRows = 4
-	eriP, err := core.EmptyRowInsertion(base.Placement, base.Hotspots, core.DefaultERIOptions(eriRows))
+	eriP, _, err := core.EmptyRowInsertionDelta(base.Placement, base.Hotspots, core.DefaultERIOptions(eriRows))
 	if err != nil {
 		return fmt.Errorf("harness: %s: eri for co-analysis checks: %w", gen.Scenario, err)
 	}

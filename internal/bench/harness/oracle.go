@@ -11,12 +11,12 @@ import (
 )
 
 // checkFromScratch is the sweep engine's oracle. It re-derives every point
-// of a sequential KeepAnalyses sweep on a fresh flow with public non-delta
-// calls — flow.PlaceAtAspect for a Default point, core.EmptyRowInsertion on
-// the baseline for an ERI point, core.HotspotWrapper on the re-derived
-// Default parent for an HW point — and analyzes each with its lineage
-// parent but no placement delta. Every cell location and every point float
-// must be == to the sweep's.
+// of a sequential KeepAnalyses sweep on a fresh flow with public calls —
+// flow.PlaceAtAspect for a Default point, core.EmptyRowInsertionDelta on
+// the baseline for an ERI point, core.HotspotWrapperDelta on the re-derived
+// Default parent for an HW point, each delta dropped — and analyzes each
+// with its lineage parent but no placement delta. Every cell location and
+// every point float must be == to the sweep's.
 func checkFromScratch(g *flow.Flow, res *core.SweepResult) error {
 	base, err := g.AnalyzeBaseline()
 	if err != nil {
@@ -38,13 +38,13 @@ func checkFromScratch(g *flow.Flow, res *core.SweepResult) error {
 			}
 			p, err = g.PlaceAtAspect(got.Utilization, aspect)
 		case core.StrategyERI:
-			p, err = core.EmptyRowInsertion(base.Placement, base.Hotspots, core.DefaultERIOptions(got.Rows))
+			p, _, err = core.EmptyRowInsertionDelta(base.Placement, base.Hotspots, core.DefaultERIOptions(got.Rows))
 		case core.StrategyHW:
 			if parent = defaults[got.AreaOverhead]; parent == nil {
 				return fmt.Errorf("point %d (hw): no Default point at overhead %v to wrap", i, got.AreaOverhead)
 			}
 			spots := hotspot.Detect(parent.Thermal.RiseMap(), hotspot.Options{ThresholdFrac: 0.75, MinCells: 2})
-			p, err = core.HotspotWrapper(parent.Placement, spots, core.DefaultWrapperOptions(parent.Power.InstancePower))
+			p, _, err = core.HotspotWrapperDelta(parent.Placement, spots, core.DefaultWrapperOptions(parent.Power.InstancePower))
 		}
 		if err != nil {
 			return fmt.Errorf("point %d (%s): %w", i, got.Strategy, err)

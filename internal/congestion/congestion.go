@@ -30,11 +30,6 @@ type Options struct {
 	HLayers, VLayers int
 }
 
-// DefaultOptions returns the settings used in the experiments.
-func DefaultOptions() Options {
-	return Options{NX: 32, NY: 32, TrackPitchUm: 0.2, HLayers: 3, VLayers: 3}
-}
-
 func (o Options) withDefaults() Options {
 	if o.NX <= 0 {
 		o.NX = 32

@@ -31,7 +31,7 @@ func placedSmall(t *testing.T, util float64) (*netlist.Design, *place.Placement)
 
 func TestEstimateBasics(t *testing.T) {
 	_, p := placedSmall(t, 0.85)
-	rep := Estimate(p, DefaultOptions())
+	rep := Estimate(p, Options{})
 	if rep.TotalWirelength <= 0 {
 		t.Fatal("total wirelength must be positive")
 	}
@@ -73,8 +73,8 @@ func TestLowerUtilizationReducesCongestion(t *testing.T) {
 	// so peak congestion must not increase.
 	_, dense := placedSmall(t, 0.95)
 	_, sparse := placedSmall(t, 0.6)
-	dRep := Estimate(dense, DefaultOptions())
-	sRep := Estimate(sparse, DefaultOptions())
+	dRep := Estimate(dense, Options{})
+	sRep := Estimate(sparse, Options{})
 	if sRep.MeanUtilization >= dRep.MeanUtilization {
 		t.Fatalf("sparser placement should be less congested on average: %g vs %g",
 			sRep.MeanUtilization, dRep.MeanUtilization)
@@ -83,7 +83,7 @@ func TestLowerUtilizationReducesCongestion(t *testing.T) {
 
 func TestRegionUtilization(t *testing.T) {
 	_, p := placedSmall(t, 0.85)
-	rep := Estimate(p, DefaultOptions())
+	rep := Estimate(p, Options{})
 	whole := rep.RegionUtilization(p.FP.Core)
 	if whole <= 0 {
 		t.Fatal("whole-core region utilization must be positive")
@@ -101,7 +101,7 @@ func TestCongestionTracksPlacementSpreading(t *testing.T) {
 	// Stretching rows apart (the ERI effect) adds bins without wires, so the
 	// mean congestion over the stretched core must drop.
 	_, p := placedSmall(t, 0.9)
-	before := Estimate(p, DefaultOptions())
+	before := Estimate(p, Options{})
 	stretched := p.Clone()
 	extraRows := 6
 	if err := stretched.FP.InsertRows(stretched.FP.NumRows()/2, extraRows); err != nil {
@@ -119,7 +119,7 @@ func TestCongestionTracksPlacementSpreading(t *testing.T) {
 		}
 	}
 	place.Legalize(stretched)
-	after := Estimate(stretched, DefaultOptions())
+	after := Estimate(stretched, Options{})
 	if after.MeanUtilization >= before.MeanUtilization {
 		t.Fatalf("row insertion should reduce mean congestion: %g -> %g",
 			before.MeanUtilization, after.MeanUtilization)

@@ -37,7 +37,7 @@ func TestEstimateMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkBruteForce(t, p, DefaultOptions())
+			checkBruteForce(t, p, Options{}.withDefaults())
 		})
 	}
 }

@@ -49,6 +49,11 @@ type AdaptiveOptions struct {
 	// Margin*S. +Inf disables triage entirely — every candidate survives
 	// to the exact phase, the exhaustive reference mode the harness
 	// compares against.
+	// On the paper design (both paper workloads, Figure 6 overheads, seeds
+	// 1-3) 0.25 kept the exhaustive front exactly at grid scales 3, 4 and 8,
+	// keeping 64-72 of 72 candidates at scale 4 and 46-54 of 54 at scale 3
+	// with CoarseFactor 2; 0.1 is unsafe: at scale 8 it lost 6 of 39 front
+	// points on the concentrated workload.
 	Margin float64
 	// CoarseFactor is the thermal grid downsampling factor of the estimate
 	// phase: it solves a ceil(NX/f) x ceil(NY/f) grid (never below 2x2)

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"thermplace/internal/bench"
+	"thermplace/internal/celllib"
+	"thermplace/internal/flow"
 	"thermplace/internal/geom"
 	"thermplace/internal/thermal"
 )
@@ -116,6 +120,69 @@ func TestAdaptiveSweepMatchesExhaustive(t *testing.T) {
 	}
 	if math.IsNaN(ts.MaxEstErrC) || ts.MaxEstErrC < 0 {
 		t.Fatalf("non-physical MaxEstErrC %g", ts.MaxEstErrC)
+	}
+}
+
+// TestAdaptiveFrontExactAtShippedMargins holds the adaptive front to the
+// exhaustive one at the settings the commands ship: thermflow -sweep
+// -adaptive's defaults on stimulus seeds 1-3 and thermserve's adaptive=1
+// defaults on seed 1, each on the paper design under both paper workloads
+// over the Figure 6 overheads. Every point of the adaptive Front2D must be
+// == (every float) to the Margin +Inf run's point for the same candidate,
+// with no point missing and none extra.
+func TestAdaptiveFrontExactAtShippedMargins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("16 paper-scale sweeps")
+	}
+	d, err := bench.Generate(celllib.Default65nm(), bench.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		seeds []int64
+		opts  AdaptiveOptions
+	}{
+		{"thermflow", []int64{1, 2, 3}, AdaptiveOptions{GridScale: 4, Margin: 0.25}},
+		{"thermserve", []int64{1}, AdaptiveOptions{GridScale: 3, Margin: 0.25, CoarseFactor: 2}},
+	} {
+		for _, wl := range []bench.Workload{bench.ScatteredSmallHotspots(), bench.ConcentratedLargeHotspot()} {
+			for _, seed := range tc.seeds {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", tc.name, wl.Name, seed), func(t *testing.T) {
+					cfg := flow.DefaultConfig()
+					cfg.Seed = seed
+					f := flow.New(d, wl, cfg)
+					front := func(ad AdaptiveOptions) map[adaptiveKey]EfficiencyPoint {
+						res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
+							Overheads: DefaultSweepOptions().Overheads,
+							Workers:   2,
+							Adaptive:  &ad,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						out := map[adaptiveKey]EfficiencyPoint{}
+						for _, i := range res.Front2D() {
+							out[keyOf(&res.Points[i])] = res.Points[i]
+						}
+						return out
+					}
+					exOpts := tc.opts
+					exOpts.Margin = math.Inf(1)
+					want, got := front(exOpts), front(tc.opts)
+					for k, p := range want {
+						if q, ok := got[k]; !ok || q != p {
+							t.Errorf("exhaustive front point %+v: adaptive front has %+v (present %v)", p, q, ok)
+						}
+					}
+					for k, q := range got {
+						if _, ok := want[k]; !ok {
+							t.Errorf("adaptive front point %+v is not on the exhaustive front", q)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func TestEmptyRowInsertionTransform(t *testing.T) {
 		t.Fatal("baseline must have hotspots")
 	}
 	const rows = 6
-	p, err := EmptyRowInsertion(base.Placement, base.Hotspots, DefaultERIOptions(rows))
+	p, _, err := EmptyRowInsertionDelta(base.Placement, base.Hotspots, DefaultERIOptions(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +107,10 @@ func TestEmptyRowInsertionTransform(t *testing.T) {
 	}
 
 	// Validation errors.
-	if _, err := EmptyRowInsertion(base.Placement, base.Hotspots, DefaultERIOptions(0)); err == nil {
+	if _, _, err := EmptyRowInsertionDelta(base.Placement, base.Hotspots, DefaultERIOptions(0)); err == nil {
 		t.Error("zero rows must fail")
 	}
-	if _, err := EmptyRowInsertion(base.Placement, nil, DefaultERIOptions(4)); err == nil {
+	if _, _, err := EmptyRowInsertionDelta(base.Placement, nil, DefaultERIOptions(4)); err == nil {
 		t.Error("no hotspots must fail")
 	}
 }
@@ -122,7 +122,7 @@ func TestEmptyRowInsertionReducesPeakTemperature(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := RowsForAreaOverhead(base.Placement, 0.20)
-	p, err := EmptyRowInsertion(base.Placement, base.Hotspots, DefaultERIOptions(rows))
+	p, _, err := EmptyRowInsertionDelta(base.Placement, base.Hotspots, DefaultERIOptions(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestHotspotWrapperTransform(t *testing.T) {
 		t.Fatal("relaxed placement must still have hotspots")
 	}
 	powerOf := func(inst *netlist.Instance) float64 { return defAn.Power.InstancePower(inst) }
-	p, err := HotspotWrapper(relaxed, defAn.Hotspots, DefaultWrapperOptions(powerOf))
+	p, _, err := HotspotWrapperDelta(relaxed, defAn.Hotspots, DefaultWrapperOptions(powerOf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,10 @@ func TestHotspotWrapperTransform(t *testing.T) {
 	}
 
 	// Error paths.
-	if _, err := HotspotWrapper(relaxed, defAn.Hotspots, WrapperOptions{}); err == nil {
+	if _, _, err := HotspotWrapperDelta(relaxed, defAn.Hotspots, WrapperOptions{}); err == nil {
 		t.Error("missing PowerOf must fail")
 	}
-	if _, err := HotspotWrapper(relaxed, nil, DefaultWrapperOptions(powerOf)); err == nil {
+	if _, _, err := HotspotWrapperDelta(relaxed, nil, DefaultWrapperOptions(powerOf)); err == nil {
 		t.Error("no hotspots must fail")
 	}
 }
@@ -216,7 +216,7 @@ func TestHotspotWrapperImprovesOnDefault(t *testing.T) {
 	if len(spots) == 0 {
 		t.Skip("no tight hotspots detected on the relaxed placement of the reduced benchmark")
 	}
-	hwPlacement, err := HotspotWrapper(relaxed, spots, DefaultWrapperOptions(powerOf))
+	hwPlacement, _, err := HotspotWrapperDelta(relaxed, spots, DefaultWrapperOptions(powerOf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestHotCellsSpreadByWrapper(t *testing.T) {
 		t.Fatal(err)
 	}
 	powerOf := func(inst *netlist.Instance) float64 { return defAn.Power.InstancePower(inst) }
-	p, err := HotspotWrapper(relaxed, defAn.Hotspots, DefaultWrapperOptions(powerOf))
+	p, _, err := HotspotWrapperDelta(relaxed, defAn.Hotspots, DefaultWrapperOptions(powerOf))
 	if err != nil {
 		t.Fatal(err)
 	}

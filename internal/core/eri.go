@@ -26,32 +26,67 @@ type ERIOptions struct {
 // row count.
 func DefaultERIOptions(rows int) ERIOptions { return ERIOptions{Rows: rows, Interleave: true} }
 
-// EmptyRowInsertion applies the paper's first technique: empty layout rows
-// are inserted in proximity of the hotspots, the rows above shift upward,
-// the core grows by Rows*rowHeight, and the freed whitespace is filled with
-// dummy cells. The cells themselves keep their horizontal positions, so the
-// disturbance to the original placement (and hence the timing overhead) is
-// minimal.
+// EmptyRowInsertionDelta applies the paper's first technique: empty layout
+// rows are inserted in proximity of the hotspots, the rows above shift
+// upward, the core grows by Rows*rowHeight, and the freed whitespace is
+// filled with dummy cells. The cells themselves keep their horizontal
+// positions, so the disturbance to the original placement (and hence the
+// timing overhead) is minimal.
 //
 // The row budget is divided between the hotspots proportionally to the
 // number of placement rows each hotspot spans. The transform never modifies
-// its input; it returns a new placement with its own stretched floorplan.
-func EmptyRowInsertion(p *place.Placement, spots []hotspot.Hotspot, opts ERIOptions) (*place.Placement, error) {
-	out, _, err := emptyRowInsertion(p, spots, opts, false)
-	return out, err
-}
-
-// EmptyRowInsertionDelta is EmptyRowInsertion with change tracking: it
-// additionally returns the place.Delta between the input placement and the
-// stretched result — the cells the row shift displaced (plus anything the
-// legalizer touched), their old and new rows, and the nets those moves
-// dirtied. The delta is what lets the sweep re-evaluate only the affected
-// part of the power report for an ERI point.
+// its input; it returns a new placement with its own stretched floorplan,
+// and the place.Delta between the input and the result — the cells the row
+// shift displaced (plus anything the legalizer touched), their old and new
+// rows, and the nets those moves dirtied. The delta is what lets the sweep
+// re-evaluate only the affected part of the power report for an ERI point.
 func EmptyRowInsertionDelta(p *place.Placement, spots []hotspot.Hotspot, opts ERIOptions) (*place.Placement, *place.Delta, error) {
-	return emptyRowInsertion(p, spots, opts, true)
+	out := p.Clone()
+	fp := out.FP
+	insertions, err := eriInsertionRows(fp, spots, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	out.BeginDelta()
+
+	// Stretch the floorplan. Insertions are applied from the highest index
+	// down so that previously computed (original-index) positions stay
+	// valid.
+	for i := len(insertions) - 1; i >= 0; i-- {
+		if err := fp.InsertRows(insertions[i], 1); err != nil {
+			return nil, nil, fmt.Errorf("core: ERI: %w", err)
+		}
+	}
+
+	// Shift every cell up by one row height per insertion at or below its
+	// original row.
+	shiftOf := func(row int) int {
+		// insertions is sorted; count entries <= row.
+		return sort.SearchInts(insertions, row+1)
+	}
+	for _, inst := range out.Design.Instances() {
+		if inst.IsFiller() {
+			continue
+		}
+		l, ok := out.Loc(inst)
+		if !ok {
+			continue
+		}
+		shift := shiftOf(l.Row)
+		if shift == 0 {
+			continue
+		}
+		l.Row += shift
+		l.Y = fp.Rows[l.Row].Y
+		out.SetLoc(inst, l)
+	}
+
+	place.Legalize(out)
+	place.InsertFillers(out)
+	return out, out.EndDelta(), nil
 }
 
-// eriInsertionRows computes where EmptyRowInsertion would insert its empty
+// eriInsertionRows computes where EmptyRowInsertionDelta inserts its empty
 // rows: the sorted original row indices (an insertion at index k means "a
 // new empty row appears below original row k", repeats allowed). It is the
 // geometry half of the transform, shared with the adaptive sweep's
@@ -120,58 +155,6 @@ func eriInsertionRows(fp *floorplan.Floorplan, spots []hotspot.Hotspot, opts ERI
 	}
 	sort.Ints(insertions)
 	return insertions, nil
-}
-
-func emptyRowInsertion(p *place.Placement, spots []hotspot.Hotspot, opts ERIOptions, record bool) (*place.Placement, *place.Delta, error) {
-	out := p.Clone()
-	fp := out.FP
-	insertions, err := eriInsertionRows(fp, spots, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if record {
-		out.BeginDelta()
-	}
-
-	// Stretch the floorplan. Insertions are applied from the highest index
-	// down so that previously computed (original-index) positions stay
-	// valid.
-	for i := len(insertions) - 1; i >= 0; i-- {
-		if err := fp.InsertRows(insertions[i], 1); err != nil {
-			return nil, nil, fmt.Errorf("core: ERI: %w", err)
-		}
-	}
-
-	// Shift every cell up by one row height per insertion at or below its
-	// original row.
-	shiftOf := func(row int) int {
-		// insertions is sorted; count entries <= row.
-		n := sort.SearchInts(insertions, row+1)
-		return n
-	}
-	for _, inst := range out.Design.Instances() {
-		if inst.IsFiller() {
-			continue
-		}
-		l, ok := out.Loc(inst)
-		if !ok {
-			continue
-		}
-		shift := shiftOf(l.Row)
-		if shift == 0 {
-			continue
-		}
-		l.Row += shift
-		l.Y = fp.Rows[l.Row].Y
-		out.SetLoc(inst, l)
-	}
-
-	place.Legalize(out)
-	place.InsertFillers(out)
-	if !record {
-		return out, nil, nil
-	}
-	return out, out.EndDelta(), nil
 }
 
 // AreaOverheadForRows returns the fractional core-area overhead caused by

@@ -31,7 +31,7 @@ func DefaultWrapperOptions(powerOf func(*netlist.Instance) float64) WrapperOptio
 	return WrapperOptions{PowerOf: powerOf, HotCellFactor: 1.0}
 }
 
-// HotspotWrapper applies the paper's second technique to each detected
+// HotspotWrapperDelta applies the paper's second technique to each detected
 // hotspot: a wrapper region around the hotspot is isolated by a "whitespace
 // ring" of filler cells, the cells that do not belong to the hotspot are
 // moved outside the wrapper, and the remaining hot cells are redistributed
@@ -40,24 +40,13 @@ func DefaultWrapperOptions(powerOf func(*netlist.Instance) float64) WrapperOptio
 // whitespace the starting placement already had: the paper applies HW on
 // top of a Default utilization-relaxed placement.
 //
-// The transform never modifies its input placement.
-func HotspotWrapper(p *place.Placement, spots []hotspot.Hotspot, opts WrapperOptions) (*place.Placement, error) {
-	out, _, err := hotspotWrapper(p, spots, opts, false)
-	return out, err
-}
-
-// HotspotWrapperDelta is HotspotWrapper with change tracking: it
-// additionally returns the place.Delta between the input placement and the
-// wrapped result — the hot cells that were spread, the bystanders that were
-// pushed out, whatever the legalizer then touched, and the nets those moves
-// dirtied. Wrapping is a local edit, so the delta is typically small and
-// the sweep re-estimates only a fraction of the power report for an HW
-// point.
+// The transform never modifies its input placement. It returns the wrapped
+// placement and the place.Delta between the input and the result — the hot
+// cells that were spread, the bystanders that were pushed out, whatever the
+// legalizer then touched, and the nets those moves dirtied. Wrapping is a
+// local edit, so the delta is typically small and the sweep re-estimates
+// only a fraction of the power report for an HW point.
 func HotspotWrapperDelta(p *place.Placement, spots []hotspot.Hotspot, opts WrapperOptions) (*place.Placement, *place.Delta, error) {
-	return hotspotWrapper(p, spots, opts, true)
-}
-
-func hotspotWrapper(p *place.Placement, spots []hotspot.Hotspot, opts WrapperOptions, record bool) (*place.Placement, *place.Delta, error) {
 	if opts.PowerOf == nil {
 		return nil, nil, fmt.Errorf("core: wrapper needs a PowerOf function")
 	}
@@ -80,9 +69,7 @@ func hotspotWrapper(p *place.Placement, spots []hotspot.Hotspot, opts WrapperOpt
 	}
 
 	out := p.Clone()
-	if record {
-		out.BeginDelta()
-	}
+	out.BeginDelta()
 	core := out.FP.Core
 
 	for _, h := range spots {
@@ -217,8 +204,5 @@ func hotspotWrapper(p *place.Placement, spots []hotspot.Hotspot, opts WrapperOpt
 
 	place.Legalize(out)
 	place.InsertFillers(out)
-	if !record {
-		return out, nil, nil
-	}
 	return out, out.EndDelta(), nil
 }

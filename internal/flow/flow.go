@@ -65,7 +65,8 @@ type Config struct {
 	// solved field.
 	Timing timing.Options
 	// Congestion configures the co-analysis congestion estimate; zero
-	// fields select congestion.DefaultOptions values.
+	// fields select congestion's defaults (a 32x32 grid, 0.2 um pitch, three
+	// layers per direction).
 	Congestion congestion.Options
 }
 

@@ -110,16 +110,6 @@ func (r *Report) InstancePower(inst *netlist.Instance) float64 {
 	return r.Breakdown(inst).Total()
 }
 
-// PerUnit returns total power per logical unit, plus the power of untagged
-// cells under the empty-string key when any exist.
-func (r *Report) PerUnit() map[string]float64 {
-	out := make(map[string]float64)
-	for _, inst := range r.insts {
-		out[inst.Unit] += r.perInst[inst.Ord()].Total()
-	}
-	return out
-}
-
 // Estimate computes the power report for a placed design: a one-shot
 // Estimator build plus its placement pass. Callers that estimate several
 // placements of the same design under the same activity (the sweep) hold

@@ -146,7 +146,10 @@ func TestHotUnitDominatesPowerMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := Estimate(d, p, act, 1e9)
-	perUnit := rep.PerUnit()
+	perUnit := map[string]float64{}
+	for _, inst := range rep.Instances() {
+		perUnit[inst.Unit] += rep.InstancePower(inst)
+	}
 	if perUnit["hotm"] <= 2*perUnit["coldm"] {
 		t.Fatalf("hot unit power %g should dominate cold unit %g", perUnit["hotm"], perUnit["coldm"])
 	}

@@ -35,10 +35,11 @@ const (
 // triage aggressiveness. What is measured: at this margin the scenario
 // harness's sweep-adaptive-exactness check finds the adaptive front equal to
 // the exhaustive one on every scenario family at the harness's grid sizes,
-// and a paper-design check at the flow's aspect (the only one a query
-// sweeps) lost no front point on either paper workload. That is not a
-// guarantee for every resident design: triaged candidates are never measured
-// exactly, so a lost front point would not show in the triage statistics.
+// and core's TestAdaptiveFrontExactAtShippedMargins finds it equal on the
+// paper design under both paper workloads at these query settings. That is
+// not a guarantee for every resident design: triaged candidates are never
+// measured exactly, so a lost front point would not show in the triage
+// statistics.
 const serveAdaptiveMargin = 0.25
 
 // defaultGridScale is the densification factor of an adaptive sweep query
@@ -67,7 +68,8 @@ type Query struct {
 	// Exec rejects a count whose area overhead exceeds core.MaxAreaOverhead.
 	Rows int
 	// Overhead is the fractional area overhead (KindHW, and KindERI when
-	// Rows is zero), at most core.MaxAreaOverhead.
+	// Rows is zero), at most core.MaxAreaOverhead. ParseQuery zeroes it on
+	// an ERI query that names rows, which does not read it.
 	Overhead float64
 	// Overheads are the sweep overheads (KindSweep; empty uses the paper's
 	// Figure 6 range), kept sorted so equivalent sweeps share a cache key:
@@ -90,8 +92,10 @@ type Query struct {
 // ParseQuery reads: parsing a key's parameters gives back the same key.
 // Floats are formatted with strconv 'g'/-1, which round-trips float64
 // exactly, and query-escaped (an exponent's '+' would otherwise parse as a
-// space) — two queries share a key if and only if they are the same
-// computation.
+// space). Two queries that share a key are the same computation. The
+// converse holds except for an ERI query that derives its rows from an
+// overhead: it keys apart from the query naming the same row count, since
+// resolving the count needs the design.
 func (q Query) Key() string {
 	var b strings.Builder
 	b.WriteString(string(q.Kind))
@@ -169,7 +173,9 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 		if err := getOverhead(); err != nil {
 			return badReq("%v", err)
 		}
-		if q.Rows == 0 && q.Overhead <= 0 {
+		if q.Rows > 0 {
+			q.Overhead = 0 // unread: the rows fix the point
+		} else if q.Overhead <= 0 {
 			return badReq("eri requires rows or a positive overhead")
 		}
 	case KindHW:

@@ -226,6 +226,19 @@ func TestQueryParseAndKey(t *testing.T) {
 	if qd.Key() != qs.Key() {
 		t.Fatalf("default and explicit grid scale key differently: %q vs %q", qd.Key(), qs.Key())
 	}
+	// An ERI query that names rows does not read its overhead, so the
+	// overhead does not enter its key.
+	qr, err := ParseQuery(KindERI, url.Values{"rows": {"4"}})
+	if err != nil {
+		t.Fatalf("parse eri: %v", err)
+	}
+	qo, err := ParseQuery(KindERI, url.Values{"rows": {"4"}, "overhead": {"0.1"}})
+	if err != nil {
+		t.Fatalf("parse eri with overhead: %v", err)
+	}
+	if qr.Key() != "eri?rows=4&overhead=0" || qo.Key() != qr.Key() {
+		t.Fatalf("eri rows=4 keys as %q, with overhead=0.1 as %q; want both eri?rows=4&overhead=0", qr.Key(), qo.Key())
+	}
 	for _, c := range badQueries {
 		if _, err := ParseQuery(c.kind, c.vals); err == nil {
 			t.Fatalf("ParseQuery(%s, %v) accepted bad input", c.kind, c.vals)
