@@ -321,6 +321,56 @@ func BenchmarkRefineHPWL(b *testing.B) {
 	})
 }
 
+// BenchmarkEmptyRowInsertion measures the ERI transform
+// (core.EmptyRowInsertionDelta: clone, row shift, legalization, fillers and
+// the recorded delta) on the paper benchmark's baseline placement and
+// hotspots under the scattered workload, at 18 and 36 empty rows.
+func BenchmarkEmptyRowInsertion(b *testing.B) {
+	f := paperFlow(b, bench.ScatteredSmallHotspots())
+	base, err := f.AnalyzeBaseline()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rows := range []int{18, 36} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			var moved int
+			for i := 0; i < b.N; i++ {
+				_, delta, err := core.EmptyRowInsertionDelta(base.Placement, base.Hotspots, core.DefaultERIOptions(rows))
+				if err != nil {
+					b.Fatal(err)
+				}
+				moved = len(delta.Moved())
+			}
+			b.ReportMetric(float64(moved), "moved_cells")
+		})
+	}
+}
+
+// BenchmarkFloorplan measures building one floorplan (floorplan.New at the
+// flow's default utilization and aspect), which the adaptive sweep's
+// triage does for every Default candidate, on the paper benchmark and on
+// cold-50k's 50k-cell design.
+func BenchmarkFloorplan(b *testing.B) {
+	run := func(b *testing.B, design *netlist.Design) {
+		cfg := flow.DefaultConfig()
+		for i := 0; i < b.N; i++ {
+			if _, err := floorplan.New(design, floorplan.Config{Utilization: cfg.Utilization, AspectRatio: cfg.AspectRatio}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("paper", func(b *testing.B) {
+		d := paperBenchmark(b)
+		b.ResetTimer()
+		run(b, d)
+	})
+	b.Run("cells=50000", func(b *testing.B) {
+		g := scenarioBenchmark(b, bench.FamilyWideDatapath, 50000)
+		b.ResetTimer()
+		run(b, g.Design)
+	})
+}
+
 // BenchmarkColdAnalysis measures a fresh flow's baseline analysis (the
 // cold-50k operation): activity simulation, placement, model and solver
 // set-up, then the analysis itself. It runs on cold-50k's design

@@ -75,8 +75,6 @@ type Scenario struct {
 	// (within a few percent for most families). Zero means 12000, the
 	// paper's size.
 	TargetCells int
-	// ClockGHz is the clock frequency; zero means 1.0.
-	ClockGHz float64
 }
 
 // Normalized returns the scenario with every zero knob replaced by its
@@ -84,9 +82,6 @@ type Scenario struct {
 func (sc Scenario) Normalized() Scenario {
 	if sc.TargetCells == 0 {
 		sc.TargetCells = 12000
-	}
-	if sc.ClockGHz == 0 {
-		sc.ClockGHz = 1.0
 	}
 	return sc
 }
@@ -98,9 +93,6 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.TargetCells < 300 || sc.TargetCells > 2_000_000 {
 		return fmt.Errorf("bench: target cell count %d outside [300, 2000000]", sc.TargetCells)
-	}
-	if sc.ClockGHz <= 0 {
-		return fmt.Errorf("bench: clock %v GHz must be positive", sc.ClockGHz)
 	}
 	return nil
 }
@@ -160,7 +152,7 @@ func (sc Scenario) Generate(lib *celllib.Library) (*Generated, error) {
 	}
 	rng := rand.New(rand.NewSource(sc.rngSeed()))
 	units, wl := sc.plan(rng)
-	cfg := Config{Name: sc.Name(), ClockGHz: sc.ClockGHz, Units: units}
+	cfg := Config{Name: sc.Name(), ClockGHz: 1, Units: units}
 	d, err := Generate(lib, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: scenario %s: %w", sc, err)

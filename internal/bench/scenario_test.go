@@ -37,13 +37,12 @@ func TestFamiliesAndParse(t *testing.T) {
 
 func TestScenarioNormalizeAndValidate(t *testing.T) {
 	sc := Scenario{Family: FamilyGradientMix}.Normalized()
-	if sc.TargetCells != 12000 || sc.ClockGHz != 1.0 {
+	if sc.TargetCells != 12000 {
 		t.Fatalf("defaults not applied: %+v", sc)
 	}
 	bad := []Scenario{
 		{Family: "bogus"},
 		{Family: FamilyManyUnits, TargetCells: 10},
-		{Family: FamilyManyUnits, ClockGHz: -1},
 	}
 	for _, sc := range bad {
 		if err := sc.Normalized().Validate(); err == nil {

@@ -453,7 +453,7 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 	}
 	calDefault := func(float64) float64 { return rb }
 	calERI := calDefault
-	var anchorDef *flow.Analysis
+	var d0, e0 *candidate
 	if s.defaults != nil {
 		di := 0
 		for i, ov := range overheads {
@@ -461,33 +461,34 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 				di = i
 			}
 		}
-		d0 := s.defaults[0][di]
-		if d0.estValid {
-			an, err := s.exact(ctx, d0, nil, wantStrategy(opts, StrategyDefault))
-			if err != nil {
-				return nil, err
-			}
-			d0.anchored = true
-			anchorDef = an
-			calDefault = lerpRatio(d0, an.Thermal.PeakRise)
-			stats.Anchors++
+		if d := s.defaults[0][di]; d.estValid {
+			d0 = d
 		}
 	}
 	if len(s.eris) > 0 {
-		e0 := s.eris[0]
+		e := s.eris[0]
 		for _, c := range s.eris[1:] {
-			if c.pt.Rows > e0.pt.Rows {
-				e0 = c
+			if c.pt.Rows > e.pt.Rows {
+				e = c
 			}
 		}
-		if e0.estValid {
-			if _, err := s.exact(ctx, e0, nil, true); err != nil {
-				return nil, err
-			}
-			e0.anchored = true
-			calERI = lerpRatio(e0, e0.point.PeakRise)
-			stats.Anchors++
+		if e.estValid {
+			e0 = e
 		}
+	}
+	anchorDef, err := s.anchors(ctx, d0, e0)
+	if err != nil {
+		return nil, err
+	}
+	if d0 != nil {
+		d0.anchored = true
+		calDefault = lerpRatio(d0, anchorDef.Thermal.PeakRise)
+		stats.Anchors++
+	}
+	if e0 != nil {
+		e0.anchored = true
+		calERI = lerpRatio(e0, e0.point.PeakRise)
+		stats.Anchors++
 	}
 	for _, c := range s.cands {
 		if !c.estValid {
@@ -545,6 +546,34 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 	}
 	result.Points = s.points()
 	return result, nil
+}
+
+// anchors measures the calibration anchors exactly: d0, the largest-overhead
+// Default candidate, and e0, the largest ERI candidate (nil when absent).
+// The two measurements are independent, so they run side by side on the
+// sweep's workers; runTasks keeps the lowest-index error (Default's), and
+// one worker measures them in this order. It returns d0's analysis, the HW
+// parent of its cell.
+func (s *sweep) anchors(ctx context.Context, d0, e0 *candidate) (*flow.Analysis, error) {
+	var anchorDef *flow.Analysis
+	var tasks []func(context.Context) error
+	if d0 != nil {
+		tasks = append(tasks, func(tctx context.Context) error {
+			var err error
+			anchorDef, err = s.exact(tctx, d0, nil, wantStrategy(s.opts, StrategyDefault))
+			return err
+		})
+	}
+	if e0 != nil {
+		tasks = append(tasks, func(tctx context.Context) error {
+			_, err := s.exact(tctx, e0, nil, true)
+			return err
+		})
+	}
+	if err := runTasks(ctx, tasks, s.opts.Workers); err != nil {
+		return nil, err
+	}
+	return anchorDef, nil
 }
 
 // countLE returns how many values of the sorted slice are <= x.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
+	"thermplace/internal/fault"
 	"thermplace/internal/flow"
 	"thermplace/internal/geom"
 	"thermplace/internal/thermal"
@@ -189,8 +191,8 @@ func TestAdaptiveFrontExactAtShippedMargins(t *testing.T) {
 // TestAdaptiveEstimatesIndependentOfWorkers checks that the coarse phase
 // is a pure function of its inputs: every estimate solve is seeded from the
 // calibration solve's field, so the triage record — which folds in every
-// surviving candidate's estimate — and the points are == for one worker
-// and for four.
+// surviving candidate's estimate — and the points are == for one worker,
+// for two (the two calibration anchors side by side) and for four.
 func TestAdaptiveEstimatesIndependentOfWorkers(t *testing.T) {
 	f := hotFlow(t, "mult8")
 	run := func(workers int) *SweepResult {
@@ -204,16 +206,55 @@ func TestAdaptiveEstimatesIndependentOfWorkers(t *testing.T) {
 		}
 		return res
 	}
-	seq, par := run(1), run(4)
-	if *seq.Triage != *par.Triage {
-		t.Fatalf("triage differs between 1 and 4 workers:\n  1: %+v\n  4: %+v", *seq.Triage, *par.Triage)
+	seq := run(1)
+	if seq.Triage.Anchors != 2 {
+		t.Fatalf("%d calibration anchors, want 2 (Default and ERI)", seq.Triage.Anchors)
 	}
-	if len(seq.Points) != len(par.Points) {
-		t.Fatalf("%d points with 1 worker, %d with 4", len(seq.Points), len(par.Points))
+	for _, workers := range []int{2, 4} {
+		par := run(workers)
+		if *seq.Triage != *par.Triage {
+			t.Fatalf("triage differs between 1 and %d workers:\n  1: %+v\n  %d: %+v", workers, *seq.Triage, workers, *par.Triage)
+		}
+		if len(seq.Points) != len(par.Points) {
+			t.Fatalf("%d points with 1 worker, %d with %d", len(seq.Points), len(par.Points), workers)
+		}
+		for i := range seq.Points {
+			if seq.Points[i] != par.Points[i] {
+				t.Fatalf("point %d differs between 1 and %d workers:\n  1: %+v\n  %d: %+v", i, workers, seq.Points[i], workers, par.Points[i])
+			}
+		}
 	}
-	for i := range seq.Points {
-		if seq.Points[i] != par.Points[i] {
-			t.Fatalf("point %d differs between 1 and 4 workers:\n  1: %+v\n  4: %+v", i, seq.Points[i], par.Points[i])
+}
+
+// TestAdaptiveAnchorErrorIndependentOfWorkers fails the Default anchor (a
+// utilization of 2 cannot be floorplanned) beside a sound ERI anchor, and
+// both anchors together, and requires the Default anchor's error, with its
+// provenance, whether the anchors run one after the other or side by side.
+func TestAdaptiveAnchorErrorIndependentOfWorkers(t *testing.T) {
+	f := hotFlow(t, "mult8")
+	ev, err := NewEvaluator(context.Background(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eriFails := range []bool{false, true} {
+		var msgs []string
+		for _, workers := range []int{1, 2} {
+			s := newSweep(ev, SweepOptions{Workers: workers}, []float64{0.4}, []float64{f.Config.AspectRatio},
+				[]int{RowsForAreaOverhead(ev.baseline.Placement, 0.4)}, f.Config.AspectRatio)
+			d0, e0 := s.defaults[0][0], s.eris[0]
+			d0.pt.Utilization = 2
+			if eriFails {
+				e0.pt.Rows = 1 << 30 // above MaxAreaOverhead
+			}
+			_, err := s.anchors(context.Background(), d0, e0)
+			var pv *fault.ProvenanceError
+			if !errors.As(err, &pv) || pv.Strategy != string(StrategyDefault) {
+				t.Fatalf("ERI fails %v, %d workers: anchors returned %v, want the Default anchor's error", eriFails, workers, err)
+			}
+			msgs = append(msgs, err.Error())
+		}
+		if msgs[0] != msgs[1] {
+			t.Fatalf("ERI fails %v: the anchors' error differs:\n  1 worker:  %s\n  2 workers: %s", eriFails, msgs[0], msgs[1])
 		}
 	}
 }

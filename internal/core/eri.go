@@ -42,45 +42,16 @@ func DefaultERIOptions(rows int) ERIOptions { return ERIOptions{Rows: rows, Inte
 // re-evaluate only the affected part of the power report for an ERI point.
 func EmptyRowInsertionDelta(p *place.Placement, spots []hotspot.Hotspot, opts ERIOptions) (*place.Placement, *place.Delta, error) {
 	out := p.Clone()
-	fp := out.FP
-	insertions, err := eriInsertionRows(fp, spots, opts)
+	insertions, err := eriInsertionRows(out.FP, spots, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	out.BeginDelta()
-
-	// Stretch the floorplan. Insertions are applied from the highest index
-	// down so that previously computed (original-index) positions stay
-	// valid.
-	for i := len(insertions) - 1; i >= 0; i-- {
-		if err := fp.InsertRows(insertions[i], 1); err != nil {
-			return nil, nil, fmt.Errorf("core: ERI: %w", err)
-		}
+	// Stretch the floorplan and shift every cell up by one row height per
+	// insertion at or below its original row.
+	if err := out.InsertEmptyRows(insertions); err != nil {
+		return nil, nil, fmt.Errorf("core: ERI: %w", err)
 	}
-
-	// Shift every cell up by one row height per insertion at or below its
-	// original row.
-	shiftOf := func(row int) int {
-		// insertions is sorted; count entries <= row.
-		return sort.SearchInts(insertions, row+1)
-	}
-	for _, inst := range out.Design.Instances() {
-		if inst.IsFiller() {
-			continue
-		}
-		l, ok := out.Loc(inst)
-		if !ok {
-			continue
-		}
-		shift := shiftOf(l.Row)
-		if shift == 0 {
-			continue
-		}
-		l.Row += shift
-		l.Y = fp.Rows[l.Row].Y
-		out.SetLoc(inst, l)
-	}
-
 	place.Legalize(out)
 	place.InsertFillers(out)
 	return out, out.EndDelta(), nil

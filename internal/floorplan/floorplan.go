@@ -126,21 +126,10 @@ func New(d *netlist.Design, cfg Config) (*Floorplan, error) {
 			area float64
 		}
 		var ua []unitArea
-		untagged := 0.0
 		for _, u := range units {
-			a := 0.0
-			for _, inst := range d.InstancesInUnit(u) {
-				if !inst.IsFiller() {
-					a += inst.Master.Area(lib.RowHeight)
-				}
-			}
-			ua = append(ua, unitArea{u, a})
+			ua = append(ua, unitArea{u, d.UnitCellArea(u)})
 		}
-		for _, inst := range d.Instances() {
-			if inst.Unit == "" && !inst.IsFiller() {
-				untagged += inst.Master.Area(lib.RowHeight)
-			}
-		}
+		untagged := d.UnitCellArea("")
 		// Untagged glue logic is folded into the largest unit's region.
 		if untagged > 0 && len(ua) > 0 {
 			sort.Slice(ua, func(i, j int) bool { return ua[i].area > ua[j].area })

@@ -86,15 +86,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// ScenarioConfig maps the knobs of a bench.Scenario that reach the flow —
-// clock and stimulus seed — onto DefaultConfig, so a generated scenario
-// runs the pipeline under the conditions it was generated for. Utilization,
-// aspect ratio, grid resolution and simulation depth keep their defaults;
-// callers tune them on the returned Config.
+// ScenarioConfig maps the knob of a bench.Scenario that reaches the flow —
+// the stimulus seed — onto DefaultConfig, so a generated scenario runs the
+// pipeline under the conditions it was generated for: DefaultConfig's
+// 1 GHz clock, the clock Generate records. Utilization, aspect ratio, grid
+// resolution and simulation depth keep their defaults; callers tune them on
+// the returned Config.
 func ScenarioConfig(sc bench.Scenario) Config {
-	sc = sc.Normalized()
 	cfg := DefaultConfig()
-	cfg.ClockHz = sc.ClockGHz * 1e9
 	cfg.Seed = sc.Seed
 	return cfg
 }

@@ -57,7 +57,9 @@ type Instance struct {
 	// Unit is the logical block (e.g. "mult0") the instance belongs to.
 	// The benchmark generator tags each arithmetic unit so that the placer
 	// can region-constrain them and the workload model can assign per-unit
-	// activities. It may be empty for glue logic.
+	// activities. It may be empty for glue logic. AddInstance sets it and
+	// adds the instance's area to the unit's (UnitCellArea), so it must
+	// not change afterwards.
 	Unit string
 	// conns maps pin name to the connected net.
 	conns map[string]*Net
@@ -131,6 +133,14 @@ type Design struct {
 	instOrder []*Instance
 	netOrder  []*Net
 	portOrder []*Port
+
+	// unitArea sums each unit's non-filler cell area, keyed by unit name
+	// ("" for the untagged instances), and cellArea the area of every
+	// non-filler instance. AddInstance adds each instance as it is created,
+	// so every sum is accumulated in creation order and has the bits of a
+	// scan over Instances(); after construction they are only read.
+	unitArea map[string]float64
+	cellArea float64
 }
 
 // NewDesign creates an empty design bound to lib.
@@ -141,6 +151,7 @@ func NewDesign(name string, lib *celllib.Library) *Design {
 		instances: make(map[string]*Instance),
 		nets:      make(map[string]*Net),
 		ports:     make(map[string]*Port),
+		unitArea:  make(map[string]float64),
 	}
 }
 
@@ -203,6 +214,14 @@ func (d *Design) AddInstance(name, masterName, unit string) (*Instance, error) {
 	inst := &Instance{Name: name, Master: m, Unit: unit, conns: make(map[string]*Net), ord: len(d.instOrder)}
 	d.instances[name] = inst
 	d.instOrder = append(d.instOrder, inst)
+	if _, ok := d.unitArea[unit]; !ok {
+		d.unitArea[unit] = 0
+	}
+	if !m.Filler {
+		a := m.Area(d.Lib.RowHeight)
+		d.unitArea[unit] += a
+		d.cellArea += a
+	}
 	return inst, nil
 }
 
@@ -263,15 +282,11 @@ func (d *Design) NumNets() int { return len(d.netOrder) }
 
 // Units returns the sorted list of distinct non-empty unit names.
 func (d *Design) Units() []string {
-	seen := make(map[string]bool)
-	for _, inst := range d.instOrder {
-		if inst.Unit != "" {
-			seen[inst.Unit] = true
+	out := make([]string, 0, len(d.unitArea))
+	for u := range d.unitArea {
+		if u != "" {
+			out = append(out, u)
 		}
-	}
-	out := make([]string, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
 	}
 	sort.Strings(out)
 	return out
@@ -289,15 +304,11 @@ func (d *Design) InstancesInUnit(unit string) []*Instance {
 }
 
 // TotalCellArea returns the summed area of all non-filler instances in um^2.
-func (d *Design) TotalCellArea() float64 {
-	total := 0.0
-	for _, inst := range d.instOrder {
-		if !inst.IsFiller() {
-			total += inst.Master.Area(d.Lib.RowHeight)
-		}
-	}
-	return total
-}
+func (d *Design) TotalCellArea() float64 { return d.cellArea }
+
+// UnitCellArea returns the summed area of the unit's non-filler instances
+// in um^2, in creation order; the empty unit names the untagged instances.
+func (d *Design) UnitCellArea(unit string) float64 { return d.unitArea[unit] }
 
 // Check validates structural consistency: every non-filler instance has all
 // pins connected, every net with loads has a driver, and every primary

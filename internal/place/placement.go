@@ -8,6 +8,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"thermplace/internal/celllib"
@@ -294,6 +295,75 @@ func (p *Placement) swapInRow(a, b *netlist.Instance, newAX, newBX float64) bool
 		p.invalidateNets(mv.ord)
 	}
 	return true
+}
+
+// InsertEmptyRows stretches the floorplan by one empty row below each
+// original row index in at (sorted ascending, repeats allowed; an index
+// equal to the row count inserts at the top) and shifts every placed
+// non-filler instance up by the number of insertions at or below its row,
+// onto its new row's Y. Filler instances and strays keep their rows.
+//
+// It leaves the locations, buckets, row positions, misalignment flags,
+// recorded moves and invalidated boxes that SetLoc on every shifted cell
+// would, but moves each shifted row's bucket whole, in O(rows + moved
+// cells): the buckets are sorted by (X, Name), and a shift keeps every X.
+// A bucket that holds a filler instance, or whose target row holds one,
+// takes SetLoc cell by cell.
+func (p *Placement) InsertEmptyRows(at []int) error {
+	if len(at) == 0 {
+		return nil
+	}
+	if !slices.IsSorted(at) || at[0] < 0 || at[len(at)-1] > p.FP.NumRows() {
+		return fmt.Errorf("place: empty rows %v must be sorted within [0, %d]", at, p.FP.NumRows())
+	}
+	for i := len(at) - 1; i >= 0; i-- {
+		if err := p.FP.InsertRows(at[i], 1); err != nil {
+			return err
+		}
+	}
+	// Shifts never decrease going up, so walking down from the top, every
+	// target row has already handed its own cells up, and the first row
+	// that does not shift ends the walk.
+	for row := len(p.rowOcc) - 1; row >= 0; row-- {
+		shift := sort.SearchInts(at, row+1) // insertions <= row
+		if shift == 0 {
+			break
+		}
+		bucket := p.rowOcc[row]
+		if len(bucket) == 0 {
+			continue
+		}
+		to := row + shift
+		for to >= len(p.rowOcc) {
+			p.rowOcc = append(p.rowOcc, nil)
+		}
+		y := p.FP.Rows[to].Y
+		if len(p.rowOcc[to]) > 0 || slices.ContainsFunc(bucket, func(ord int32) bool { return p.insts[ord].IsFiller() }) {
+			for _, ord := range slices.Clone(bucket) {
+				if inst := p.insts[ord]; !inst.IsFiller() {
+					p.SetLoc(inst, Loc{X: p.locs[ord].X, Y: y, Row: to})
+				}
+			}
+			continue
+		}
+		p.rowOcc[to], p.rowOcc[row] = bucket, nil
+		for _, ord := range bucket {
+			if p.rec != nil {
+				p.record(int(ord))
+			}
+			if p.misaligned[ord] {
+				p.misaligned[ord] = false
+				p.misalignedCount--
+			}
+			p.locs[ord].Row, p.locs[ord].Y = to, y
+			if !p.rowAligned(p.locs[ord]) {
+				p.misaligned[ord] = true
+				p.misalignedCount++
+			}
+			p.invalidateNets(int(ord))
+		}
+	}
+	return nil
 }
 
 // removeFromRow detaches a placed instance from its occupancy bucket (or
