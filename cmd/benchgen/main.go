@@ -26,6 +26,7 @@ import (
 
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
+	"thermplace/internal/flow"
 	"thermplace/internal/netlist"
 )
 
@@ -107,7 +108,7 @@ func main() {
 		fmt.Printf("cells    : %d\n", design.NumInstances())
 		fmt.Printf("nets     : %d\n", design.NumNets())
 		fmt.Printf("cell area: %.1f um^2\n", design.TotalCellArea())
-		fmt.Printf("clock    : %.2f GHz\n", cfg.ClockGHz)
+		fmt.Printf("clock    : %.2f GHz\n", flow.DefaultConfig().ClockHz/1e9)
 		fmt.Printf("units    :\n")
 		for _, u := range design.Units() {
 			act := ""
@@ -152,7 +153,7 @@ func hotUnits(wl bench.Workload) []string {
 func buildConfig(small bool, units string) (bench.Config, error) {
 	switch {
 	case units != "":
-		cfg := bench.Config{Name: "custom", ClockGHz: 1}
+		cfg := bench.Config{Name: "custom"}
 		for i, spec := range strings.Split(units, ",") {
 			parts := strings.SplitN(strings.TrimSpace(spec), ":", 2)
 			if len(parts) != 2 {

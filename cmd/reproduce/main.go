@@ -72,14 +72,13 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("benchmark: %s, %d standard cells, %d nets, clock %.1f GHz\n\n",
-		design.Name, design.NumInstances(), design.NumNets(), cfgBench.ClockGHz)
+		design.Name, design.NumInstances(), design.NumNets(), flow.DefaultConfig().ClockHz/1e9)
 
 	mkFlow := func(wl bench.Workload) *flow.Flow {
 		cfg := flow.DefaultConfig()
 		cfg.Utilization = *util
 		cfg.SimCycles = *cycles
 		cfg.Seed = *seed
-		cfg.ClockHz = cfgBench.ClockHz()
 		cfg.Thermal.NX = *gridN
 		cfg.Thermal.NY = *gridN
 		return flow.New(design, wl, cfg)

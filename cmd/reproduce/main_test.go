@@ -16,14 +16,11 @@ import (
 // belongs to a placement the sweep actually produces.
 func TestTimingHWIsTheSweepsHWPoint(t *testing.T) {
 	lib := celllib.Default65nm()
-	cfgBench := bench.SmallConfig()
-	design, err := bench.Generate(lib, cfgBench)
+	design, err := bench.Generate(lib, bench.SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := flow.DefaultConfig()
-	cfg.ClockHz = cfgBench.ClockHz()
-	f := flow.New(design, scatteredWorkload(true), cfg)
+	f := flow.New(design, scatteredWorkload(true), flow.DefaultConfig())
 
 	ctx := context.Background()
 	_, hw, err := sweepDefaultAndHW(ctx, f)

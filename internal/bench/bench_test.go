@@ -15,12 +15,6 @@ func TestDefaultConfigHasNineUnits(t *testing.T) {
 	if len(cfg.Units) != 9 {
 		t.Fatalf("paper benchmark must have nine arithmetic units, got %d", len(cfg.Units))
 	}
-	if cfg.ClockGHz != 1.0 {
-		t.Fatalf("paper benchmark clock is 1 GHz, got %v", cfg.ClockGHz)
-	}
-	if cfg.ClockHz() != 1e9 {
-		t.Fatalf("ClockHz = %v", cfg.ClockHz())
-	}
 }
 
 func TestGenerateDefaultBenchmarkSize(t *testing.T) {
@@ -88,7 +82,7 @@ func TestUnitKindString(t *testing.T) {
 func genUnit(t *testing.T, spec UnitSpec) *netlist.Design {
 	t.Helper()
 	lib := celllib.Default65nm()
-	d, err := Generate(lib, Config{Name: "one_" + spec.Name, ClockGHz: 1, Units: []UnitSpec{spec}})
+	d, err := Generate(lib, Config{Name: "one_" + spec.Name, Units: []UnitSpec{spec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +333,7 @@ func TestGeneratedDesignSimulates(t *testing.T) {
 // paper relies on to position hotspots.
 func TestWorkloadControlsUnitActivity(t *testing.T) {
 	lib := celllib.Default65nm()
-	d, err := Generate(lib, Config{Name: "two", ClockGHz: 1, Units: []UnitSpec{
+	d, err := Generate(lib, Config{Name: "two", Units: []UnitSpec{
 		{Name: "hotm", Kind: KindMultiplier, Width: 8},
 		{Name: "coldm", Kind: KindMultiplier, Width: 8},
 	}})

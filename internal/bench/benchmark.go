@@ -11,22 +11,16 @@ import (
 type Config struct {
 	// Name is the top-level module name.
 	Name string
-	// ClockGHz is the clock frequency in GHz (the paper uses 1 GHz).
-	ClockGHz float64
 	// Units lists the arithmetic units to instantiate.
 	Units []UnitSpec
 }
 
-// ClockHz returns the clock frequency in hertz.
-func (c Config) ClockHz() float64 { return c.ClockGHz * 1e9 }
-
 // DefaultConfig returns the paper's benchmark configuration: nine arithmetic
-// units of various sizes totalling roughly 12,000 standard cells, clocked at
-// 1 GHz.
+// units of various sizes totalling roughly 12,000 standard cells. The clock
+// is the flow's (flow.Config.ClockHz, 1 GHz by default, as in the paper).
 func DefaultConfig() Config {
 	return Config{
-		Name:     "synth9",
-		ClockGHz: 1.0,
+		Name: "synth9",
 		Units: []UnitSpec{
 			{Name: "mult32", Kind: KindMultiplier, Width: 32},
 			{Name: "mult28", Kind: KindMultiplier, Width: 28},
@@ -45,8 +39,7 @@ func DefaultConfig() Config {
 // fast tests and the quickstart example.
 func SmallConfig() Config {
 	return Config{
-		Name:     "synth_small",
-		ClockGHz: 1.0,
+		Name: "synth_small",
 		Units: []UnitSpec{
 			{Name: "mult8", Kind: KindMultiplier, Width: 8},
 			{Name: "add16", Kind: KindRippleAdder, Width: 16},

@@ -152,7 +152,7 @@ func (sc Scenario) Generate(lib *celllib.Library) (*Generated, error) {
 	}
 	rng := rand.New(rand.NewSource(sc.rngSeed()))
 	units, wl := sc.plan(rng)
-	cfg := Config{Name: sc.Name(), ClockGHz: 1, Units: units}
+	cfg := Config{Name: sc.Name(), Units: units}
 	d, err := Generate(lib, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: scenario %s: %w", sc, err)

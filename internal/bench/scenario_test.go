@@ -280,7 +280,7 @@ func TestEstimateCellsMatchesGenerator(t *testing.T) {
 		{Name: "cmp21", Kind: KindComparator, Width: 21},
 	}
 	for _, spec := range specs {
-		d, err := Generate(lib, Config{Name: "est", ClockGHz: 1, Units: []UnitSpec{spec}})
+		d, err := Generate(lib, Config{Name: "est", Units: []UnitSpec{spec}})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}

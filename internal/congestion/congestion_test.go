@@ -112,9 +112,8 @@ func TestCongestionTracksPlacementSpreading(t *testing.T) {
 		if inst.IsFiller() {
 			continue
 		}
-		if l, ok := stretched.Loc(inst); ok && l.Y >= mid {
+		if l, ok := stretched.Loc(inst); ok && p.FP.Rows[l.Row].Y >= mid {
 			l.Row += extraRows
-			l.Y = stretched.FP.Rows[l.Row].Y
 			stretched.SetLoc(inst, l)
 		}
 	}

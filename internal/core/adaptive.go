@@ -327,14 +327,8 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 		pm := defPM.Clone()
 		moved := false
 		for _, h := range spots {
-			hotBox := h.Rect.Intersect(core)
-			if hotBox.Empty() {
-				continue
-			}
-			growth := (math.Sqrt(expand) - 1) / 2
-			outer := hotBox.Expand(growth * (hotBox.W() + hotBox.H()) / 2).Intersect(core)
-			inner := outer.Expand(-ring).Intersect(core)
-			if inner.Empty() || inner.W() < 4*baseFP.SiteWidth || inner.H() < baseFP.RowHeight {
+			hotBox, _, inner, ok := wrapperRegions(h.Rect, core, baseFP, expand, ring)
+			if !ok {
 				continue
 			}
 			// Move the power of the cells whose centers sit in the hotspot

@@ -94,8 +94,8 @@ func TestEmptyRowInsertionTransform(t *testing.T) {
 		if math.Abs(lb.X-ln.X) > 1e-9 {
 			movedX++
 		}
-		if ln.Y < lb.Y-1e-9 {
-			t.Fatalf("cell %s moved down: %g -> %g", inst.Name, lb.Y, ln.Y)
+		if ln.Row < lb.Row {
+			t.Fatalf("cell %s moved down: row %d -> %d", inst.Name, lb.Row, ln.Row)
 		}
 	}
 	if movedX > f.Design.NumInstances()/20 {

@@ -11,8 +11,10 @@ import (
 
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
+	"thermplace/internal/def"
 	"thermplace/internal/flow"
 	"thermplace/internal/netlist"
+	"thermplace/internal/place"
 )
 
 // TestRunTasksErrorSelection pins the error contract of the sweep's worker
@@ -414,5 +416,76 @@ func TestAdaptiveTriageStatsNaNFree(t *testing.T) {
 	}
 	if got := r.Front2D(); len(got) == 0 {
 		t.Fatal("adaptive result has an empty 2D front")
+	}
+}
+
+// TestNetlistFillerInstancesStayUnplaced feeds a Verilog-lite netlist with
+// FILL instances, one tagged to a unit and one untagged, through the
+// baseline analysis, a Fig6 sweep of all three strategies and def.Write. No
+// filler instance is ever placed, so external input cannot reach SetLoc's
+// panic for one: placement fills whitespace with place.Filler cells of its
+// own.
+func TestNetlistFillerInstancesStayUnplaced(t *testing.T) {
+	lib := celllib.Default65nm()
+	gen, err := bench.Generate(lib, bench.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v strings.Builder
+	if err := netlist.WriteVerilog(&v, gen); err != nil {
+		t.Fatal(err)
+	}
+	src := strings.Replace(v.String(), "endmodule",
+		"  (* unit = \"mult8\" *)\n  FILL4 fill_tagged ();\n  FILL2 fill_untagged ();\nendmodule", 1)
+	d, err := netlist.ParseVerilog(strings.NewReader(src), lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fills []*netlist.Instance
+	for _, inst := range d.Instances() {
+		if inst.IsFiller() {
+			fills = append(fills, inst)
+		}
+	}
+	if len(fills) != 2 || fills[0].Unit != "mult8" || fills[1].Unit != "" {
+		t.Fatalf("netlist holds filler instances %v, want one tagged to mult8 and one untagged", fills)
+	}
+	wl := bench.Workload{Name: "hot-mult8", Activity: map[string]float64{"mult8": 0.6}, Default: 0.03}
+	f := flow.New(d, wl, flow.FastConfig())
+	base, err := f.AnalyzeBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{0.16}, KeepAnalyses: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	placements := map[string]*place.Placement{"baseline": base.Placement}
+	for _, pt := range res.Points {
+		placements[fmt.Sprintf("%s at %.2f", pt.Strategy, pt.AreaOverhead)] = pt.Placement
+	}
+	for _, s := range []Strategy{StrategyDefault, StrategyERI, StrategyHW} {
+		if len(res.PointsFor(s)) == 0 {
+			t.Fatalf("the sweep measured no %s point", s)
+		}
+	}
+	for what, p := range placements {
+		for _, fill := range fills {
+			if _, ok := p.Loc(fill); ok {
+				t.Fatalf("%s: filler instance %s is placed", what, fill.Name)
+			}
+		}
+		if errs := p.Validate(); len(errs) != 0 {
+			t.Fatalf("%s: placement not legal: %v", what, errs[0])
+		}
+		var out strings.Builder
+		if err := def.Write(&out, p); err != nil {
+			t.Fatal(err)
+		}
+		for _, fill := range fills {
+			if strings.Contains(out.String(), "- "+fill.Name+" ") {
+				t.Fatalf("%s: DEF lists filler instance %s", what, fill.Name)
+			}
+		}
 	}
 }

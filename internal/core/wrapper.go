@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"thermplace/internal/floorplan"
 	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
 	"thermplace/internal/netlist"
@@ -73,19 +74,8 @@ func HotspotWrapperDelta(p *place.Placement, spots []hotspot.Hotspot, opts Wrapp
 	core := out.FP.Core
 
 	for _, h := range spots {
-		hotBox := h.Rect.Intersect(core)
-		if hotBox.Empty() {
-			continue
-		}
-		// The wrapped (outer) region: the hotspot bounding box grown so its
-		// area increases by the expansion factor, clipped to the core.
-		growth := (math.Sqrt(expand) - 1) / 2
-		outer := hotBox.Expand(growth * (hotBox.W() + hotBox.H()) / 2).Intersect(core)
-		// The inner region (where the hot cells will live) excludes the
-		// whitespace ring.
-		inner := outer.Expand(-opts.RingWidth).Intersect(core)
-		if inner.Empty() || inner.W() < 4*out.FP.SiteWidth || inner.H() < out.FP.RowHeight {
-			// Hotspot too small to wrap meaningfully; skip it.
+		hotBox, outer, inner, ok := wrapperRegions(h.Rect, core, out.FP, expand, opts.RingWidth)
+		if !ok {
 			continue
 		}
 
@@ -148,16 +138,17 @@ func HotspotWrapperDelta(p *place.Placement, spots []hotspot.Hotspot, opts Wrapp
 		// "exclusive move bound" a commercial tool would use.
 		for _, inst := range coldCells {
 			l, _ := out.Loc(inst)
+			y := out.FP.Rows[l.Row].Y
 			c := out.Center(inst)
 			distLeft := c.X - outer.Xlo
 			distRight := outer.Xhi - c.X
 			distDown := c.Y - outer.Ylo
 			distUp := outer.Yhi - c.Y
 			minDist := distLeft
-			target := geom.Point{X: outer.Xlo - opts.RingWidth - inst.Master.Width, Y: l.Y}
+			target := geom.Point{X: outer.Xlo - opts.RingWidth - inst.Master.Width, Y: y}
 			if distRight < minDist {
 				minDist = distRight
-				target = geom.Point{X: outer.Xhi + opts.RingWidth, Y: l.Y}
+				target = geom.Point{X: outer.Xhi + opts.RingWidth, Y: y}
 			}
 			if distDown < minDist {
 				minDist = distDown
@@ -170,7 +161,7 @@ func HotspotWrapperDelta(p *place.Placement, spots []hotspot.Hotspot, opts Wrapp
 			target.X = geom.Clamp(target.X, core.Xlo, core.Xhi-inst.Master.Width)
 			target.Y = geom.Clamp(target.Y, core.Ylo, core.Yhi-out.FP.RowHeight)
 			row := out.FP.RowAt(target.Y + out.FP.RowHeight/2)
-			out.SetLoc(inst, place.Loc{X: target.X, Y: row.Y, Row: row.Index})
+			out.SetLoc(inst, place.Loc{X: target.X, Row: row.Index})
 		}
 
 		// Redistribute the hot cells uniformly over the inner region by
@@ -197,7 +188,7 @@ func HotspotWrapperDelta(p *place.Placement, spots []hotspot.Hotspot, opts Wrapp
 			nx = geom.Clamp(nx, inner.Xlo, inner.Xhi-inst.Master.Width)
 			ny = geom.Clamp(ny, inner.Ylo, inner.Yhi-out.FP.RowHeight)
 			row := out.FP.RowAt(ny + out.FP.RowHeight/2)
-			l.X, l.Y, l.Row = nx, row.Y, row.Index
+			l.X, l.Row = nx, row.Index
 			out.SetLoc(inst, l)
 		}
 	}
@@ -205,4 +196,23 @@ func HotspotWrapperDelta(p *place.Placement, spots []hotspot.Hotspot, opts Wrapp
 	place.Legalize(out)
 	place.InsertFillers(out)
 	return out, out.EndDelta(), nil
+}
+
+// wrapperRegions returns the wrapper's geometry around one hotspot inside
+// the core: the hotspot box clipped to the core; the wrapped (outer)
+// region, that box grown so its area increases by the expansion factor,
+// clipped to the core; and the inner region, where the hot cells will
+// live, which excludes the whitespace ring of the given width. ok is false
+// when the hotspot misses the core or is too small to wrap meaningfully
+// (an inner region narrower than four sites or lower than one row).
+func wrapperRegions(spot, core geom.Rect, fp *floorplan.Floorplan, expand, ring float64) (hotBox, outer, inner geom.Rect, ok bool) {
+	hotBox = spot.Intersect(core)
+	if hotBox.Empty() {
+		return hotBox, outer, inner, false
+	}
+	growth := (math.Sqrt(expand) - 1) / 2
+	outer = hotBox.Expand(growth * (hotBox.W() + hotBox.H()) / 2).Intersect(core)
+	inner = outer.Expand(-ring).Intersect(core)
+	ok = !inner.Empty() && inner.W() >= 4*fp.SiteWidth && inner.H() >= fp.RowHeight
+	return hotBox, outer, inner, ok
 }

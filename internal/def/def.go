@@ -45,10 +45,10 @@ func Write(w io.Writer, p *place.Placement) error {
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(bw, "- %s %s + PLACED ( %d %d ) N ;\n", inst.Name, inst.Master.Name, toDBU(l.X), toDBU(l.Y))
+		fmt.Fprintf(bw, "- %s %s + PLACED ( %d %d ) N ;\n", inst.Name, inst.Master.Name, toDBU(l.X), toDBU(fp.Rows[l.Row].Y))
 	}
 	for i, f := range p.Fillers {
-		fmt.Fprintf(bw, "- FILLER_%d %s + FILLER ( %d %d ) N ;\n", i, f.Master.Name, toDBU(f.X), toDBU(f.Y))
+		fmt.Fprintf(bw, "- FILLER_%d %s + FILLER ( %d %d ) N ;\n", i, f.Master.Name, toDBU(f.X), toDBU(fp.Rows[f.Row].Y))
 	}
 	fmt.Fprintf(bw, "END COMPONENTS\n")
 

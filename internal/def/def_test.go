@@ -51,11 +51,11 @@ func TestWriteListsEveryElement(t *testing.T) {
 	for _, inst := range d.Instances() {
 		if l, ok := p.Loc(inst); ok {
 			placed++
-			want = append(want, fmt.Sprintf("- %s %s + PLACED ( %d %d ) N ;", inst.Name, inst.Master.Name, toDBU(l.X), toDBU(l.Y)))
+			want = append(want, fmt.Sprintf("- %s %s + PLACED ( %d %d ) N ;", inst.Name, inst.Master.Name, toDBU(l.X), toDBU(p.FP.Rows[l.Row].Y)))
 		}
 	}
 	for i, f := range p.Fillers {
-		want = append(want, fmt.Sprintf("- FILLER_%d %s + FILLER ( %d %d ) N ;", i, f.Master.Name, toDBU(f.X), toDBU(f.Y)))
+		want = append(want, fmt.Sprintf("- FILLER_%d %s + FILLER ( %d %d ) N ;", i, f.Master.Name, toDBU(f.X), toDBU(p.FP.Rows[f.Row].Y)))
 	}
 	pins := 0
 	for _, port := range d.Ports() {

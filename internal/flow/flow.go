@@ -88,8 +88,8 @@ func DefaultConfig() Config {
 
 // ScenarioConfig maps the knob of a bench.Scenario that reaches the flow —
 // the stimulus seed — onto DefaultConfig, so a generated scenario runs the
-// pipeline under the conditions it was generated for: DefaultConfig's
-// 1 GHz clock, the clock Generate records. Utilization, aspect ratio, grid
+// pipeline under the conditions it was generated for, at DefaultConfig's
+// 1 GHz clock. Utilization, aspect ratio, grid
 // resolution and simulation depth keep their defaults; callers tune them on
 // the returned Config.
 func ScenarioConfig(sc bench.Scenario) Config {

@@ -102,7 +102,7 @@ func TestAnalyzeWithDeltaBitIdentical(t *testing.T) {
 			continue
 		}
 		row := (l.Row + 2) % edited.FP.NumRows()
-		edited.SetLoc(inst, place.Loc{X: l.X, Y: edited.FP.Rows[row].Y, Row: row})
+		edited.SetLoc(inst, place.Loc{X: l.X, Row: row})
 	}
 	place.Legalize(edited)
 	place.InsertFillers(edited)

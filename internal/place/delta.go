@@ -77,9 +77,7 @@ func (p *Placement) EndDelta() *Delta {
 	netDirty := make([]bool, len(p.netBoxValid))
 	for _, ord := range d.moved {
 		for _, netOrd := range p.instNets[ord] {
-			if int(netOrd) < len(netDirty) {
-				netDirty[netOrd] = true
-			}
+			netDirty[netOrd] = true
 		}
 	}
 	for netOrd, dirty := range netDirty {
@@ -93,9 +91,6 @@ func (p *Placement) EndDelta() *Delta {
 // record folds one real move into the active recorder.
 func (p *Placement) record(ord int) {
 	rec := p.rec
-	for ord >= len(rec.touched) {
-		rec.touched = append(rec.touched, false)
-	}
 	if !rec.touched[ord] {
 		rec.touched[ord] = true
 		rec.moved = append(rec.moved, int32(ord))

@@ -144,7 +144,7 @@ func TestDeltaRecordingSurgical(t *testing.T) {
 	q := p.Clone()
 	q.BeginDelta()
 	// Move a to b's row, leave b alone via a no-op SetLoc.
-	q.SetLoc(a, Loc{X: la.X, Y: lb.Y, Row: lb.Row})
+	q.SetLoc(a, Loc{X: la.X, Row: lb.Row})
 	q.SetLoc(b, lb) // no-op: must not be recorded
 	delta := q.EndDelta()
 

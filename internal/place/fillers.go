@@ -28,7 +28,7 @@ func InsertFillers(p *Placement) float64 {
 				placed := false
 				for _, f := range fillers {
 					if f.Width <= gap+1e-9 {
-						p.Fillers = append(p.Fillers, Filler{Master: f, X: x, Y: r.Y, Row: row})
+						p.Fillers = append(p.Fillers, Filler{Master: f, X: x, Row: row})
 						totalArea += f.Width * fp.RowHeight
 						x += f.Width
 						gap -= f.Width

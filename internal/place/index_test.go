@@ -14,16 +14,6 @@ import (
 	"thermplace/internal/netlist"
 )
 
-// rowOccupants returns the instances of the row's bucket (rowBucket), in
-// bucket order.
-func (p *Placement) rowOccupants(row int) []*netlist.Instance {
-	var out []*netlist.Instance
-	for _, ord := range p.rowBucket(row) {
-		out = append(out, p.insts[ord])
-	}
-	return out
-}
-
 // refRowOccupants is the pre-index O(instances) reference implementation of
 // rowOccupants: scan every placed instance, keep the row's, sort by (X, name).
 func refRowOccupants(p *Placement, row int) []*netlist.Instance {
@@ -94,9 +84,8 @@ func freshHPWL(p *Placement) float64 {
 
 // TestIndexedQueriesMatchReference pins the incremental row-occupancy index
 // and the cached geometry queries against the pre-index map-based
-// implementations across a long randomized move sequence, including moves
-// that break row/Y alignment (which must flip the queries to their exact
-// fallback, not change results).
+// implementations across a long randomized move sequence over the
+// floorplan's rows.
 func TestIndexedQueriesMatchReference(t *testing.T) {
 	d, p := placedSmall(t, 0.8)
 	rng := rand.New(rand.NewSource(7))
@@ -109,8 +98,7 @@ func TestIndexedQueriesMatchReference(t *testing.T) {
 	fp := p.FP
 	check := func(step int) {
 		t.Helper()
-		maxRow := fp.NumRows() + 2 // also probe rows beyond the floorplan
-		for row := 0; row < maxRow; row++ {
+		for row := 0; row < fp.NumRows(); row++ {
 			if got, want := p.rowOccupants(row), refRowOccupants(p, row); !sameInstances(got, want) {
 				t.Fatalf("step %d: rowOccupants(%d): got %d cells, reference %d", step, row, len(got), len(want))
 			}
@@ -131,21 +119,10 @@ func TestIndexedQueriesMatchReference(t *testing.T) {
 	check(-1)
 	for step := 0; step < 400; step++ {
 		inst := cells[rng.Intn(len(cells))]
-		row := rng.Intn(fp.NumRows() + 1) // occasionally out of the floorplan
-		loc := Loc{
+		p.SetLoc(inst, Loc{
 			X:   fp.Core.Xlo + rng.Float64()*fp.Core.W(),
-			Row: row,
-		}
-		if row < fp.NumRows() {
-			loc.Y = fp.Rows[row].Y
-		} else {
-			loc.Y = fp.Core.Yhi
-		}
-		if step%17 == 0 {
-			// Break the Y/row invariant on purpose.
-			loc.Y += fp.RowHeight * (rng.Float64()*4 - 2)
-		}
-		p.SetLoc(inst, loc)
+			Row: rng.Intn(fp.NumRows()),
+		})
 		if step%25 == 0 {
 			check(step)
 		}
@@ -163,7 +140,6 @@ func TestCloneSharesNothingMutable(t *testing.T) {
 	for _, inst := range c.rowOccupants(0) {
 		l, _ := c.Loc(inst)
 		l.Row = 1
-		l.Y = c.FP.Rows[1].Y
 		c.SetLoc(inst, l)
 	}
 	if got := len(p.rowOccupants(0)); got != before {
@@ -196,7 +172,7 @@ func TestInsertFillersDeterministic(t *testing.T) {
 		}
 		var b strings.Builder
 		for _, f := range p.Fillers {
-			fmt.Fprintf(&b, "%s %.17g %.17g %d\n", f.Master.Name, f.X, f.Y, f.Row)
+			fmt.Fprintf(&b, "%s %.17g %d\n", f.Master.Name, f.X, f.Row)
 		}
 		return b.String()
 	}
@@ -257,7 +233,7 @@ func TestLegalizeSpillsFarthestFromCentre(t *testing.T) {
 	x := row.X0 + (capacity-cw)/2
 	inMid := make(map[*netlist.Instance]bool)
 	for _, c := range centred {
-		p.SetLoc(c, Loc{X: x, Y: row.Y, Row: mid})
+		p.SetLoc(c, Loc{X: x, Row: mid})
 		inMid[c] = true
 		x += c.Master.Width
 	}
@@ -265,7 +241,7 @@ func TestLegalizeSpillsFarthestFromCentre(t *testing.T) {
 	// centre ~0.5 capacity), overflowing the row by ~20%.
 	pile := take(0.6 * capacity)
 	for _, c := range pile {
-		p.SetLoc(c, Loc{X: row.X0, Y: row.Y, Row: mid})
+		p.SetLoc(c, Loc{X: row.X0, Row: mid})
 		inMid[c] = true
 	}
 	// Park everything else in the other rows at ~50% occupancy so spills
@@ -275,7 +251,7 @@ func TestLegalizeSpillsFarthestFromCentre(t *testing.T) {
 			continue
 		}
 		for _, c := range take(0.5 * capacity) {
-			p.SetLoc(c, Loc{X: fp.Rows[r].X0, Y: fp.Rows[r].Y, Row: r})
+			p.SetLoc(c, Loc{X: fp.Rows[r].X0, Row: r})
 		}
 	}
 	if ci < len(cells) {

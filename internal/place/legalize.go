@@ -6,16 +6,17 @@ import (
 	"thermplace/internal/netlist"
 )
 
-// Legalize turns an arbitrary (possibly overlapping, off-grid) placement
-// into a legal one while moving cells as little as possible:
+// Legalize turns a placement whose rows may overlap, overflow or sit off
+// the site grid into a legal one while moving cells as little as possible.
+// Every placed cell is already on a row (SetLoc); Legalize keeps it there
+// unless its row overflows:
 //
-//  1. every cell is snapped to its nearest row,
-//  2. rows whose contents exceed their capacity spill the cell farthest
+//  1. rows whose contents exceed their capacity spill the cell farthest
 //     from the row centre into the nearest row with free space (the
 //     cheapest eviction: it never disturbs the packed middle, and overflow
 //     near either row edge is resolved locally instead of travelling across
 //     the row),
-//  3. within every row, cells keep their left-to-right order and are shifted
+//  2. within every row, cells keep their left-to-right order and are shifted
 //     just enough to remove overlaps and stay inside the row, snapped to the
 //     site grid.
 //
@@ -26,34 +27,24 @@ import (
 // post-placement transforms, which only perturb cells locally.
 func Legalize(p *Placement) {
 	fp := p.FP
-	// Pass 1: snap each cell to the nearest row, tracking per-row widths
-	// (accumulated in design order — the capacity comparisons below are
-	// float sums, and a different addition order could flip a marginal
-	// spill decision).
+	// Per-row widths, accumulated in design order: the capacity comparisons
+	// below are float sums, and a different addition order could flip a
+	// marginal spill decision.
 	rowUsed := make([]float64, fp.NumRows())
-	for _, inst := range p.Design.Instances() {
-		if inst.IsFiller() {
-			continue
+	for ord, inst := range p.insts {
+		if p.placed[ord] {
+			rowUsed[p.locs[ord].Row] += inst.Master.Width
 		}
-		l, ok := p.Loc(inst)
-		if !ok {
-			continue
-		}
-		row := fp.RowAt(l.Y + fp.RowHeight/2)
-		l.Row = row.Index
-		l.Y = row.Y
-		p.SetLoc(inst, l)
-		rowUsed[row.Index] += inst.Master.Width
 	}
 	// The row lists come straight off the occupancy index SetLoc maintains:
 	// each bucket is already sorted by (X, name), exactly the order the
 	// per-row sort used to produce.
 	rowCells := make([][]*netlist.Instance, fp.NumRows())
-	for row := 0; row < fp.NumRows(); row++ {
-		rowCells[row] = rowOccupantsNonFiller(p, row)
+	for row := range rowCells {
+		rowCells[row] = p.rowOccupants(row)
 	}
 
-	// Pass 2: spill overfull rows into the nearest rows with space. Rows
+	// Pass 1: spill overfull rows into the nearest rows with space. Rows
 	// are already sorted; the farthest-from-centre candidate is then always
 	// at one of the two ends of the remaining span.
 	for row := 0; row < fp.NumRows(); row++ {
@@ -79,7 +70,6 @@ func Legalize(p *Placement) {
 			}
 			l, _ := p.Loc(victim)
 			l.Row = target
-			l.Y = fp.Rows[target].Y
 			p.SetLoc(victim, l)
 			rowCells[target] = append(rowCells[target], victim)
 			rowUsed[target] += victim.Master.Width
@@ -93,7 +83,7 @@ func Legalize(p *Placement) {
 		rowCells[row] = cells[lo : hi+1]
 	}
 
-	// Pass 3: remove overlaps within each row with a two-sided sweep.
+	// Pass 2: remove overlaps within each row with a two-sided sweep.
 	for row := 0; row < fp.NumRows(); row++ {
 		packRow(p, rowCells[row], fp.Rows[row].X0, fp.Rows[row].X1)
 	}
@@ -140,18 +130,15 @@ func cellsSortedByX(p *Placement, cells []*netlist.Instance) bool {
 	return true
 }
 
-// rowOccupantsNonFiller copies the row's occupancy bucket, dropping filler
-// instances.
-func rowOccupantsNonFiller(p *Placement, row int) []*netlist.Instance {
+// rowOccupants copies the row's occupancy bucket as instances.
+func (p *Placement) rowOccupants(row int) []*netlist.Instance {
 	bucket := p.rowBucket(row)
 	if len(bucket) == 0 {
 		return nil
 	}
-	out := make([]*netlist.Instance, 0, len(bucket))
-	for _, ord := range bucket {
-		if inst := p.insts[ord]; !inst.IsFiller() {
-			out = append(out, inst)
-		}
+	out := make([]*netlist.Instance, len(bucket))
+	for i, ord := range bucket {
+		out[i] = p.insts[ord]
 	}
 	return out
 }

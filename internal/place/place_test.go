@@ -1,7 +1,9 @@
 package place
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"thermplace/internal/bench"
@@ -159,8 +161,9 @@ func TestRefineHPWLImprovesOrKeepsWirelength(t *testing.T) {
 
 func TestLegalizeFixesOverlapsAndOffGrid(t *testing.T) {
 	d, p := placedSmall(t, 0.85)
-	// Deliberately break the placement: pile several cells on one spot,
-	// off-grid and off-row.
+	// Deliberately break the placement: pile several cells on one off-site
+	// X in one row.
+	row := p.FP.NumRows() / 2
 	broken := 0
 	for _, inst := range d.Instances() {
 		if inst.IsFiller() {
@@ -172,7 +175,7 @@ func TestLegalizeFixesOverlapsAndOffGrid(t *testing.T) {
 		}
 		if broken < 40 {
 			l.X = p.FP.Core.Xlo + 1.234
-			l.Y = p.FP.Core.Ylo + 2.5*p.FP.RowHeight
+			l.Row = row
 			p.SetLoc(inst, l)
 			broken++
 		}
@@ -207,14 +210,13 @@ func TestInsertFillersFillsWhitespace(t *testing.T) {
 	if covered > p.FP.CoreArea()*1.0001 {
 		t.Fatalf("cells+fillers exceed core area: %g > %g", covered, p.FP.CoreArea())
 	}
-	// Fillers must lie inside the core and on their rows.
+	// Fillers must lie inside the core, each on one of its rows.
 	for _, f := range p.Fillers {
-		r := f.Rect(p.FP.RowHeight)
-		if r.Xlo < p.FP.Core.Xlo-1e-9 || r.Xhi > p.FP.Core.Xhi+1e-9 {
-			t.Fatalf("filler outside core: %v", r)
+		if f.X < p.FP.Core.Xlo-1e-9 || f.X+f.Master.Width > p.FP.Core.Xhi+1e-9 {
+			t.Fatalf("filler outside core: %+v", f)
 		}
-		if math.Abs(f.Y-p.FP.Rows[f.Row].Y) > 1e-9 {
-			t.Fatalf("filler not aligned to its row: %+v", f)
+		if f.Row < 0 || f.Row >= p.FP.NumRows() {
+			t.Fatalf("filler outside the floorplan's rows: %+v", f)
 		}
 	}
 }
@@ -290,5 +292,56 @@ func TestPlaceRejectsOverfullRegion(t *testing.T) {
 	}
 	if _, err := Place(d, fp); err == nil {
 		t.Fatal("placement into absurdly small regions must fail")
+	}
+}
+
+// TestSetLocPanicsOffContract holds SetLoc to its contract, a non-filler
+// instance on one of the floorplan's rows: a row below or past the
+// floorplan and a netlist filler instance each panic with a message naming
+// the instance and the row, and leave the instance unplaced.
+func TestSetLocPanicsOffContract(t *testing.T) {
+	d := netlist.NewDesign("contract", celllib.Default65nm())
+	cell, err := d.AddInstance("c0", "INV_X1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill, err := d.AddInstance("f0", "FILL4", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := floorplan.New(d, floorplan.Config{Utilization: 0.1, AspectRatio: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setLoc := func(p *Placement, inst *netlist.Instance, loc Loc) (msg any) {
+		defer func() { msg = recover() }()
+		p.SetLoc(inst, loc)
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		inst *netlist.Instance
+		row  int
+	}{
+		{"row -1", cell, -1},
+		{"row past the floorplan", cell, fp.NumRows()},
+		{"filler instance", fill, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPlacement(d, fp)
+			got := setLoc(p, tc.inst, Loc{X: fp.Core.Xlo, Row: tc.row})
+			if got == nil {
+				t.Fatalf("SetLoc(%s, row %d) on %d rows did not panic", tc.inst.Name, tc.row, fp.NumRows())
+			}
+			msg := fmt.Sprint(got)
+			for _, want := range []string{fmt.Sprintf("%q", tc.inst.Name), fmt.Sprintf("row %d", tc.row)} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("panic %q does not name %s", msg, want)
+				}
+			}
+			if _, ok := p.Loc(tc.inst); ok {
+				t.Fatalf("%s placed by a SetLoc that panicked", tc.inst.Name)
+			}
+		})
 	}
 }

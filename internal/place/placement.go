@@ -3,6 +3,9 @@
 // queries), a region-constrained global placer, a Tetris-style legalizer and
 // a filler-insertion pass. Together they stand in for the commercial
 // floorplanning/placement tool (Synopsys IC Compiler) used by the paper.
+//
+// A placed cell is an X and a row of the floorplan; its Y is that row's Y
+// (FP.Rows[Row].Y), so every placed cell sits on a row by construction.
 package place
 
 import (
@@ -17,11 +20,12 @@ import (
 	"thermplace/internal/netlist"
 )
 
-// Loc is the placed location of a cell instance: the lower-left corner of
-// its bounding box and the row index it sits in.
+// Loc is the placed location of a cell instance: the X of the lower-left
+// corner of its bounding box and the index of the floorplan row it sits in.
+// The row decides the cell's Y: FP.Rows[Row].Y.
 type Loc struct {
-	X, Y float64
-	Row  int
+	X   float64
+	Row int
 }
 
 // Filler is one dummy cell inserted into leftover row whitespace. Fillers
@@ -30,13 +34,8 @@ type Loc struct {
 // whitespace accounting explicit, as in the paper.
 type Filler struct {
 	Master *celllib.Master
-	X, Y   float64
+	X      float64
 	Row    int
-}
-
-// Rect returns the physical rectangle of the filler cell.
-func (f Filler) Rect(rowHeight float64) geom.Rect {
-	return geom.Rect{Xlo: f.X, Ylo: f.Y, Xhi: f.X + f.Master.Width, Yhi: f.Y + rowHeight}
 }
 
 // Placement binds a design to cell locations within a floorplan.
@@ -49,11 +48,14 @@ func (f Filler) Rect(rowHeight float64) geom.Rect {
 // all instances. Net bounding boxes are cached and invalidated per SetLoc,
 // except that a refinement swap keeps the boxes it cannot change.
 //
-// The placement assumes the design's structure (instances, nets, pin
-// connections) is frozen once the placement exists: connecting new pins to
-// an already-cached net afterwards would not invalidate its cached bounding
-// box. All construction paths in this repository build the netlist fully
-// before placing it.
+// The placement assumes the design's structure (instances, nets, ports, pin
+// connections) is frozen once the placement exists: its per-ordinal slices
+// are sized once, and connecting new pins to an already-cached net would not
+// invalidate its cached bounding box. All construction paths in this
+// repository build the netlist fully before placing it. Only the design's
+// non-filler instances are placed, each on one of the floorplan's rows
+// (SetLoc); netlist filler instances stay unplaced, and the whitespace is
+// filled by Fillers instead.
 type Placement struct {
 	Design *netlist.Design
 	FP     *floorplan.Floorplan
@@ -69,19 +71,10 @@ type Placement struct {
 
 	// rowOcc[row] lists the ordinals of the instances placed in that row,
 	// kept sorted by (X, Name); rowPos[ord] is the instance's index within
-	// its row list (-1 when unplaced or in a negative row). strays collects
-	// placed instances with a negative row index, which cannot be bucketed.
+	// its row list (-1 when unplaced). rowOcc may hold fewer rows than the
+	// floorplan: a row gains its bucket when a cell is first placed in it.
 	rowOcc [][]int32
 	rowPos []int32
-	strays []int32
-
-	// misaligned[ord] marks a placed instance whose Y deviates from its
-	// row's Y by more than half a row height (or whose row index is outside
-	// the floorplan). While misalignedCount is zero, geometric queries may
-	// prune by row index; otherwise they fall back to a full scan so the
-	// row buckets never change observable results.
-	misaligned      []bool
-	misalignedCount int
 
 	// netBox caches per-net pin bounding boxes; SetLoc and SetPortLoc
 	// invalidate the nets touching the moved cell or port, and doSwap those
@@ -122,7 +115,6 @@ func NewPlacement(d *netlist.Design, fp *floorplan.Floorplan) *Placement {
 		portKnown:   make([]bool, len(d.Ports())),
 		rowOcc:      make([][]int32, fp.NumRows()),
 		rowPos:      make([]int32, d.NumInstances()),
-		misaligned:  make([]bool, d.NumInstances()),
 		netBox:      make([]geom.Rect, d.NumNets()),
 		netBoxValid: make([]bool, d.NumNets()),
 	}
@@ -170,43 +162,6 @@ func buildInstNets(d *netlist.Design) [][]int32 {
 	return out
 }
 
-// ensureInst grows the per-instance slices when the design gained instances
-// after the placement was created (which no current construction path does,
-// but an index panic would be a far worse failure mode than a rebuild).
-func (p *Placement) ensureInst(ord int) {
-	if ord < len(p.locs) {
-		return
-	}
-	p.insts = p.Design.Instances()
-	p.nets = p.Design.Nets()
-	n := p.Design.NumInstances()
-	if ord >= n {
-		n = ord + 1
-	}
-	grown := make([]Loc, n)
-	copy(grown, p.locs)
-	p.locs = grown
-	p.placed = append(p.placed, make([]bool, n-len(p.placed))...)
-	p.misaligned = append(p.misaligned, make([]bool, n-len(p.misaligned))...)
-	pos := make([]int32, n)
-	copy(pos, p.rowPos)
-	for i := len(p.rowPos); i < n; i++ {
-		pos[i] = -1
-	}
-	p.rowPos = pos
-	p.instNets = buildInstNets(p.Design)
-}
-
-// rowAligned reports whether the location's Y sits within half a row height
-// of its row's Y coordinate, the invariant the row-pruned geometric queries
-// rely on.
-func (p *Placement) rowAligned(l Loc) bool {
-	if l.Row < 0 || l.Row >= len(p.FP.Rows) {
-		return false
-	}
-	return math.Abs(l.Y-p.FP.Rows[l.Row].Y) <= p.FP.RowHeight/2
-}
-
 // SetLoc places (or re-places) the instance at loc, maintaining the per-row
 // occupancy lists and invalidating the cached bounding boxes of the nets
 // touching the instance; a call that leaves the location as it was changes
@@ -214,9 +169,17 @@ func (p *Placement) rowAligned(l Loc) bool {
 // computeNetBBox over the current locations, so every move must invalidate
 // each box it can change. RefineHPWL's swaps keep valid only the boxes they
 // prove unchanged (doSwap).
+//
+// The instance must be a non-filler instance of the (frozen) design and
+// loc.Row one of the floorplan's current rows. Every caller derives both
+// from the design and the floorplan, so SetLoc panics otherwise: only a bug
+// can make such a call.
 func (p *Placement) SetLoc(inst *netlist.Instance, loc Loc) {
+	if inst.IsFiller() || loc.Row < 0 || loc.Row >= len(p.FP.Rows) {
+		panic(fmt.Sprintf("place: SetLoc(%q, row %d): want a non-filler instance on one of the floorplan's %d rows",
+			inst.Name, loc.Row, len(p.FP.Rows)))
+	}
 	ord := inst.Ord()
-	p.ensureInst(ord)
 	if p.rec != nil && (!p.placed[ord] || p.locs[ord] != loc) {
 		p.record(ord)
 	}
@@ -225,23 +188,10 @@ func (p *Placement) SetLoc(inst *netlist.Instance, loc Loc) {
 			return
 		}
 		p.removeFromRow(ord)
-		if p.misaligned[ord] {
-			p.misaligned[ord] = false
-			p.misalignedCount--
-		}
 	}
 	p.locs[ord] = loc
 	p.placed[ord] = true
-	if loc.Row >= 0 {
-		p.insertIntoRow(ord, inst, loc)
-	} else {
-		p.rowPos[ord] = -1
-		p.strays = append(p.strays, int32(ord))
-	}
-	if !p.rowAligned(loc) {
-		p.misaligned[ord] = true
-		p.misalignedCount++
-	}
+	p.insertIntoRow(ord, inst, loc)
 	p.invalidateNets(ord)
 }
 
@@ -249,14 +199,12 @@ func (p *Placement) SetLoc(inst *netlist.Instance, loc Loc) {
 // instance.
 func (p *Placement) invalidateNets(ord int) {
 	for _, netOrd := range p.instNets[ord] {
-		if int(netOrd) < len(p.netBoxValid) {
-			p.netBoxValid[netOrd] = false
-		}
+		p.netBoxValid[netOrd] = false
 	}
 }
 
 // swapInRow moves cells a and b, which sit next to each other in one row
-// bucket (a first) at one Y, to newAX and newBX with b now first. It leaves
+// bucket (a first), to newAX and newBX with b now first. It leaves
 // the locations, bucket, rowPos, recorded moves and invalidated boxes that
 // SetLoc on b and then on a would, but exchanges the two entries in O(1)
 // where SetLoc's removal and re-insertion renumber the rest of the row.
@@ -269,7 +217,7 @@ func (p *Placement) swapInRow(a, b *netlist.Instance, newAX, newBX float64) bool
 	ao, bo := a.Ord(), b.Ord()
 	la, lb := p.locs[ao], p.locs[bo]
 	i := int(p.rowPos[ao])
-	if la.Row != lb.Row || la.Y != lb.Y || i < 0 || int(p.rowPos[bo]) != i+1 {
+	if la.Row != lb.Row || int(p.rowPos[bo]) != i+1 {
 		return false
 	}
 	bucket := p.rowOcc[la.Row]
@@ -299,16 +247,13 @@ func (p *Placement) swapInRow(a, b *netlist.Instance, newAX, newBX float64) bool
 
 // InsertEmptyRows stretches the floorplan by one empty row below each
 // original row index in at (sorted ascending, repeats allowed; an index
-// equal to the row count inserts at the top) and shifts every placed
-// non-filler instance up by the number of insertions at or below its row,
-// onto its new row's Y. Filler instances and strays keep their rows.
+// equal to the row count inserts at the top) and shifts every placed cell
+// up by the number of insertions at or below its row.
 //
-// It leaves the locations, buckets, row positions, misalignment flags,
-// recorded moves and invalidated boxes that SetLoc on every shifted cell
-// would, but moves each shifted row's bucket whole, in O(rows + moved
-// cells): the buckets are sorted by (X, Name), and a shift keeps every X.
-// A bucket that holds a filler instance, or whose target row holds one,
-// takes SetLoc cell by cell.
+// It leaves the locations, buckets, row positions, recorded moves and
+// invalidated boxes that SetLoc on every shifted cell would, but moves each
+// shifted row's bucket whole, in O(rows + moved cells): the buckets are
+// sorted by (X, Name), and a shift keeps every X and sets only the row.
 func (p *Placement) InsertEmptyRows(at []int) error {
 	if len(at) == 0 {
 		return nil
@@ -322,8 +267,8 @@ func (p *Placement) InsertEmptyRows(at []int) error {
 		}
 	}
 	// Shifts never decrease going up, so walking down from the top, every
-	// target row has already handed its own cells up, and the first row
-	// that does not shift ends the walk.
+	// target row has already handed its own cells up and is empty, and the
+	// first row that does not shift ends the walk.
 	for row := len(p.rowOcc) - 1; row >= 0; row-- {
 		shift := sort.SearchInts(at, row+1) // insertions <= row
 		if shift == 0 {
@@ -337,49 +282,21 @@ func (p *Placement) InsertEmptyRows(at []int) error {
 		for to >= len(p.rowOcc) {
 			p.rowOcc = append(p.rowOcc, nil)
 		}
-		y := p.FP.Rows[to].Y
-		if len(p.rowOcc[to]) > 0 || slices.ContainsFunc(bucket, func(ord int32) bool { return p.insts[ord].IsFiller() }) {
-			for _, ord := range slices.Clone(bucket) {
-				if inst := p.insts[ord]; !inst.IsFiller() {
-					p.SetLoc(inst, Loc{X: p.locs[ord].X, Y: y, Row: to})
-				}
-			}
-			continue
-		}
 		p.rowOcc[to], p.rowOcc[row] = bucket, nil
 		for _, ord := range bucket {
 			if p.rec != nil {
 				p.record(int(ord))
 			}
-			if p.misaligned[ord] {
-				p.misaligned[ord] = false
-				p.misalignedCount--
-			}
-			p.locs[ord].Row, p.locs[ord].Y = to, y
-			if !p.rowAligned(p.locs[ord]) {
-				p.misaligned[ord] = true
-				p.misalignedCount++
-			}
+			p.locs[ord].Row = to
 			p.invalidateNets(int(ord))
 		}
 	}
 	return nil
 }
 
-// removeFromRow detaches a placed instance from its occupancy bucket (or
-// from the stray list when its row was negative).
+// removeFromRow detaches a placed instance from its occupancy bucket.
 func (p *Placement) removeFromRow(ord int) {
-	pos := p.rowPos[ord]
-	if pos < 0 {
-		for i, s := range p.strays {
-			if s == int32(ord) {
-				p.strays = append(p.strays[:i], p.strays[i+1:]...)
-				break
-			}
-		}
-		return
-	}
-	row := p.locs[ord].Row
+	row, pos := p.locs[ord].Row, p.rowPos[ord]
 	bucket := p.rowOcc[row]
 	copy(bucket[pos:], bucket[pos+1:])
 	bucket = bucket[:len(bucket)-1]
@@ -391,7 +308,8 @@ func (p *Placement) removeFromRow(ord int) {
 }
 
 // insertIntoRow inserts the instance into its row bucket, keeping the bucket
-// sorted by (X, Name). loc must already be stored in p.locs[ord].
+// sorted by (X, Name), and gives the row its bucket if it has none yet.
+// loc must already be stored in p.locs[ord].
 func (p *Placement) insertIntoRow(ord int, inst *netlist.Instance, loc Loc) {
 	for loc.Row >= len(p.rowOcc) {
 		p.rowOcc = append(p.rowOcc, nil)
@@ -425,13 +343,9 @@ func (p *Placement) Loc(inst *netlist.Instance) (Loc, bool) {
 // SetPortLoc records the physical position of a top-level port (pad).
 func (p *Placement) SetPortLoc(port *netlist.Port, pt geom.Point) {
 	ord := port.Ord()
-	for ord >= len(p.portLocs) {
-		p.portLocs = append(p.portLocs, geom.Point{})
-		p.portKnown = append(p.portKnown, false)
-	}
 	p.portLocs[ord] = pt
 	p.portKnown[ord] = true
-	if n := port.Net; n != nil && n.Ord() < len(p.netBoxValid) {
+	if n := port.Net; n != nil {
 		p.netBoxValid[n.Ord()] = false
 	}
 }
@@ -445,15 +359,17 @@ func (p *Placement) PortLoc(port *netlist.Port) (geom.Point, bool) {
 	return p.portLocs[ord], true
 }
 
-// CellRect returns the physical rectangle of a placed instance.
+// CellRect returns the physical rectangle of a placed instance: its X and
+// width, and its row's Y and height.
 func (p *Placement) CellRect(inst *netlist.Instance) (geom.Rect, bool) {
 	l, ok := p.Loc(inst)
 	if !ok {
 		return geom.Rect{}, false
 	}
+	y := p.FP.Rows[l.Row].Y
 	return geom.Rect{
-		Xlo: l.X, Ylo: l.Y,
-		Xhi: l.X + inst.Master.Width, Yhi: l.Y + p.FP.RowHeight,
+		Xlo: l.X, Ylo: y,
+		Xhi: l.X + inst.Master.Width, Yhi: y + p.FP.RowHeight,
 	}, true
 }
 
@@ -472,24 +388,21 @@ func (p *Placement) Center(inst *netlist.Instance) geom.Point {
 // design.
 func (p *Placement) Clone() *Placement {
 	out := &Placement{
-		Design:          p.Design,
-		FP:              p.FP.Clone(),
-		insts:           p.insts,
-		nets:            p.nets,
-		locs:            append([]Loc(nil), p.locs...),
-		placed:          append([]bool(nil), p.placed...),
-		portLocs:        append([]geom.Point(nil), p.portLocs...),
-		portKnown:       append([]bool(nil), p.portKnown...),
-		rowOcc:          make([][]int32, len(p.rowOcc)),
-		rowPos:          append([]int32(nil), p.rowPos...),
-		strays:          append([]int32(nil), p.strays...),
-		misaligned:      append([]bool(nil), p.misaligned...),
-		misalignedCount: p.misalignedCount,
-		netBox:          append([]geom.Rect(nil), p.netBox...),
-		netBoxValid:     append([]bool(nil), p.netBoxValid...),
-		instNets:        p.instNets,
-		unitOrder:       p.unitOrder,
-		Fillers:         append([]Filler(nil), p.Fillers...),
+		Design:      p.Design,
+		FP:          p.FP.Clone(),
+		insts:       p.insts,
+		nets:        p.nets,
+		locs:        append([]Loc(nil), p.locs...),
+		placed:      append([]bool(nil), p.placed...),
+		portLocs:    append([]geom.Point(nil), p.portLocs...),
+		portKnown:   append([]bool(nil), p.portKnown...),
+		rowOcc:      make([][]int32, len(p.rowOcc)),
+		rowPos:      append([]int32(nil), p.rowPos...),
+		netBox:      append([]geom.Rect(nil), p.netBox...),
+		netBoxValid: append([]bool(nil), p.netBoxValid...),
+		instNets:    p.instNets,
+		unitOrder:   p.unitOrder,
+		Fillers:     append([]Filler(nil), p.Fillers...),
 	}
 	for i, bucket := range p.rowOcc {
 		out.rowOcc[i] = append([]int32(nil), bucket...)
@@ -519,14 +432,10 @@ func (p *Placement) pinPoint(ref netlist.PinRef) (geom.Point, bool) {
 // placement cost a slice load instead of a pin scan.
 func (p *Placement) NetBBox(n *netlist.Net) geom.Rect {
 	ord := n.Ord()
-	if ord < len(p.netBoxValid) && p.netBoxValid[ord] {
+	if p.netBoxValid[ord] {
 		return p.netBox[ord]
 	}
 	box := p.computeNetBBox(n)
-	for ord >= len(p.netBox) {
-		p.netBox = append(p.netBox, geom.Rect{})
-		p.netBoxValid = append(p.netBoxValid, false)
-	}
 	p.netBox[ord] = box
 	p.netBoxValid[ord] = true
 	return box
@@ -582,11 +491,11 @@ func (p *Placement) TotalHPWL() float64 {
 	return total
 }
 
-// PlacedArea returns the total placed non-filler cell area in um^2.
+// PlacedArea returns the total placed cell area in um^2.
 func (p *Placement) PlacedArea() float64 {
 	total := 0.0
 	for ord, inst := range p.insts {
-		if p.placed[ord] && !inst.IsFiller() {
+		if p.placed[ord] {
 			total += inst.Master.Area(p.FP.RowHeight)
 		}
 	}
@@ -597,16 +506,13 @@ func (p *Placement) PlacedArea() float64 {
 // utilization-factor definition.
 func (p *Placement) Utilization() float64 { return p.PlacedArea() / p.FP.CoreArea() }
 
-// InstancesInRect returns the placed non-filler instances whose centres lie
-// inside r, in design creation order.
+// InstancesInRect returns the placed instances whose centres lie inside r,
+// in design creation order.
 func (p *Placement) InstancesInRect(r geom.Rect) []*netlist.Instance {
-	if p.misalignedCount > 0 {
-		return p.instancesInRectScan(r)
-	}
 	// Every placed cell sits on its row (centre Y = row Y + rowHeight/2), so
 	// only rows whose centre line can fall inside r need scanning. The range
-	// is padded by one row to absorb the sub-half-row Y tolerance rowAligned
-	// allows; the exact per-cell containment check below decides membership.
+	// is padded by one row against rounding; the exact per-cell containment
+	// check below decides membership.
 	fp := p.FP
 	rh := fp.RowHeight
 	lo := int(math.Floor((r.Ylo-fp.Core.Ylo-rh/2)/rh)) - 1
@@ -620,11 +526,7 @@ func (p *Placement) InstancesInRect(r geom.Rect) []*netlist.Instance {
 	var ords []int32
 	for row := lo; row <= hi; row++ {
 		for _, ord := range p.rowOcc[row] {
-			inst := p.insts[ord]
-			if inst.IsFiller() {
-				continue
-			}
-			if r.Contains(p.Center(inst)) {
+			if r.Contains(p.Center(p.insts[ord])) {
 				ords = append(ords, ord)
 			}
 		}
@@ -637,35 +539,21 @@ func (p *Placement) InstancesInRect(r geom.Rect) []*netlist.Instance {
 	return out
 }
 
-// instancesInRectScan is the exact fallback used while any placed cell's Y
-// is inconsistent with its row index.
-func (p *Placement) instancesInRectScan(r geom.Rect) []*netlist.Instance {
-	var out []*netlist.Instance
-	for ord, inst := range p.insts {
-		if inst.IsFiller() || !p.placed[ord] {
-			continue
-		}
-		if r.Contains(p.Center(inst)) {
-			out = append(out, inst)
-		}
-	}
-	return out
-}
-
 // rowBucket returns the ordinals of the instances placed in the given row,
 // sorted by (X, Name), or nil for a row without a bucket. The slice is the
 // occupancy index itself: callers only read it, and must copy it before
 // moving any cell of the row.
 func (p *Placement) rowBucket(row int) []int32 {
-	if row < 0 || row >= len(p.rowOcc) {
+	if row >= len(p.rowOcc) {
 		return nil
 	}
 	return p.rowOcc[row]
 }
 
 // Validate checks the placement for physical legality: every non-filler
-// instance placed, inside the core, aligned to rows and sites, and with no
-// overlaps within a row. It returns all violations found (possibly empty).
+// instance placed, inside the core, aligned to sites, and with no overlaps
+// within a row. Row alignment holds by construction (SetLoc). It returns
+// all violations found (possibly empty).
 func (p *Placement) Validate() []error {
 	var errs []error
 	fp := p.FP
@@ -683,20 +571,12 @@ func (p *Placement) Validate() []error {
 		if r.Xlo < fp.Core.Xlo-eps || r.Xhi > fp.Core.Xhi+eps || r.Ylo < fp.Core.Ylo-eps || r.Yhi > fp.Core.Yhi+eps {
 			errs = append(errs, fmt.Errorf("place: instance %q outside core: %v", inst.Name, r))
 		}
-		if l.Row < 0 || l.Row >= fp.NumRows() {
-			errs = append(errs, fmt.Errorf("place: instance %q in invalid row %d", inst.Name, l.Row))
-			continue
-		}
-		if rowY := fp.Rows[l.Row].Y; math.Abs(l.Y-rowY) > eps {
-			errs = append(errs, fmt.Errorf("place: instance %q y=%g not aligned to row %d (y=%g)", inst.Name, l.Y, l.Row, rowY))
-		}
 		if site := fp.SiteWidth; math.Abs(math.Mod(l.X-fp.Core.Xlo, site)) > eps && math.Abs(math.Mod(l.X-fp.Core.Xlo, site)-site) > eps {
 			errs = append(errs, fmt.Errorf("place: instance %q x=%g not aligned to site grid", inst.Name, l.X))
 		}
 	}
 	// Overlap check per row, straight off the sorted occupancy lists.
-	for row := 0; row < fp.NumRows() && row < len(p.rowOcc); row++ {
-		bucket := p.rowOcc[row]
+	for row, bucket := range p.rowOcc {
 		for i := 1; i < len(bucket); i++ {
 			prev, cur := p.insts[bucket[i-1]], p.insts[bucket[i]]
 			prevEnd := p.locs[bucket[i-1]].X + prev.Master.Width

@@ -2,7 +2,6 @@ package place
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -324,7 +323,7 @@ func spreadInRow(p *Placement, cells []*netlist.Instance, r floorplan.Row, usedW
 		if sx < r.X0 {
 			sx = r.X0
 		}
-		p.SetLoc(c, Loc{X: sx, Y: r.Y, Row: r.Index})
+		p.SetLoc(c, Loc{X: sx, Row: r.Index})
 		x = sx + c.Master.Width + gap
 	}
 }
@@ -442,15 +441,6 @@ func swapSpan(la, lb Loc, a, b *netlist.Instance, newAX, newBX float64) (lo, hi 
 func swapDelta(p *Placement, a, b *netlist.Instance) float64 {
 	la, _ := p.Loc(a)
 	lb, _ := p.Loc(b)
-	if la.Y != lb.Y {
-		// The width-only arithmetic below is exact only when both cells sit
-		// at the same Y, which legalization guarantees. A pair sharing a row
-		// index at different Y (possible only on a pre-legalized placement)
-		// would additionally change net bbox heights when doSwap snaps both
-		// cells to the left cell's Y; rather than mis-evaluate it, never
-		// accept such a swap.
-		return math.Inf(1)
-	}
 	newA, newB := swapTargets(la, lb, b)
 	lo, hi := swapSpan(la, lb, a, b, newA.X, newB.X)
 	term := func(netOrd int32) float64 {
@@ -548,7 +538,7 @@ func doSwap(p *Placement, a, b *netlist.Instance) {
 	kept := 0
 	for _, nets := range [2][]int32{p.instNets[a.Ord()], p.instNets[b.Ord()]} {
 		for _, netOrd := range nets {
-			if kept < len(keep) && int(netOrd) < len(p.netBoxValid) && p.netBoxValid[netOrd] &&
+			if kept < len(keep) && p.netBoxValid[netOrd] &&
 				p.netBox[netOrd].Xlo < lo && p.netBox[netOrd].Xhi > hi {
 				keep[kept] = netOrd
 				kept++

@@ -30,9 +30,6 @@ func refineReference(p *Placement, passes int) int {
 				a, b := occ[i], occ[i+1]
 				la, _ := p.Loc(a)
 				lb, _ := p.Loc(b)
-				if la.Y != lb.Y {
-					continue
-				}
 				nets := pinNets(a)
 				for _, n := range pinNets(b) {
 					if !slices.Contains(nets, n) {
@@ -47,8 +44,8 @@ func refineReference(p *Placement, passes int) int {
 				if lb.X < la.X {
 					left = lb
 				}
-				newB := Loc{X: left.X, Y: left.Y, Row: left.Row}
-				newA := Loc{X: left.X + b.Master.Width, Y: left.Y, Row: left.Row}
+				newB := Loc{X: left.X, Row: left.Row}
+				newA := Loc{X: left.X + b.Master.Width, Row: left.Row}
 				rec := p.rec
 				p.rec = nil
 				p.SetLoc(b, newB)
@@ -251,7 +248,7 @@ func overlappingRow(t *testing.T) *Placement {
 		inst *netlist.Instance
 		dx   float64
 	}{{a, 0}, {b, 0.6}, {n, 1.0}} {
-		p.SetLoc(c.inst, Loc{X: row.X0 + c.dx, Y: row.Y, Row: 0})
+		p.SetLoc(c.inst, Loc{X: row.X0 + c.dx, Row: 0})
 	}
 	p.SetPortLoc(l, geom.Point{X: fp.Core.Xlo, Y: row.Y})
 	p.SetPortLoc(r, geom.Point{X: fp.Core.Xhi, Y: row.Y})

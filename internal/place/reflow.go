@@ -66,7 +66,6 @@ func newDerivedPlacement(p *Placement, fp *floorplan.Floorplan, groups []unitGro
 		portKnown:   make([]bool, len(p.portKnown)),
 		rowOcc:      make([][]int32, fp.NumRows()),
 		rowPos:      make([]int32, len(p.rowPos)),
-		misaligned:  make([]bool, len(p.misaligned)),
 		netBox:      make([]geom.Rect, len(p.netBox)),
 		netBoxValid: make([]bool, len(p.netBoxValid)),
 		instNets:    p.instNets,

@@ -15,8 +15,8 @@ import (
 
 // insertEmptyRowsReference is InsertEmptyRows cell by cell: the floorplan
 // grows one row per insertion, highest index first, and every placed
-// non-filler instance whose row shifts is moved with its own SetLoc, in
-// creation order.
+// instance whose row shifts is moved with its own SetLoc, in creation
+// order.
 func insertEmptyRowsReference(t *testing.T, p *Placement, at []int) {
 	t.Helper()
 	for i := len(at) - 1; i >= 0; i-- {
@@ -25,9 +25,6 @@ func insertEmptyRowsReference(t *testing.T, p *Placement, at []int) {
 		}
 	}
 	for _, inst := range p.Design.Instances() {
-		if inst.IsFiller() {
-			continue
-		}
 		l, ok := p.Loc(inst)
 		if !ok {
 			continue
@@ -37,16 +34,14 @@ func insertEmptyRowsReference(t *testing.T, p *Placement, at []int) {
 			continue
 		}
 		l.Row += shift
-		l.Y = p.FP.Rows[l.Row].Y
 		p.SetLoc(inst, l)
 	}
 }
 
 // requireSameShift fails the test unless got and want agree ==: the
 // floorplan's core and rows, every location, every row bucket and row
-// position, the strays, the misalignment flags and count, which boxes the
-// cache holds valid (each valid box of got must be its pins' box), and the
-// filler list.
+// position, which boxes the cache holds valid (each valid box of got must
+// be its pins' box), and the filler list.
 func requireSameShift(t *testing.T, what string, got, want *Placement) {
 	t.Helper()
 	if got.FP.Core != want.FP.Core || !slices.Equal(got.FP.Rows, want.FP.Rows) {
@@ -59,9 +54,6 @@ func requireSameShift(t *testing.T, what string, got, want *Placement) {
 		if got.rowPos[ord] != want.rowPos[ord] {
 			t.Fatalf("%s: %s at row position %d, reference %d", what, inst.Name, got.rowPos[ord], want.rowPos[ord])
 		}
-		if got.misaligned[ord] != want.misaligned[ord] {
-			t.Fatalf("%s: %s misaligned %v, reference %v", what, inst.Name, got.misaligned[ord], want.misaligned[ord])
-		}
 	}
 	if len(got.rowOcc) != len(want.rowOcc) {
 		t.Fatalf("%s: %d row buckets, reference %d", what, len(got.rowOcc), len(want.rowOcc))
@@ -70,12 +62,6 @@ func requireSameShift(t *testing.T, what string, got, want *Placement) {
 		if !slices.Equal(got.rowOcc[row], ref) {
 			t.Fatalf("%s: row %d bucket %v, reference %v", what, row, got.rowOcc[row], ref)
 		}
-	}
-	if !slices.Equal(got.strays, want.strays) {
-		t.Fatalf("%s: strays %v, reference %v", what, got.strays, want.strays)
-	}
-	if got.misalignedCount != want.misalignedCount {
-		t.Fatalf("%s: %d misaligned cells, reference %d", what, got.misalignedCount, want.misalignedCount)
 	}
 	for ord, n := range got.nets {
 		if got.netBoxValid[ord] != want.netBoxValid[ord] {
@@ -135,8 +121,8 @@ func interleavedRows(p *Placement, n int) []int {
 
 // TestInsertEmptyRowsMatchesReference holds the bucket shift == to the
 // per-cell SetLoc loop: every family at 3,000 cells and the paper design,
-// each with 1, 18 and 36 empty rows, and a hand-built placement whose
-// stray, misaligned cells and netlist filler instances take every branch.
+// each with 1, 18 and 36 empty rows, and a hand-built placement whose empty
+// rows and top row take every branch.
 func TestInsertEmptyRowsMatchesReference(t *testing.T) {
 	for _, fam := range bench.Families() {
 		p := unrefined(t, fam, 3000, 0.85)
@@ -167,19 +153,17 @@ func TestInsertEmptyRowsMatchesReference(t *testing.T) {
 	})
 
 	t.Run("hand-built", func(t *testing.T) {
-		p := strayMisalignedFillers(t)
+		p := sparseRows(t)
 		// Two rows below original row 1, one below row 2, one at the top.
 		checkRowShift(t, p, []int{1, 1, 2, p.FP.NumRows()})
 	})
 }
 
-// strayMisalignedFillers builds a placement on which the bucket shift must
-// take every branch: a stray in row -1 and a cell in row 0 that keep their
-// rows, a misaligned cell in a shifted row moved with its bucket, netlist
-// filler instances in row 1 (a bucket that must go cell by cell), in row 3
-// (the target row of row 1's cells) and in row 5 (the target row of row
-// 2's filler-free bucket), and target rows past the last bucket.
-func strayMisalignedFillers(t *testing.T) *Placement {
+// sparseRows builds a placement on which the bucket shift must take every
+// branch: a cell in row 0 that keeps its row, shifted buckets of one and two
+// cells, empty rows in between, and two cells in the top row, whose target
+// row lies past the last bucket.
+func sparseRows(t *testing.T) *Placement {
 	t.Helper()
 	d := netlist.NewDesign("shift", celllib.Default65nm())
 	must := func(err error) {
@@ -188,16 +172,12 @@ func strayMisalignedFillers(t *testing.T) *Placement {
 			t.Fatal(err)
 		}
 	}
-	inst := func(name, master string) *netlist.Instance {
-		i, err := d.AddInstance(name, master, "")
-		must(err)
-		return i
-	}
 	var cells []*netlist.Instance
 	for i := 0; i < 7; i++ {
-		cells = append(cells, inst(fmt.Sprintf("c%d", i), "INV_X1"))
+		c, err := d.AddInstance(fmt.Sprintf("c%d", i), "INV_X1", "")
+		must(err)
+		cells = append(cells, c)
 	}
-	f1, f3, f5 := inst("f1", "FILL4"), inst("f3", "FILL2"), inst("f5", "FILL1")
 	in, err := d.AddPort("in", netlist.In)
 	must(err)
 	out, err := d.AddPort("out", netlist.Out)
@@ -214,29 +194,18 @@ func strayMisalignedFillers(t *testing.T) *Placement {
 	}
 	fp, err := floorplan.New(d, floorplan.Config{Utilization: 0.02, AspectRatio: 4})
 	must(err)
-	if fp.NumRows() < 6 {
+	top := fp.NumRows() - 1
+	if top < 5 {
 		t.Fatalf("hand-built floorplan has %d rows, want at least 6", fp.NumRows())
 	}
 	p := NewPlacement(d, fp)
-	rh := fp.RowHeight
-	at := func(c *netlist.Instance, row int, dx, dy float64) {
-		y := fp.Core.Ylo + float64(row)*rh
-		p.SetLoc(c, Loc{X: fp.Core.Xlo + dx, Y: y + dy, Row: row})
+	for i, c := range []struct {
+		row int
+		dx  float64
+	}{{0, 0}, {1, 1.4}, {1, 0}, {2, 0.2}, {3, 1.2}, {top, 0.8}, {top, 0.4}} {
+		p.SetLoc(cells[i], Loc{X: fp.Core.Xlo + c.dx, Row: c.row})
 	}
-	at(cells[0], 0, 0, 0)
-	at(cells[1], -1, 0.4, 0)     // stray
-	at(cells[2], 1, 0, 0)        // a bucket with a filler instance
-	at(f1, 1, 0.6, 0)            // stays in row 1
-	at(cells[3], 1, 1.4, 0.7*rh) // misaligned, moved cell by cell
-	at(cells[4], 2, 0.2, 0)
-	at(cells[5], 2, 1.0, 0.6*rh) // misaligned, moved with its bucket
-	at(f3, 3, 0.4, 0)            // row 1's cells land beside it
-	at(cells[6], 3, 1.2, 0)
-	at(f5, 5, 0.8, 0) // row 2's cells land beside it
 	p.SetPortLoc(in, geom.Point{X: fp.Core.Xlo, Y: fp.Core.Ylo})
 	p.SetPortLoc(out, geom.Point{X: fp.Core.Xhi, Y: fp.Core.Yhi})
-	if p.misalignedCount != 3 { // the stray and the two misaligned cells
-		t.Fatalf("hand-built placement has %d misaligned cells, want 3", p.misalignedCount)
-	}
 	return p
 }

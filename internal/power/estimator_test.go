@@ -56,7 +56,7 @@ func TestUpdateBitIdenticalToFreshReport(t *testing.T) {
 			continue
 		}
 		row := (l.Row + 3) % edited.FP.NumRows()
-		edited.SetLoc(inst, place.Loc{X: l.X, Y: edited.FP.Rows[row].Y, Row: row})
+		edited.SetLoc(inst, place.Loc{X: l.X, Row: row})
 	}
 	place.Legalize(edited)
 	delta := edited.EndDelta()
@@ -98,7 +98,7 @@ func TestUpdateAfterComposedDeltas(t *testing.T) {
 	step1.BeginDelta()
 	insts := d.Instances()
 	l0, _ := step1.Loc(insts[10])
-	step1.SetLoc(insts[10], place.Loc{X: l0.X + 2*step1.FP.SiteWidth, Y: l0.Y, Row: l0.Row})
+	step1.SetLoc(insts[10], place.Loc{X: l0.X + 2*step1.FP.SiteWidth, Row: l0.Row})
 	place.Legalize(step1)
 	d1 := step1.EndDelta()
 
@@ -106,7 +106,7 @@ func TestUpdateAfterComposedDeltas(t *testing.T) {
 	step2.BeginDelta()
 	l1, _ := step2.Loc(insts[200])
 	row := (l1.Row + 1) % step2.FP.NumRows()
-	step2.SetLoc(insts[200], place.Loc{X: l1.X, Y: step2.FP.Rows[row].Y, Row: row})
+	step2.SetLoc(insts[200], place.Loc{X: l1.X, Row: row})
 	place.Legalize(step2)
 	d2 := step2.EndDelta()
 

@@ -123,7 +123,7 @@ func TestZeroActivityLeavesOnlyLeakageAndClock(t *testing.T) {
 
 func TestHotUnitDominatesPowerMap(t *testing.T) {
 	lib := celllib.Default65nm()
-	d, err := bench.Generate(lib, bench.Config{Name: "two", ClockGHz: 1, Units: []bench.UnitSpec{
+	d, err := bench.Generate(lib, bench.Config{Name: "two", Units: []bench.UnitSpec{
 		{Name: "hotm", Kind: bench.KindMultiplier, Width: 8},
 		{Name: "coldm", Kind: bench.KindMultiplier, Width: 8},
 	}})

@@ -234,9 +234,8 @@ func TestPostPlacementTransformTimingOverheadIsSmall(t *testing.T) {
 		if inst.IsFiller() {
 			continue
 		}
-		if l, ok := stretched.Loc(inst); ok && l.Y > mid {
+		if l, ok := stretched.Loc(inst); ok && p.FP.Rows[l.Row].Y > mid {
 			l.Row += 4
-			l.Y = stretched.FP.Rows[l.Row].Y
 			stretched.SetLoc(inst, l)
 		}
 	}
