@@ -202,35 +202,59 @@ func runFig6(ctx context.Context, f *flow.Flow) {
 	fmt.Println()
 }
 
+// table1Overheads are the area overheads of Table I's points.
+var table1Overheads = []float64{0.161, 0.322}
+
+// table1Points measures Table I's points through the evaluator, as the Fig6
+// sweep does: Default at each of table1Overheads, then ERI at the paper's 20
+// and 40 rows. The paper's literal row counts only make sense on the
+// paper-sized benchmark, so on the reduced one (small) ERI takes the row
+// counts of the same overheads. HW is left out: the wrapper "is not suitable
+// for large hotspots", exactly as in the paper. Each point keeps its
+// analysis, for its core W x H.
+func table1Points(ctx context.Context, f *flow.Flow, ev *core.Evaluator, small bool) ([]core.EfficiencyPoint, error) {
+	var pts []core.Point
+	for _, ov := range table1Overheads {
+		pts = append(pts, core.Point{Strategy: core.StrategyDefault, Utilization: f.Config.Utilization / (1 + ov)})
+	}
+	for i, rows := range []int{20, 40} {
+		if small {
+			rows = core.RowsForAreaOverhead(ev.Baseline().Placement, table1Overheads[i])
+		}
+		pts = append(pts, core.Point{Strategy: core.StrategyERI, Rows: rows})
+	}
+	out := make([]core.EfficiencyPoint, len(pts))
+	for i, pt := range pts {
+		ep, an, err := ev.Evaluate(ctx, pt, nil)
+		if err != nil {
+			return nil, err
+		}
+		ep.Analysis = an
+		out[i] = *ep
+	}
+	return out, nil
+}
+
 func runTable1(ctx context.Context, f *flow.Flow, small bool) {
 	fmt.Println("=== Table I: concentrated hotspot, Default vs Empty Row Insertion ===")
-	// Table I is the Fig6 sweep without HW: the wrapper "is not suitable
-	// for large hotspots", exactly as in the paper.
-	opts := core.SweepOptions{
-		Strategies:   []core.Strategy{core.StrategyDefault, core.StrategyERI},
-		Overheads:    []float64{0.161, 0.322},
-		ERIRows:      []int{20, 40},
-		KeepAnalyses: true, // for each point's core W x H
-	}
-	if small {
-		// The paper's literal 20/40 row counts only make sense on the
-		// paper-sized benchmark; on the reduced one derive the counts from
-		// the same area overheads instead.
-		opts.ERIRows = nil
-	}
-	res, err := core.SweepEfficiencyCtx(ctx, f, opts)
+	ev, err := core.NewEvaluator(ctx, f)
 	if err != nil {
 		fatal(err)
 	}
+	points, err := table1Points(ctx, f, ev, small)
+	if err != nil {
+		fatal(err)
+	}
+	base := ev.Baseline()
 	fmt.Printf("baseline core %.0f x %.0f um, peak rise %.3f C\n\n",
-		res.Baseline.Placement.FP.Core.W(), res.Baseline.Placement.FP.Core.H(), res.Baseline.Thermal.PeakRise)
+		base.Placement.FP.Core.W(), base.Placement.FP.Core.H(), base.Thermal.PeakRise)
 	fmt.Printf("%-9s %-16s %6s %15s %16s\n", "strategy", "area [um x um]", "rows", "area overhead", "temp reduction")
-	for _, p := range res.Points {
+	for _, p := range points {
 		rows := "-"
 		if p.Rows > 0 {
 			rows = fmt.Sprintf("%d", p.Rows)
 		}
-		c := p.Placement.FP.Core
+		c := p.Analysis.Placement.FP.Core
 		fmt.Printf("%-9s %6.0f x %-8.0f %6s %14.1f%% %15.1f%%\n",
 			p.Strategy, c.W(), c.H(), rows, p.AreaOverhead*100, p.TempReduction*100)
 	}

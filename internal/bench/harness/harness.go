@@ -400,10 +400,10 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	// Property: every placement the sweep produced is legal.
 	validated := 0
 	for _, pt := range seq.Points {
-		if pt.Placement == nil {
+		if pt.Analysis == nil {
 			continue
 		}
-		if errs := pt.Placement.Validate(); len(errs) != 0 {
+		if errs := pt.Analysis.Placement.Validate(); len(errs) != 0 {
 			return rep, fmt.Errorf("harness: %s: %s point at overhead %.2f invalid: %w",
 				gen.Scenario, pt.Strategy, pt.AreaOverhead, errs[0])
 		}

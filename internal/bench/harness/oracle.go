@@ -56,7 +56,7 @@ func checkFromScratch(g *flow.Flow, res *core.SweepResult) error {
 		if got.Strategy == core.StrategyDefault {
 			defaults[got.AreaOverhead] = an
 		}
-		if err := samePlacement(got.Placement, p); err != nil {
+		if err := samePlacement(got.Analysis, p); err != nil {
 			return fmt.Errorf("point %d (%s): %w", i, got.Strategy, err)
 		}
 
@@ -69,6 +69,11 @@ func checkFromScratch(g *flow.Flow, res *core.SweepResult) error {
 			Utilization:   g.Config.Utilization / area,
 			Aspect:        got.Aspect,
 			HPWL:          an.HPWL,
+
+			CriticalPathPs:      an.Timing.CriticalPathPs,
+			WorstSlackPs:        an.Timing.SlackPs,
+			CongestionOverflows: an.Congestion.Overflows,
+			CongestionMaxUtil:   an.Congestion.MaxUtilization,
 		}
 		switch got.Strategy {
 		case core.StrategyDefault:
@@ -76,13 +81,7 @@ func checkFromScratch(g *flow.Flow, res *core.SweepResult) error {
 		case core.StrategyERI:
 			want.Rows = got.Rows
 		}
-		if an.Timing != nil {
-			want.CriticalPathPs, want.WorstSlackPs = an.Timing.CriticalPathPs, an.Timing.SlackPs
-		}
-		if an.Congestion != nil {
-			want.CongestionOverflows, want.CongestionMaxUtil = an.Congestion.Overflows, an.Congestion.MaxUtilization
-		}
-		got.Analysis, got.Placement = nil, nil
+		got.Analysis = nil
 		if got != want {
 			return fmt.Errorf("point %d differs:\n  sweep:        %+v\n  from scratch: %+v", i, got, want)
 		}
@@ -90,11 +89,13 @@ func checkFromScratch(g *flow.Flow, res *core.SweepResult) error {
 	return nil
 }
 
-// samePlacement requires identical core outlines and cell locations.
-func samePlacement(got, want *place.Placement) error {
-	if got == nil {
+// samePlacement requires the sweep's kept analysis to hold a placement with
+// the same core outline and cell locations as want.
+func samePlacement(an *flow.Analysis, want *place.Placement) error {
+	if an == nil {
 		return fmt.Errorf("sweep kept no placement")
 	}
+	got := an.Placement
 	if got.FP.Core != want.FP.Core {
 		return fmt.Errorf("core %v differs from %v", got.FP.Core, want.FP.Core)
 	}
@@ -111,13 +112,14 @@ func samePlacement(got, want *place.Placement) error {
 // corruptHWCell moves one cell of the first HW point's placement by a site.
 func corruptHWCell(res *core.SweepResult) error {
 	for _, pt := range res.Points {
-		if pt.Strategy != core.StrategyHW || pt.Placement == nil {
+		if pt.Strategy != core.StrategyHW || pt.Analysis == nil {
 			continue
 		}
-		for _, inst := range pt.Placement.Design.Instances() {
-			if l, ok := pt.Placement.Loc(inst); ok && !inst.IsFiller() {
-				l.X += pt.Placement.FP.SiteWidth
-				pt.Placement.SetLoc(inst, l)
+		p := pt.Analysis.Placement
+		for _, inst := range p.Design.Instances() {
+			if l, ok := p.Loc(inst); ok && !inst.IsFiller() {
+				l.X += p.FP.SiteWidth
+				p.SetLoc(inst, l)
 				return nil
 			}
 		}

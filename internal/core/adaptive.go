@@ -224,18 +224,13 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 	if len(aspects) == 0 {
 		aspects = []float64{f.Config.AspectRatio}
 	}
+	// Row granularity quantizes the overhead axis, so consecutive densified
+	// overheads often map to the same row count; dedupe.
 	var rowCounts []int
-	if wantStrategy(opts, StrategyERI) {
-		rowCounts = opts.ERIRows
-		if len(rowCounts) == 0 {
-			// Row granularity quantizes the overhead axis, so consecutive
-			// densified overheads often map to the same row count; dedupe.
-			for _, ov := range overheads {
-				r := RowsForAreaOverhead(baseline.Placement, ov)
-				if n := len(rowCounts); n == 0 || rowCounts[n-1] != r {
-					rowCounts = append(rowCounts, r)
-				}
-			}
+	for _, ov := range overheads {
+		r := RowsForAreaOverhead(baseline.Placement, ov)
+		if n := len(rowCounts); n == 0 || rowCounts[n-1] != r {
+			rowCounts = append(rowCounts, r)
 		}
 	}
 	s := newSweep(ev, opts, overheads, aspects, rowCounts, f.Config.AspectRatio)
@@ -371,15 +366,12 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 	var estTasks []func(context.Context) error
 	for ai, cells := range s.defaults {
 		for i, d := range cells {
+			h := s.hws[ai][i]
 			estTasks = append(estTasks, func(tctx context.Context) error {
 				defPM, defRes, err := estDefault(tctx, d)
 				if err != nil {
 					return provenance(err, d)
 				}
-				if s.hws == nil {
-					return nil
-				}
-				h := s.hws[ai][i]
 				if err := estHW(tctx, h, d, defPM, defRes); err != nil {
 					return provenance(err, h)
 				}
@@ -448,27 +440,23 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 	calDefault := func(float64) float64 { return rb }
 	calERI := calDefault
 	var d0, e0 *candidate
-	if s.defaults != nil {
-		di := 0
-		for i, ov := range overheads {
-			if ov > overheads[di] {
-				di = i
-			}
-		}
-		if d := s.defaults[0][di]; d.estValid {
-			d0 = d
+	di := 0
+	for i, ov := range overheads {
+		if ov > overheads[di] {
+			di = i
 		}
 	}
-	if len(s.eris) > 0 {
-		e := s.eris[0]
-		for _, c := range s.eris[1:] {
-			if c.pt.Rows > e.pt.Rows {
-				e = c
-			}
+	if d := s.defaults[0][di]; d.estValid {
+		d0 = d
+	}
+	e := s.eris[0]
+	for _, c := range s.eris[1:] {
+		if c.pt.Rows > e.pt.Rows {
+			e = c
 		}
-		if e.estValid {
-			e0 = e
-		}
+	}
+	if e.estValid {
+		e0 = e
 	}
 	anchorDef, err := s.anchors(ctx, d0, e0)
 	if err != nil {
@@ -554,7 +542,7 @@ func (s *sweep) anchors(ctx context.Context, d0, e0 *candidate) (*flow.Analysis,
 	if d0 != nil {
 		tasks = append(tasks, func(tctx context.Context) error {
 			var err error
-			anchorDef, err = s.exact(tctx, d0, nil, wantStrategy(s.opts, StrategyDefault))
+			anchorDef, err = s.exact(tctx, d0, nil, true)
 			return err
 		})
 	}

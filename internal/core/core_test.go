@@ -9,6 +9,7 @@ import (
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
 	"thermplace/internal/flow"
+	"thermplace/internal/geom"
 	"thermplace/internal/hotspot"
 	"thermplace/internal/netlist"
 	"thermplace/internal/spice"
@@ -268,6 +269,80 @@ func TestHotCellsSpreadByWrapper(t *testing.T) {
 	}
 }
 
+// TestWrapperReadsEachCellPowerOncePerWrapper counts PowerOf calls on the
+// paper design's Default point at 5% overhead under test set 1, which has
+// several tight hotspots: the hot-cell threshold is one pass over the
+// design, and the partition is one more call per cell inside a wrapper. A
+// cell whose centre lies outside every wrapped region is never moved by
+// the wrappers, so it is called exactly once; no cell is called more often
+// than once plus once per hotspot.
+func TestWrapperReadsEachCellPowerOncePerWrapper(t *testing.T) {
+	d, err := bench.Generate(celllib.Default65nm(), bench.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := flow.New(d, bench.ScatteredSmallHotspots(), flow.DefaultConfig())
+	ctx := context.Background()
+	ev, err := NewEvaluator(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, parent, err := ev.Evaluate(ctx, Point{Strategy: StrategyDefault, Utilization: f.Config.Utilization / 1.05}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spots := hotspot.Detect(parent.Thermal.RiseMap(), wrapperDetection)
+	if len(spots) < 2 {
+		t.Fatalf("fixture has %d tight hotspots, want several", len(spots))
+	}
+	calls := make(map[*netlist.Instance]int)
+	powerOf := func(inst *netlist.Instance) float64 {
+		calls[inst]++
+		return parent.Power.InstancePower(inst)
+	}
+	p := parent.Placement
+	if _, _, err := HotspotWrapperDelta(p, spots, DefaultWrapperOptions(powerOf)); err != nil {
+		t.Fatal(err)
+	}
+
+	// The wrapped regions, as the transform derives them from the input.
+	expand := geom.Clamp(1/p.Utilization(), 1.2, 3)
+	var regions []geom.Rect
+	for _, h := range spots {
+		if _, outer, _, ok := wrapperRegions(h.Rect, p.FP.Core, p.FP, expand, 2*p.FP.RowHeight); ok {
+			regions = append(regions, outer)
+		}
+	}
+	total, cells, outside := 0, 0, 0
+	for _, inst := range d.Instances() {
+		n := calls[inst]
+		total += n
+		if inst.IsFiller() {
+			if n != 0 {
+				t.Fatalf("filler instance %s: %d PowerOf calls", inst.Name, n)
+			}
+			continue
+		}
+		cells++
+		if n < 1 || n > 1+len(spots) {
+			t.Fatalf("%s: %d PowerOf calls, want 1 to %d", inst.Name, n, 1+len(spots))
+		}
+		c := p.Center(inst)
+		in := false
+		for _, r := range regions {
+			in = in || r.Contains(c)
+		}
+		if !in {
+			outside++
+			if n != 1 {
+				t.Fatalf("%s lies in no wrapped region but got %d PowerOf calls, want 1", inst.Name, n)
+			}
+		}
+	}
+	t.Logf("%d hotspots: %d PowerOf calls over %d cells, %d of them outside every wrapper",
+		len(spots), total, cells, outside)
+}
+
 func TestSweepEfficiencyReproducesFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")
@@ -359,27 +434,22 @@ func TestSweepFastPathMatchesSpiceOracle(t *testing.T) {
 	}
 }
 
-// TestTable1SweepShape runs Table I's two-strategy sweep (Default and ERI,
-// no HW) at one overhead, with the ERI row count derived from it.
+// TestTable1SweepShape checks Table I's comparison, Default against ERI, on
+// a sweep at one overhead, with the ERI row count derived from it.
 func TestTable1SweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Table I sweep skipped in -short mode")
 	}
 	f := hotFlow(t, "mult8")
-	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
-		Strategies: []Strategy{StrategyDefault, StrategyERI},
-		Overheads:  []float64{0.16},
-	})
+	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{0.16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("expected one Default and one ERI point, got %d", len(res.Points))
+	defs, eris := res.PointsFor(StrategyDefault), res.PointsFor(StrategyERI)
+	if len(defs) != 1 || len(eris) != 1 {
+		t.Fatalf("expected one Default and one ERI point, got %d and %d", len(defs), len(eris))
 	}
-	defPt, eriPt := res.Points[0], res.Points[1]
-	if defPt.Strategy != StrategyDefault || eriPt.Strategy != StrategyERI {
-		t.Fatalf("unexpected point order: %+v", res.Points)
-	}
+	defPt, eriPt := defs[0], eris[0]
 	t.Logf("Table-I style: Default %.1f%% @ %.1f%% area, ERI %.1f%% @ %.1f%% area (%d rows)",
 		defPt.TempReduction*100, defPt.AreaOverhead*100, eriPt.TempReduction*100, eriPt.AreaOverhead*100, eriPt.Rows)
 	// ERI must be at least as good as Default at matched overhead (Table I).
@@ -450,38 +520,5 @@ func TestConcurrentSweepBitIdenticalToSequential(t *testing.T) {
 			t.Fatalf("point %d (%s) differs between sequential and concurrent runs:\n  seq %+v\n  con %+v",
 				i, s.Strategy, s, c)
 		}
-	}
-}
-
-// TestSweepStrategySubsets checks the concurrent engine honors strategy
-// selection, including the HW-without-Default case that still needs the
-// Default placements internally.
-func TestSweepStrategySubsets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep skipped in -short mode")
-	}
-	f := hotFlow(t, "mult8")
-	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
-		Overheads:  []float64{0.15},
-		Strategies: []Strategy{StrategyHW},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Points {
-		if p.Strategy != StrategyHW {
-			t.Fatalf("unexpected strategy %s in HW-only sweep", p.Strategy)
-		}
-	}
-	res, err = SweepEfficiencyCtx(context.Background(), f, SweepOptions{
-		Overheads:  []float64{0.15},
-		Strategies: []Strategy{StrategyERI},
-		Workers:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 || res.Points[0].Strategy != StrategyERI {
-		t.Fatalf("ERI-only sweep returned %+v", res.Points)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"thermplace/internal/fault"
 	"thermplace/internal/flow"
-	"thermplace/internal/place"
 )
 
 // EfficiencyPoint is one point of the paper's Figure 6: a strategy applied
@@ -37,7 +36,7 @@ type EfficiencyPoint struct {
 
 	// CriticalPathPs is the temperature-derated critical path of the point
 	// in picoseconds, and WorstSlackPs the slack against the flow's clock
-	// period (both zero when flow.Config.CoAnalysis is off).
+	// period.
 	CriticalPathPs float64
 	WorstSlackPs   float64
 	// HPWL is the total half-perimeter wirelength of the point in um.
@@ -46,28 +45,20 @@ type EfficiencyPoint struct {
 	// utilization exceeds 1; CongestionMaxUtil is the worst bin.
 	CongestionOverflows int
 	CongestionMaxUtil   float64
-	// Analysis carries the full measurement for further inspection (may be
-	// nil when KeepAnalyses is false).
+	// Analysis carries the full measurement for further inspection, the
+	// measured placement included (nil when KeepAnalyses is false).
 	Analysis *flow.Analysis
-	// Placement is the placement measured at this point (may be nil when
-	// KeepAnalyses is false).
-	Placement *place.Placement
 }
 
 // SweepOptions controls an efficiency sweep.
 type SweepOptions struct {
-	// Overheads are the target fractional area overheads for the Default
-	// and HW strategies, e.g. {0.05, 0.1, 0.2, 0.3, 0.4}, each at most
-	// MaxAreaOverhead.
+	// Overheads are the target fractional area overheads, e.g. {0.05, 0.1,
+	// 0.2, 0.3, 0.4}, each at most MaxAreaOverhead. Every overhead is
+	// measured with all three strategies: Default and HW at the overhead,
+	// ERI at the row count nearest it (RowsForAreaOverhead).
 	Overheads []float64
-	// ERIRows are the empty-row counts for the ERI strategy; when empty,
-	// row counts approximating Overheads are used. A count whose area
-	// overhead exceeds MaxAreaOverhead is rejected.
-	ERIRows []int
-	// Strategies selects which strategies to sweep; empty means all three.
-	Strategies []Strategy
-	// KeepAnalyses retains the full analysis and placement of every point
-	// (memory heavy for large sweeps).
+	// KeepAnalyses retains the full analysis, and with it the placement, of
+	// every point (memory heavy for large sweeps).
 	KeepAnalyses bool
 	// Workers bounds how many sweep points are evaluated concurrently.
 	// Zero picks GOMAXPROCS; 1 evaluates the points sequentially in order.
@@ -77,10 +68,10 @@ type SweepOptions struct {
 	// chain that lives entirely inside one task), so the sweep output is
 	// bit-identical for every worker count.
 	Workers int
-	// Incremental is ignored and kept for source compatibility: every sweep
-	// point is derived from its lineage parent through a placement delta
-	// (see Evaluator), and the scenario harness checks the result against a
-	// from-scratch re-derivation with ==.
+	// Incremental is ignored and kept only because the perfbench module
+	// sets it: every sweep point is derived from its lineage parent through
+	// a placement delta (see Evaluator), and the scenario harness checks the
+	// result against a from-scratch re-derivation with ==.
 	Incremental bool
 	// Adaptive, when non-nil, switches the sweep to the two-phase
 	// multi-fidelity mode (see AdaptiveOptions): a densified candidate grid
@@ -116,18 +107,13 @@ type SweepResult struct {
 	Triage *TriageStats
 }
 
-// coMetrics copies the co-analysis scalars of an analysis into the point
-// (zeros when the flow ran without Config.CoAnalysis).
+// coMetrics copies the co-analysis scalars of an analysis into the point.
 func (pt *EfficiencyPoint) coMetrics(an *flow.Analysis) *EfficiencyPoint {
 	pt.HPWL = an.HPWL
-	if an.Timing != nil {
-		pt.CriticalPathPs = an.Timing.CriticalPathPs
-		pt.WorstSlackPs = an.Timing.SlackPs
-	}
-	if an.Congestion != nil {
-		pt.CongestionOverflows = an.Congestion.Overflows
-		pt.CongestionMaxUtil = an.Congestion.MaxUtilization
-	}
+	pt.CriticalPathPs = an.Timing.CriticalPathPs
+	pt.WorstSlackPs = an.Timing.SlackPs
+	pt.CongestionOverflows = an.Congestion.Overflows
+	pt.CongestionMaxUtil = an.Congestion.MaxUtilization
 	return pt
 }
 
@@ -220,18 +206,6 @@ func reduction(base, a float64) float64 {
 	return (base - a) / base
 }
 
-func wantStrategy(opts SweepOptions, s Strategy) bool {
-	if len(opts.Strategies) == 0 {
-		return true
-	}
-	for _, x := range opts.Strategies {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 // SweepEfficiencyCtx reproduces the paper's Figure 6 experiment on the flow's
 // design and workload: it measures the baseline placement, then for every
 // requested area overhead measures the Default strategy (utilization
@@ -259,8 +233,8 @@ func wantStrategy(opts SweepOptions, s Strategy) bool {
 // located *fault.ErrPanic rather than crashing the sweep.
 func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*SweepResult, error) {
 	if len(opts.Overheads) == 0 {
-		// Default only the overhead range; the caller's Workers, Strategies
-		// and retention settings stay in force.
+		// Default only the overhead range; the caller's Workers and
+		// retention settings stay in force.
 		opts.Overheads = DefaultSweepOptions().Overheads
 	}
 	ev, err := NewEvaluator(ctx, f)
@@ -270,7 +244,7 @@ func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*
 	if len(ev.baseline.Hotspots) == 0 {
 		return nil, fmt.Errorf("core: baseline has no detectable hotspots; nothing to optimize")
 	}
-	if err := checkAreaBounds(ev, opts); err != nil {
+	if err := checkAreaBounds(opts.Overheads); err != nil {
 		return nil, err
 	}
 	if opts.Adaptive != nil {
@@ -280,14 +254,9 @@ func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*
 	// The classic sweep is the candidate grid with no triage: every
 	// candidate survives to the exact fan-out.
 	var rowCounts []int
-	if wantStrategy(opts, StrategyERI) {
-		rowCounts = opts.ERIRows
-		if len(rowCounts) == 0 {
-			//repolint:allow ctxpair(geometry-only derivation over a handful of overheads; no solves inside)
-			for _, ov := range opts.Overheads {
-				rowCounts = append(rowCounts, RowsForAreaOverhead(ev.baseline.Placement, ov))
-			}
-		}
+	//repolint:allow ctxpair(geometry-only derivation over a handful of overheads; no solves inside)
+	for _, ov := range opts.Overheads {
+		rowCounts = append(rowCounts, RowsForAreaOverhead(ev.baseline.Placement, ov))
 	}
 	s := newSweep(ev, opts, opts.Overheads, []float64{0}, rowCounts, 0)
 	for _, c := range s.cands {
@@ -299,17 +268,12 @@ func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*
 	return &SweepResult{Baseline: ev.baseline, BaselineUtilization: ev.baseUtil, Points: s.points()}, nil
 }
 
-// checkAreaBounds rejects sweep overheads and ERI row counts whose area
-// overhead exceeds MaxAreaOverhead, before any candidate is placed.
-func checkAreaBounds(ev *Evaluator, opts SweepOptions) error {
-	for _, ov := range opts.Overheads {
+// checkAreaBounds rejects sweep overheads above MaxAreaOverhead, before any
+// candidate is placed.
+func checkAreaBounds(overheads []float64) error {
+	for _, ov := range overheads {
 		if ov > MaxAreaOverhead {
 			return fmt.Errorf("core: sweep overhead %g above the bound %d", ov, MaxAreaOverhead)
-		}
-	}
-	for _, rows := range opts.ERIRows {
-		if ov := AreaOverheadForRows(ev.baseline.Placement, rows); ov > MaxAreaOverhead {
-			return fmt.Errorf("core: sweep ERI rows %d are an area overhead of %g, above the bound %d", rows, ov, MaxAreaOverhead)
 		}
 	}
 	return nil
@@ -351,7 +315,7 @@ type sweep struct {
 	// order the points are reported in.
 	cands []*candidate
 	// defaults[a][i] and hws[a][i] pair the Default and HW candidates of
-	// one (aspect, overhead) cell; hws is nil when HW is not swept.
+	// one (aspect, overhead) cell.
 	defaults, hws [][]*candidate
 	eris          []*candidate
 
@@ -361,8 +325,6 @@ type sweep struct {
 
 // newSweep enumerates the candidate grid: Default and HW candidates on
 // every (aspect, overhead) cell, ERI candidates per row count at eriAspect.
-// Default candidates are enumerated when HW is swept even if Default is
-// not: they are the HW points' lineage parents.
 func newSweep(ev *Evaluator, opts SweepOptions, overheads, aspects []float64, rowCounts []int, eriAspect float64) *sweep {
 	s := &sweep{ev: ev, opts: opts}
 	add := func(slot int, pt Point) *candidate {
@@ -381,16 +343,11 @@ func newSweep(ev *Evaluator, opts SweepOptions, overheads, aspects []float64, ro
 		}
 		return out
 	}
-	wantHW := wantStrategy(opts, StrategyHW)
-	if wantHW || wantStrategy(opts, StrategyDefault) {
-		s.defaults = cells(StrategyDefault)
-	}
+	s.defaults = cells(StrategyDefault)
 	for j, rows := range rowCounts {
 		s.eris = append(s.eris, add(j, Point{Strategy: StrategyERI, Rows: rows, Aspect: eriAspect}))
 	}
-	if wantHW {
-		s.hws = cells(StrategyHW)
-	}
+	s.hws = cells(StrategyHW)
 	return s
 }
 
@@ -409,7 +366,7 @@ func (s *sweep) exact(ctx context.Context, c *candidate, parent *flow.Analysis, 
 	s.solves.Add(1)
 	if record {
 		if s.opts.KeepAnalyses {
-			pt.Analysis, pt.Placement = an, an.Placement
+			pt.Analysis = an
 		}
 		c.point = pt
 	}
@@ -423,16 +380,11 @@ func (s *sweep) exact(ctx context.Context, c *candidate, parent *flow.Analysis, 
 // candidate's analysis, the HW parent of its cell. It returns how many
 // Default candidates were measured only as HW parents.
 func (s *sweep) measure(ctx context.Context, anchor *flow.Analysis) (extraParents int, err error) {
-	wantDefault := wantStrategy(s.opts, StrategyDefault)
 	var tasks []func(context.Context) error
 	for ai, cells := range s.defaults {
 		for i, d := range cells {
-			var h *candidate
-			if s.hws != nil {
-				h = s.hws[ai][i]
-			}
-			needDefault := wantDefault && d.survives
-			needHW := h != nil && h.survives
+			h := s.hws[ai][i]
+			needDefault, needHW := d.survives, h.survives
 			if !needHW && (!needDefault || d.anchored) {
 				continue
 			}

@@ -11,10 +11,12 @@ import (
 
 	"thermplace/internal/bench"
 	"thermplace/internal/celllib"
+	"thermplace/internal/congestion"
 	"thermplace/internal/def"
 	"thermplace/internal/flow"
 	"thermplace/internal/netlist"
 	"thermplace/internal/place"
+	"thermplace/internal/timing"
 )
 
 // TestRunTasksErrorSelection pins the error contract of the sweep's worker
@@ -152,19 +154,6 @@ func TestSweepSinglePoint(t *testing.T) {
 			t.Errorf("%s point has non-positive area overhead %v", pt.Strategy, pt.AreaOverhead)
 		}
 	}
-	// A single ERI row count must also produce exactly one ERI point.
-	res, err = SweepEfficiencyCtx(context.Background(), f, SweepOptions{
-		Overheads:  []float64{0.25},
-		ERIRows:    []int{4},
-		Strategies: []Strategy{StrategyERI},
-		Workers:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 || res.Points[0].Rows != 4 {
-		t.Fatalf("ERI-only single-point sweep returned %+v", res.Points)
-	}
 }
 
 // TestSweepConcurrentErrorPropagation checks that a failing worker aborts a
@@ -198,12 +187,13 @@ func TestSweepConcurrentErrorPropagation(t *testing.T) {
 func TestEvaluateMatchesSweep(t *testing.T) {
 	const ov = 0.16
 	f := hotFlow(t, "mult8")
-	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{ov}, Strategies: []Strategy{StrategyHW}})
+	res, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: []float64{ov}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 1 {
-		t.Fatalf("sweep reported %d HW points, want 1", len(res.Points))
+	hws := res.PointsFor(StrategyHW)
+	if len(hws) != 1 {
+		t.Fatalf("sweep reported %d HW points, want 1", len(hws))
 	}
 	g := hotFlow(t, "mult8")
 	ev, err := NewEvaluator(context.Background(), g)
@@ -217,14 +207,59 @@ func TestEvaluateMatchesSweep(t *testing.T) {
 	if an == nil {
 		t.Fatal("evaluator skipped an HW point the sweep measured")
 	}
-	if *pt != res.Points[0] {
-		t.Fatalf("evaluator point differs from the sweep's:\n  evaluate: %+v\n  sweep:    %+v", *pt, res.Points[0])
+	if *pt != hws[0] {
+		t.Fatalf("evaluator point differs from the sweep's:\n  evaluate: %+v\n  sweep:    %+v", *pt, hws[0])
 	}
 }
 
-// TestAreaOverheadBound sends every strategy's point, and both sweep
-// options, at an area overhead just above MaxAreaOverhead and wants an error
-// that names the bound. A large enough overhead used to run the CLIs out of
+// TestCoAnalysisIgnoresConfig pins that every analysis is co-analyzed one
+// way: a flow whose config turns CoAnalysis off and sets non-zero Timing and
+// Congestion options measures the baseline's timing, congestion and
+// wirelength, and every float of every sweep point, == to a FastConfig
+// flow.
+func TestCoAnalysisIgnoresConfig(t *testing.T) {
+	d, err := bench.Generate(celllib.Default65nm(), bench.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := bench.Workload{Name: "hot-mult8", Activity: map[string]float64{"mult8": 0.6}, Default: 0.03}
+	sweep := func(cfg flow.Config) *SweepResult {
+		res, err := SweepEfficiencyCtx(context.Background(), flow.New(d, wl, cfg), SweepOptions{Overheads: []float64{0.1, 0.2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cfg := flow.FastConfig()
+	cfg.CoAnalysis = false
+	cfg.Timing = timing.Options{ClockPeriodPs: 1}
+	cfg.Congestion = congestion.Options{NX: 4, NY: 4}
+	ref, got := sweep(flow.FastConfig()), sweep(cfg)
+
+	rb, gb := ref.Baseline, got.Baseline
+	if gb.Timing == nil || gb.Congestion == nil {
+		t.Fatal("the baseline of a flow configured with CoAnalysis off was not co-analyzed")
+	}
+	if gb.Timing.CriticalPathPs != rb.Timing.CriticalPathPs || gb.Timing.SlackPs != rb.Timing.SlackPs ||
+		gb.Congestion.Overflows != rb.Congestion.Overflows || gb.Congestion.MaxUtilization != rb.Congestion.MaxUtilization ||
+		gb.HPWL != rb.HPWL {
+		t.Fatalf("baseline co-analysis differs: path %v ps, slack %v ps, %d overflows, max util %v, HPWL %v; FastConfig %v, %v, %d, %v, %v",
+			gb.Timing.CriticalPathPs, gb.Timing.SlackPs, gb.Congestion.Overflows, gb.Congestion.MaxUtilization, gb.HPWL,
+			rb.Timing.CriticalPathPs, rb.Timing.SlackPs, rb.Congestion.Overflows, rb.Congestion.MaxUtilization, rb.HPWL)
+	}
+	if len(got.Points) != len(ref.Points) {
+		t.Fatalf("%d points, FastConfig %d", len(got.Points), len(ref.Points))
+	}
+	for i := range ref.Points {
+		if got.Points[i] != ref.Points[i] {
+			t.Errorf("point %d differs:\n  knobs set:  %+v\n  FastConfig: %+v", i, got.Points[i], ref.Points[i])
+		}
+	}
+}
+
+// TestAreaOverheadBound sends every strategy's point, and a sweep, at an
+// area overhead just above MaxAreaOverhead and wants an error that names
+// the bound. A large enough overhead used to run the CLIs out of
 // memory in ERI's row insertion or the Default reflow's filler insertion.
 func TestAreaOverheadBound(t *testing.T) {
 	const ov = 3.2
@@ -246,13 +281,9 @@ func TestAreaOverheadBound(t *testing.T) {
 			t.Errorf("%v: got error %v, want one containing %q", pt, err, want)
 		}
 	}
-	for _, opts := range []SweepOptions{
-		{Overheads: []float64{0.1, ov}},
-		{ERIRows: []int{1, rows}, Strategies: []Strategy{StrategyERI}},
-	} {
-		if _, err := SweepEfficiencyCtx(ctx, f, opts); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("sweep %+v: got error %v, want one containing %q", opts, err, want)
-		}
+	opts := SweepOptions{Overheads: []float64{0.1, ov}}
+	if _, err := SweepEfficiencyCtx(ctx, f, opts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("sweep %+v: got error %v, want one containing %q", opts, err, want)
 	}
 }
 
@@ -462,7 +493,7 @@ func TestNetlistFillerInstancesStayUnplaced(t *testing.T) {
 	}
 	placements := map[string]*place.Placement{"baseline": base.Placement}
 	for _, pt := range res.Points {
-		placements[fmt.Sprintf("%s at %.2f", pt.Strategy, pt.AreaOverhead)] = pt.Placement
+		placements[fmt.Sprintf("%s at %.2f", pt.Strategy, pt.AreaOverhead)] = pt.Analysis.Placement
 	}
 	for _, s := range []Strategy{StrategyDefault, StrategyERI, StrategyHW} {
 		if len(res.PointsFor(s)) == 0 {

@@ -73,32 +73,35 @@ func HotspotWrapperDelta(p *place.Placement, spots []hotspot.Hotspot, opts Wrapp
 	out.BeginDelta()
 	core := out.FP.Core
 
+	// "Hot" cells — the source of a hotspot — are those whose power exceeds
+	// the design average (times HotCellFactor). The average does not depend
+	// on the hotspot, so one pass over the design serves every wrapper.
+	designTotal, designCount := 0.0, 0
+	for _, inst := range out.Design.Instances() {
+		if inst.IsFiller() {
+			continue
+		}
+		designTotal += opts.PowerOf(inst)
+		designCount++
+	}
+	threshold := 0.0
+	if designCount > 0 {
+		threshold = designTotal / float64(designCount) * opts.HotCellFactor
+	}
+
 	for _, h := range spots {
 		hotBox, outer, inner, ok := wrapperRegions(h.Rect, core, out.FP, expand, opts.RingWidth)
 		if !ok {
 			continue
 		}
 
-		// Partition the cells inside the wrapped region. "Hot" cells — the
-		// source of the hotspot — are those whose power exceeds the design
-		// average (times HotCellFactor); they stay and are spread out.
-		// Everything else is a bystander that gets moved outside the
-		// wrapper, exactly as the paper's exclusive move bounds would do.
+		// Partition the cells inside the wrapped region: the hot cells stay
+		// and are spread out, and everything else is a bystander that gets
+		// moved outside the wrapper, exactly as the paper's exclusive move
+		// bounds would do.
 		inside := out.InstancesInRect(outer)
 		if len(inside) == 0 {
 			continue
-		}
-		designTotal, designCount := 0.0, 0
-		for _, inst := range out.Design.Instances() {
-			if inst.IsFiller() {
-				continue
-			}
-			designTotal += opts.PowerOf(inst)
-			designCount++
-		}
-		threshold := 0.0
-		if designCount > 0 {
-			threshold = designTotal / float64(designCount) * opts.HotCellFactor
 		}
 		var hotCells, coldCells []*netlist.Instance
 		for _, inst := range inside {

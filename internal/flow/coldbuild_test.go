@@ -48,23 +48,14 @@ func requireSameAnalysis(t *testing.T, what string, want, got *Analysis) {
 			fail("hotspot %d is %+v, want %+v", i, h, w)
 		}
 	}
-	if (got.Timing == nil) != (want.Timing == nil) || (got.Congestion == nil) != (want.Congestion == nil) {
-		fail("co-analysis reports present differ")
+	if g, w := got.Timing, want.Timing; g.CriticalPathPs != w.CriticalPathPs || g.SlackPs != w.SlackPs ||
+		g.Endpoints != w.Endpoints || !slices.Equal(g.CriticalPath, w.CriticalPath) {
+		fail("critical path %v ps over %d steps, want %v ps over %d", g.CriticalPathPs, len(g.CriticalPath), w.CriticalPathPs, len(w.CriticalPath))
 	}
-	if got.Timing != nil {
-		g, w := got.Timing, want.Timing
-		if g.CriticalPathPs != w.CriticalPathPs || g.SlackPs != w.SlackPs || g.Endpoints != w.Endpoints ||
-			!slices.Equal(g.CriticalPath, w.CriticalPath) {
-			fail("critical path %v ps over %d steps, want %v ps over %d", g.CriticalPathPs, len(g.CriticalPath), w.CriticalPathPs, len(w.CriticalPath))
-		}
-	}
-	if got.Congestion != nil {
-		g, w := got.Congestion, want.Congestion
-		if g.MaxUtilization != w.MaxUtilization || g.MeanUtilization != w.MeanUtilization ||
-			g.Overflows != w.Overflows || g.TotalWirelength != w.TotalWirelength ||
-			!slices.Equal(g.Utilization.Values(), w.Utilization.Values()) {
-			fail("congestion max %v, %d overflows; want %v, %d", g.MaxUtilization, g.Overflows, w.MaxUtilization, w.Overflows)
-		}
+	if g, w := got.Congestion, want.Congestion; g.MaxUtilization != w.MaxUtilization || g.MeanUtilization != w.MeanUtilization ||
+		g.Overflows != w.Overflows || g.TotalWirelength != w.TotalWirelength ||
+		!slices.Equal(g.Utilization.Values(), w.Utilization.Values()) {
+		fail("congestion max %v, %d overflows; want %v, %d", g.MaxUtilization, g.Overflows, w.MaxUtilization, w.Overflows)
 	}
 	if got.HPWL != want.HPWL || got.Placement.TotalHPWL() != want.Placement.TotalHPWL() {
 		fail("HPWL %v, want %v", got.HPWL, want.HPWL)

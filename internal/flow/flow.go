@@ -50,23 +50,12 @@ type Config struct {
 	// HotspotOptions tunes hotspot detection on the resulting thermal map.
 	HotspotOptions hotspot.Options
 
-	// CoAnalysis extends every analysis with the cross-domain byproducts
-	// the paper's claims are stated in: a static timing analysis derated
-	// with the solved temperature field, a probabilistic routing-congestion
-	// estimate and the total wirelength (Analysis.Timing, .Congestion,
-	// .HPWL). DefaultConfig enables it; the zero Config leaves it off.
+	// CoAnalysis, Timing and Congestion are ignored and kept only because
+	// the perfbench module reads them. Every analysis is co-analyzed (see
+	// Analysis.Timing) under timing.DefaultOptions derates with the clock
+	// period from ClockHz, and under congestion's default grid.
 	CoAnalysis bool
-	// Timing configures the co-analysis STA. The zero value derives
-	// everything from the flow: timing.DefaultOptions derates (4%/10C cell,
-	// 5%/10C wire at a 25 C nominal), the clock period from ClockHz, and
-	// the temperature map from each analysis' own solved surface field. A
-	// non-zero value is used verbatim, except that a zero ClockPeriodPs is
-	// still derived from ClockHz and a nil TemperatureMap still tracks the
-	// solved field.
-	Timing timing.Options
-	// Congestion configures the co-analysis congestion estimate; zero
-	// fields select congestion's defaults (a 32x32 grid, 0.2 um pitch, three
-	// layers per direction).
+	Timing     timing.Options
 	Congestion congestion.Options
 }
 
@@ -307,14 +296,15 @@ type Analysis struct {
 	Hotspots []hotspot.Hotspot
 
 	// Timing is the static timing report of the placement, derated with the
-	// solved temperature field (hot cells slow down). Nil when
-	// Config.CoAnalysis is off.
+	// solved temperature field (hot cells slow down): timing.DefaultOptions
+	// derates (4%/10C cell, 5%/10C wire at a 25 C nominal) and the clock
+	// period from Config.ClockHz.
 	Timing *timing.Report
 	// Congestion is the probabilistic routing-congestion estimate of the
-	// placement. Nil when Config.CoAnalysis is off.
+	// placement on congestion's default grid (32x32 bins, 0.2 um pitch,
+	// three layers per direction).
 	Congestion *congestion.Report
-	// HPWL is the total half-perimeter wirelength of the placement in um
-	// (zero when Config.CoAnalysis is off).
+	// HPWL is the total half-perimeter wirelength of the placement in um.
 	HPWL float64
 
 	// state is the full solved temperature field (solver node order, every
@@ -338,12 +328,8 @@ func (a *Analysis) MemoryBytes() int64 {
 	const f64 = 8
 	n := f64 * int64(len(a.state)+len(a.PowerMap.Values())+len(a.Thermal.Surface.Values()))
 	n += a.Power.MemoryBytes()
-	if a.Timing != nil {
-		n += a.Timing.MemoryBytes()
-	}
-	if a.Congestion != nil {
-		n += a.Congestion.MemoryBytes()
-	}
+	n += a.Timing.MemoryBytes()
+	n += a.Congestion.MemoryBytes()
 	n += int64(len(a.Hotspots)) * 128 // rect + cells bookkeeping, coarse
 	return n
 }
@@ -451,41 +437,29 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 	return an, nil
 }
 
-// timingOptions resolves Config.Timing for one analysis: a zero value means
-// timing.DefaultOptions with the clock period derived from ClockHz, and a
-// nil TemperatureMap tracks the analysis' own solved surface field.
+// timingOptions are the co-analysis STA's options for one analysis:
+// timing.DefaultOptions derates, the clock period from ClockHz (the default
+// 1000 ps without one), and the analysis' own solved surface field as the
+// temperature map.
 func (f *Flow) timingOptions(tres *thermal.Result) timing.Options {
-	topts := f.Config.Timing
-	if topts == (timing.Options{}) {
-		topts = timing.DefaultOptions()
-		topts.ClockPeriodPs = 0
+	topts := timing.DefaultOptions()
+	if f.Config.ClockHz > 0 {
+		topts.ClockPeriodPs = 1e12 / f.Config.ClockHz
 	}
-	if topts.ClockPeriodPs == 0 {
-		if f.Config.ClockHz > 0 {
-			topts.ClockPeriodPs = 1e12 / f.Config.ClockHz
-		} else {
-			topts.ClockPeriodPs = timing.DefaultOptions().ClockPeriodPs
-		}
-	}
-	if topts.TemperatureMap == nil && tres != nil {
-		topts.TemperatureMap = tres.Surface
-	}
+	topts.TemperatureMap = tres.Surface
 	return topts
 }
 
-// coAnalyze fills the analysis' timing, congestion and wirelength fields
-// (Config.CoAnalysis). Timing runs once per analysis through the flow's
-// cached timing graph, derated with the analysis' own solved surface.
+// coAnalyze fills the analysis' timing, congestion and wirelength fields.
+// Timing runs once per analysis through the flow's cached timing graph,
+// derated with the analysis' own solved surface.
 func (f *Flow) coAnalyze(an *Analysis) error {
-	if !f.Config.CoAnalysis {
-		return nil
-	}
 	ta, err := f.ta()
 	if err != nil {
 		return fmt.Errorf("flow: timing analysis: %w", err)
 	}
 	an.Timing = ta.Analyze(an.Placement, f.timingOptions(an.Thermal))
-	an.Congestion = congestion.Estimate(an.Placement, f.Config.Congestion)
+	an.Congestion = congestion.Estimate(an.Placement, congestion.Options{})
 	an.HPWL = an.Placement.TotalHPWL()
 	return nil
 }
@@ -556,11 +530,10 @@ func (f *Flow) analyzeBaseline(ctx context.Context, workers int) (*Analysis, err
 // on the pool when Parallel(2) holds and not at all otherwise. One lane
 // places the design and checks one idle thermal solver into the pool, the
 // one the first solve then checks out; the other simulates the activity
-// and builds the power estimator and, with co-analysis, the timing
-// analyzer. Neither lane reads what the other builds. A lane's errors stay
-// cached for the analysis that follows, which reports them in its own
-// order; an invalid thermal config fails Get here and is reported by that
-// analysis' validation.
+// and builds the power estimator and the timing analyzer. Neither lane
+// reads what the other builds. A lane's errors stay cached for the analysis
+// that follows, which reports them in its own order; an invalid thermal
+// config fails Get here and is reported by that analysis' validation.
 func (f *Flow) buildCold(lanes *sparse.Pool) {
 	if !lanes.Parallel(2) {
 		return
@@ -573,7 +546,7 @@ func (f *Flow) buildCold(lanes *sparse.Pool) {
 					pool.Put(s, nil)
 				}
 			}
-		} else if _, err := f.est(); err == nil && f.Config.CoAnalysis {
+		} else if _, err := f.est(); err == nil {
 			_, _ = f.ta()
 		}
 		return 0

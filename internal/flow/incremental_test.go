@@ -149,10 +149,10 @@ func TestAnalyzeWithDeltaBitIdentical(t *testing.T) {
 }
 
 // TestCoAnalysisPopulatedAndIncremental verifies the co-analysis contract:
-// every analysis under DefaultConfig carries a temperature-derated timing
-// report, a congestion report and the HPWL, and a delta-driven child
-// analysis reports exactly the timing a from-scratch analysis of its
-// placement under its own resolved options does.
+// every analysis carries a temperature-derated timing report, a congestion
+// report and the HPWL, and a delta-driven child analysis reports exactly
+// the timing a from-scratch analysis of its placement under its own
+// resolved options does.
 func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 	f := smallFlow(t)
 	base, err := f.AnalyzeBaseline()
@@ -160,7 +160,7 @@ func TestCoAnalysisPopulatedAndIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	if base.Timing == nil || base.Congestion == nil {
-		t.Fatal("co-analysis reports must be populated under DefaultConfig-derived configs")
+		t.Fatal("co-analysis reports must be populated on every analysis")
 	}
 	if base.Timing.CriticalPathPs <= 0 || base.HPWL <= 0 {
 		t.Fatalf("degenerate co-analysis: critical path %v ps, HPWL %v", base.Timing.CriticalPathPs, base.HPWL)

@@ -166,8 +166,7 @@ type DesignStatz struct {
 	Queued   int64 `json:"queued"`
 
 	// Baseline co-analysis scalars captured at warm-up: temperature-derated
-	// timing and routing congestion of the resident baseline. Zero when the
-	// design's flow runs with co-analysis off.
+	// timing and routing congestion of the resident baseline.
 	BaselineCriticalPathPs float64 `json:"baseline_critical_path_ps"`
 	BaselineWorstSlackPs   float64 `json:"baseline_worst_slack_ps"`
 	BaselineHPWLUm         float64 `json:"baseline_hpwl_um"`
@@ -216,10 +215,10 @@ func (s *Server) Statz() StatzResponse {
 			CacheEntries:           d.cache.entriesLen(),
 			InFlight:               d.adm.inFlight(),
 			Queued:                 d.adm.inQueue(),
-			BaselineCriticalPathPs: d.baseCritPathPs,
-			BaselineWorstSlackPs:   d.baseWorstSlackPs,
-			BaselineHPWLUm:         d.baseHPWL,
-			BaselineOverflows:      d.baseOverflows,
+			BaselineCriticalPathPs: d.baseline.Timing.CriticalPathPs,
+			BaselineWorstSlackPs:   d.baseline.Timing.SlackPs,
+			BaselineHPWLUm:         d.baseline.HPWL,
+			BaselineOverflows:      d.baseline.Congestion.Overflows,
 			AdaptiveSweeps:         d.adaptiveSweeps.Load(),
 			AdaptiveCandidates:     d.adaptiveCandidates.Load(),
 			AdaptiveTriaged:        d.adaptiveTriaged.Load(),

@@ -307,8 +307,7 @@ type Result struct {
 	TotalPowerW   float64 `json:"total_power_w,omitempty"`
 
 	// Co-analysis metrics of the analyzed point (the baseline, for sweeps):
-	// temperature-derated timing and routing congestion. Zero when the flow
-	// was configured with co-analysis off.
+	// temperature-derated timing and routing congestion.
 	CriticalPathPs      float64 `json:"critical_path_ps,omitempty"`
 	WorstSlackPs        float64 `json:"worst_slack_ps,omitempty"`
 	HPWLUm              float64 `json:"hpwl_um,omitempty"`
@@ -369,7 +368,7 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 		case KindHW:
 			pt = core.Point{Strategy: core.StrategyHW, Utilization: f.Config.Utilization / (1 + q.Overhead)}
 		}
-		_, an, err := ev.Evaluate(ctx, pt, nil)
+		ep, an, err := ev.Evaluate(ctx, pt, nil)
 		if err != nil {
 			return nil, 0, fmt.Errorf("serve: %s: %w", q.Kind, err)
 		}
@@ -380,23 +379,19 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 				msg:      fmt.Sprintf("no tight hotspots at overhead %g; nothing to wrap", q.Overhead),
 			}
 		}
+		// The utilization is the core area's: an analyze point's own
+		// Utilization is the requested one, which can differ in the last bit.
 		res.Utilization = f.Config.Utilization / (an.Placement.FP.CoreArea() / baseArea)
-		res.AreaOverhead = an.Placement.FP.CoreArea()/baseArea - 1
-		res.Rows = pt.Rows
-		res.PeakRiseK = an.Thermal.PeakRise
-		if baseRise > 0 {
-			res.TempReduction = (baseRise - an.Thermal.PeakRise) / baseRise
-		}
+		res.AreaOverhead = ep.AreaOverhead
+		res.Rows = ep.Rows
+		res.PeakRiseK = ep.PeakRise
+		res.TempReduction = ep.TempReduction
 		res.TotalPowerW = an.Power.Total()
-		res.HPWLUm = an.HPWL
-		if an.Timing != nil {
-			res.CriticalPathPs = an.Timing.CriticalPathPs
-			res.WorstSlackPs = an.Timing.SlackPs
-		}
-		if an.Congestion != nil {
-			res.CongestionOverflows = an.Congestion.Overflows
-			res.CongestionMaxUtil = an.Congestion.MaxUtilization
-		}
+		res.HPWLUm = ep.HPWL
+		res.CriticalPathPs = ep.CriticalPathPs
+		res.WorstSlackPs = ep.WorstSlackPs
+		res.CongestionOverflows = ep.CongestionOverflows
+		res.CongestionMaxUtil = ep.CongestionMaxUtil
 		for _, h := range an.Hotspots {
 			res.Hotspots = append(res.Hotspots, HotspotSummary{
 				ID: h.ID, PeakRiseK: h.PeakRise, MeanRiseK: h.MeanRise,
@@ -431,14 +426,10 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 		res.PeakRiseK = baseRise
 		res.TotalPowerW = baseline.Power.Total()
 		res.HPWLUm = baseline.HPWL
-		if baseline.Timing != nil {
-			res.CriticalPathPs = baseline.Timing.CriticalPathPs
-			res.WorstSlackPs = baseline.Timing.SlackPs
-		}
-		if baseline.Congestion != nil {
-			res.CongestionOverflows = baseline.Congestion.Overflows
-			res.CongestionMaxUtil = baseline.Congestion.MaxUtilization
-		}
+		res.CriticalPathPs = baseline.Timing.CriticalPathPs
+		res.WorstSlackPs = baseline.Timing.SlackPs
+		res.CongestionOverflows = baseline.Congestion.Overflows
+		res.CongestionMaxUtil = baseline.Congestion.MaxUtilization
 		pareto := map[int]bool{}
 		for _, idx := range sres.ParetoFront() {
 			pareto[idx] = true

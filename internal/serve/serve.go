@@ -98,12 +98,9 @@ type design struct {
 	cache *resultCache
 	stats *fault.Stats
 
-	// Baseline co-analysis scalars, captured once at AddDesign warm-up and
-	// reported on /statz. All zero when co-analysis is off for the design.
-	baseCritPathPs   float64
-	baseWorstSlackPs float64
-	baseHPWL         float64
-	baseOverflows    int
+	// baseline is the analysis of the AddDesign warm-up, the one the flow
+	// caches; /statz reports its co-analysis scalars.
+	baseline *flow.Analysis
 
 	// Adaptive-sweep triage counters, accumulated across freshly computed
 	// (non-cached) adaptive sweep queries and reported on /statz.
@@ -166,14 +163,7 @@ func (s *Server) AddDesign(ctx context.Context, name string, net *netlist.Design
 	if err != nil {
 		return err
 	}
-	d.baseHPWL = baseline.HPWL
-	if baseline.Timing != nil {
-		d.baseCritPathPs = baseline.Timing.CriticalPathPs
-		d.baseWorstSlackPs = baseline.Timing.SlackPs
-	}
-	if baseline.Congestion != nil {
-		d.baseOverflows = baseline.Congestion.Overflows
-	}
+	d.baseline = baseline
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.designs[name]; dup {
