@@ -66,9 +66,7 @@ func main() {
 		overhead    = flag.Float64("overhead", 0.16, "with -strategy, target fractional area overhead (default/hw, and eri when -rows is 0)")
 		rows        = flag.Int("rows", 0, "with -strategy eri, empty rows to insert (0 derives the count from -overhead)")
 		withSweep   = flag.Bool("sweep", false, "additionally run the Figure 6 efficiency sweep on this design/workload")
-		adaptive    = flag.Bool("adaptive", false, "with -sweep, run the two-phase multi-fidelity sweep: densify the overhead grid, triage candidates on coarse-grid estimates, measure only the estimated Pareto front exactly")
-		gridScale   = flag.Int("grid-scale", 4, "with -adaptive, densification factor of the overhead grid")
-		margin      = flag.Float64("margin", 0.25, "with -adaptive, triage safety margin as a fraction of the estimated rise range (on the paper design over the Figure 6 range, 0.25 kept the exact front and 64-72 of 72 candidates at the default grid scale; 0.1 lost front points; see README)")
+		gridScale   = flag.Int("grid-scale", 1, "with -sweep, measure N times as many overheads, evenly spaced over the Figure 6 range")
 		timeout     = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels cleanly")
 	)
 	flag.Parse()
@@ -77,6 +75,9 @@ func main() {
 	}
 	if *rows < 0 {
 		fatal(fmt.Errorf("bad -rows %d: want a non-negative row count", *rows))
+	}
+	if *gridScale < 1 || *gridScale > core.MaxGridScale {
+		fatal(fmt.Errorf("bad -grid-scale %d: want an integer in [1, %d]", *gridScale, core.MaxGridScale))
 	}
 
 	// A SIGINT/SIGTERM (or the -timeout deadline) cancels the analysis
@@ -182,20 +183,14 @@ func main() {
 	}
 
 	if *withSweep {
-		var sopts core.SweepOptions
-		if *adaptive {
-			sopts.Adaptive = &core.AdaptiveOptions{GridScale: *gridScale, Margin: *margin}
-		}
-		res, err := core.SweepEfficiencyCtx(ctx, f, sopts)
+		res, err := core.SweepEfficiencyCtx(ctx, f, core.SweepOptions{
+			Overheads: core.DenseOverheads(core.DefaultSweepOptions().Overheads, *gridScale),
+		})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("efficiency sweep  : baseline rise %.3f C, %d points\n",
 			res.Baseline.Thermal.PeakRise, len(res.Points))
-		if ts := res.Triage; ts != nil {
-			fmt.Printf("adaptive triage   : %d/%d candidates pruned on coarse estimates (%d coarse + %d exact solves, max est err over survivors %.3f C)\n",
-				ts.Candidates-ts.Survivors, ts.Candidates, ts.CoarseSolves, ts.ExactSolves, ts.MaxEstErrC)
-		}
 		pareto := map[int]bool{}
 		for _, idx := range res.ParetoFront() {
 			pareto[idx] = true

@@ -394,8 +394,8 @@ func Run(sc bench.Scenario, opts Options) (*Report, error) {
 	}
 	ts := ad.Triage
 	rep.pass("sweep-adaptive-exactness",
-		fmt.Sprintf("%d/%d candidates triaged, %d-point front preserved, max est err %.3g C",
-			ts.Candidates-ts.Survivors, ts.Candidates, len(exRef.Front2D()), ts.MaxEstErrC))
+		fmt.Sprintf("%d/%d candidates triaged, %d-point front preserved",
+			ts.Candidates-ts.Survivors, ts.Candidates, len(exRef.Front2D())))
 
 	// Property: every placement the sweep produced is legal.
 	validated := 0

@@ -15,47 +15,21 @@ import (
 	"thermplace/internal/flow"
 )
 
-// RobustnessOptions tunes the fault-injection suite for one scenario.
-type RobustnessOptions struct {
-	// Grid is the square thermal-grid resolution (NX = NY). Zero means 20.
-	Grid int
-	// SimCycles is the random-vector simulation depth. Zero means 48.
-	SimCycles int
-	// Overheads are the sweep area-overhead points. Nil means {0.25}.
-	Overheads []float64
-	// Workers is the concurrent sweep width. Zero means 4.
-	Workers int
-	// TolC bounds how far a gracefully degraded solve (the Jacobi retry)
-	// may drift from the clean spectral-preconditioned solve, in degrees
-	// Celsius. Zero means 1e-6.
-	TolC float64
-	// CancelLatency bounds how long a mid-sweep cancellation may take to
-	// surface, from the context firing to the sweep returning. Zero means
-	// 100ms.
-	CancelLatency time.Duration
-}
-
-func (o RobustnessOptions) normalized() RobustnessOptions {
-	if o.Grid == 0 {
-		o.Grid = 20
-	}
-	if o.SimCycles == 0 {
-		o.SimCycles = 48
-	}
-	if len(o.Overheads) == 0 {
-		o.Overheads = []float64{0.25}
-	}
-	if o.Workers == 0 {
-		o.Workers = 4
-	}
-	if o.TolC == 0 {
-		o.TolC = 1e-6
-	}
-	if o.CancelLatency == 0 {
-		o.CancelLatency = 100 * time.Millisecond
-	}
-	return o
-}
+// The robustness suite's settings: a robustThermalGrid x robustThermalGrid
+// thermal grid, robustSimCycles random-vector cycles, and a sweep at
+// robustSweepOverhead on robustWorkers concurrent workers. A gracefully
+// degraded solve (the Jacobi retry) may drift at most robustTolC degrees
+// Celsius from the clean spectral-preconditioned solve, and a mid-sweep
+// cancellation must surface within robustCancelLatency of the context
+// firing.
+const (
+	robustThermalGrid   = 20
+	robustSimCycles     = 48
+	robustSweepOverhead = 0.25
+	robustWorkers       = 4
+	robustTolC          = 1e-6
+	robustCancelLatency = 100 * time.Millisecond
+)
 
 // RunRobustness drives one scenario through the fault-injection suite: every
 // failure mode the pipeline claims to tolerate is injected deterministically
@@ -63,8 +37,7 @@ func (o RobustnessOptions) normalized() RobustnessOptions {
 // panic, prompt cancellation, zero goroutine leakage — is verified. Like
 // Run, it returns a report of the checks performed; the first violated
 // property aborts with a descriptive error.
-func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
-	opts = opts.normalized()
+func RunRobustness(sc bench.Scenario) (*Report, error) {
 	gen, err := sc.Generate(celllib.Default65nm())
 	if err != nil {
 		return nil, err
@@ -77,15 +50,15 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 
 	mkFlow := func(inject *fault.Injector) *flow.Flow {
 		cfg := flow.ScenarioConfig(gen.Scenario)
-		cfg.SimCycles = opts.SimCycles
+		cfg.SimCycles = robustSimCycles
 		cfg.RefinePasses = 0
-		cfg.Thermal.NX, cfg.Thermal.NY = opts.Grid, opts.Grid
+		cfg.Thermal.NX, cfg.Thermal.NY = robustThermalGrid, robustThermalGrid
 		cfg.Thermal.Inject = inject
 		return flow.New(gen.Design, gen.Workload, cfg)
 	}
 	sweepOpts := core.SweepOptions{
-		Overheads: opts.Overheads,
-		Workers:   opts.Workers,
+		Overheads: []float64{robustSweepOverhead},
+		Workers:   robustWorkers,
 	}
 
 	baseGoroutines := runtime.NumGoroutine()
@@ -148,17 +121,17 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 		if !errors.Is(serr, fault.ErrCanceled) {
 			return rep, fmt.Errorf("harness: %s: canceled sweep returned %w, want fault.ErrCanceled", gen.Scenario, serr)
 		}
-		if latency > opts.CancelLatency {
-			return rep, fmt.Errorf("harness: %s: cancellation took %v (bound %v)", gen.Scenario, latency, opts.CancelLatency)
+		if latency > robustCancelLatency {
+			return rep, fmt.Errorf("harness: %s: cancellation took %v (bound %v)", gen.Scenario, latency, robustCancelLatency)
 		}
 		if f.FaultStats().Canceled == 0 {
 			return rep, fmt.Errorf("harness: %s: cancellation not recorded in FaultStats", gen.Scenario)
 		}
-		rep.pass("sweep-cancel-latency", fmt.Sprintf("stalled solve canceled in %v (bound %v)", latency, opts.CancelLatency))
+		rep.pass("sweep-cancel-latency", fmt.Sprintf("stalled solve canceled in %v (bound %v)", latency, robustCancelLatency))
 	}
 
 	// Property: a non-converging preconditioned solve is retried once on
-	// Jacobi and completes within TolC of the clean result.
+	// Jacobi and completes within robustTolC of the clean result.
 	{
 		f := mkFlow(&fault.Injector{FailCGSolveN: 1})
 		an, err := f.AnalyzeBaseline()
@@ -170,8 +143,8 @@ func RunRobustness(sc bench.Scenario, opts RobustnessOptions) (*Report, error) {
 		if stats.SolveRetries == 0 {
 			return rep, fmt.Errorf("harness: %s: solve retry not recorded in FaultStats", gen.Scenario)
 		}
-		if d > opts.TolC {
-			return rep, fmt.Errorf("harness: %s: retried solve differs from clean by %.3g C (tol %.3g)", gen.Scenario, d, opts.TolC)
+		if d > robustTolC {
+			return rep, fmt.Errorf("harness: %s: retried solve differs from clean by %.3g C (tol %.3g)", gen.Scenario, d, robustTolC)
 		}
 		rep.pass("nonconvergence-retry", fmt.Sprintf("Jacobi retry within %.3g C, %d retries recorded", d, stats.SolveRetries))
 	}

@@ -21,8 +21,7 @@ func TestScenarioFamiliesRobustness(t *testing.T) {
 	for _, fam := range families {
 		fam := fam
 		t.Run(fmt.Sprintf("%s/cells=1500", fam), func(t *testing.T) {
-			rep, err := RunRobustness(bench.Scenario{Family: fam, Seed: 7, TargetCells: 1500},
-				RobustnessOptions{})
+			rep, err := RunRobustness(bench.Scenario{Family: fam, Seed: 7, TargetCells: 1500})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +39,7 @@ func TestScenarioFamiliesRobustness(t *testing.T) {
 
 // TestRobustnessRejectsBadScenario propagates generator validation errors.
 func TestRobustnessRejectsBadScenario(t *testing.T) {
-	if _, err := RunRobustness(bench.Scenario{Family: "no-such-family"}, RobustnessOptions{}); err == nil {
+	if _, err := RunRobustness(bench.Scenario{Family: "no-such-family"}); err == nil {
 		t.Fatal("unknown family must fail")
 	}
 }

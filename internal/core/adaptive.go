@@ -30,6 +30,12 @@ import (
 // the classic sweep's exact fan-out (Evaluator); the sweep's points are
 // those exact measurements, bit-identical to an exhaustive run's
 // measurements of the same candidates.
+//
+// The triage judges each candidate on (area overhead, estimated rise) only,
+// so it protects Front2D. SweepResult.ParetoFront over an adaptive result
+// covers the survivors only and can lack points of the exhaustive run's
+// five-objective front. Neither thermflow nor thermserve runs the triage:
+// both sweep DenseOverheads exactly.
 type AdaptiveOptions struct {
 	// GridScale densifies the overhead axis: the candidate grid spans the
 	// base Overheads range with len(Overheads)*GridScale uniformly spaced
@@ -50,7 +56,7 @@ type AdaptiveOptions struct {
 	// to the exact phase, the exhaustive reference mode the harness
 	// compares against.
 	// On the paper design (both paper workloads, Figure 6 overheads, seeds
-	// 1-3) 0.25 kept the exhaustive front exactly at grid scales 3, 4 and 8,
+	// 1-3) 0.25 kept the exhaustive Front2D exactly at grid scales 3, 4 and 8,
 	// keeping 64-72 of 72 candidates at scale 4 and 46-54 of 54 at scale 3
 	// with CoarseFactor 2; 0.1 is unsafe: at scale 8 it lost 6 of 39 front
 	// points on the concentrated workload.
@@ -79,9 +85,10 @@ type AdaptiveOptions struct {
 	InjectEstRiseBiasC float64
 }
 
-// MaxGridScale bounds AdaptiveOptions.GridScale: enumeration allocates in
-// proportion to it without checking a context, so a larger scale is an
-// error up front rather than an out-of-memory crash.
+// MaxGridScale bounds AdaptiveOptions.GridScale and the DenseOverheads scale
+// of thermflow and thermserve: enumeration allocates in proportion to it
+// without checking a context, so a larger scale is an error up front rather
+// than an out-of-memory crash.
 const MaxGridScale = 16
 
 // TriageStats records what the coarse phase of an adaptive sweep did.
@@ -94,55 +101,23 @@ type TriageStats struct {
 	Survivors  int
 	// CoarseSolves counts the downsampled thermal solves of phase 1
 	// (including the coarse baseline calibration solve); ExactSolves the
-	// full-fidelity pipeline runs of phase 2.
+	// full-fidelity pipeline runs: the anchors, the survivors, and the
+	// Default parent of every surviving HW candidate, measured even when
+	// the triage dropped it.
 	CoarseSolves int
 	ExactSolves  int
-	// ExtraParents counts triaged-away Default candidates that were
-	// measured exactly anyway because a surviving HW candidate needed its
-	// Default placement as lineage parent; they are not reported as points.
-	ExtraParents int
 	// Anchors counts the exact calibration measurements of phase 1 (at most
 	// one per estimate family). Anchor points always appear in the result —
 	// they are exact measurements already paid for.
 	Anchors int
-	// Margin echoes the dominance margin the triage ran with.
-	Margin float64
-	// ErrHist is the histogram of relative est-vs-exact peak-rise error
-	// over the surviving candidates: <1%, <2%, <5%, <10%, >=10%.
-	ErrHist [5]int
-	// MaxEstErrC is the largest absolute est-vs-exact peak-rise difference
-	// observed over the surviving candidates, in C. Triaged candidates are
-	// never measured exactly, so it cannot reveal a lost front point.
-	MaxEstErrC float64
 }
 
-// addErr records one est-vs-exact comparison into the histogram.
-func (ts *TriageStats) addErr(estRise, exactRise float64) {
-	err := math.Abs(estRise - exactRise)
-	if err > ts.MaxEstErrC {
-		ts.MaxEstErrC = err
-	}
-	rel := 1.0
-	if exactRise > 0 {
-		rel = err / exactRise
-	}
-	switch {
-	case rel < 0.01:
-		ts.ErrHist[0]++
-	case rel < 0.02:
-		ts.ErrHist[1]++
-	case rel < 0.05:
-		ts.ErrHist[2]++
-	case rel < 0.10:
-		ts.ErrHist[3]++
-	default:
-		ts.ErrHist[4]++
-	}
-}
-
-// adaptiveOverheads densifies the base overhead axis to len(base)*scale
-// uniformly spaced points spanning the base range.
-func adaptiveOverheads(base []float64, scale int) []float64 {
+// DenseOverheads densifies the base overhead axis to len(base)*scale
+// uniformly spaced points spanning the base range. A scale of 1 or less, or
+// a base range of one value, returns base itself. The adaptive sweep
+// enumerates its candidates over it, and thermflow and thermserve sweep it
+// exactly.
+func DenseOverheads(base []float64, scale int) []float64 {
 	if scale <= 1 || len(base) == 0 {
 		return base
 	}
@@ -215,25 +190,16 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 	}
 	f, baseline := ev.flow, ev.baseline
 	baseArea := baseline.Placement.FP.CoreArea()
-	stats := &TriageStats{Margin: af.Margin}
+	stats := &TriageStats{}
 	result := &SweepResult{Baseline: baseline, BaselineUtilization: ev.baseUtil, Triage: stats}
 
 	// ---- Candidate enumeration. ----
-	overheads := adaptiveOverheads(opts.Overheads, af.GridScale)
+	overheads := DenseOverheads(opts.Overheads, af.GridScale)
 	aspects := af.Aspects
 	if len(aspects) == 0 {
 		aspects = []float64{f.Config.AspectRatio}
 	}
-	// Row granularity quantizes the overhead axis, so consecutive densified
-	// overheads often map to the same row count; dedupe.
-	var rowCounts []int
-	for _, ov := range overheads {
-		r := RowsForAreaOverhead(baseline.Placement, ov)
-		if n := len(rowCounts); n == 0 || rowCounts[n-1] != r {
-			rowCounts = append(rowCounts, r)
-		}
-	}
-	s := newSweep(ev, opts, overheads, aspects, rowCounts, f.Config.AspectRatio)
+	s := newSweep(ev, opts, overheads, aspects, eriRows(baseline.Placement, overheads), f.Config.AspectRatio)
 	stats.Candidates = len(s.cands)
 
 	// ---- Phase 1: coarse-fidelity estimates, placement-free. ----
@@ -513,19 +479,13 @@ func sweepAdaptive(ctx context.Context, ev *Evaluator, opts SweepOptions) (*Swee
 
 	// ---- Phase 2: exact refinement of the survivors on the classic
 	// sweep's fan-out. ----
-	if stats.ExtraParents, err = s.measure(ctx, anchorDef); err != nil {
+	if err := s.measure(ctx, anchorDef); err != nil {
 		return nil, err
 	}
 	stats.ExactSolves = int(s.solves.Load())
 
 	// Assemble in candidate-enumeration order (Default, ERI, HW — the
-	// classic sweep's grouping) and fold the est-vs-exact errors into the
-	// histogram.
-	for _, c := range s.cands {
-		if c.point != nil && c.estValid {
-			stats.addErr(c.estRise, c.point.PeakRise)
-		}
-	}
+	// classic sweep's grouping).
 	result.Points = s.points()
 	return result, nil
 }

@@ -65,7 +65,7 @@ func TestAdaptiveSweepMatchesExhaustive(t *testing.T) {
 		t.Fatalf("candidate grids differ: %d vs %d", ts.Candidates, exhaustive.Triage.Candidates)
 	}
 	if ts.Survivors >= ts.Candidates {
-		t.Fatalf("triage kept all %d candidates; margin %g should have dropped some", ts.Candidates, ts.Margin)
+		t.Fatalf("triage kept all %d candidates; margin %g should have dropped some", ts.Candidates, adOpts.Adaptive.Margin)
 	}
 	if ts.CoarseSolves == 0 || ts.ExactSolves == 0 {
 		t.Fatalf("solve counters not recorded: %+v", ts)
@@ -111,27 +111,17 @@ func TestAdaptiveSweepMatchesExhaustive(t *testing.T) {
 			t.Fatalf("adaptive front point %+v is not on the true front", k)
 		}
 	}
-
-	// Error accounting: the histogram covers every est-vs-exact pair.
-	histTotal := 0
-	for _, n := range ts.ErrHist {
-		histTotal += n
-	}
-	if histTotal == 0 {
-		t.Fatal("error histogram is empty")
-	}
-	if math.IsNaN(ts.MaxEstErrC) || ts.MaxEstErrC < 0 {
-		t.Fatalf("non-physical MaxEstErrC %g", ts.MaxEstErrC)
-	}
 }
 
 // TestAdaptiveFrontExactAtShippedMargins holds the adaptive front to the
-// exhaustive one at the settings the commands ship: thermflow -sweep
-// -adaptive's defaults on stimulus seeds 1-3 and thermserve's adaptive=1
-// defaults on seed 1, each on the paper design under both paper workloads
-// over the Figure 6 overheads. Every point of the adaptive Front2D must be
-// == (every float) to the Margin +Inf run's point for the same candidate,
-// with no point missing and none extra.
+// exhaustive one at the settings the two commands shipped before they
+// swept their dense grids exactly: thermflow -sweep -adaptive's defaults
+// (grid scale 4, margin 0.25) on stimulus seeds 1-3 and thermserve's
+// adaptive=1 defaults (grid scale 3, margin 0.25, CoarseFactor 2) on seed 1,
+// each on the paper design under both paper workloads over the Figure 6
+// overheads. Every point of the adaptive Front2D must be == (every float)
+// to the Margin +Inf run's point for the same candidate, with no point
+// missing and none extra.
 func TestAdaptiveFrontExactAtShippedMargins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16 paper-scale sweeps")

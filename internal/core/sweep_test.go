@@ -406,9 +406,9 @@ func TestParetoFrontDegenerateCases(t *testing.T) {
 	})
 }
 
-// TestAdaptiveTriageStatsNaNFree pins the NaN-free guarantee of the triage
-// statistics a real adaptive run attaches to its SweepResult: every recorded
-// scalar is finite and the fronts over the exact points are well defined.
+// TestAdaptiveTriageStatsNaNFree pins what a real adaptive run attaches to
+// its SweepResult: triage counters that add up, NaN-free points, and well
+// defined fronts over them.
 func TestAdaptiveTriageStatsNaNFree(t *testing.T) {
 	f := hotFlow(t, "mult8")
 	r, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
@@ -423,13 +423,8 @@ func TestAdaptiveTriageStatsNaNFree(t *testing.T) {
 	if ts == nil {
 		t.Fatal("adaptive run recorded no triage stats")
 	}
-	for name, v := range map[string]float64{
-		"Margin":     ts.Margin,
-		"MaxEstErrC": ts.MaxEstErrC,
-	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("triage stat %s = %v, want finite", name, v)
-		}
+	if ts.Survivors > ts.Candidates || ts.ExactSolves < len(r.Points) || ts.CoarseSolves == 0 {
+		t.Fatalf("triage stats %+v do not add up over %d points", *ts, len(r.Points))
 	}
 	for _, p := range r.Points {
 		for name, v := range map[string]float64{
@@ -447,6 +442,43 @@ func TestAdaptiveTriageStatsNaNFree(t *testing.T) {
 	}
 	if got := r.Front2D(); len(got) == 0 {
 		t.Fatal("adaptive result has an empty 2D front")
+	}
+}
+
+// TestDenseSweepIsExhaustive holds the dense sweep thermflow and thermserve
+// run to the adaptive engine's exhaustive mode: the classic sweep over
+// DenseOverheads(Figure 6, 3) measures the candidates of a Margin +Inf
+// adaptive run at grid scale 3, in its order, and every float of every
+// point is ==. Aspect is the one field apart: the adaptive run records the
+// flow's aspect there, the classic sweep zero.
+func TestDenseSweepIsExhaustive(t *testing.T) {
+	d, err := bench.Generate(celllib.Default65nm(), bench.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := flow.New(d, bench.SmallScatteredWorkload(), flow.FastConfig())
+	fig6 := DefaultSweepOptions().Overheads
+	dense, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{Overheads: DenseOverheads(fig6, 3), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := SweepEfficiencyCtx(context.Background(), f, SweepOptions{
+		Overheads: fig6,
+		Workers:   2,
+		Adaptive:  &AdaptiveOptions{GridScale: 3, Margin: math.Inf(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dense.Points) != len(ex.Points) {
+		t.Fatalf("dense sweep has %d points, the exhaustive adaptive run %d", len(dense.Points), len(ex.Points))
+	}
+	for i, p := range dense.Points {
+		q := ex.Points[i]
+		q.Aspect = 0
+		if p != q {
+			t.Fatalf("point %d differs:\n  dense:      %+v\n  exhaustive: %+v", i, p, q)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 //	GET /analyze?design=D&util=0.7[&full=1][&deadline_ms=N]
 //	GET /delta?design=D&strategy=eri&rows=4         (or overhead=0.1)
 //	GET /delta?design=D&strategy=hw&overhead=0.16
-//	GET /sweep?design=D&overheads=0.05,0.1,0.2[&adaptive=1][&grid_scale=N]
+//	GET /sweep?design=D&overheads=0.05,0.1,0.2[&grid_scale=N]
 //	GET /healthz   process liveness (always 200 while serving)
 //	GET /readyz    admission readiness (503 once draining)
 //	GET /statz     per-design fault/service counters
@@ -142,14 +142,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind Kind) {
 		return
 	}
 	res.Design = d.name
-	if ts := res.Triage; ts != nil {
-		// Freshly computed adaptive sweep (cache hits returned above): fold
-		// its triage work into the per-design /statz counters.
-		d.adaptiveSweeps.Add(1)
-		d.adaptiveCandidates.Add(int64(ts.Candidates))
-		d.adaptiveTriaged.Add(int64(ts.Candidates - ts.Survivors))
-		d.adaptiveExact.Add(int64(ts.ExactSolves))
-	}
 	d.cache.put(key, res, cost)
 	writeJSON(w, http.StatusOK, res)
 }
@@ -171,15 +163,6 @@ type DesignStatz struct {
 	BaselineWorstSlackPs   float64 `json:"baseline_worst_slack_ps"`
 	BaselineHPWLUm         float64 `json:"baseline_hpwl_um"`
 	BaselineOverflows      int     `json:"baseline_congestion_overflows"`
-
-	// Adaptive-sweep triage counters, accumulated across freshly computed
-	// adaptive sweep queries: how many grid candidates the coarse phase saw,
-	// how many it pruned before the exact phase, and how many exact analyses
-	// were actually paid for.
-	AdaptiveSweeps     int64 `json:"adaptive_sweeps"`
-	AdaptiveCandidates int64 `json:"adaptive_candidates"`
-	AdaptiveTriaged    int64 `json:"adaptive_triaged"`
-	AdaptiveExact      int64 `json:"adaptive_exact_solves"`
 
 	// Counter semantics are documented on fault.StatsSnapshot: Admitted,
 	// Shed, TimedOut, Evicted are the service counters; the solver-level
@@ -219,10 +202,6 @@ func (s *Server) Statz() StatzResponse {
 			BaselineWorstSlackPs:   d.baseline.Timing.SlackPs,
 			BaselineHPWLUm:         d.baseline.HPWL,
 			BaselineOverflows:      d.baseline.Congestion.Overflows,
-			AdaptiveSweeps:         d.adaptiveSweeps.Load(),
-			AdaptiveCandidates:     d.adaptiveCandidates.Load(),
-			AdaptiveTriaged:        d.adaptiveTriaged.Load(),
-			AdaptiveExact:          d.adaptiveExact.Load(),
 			SolveRetries:           snap.SolveRetries,
 			PanicsContained:        snap.PanicsContained,
 			Canceled:               snap.Canceled,

@@ -30,29 +30,13 @@ const (
 	KindSweep Kind = "sweep"
 )
 
-// serveAdaptiveMargin is the triage margin of adaptive sweep queries, as a
-// fraction of the estimated rise range. The server favours front safety over
-// triage aggressiveness. What is measured: at this margin the scenario
-// harness's sweep-adaptive-exactness check finds the adaptive front equal to
-// the exhaustive one on every scenario family at the harness's grid sizes,
-// and core's TestAdaptiveFrontExactAtShippedMargins finds it equal on the
-// paper design under both paper workloads at these query settings. That is
-// not a guarantee for every resident design: triaged candidates are never
-// measured exactly, so a lost front point would not show in the triage
-// statistics.
-const serveAdaptiveMargin = 0.25
-
-// defaultGridScale is the densification factor of an adaptive sweep query
-// that names no grid_scale.
-const defaultGridScale = 3
-
 // maxSweepOverheads bounds a sweep query's candidate count. A query's
 // placement work and memory grow with the core area and the candidate count
 // it asks for, in code that never checks a context, so a query beyond the
 // bounds is answered 400 before any placement work instead of running the
-// server out of memory. The area bound is core.MaxAreaOverhead and the
-// grid_scale bound core.MaxGridScale, which core enforces itself; the
-// server checks them too, so such a query never reaches a design.
+// server out of memory. The area bound is core.MaxAreaOverhead, which core
+// enforces itself, and the grid_scale bound core.MaxGridScale; the server
+// checks both, so such a query never reaches a design.
 const maxSweepOverheads = 16
 
 // Query is one parsed what-if question against a resident design. Its
@@ -75,14 +59,9 @@ type Query struct {
 	// Figure 6 range), kept sorted so equivalent sweeps share a cache key:
 	// at most maxSweepOverheads of them, each at most core.MaxAreaOverhead.
 	Overheads []float64
-	// Adaptive selects the two-phase multi-fidelity sweep (KindSweep): the
-	// overhead axis is densified GridScale times, candidates are triaged on
-	// coarse-grid estimates and only the estimated Pareto front is measured
-	// exactly. Every returned point is still an exact measurement.
-	Adaptive bool
-	// GridScale is the adaptive densification factor (KindSweep with
-	// Adaptive), at most core.MaxGridScale. ParseQuery fills in
-	// defaultGridScale when the request names none.
+	// GridScale densifies the sweep's overhead axis (KindSweep): Exec
+	// measures every point of core.DenseOverheads(Overheads, GridScale). At
+	// most core.MaxGridScale; zero, like 1, sweeps the overheads as given.
 	GridScale int
 	// Full requests the solved surface temperature map in the response.
 	Full bool
@@ -115,8 +94,8 @@ func (q Query) Key() string {
 			}
 			b.WriteString(ff(ov))
 		}
-		if q.Adaptive {
-			b.WriteString("&adaptive=1&grid_scale=" + strconv.Itoa(q.GridScale))
+		if q.GridScale > 1 {
+			b.WriteString("&grid_scale=" + strconv.Itoa(q.GridScale))
 		}
 	}
 	if q.Full {
@@ -200,25 +179,17 @@ func ParseQuery(kind Kind, vals url.Values) (Query, error) {
 			}
 			q.Overheads = sortedOverheads(q.Overheads)
 		}
-		if s := vals.Get("adaptive"); s != "" {
-			adaptive, err := strconv.ParseBool(s)
-			if err != nil {
-				return badReq("parameter adaptive=%q: not a boolean", s)
-			}
-			q.Adaptive = adaptive
+		if vals.Has("adaptive") {
+			// Answered, not ignored: an adaptive=1 client would otherwise
+			// get the undensified grid without knowing it.
+			return badReq("parameter adaptive: sweeps are exact; grid_scale densifies the overhead axis")
 		}
 		if s := vals.Get("grid_scale"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil || n < 1 || n > core.MaxGridScale {
 				return badReq("parameter grid_scale=%q: not an integer in [1, %d]", s, core.MaxGridScale)
 			}
-			if !q.Adaptive {
-				return badReq("grid_scale requires adaptive=1")
-			}
 			q.GridScale = n
-		}
-		if q.Adaptive && q.GridScale == 0 {
-			q.GridScale = defaultGridScale
 		}
 	default:
 		return badReq("unknown query kind %q", kind)
@@ -260,8 +231,9 @@ type SweepPoint struct {
 	PeakRiseK     float64 `json:"peak_rise_k"`
 	Rows          int     `json:"rows,omitempty"`
 	Utilization   float64 `json:"utilization"`
-	// Aspect is the floorplan aspect ratio the point was placed at (adaptive
-	// sweeps; zero means the flow's configured aspect).
+	// Aspect is always zero, so the response never carries it: every point
+	// is placed at the flow's configured aspect. It is kept only because
+	// the perfbench module reads it.
 	Aspect float64 `json:"aspect,omitempty"`
 
 	// Co-analysis metrics: temperature-derated timing and routing congestion
@@ -274,18 +246,6 @@ type SweepPoint struct {
 	// Pareto marks points on the multi-objective Pareto front over
 	// (area overhead, peak rise, critical path, HPWL, overflows).
 	Pareto bool `json:"pareto,omitempty"`
-}
-
-// TriageSummary is the JSON form of an adaptive sweep's triage statistics:
-// how many candidates the coarse phase enumerated, how many survived to the
-// exact phase, and what each phase cost in solver work.
-type TriageSummary struct {
-	Candidates   int     `json:"candidates"`
-	Survivors    int     `json:"survivors"`
-	Anchors      int     `json:"anchors"`
-	CoarseSolves int     `json:"coarse_solves"`
-	ExactSolves  int     `json:"exact_solves"`
-	MaxEstErrK   float64 `json:"max_est_err_k"`
 }
 
 // Result is the JSON response of a completed query. Float64 values survive
@@ -316,8 +276,6 @@ type Result struct {
 
 	Hotspots []HotspotSummary `json:"hotspots,omitempty"`
 	Points   []SweepPoint     `json:"points,omitempty"`
-	// Triage summarizes the coarse-grid triage of an adaptive sweep.
-	Triage *TriageSummary `json:"triage,omitempty"`
 	// Surface is the solved surface temperature-rise map in kelvin, row-major
 	// [ny][nx] (present when the query asked full=1).
 	Surface [][]float64 `json:"surface,omitempty"`
@@ -404,21 +362,17 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 		return res, an.MemoryBytes(), nil
 
 	case KindSweep:
+		overheads := q.Overheads
+		if len(overheads) == 0 {
+			overheads = core.DefaultSweepOptions().Overheads
+		}
 		// Workers: 1 — the server's concurrency unit is the query, and the
 		// admission controller's in-flight bound must bound solver work; a
 		// sweep fanning out internally would break that accounting.
-		sopts := core.SweepOptions{
-			Overheads: q.Overheads,
+		sres, err := core.SweepEfficiencyCtx(ctx, f, core.SweepOptions{
+			Overheads: core.DenseOverheads(overheads, q.GridScale),
 			Workers:   1,
-		}
-		if q.Adaptive {
-			sopts.Adaptive = &core.AdaptiveOptions{
-				GridScale:    q.GridScale,
-				Margin:       serveAdaptiveMargin,
-				CoarseFactor: 2,
-			}
-		}
-		sres, err := core.SweepEfficiencyCtx(ctx, f, sopts)
+		})
 		if err != nil {
 			return nil, 0, fmt.Errorf("serve: sweep: %w", err)
 		}
@@ -442,7 +396,6 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 				PeakRiseK:           pt.PeakRise,
 				Rows:                pt.Rows,
 				Utilization:         pt.Utilization,
-				Aspect:              pt.Aspect,
 				CriticalPathPs:      pt.CriticalPathPs,
 				WorstSlackPs:        pt.WorstSlackPs,
 				HPWLUm:              pt.HPWL,
@@ -450,16 +403,6 @@ func Exec(ctx context.Context, f *flow.Flow, q Query) (*Result, int64, error) {
 				CongestionMaxUtil:   pt.CongestionMaxUtil,
 				Pareto:              pareto[i],
 			})
-		}
-		if ts := sres.Triage; ts != nil {
-			res.Triage = &TriageSummary{
-				Candidates:   ts.Candidates,
-				Survivors:    ts.Survivors,
-				Anchors:      ts.Anchors,
-				CoarseSolves: ts.CoarseSolves,
-				ExactSolves:  ts.ExactSolves,
-				MaxEstErrK:   ts.MaxEstErrC,
-			}
 		}
 		// No analyses are retained (KeepAnalyses false): charge a flat
 		// summary cost instead of solver-state bytes.

@@ -44,7 +44,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"thermplace/internal/bench"
@@ -101,13 +100,6 @@ type design struct {
 	// baseline is the analysis of the AddDesign warm-up, the one the flow
 	// caches; /statz reports its co-analysis scalars.
 	baseline *flow.Analysis
-
-	// Adaptive-sweep triage counters, accumulated across freshly computed
-	// (non-cached) adaptive sweep queries and reported on /statz.
-	adaptiveSweeps     atomic.Int64
-	adaptiveCandidates atomic.Int64
-	adaptiveTriaged    atomic.Int64
-	adaptiveExact      atomic.Int64
 }
 
 // Server is the query server. Designs are registered with AddDesign before

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -207,24 +208,22 @@ func TestQueryParseAndKey(t *testing.T) {
 	if q1.Key() != q2.Key() {
 		t.Fatalf("permuted sweeps got different keys: %q vs %q", q1.Key(), q2.Key())
 	}
-	// Adaptive sweeps key separately from exhaustive ones over the same
-	// overheads: they enumerate a different candidate grid.
-	qa, err := ParseQuery(KindSweep, url.Values{"overheads": {"0.05,0.2"}, "adaptive": {"1"}, "grid_scale": {"4"}})
+	// A densified sweep keys apart from the plain one over the same
+	// overheads: it measures a different grid. grid_scale=1 densifies
+	// nothing, so it shares the plain key.
+	qg, err := ParseQuery(KindSweep, url.Values{"overheads": {"0.05,0.2"}, "grid_scale": {"4"}})
 	if err != nil {
-		t.Fatalf("parse adaptive sweep: %v", err)
+		t.Fatalf("parse dense sweep: %v", err)
 	}
-	if qa.Key() == q2.Key() {
-		t.Fatalf("adaptive sweep shares key with exhaustive: %q", qa.Key())
+	if qg.GridScale != 4 || qg.Key() != "sweep?overheads=0.05,0.2&grid_scale=4" {
+		t.Fatalf("grid_scale=4 parses to %+v, key %q", qg, qg.Key())
 	}
-	if !qa.Adaptive || qa.GridScale != 4 {
-		t.Fatalf("adaptive params lost in parse: %+v", qa)
+	q1g, err := ParseQuery(KindSweep, url.Values{"overheads": {"0.05,0.2"}, "grid_scale": {"1"}})
+	if err != nil {
+		t.Fatalf("parse grid_scale=1 sweep: %v", err)
 	}
-	// An adaptive sweep without grid_scale runs the default scale, so it
-	// shares the key of the same sweep naming that scale.
-	qd, _ := ParseQuery(KindSweep, url.Values{"overheads": {"0.05,0.2"}, "adaptive": {"1"}})
-	qs, _ := ParseQuery(KindSweep, url.Values{"overheads": {"0.05,0.2"}, "adaptive": {"1"}, "grid_scale": {strconv.Itoa(defaultGridScale)}})
-	if qd.Key() != qs.Key() {
-		t.Fatalf("default and explicit grid scale key differently: %q vs %q", qd.Key(), qs.Key())
+	if q1g.Key() != q2.Key() {
+		t.Fatalf("grid_scale=1 keys as %q, the plain sweep as %q", q1g.Key(), q2.Key())
 	}
 	// An ERI query that names rows does not read its overhead, so the
 	// overhead does not enter its key.
@@ -270,16 +269,16 @@ var badQueries = []struct {
 	{KindSweep, url.Values{"overheads": {"0.1,bogus"}}},
 	{KindSweep, url.Values{"overheads": {"NaN"}}},
 	{KindSweep, url.Values{"overheads": {"0.1,Inf"}}},
-	{KindSweep, url.Values{"adaptive": {"maybe"}}},
-	{KindSweep, url.Values{"adaptive": {"1"}, "grid_scale": {"0"}}},
-	{KindSweep, url.Values{"grid_scale": {"3"}}},
+	{KindSweep, url.Values{"adaptive": {"1"}}},
+	{KindSweep, url.Values{"adaptive": {"1"}, "grid_scale": {"3"}}},
+	{KindSweep, url.Values{"grid_scale": {"0"}}},
 	{Kind("mystery"), url.Values{}},
 	// Over the query bounds.
 	{KindERI, url.Values{"overhead": {"3.5"}}},
 	{KindHW, url.Values{"overhead": {"1e300"}}},
 	{KindSweep, url.Values{"overheads": {"1000000"}}},
 	{KindSweep, url.Values{"overheads": {strings.Repeat("0.1,", maxSweepOverheads) + "0.2"}}},
-	{KindSweep, url.Values{"adaptive": {"1"}, "grid_scale": {"17"}}},
+	{KindSweep, url.Values{"grid_scale": {"17"}}},
 }
 
 // FuzzParseQuery holds ParseQuery to its contract on any query kind and raw
@@ -293,8 +292,8 @@ func FuzzParseQuery(f *testing.F) {
 		"util=0.7&full=1",
 		"overheads=0.2,0.05",
 		"overheads=0.05, 0.2",
-		"overheads=0.05,0.2&adaptive=1&grid_scale=4",
-		"adaptive=1&grid_scale=5",
+		"overheads=0.05,0.2&grid_scale=4",
+		"grid_scale=1",
 		"overhead=1e21&overheads=1e21", // over the overhead bound: a 400
 	} {
 		for _, kind := range []Kind{KindAnalyze, KindERI, KindHW, KindSweep} {
@@ -338,11 +337,11 @@ func FuzzParseQuery(f *testing.F) {
 	})
 }
 
-// TestServerAdaptiveSweep runs the two-phase multi-fidelity sweep through the
-// HTTP path: the response must be bit-identical to a direct Exec of the same
-// query, carry triage statistics, and fold them into /statz — once, because
-// the repeat request is a cache hit that did no triage work.
-func TestServerAdaptiveSweep(t *testing.T) {
+// TestServerDenseSweep runs a densified sweep through the HTTP path: the
+// response must be bit-identical to a direct Exec of the same query, every
+// point and its Pareto flag must be the exhaustive adaptive run's over the
+// same grid, and the repeat request must be a cache hit.
+func TestServerDenseSweep(t *testing.T) {
 	gen, cfg := testDesign(t)
 	srv := NewServer(Config{})
 	if err := srv.AddDesign(context.Background(), "d", gen.Design, gen.Workload, cfg, nil); err != nil {
@@ -352,65 +351,89 @@ func TestServerAdaptiveSweep(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ref := flow.New(gen.Design, gen.Workload, cfg)
-	q, err := ParseQuery(KindSweep, url.Values{"overheads": {"0.1,0.3"}, "adaptive": {"1"}, "grid_scale": {"2"}})
+	q, err := ParseQuery(KindSweep, url.Values{"overheads": {"0.1,0.3"}, "grid_scale": {"2"}})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	want, _, err := Exec(context.Background(), ref, q)
+	want, _, err := Exec(context.Background(), flow.New(gen.Design, gen.Workload, cfg), q)
 	if err != nil {
 		t.Fatalf("reference Exec: %v", err)
 	}
+	ex, err := core.SweepEfficiencyCtx(context.Background(), flow.New(gen.Design, gen.Workload, cfg), core.SweepOptions{
+		Overheads: []float64{0.1, 0.3},
+		Workers:   1,
+		Adaptive:  &core.AdaptiveOptions{GridScale: 2, Margin: math.Inf(1), CoarseFactor: 2},
+	})
+	if err != nil {
+		t.Fatalf("exhaustive adaptive sweep: %v", err)
+	}
 
 	var got Result
-	url := ts.URL + "/sweep?design=d&overheads=0.1,0.3&adaptive=1&grid_scale=2"
+	url := ts.URL + "/sweep?design=d&overheads=0.1,0.3&grid_scale=2"
 	if code, _ := getJSON(t, ts.Client(), url, &got); code != http.StatusOK {
-		t.Fatalf("adaptive sweep status %d: %+v", code, got)
+		t.Fatalf("dense sweep status %d: %+v", code, got)
 	}
-	if got.Triage == nil {
-		t.Fatal("adaptive sweep response carries no triage summary")
+	if len(got.Points) != len(want.Points) || len(got.Points) != len(ex.Points) {
+		t.Fatalf("served %d points, direct Exec %d, exhaustive adaptive run %d", len(got.Points), len(want.Points), len(ex.Points))
 	}
-	tr := got.Triage
-	if tr.Candidates <= 0 || tr.Survivors <= 0 || tr.Survivors > tr.Candidates ||
-		tr.ExactSolves <= 0 || tr.CoarseSolves <= 0 {
-		t.Fatalf("triage summary implausible: %+v", tr)
-	}
-	if len(got.Points) != len(want.Points) {
-		t.Fatalf("served %d points, direct Exec %d", len(got.Points), len(want.Points))
+	front := map[int]bool{}
+	for _, i := range ex.ParetoFront() {
+		front[i] = true
 	}
 	for i, pt := range got.Points {
 		if pt != want.Points[i] {
 			t.Fatalf("served point %d differs from direct Exec:\n got %+v\nwant %+v", i, pt, want.Points[i])
 		}
-	}
-	sawAspect := false
-	for _, pt := range got.Points {
-		if pt.Aspect > 0 {
-			sawAspect = true
+		e := ex.Points[i]
+		if exp := (SweepPoint{
+			Strategy: string(e.Strategy), AreaOverhead: e.AreaOverhead, TempReduction: e.TempReduction,
+			PeakRiseK: e.PeakRise, Rows: e.Rows, Utilization: e.Utilization,
+			CriticalPathPs: e.CriticalPathPs, WorstSlackPs: e.WorstSlackPs, HPWLUm: e.HPWL,
+			CongestionOverflows: e.CongestionOverflows, CongestionMaxUtil: e.CongestionMaxUtil,
+			Pareto: front[i],
+		}); pt != exp {
+			t.Fatalf("served point %d differs from the exhaustive adaptive run:\n got %+v\nwant %+v", i, pt, exp)
 		}
 	}
-	if !sawAspect {
-		t.Fatal("adaptive sweep points carry no aspect ratio")
-	}
 
-	// Repeat query: cache hit, same answer, no new triage work.
 	var hit Result
 	if code, _ := getJSON(t, ts.Client(), url, &hit); code != http.StatusOK || !hit.Cached {
-		t.Fatalf("repeat adaptive sweep not cached (status %d, cached %v)", code, hit.Cached)
+		t.Fatalf("repeat dense sweep not cached (status %d, cached %v)", code, hit.Cached)
 	}
+}
 
-	var stz StatzResponse
-	if code, _ := getJSON(t, ts.Client(), ts.URL+"/statz", &stz); code != http.StatusOK {
-		t.Fatalf("statz status %d", code)
+// TestSweepMeasuresEachERIRowCountOnce sweeps two overheads that round to
+// one ERI row count on thermserve's CI design: the sweep reports that ERI
+// point once, among five points, not twice among six.
+func TestSweepMeasuresEachERIRowCountOnce(t *testing.T) {
+	gen, err := bench.Scenario{Family: bench.FamilyPaperSynth9, Seed: 1, TargetCells: 1500}.Generate(celllib.Default65nm())
+	if err != nil {
+		t.Fatalf("generate scenario: %v", err)
 	}
-	ds := stz.Designs[0]
-	if ds.AdaptiveSweeps != 1 {
-		t.Fatalf("adaptive_sweeps = %d after one fresh + one cached query", ds.AdaptiveSweeps)
+	cfg := flow.ScenarioConfig(gen.Scenario)
+	cfg.SimCycles = 48
+	cfg.Thermal.NX, cfg.Thermal.NY = 16, 16
+	f := flow.New(gen.Design, gen.Workload, cfg)
+	base, err := f.AnalyzeBaseline()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ds.AdaptiveCandidates != int64(tr.Candidates) ||
-		ds.AdaptiveTriaged != int64(tr.Candidates-tr.Survivors) ||
-		ds.AdaptiveExact != int64(tr.ExactSolves) {
-		t.Fatalf("statz triage counters %+v disagree with response summary %+v", ds, tr)
+	rows := core.RowsForAreaOverhead(base.Placement, 0.1)
+	if r := core.RowsForAreaOverhead(base.Placement, 0.11); r != rows {
+		t.Fatalf("overheads 0.1 and 0.11 round to %d and %d rows; the case needs one count", rows, r)
+	}
+	res, _, err := Exec(context.Background(), f, Query{Kind: KindSweep, Overheads: []float64{0.1, 0.11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eris []SweepPoint
+	for _, pt := range res.Points {
+		if pt.Strategy == string(core.StrategyERI) {
+			eris = append(eris, pt)
+		}
+	}
+	if len(res.Points) != 5 || len(eris) != 1 || eris[0].Rows != rows {
+		t.Fatalf("sweep over 0.1,0.11 answered %d points with ERI points %+v, want 5 with one ERI point at %d rows", len(res.Points), eris, rows)
 	}
 }
 
@@ -434,7 +457,7 @@ func TestServerRejectsOverBoundQueries(t *testing.T) {
 		"/analyze?design=d&util=0.00001",
 		"/delta?design=d&strategy=eri&rows=1000000000",
 		"/sweep?design=d&overheads=1000000",
-		"/sweep?design=d&overheads=0.1,0.2&adaptive=1&grid_scale=100000000",
+		"/sweep?design=d&overheads=0.1,0.2&grid_scale=100000000",
 	} {
 		start := time.Now()
 		var eb errorBody
